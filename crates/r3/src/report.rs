@@ -263,7 +263,7 @@ impl AppAcc {
                 if s.type_name() == "STRING" {
                     s
                 } else {
-                    rdbms::exec::expr::arith(s, rdbms::sql::ast::BinOp::Add, v.clone())?
+                    rdbms::exec::expr::arith(&s, rdbms::sql::ast::BinOp::Add, &v)?
                 }
             }
         });

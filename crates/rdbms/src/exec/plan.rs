@@ -4,6 +4,13 @@
 //! physical work — page I/O through the pager, per-tuple CPU — is metered
 //! into the engine's [`crate::clock::CostMeter`], which is what the paper-reproduction
 //! experiments read out.
+//!
+//! What is materialized is each operator's *output*; on the way there a row
+//! is not copied: scans decode only the columns the plan reads (the rest
+//! stay `Value::Null` placeholders, so row width and column positions never
+//! change), predicates are evaluated on borrowed values, joins test the
+//! (left, right) pair and build the combined row only for matches, and
+//! sort/group/distinct order or mark row indexes over borrowed keys.
 
 use crate::catalog::{Index, Table};
 use crate::clock::Counter;
@@ -12,9 +19,11 @@ use crate::exec::expr::{AggSpec, BExpr, ExecCtx};
 use crate::lock::KeyRange;
 use crate::schema::Row;
 use crate::sql::ast::{AggFunc, BinOp, JoinKind};
-use crate::storage::codec::encode_key;
+use crate::storage::codec::{decode_columns, encode_key};
 use crate::storage::AccessPattern;
 use crate::types::{Decimal, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -34,6 +43,10 @@ pub enum Plan {
     SeqScan {
         table: Arc<Table>,
         filter: Option<BExpr>,
+        /// Columns read by `filter` or by any operator above: only these
+        /// are decoded, the others are `Value::Null` placeholders. All
+        /// columns until the planner's needed-column pass narrows it.
+        needed: Vec<bool>,
     },
     /// B+-tree range scan + heap fetch, with optional residual filter.
     IndexScan {
@@ -42,6 +55,8 @@ pub enum Plan {
         lower: Option<IndexKeyBound>,
         upper: Option<IndexKeyBound>,
         residual: Option<BExpr>,
+        /// As for `SeqScan` (columns read by `residual` included).
+        needed: Vec<bool>,
     },
     /// Literal rows (SELECT without FROM, INSERT source).
     Values {
@@ -191,6 +206,73 @@ impl Plan {
         }
     }
 
+    /// Number of columns in this node's output rows.
+    pub fn width(&self) -> usize {
+        match self {
+            Plan::SeqScan { table, .. } | Plan::IndexScan { table, .. } => table.schema.len(),
+            Plan::Values { rows } => rows.first().map_or(0, Vec::len),
+            Plan::MonitorScan { view } => view.schema().len(),
+            Plan::Filter { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Limit { input, .. } => input.width(),
+            Plan::Project { exprs, .. } => exprs.len(),
+            Plan::NLJoin { left, right_width, .. } | Plan::HashJoin { left, right_width, .. } => {
+                left.width() + right_width
+            }
+            Plan::Aggregate { groups, aggs, .. } => groups.len() + aggs.len(),
+        }
+    }
+
+    /// Mark in `cols` the columns of an enclosing row that this plan reads
+    /// through `Outer` references, where that row sits `level` frames above
+    /// the plan's own expressions (1 = the row the plan is executed under).
+    /// Nested subqueries and correlated join inners run one frame deeper.
+    pub(crate) fn mark_outer_refs(&self, level: usize, cols: &mut [bool]) {
+        let mut mark = |e: &BExpr| e.mark_outer_refs(level, cols);
+        match self {
+            Plan::SeqScan { filter, .. } => filter.iter().for_each(mark),
+            Plan::IndexScan { lower, upper, residual, .. } => {
+                for bound in [lower, upper].into_iter().flatten() {
+                    bound.values.iter().for_each(&mut mark);
+                }
+                residual.iter().for_each(mark);
+            }
+            Plan::Values { rows } => rows.iter().flatten().for_each(mark),
+            Plan::Filter { pred, .. } => mark(pred),
+            Plan::Project { exprs, .. } => exprs.iter().for_each(mark),
+            Plan::NLJoin { on, .. } => on.iter().for_each(mark),
+            Plan::HashJoin { left_keys, right_keys, residual, .. } => {
+                left_keys.iter().chain(right_keys).chain(residual).for_each(mark)
+            }
+            Plan::Sort { keys, .. } => keys.iter().for_each(|(e, _)| mark(e)),
+            Plan::Aggregate { groups, aggs, .. } => {
+                groups.iter().chain(aggs.iter().filter_map(|a| a.arg.as_ref())).for_each(mark)
+            }
+            Plan::MonitorScan { .. } | Plan::Distinct { .. } | Plan::Limit { .. } => {}
+        }
+        match self {
+            Plan::SeqScan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::Values { .. }
+            | Plan::MonitorScan { .. } => {}
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Limit { input, .. } => input.mark_outer_refs(level, cols),
+            Plan::NLJoin { left, right, right_correlated, .. } => {
+                left.mark_outer_refs(level, cols);
+                right.mark_outer_refs(level + usize::from(*right_correlated), cols);
+            }
+            Plan::HashJoin { left, right, .. } => {
+                left.mark_outer_refs(level, cols);
+                right.mark_outer_refs(level, cols);
+            }
+        }
+    }
+
     /// One-line-per-node plan description (EXPLAIN output), used by tests
     /// to assert optimizer choices and by the experiment harness.
     pub fn describe(&self) -> String {
@@ -202,7 +284,7 @@ impl Plan {
     fn describe_into(&self, out: &mut String, depth: usize) {
         let pad = "  ".repeat(depth);
         match self {
-            Plan::SeqScan { table, filter } => {
+            Plan::SeqScan { table, filter, .. } => {
                 out.push_str(&format!(
                     "{pad}SeqScan {} {}\n",
                     table.name,
@@ -283,7 +365,7 @@ impl Plan {
     /// mirroring the first line [`Plan::describe`] would print for it.
     fn node_label(&self) -> String {
         match self {
-            Plan::SeqScan { table, filter } => format!(
+            Plan::SeqScan { table, filter, .. } => format!(
                 "SeqScan {}{}",
                 table.name,
                 if filter.is_some() { " (filtered)" } else { "" }
@@ -310,21 +392,33 @@ impl Plan {
 
     fn execute_node(&self, ctx: &ExecCtx) -> DbResult<Vec<Row>> {
         match self {
-            Plan::SeqScan { table, filter } => {
+            Plan::SeqScan { table, filter, needed } => {
+                // Decode what the filter reads, test it, and decode the
+                // remaining needed columns of survivors only.
+                let mut first = vec![false; needed.len()];
+                if let Some(f) = filter {
+                    f.mark_columns(&mut first);
+                }
+                let rest: Vec<bool> = needed.iter().zip(&first).map(|(n, f)| *n && !*f).collect();
                 let mut out = Vec::new();
-                for item in table.heap.scan() {
-                    let (_, row) = item?;
+                let mut row = Row::new();
+                let mut scan = table.heap.scan();
+                while let Some(item) = scan.next_tuple() {
+                    let (_, bytes) = item?;
                     ctx.meter.bump(Counter::DbTuples);
                     if let Some(f) = filter {
+                        decode_columns(bytes, &first, &mut row)?;
                         if f.eval_bool(&row, ctx)? != Some(true) {
                             continue;
                         }
                     }
-                    out.push(row);
+                    decode_columns(bytes, &rest, &mut row)?;
+                    // The emptied `row` is regrown with NULLs by the next decode.
+                    out.push(std::mem::take(&mut row));
                 }
                 Ok(out)
             }
-            Plan::IndexScan { table, index, lower, upper, residual } => {
+            Plan::IndexScan { table, index, lower, upper, residual, needed } => {
                 let lo = eval_bound(lower, ctx)?;
                 let hi = eval_bound(upper, ctx)?;
                 let (lo, hi) = match (lo, hi) {
@@ -343,8 +437,11 @@ impl Plan {
                     // heap fetch — the crux of the paper's Table 6.
                     let row = table
                         .heap
-                        .get(rid, AccessPattern::Random)?
-                        .ok_or_else(|| DbError::storage("dangling index entry"))?;
+                        .get_with(rid, AccessPattern::Random, |bytes| {
+                            let mut row = Row::new();
+                            decode_columns(bytes, needed, &mut row).map(|()| row)
+                        })?
+                        .ok_or_else(|| DbError::storage("dangling index entry"))??;
                     ctx.meter.bump(Counter::DbTuples);
                     if let Some(f) = residual {
                         if f.eval_bool(&row, ctx)? != Some(true) {
@@ -391,36 +488,33 @@ impl Plan {
             }
             Plan::NLJoin { left, right, kind, on, right_correlated, right_width } => {
                 let left_rows = left.execute(ctx)?;
-                // Uncorrelated inner: materialize once.
+                // Uncorrelated inner: materialize once, borrow per outer row.
                 let materialized_right: Option<Vec<Row>> =
                     if *right_correlated { None } else { Some(right.execute(ctx)?) };
                 let mut out = Vec::new();
                 for lrow in &left_rows {
-                    let right_rows: Vec<Row> = match &materialized_right {
-                        Some(r) => r.clone(),
+                    let correlated_right;
+                    let right_rows: &[Row] = match &materialized_right {
+                        Some(r) => r,
                         None => {
-                            let child_ctx = ctx.push_outer(lrow);
-                            right.execute(&child_ctx)?
+                            correlated_right = right.execute(&ctx.push_outer(lrow))?;
+                            &correlated_right
                         }
                     };
                     let mut matched = false;
-                    for rrow in &right_rows {
+                    for rrow in right_rows {
                         ctx.meter.bump(Counter::DbTuples);
-                        let mut combined = lrow.clone();
-                        combined.extend(rrow.iter().cloned());
                         let ok = match on {
-                            Some(p) => p.eval_bool(&combined, ctx)? == Some(true),
+                            Some(p) => p.eval_bool_pair(lrow, rrow, ctx)? == Some(true),
                             None => true,
                         };
                         if ok {
                             matched = true;
-                            out.push(combined);
+                            out.push([lrow.as_slice(), rrow].concat());
                         }
                     }
                     if *kind == JoinKind::LeftOuter && !matched {
-                        let mut combined = lrow.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, *right_width));
-                        out.push(combined);
+                        out.push(null_extended(lrow, *right_width));
                     }
                 }
                 Ok(out)
@@ -428,13 +522,14 @@ impl Plan {
             Plan::HashJoin { left, right, left_keys, right_keys, residual, kind, right_width } => {
                 let build_rows = left.execute(ctx)?;
                 let probe_rows = right.execute(ctx)?;
-                let mut table: HashMap<Vec<Value>, Vec<usize>> =
+                // Keys borrow from the build rows wherever the key
+                // expression is a plain column.
+                let mut table: HashMap<Vec<Cow<Value>>, Vec<usize>> =
                     HashMap::with_capacity(build_rows.len());
                 for (i, row) in build_rows.iter().enumerate() {
                     ctx.meter.bump(Counter::DbTuples);
-                    let key: Row =
-                        left_keys.iter().map(|e| e.eval(row, ctx)).collect::<DbResult<_>>()?;
-                    if key.iter().any(Value::is_null) {
+                    let key = join_key(left_keys, row, ctx)?;
+                    if key.iter().any(|v| v.is_null()) {
                         continue; // null keys never join
                     }
                     table.entry(key).or_default().push(i);
@@ -443,32 +538,29 @@ impl Plan {
                 let mut out = Vec::new();
                 for prow in &probe_rows {
                     ctx.meter.bump(Counter::DbTuples);
-                    let key: Row =
-                        right_keys.iter().map(|e| e.eval(prow, ctx)).collect::<DbResult<_>>()?;
-                    if key.iter().any(Value::is_null) {
+                    let key = join_key(right_keys, prow, ctx)?;
+                    if key.iter().any(|v| v.is_null()) {
                         continue;
                     }
                     if let Some(idxs) = table.get(&key) {
                         for &i in idxs {
-                            let mut combined = build_rows[i].clone();
-                            combined.extend(prow.iter().cloned());
                             let ok = match residual {
-                                Some(p) => p.eval_bool(&combined, ctx)? == Some(true),
+                                Some(p) => {
+                                    p.eval_bool_pair(&build_rows[i], prow, ctx)? == Some(true)
+                                }
                                 None => true,
                             };
                             if ok {
                                 matched_build[i] = true;
-                                out.push(combined);
+                                out.push([build_rows[i].as_slice(), prow].concat());
                             }
                         }
                     }
                 }
                 if *kind == JoinKind::LeftOuter {
-                    for (i, row) in build_rows.iter().enumerate() {
-                        if !matched_build[i] {
-                            let mut combined = row.clone();
-                            combined.extend(std::iter::repeat_n(Value::Null, *right_width));
-                            out.push(combined);
+                    for (row, matched) in build_rows.iter().zip(&matched_build) {
+                        if !matched {
+                            out.push(null_extended(row, *right_width));
                         }
                     }
                 }
@@ -485,16 +577,15 @@ impl Plan {
                 aggregate(rows, groups, aggs, ctx)
             }
             Plan::Distinct { input } => {
-                let rows = input.execute(ctx)?;
-                let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
-                let mut out = Vec::new();
-                for row in rows {
-                    ctx.meter.bump(Counter::DbTuples);
-                    if seen.insert(row.clone()) {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
+                let mut rows = input.execute(ctx)?;
+                ctx.meter.add(Counter::DbTuples, rows.len() as u64);
+                let first_seen: Vec<bool> = {
+                    let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
+                    rows.iter().map(|row| seen.insert(row)).collect()
+                };
+                let mut first_seen = first_seen.into_iter();
+                rows.retain(|_| first_seen.next().expect("one flag per row"));
+                Ok(rows)
             }
             Plan::Limit { input, n } => {
                 let mut rows = input.execute(ctx)?;
@@ -503,6 +594,22 @@ impl Plan {
             }
         }
     }
+}
+
+/// `left` followed by `right_width` NULLs (the unmatched side of an outer join).
+fn null_extended(left: &[Value], right_width: usize) -> Row {
+    let mut row = Vec::with_capacity(left.len() + right_width);
+    row.extend_from_slice(left);
+    row.resize(left.len() + right_width, Value::Null);
+    row
+}
+
+fn join_key<'v>(
+    keys: &'v [BExpr],
+    row: &'v [Value],
+    ctx: &'v ExecCtx<'v>,
+) -> DbResult<Vec<Cow<'v, Value>>> {
+    keys.iter().map(|e| e.eval_cow(row, ctx)).collect()
 }
 
 fn eval_bound(bound: &Option<IndexKeyBound>, ctx: &ExecCtx) -> DbResult<Option<EvaluatedBound>> {
@@ -535,25 +642,48 @@ fn as_bound(b: &EvaluatedBound) -> Bound<&[u8]> {
     }
 }
 
-/// Stable multi-key sort.
-pub fn sort_rows(rows: Vec<Row>, keys: &[(BExpr, bool)], ctx: &ExecCtx) -> DbResult<Vec<Row>> {
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+/// The values of `exprs` for every row, row-major in one buffer (row `i`
+/// owns `keys[i * exprs.len()..][..exprs.len()]`), borrowed from the rows
+/// wherever an expression is a plain column.
+fn eval_keys<'v>(
+    rows: &'v [Row],
+    exprs: impl Iterator<Item = &'v BExpr> + Clone,
+    ctx: &'v ExecCtx<'v>,
+) -> DbResult<Vec<Cow<'v, Value>>> {
+    let mut keys = Vec::new();
     for row in rows {
-        let key: Vec<Value> =
-            keys.iter().map(|(e, _)| e.eval(&row, ctx)).collect::<DbResult<_>>()?;
-        decorated.push((key, row));
-    }
-    decorated.sort_by(|(a, _), (b, _)| {
-        for (i, (_, desc)) in keys.iter().enumerate() {
-            let ord = a[i].total_cmp(&b[i]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if !ord.is_eq() {
-                return ord;
-            }
+        for e in exprs.clone() {
+            keys.push(e.eval_cow(row, ctx)?);
         }
-        std::cmp::Ordering::Equal
-    });
-    Ok(decorated.into_iter().map(|(_, r)| r).collect())
+    }
+    Ok(keys)
+}
+
+/// Move `rows` out in the order `perm` lists their indexes.
+fn permute(mut rows: Vec<Row>, perm: &[usize]) -> Vec<Row> {
+    perm.iter().map(|&i| std::mem::take(&mut rows[i])).collect()
+}
+
+/// Stable multi-key sort: keys are computed once per row and an index
+/// permutation is sorted, so neither keys nor rows are copied.
+pub fn sort_rows(rows: Vec<Row>, keys: &[(BExpr, bool)], ctx: &ExecCtx) -> DbResult<Vec<Row>> {
+    let width = keys.len();
+    let mut perm: Vec<usize> = (0..rows.len()).collect();
+    {
+        let vals = eval_keys(&rows, keys.iter().map(|(e, _)| e), ctx)?;
+        perm.sort_by(|&a, &b| {
+            let (ka, kb) = (&vals[a * width..][..width], &vals[b * width..][..width]);
+            for ((x, y), (_, desc)) in ka.iter().zip(kb).zip(keys) {
+                let ord = x.total_cmp(y);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if !ord.is_eq() {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+    }
+    Ok(permute(rows, &perm))
 }
 
 /// One aggregate's accumulator.
@@ -576,40 +706,35 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, v: Value, func: AggFunc) -> DbResult<()> {
+    /// Fold one input value in; it is copied only where the accumulator
+    /// keeps it (a new distinct value, the first addend, a new extreme).
+    fn update(&mut self, v: &Value, func: AggFunc) -> DbResult<()> {
         if v.is_null() {
             return Ok(());
         }
         if let Some(set) = &mut self.distinct {
-            if !set.insert(v.clone()) {
+            if set.contains(v) {
                 return Ok(());
             }
+            set.insert(v.clone());
         }
         self.count += 1;
         match func {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => {
-                self.sum = Some(match self.sum.take() {
-                    None => v,
+                self.sum = Some(match &self.sum {
+                    None => v.clone(),
                     Some(s) => crate::exec::expr::arith(s, BinOp::Add, v)?,
                 });
             }
             AggFunc::Min => {
-                let better = match &self.min {
-                    None => true,
-                    Some(m) => v.total_cmp(m).is_lt(),
-                };
-                if better {
-                    self.min = Some(v);
+                if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
+                    self.min = Some(v.clone());
                 }
             }
             AggFunc::Max => {
-                let better = match &self.max {
-                    None => true,
-                    Some(m) => v.total_cmp(m).is_gt(),
-                };
-                if better {
-                    self.max = Some(v);
+                if self.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
+                    self.max = Some(v.clone());
                 }
             }
         }
@@ -653,42 +778,36 @@ fn aggregate(
             .collect::<DbResult<_>>()?;
         return Ok(vec![out]);
     }
-    // Decorate with group keys and sort (pipelined sort+group).
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let key: Vec<Value> = groups.iter().map(|e| e.eval(&row, ctx)).collect::<DbResult<_>>()?;
-        decorated.push((key, row));
-    }
-    decorated.sort_by(|(a, _), (b, _)| {
-        for i in 0..a.len() {
-            let ord = a[i].total_cmp(&b[i]);
-            if !ord.is_eq() {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    // Sort row indexes by group key (pipelined sort+group), then stream
+    // the groups off the permutation; keys stay borrowed from the rows.
+    let width = groups.len();
+    let keys = eval_keys(&rows, groups.iter(), ctx)?;
+    let key = |i: usize| &keys[i * width..][..width];
+    let cmp_keys = |a: usize, b: usize| {
+        key(a)
+            .iter()
+            .zip(key(b))
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|ord| !ord.is_eq())
+            .unwrap_or(Ordering::Equal)
+    };
+    let mut perm: Vec<usize> = (0..rows.len()).collect();
+    perm.sort_by(|&a, &b| cmp_keys(a, b));
     let mut out = Vec::new();
-    let mut current_key: Option<Vec<Value>> = None;
+    let mut group_start: Option<usize> = None;
     let mut accs: Vec<Acc> = Vec::new();
-    for (key, row) in decorated {
-        let same = match &current_key {
-            Some(k) => {
-                k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a.total_cmp(b).is_eq())
+    for &i in &perm {
+        if group_start.is_none_or(|g| !cmp_keys(g, i).is_eq()) {
+            if let Some(g) = group_start {
+                out.push(finish_group(key(g), &accs, aggs)?);
             }
-            None => false,
-        };
-        if !same {
-            if let Some(k) = current_key.take() {
-                out.push(finish_group(k, &accs, aggs)?);
-            }
-            current_key = Some(key);
+            group_start = Some(i);
             accs = aggs.iter().map(|a| Acc::new(a.distinct)).collect();
         }
-        accumulate(&mut accs, aggs, &row, ctx)?;
+        accumulate(&mut accs, aggs, &rows[i], ctx)?;
     }
-    if let Some(k) = current_key.take() {
-        out.push(finish_group(k, &accs, aggs)?);
+    if let Some(g) = group_start {
+        out.push(finish_group(key(g), &accs, aggs)?);
     }
     Ok(out)
 }
@@ -700,17 +819,14 @@ fn accumulate(accs: &mut [Acc], aggs: &[AggSpec], row: &Row, ctx: &ExecCtx) -> D
                 // COUNT(*): counts every row.
                 acc.count += 1;
             }
-            Some(e) => {
-                let v = e.eval(row, ctx)?;
-                acc.update(v, spec.func)?;
-            }
+            Some(e) => acc.update(e.eval_cow(row, ctx)?.as_ref(), spec.func)?,
         }
     }
     Ok(())
 }
 
-fn finish_group(key: Vec<Value>, accs: &[Acc], aggs: &[AggSpec]) -> DbResult<Row> {
-    let mut row = key;
+fn finish_group(key: &[Cow<Value>], accs: &[Acc], aggs: &[AggSpec]) -> DbResult<Row> {
+    let mut row: Row = key.iter().map(|v| v.as_ref().clone()).collect();
     for (acc, spec) in accs.iter().zip(aggs) {
         row.push(acc.finish(spec.func)?);
     }

@@ -4,6 +4,7 @@ use crate::catalog::{Catalog, Table};
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::{AggSpec, BExpr, BoundSubquery, ScalarFunc, SubqueryKind};
 use crate::exec::plan::{IndexKeyBound, Plan};
+use crate::planner::columns::prune_columns;
 use crate::planner::sarg::{extract_sargs, match_index, IndexAccess, Sarg};
 use crate::planner::selectivity::conjunct_selectivity;
 use crate::planner::PlannerConfig;
@@ -27,6 +28,9 @@ pub struct Planner<'a> {
     pub config: PlannerConfig,
     next_cache_id: Cell<usize>,
     max_param: Cell<usize>,
+    /// Run the needed-column pass (always, except under
+    /// [`Planner::keep_all_columns`]).
+    prune: bool,
 }
 
 /// One relation in the FROM list after flattening.
@@ -73,11 +77,29 @@ impl<'a> Planner<'a> {
             config: PlannerConfig::default(),
             next_cache_id: Cell::new(0),
             max_param: Cell::new(0),
+            prune: true,
         }
     }
 
     pub fn with_config(catalog: &'a Catalog, config: PlannerConfig) -> Self {
-        Planner { catalog, config, next_cache_id: Cell::new(0), max_param: Cell::new(0) }
+        Planner { config, ..Planner::new(catalog) }
+    }
+
+    /// Leave every scan at its default of decoding all columns. This is the
+    /// reference the differential tests compare pruned plans against; the
+    /// engine itself never calls it.
+    #[doc(hidden)]
+    pub fn keep_all_columns(mut self) -> Self {
+        self.prune = false;
+        self
+    }
+
+    /// Narrow the scans under a finished plan to the columns it reads, given
+    /// which of its own output columns are read.
+    fn prune(&self, plan: &mut Plan, required: Vec<bool>) {
+        if self.prune {
+            prune_columns(plan, required);
+        }
     }
 
     /// Plan a top-level query.
@@ -89,6 +111,7 @@ impl<'a> Planner<'a> {
             return Err(DbError::analysis("top-level query has unresolved outer references"));
         }
         pq.n_params = self.max_param.get();
+        self.prune(&mut pq.plan, vec![true; pq.schema.len()]);
         Ok(pq)
     }
 
@@ -427,7 +450,8 @@ impl<'a> Planner<'a> {
                 let binding = alias.as_deref().unwrap_or(name);
                 if let Some(table) = self.catalog.try_table(name) {
                     let schema = table.schema.with_qualifier(binding);
-                    return Ok((Plan::SeqScan { table, filter: None }, schema));
+                    let needed = vec![true; schema.len()];
+                    return Ok((Plan::SeqScan { table, filter: None, needed }, schema));
                 }
                 if let Some(view) = self.catalog.view(name) {
                     let mut sub_used = HashSet::new();
@@ -454,6 +478,12 @@ impl<'a> Planner<'a> {
                 let mut rkeys = Vec::new();
                 let mut residual = Vec::new();
                 for c in conjs {
+                    // Without hash joins every conjunct stays in the
+                    // nested-loop join's ON predicate.
+                    if !self.config.enable_hash_join {
+                        residual.push(c);
+                        continue;
+                    }
                     if let Expr::Binary { left: a, op: BinOp::Eq, right: b } = &c {
                         let a_left = self.binds_fully(a, &lschema);
                         let b_right = self.binds_fully(b, &rschema);
@@ -473,7 +503,7 @@ impl<'a> Planner<'a> {
                     residual.push(c);
                 }
                 let right_width = rschema.len();
-                if !lkeys.is_empty() && self.config.enable_hash_join {
+                if !lkeys.is_empty() {
                     let residual_pred = match Expr::conjunction(residual) {
                         Some(p) => Some(self.bind_expr(&p, &combined, outer, used_outer)?),
                         None => None,
@@ -694,7 +724,8 @@ impl<'a> Planner<'a> {
                         Some(p) => Some(self.bind_expr(&p, &schema, outer, used_outer)?),
                         None => None,
                     };
-                    Plan::SeqScan { table: Arc::clone(&table), filter }
+                    let needed = vec![true; schema.len()];
+                    Plan::SeqScan { table: Arc::clone(&table), filter, needed }
                 };
                 Ok(Built { plan, schema, card: est_rows, rels: HashSet::new() })
             }
@@ -799,6 +830,7 @@ impl<'a> Planner<'a> {
             lower: lower.map(|_| IndexKeyBound { values: lower_vals, inclusive: lower_inclusive }),
             upper: upper.map(|_| IndexKeyBound { values: upper_vals, inclusive: upper_inclusive }),
             residual,
+            needed: vec![true; schema.len()],
         })
     }
 
@@ -1433,9 +1465,11 @@ impl<'a> Planner<'a> {
                         pq.schema.len()
                     )));
                 }
+                self.prune(&mut pq.plan, vec![true]);
             }
             SubKindTag::Exists(_) => {
-                // EXISTS only needs one row.
+                // EXISTS only needs one row, and none of its columns.
+                self.prune(&mut pq.plan, vec![false; pq.schema.len()]);
                 pq.plan = Plan::Limit { input: Box::new(pq.plan), n: 1 };
             }
         }

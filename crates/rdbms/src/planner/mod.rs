@@ -20,6 +20,7 @@
 //!    beats the engine's own nested execution.
 
 mod builder;
+mod columns;
 mod dml;
 mod sarg;
 mod selectivity;

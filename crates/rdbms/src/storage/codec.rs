@@ -56,6 +56,13 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
 
 /// Decode one value from the front of `buf`.
 pub fn decode_value(buf: &mut &[u8]) -> DbResult<Value> {
+    read_value(buf, true)
+}
+
+/// Step over (`keep == false`) or decode the value at the front of `buf`.
+/// Stepping over checks lengths and tags exactly as decoding does but
+/// neither validates nor copies string bytes, and yields `Value::Null`.
+fn read_value(buf: &mut &[u8], keep: bool) -> DbResult<Value> {
     fn need(buf: &&[u8], n: usize) -> DbResult<()> {
         if buf.remaining() < n {
             Err(DbError::storage("truncated tuple"))
@@ -83,11 +90,15 @@ pub fn decode_value(buf: &mut &[u8]) -> DbResult<Value> {
             if buf.remaining() < len {
                 return Err(DbError::storage("truncated string value"));
             }
-            let s = std::str::from_utf8(&buf[..len])
-                .map_err(|_| DbError::storage("invalid UTF-8 in stored string"))?
-                .to_string();
+            let v = if keep {
+                let s = std::str::from_utf8(&buf[..len])
+                    .map_err(|_| DbError::storage("invalid UTF-8 in stored string"))?;
+                Value::Str(s.to_string())
+            } else {
+                Value::Null
+            };
             buf.advance(len);
-            Value::Str(s)
+            v
         }
         TAG_DATE => {
             need(buf, 4)?;
@@ -112,17 +123,40 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
     out
 }
 
-/// Decode a whole row.
-pub fn decode_row(mut buf: &[u8]) -> DbResult<Vec<Value>> {
+fn read_width(buf: &mut &[u8]) -> DbResult<usize> {
     if buf.remaining() < 2 {
         return Err(DbError::storage("truncated row header"));
     }
-    let n = buf.get_u16_le() as usize;
+    Ok(buf.get_u16_le() as usize)
+}
+
+/// Decode a whole row.
+pub fn decode_row(mut buf: &[u8]) -> DbResult<Vec<Value>> {
+    let n = read_width(&mut buf)?;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
-        row.push(decode_value(&mut buf)?);
+        row.push(read_value(&mut buf, true)?);
     }
     Ok(row)
+}
+
+/// Decode into `row` only the columns `i` with `want[i]` (columns past the
+/// end of `want` count as wanted). `row` is grown with `Value::Null` to the
+/// stored width; positions not wanted are left as they are, so a second
+/// call with the complementary mask completes a row the first call began.
+/// The whole tuple is walked either way: truncation and unknown tags are
+/// errors whatever the mask.
+pub fn decode_columns(mut buf: &[u8], want: &[bool], row: &mut Vec<Value>) -> DbResult<()> {
+    let n = read_width(&mut buf)?;
+    row.resize(n, Value::Null);
+    for (i, slot) in row.iter_mut().enumerate() {
+        let keep = want.get(i).copied().unwrap_or(true);
+        let v = read_value(&mut buf, keep)?;
+        if keep {
+            *slot = v;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -281,6 +315,32 @@ mod tests {
         assert!(decode_row(&bytes[..bytes.len() - 1]).is_err());
         assert!(decode_row(&[]).is_err());
         assert!(decode_row(&[1, 0, 99]).is_err()); // unknown tag
+    }
+
+    #[test]
+    fn decode_columns_skips_unwanted_and_composes() {
+        let full = vec![
+            Value::Int(42),
+            Value::str("skipped string"),
+            Value::Null,
+            Value::date(1996, 1, 2),
+            Value::str("kept   "),
+        ];
+        let bytes = encode_row(&full);
+        let first = [true, false, false, false, true];
+        let mut row = Vec::new();
+        decode_columns(&bytes, &first, &mut row).unwrap();
+        assert_eq!(row.len(), 5, "width unchanged");
+        assert_eq!(row[0], Value::Int(42));
+        assert!(row[1].is_null() && row[3].is_null(), "unwanted columns are NULL placeholders");
+        assert_eq!(row[4], Value::str("kept   "));
+        // The complementary mask completes the row.
+        let rest: Vec<bool> = first.iter().map(|w| !w).collect();
+        decode_columns(&bytes, &rest, &mut row).unwrap();
+        assert_eq!(row, decode_row(&bytes).unwrap());
+        // Truncation is an error even when the cut column is not wanted.
+        let mut scratch = Vec::new();
+        assert!(decode_columns(&bytes[..bytes.len() - 1], &[false; 5], &mut scratch).is_err());
     }
 
     #[test]

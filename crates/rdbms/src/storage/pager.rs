@@ -46,6 +46,10 @@ impl PagerConfig {
     }
 }
 
+/// Queue entries tolerated beyond twice the resident count before stale
+/// ones are swept (keeps tiny pools from sweeping on every other access).
+const LRU_SLACK: usize = 64;
+
 struct Resident {
     dirty: bool,
     stamp: u64,
@@ -72,6 +76,15 @@ impl PagerInner {
             r.stamp = stamp;
         }
         self.lru.push_back((pid, stamp));
+        // Every access queues an entry and only eviction pops, so a working
+        // set that fits the pool would grow the queue forever. Once stale
+        // entries outnumber live ones, drop them in place: order among the
+        // live entries (one per resident page) is kept, so eviction stays
+        // exact LRU, and each sweep is paid for by the pushes before it.
+        if self.lru.len() > 2 * self.resident.len() + LRU_SLACK {
+            let resident = &self.resident;
+            self.lru.retain(|(pid, stamp)| resident.get(pid).is_some_and(|r| r.stamp == *stamp));
+        }
     }
 
     /// Make `pid` resident, charging I/O if it was not. Returns true when
@@ -283,6 +296,8 @@ impl Pager {
 mod tests {
     use super::*;
     use crate::clock::Counter;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn pager(pool_pages: usize) -> Arc<Pager> {
         Pager::new(PagerConfig { pool_pages }, CostMeter::new())
@@ -359,6 +374,22 @@ mod tests {
     }
 
     #[test]
+    fn lru_queue_stays_bounded_when_working_set_fits() {
+        let p = pager(64);
+        let pids: Vec<_> = (0..32).map(|_| p.allocate()).collect();
+        for i in 0..1_000_000usize {
+            p.read(pids[(i * 7) % pids.len()], AccessPattern::Random, |_| ()).unwrap();
+        }
+        let g = p.inner.lock();
+        assert_eq!(g.resident.len(), 32);
+        assert!(
+            g.lru.len() <= 2 * g.resident.len() + LRU_SLACK + 1,
+            "1M hits on 32 resident pages left {} queue entries",
+            g.lru.len()
+        );
+    }
+
+    #[test]
     fn free_and_reuse() {
         let p = pager(8);
         let a = p.allocate();
@@ -375,6 +406,59 @@ mod tests {
         let p = pager(8);
         assert!(p.read(99, AccessPattern::Random, |_| ()).is_err());
         assert!(p.write(99, AccessPattern::Random, |_| ()).is_err());
+    }
+
+    /// Reference model: exact LRU as an ordered list, most recent last.
+    #[derive(Default)]
+    struct LruModel {
+        order: Vec<PageId>,
+    }
+
+    impl LruModel {
+        /// Access `pid` in a pool of `capacity`; returns the evicted page.
+        fn access(&mut self, pid: PageId, capacity: usize) -> Option<PageId> {
+            if let Some(pos) = self.order.iter().position(|&p| p == pid) {
+                self.order.remove(pos);
+                self.order.push(pid);
+                return None;
+            }
+            let victim = (self.order.len() >= capacity).then(|| self.order.remove(0));
+            self.order.push(pid);
+            victim
+        }
+    }
+
+    proptest! {
+        /// Whatever the access string — long resident runs that trigger
+        /// queue sweeps included — the pool evicts exactly the page a
+        /// textbook LRU list evicts, at exactly the same access.
+        #[test]
+        fn eviction_sequence_equals_exact_lru(
+            accesses in prop::collection::vec((0u32..24, 1usize..40), 1..120)
+        ) {
+            const CAP: usize = 8;
+            let p = pager(CAP);
+            let mut model = LruModel::default();
+            let pids: Vec<PageId> = (0..24).map(|_| p.allocate()).collect();
+            for &pid in &pids {
+                model.access(pid, CAP);
+            }
+            for (which, repeat) in accesses {
+                let pid = pids[which as usize];
+                // Repeats are pure hits: they only lengthen the queue.
+                for _ in 0..repeat {
+                    let before: HashSet<PageId> =
+                        p.inner.lock().resident.keys().copied().collect();
+                    p.read(pid, AccessPattern::Random, |_| ()).unwrap();
+                    let after: HashSet<PageId> =
+                        p.inner.lock().resident.keys().copied().collect();
+                    let evicted: Vec<PageId> = before.difference(&after).copied().collect();
+                    let expected: Vec<PageId> = model.access(pid, CAP).into_iter().collect();
+                    prop_assert_eq!(evicted, expected);
+                    prop_assert_eq!(after.len(), model.order.len());
+                }
+            }
+        }
     }
 
     #[test]
