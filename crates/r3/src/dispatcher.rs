@@ -229,7 +229,7 @@ impl Dispatcher {
             WpKind::Dialog => "r3/dialog",
             WpKind::Batch => "r3/batch",
         };
-        let trace = self.shared.sys.db.begin_request(origin, &name);
+        let trace = self.shared.sys.db.begin_request(origin, name.as_str());
         let request = Request {
             name,
             kind,
@@ -468,7 +468,7 @@ mod tests {
             .get(queued_stats.trace_id)
             .expect("completed trace landed in M$TRACES ring");
         assert_eq!(t.origin, "r3/dialog");
-        assert_eq!(t.label, "queued");
+        assert_eq!(&*t.label, "queued");
         // Queue time was recorded while the trace was installed...
         assert!(
             t.waits.iter().any(|w| w.event == WaitEvent::DispatchQueue),

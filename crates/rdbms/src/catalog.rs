@@ -2,7 +2,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::index::BTree;
-use crate::schema::{Column, Schema};
+use crate::schema::{Column, Row, Schema};
 use crate::sql::ast::SelectStmt;
 use crate::storage::codec::encode_key;
 use crate::storage::{HeapFile, Pager, Rid};
@@ -71,6 +71,13 @@ pub struct Table {
     pub primary_key: Vec<usize>,
     pub indexes: RwLock<Vec<Arc<Index>>>,
     pub stats: RwLock<TableStats>,
+    /// Held by a statement, or a rollback step, that deletes or updates
+    /// rows of this table, from before it reads the rids it will act on
+    /// until it has acted. While it is held no row of the table dies,
+    /// moves or changes, so no slot changes hands (an insert only ever
+    /// takes a slot whose row is gone) and a rid read under it still names
+    /// the row it was read for. Inserts and readers do not take it.
+    pub changes: Mutex<()>,
 }
 
 impl Table {
@@ -190,6 +197,7 @@ impl Catalog {
                 columns: vec![ColumnStats::default(); n_cols],
                 ..TableStats::default()
             }),
+            changes: Mutex::new(()),
         });
         self.tables.write().insert(name.clone(), Arc::clone(&table));
         self.bump_version(&name);
@@ -322,6 +330,12 @@ impl Catalog {
     /// Insert a row through the catalog, maintaining all indexes and the
     /// primary-key constraint. Returns the RID.
     pub fn insert_row(&self, table: &Table, row: &[Value]) -> DbResult<Rid> {
+        self.insert_stored(table, row).map(|(rid, _)| rid)
+    }
+
+    /// [`Catalog::insert_row`], returning beside the RID the row as it was
+    /// stored (the log's after-image).
+    pub fn insert_stored(&self, table: &Table, row: &[Value]) -> DbResult<(Rid, Row)> {
         let row = crate::schema::coerce_row(&table.schema, row)?;
         let indexes = table.indexes.read();
         // Check unique constraints first so a violation leaves no trace.
@@ -340,7 +354,7 @@ impl Catalog {
             index.tree.lock().insert(&key, rid)?;
         }
         self.pager.meter().bump(crate::clock::Counter::DbTuples);
-        Ok(rid)
+        Ok((rid, row))
     }
 
     /// Delete a row by RID, maintaining indexes. The row must be fetched
@@ -360,6 +374,17 @@ impl Catalog {
 
     /// Update a row by RID, maintaining indexes.
     pub fn update_row(&self, table: &Table, rid: Rid, new_row: &[Value]) -> DbResult<Rid> {
+        self.update_stored(table, rid, new_row).map(|(rid, _)| rid)
+    }
+
+    /// [`Catalog::update_row`], returning beside the new RID the row as it
+    /// was stored (the log's after-image).
+    pub fn update_stored(
+        &self,
+        table: &Table,
+        rid: Rid,
+        new_row: &[Value],
+    ) -> DbResult<(Rid, Row)> {
         let new_row = crate::schema::coerce_row(&table.schema, new_row)?;
         let old_row = table
             .heap
@@ -376,7 +401,7 @@ impl Catalog {
             index.tree.lock().insert(&key, new_rid)?;
         }
         self.pager.meter().bump(crate::clock::Counter::DbTuples);
-        Ok(new_rid)
+        Ok((new_rid, new_row))
     }
 
     /// Recompute statistics for one table (full pass).

@@ -13,8 +13,8 @@ use crate::planner::{PlannedQuery, Planner, PlannerConfig};
 use crate::schema::{Column, Row, Schema};
 use crate::sql::ast::{Expr, SelectStmt, Statement};
 use crate::sql::parse_statement;
-use crate::storage::{Pager, PagerConfig};
-use crate::txn::{Txn, Undo};
+use crate::storage::{Pager, PagerConfig, Rid};
+use crate::txn::Txn;
 use crate::types::{DataType, Value};
 use crate::wal::{LogPayload, Lsn, RecoveryReport, UndoAction, Wal, WalConfig, SYSTEM_TXN};
 use parking_lot::RwLock;
@@ -56,8 +56,9 @@ impl Default for DbConfig {
 }
 
 /// Completed request traces retained for M$TRACES / M$SPANS and Chrome
-/// export. 4096 requests of live history — enough for any experiment's
-/// tail analysis, bounded enough to never matter for memory.
+/// export: 4096 requests of live history — enough for any experiment's
+/// tail analysis — or fewer when they are heavy (the ring has a byte
+/// budget of its own, `trace::request::RING_BYTE_BUDGET`).
 pub const DEFAULT_TRACE_RING_CAPACITY: usize = 4096;
 
 /// A query result set.
@@ -176,8 +177,7 @@ impl Database {
         let mut db = Database::fresh_for_recovery(&config);
         if let Some(wal_cfg) = &config.wal {
             let wal = Arc::new(Wal::create(wal_cfg, Arc::clone(&db.meter))?);
-            wal.set_wait_stats(Arc::clone(&db.wait));
-            db.wal = Some(wal);
+            db.attach_wal(wal);
         }
         Ok(db)
     }
@@ -262,9 +262,14 @@ impl Database {
     /// Attach the reopened log after the redo/undo passes and advance the
     /// transaction-id counter past every id seen in the log.
     pub(crate) fn finish_recovery(&mut self, wal: Arc<Wal>, next_txn_id: u64) {
-        wal.set_wait_stats(Arc::clone(&self.wait));
-        self.wal = Some(wal);
+        self.attach_wal(wal);
         self.next_txn_id.store(next_txn_id.max(1), Ordering::Relaxed);
+    }
+
+    fn attach_wal(&mut self, wal: Arc<Wal>) {
+        wal.set_wait_stats(Arc::clone(&self.wait));
+        self.pager.set_logged();
+        self.wal = Some(wal);
     }
 
     pub fn with_defaults() -> Self {
@@ -331,7 +336,11 @@ impl Database {
     /// the monitor is disabled (collectors-off runs trace nothing and pay
     /// nothing). The caller installs the returned context on the serving
     /// thread; dropping the guard lands the finished trace in the ring.
-    pub fn begin_request(&self, origin: &str, label: &str) -> Option<RequestCtx> {
+    pub fn begin_request(
+        &self,
+        origin: &'static str,
+        label: impl Into<Arc<str>>,
+    ) -> Option<RequestCtx> {
         self.monitor_enabled().then(|| self.traces.begin(origin, label))
     }
 
@@ -552,27 +561,22 @@ impl Database {
         }
     }
 
-    /// Statement execution for an open transaction: DML records undo,
-    /// SELECT runs normally. DDL is rejected by the transaction layer
-    /// before it gets here.
+    /// Statement execution for an open transaction: DML records what it
+    /// did in `ops`, SELECT runs normally. DDL is rejected by the
+    /// transaction layer before it gets here.
     pub(crate) fn execute_statement_in_txn(
         &self,
         stmt: &Statement,
-        undo: &mut Vec<Undo>,
+        ops: &mut Vec<LogPayload>,
     ) -> DbResult<ExecOutcome> {
+        if !matches!(
+            stmt,
+            Statement::Insert { .. } | Statement::Delete { .. } | Statement::Update { .. }
+        ) {
+            return self.execute_statement(stmt);
+        }
         let exec_started = self.monitor_enabled().then(Instant::now);
-        let out = match stmt {
-            Statement::Insert { table, columns, rows } => Ok(ExecOutcome::Count(
-                self.apply_insert(table, columns.as_deref(), rows, Some(undo))?,
-            )),
-            Statement::Delete { table, filter } => {
-                Ok(ExecOutcome::Count(self.apply_delete(table, filter.as_ref(), Some(undo))?))
-            }
-            Statement::Update { table, assignments, filter } => Ok(ExecOutcome::Count(
-                self.apply_update(table, assignments, filter.as_ref(), Some(undo))?,
-            )),
-            other => return self.execute_statement(other),
-        };
+        let out = self.apply_dml(stmt, Some(ops)).map(ExecOutcome::Count);
         if let Some(started) = exec_started {
             self.wait.record(WaitEvent::Exec, started.elapsed());
         }
@@ -585,111 +589,76 @@ impl Database {
     /// the partial statement a loser that restart rolls back. Without a
     /// WAL this is the plain pre-WAL apply path.
     fn apply_dml_autocommit(&self, stmt: &Statement) -> DbResult<u64> {
-        if self.wal.is_none() {
+        let Some(wal) = &self.wal else {
             return self.apply_dml(stmt, None);
-        }
-        let mut undo = Vec::new();
-        let res = self.apply_dml(stmt, Some(&mut undo));
+        };
+        let mut ops = Vec::new();
+        let res = self.apply_dml(stmt, Some(&mut ops));
         // A failed statement's partial effects stay in the store (autocommit
         // has no undo), so they must reach the log too — as committed.
-        let logged = self.log_autocommit(&undo);
+        let mut logged = Ok(());
+        if !ops.is_empty() {
+            ops.push(LogPayload::Commit);
+            let id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
+            let lsns = wal.append_batch(id, &ops);
+            self.note_logged(&ops, &lsns);
+            logged = wal.commit(*lsns.last().expect("commit lsn"));
+        }
         let n = res?;
         logged?;
         Ok(n)
     }
 
-    fn apply_dml(&self, stmt: &Statement, undo: Option<&mut Vec<Undo>>) -> DbResult<u64> {
+    /// Apply one DML statement. Each operation is recorded in `ops` as it
+    /// is done, in the form the log takes it: with the rids it was done at
+    /// and the row images as they were read and stored then (a rid names
+    /// another row once its own is gone, so nothing is read back later).
+    fn apply_dml(&self, stmt: &Statement, ops: Option<&mut Vec<LogPayload>>) -> DbResult<u64> {
         match stmt {
             Statement::Insert { table, columns, rows } => {
-                self.apply_insert(table, columns.as_deref(), rows, undo)
+                self.apply_insert(table, columns.as_deref(), rows, ops)
             }
-            Statement::Delete { table, filter } => self.apply_delete(table, filter.as_ref(), undo),
+            Statement::Delete { table, filter } => self.apply_delete(table, filter.as_ref(), ops),
             Statement::Update { table, assignments, filter } => {
-                self.apply_update(table, assignments, filter.as_ref(), undo)
+                self.apply_update(table, assignments, filter.as_ref(), ops)
             }
             other => Err(DbError::execution(format!("not DML: {other:?}"))),
         }
     }
 
-    fn log_autocommit(&self, undo: &[Undo]) -> DbResult<()> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        if undo.is_empty() {
-            return Ok(());
-        }
-        let mut payloads = self.wal_payloads_from_undo(undo)?;
-        payloads.push(LogPayload::Commit);
-        let id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
-        let lsns = wal.append_batch(id, &payloads);
-        self.stamp_payload_lsns(&payloads, &lsns);
-        wal.commit(*lsns.last().expect("commit lsn"))
-    }
-
-    /// Derive log payloads for freshly executed operations from their undo
-    /// entries. The after-image of an insert/update is still live in the
-    /// heap at the recorded rid, so logging needs no changes to the
-    /// execution paths themselves.
-    pub(crate) fn wal_payloads_from_undo(&self, undo: &[Undo]) -> DbResult<Vec<LogPayload>> {
-        let mut payloads = Vec::with_capacity(undo.len());
-        for u in undo {
-            match u {
-                Undo::Insert { table, rid } => {
-                    let t = self.catalog.table(table)?;
-                    let row = t
-                        .heap
-                        .get(*rid, crate::storage::AccessPattern::Random)?
-                        .ok_or_else(|| DbError::storage("inserted row vanished before logging"))?;
-                    payloads.push(LogPayload::Insert { table: table.clone(), rid: *rid, row });
-                }
-                Undo::Delete { table, rid, row } => {
-                    payloads.push(LogPayload::Delete {
-                        table: table.clone(),
-                        rid: *rid,
-                        row: row.clone(),
-                    });
-                }
-                Undo::Update { table, prev_rid, rid, old } => {
-                    let t = self.catalog.table(table)?;
-                    let new = t
-                        .heap
-                        .get(*rid, crate::storage::AccessPattern::Random)?
-                        .ok_or_else(|| DbError::storage("updated row vanished before logging"))?;
-                    payloads.push(LogPayload::Update {
-                        table: table.clone(),
-                        rid: *prev_rid,
-                        new_rid: *rid,
-                        old: old.clone(),
-                        new,
-                    });
-                }
+    /// Bookkeeping for a batch of just-logged operations. The WAL rule's
+    /// half: pages remember the last record that touched them, and the
+    /// pager's dirty-page table remembers the first. The heap's half: a
+    /// page that an operation vacated a slot of takes inserts again (see
+    /// [`crate::storage::HeapFile::vacated_logged`]).
+    pub(crate) fn note_logged(&self, payloads: &[LogPayload], lsns: &[Lsn]) {
+        let vacated = |table: &str, rid: &Rid| {
+            if let Some(t) = self.catalog.try_table(table) {
+                t.heap.vacated_logged(rid.page);
             }
-        }
-        Ok(payloads)
-    }
-
-    /// Stamp page LSNs for a batch of just-logged operations (the WAL rule's
-    /// bookkeeping half: pages remember the last record that touched them,
-    /// and the pager's dirty-page table remembers the first).
-    pub(crate) fn stamp_payload_lsns(&self, payloads: &[LogPayload], lsns: &[Lsn]) {
+        };
         for (p, &lsn) in payloads.iter().zip(lsns) {
             match p {
-                LogPayload::Insert { rid, .. } | LogPayload::Delete { rid, .. } => {
+                LogPayload::Insert { rid, .. } => self.pager.stamp_lsn(rid.page, lsn),
+                LogPayload::Delete { table, rid, .. }
+                | LogPayload::Clr { action: UndoAction::Delete { table, rid }, .. } => {
+                    self.pager.stamp_lsn(rid.page, lsn);
+                    vacated(table, rid);
+                }
+                LogPayload::Update { table, rid: from, new_rid: to, .. }
+                | LogPayload::Clr {
+                    action: UndoAction::Revert { table, rid: from, prev_rid: to, .. },
+                    ..
+                } => {
+                    self.pager.stamp_lsn(from.page, lsn);
+                    self.pager.stamp_lsn(to.page, lsn);
+                    if from != to {
+                        vacated(table, from);
+                    }
+                }
+                LogPayload::Clr { action: UndoAction::Insert { rid, .. }, .. } => {
                     self.pager.stamp_lsn(rid.page, lsn);
                 }
-                LogPayload::Update { rid, new_rid, .. } => {
-                    self.pager.stamp_lsn(rid.page, lsn);
-                    self.pager.stamp_lsn(new_rid.page, lsn);
-                }
-                LogPayload::Clr { action, .. } => match action {
-                    UndoAction::Delete { rid, .. } | UndoAction::Insert { rid, .. } => {
-                        self.pager.stamp_lsn(rid.page, lsn);
-                    }
-                    UndoAction::Revert { rid, prev_rid, .. } => {
-                        self.pager.stamp_lsn(rid.page, lsn);
-                        self.pager.stamp_lsn(prev_rid.page, lsn);
-                    }
-                },
                 _ => {}
             }
         }
@@ -700,16 +669,16 @@ impl Database {
         table: &str,
         columns: Option<&[String]>,
         rows: &[Vec<Expr>],
-        mut undo: Option<&mut Vec<Undo>>,
+        mut ops: Option<&mut Vec<LogPayload>>,
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let ctx = ExecCtx::new(&[], &self.meter);
         let mut inserted = 0u64;
         for exprs in rows {
             let row = self.build_insert_row(&t, columns, exprs, &ctx)?;
-            let rid = self.catalog.insert_row(&t, &row)?;
-            if let Some(u) = undo.as_deref_mut() {
-                u.push(Undo::Insert { table: t.name.clone(), rid });
+            let (rid, row) = self.catalog.insert_stored(&t, &row)?;
+            if let Some(ops) = ops.as_deref_mut() {
+                ops.push(LogPayload::Insert { table: t.name.clone(), rid, row });
             }
             inserted += 1;
         }
@@ -720,20 +689,23 @@ impl Database {
         &self,
         table: &str,
         filter: Option<&Expr>,
-        mut undo: Option<&mut Vec<Undo>>,
+        mut ops: Option<&mut Vec<LogPayload>>,
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let pred = self.bind_dml_filter(&t.schema, filter)?;
+        let _rows_stay = t.changes.lock();
         let rids = self.matching_rids(&t, filter, &pred)?;
-        for rid in &rids {
-            if let Some(u) = undo.as_deref_mut() {
-                let row = t
-                    .heap
-                    .get(*rid, crate::storage::AccessPattern::Random)?
-                    .ok_or_else(|| DbError::storage("row vanished during DELETE"))?;
-                u.push(Undo::Delete { table: t.name.clone(), rid: *rid, row });
-            }
-            self.catalog.delete_row(&t, *rid)?;
+        for &rid in &rids {
+            let Some(ops) = ops.as_deref_mut() else {
+                self.catalog.delete_row(&t, rid)?;
+                continue;
+            };
+            let row = t
+                .heap
+                .get(rid, crate::storage::AccessPattern::Random)?
+                .ok_or_else(|| DbError::storage("row vanished during DELETE"))?;
+            self.catalog.delete_row(&t, rid)?;
+            ops.push(LogPayload::Delete { table: t.name.clone(), rid, row });
         }
         Ok(rids.len() as u64)
     }
@@ -743,7 +715,7 @@ impl Database {
         table: &str,
         assignments: &[(String, Expr)],
         filter: Option<&Expr>,
-        mut undo: Option<&mut Vec<Undo>>,
+        mut ops: Option<&mut Vec<LogPayload>>,
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let pred = self.bind_dml_filter(&t.schema, filter)?;
@@ -756,6 +728,7 @@ impl Database {
             bound_assignments.push((idx, be));
         }
         let ctx = ExecCtx::new(&[], &self.meter);
+        let _rows_stay = t.changes.lock();
         let rids = self.matching_rids(&t, filter, &pred)?;
         let mut updates = Vec::new();
         for rid in rids {
@@ -770,15 +743,10 @@ impl Database {
             updates.push((rid, row, new_row));
         }
         let n = updates.len() as u64;
-        for (rid, old_row, new_row) in updates {
-            let new_rid = self.catalog.update_row(&t, rid, &new_row)?;
-            if let Some(u) = undo.as_deref_mut() {
-                u.push(Undo::Update {
-                    table: t.name.clone(),
-                    prev_rid: rid,
-                    rid: new_rid,
-                    old: old_row,
-                });
+        for (rid, old, new_row) in updates {
+            let (new_rid, new) = self.catalog.update_stored(&t, rid, &new_row)?;
+            if let Some(ops) = ops.as_deref_mut() {
+                ops.push(LogPayload::Update { table: t.name.clone(), rid, new_rid, old, new });
             }
         }
         Ok(n)
@@ -907,18 +875,14 @@ impl Database {
     /// benchmark kit; bypasses SQL parsing but not constraint checks).
     pub fn insert_row(&self, table_name: &str, row: &[Value]) -> DbResult<()> {
         let t = self.catalog.table(table_name)?;
-        let rid = self.catalog.insert_row(&t, row)?;
+        let (rid, row) = self.catalog.insert_stored(&t, row)?;
         if let Some(wal) = &self.wal {
             // Bulk load logs one system-transaction record per row —
             // committed-if-present, no Begin/Commit bracket, never forced
             // per row (the loader ends with an explicit `wal_flush`).
-            let stored = t
-                .heap
-                .get(rid, crate::storage::AccessPattern::Random)?
-                .ok_or_else(|| DbError::storage("bulk-loaded row vanished before logging"))?;
             let lsns = wal.append_batch(
                 SYSTEM_TXN,
-                &[LogPayload::Insert { table: t.name.clone(), rid, row: stored }],
+                &[LogPayload::Insert { table: t.name.clone(), rid, row }],
             );
             self.pager.stamp_lsn(rid.page, lsns[0]);
         }

@@ -427,21 +427,41 @@ impl Plan {
                     // every row: empty result.
                     _ => return Ok(Vec::new()),
                 };
+                // No lock is held between reading the index and fetching
+                // by the rids read, and a rid names another row once its
+                // own is gone. While the heap's version has not moved since
+                // before the index was read, none did; from then on every
+                // row is held against the key of the entry that led to it.
+                let version = table.heap.version();
                 let entries = {
                     let tree = index.tree.lock();
                     tree.range_scan(as_bound(&lo), as_bound(&hi))?
                 };
+                let mut changed = false;
                 let mut out = Vec::with_capacity(entries.len());
-                for (_, rid) in entries {
+                for (key, rid) in entries {
                     // Unclustered index: each qualifying tuple is a random
                     // heap fetch — the crux of the paper's Table 6.
-                    let row = table
-                        .heap
-                        .get_with(rid, AccessPattern::Random, |bytes| {
-                            let mut row = Row::new();
-                            decode_columns(bytes, needed, &mut row).map(|()| row)
-                        })?
-                        .ok_or_else(|| DbError::storage("dangling index entry"))??;
+                    let fetch = |want: &[bool]| {
+                        table
+                            .heap
+                            .get_with(rid, AccessPattern::Random, |bytes| {
+                                let mut row = Row::new();
+                                decode_columns(bytes, want, &mut row).map(|()| row)
+                            })?
+                            .ok_or_else(|| DbError::storage("dangling index entry"))?
+                    };
+                    let mut row = Row::new();
+                    if !changed {
+                        row = fetch(needed)?;
+                        changed = table.heap.version() != version;
+                    }
+                    if changed {
+                        row = fetch(&[])?;
+                        if !key.starts_with(&index.key_for(&row)) {
+                            return Err(DbError::storage("dangling index entry"));
+                        }
+                    }
                     ctx.meter.bump(Counter::DbTuples);
                     if let Some(f) = residual {
                         if f.eval_bool(&row, ctx)? != Some(true) {

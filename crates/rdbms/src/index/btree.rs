@@ -10,8 +10,11 @@
 //!   byte order == value order.
 //! * Non-unique indexes get a RID suffix appended to every stored key, so
 //!   stored keys are always distinct and duplicate handling is uniform.
-//! * Deletion is lazy: entries are removed but nodes are never merged.
-//!   (Matching mid-90s engines; the workloads here are read-mostly.)
+//! * Deletion is lazy: half-empty nodes are never merged or rebalanced
+//!   (matching mid-90s engines), but a leaf that a delete *empties* is
+//!   unlinked from its parent and its left neighbour and its page freed,
+//!   so does an interior node left without children, and a root with one
+//!   child gives way to that child.
 //! * Nodes are (de)serialized to an in-memory form for manipulation; the
 //!   page is the unit of I/O accounting.
 
@@ -128,6 +131,15 @@ pub struct BTree {
     entry_bytes: u64,
     node_pages: u64,
     height: u32,
+}
+
+/// One interior node on a root-to-leaf path, decoded, and the index of the
+/// child the path continues in.
+struct Step {
+    pid: PageId,
+    separators: Vec<Vec<u8>>,
+    children: Vec<PageId>,
+    idx: usize,
 }
 
 /// Result of inserting into a subtree: possibly a split.
@@ -259,34 +271,83 @@ impl BTree {
     /// Remove an entry. Returns true if found.
     pub fn delete(&mut self, key: &[u8], rid: Rid) -> DbResult<bool> {
         let skey = self.stored_key(key, rid);
+        // The interior nodes passed on the way down, with the child taken.
+        let mut path: Vec<Step> = Vec::new();
         let mut pid = self.root;
-        loop {
-            let node = self.load(pid)?;
-            match node {
+        let (next, mut entries) = loop {
+            match self.load(pid)? {
                 Node::Internal { separators, children } => {
                     let idx = separators.partition_point(|s| s.as_slice() <= skey.as_slice());
-                    pid = children[idx];
+                    let child = children[idx];
+                    path.push(Step { pid, separators, children, idx });
+                    pid = child;
                 }
-                Node::Leaf { next, mut entries } => {
-                    // For unique trees the same user key may map to any rid.
-                    let pos = if self.unique {
-                        entries.iter().position(|(k, r)| k == &skey && *r == rid)
-                    } else {
-                        entries.iter().position(|(k, _)| k == &skey)
-                    };
-                    match pos {
-                        Some(i) => {
-                            let (k, _) = entries.remove(i);
-                            self.entry_count -= 1;
-                            self.entry_bytes -= (k.len() + 6) as u64;
-                            Self::store(&self.pager, pid, &Node::Leaf { next, entries })?;
-                            return Ok(true);
-                        }
-                        None => return Ok(false),
+                Node::Leaf { next, entries } => break (next, entries),
+            }
+        };
+        // For unique trees the same user key may map to any rid.
+        let pos = if self.unique {
+            entries.iter().position(|(k, r)| k == &skey && *r == rid)
+        } else {
+            entries.iter().position(|(k, _)| k == &skey)
+        };
+        let Some(i) = pos else {
+            return Ok(false);
+        };
+        let (k, _) = entries.remove(i);
+        self.entry_count -= 1;
+        self.entry_bytes -= (k.len() + 6) as u64;
+        if entries.is_empty() && !path.is_empty() {
+            self.unlink_leaf(pid, next, path)?;
+        } else {
+            Self::store(&self.pager, pid, &Node::Leaf { next, entries })?;
+        }
+        Ok(true)
+    }
+
+    /// Take the emptied leaf `leaf` out of the tree and free its page, with
+    /// every ancestor this leaves childless; then shorten the tree while
+    /// its root has a single child.
+    fn unlink_leaf(&mut self, leaf: PageId, next: PageId, mut path: Vec<Step>) -> DbResult<()> {
+        // The leaf to the left is the rightmost one under the nearest
+        // left sibling of an ancestor; it must skip the freed page.
+        if let Some(step) = path.iter().rev().find(|s| s.idx > 0) {
+            let mut pid = step.children[step.idx - 1];
+            loop {
+                match self.load(pid)? {
+                    Node::Internal { children, .. } => pid = *children.last().expect("child"),
+                    Node::Leaf { entries, .. } => {
+                        Self::store(&self.pager, pid, &Node::Leaf { next, entries })?;
+                        break;
                     }
                 }
             }
         }
+        let mut freed = leaf;
+        while let Some(Step { pid, mut separators, mut children, idx }) = path.pop() {
+            self.pager.free(freed);
+            self.node_pages -= 1;
+            children.remove(idx);
+            if children.is_empty() {
+                // Never the root: it keeps two children or gives way below.
+                freed = pid;
+                continue;
+            }
+            // The removed child's key range falls to a neighbour.
+            separators.remove(idx.saturating_sub(1));
+            Self::store(&self.pager, pid, &Node::Internal { separators, children })?;
+            break;
+        }
+        while let Node::Internal { children, .. } = self.load(self.root)? {
+            if children.len() > 1 {
+                break;
+            }
+            self.pager.free(self.root);
+            self.node_pages -= 1;
+            self.height -= 1;
+            self.root = children[0];
+        }
+        Ok(())
     }
 
     /// Exact-match lookup on the user key; returns all matching RIDs.
@@ -520,6 +581,40 @@ mod tests {
         assert_eq!(t.search_exact(&key(50)).unwrap(), vec![]);
         assert_eq!(t.entry_count(), 99);
         assert_eq!(t.scan_all().unwrap().len(), 99);
+    }
+
+    #[test]
+    fn emptied_leaves_are_unlinked_and_the_tree_shrinks_back() {
+        let mut t = tree(true);
+        // 200-byte keys: some forty to a node, so 20 000 make three levels.
+        let key = |i: i64| encode_key(&[Value::str(format!("{i:0200}"))]);
+        let n: i64 = 20_000;
+        for i in 0..n {
+            t.insert(&key(i), Rid::new(i as u32, 0)).unwrap();
+        }
+        let (pages, height) = (t.node_pages(), t.height());
+        assert!(height >= 3 && t.pager.allocated_pages() as u64 == pages);
+        // A run in the middle: its leaves go, the chain closes over the gap.
+        for i in 5_000..15_000 {
+            assert!(t.delete(&key(i), Rid::new(i as u32, 0)).unwrap());
+        }
+        assert!(t.node_pages() < pages * 2 / 3, "{} of {pages} pages left", t.node_pages());
+        assert_eq!(t.pager.allocated_pages() as u64, t.node_pages());
+        let left: Vec<i64> = t.scan_all().unwrap().iter().map(|(_, r)| r.page as i64).collect();
+        assert_eq!(left, (0..5_000).chain(15_000..n).collect::<Vec<_>>());
+        // Keys of the gap route to a neighbour and are found again.
+        t.insert(&key(9_999), Rid::new(9_999, 0)).unwrap();
+        assert_eq!(t.search_exact(&key(9_999)).unwrap(), vec![Rid::new(9_999, 0)]);
+        assert_eq!(t.scan_all().unwrap().len(), 10_001);
+        // Everything: one empty root leaf, as `BTree::new` made it.
+        for (_, rid) in t.scan_all().unwrap() {
+            assert!(t.delete(&key(rid.page as i64), rid).unwrap());
+        }
+        assert_eq!((t.node_pages(), t.height(), t.entry_count()), (1, 1, 0));
+        assert_eq!(t.pager.allocated_pages(), 1);
+        assert!(t.scan_all().unwrap().is_empty());
+        t.insert(&key(1), Rid::new(1, 0)).unwrap();
+        assert_eq!(t.search_exact(&key(1)).unwrap(), vec![Rid::new(1, 0)]);
     }
 
     #[test]

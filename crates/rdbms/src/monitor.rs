@@ -22,7 +22,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use trace::request::SpanNode;
 
 /// True if `name` is in the reserved monitoring namespace (`M$` prefix,
 /// case-insensitive). Such names never reach the catalog's base-table
@@ -381,7 +380,7 @@ pub fn traces_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
                     let p = t.critical_path();
                     vec![
                         int(t.trace_id),
-                        Value::str(&t.origin),
+                        Value::str(t.origin),
                         Value::Str(display_text(&t.label)),
                         int(t.enqueued_us),
                         int(t.started_us),
@@ -428,40 +427,30 @@ pub fn spans_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
             Column::new("EXEC_US", DataType::Int),
         ],
         move || {
-            fn walk(
-                trace_id: u64,
-                node: &SpanNode,
-                parent: i64,
-                depth: u64,
-                next_id: &mut i64,
-                out: &mut Vec<Row>,
-            ) {
-                let id = *next_id;
-                *next_id += 1;
-                out.push(vec![
-                    int(trace_id),
-                    Value::Int(id),
-                    Value::Int(parent),
-                    int(depth),
-                    Value::Str(display_text(&node.name)),
-                    int(node.start_us),
-                    int(node.end_us),
-                    int(node.elapsed_us()),
-                    int(node.wait_micros[WaitEvent::Lock as usize]),
-                    int(node.wait_micros[WaitEvent::WalFlush as usize]),
-                    int(node.wait_micros[WaitEvent::GroupCommitWait as usize]),
-                    int(node.wait_counts[WaitEvent::BufferMiss as usize]),
-                    int(node.wait_micros[WaitEvent::Exec as usize]),
-                ]);
-                for c in &node.children {
-                    walk(trace_id, c, id, depth + 1, next_id, out);
-                }
-            }
             let mut rows = Vec::new();
             for t in ring.snapshot() {
-                let mut next_id = 0i64;
-                for root in &t.spans {
-                    walk(t.trace_id, root, -1, 0, &mut next_id, &mut rows);
+                // A span's parent precedes it, so its depth is known; a
+                // root's `NO_PARENT` indexes nothing.
+                let mut depths: Vec<u64> = Vec::with_capacity(t.spans.len());
+                for (id, node) in t.spans.iter().enumerate() {
+                    let parent_depth = depths.get(node.parent as usize).copied();
+                    let depth = parent_depth.map_or(0, |d| d + 1);
+                    depths.push(depth);
+                    rows.push(vec![
+                        int(t.trace_id),
+                        Value::Int(id as i64),
+                        Value::Int(parent_depth.map_or(-1, |_| node.parent as i64)),
+                        int(depth),
+                        Value::Str(display_text(t.span_name(node))),
+                        int(node.start_us),
+                        int(node.end_us),
+                        int(node.elapsed_us()),
+                        int(t.span_wait_micros(node, WaitEvent::Lock)),
+                        int(t.span_wait_micros(node, WaitEvent::WalFlush)),
+                        int(t.span_wait_micros(node, WaitEvent::GroupCommitWait)),
+                        int(t.span_wait_count(node, WaitEvent::BufferMiss)),
+                        int(t.span_wait_micros(node, WaitEvent::Exec)),
+                    ]);
                 }
             }
             rows

@@ -13,6 +13,15 @@
 //!   data grows downward from the page end.
 //! * each slot is `(offset: u16, len: u16)`; a dead (deleted) slot has
 //!   `offset == 0`.
+//!
+//! Space comes back in three ways, none of which moves a live tuple's slot
+//! number (a [`Rid`] stays valid for as long as its row lives): an insert
+//! takes the lowest dead slot before it grows the directory; an insert that
+//! fits the page's total free space but not the gap between directory and
+//! tuple data first compacts the tuple data in place; and a delete drops
+//! the dead slots at the end of the directory, so an emptied page is a
+//! fresh page again. A slot number, and so a `Rid`, can therefore name
+//! different rows over time.
 
 use crate::error::{DbError, DbResult};
 
@@ -117,35 +126,75 @@ impl Page {
         self.set_u16(off + 2, len);
     }
 
-    /// Free bytes available for one more insert (slot + data).
+    fn dir_end(&self) -> usize {
+        HEADER + self.nslots() as usize * SLOT_SIZE
+    }
+
+    /// Free bytes in total: the gap between directory and tuple data plus
+    /// the holes that deleted and shrunk tuples left (what an insert can
+    /// claim, compacting first if it must). A new slot comes out of this.
     pub fn free_space(&self) -> usize {
-        let dir_end = HEADER + self.nslots() as usize * SLOT_SIZE;
-        (self.freeend() as usize).saturating_sub(dir_end)
+        PAGE_SIZE - self.dir_end() - self.live_bytes()
+    }
+
+    /// The largest tuple an insert is sure to find room for.
+    pub fn room(&self) -> usize {
+        self.free_space().saturating_sub(SLOT_SIZE)
+    }
+
+    /// The lowest dead slot: the one the next insert reuses.
+    fn dead_slot(&self) -> Option<SlotId> {
+        (0..self.nslots()).find(|&s| self.slot(s).0 == 0)
     }
 
     /// Can a tuple of `len` bytes be inserted?
     pub fn fits(&self, len: usize) -> bool {
-        self.free_space() >= len + SLOT_SIZE
+        self.free_space() >= len + if self.dead_slot().is_some() { 0 } else { SLOT_SIZE }
     }
 
-    /// Insert a tuple; returns its slot.
-    pub fn insert(&mut self, tuple: &[u8]) -> DbResult<SlotId> {
+    /// Pack the live tuples against the page end, in their present order,
+    /// so that all free space is the one gap below them.
+    fn compact(&mut self) {
+        let mut live: Vec<(u16, SlotId)> = self.live_slots().map(|s| (self.slot(s).0, s)).collect();
+        // Highest first: each tuple moves up into space already vacated.
+        live.sort_unstable_by(|a, b| b.cmp(a));
+        let mut end = PAGE_SIZE;
+        for (off, slot) in live {
+            let len = self.slot(slot).1 as usize;
+            end -= len;
+            self.data.copy_within(off as usize..off as usize + len, end);
+            self.set_slot(slot, end as u16, len as u16);
+        }
+        self.set_freeend(end as u16);
+    }
+
+    /// Insert a tuple; returns its slot, or `None` if the page has no room
+    /// for it. A tuple no page has room for is an error.
+    pub fn insert(&mut self, tuple: &[u8]) -> DbResult<Option<SlotId>> {
         if tuple.len() > PAGE_SIZE - HEADER - SLOT_SIZE {
             return Err(DbError::storage(format!(
                 "tuple of {} bytes exceeds page capacity",
                 tuple.len()
             )));
         }
-        if !self.fits(tuple.len()) {
-            return Err(DbError::storage("page full"));
+        let reused = self.dead_slot();
+        let need = tuple.len() + if reused.is_some() { 0 } else { SLOT_SIZE };
+        if (self.freeend() as usize - self.dir_end()) < need {
+            if self.free_space() < need {
+                return Ok(None);
+            }
+            self.compact();
         }
-        let slot = self.nslots();
+        let slot = reused.unwrap_or_else(|| {
+            let slot = self.nslots();
+            self.set_nslots(slot + 1);
+            slot
+        });
         let start = self.freeend() as usize - tuple.len();
         self.data[start..start + tuple.len()].copy_from_slice(tuple);
         self.set_slot(slot, start as u16, tuple.len() as u16);
         self.set_freeend(start as u16);
-        self.set_nslots(slot + 1);
-        Ok(slot)
+        Ok(Some(slot))
     }
 
     /// Read a live tuple; `None` if the slot is dead or out of range.
@@ -160,7 +209,8 @@ impl Page {
         Some(&self.data[off as usize..off as usize + len as usize])
     }
 
-    /// Mark a slot dead. Space is not compacted (lazy delete).
+    /// Mark a slot dead and drop the dead slots that end the directory.
+    /// The tuple's bytes stay where they are until an insert needs them.
     pub fn delete(&mut self, slot: SlotId) -> DbResult<()> {
         if slot >= self.nslots() {
             return Err(DbError::storage(format!("no slot {slot}")));
@@ -170,6 +220,14 @@ impl Page {
             return Err(DbError::storage(format!("slot {slot} already dead")));
         }
         self.set_slot(slot, 0, 0);
+        let mut n = self.nslots();
+        while n > 0 && self.slot(n - 1).0 == 0 {
+            n -= 1;
+        }
+        self.set_nslots(n);
+        if n == 0 {
+            self.set_freeend(PAGE_SIZE as u16);
+        }
         Ok(())
     }
 
@@ -229,11 +287,15 @@ impl Page {
 mod tests {
     use super::*;
 
+    fn put(p: &mut Page, tuple: &[u8]) -> SlotId {
+        p.insert(tuple).unwrap().expect("room")
+    }
+
     #[test]
     fn insert_and_get() {
         let mut p = Page::new();
-        let s0 = p.insert(b"hello").unwrap();
-        let s1 = p.insert(b"world!").unwrap();
+        let s0 = put(&mut p, b"hello");
+        let s1 = put(&mut p, b"world!");
         assert_eq!(p.get(s0), Some(&b"hello"[..]));
         assert_eq!(p.get(s1), Some(&b"world!"[..]));
         assert_eq!(p.live_count(), 2);
@@ -243,8 +305,8 @@ mod tests {
     #[test]
     fn delete_marks_dead() {
         let mut p = Page::new();
-        let s0 = p.insert(b"abc").unwrap();
-        let s1 = p.insert(b"def").unwrap();
+        let s0 = put(&mut p, b"abc");
+        let s1 = put(&mut p, b"def");
         p.delete(s0).unwrap();
         assert_eq!(p.get(s0), None);
         assert_eq!(p.get(s1), Some(&b"def"[..]));
@@ -253,16 +315,62 @@ mod tests {
     }
 
     #[test]
+    fn insert_reuses_the_lowest_dead_slot_and_delete_trims_the_directory() {
+        let mut p = Page::new();
+        let slots: Vec<_> = (0..5u8).map(|i| put(&mut p, &[i; 10])).collect();
+        p.delete(slots[1]).unwrap();
+        p.delete(slots[3]).unwrap();
+        assert_eq!(put(&mut p, b"again"), slots[1]);
+        assert_eq!(put(&mut p, b"and again"), slots[3]);
+        assert_eq!(put(&mut p, b"new"), 5);
+        // Dead slots at the end of the directory go at once.
+        p.delete(5).unwrap();
+        p.delete(slots[4]).unwrap();
+        assert_eq!(p.nslots(), 4);
+        for s in p.live_slots().collect::<Vec<_>>() {
+            p.delete(s).unwrap();
+        }
+        assert_eq!((p.nslots(), p.free_space()), (0, PAGE_SIZE - HEADER), "a fresh page again");
+    }
+
+    #[test]
+    fn insert_compacts_when_only_the_holes_have_room() {
+        let mut p = Page::new();
+        let tuple = |i: usize| vec![i as u8; 100];
+        let mut n = 0;
+        while p.fits(100) {
+            put(&mut p, &tuple(n));
+            n += 1;
+        }
+        // Free three scattered tuples: no gap holds 250 bytes, the page does
+        // (78 tuples leave 76 bytes; a dead slot is there for the taking).
+        for s in [3, 40, 41] {
+            p.delete(s).unwrap();
+        }
+        assert!(p.fits(376) && !p.fits(377));
+        assert_eq!(put(&mut p, &[0xEE; 250]), 3);
+        assert_eq!(p.get(3).unwrap(), &[0xEE; 250][..]);
+        for s in (0..n).filter(|s| ![3, 40, 41].contains(s)) {
+            assert_eq!(p.get(s as SlotId).unwrap(), &tuple(s)[..], "slot {s} survived compaction");
+        }
+        // A shrinking update's slack is found again too.
+        assert!(p.update_in_place(3, b"tiny").unwrap());
+        assert!(p.fits(240));
+        put(&mut p, &[0xDD; 240]);
+        assert_eq!(p.get(3).unwrap(), b"tiny");
+    }
+
+    #[test]
     fn fills_up_and_reports_full() {
         let mut p = Page::new();
         let tuple = [0xABu8; 100];
         let mut n = 0;
         while p.fits(tuple.len()) {
-            p.insert(&tuple).unwrap();
+            put(&mut p, &tuple);
             n += 1;
         }
         assert!(n >= 70, "should fit many 100-byte tuples, got {n}");
-        assert!(p.insert(&tuple).is_err());
+        assert_eq!(p.insert(&tuple).unwrap(), None);
         // everything still readable
         for s in 0..p.nslots() {
             assert_eq!(p.get(s).unwrap(), &tuple[..]);
@@ -278,7 +386,7 @@ mod tests {
     #[test]
     fn update_in_place_when_fits() {
         let mut p = Page::new();
-        let s = p.insert(b"longvalue").unwrap();
+        let s = put(&mut p, b"longvalue");
         assert!(p.update_in_place(s, b"short").unwrap());
         assert_eq!(p.get(s), Some(&b"short"[..]));
         assert!(!p.update_in_place(s, b"muchlongervaluethanbefore").unwrap());
@@ -288,8 +396,8 @@ mod tests {
     fn zero_length_tuples_not_confused_with_dead() {
         // A zero-length tuple would get offset == freeend != 0, so it stays live.
         let mut p = Page::new();
-        let s = p.insert(b"x").unwrap();
-        let z = p.insert(b"").unwrap();
+        let s = put(&mut p, b"x");
+        let z = put(&mut p, b"");
         assert_eq!(p.get(z), Some(&b""[..]));
         p.delete(s).unwrap();
         assert_eq!(p.get(z), Some(&b""[..]));

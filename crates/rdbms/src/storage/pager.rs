@@ -14,6 +14,7 @@ use crate::error::{DbError, DbResult};
 use crate::storage::page::{Page, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -56,7 +57,9 @@ struct Resident {
 }
 
 struct PagerInner {
-    pages: Vec<Page>,
+    /// The simulated disk; `None` marks a freed page, which nothing can
+    /// read, write or stamp until `allocate` hands its id out again.
+    pages: Vec<Option<Page>>,
     free_list: Vec<PageId>,
     resident: HashMap<PageId, Resident>,
     lru: VecDeque<(PageId, u64)>,
@@ -69,6 +72,14 @@ struct PagerInner {
 }
 
 impl PagerInner {
+    fn page_mut(&mut self, pid: PageId) -> DbResult<&mut Page> {
+        match self.pages.get_mut(pid as usize) {
+            Some(Some(page)) => Ok(page),
+            Some(None) => Err(DbError::storage(format!("page {pid} is free"))),
+            None => Err(DbError::storage(format!("page {pid} does not exist"))),
+        }
+    }
+
     fn touch(&mut self, pid: PageId) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -139,6 +150,7 @@ pub struct Pager {
     /// the owning [`crate::Database`]. The in-memory "disk" makes misses
     /// stalls of zero duration — the count is the signal.
     wait: OnceLock<Arc<WaitStats>>,
+    logged: AtomicBool,
 }
 
 impl Pager {
@@ -155,6 +167,7 @@ impl Pager {
             }),
             meter,
             wait: OnceLock::new(),
+            logged: AtomicBool::new(false),
         })
     }
 
@@ -165,6 +178,19 @@ impl Pager {
     /// Attach the wait-event sink (idempotent; first caller wins).
     pub(crate) fn set_wait_stats(&self, wait: Arc<WaitStats>) {
         let _ = self.wait.set(wait);
+    }
+
+    /// From now on operations on this store are logged, each after it is
+    /// done (set by the owning [`crate::Database`] when it has a WAL).
+    pub(crate) fn set_logged(&self) {
+        self.logged.store(true, Ordering::Relaxed);
+    }
+
+    /// Are operations on this store logged after they are done? A heap then
+    /// keeps a slot whose row just went out of reach of inserts until the
+    /// log holds the record (see [`crate::storage::HeapFile`]).
+    pub fn logged(&self) -> bool {
+        self.logged.load(Ordering::Relaxed)
     }
 
     fn note_miss(&self, missed: bool) {
@@ -180,11 +206,11 @@ impl Pager {
         let mut g = self.inner.lock();
         let pid = match g.free_list.pop() {
             Some(pid) => {
-                g.pages[pid as usize] = Page::new();
+                g.pages[pid as usize] = Some(Page::new());
                 pid
             }
             None => {
-                g.pages.push(Page::new());
+                g.pages.push(Some(Page::new()));
                 (g.pages.len() - 1) as PageId
             }
         };
@@ -194,9 +220,16 @@ impl Pager {
         pid
     }
 
-    /// Return a page to the free list. Its contents are discarded.
+    /// Return a page to the free list. Its contents are discarded: it
+    /// leaves the pool without a write-back charge and the dirty-page
+    /// table without a trace (its queue entries go stale like an evicted
+    /// page's). Freeing a page that is not allocated does nothing.
     pub fn free(&self, pid: PageId) {
         let mut g = self.inner.lock();
+        if g.page_mut(pid).is_err() {
+            return;
+        }
+        g.pages[pid as usize] = None;
         g.resident.remove(&pid);
         g.dirty_lsn.remove(&pid);
         g.free_list.push(pid);
@@ -207,16 +240,15 @@ impl Pager {
     /// this LSN as its recovery LSN if it is not already there.
     pub fn stamp_lsn(&self, pid: PageId, lsn: u64) {
         let mut g = self.inner.lock();
-        if (pid as usize) < g.pages.len() {
-            g.pages[pid as usize].stamp_lsn(lsn);
+        if let Ok(page) = g.page_mut(pid) {
+            page.stamp_lsn(lsn);
             g.dirty_lsn.entry(pid).or_insert(lsn);
         }
     }
 
-    /// The page LSN (0 for unlogged or nonexistent pages).
+    /// The page LSN (0 for unlogged, freed or nonexistent pages).
     pub fn page_lsn(&self, pid: PageId) -> u64 {
-        let g = self.inner.lock();
-        g.pages.get(pid as usize).map_or(0, |p| p.lsn())
+        self.inner.lock().page_mut(pid).map_or(0, |p| p.lsn())
     }
 
     /// The dirty-page table: (page id, recovery LSN) for every page whose
@@ -237,11 +269,9 @@ impl Pager {
         f: impl FnOnce(&Page) -> R,
     ) -> DbResult<R> {
         let mut g = self.inner.lock();
-        if pid as usize >= g.pages.len() {
-            return Err(DbError::storage(format!("page {pid} does not exist")));
-        }
+        g.page_mut(pid)?;
         let missed = g.ensure_resident(pid, pattern, &self.meter, true);
-        let out = f(&g.pages[pid as usize]);
+        let out = f(g.page_mut(pid)?);
         drop(g);
         self.note_miss(missed);
         Ok(out)
@@ -255,12 +285,10 @@ impl Pager {
         f: impl FnOnce(&mut Page) -> R,
     ) -> DbResult<R> {
         let mut g = self.inner.lock();
-        if pid as usize >= g.pages.len() {
-            return Err(DbError::storage(format!("page {pid} does not exist")));
-        }
+        g.page_mut(pid)?;
         let missed = g.ensure_resident(pid, pattern, &self.meter, true);
         g.resident.get_mut(&pid).expect("resident").dirty = true;
-        let out = f(&mut g.pages[pid as usize]);
+        let out = f(g.page_mut(pid)?);
         drop(g);
         self.note_miss(missed);
         Ok(out)
@@ -399,6 +427,28 @@ mod tests {
         // Reused page is fresh.
         let n = p.read(b, AccessPattern::Random, |pg| pg.nslots()).unwrap();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn a_freed_page_is_gone_from_every_table_until_reallocated() {
+        let p = pager(8);
+        let keep = p.allocate();
+        let pid = p.allocate();
+        p.stamp_lsn(pid, 7);
+        assert_eq!(p.dirty_page_table(), vec![(pid, 7)]);
+        p.free(pid);
+        p.free(pid); // a second free changes nothing
+        assert_eq!((p.allocated_pages(), p.resident_pages()), (1, 1));
+        assert!(p.read(pid, AccessPattern::Random, |_| ()).is_err());
+        assert!(p.write(pid, AccessPattern::Random, |_| ()).is_err());
+        p.stamp_lsn(pid, 9);
+        assert_eq!((p.dirty_page_table(), p.page_lsn(pid)), (vec![], 0));
+        // Discarded, not written back: no charge now or at a later flush.
+        p.flush_all();
+        assert_eq!(p.meter().get(Counter::PageWrites), 1, "only `keep` was written");
+        assert_eq!(p.allocate(), pid);
+        assert_eq!((p.allocated_pages(), p.page_lsn(pid)), (2, 0));
+        p.read(keep, AccessPattern::Random, |_| ()).unwrap();
     }
 
     #[test]

@@ -51,10 +51,25 @@ pub use crate::lock::{KeyRange, LockManager, LockMode, RowLock, RowMode, TxnId};
 /// One undo-log record. Replayed in reverse on rollback; RIDs invalidated
 /// by later undo steps (a heap update or re-insert can move a row) are
 /// patched through a remap table during replay.
-pub(crate) enum Undo {
+enum Undo {
     Insert { table: String, rid: Rid },
     Delete { table: String, rid: Rid, row: Row },
     Update { table: String, prev_rid: Rid, rid: Rid, old: Row },
+}
+
+impl Undo {
+    /// What taking back a done operation needs of its record: all but the
+    /// after-image.
+    fn of(op: LogPayload) -> Undo {
+        match op {
+            LogPayload::Insert { table, rid, .. } => Undo::Insert { table, rid },
+            LogPayload::Delete { table, rid, row } => Undo::Delete { table, rid, row },
+            LogPayload::Update { table, rid, new_rid, old, .. } => {
+                Undo::Update { table, prev_rid: rid, rid: new_rid, old }
+            }
+            other => unreachable!("not an operation record: {other:?}"),
+        }
+    }
 }
 
 /// Per-transaction metering summary returned by [`Txn::commit`].
@@ -73,9 +88,9 @@ pub struct Txn<'db> {
     id: TxnId,
     meter: Arc<CostMeter>,
     undo: Vec<Undo>,
-    /// LSN of the log record for each undo entry, parallel to `undo` (only
-    /// populated when the database has a WAL; may be shorter than `undo` if
-    /// logging itself failed). Rollback uses it to chain CLR `undo_next`.
+    /// LSN of the log record for each undo entry, parallel to `undo` (empty
+    /// when the database has no WAL). Rollback uses it to chain CLR
+    /// `undo_next`.
     op_lsns: Vec<Lsn>,
     lock_wait: Duration,
     done: bool,
@@ -117,17 +132,16 @@ impl<'db> Txn<'db> {
     pub fn execute(&mut self, sql: &str) -> DbResult<ExecOutcome> {
         let stmt = parse_statement(sql)?;
         self.lock_statement(&stmt)?;
+        let mut ops = Vec::new();
         let res = {
             let _scope = MeterScope::enter(Arc::clone(&self.meter));
-            self.db.execute_statement_in_txn(&stmt, &mut self.undo)
+            self.db.execute_statement_in_txn(&stmt, &mut ops)
         };
-        // Log even a failed statement's partial effects: they are in the
-        // store and in the undo log, so they must be in the WAL too (the
-        // rollback that removes them will log compensation records).
-        let logged = self.wal_log_new_ops();
-        let out = res?;
-        logged?;
-        Ok(out)
+        // Even a failed statement's partial effects: they are in the store,
+        // so they must be in the undo log and in the WAL too (the rollback
+        // that removes them will log compensation records).
+        self.note_ops(ops);
+        res
     }
 
     /// Execute a SELECT and return its rows.
@@ -173,28 +187,23 @@ impl<'db> Txn<'db> {
             }
             None => self.lock_table(&t.name, LockMode::Exclusive)?,
         }
-        {
+        let (rid, row) = {
             let _scope = MeterScope::enter(Arc::clone(&self.meter));
-            let rid = self.db.catalog().insert_row(&t, row)?;
-            self.undo.push(Undo::Insert { table: t.name.clone(), rid });
-        }
-        self.wal_log_new_ops()
+            self.db.catalog().insert_stored(&t, row)?
+        };
+        self.note_ops(vec![LogPayload::Insert { table: t.name.clone(), rid, row }]);
+        Ok(())
     }
 
-    /// Append log records for undo entries not yet logged (everything past
-    /// `op_lsns.len()`) and stamp the touched pages. No-op without a WAL.
-    fn wal_log_new_ops(&mut self) -> DbResult<()> {
-        let Some(wal) = self.db.wal() else {
-            return Ok(());
-        };
-        if self.undo.len() == self.op_lsns.len() {
-            return Ok(());
+    /// Take in the operations a statement just did: to the log, if there is
+    /// one, and onto the undo log.
+    fn note_ops(&mut self, ops: Vec<LogPayload>) {
+        if let Some(wal) = self.db.wal().filter(|_| !ops.is_empty()) {
+            let lsns = wal.append_batch(self.id, &ops);
+            self.db.note_logged(&ops, &lsns);
+            self.op_lsns.extend(lsns);
         }
-        let payloads = self.db.wal_payloads_from_undo(&self.undo[self.op_lsns.len()..])?;
-        let lsns = wal.append_batch(self.id, &payloads);
-        self.db.stamp_payload_lsns(&payloads, &lsns);
-        self.op_lsns.extend(lsns);
-        Ok(())
+        self.undo.extend(ops.into_iter().map(Undo::of));
     }
 
     /// Commit: keep all effects, release locks. With a WAL, a `Commit`
@@ -245,52 +254,46 @@ impl<'db> Txn<'db> {
     }
 
     /// Replay the undo log in reverse, staging one compensation record per
-    /// successfully undone *logged* operation (actions carry the original
-    /// do-time RIDs; restart's remap table resolves placement drift).
+    /// successfully undone *logged* operation. A record names rows the way
+    /// every other log record does, by the rid they live at as it is
+    /// written: the rid the row was found at for a delete or revert, the
+    /// rid it was put at for a re-insert or revert. (A rid is reused once
+    /// its row is gone, so the rid an undone delete once used may by now
+    /// name another transaction's row.)
     fn undo_all(&mut self, staged: &mut Vec<LogPayload>) -> DbResult<()> {
         let _scope = MeterScope::enter(Arc::clone(&self.meter));
         // RIDs recorded at do-time can be stale by the time we undo: a heap
-        // update or a re-insert may have moved the row. `remap` carries
+        // update or a re-insert may have moved the row. `moved` carries
         // "row recorded at rid R now lives at rid R2" forward through the
         // reverse replay.
-        let mut remap: HashMap<(String, Rid), Rid> = HashMap::new();
+        let mut moved: HashMap<(String, Rid), Rid> = HashMap::new();
+        let catalog = self.db.catalog();
         while let Some(u) = self.undo.pop() {
             let idx = self.undo.len();
-            // Ops past op_lsns.len() never made it into the log, so no CLR:
-            // restart has nothing to compensate.
-            let action = (idx < self.op_lsns.len()).then(|| match &u {
+            let action = match u {
                 Undo::Insert { table, rid } => {
-                    UndoAction::Delete { table: table.clone(), rid: *rid }
+                    let rid = moved.remove(&(table.clone(), rid)).unwrap_or(rid);
+                    let t = catalog.table(&table)?;
+                    let _rows_stay = t.changes.lock();
+                    catalog.delete_row(&t, rid)?;
+                    UndoAction::Delete { table, rid }
                 }
                 Undo::Delete { table, rid, row } => {
-                    UndoAction::Insert { table: table.clone(), rid: *rid, row: row.clone() }
-                }
-                Undo::Update { table, prev_rid, rid, old } => UndoAction::Revert {
-                    table: table.clone(),
-                    rid: *rid,
-                    prev_rid: *prev_rid,
-                    old: old.clone(),
-                },
-            });
-            match u {
-                Undo::Insert { table, rid } => {
-                    let t = self.db.catalog().table(&table)?;
-                    let rid = remap.remove(&(table, rid)).unwrap_or(rid);
-                    self.db.catalog().delete_row(&t, rid)?;
-                }
-                Undo::Delete { table, rid, row } => {
-                    let t = self.db.catalog().table(&table)?;
-                    let new_rid = self.db.catalog().insert_row(&t, &row)?;
-                    remap.insert((table, rid), new_rid);
+                    let new_rid = catalog.insert_row(&*catalog.table(&table)?, &row)?;
+                    moved.insert((table.clone(), rid), new_rid);
+                    UndoAction::Insert { table, rid: new_rid, row }
                 }
                 Undo::Update { table, prev_rid, rid, old } => {
-                    let t = self.db.catalog().table(&table)?;
-                    let cur = remap.remove(&(table.clone(), rid)).unwrap_or(rid);
-                    let restored = self.db.catalog().update_row(&t, cur, &old)?;
-                    remap.insert((table, prev_rid), restored);
+                    let cur = moved.remove(&(table.clone(), rid)).unwrap_or(rid);
+                    let t = catalog.table(&table)?;
+                    let _rows_stay = t.changes.lock();
+                    let restored = catalog.update_row(&t, cur, &old)?;
+                    moved.insert((table.clone(), prev_rid), restored);
+                    UndoAction::Revert { table, rid: cur, prev_rid: restored, old }
                 }
-            }
-            if let Some(action) = action {
+            };
+            // Without a WAL there is no log to compensate in.
+            if idx < self.op_lsns.len() {
                 let undo_next = if idx == 0 { NULL_LSN } else { self.op_lsns[idx - 1] };
                 staged.push(LogPayload::Clr { undo_next, action });
             }
@@ -312,7 +315,7 @@ impl<'db> Txn<'db> {
         let mut batch = staged;
         batch.push(LogPayload::Abort);
         let lsns = wal.append_batch(self.id, &batch);
-        self.db.stamp_payload_lsns(&batch, &lsns);
+        self.db.note_logged(&batch, &lsns);
         self.op_lsns.clear();
         wal.write_buffered(false)
     }

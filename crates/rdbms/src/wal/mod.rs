@@ -123,11 +123,11 @@ impl WalConfig {
 pub enum UndoAction {
     /// Undo of an insert: the row at `rid` is deleted.
     Delete { table: String, rid: Rid },
-    /// Undo of a delete: `row` is re-inserted (logged with the rid the row
-    /// had when originally deleted, for remapping at replay).
+    /// Undo of a delete: `row` is re-inserted and now lives at `rid` (not
+    /// the rid it was deleted from: that slot may have a new tenant).
     Insert { table: String, rid: Rid, row: Row },
-    /// Undo of an update: the row currently at `rid` is restored to `old`
-    /// (logically back at `prev_rid`).
+    /// Undo of an update: the row found at `rid` is restored to `old` and
+    /// now lives at `prev_rid`.
     Revert { table: String, rid: Rid, prev_rid: Rid, old: Row },
 }
 

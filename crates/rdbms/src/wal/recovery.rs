@@ -16,7 +16,11 @@
 //!    rollbacks — through the catalog, so indexes and constraints are
 //!    maintained. RIDs in the log are do-time addresses; replay keeps a
 //!    `logged rid -> actual rid` remap because physical placement can
-//!    differ when history is repeated into a fresh heap.
+//!    differ when history is repeated into a fresh heap. The heap reuses
+//!    the rid of a deleted row, so one logged rid names different rows
+//!    over time: a record that puts a row somewhere (insert, the new side
+//!    of an update, a compensating re-insert or revert) sets the entry
+//!    for the rid it names, and a record that takes a row away removes it.
 //! 3. **Undo** rolls back each loser from its last record, skipping
 //!    operations already compensated (their CLRs are in the log), writing
 //!    a CLR per undone operation and a final Abort — so recovery itself
@@ -166,9 +170,12 @@ pub fn recover(config: DbConfig) -> DbResult<(Database, RecoveryReport)> {
             .count();
         let to_undo = &ops[..ops.len().saturating_sub(clrs)];
         let mut batch = Vec::with_capacity(to_undo.len() + 1);
+        // Rows this rollback has put somewhere new: the loser's earlier
+        // records still name them by their do-time rid.
+        let mut moved = HashMap::new();
         for (i, r) in to_undo.iter().enumerate().rev() {
             let undo_next = if i == 0 { NULL_LSN } else { to_undo[i - 1].lsn };
-            let action = undo_one(&db, r, &mut remap)?;
+            let action = undo_one(&db, r, &mut remap, &mut moved)?;
             batch.push(LogPayload::Clr { undo_next, action });
             undo_applied += 1;
         }
@@ -256,35 +263,40 @@ fn apply_forward(
 }
 
 /// Undo one operation record against the recovered store, returning the
-/// compensation action that describes what was done.
+/// compensation action that describes what was done. As in a live rollback
+/// ([`crate::txn`]), the action names a row it takes away by the rid the
+/// log last put it at, and a row it puts back by the rid it now has.
 fn undo_one(
     db: &Database,
     r: &LogRecord,
     remap: &mut HashMap<(String, Rid), Rid>,
+    moved: &mut HashMap<(String, Rid), Rid>,
 ) -> DbResult<UndoAction> {
     let catalog = db.catalog();
+    // (rid the log knows the row by, rid it has in this store)
+    let mut find = |table: &String, rid: Rid| {
+        let named = moved.remove(&(table.clone(), rid)).unwrap_or(rid);
+        (named, remap.remove(&(table.clone(), named)).unwrap_or(named))
+    };
     match &r.payload {
         LogPayload::Insert { table, rid, .. } => {
-            let t = catalog.table(table)?;
-            let actual = remap.remove(&(table.clone(), *rid)).unwrap_or(*rid);
-            catalog.delete_row(&t, actual)?;
-            Ok(UndoAction::Delete { table: table.clone(), rid: *rid })
+            let (named, actual) = find(table, *rid);
+            catalog.delete_row(&*catalog.table(table)?, actual)?;
+            Ok(UndoAction::Delete { table: table.clone(), rid: named })
         }
         LogPayload::Delete { table, rid, row } => {
-            let t = catalog.table(table)?;
-            let actual = catalog.insert_row(&t, row)?;
-            remap.insert((table.clone(), *rid), actual);
-            Ok(UndoAction::Insert { table: table.clone(), rid: *rid, row: row.clone() })
+            let actual = catalog.insert_row(&*catalog.table(table)?, row)?;
+            moved.insert((table.clone(), *rid), actual);
+            Ok(UndoAction::Insert { table: table.clone(), rid: actual, row: row.clone() })
         }
         LogPayload::Update { table, rid, new_rid, old, .. } => {
-            let t = catalog.table(table)?;
-            let cur = remap.remove(&(table.clone(), *new_rid)).unwrap_or(*new_rid);
-            let actual = catalog.update_row(&t, cur, old)?;
-            remap.insert((table.clone(), *rid), actual);
+            let (named, cur) = find(table, *new_rid);
+            let actual = catalog.update_row(&*catalog.table(table)?, cur, old)?;
+            moved.insert((table.clone(), *rid), actual);
             Ok(UndoAction::Revert {
                 table: table.clone(),
-                rid: *new_rid,
-                prev_rid: *rid,
+                rid: named,
+                prev_rid: actual,
                 old: old.clone(),
             })
         }

@@ -138,7 +138,7 @@ fn m_traces_reads_race_concurrent_trace_completion() {
             std::thread::spawn(move || {
                 for i in 0..PER_WRITER {
                     let ctx = db
-                        .begin_request("race", &format!("w{w}-{i}"))
+                        .begin_request("race", format!("w{w}-{i}"))
                         .expect("monitor is on by default");
                     let _guard = ctx.install();
                     // A real wait on the serving thread, so completed
@@ -200,4 +200,115 @@ fn monitor_rows_stay_fresh_through_prepared_plans() {
     let n_stale_plan =
         db.execute_prepared(&first.prepared, &first.extracted_params).unwrap().rows.len();
     assert_eq!(n_stale_plan, n_after, "rows are produced at execute time, not plan time");
+}
+
+/// The ring sheds traces by weight as well as by count; the views must
+/// say of a trace that stayed exactly what they said before: a real query
+/// served under a request, a lock wait inside one of its plan nodes, then
+/// enough heavy requests to rotate the ring by bytes alone.
+#[test]
+fn m_traces_and_m_spans_rows_of_a_retained_trace_are_unchanged() {
+    let db = db_with_table();
+    let ring = Arc::clone(db.trace_ring());
+    let serve = || {
+        let ctx = db.begin_request("server/simple", "SELECT  b FROM t\nWHERE a = 7").unwrap();
+        let id = ctx.trace_id();
+        let _guard = ctx.install();
+        let _outer = trace::span("outer");
+        assert_eq!(db.query("SELECT b FROM t WHERE a = 7").unwrap().rows, [[Value::Int(70)]]);
+        let _inner = trace::span("inner");
+        db.wait_stats().record(WaitEvent::Lock, Duration::from_micros(40));
+        db.wait_stats().record(WaitEvent::BufferMiss, Duration::ZERO);
+        id
+    };
+    let first = serve();
+    // 60 requests of 512 spans and 1,024 waits: past the byte budget, far
+    // short of the 4,096-trace capacity.
+    for i in 0..60 {
+        let _guard = db.begin_request("test", format!("heavy {i}")).unwrap().install();
+        for _ in 0..512 {
+            let _span = trace::span("node");
+            db.wait_stats().record(WaitEvent::Exec, Duration::from_micros(2));
+            db.wait_stats().record(WaitEvent::Exec, Duration::from_micros(2));
+        }
+    }
+    assert!(ring.evicted() > 0 && ring.completed() == 61, "rotated by weight alone");
+    assert!(ring.get(first).is_none(), "the oldest went first");
+    let id = serve();
+    let t = ring.get(id).expect("the newest trace is retained");
+    let int = |v: u64| Value::Int(v as i64);
+
+    let row = db
+        .query(&format!("SELECT * FROM M$TRACES WHERE TRACE_ID = {id}"))
+        .unwrap()
+        .rows
+        .pop()
+        .expect("one row for the trace");
+    let p = t.critical_path();
+    assert_eq!(
+        row,
+        vec![
+            int(id),
+            Value::str("server/simple"),
+            Value::str("SELECT b FROM t WHERE a = 7"),
+            int(t.enqueued_us),
+            int(t.started_us),
+            int(t.ended_us),
+            int(t.end_to_end_us()),
+            int(p.segment(WaitEvent::DispatchQueue)),
+            int(p.segment(WaitEvent::Lock)),
+            int(p.segment(WaitEvent::WalFlush)),
+            int(p.segment(WaitEvent::GroupCommitWait)),
+            int(p.segment(WaitEvent::BufferMiss)),
+            int(p.segment(WaitEvent::Exec)),
+            int(p.app_server_us),
+            int(t.span_count() as u64),
+            int(2), // the query's exec time and the lock wait
+            int(0),
+            int(0),
+        ]
+    );
+    assert!(p.segment(WaitEvent::Lock) > 0 && p.sum_us() == t.end_to_end_us());
+
+    let spans = db
+        .query(&format!(
+            "SELECT SPAN_ID, PARENT_ID, DEPTH, NAME, START_US, END_US, ELAPSED_US, LOCK_US, \
+             WAL_FLUSH_US, GROUP_COMMIT_US, BUFFER_MISSES, EXEC_US FROM M$SPANS \
+             WHERE TRACE_ID = {id} ORDER BY SPAN_ID"
+        ))
+        .unwrap()
+        .rows;
+    // outer > (the query's plan nodes, each under the one before) and inner.
+    assert_eq!(spans.len(), t.span_count());
+    let inner = spans.len() as i64 - 1;
+    for (i, row) in spans.iter().enumerate() {
+        let node = &t.spans[i];
+        // The statement's exec time lands on the frame open around it.
+        let exec = t.span_wait_micros(node, WaitEvent::Exec) as i64;
+        let (parent, depth, name, lock, misses, exec) = match i as i64 {
+            0 => (-1, 0, "outer".to_string(), 0, 0, exec),
+            i if i == inner => (0, 1, "inner".to_string(), 40, 1, 0),
+            i => (i - 1, i, t.span_name(node).to_string(), 0, 0, 0),
+        };
+        assert_eq!(
+            row,
+            &vec![
+                Value::Int(i as i64),
+                Value::Int(parent),
+                Value::Int(depth),
+                Value::Str(name),
+                int(node.start_us),
+                int(node.end_us),
+                int(node.elapsed_us()),
+                Value::Int(lock),
+                Value::Int(0),
+                Value::Int(0),
+                Value::Int(misses),
+                Value::Int(exec),
+            ],
+            "span {i}"
+        );
+    }
+    assert!(spans.len() >= 4, "two plan nodes between outer and inner: {spans:?}");
+    assert!(t.span_name(&t.spans[1]).starts_with("Project"), "{spans:?}");
 }

@@ -13,6 +13,8 @@
 //!   before their implicit Commit) is fully rolled back;
 //! * system records (bulk load, DDL) are committed-if-present.
 
+use rdbms::storage::codec::encode_key;
+use rdbms::storage::{AccessPattern, Rid};
 use rdbms::wal::{scan_records, LogPayload, WalConfig, SYSTEM_TXN};
 use rdbms::{Database, DbConfig, Value};
 use std::collections::BTreeMap;
@@ -131,16 +133,31 @@ fn run_session(log: &PathBuf) -> Vec<u8> {
     bytes
 }
 
-#[test]
-fn crash_at_any_offset_recovers_committed_and_rolls_back_losers() {
-    let log = tmp("session");
-    let bytes = run_session(&log);
-    std::fs::remove_file(&log).ok();
+/// Every index entry of ACCOUNTS leads to the row that owns its key, and
+/// every row has its entries: what a scan sees, a probe finds.
+fn assert_indexes_consistent(db: &Database, context: &str) {
+    let Ok(table) = db.catalog().table("accounts") else { return };
+    for index in table.indexes.read().iter() {
+        let entries = index.tree.lock().scan_all().unwrap();
+        assert_eq!(entries.len() as u64, table.heap.live_rows(), "{context}: {}", index.name);
+        for (stored, rid) in entries {
+            let row =
+                table.heap.get(rid, AccessPattern::Random).unwrap().unwrap_or_else(|| {
+                    panic!("{context}: {} entry at {rid:?} dangles", index.name)
+                });
+            assert!(
+                stored.starts_with(&index.key_for(&row)),
+                "{context}: {} at {rid:?}",
+                index.name
+            );
+        }
+    }
+}
 
-    // Cut points: every record boundary, plus offsets inside the following
-    // record (torn writes), plus inside the file header.
-    let (records, end) = scan_records(&bytes);
-    assert!(records.len() > 40, "workload should produce a rich log: {}", records.len());
+/// Crash the log `bytes` at every record boundary, inside every record
+/// (a torn write) and inside the file header, and recover each prefix.
+fn recover_at_every_cut(bytes: &[u8], name: &str) {
+    let (records, end) = scan_records(bytes);
     let mut cuts: Vec<usize> = vec![0, 3, 8];
     for r in &records {
         cuts.push(r.lsn as usize);
@@ -151,7 +168,7 @@ fn crash_at_any_offset_recovers_committed_and_rolls_back_losers() {
     cuts.sort_unstable();
     cuts.dedup();
 
-    let cut_log = tmp("cut");
+    let cut_log = tmp(name);
     for &cut in &cuts {
         std::fs::write(&cut_log, &bytes[..cut]).unwrap();
         let (db, report) = recover_from(&cut_log);
@@ -163,12 +180,220 @@ fn crash_at_any_offset_recovers_committed_and_rolls_back_losers() {
             "state mismatch at cut={cut} ({} records survive)",
             report.records_scanned
         );
+        assert_indexes_consistent(&db, &format!("cut={cut}"));
         // Losers and winners are disjoint.
         for l in &report.losers {
             assert!(!report.committed.contains(l), "cut={cut}: loser {l} also committed");
         }
     }
     std::fs::remove_file(&cut_log).ok();
+}
+
+#[test]
+fn crash_at_any_offset_recovers_committed_and_rolls_back_losers() {
+    let log = tmp("session");
+    let bytes = run_session(&log);
+    std::fs::remove_file(&log).ok();
+    let (records, _) = scan_records(&bytes);
+    assert!(records.len() > 40, "workload should produce a rich log: {}", records.len());
+    recover_at_every_cut(&bytes, "cut");
+}
+
+/// Where the primary-key index says account `id` lives.
+fn rid_of(db: &Database, id: i64) -> Option<Rid> {
+    let table = db.catalog().table("accounts").unwrap();
+    let pkey = table.find_index("ACCOUNTS_PKEY").unwrap();
+    let rids = pkey.tree.lock().search_exact(&encode_key(&[Value::Int(id)])).unwrap();
+    rids.first().copied()
+}
+
+/// A session that gives space back and takes it again: rows wide enough
+/// that 150 of them span heap pages and index leaves, a delete that frees
+/// a heap page and a leaf, a checkpoint after it, slots and pages reused
+/// by later inserts, a rolled-back delete whose slot another transaction
+/// took in the meantime, a rolled-back insert whose slot the next insert
+/// takes, relocating updates, and an open transaction at the crash whose
+/// deleted row's slot an autocommit insert reused. Returns the full log
+/// bytes.
+fn run_reclaim_session(log: &PathBuf) -> Vec<u8> {
+    let db = wal_db(log);
+    db.execute(
+        "CREATE TABLE accounts (id INTEGER NOT NULL, balance INTEGER, \
+         note VARCHAR(200), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX acc_note ON accounts (note)").unwrap();
+    let note = |id: i64| format!("{id:0180}");
+    let insert = |id: i64| {
+        db.execute(&format!("INSERT INTO accounts VALUES ({id}, {}, '{}')", id * 10, note(id)))
+            .unwrap();
+    };
+    (0..150).for_each(insert);
+    let table = db.catalog().table("accounts").unwrap();
+    let note_index = table.find_index("ACC_NOTE").unwrap();
+    let (heap_pages, leaves) = (table.heap.page_count(), note_index.node_pages());
+    assert!(heap_pages >= 4 && leaves >= 6, "{heap_pages} heap pages, {leaves} index nodes");
+
+    // The first heap page and the leftmost leaves empty and go back.
+    let first_page = rid_of(&db, 0).unwrap().page;
+    db.execute("DELETE FROM accounts WHERE id < 60").unwrap();
+    assert!(table.heap.page_count() < heap_pages, "a heap page was freed");
+    assert!(note_index.node_pages() < leaves, "an index leaf was freed");
+    assert!(db.pager().read(first_page, AccessPattern::Random, |_| ()).is_err());
+
+    // A checkpoint right after: its dirty-page table names no freed page.
+    db.checkpoint().unwrap();
+    db.wal_flush().unwrap();
+    let (records, _) = scan_records(&std::fs::read(log).unwrap());
+    let Some(LogPayload::CheckpointEnd { dpt, .. }) = records.last().map(|r| &r.payload) else {
+        panic!("the checkpoint ends the log so far");
+    };
+    assert!(!dpt.is_empty());
+    for (pid, _) in dpt {
+        assert!(db.pager().read(*pid, AccessPattern::Random, |_| ()).is_ok(), "page {pid}");
+    }
+
+    // A rolled-back delete whose slot another transaction reused.
+    insert(200);
+    let slot_of_200 = rid_of(&db, 200).unwrap();
+    let mut deleter = db.begin();
+    deleter.execute("DELETE FROM accounts WHERE id = 200").unwrap();
+    let mut inserter = db.begin();
+    inserter.execute(&format!("INSERT INTO accounts VALUES (201, 1, '{}')", note(201))).unwrap();
+    assert_eq!(rid_of(&db, 201), Some(slot_of_200), "the dead slot has a new tenant");
+    deleter.rollback().unwrap();
+    inserter.commit().unwrap();
+    assert_ne!(rid_of(&db, 200), Some(slot_of_200), "the restored row lives elsewhere");
+    // Both rows are then named by later records.
+    db.execute("UPDATE accounts SET balance = -200 WHERE id = 200").unwrap();
+    db.execute("DELETE FROM accounts WHERE id = 201").unwrap();
+    // A rolled-back insert's slot is on offer again once the compensation
+    // record is written (until then its page takes no insert).
+    let mut t = db.begin();
+    t.execute(&format!("INSERT INTO accounts VALUES (600, 6, '{}')", note(600))).unwrap();
+    let slot_of_600 = rid_of(&db, 600).unwrap();
+    t.rollback().unwrap();
+    insert(601);
+    assert_eq!(rid_of(&db, 601), Some(slot_of_600));
+    db.execute("DELETE FROM accounts WHERE id = 601").unwrap();
+    // Pages come back into use, holes are filled.
+    (300..360).for_each(insert);
+    // Relocating updates: a short note grows past its slot.
+    db.execute("INSERT INTO accounts VALUES (400, 4, 'short'), (401, 4, 'brief')").unwrap();
+    db.execute(&format!("UPDATE accounts SET note = '{}' WHERE id >= 400", note(999))).unwrap();
+    let mut t = db.begin();
+    t.execute("UPDATE accounts SET note = 'shrunk' WHERE id = 310").unwrap();
+    t.execute("DELETE FROM accounts WHERE id >= 100 AND id < 130").unwrap();
+    t.commit().unwrap();
+    // A second checkpoint, then a transaction still open at the crash: it
+    // deleted a row whose slot an autocommit insert has since taken.
+    db.checkpoint().unwrap();
+    insert(500);
+    let slot_of_500 = rid_of(&db, 500).unwrap();
+    let mut t = db.begin();
+    t.execute("DELETE FROM accounts WHERE id = 500").unwrap();
+    t.execute("DELETE FROM accounts WHERE id >= 130 AND id < 150").unwrap();
+    t.execute(&format!("INSERT INTO accounts VALUES (501, 5, '{}')", note(501))).unwrap();
+    insert(502);
+    assert!([rid_of(&db, 501), rid_of(&db, 502)].contains(&Some(slot_of_500)));
+    db.execute("UPDATE accounts SET balance = 1 WHERE id = 502").unwrap();
+    db.wal_flush().unwrap();
+    let bytes = std::fs::read(log).unwrap();
+    drop(t);
+    bytes
+}
+
+#[test]
+fn crash_at_any_offset_recovers_a_history_that_reclaimed_space() {
+    let log = tmp("reclaim-session");
+    let bytes = run_reclaim_session(&log);
+    std::fs::remove_file(&log).ok();
+    let (records, _) = scan_records(&bytes);
+    assert!(records.len() > 400, "{} records", records.len());
+    recover_at_every_cut(&bytes, "reclaim-cut");
+
+    // And the whole log, recovered twice over: restart's own compensation
+    // records name rows by where restart put them.
+    std::fs::write(&log, &bytes).unwrap();
+    let (db, report) = recover_from(&log);
+    assert_eq!(report.losers.len(), 1, "the open transaction");
+    let state = observed_state(&db).unwrap();
+    assert!(state.contains_key(&500) && !state.contains_key(&501), "the loser is undone");
+    db.execute("DELETE FROM accounts WHERE id = 500").unwrap();
+    db.execute("UPDATE accounts SET balance = 2 WHERE id = 502").unwrap();
+    let state = observed_state(&db).unwrap();
+    drop(db);
+    let (db, report) = recover_from(&log);
+    assert!(report.losers.is_empty());
+    assert_eq!(observed_state(&db).unwrap(), state);
+    assert_indexes_consistent(&db, "second restart");
+    std::fs::remove_file(&log).ok();
+}
+
+/// Two autocommit writers, each on rows of its own, in one table: the slot
+/// one frees the other fills. A statement is logged after it has acted, so
+/// the filler could get its record in first, were the page a row just left
+/// not closed to inserts until the record of that is written. The log names
+/// a rid's tenants in the order they had it, which is what replay by rid
+/// relies on.
+#[test]
+fn concurrent_writers_log_a_rids_tenants_in_the_order_they_had_it() {
+    const KEYS: i64 = 25;
+    const ROUNDS: i64 = 60;
+    let log = tmp("two-writers");
+    let db = wal_db(&log);
+    db.execute(
+        "CREATE TABLE accounts (id INTEGER NOT NULL, balance INTEGER, \
+         note VARCHAR(200), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    std::thread::scope(|scope| {
+        for writer in 0..2 {
+            let db = &db;
+            scope.spawn(move || {
+                let id = |round: i64, key: i64| writer * 1_000_000 + round * 1000 + key;
+                for key in 0..KEYS {
+                    db.execute(&format!("INSERT INTO accounts VALUES ({}, 0, 'w')", id(0, key)))
+                        .unwrap();
+                }
+                for round in 1..=ROUNDS {
+                    for key in 0..KEYS {
+                        let gone = id(round - 1, key);
+                        db.execute(&format!("DELETE FROM accounts WHERE id = {gone}")).unwrap();
+                        let come = id(round, key);
+                        db.execute(&format!("INSERT INTO accounts VALUES ({come}, {round}, 'w')"))
+                            .unwrap();
+                    }
+                }
+            });
+        }
+    });
+    db.wal_flush().unwrap();
+    let state = observed_state(&db).unwrap();
+    assert_eq!(state.len() as i64, 2 * KEYS);
+    let heap_pages = db.catalog().table("accounts").unwrap().heap.page_count();
+    assert!(heap_pages <= 2, "{heap_pages} pages for {} rows: slots were not reused", state.len());
+    drop(db);
+
+    let (records, _) = scan_records(&std::fs::read(&log).unwrap());
+    let mut tenant: BTreeMap<Rid, i64> = BTreeMap::new();
+    for r in &records {
+        match &r.payload {
+            LogPayload::Insert { rid, row, .. } => {
+                let id = row[0].as_int().unwrap();
+                let before = tenant.insert(*rid, id);
+                assert_eq!(before, None, "{rid:?} goes to {id} at lsn {} before it is free", r.lsn);
+            }
+            LogPayload::Delete { rid, row, .. } => {
+                assert_eq!(tenant.remove(rid), Some(row[0].as_int().unwrap()), "lsn {}", r.lsn);
+            }
+            _ => {}
+        }
+    }
+    let (db, _) = recover_from(&log);
+    assert_eq!(observed_state(&db).unwrap(), state);
+    assert_indexes_consistent(&db, "two writers");
+    std::fs::remove_file(&log).ok();
 }
 
 #[test]

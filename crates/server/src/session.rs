@@ -38,8 +38,9 @@ use std::time::Instant;
 /// A named prepared statement: the shared plan plus the bind values that
 /// were stripped from the literal text at normalization time.
 pub(crate) struct StatementHandle {
-    /// Statement text as parsed, kept for re-preparation after DDL.
-    pub sql: String,
+    /// Statement text as parsed, kept for re-preparation after DDL and
+    /// shared as the label of every execution's request trace.
+    pub sql: Arc<str>,
     pub prepared: Arc<Prepared>,
     pub extracted: Vec<Value>,
     pub cache_hit: bool,
@@ -253,7 +254,8 @@ impl<'db> Session<'db> {
         // Trace context first: the request guard wraps the statement so
         // every span and wait event below attaches to this trace id (the
         // trace lands in M$TRACES when the guard drops, error or not).
-        let _request = self.db.begin_request("server/simple", &sql).map(RequestCtx::install);
+        let _request =
+            self.db.begin_request("server/simple", sql.as_str()).map(RequestCtx::install);
         // The capture wraps the whole statement including COMMIT, so WAL
         // flush and group-commit waits show up on the statement that paid
         // them. Errors record nothing (partial waits would not reconcile).
@@ -353,7 +355,7 @@ impl<'db> Session<'db> {
         }
         let client_params = cached.prepared.n_params - cached.extracted_params.len();
         let handle = Arc::new(StatementHandle {
-            sql,
+            sql: sql.into(),
             prepared: cached.prepared,
             extracted: cached.extracted_params,
             cache_hit: cached.cache_hit,
@@ -426,7 +428,7 @@ impl<'db> Session<'db> {
                 .any(|d| self.db.catalog().object_version(d) > stmt.prepared.catalog_version)
         };
         if stale {
-            let sql = self.portals[&portal_name].stmt.sql.clone();
+            let sql = Arc::clone(&self.portals[&portal_name].stmt.sql);
             let cached = match self.cache.prepare(self.db, &sql) {
                 Ok(c) => c,
                 Err(e) => return self.extended_error(out, &e.to_string()),
@@ -449,7 +451,10 @@ impl<'db> Session<'db> {
         params.extend(portal.client_values.iter().cloned());
         self.info.executes.fetch_add(1, Ordering::Relaxed);
         self.note_statement(&stmt.sql);
-        let _request = self.db.begin_request("server/extended", &stmt.sql).map(RequestCtx::install);
+        let _request = self
+            .db
+            .begin_request("server/extended", Arc::clone(&stmt.sql))
+            .map(RequestCtx::install);
         let guard = self.trace.and_then(|t| t.begin());
         let capture = self.begin_statement_capture();
         let res = if let Some(txn) = self.txn.as_mut() {

@@ -192,6 +192,21 @@ fn m_traces_and_spans_are_live_and_partition_end_to_end() {
     }
 
     assert!(db.trace_ring().completed() > 0);
+    // What the ring pays for a point probe: the record, a plan node or
+    // three, one exec wait, the statement text.
+    let probes: Vec<_> = db
+        .trace_ring()
+        .snapshot()
+        .into_iter()
+        .filter(|t| t.label.starts_with("SELECT b FROM t WHERE a ="))
+        .collect();
+    assert!(probes.len() >= 100, "{} probes retained", probes.len());
+    assert!(probes.iter().all(|t| t.span_count() >= 2 && !t.waits.is_empty()));
+    // (One that waited for the updater's lock, or missed the pool, also
+    // holds the wait, its table's name and its span's tally.)
+    let mut bytes: Vec<usize> = probes.iter().map(|t| t.retained_bytes()).collect();
+    bytes.sort_unstable();
+    assert!(bytes[bytes.len() / 2] <= 400 && bytes[bytes.len() - 1] <= 800, "{bytes:?}");
     mon.terminate().unwrap();
     let stats = server.shutdown();
     assert_eq!(stats.panics, 0);

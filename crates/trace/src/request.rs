@@ -35,8 +35,9 @@
 use crate::wait::WaitEvent;
 use serde_json::Json;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::marker::PhantomData;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -46,7 +47,18 @@ pub const MAX_SPANS_PER_TRACE: usize = 512;
 /// Wait intervals recorded per request before overflow.
 pub const MAX_WAITS_PER_TRACE: usize = 1024;
 /// Key/value annotations recorded per request before overflow.
-const MAX_ANNOTATIONS: usize = 64;
+pub const MAX_ANNOTATIONS: usize = 64;
+/// Bytes of completed traces a [`TraceRing`] retains, whatever its
+/// capacity in traces: a trace of one statement weighs a few hundred
+/// bytes, one that hit every per-trace bound a hundred thousand.
+pub const RING_BYTE_BUDGET: usize = 4 << 20;
+/// Distinct span names a thread interns; later ones are allocated afresh.
+const MAX_INTERNED_NAMES: usize = 1024;
+/// [`SpanNode::parent`] of a span opened outside any other
+/// ([`MAX_SPANS_PER_TRACE`] is far below).
+pub const NO_PARENT: u16 = u16::MAX;
+/// `SpanNode::waits` of a span that recorded no wait.
+const NO_WAITS: u16 = u16::MAX;
 
 /// One wait the request incurred, as a half-open interval on the ring's
 /// microsecond timeline. Zero-length waits (e.g. in-memory buffer misses)
@@ -65,54 +77,33 @@ impl WaitInterval {
     }
 }
 
-/// One closed span frame in a request's tree: wall-clock boundaries plus
-/// the wait events recorded while it was the innermost open frame.
+/// Waits recorded while one span was the innermost open frame.
+#[derive(Debug, Clone, Default)]
+struct SpanWaits {
+    counts: [u64; WaitEvent::COUNT],
+    micros: [u64; WaitEvent::COUNT],
+}
+
+/// One closed span frame in a request's tree. The tree is stored flat, in
+/// the order the spans opened — depth-first pre-order — with each span
+/// naming its parent by index. What most spans of a trace share or lack
+/// is held once by the [`RequestTrace`]: the name (see
+/// [`RequestTrace::span_name`]) and the tally of waits recorded while the
+/// span was the innermost open frame, which only a span that waited has.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
-    pub name: String,
     pub start_us: u64,
     pub end_us: u64,
-    /// Waits recorded while this frame was innermost (children excluded).
-    pub wait_counts: [u64; WaitEvent::COUNT],
-    pub wait_micros: [u64; WaitEvent::COUNT],
-    pub children: Vec<SpanNode>,
+    /// Index of the enclosing span in [`RequestTrace::spans`], or
+    /// [`NO_PARENT`].
+    pub parent: u16,
+    name: u16,
+    waits: u16,
 }
 
 impl SpanNode {
     pub fn elapsed_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
-    }
-
-    pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(SpanNode::span_count).sum::<usize>()
-    }
-
-    /// Depth-first search for the first span named `name`.
-    pub fn find(&self, name: &str) -> Option<&SpanNode> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
-    pub fn to_json(&self) -> Json {
-        let mut waits = Json::object();
-        for ev in WaitEvent::ALL {
-            if self.wait_counts[ev as usize] > 0 {
-                waits = waits.field(
-                    ev.name(),
-                    Json::object()
-                        .field("count", self.wait_counts[ev as usize])
-                        .field("micros", self.wait_micros[ev as usize]),
-                );
-            }
-        }
-        Json::object()
-            .field("name", self.name.clone())
-            .field("start_us", self.start_us)
-            .field("end_us", self.end_us)
-            .field("waits", waits)
-            .field("children", Json::Array(self.children.iter().map(SpanNode::to_json).collect()))
     }
 }
 
@@ -123,9 +114,10 @@ impl SpanNode {
 pub struct RequestTrace {
     pub trace_id: u64,
     /// Entry point that minted the id (`server/simple`, `r3/dialog`, ...).
-    pub origin: String,
-    /// Human label: normalized statement key, report name, job name.
-    pub label: String,
+    pub origin: &'static str,
+    /// Human label: statement text, report name, job name. Shared with
+    /// whoever minted the request, if they hold it as an `Arc` too.
+    pub label: Arc<str>,
     /// When the request entered the system (mint time — for dispatched
     /// work this is submission, before any queueing).
     pub enqueued_us: u64,
@@ -133,9 +125,15 @@ pub struct RequestTrace {
     pub started_us: u64,
     /// When the request finished (guard drop).
     pub ended_us: u64,
+    /// The span tree, flat (see [`SpanNode`]).
     pub spans: Vec<SpanNode>,
+    /// The distinct span names, each shared with every other trace served
+    /// by the same thread.
+    names: Vec<Arc<str>>,
+    /// The wait tallies of the spans that waited.
+    span_waits: Vec<SpanWaits>,
     pub waits: Vec<WaitInterval>,
-    pub annotations: Vec<(String, String)>,
+    pub annotations: Vec<(&'static str, Box<str>)>,
     /// Frames / intervals not recorded because the per-trace bound hit.
     pub dropped_spans: u64,
     pub dropped_waits: u64,
@@ -148,7 +146,36 @@ impl RequestTrace {
     }
 
     pub fn span_count(&self) -> usize {
-        self.spans.iter().map(SpanNode::span_count).sum()
+        self.spans.len()
+    }
+
+    pub fn span_name(&self, span: &SpanNode) -> &str {
+        &self.names[span.name as usize]
+    }
+
+    /// Waits of one kind recorded while `span` was the innermost open
+    /// frame (its children's excluded).
+    pub fn span_wait_count(&self, span: &SpanNode, event: WaitEvent) -> u64 {
+        self.span_waits.get(span.waits as usize).map_or(0, |w| w.counts[event as usize])
+    }
+
+    pub fn span_wait_micros(&self, span: &SpanNode, event: WaitEvent) -> u64 {
+        self.span_waits.get(span.waits as usize).map_or(0, |w| w.micros[event as usize])
+    }
+
+    /// What keeping this trace costs a ring, estimated from what it holds:
+    /// the record, its arrays, and the text only it owns (a shared label
+    /// is counted as if it were; a span name is one pointer).
+    pub fn retained_bytes(&self) -> usize {
+        size_of::<Self>()
+            + 2 * size_of::<usize>()
+            + self.label.len()
+            + self.spans.len() * size_of::<SpanNode>()
+            + self.names.len() * size_of::<Arc<str>>()
+            + self.span_waits.len() * size_of::<SpanWaits>()
+            + self.waits.len() * size_of::<WaitInterval>()
+            + self.annotations.len() * size_of::<(&str, Box<str>)>()
+            + self.annotations.iter().map(|(_, v)| v.len()).sum::<usize>()
     }
 
     /// Decompose this request's end-to-end time (see [`critical_path`]).
@@ -157,24 +184,52 @@ impl RequestTrace {
     }
 
     pub fn annotation(&self, key: &str) -> Option<&str> {
-        self.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.annotations.iter().find(|(k, _)| *k == key).map(|(_, v)| &**v)
+    }
+
+    /// Span `i` and, nested under it, the spans that name it their parent.
+    fn span_json(&self, i: usize) -> Json {
+        let span = &self.spans[i];
+        let mut waits = Json::object();
+        for ev in WaitEvent::ALL {
+            if self.span_wait_count(span, ev) > 0 {
+                waits = waits.field(
+                    ev.name(),
+                    Json::object()
+                        .field("count", self.span_wait_count(span, ev))
+                        .field("micros", self.span_wait_micros(span, ev)),
+                );
+            }
+        }
+        Json::object()
+            .field("name", self.span_name(span))
+            .field("start_us", span.start_us)
+            .field("end_us", span.end_us)
+            .field("waits", waits)
+            .field("children", Json::Array(self.spans_json(i as u16, i + 1)))
+    }
+
+    /// The spans from index `from` on whose parent is `parent`, as JSON.
+    fn spans_json(&self, parent: u16, from: usize) -> Vec<Json> {
+        let children = (from..self.spans.len()).filter(|&c| self.spans[c].parent == parent);
+        children.map(|c| self.span_json(c)).collect()
     }
 
     pub fn to_json(&self) -> Json {
         let mut ann = Json::object();
         for (k, v) in &self.annotations {
-            ann = ann.field(k, v.clone());
+            ann = ann.field(k, &**v);
         }
         Json::object()
             .field("trace_id", self.trace_id)
-            .field("origin", self.origin.clone())
-            .field("label", self.label.clone())
+            .field("origin", self.origin)
+            .field("label", &*self.label)
             .field("enqueued_us", self.enqueued_us)
             .field("started_us", self.started_us)
             .field("ended_us", self.ended_us)
             .field("end_to_end_us", self.end_to_end_us())
             .field("critical_path", self.critical_path().to_json())
-            .field("spans", Json::Array(self.spans.iter().map(SpanNode::to_json).collect()))
+            .field("spans", Json::Array(self.spans_json(NO_PARENT, 0)))
             .field(
                 "waits",
                 Json::Array(
@@ -318,83 +373,95 @@ pub fn critical_path(waits: &[WaitInterval], window_start: u64, window_end: u64)
 // Active-request machinery (thread-local, driven by span.rs and wait.rs).
 // ---------------------------------------------------------------------------
 
-struct OpenFrame {
-    name: String,
-    start_us: u64,
-    wait_counts: [u64; WaitEvent::COUNT],
-    wait_micros: [u64; WaitEvent::COUNT],
-    children: Vec<SpanNode>,
-}
-
 struct ActiveTrace {
     ring: Arc<TraceRing>,
-    trace_id: u64,
-    origin: String,
-    label: String,
-    enqueued_us: u64,
-    started_us: u64,
-    stack: Vec<OpenFrame>,
-    roots: Vec<SpanNode>,
-    waits: Vec<WaitInterval>,
-    annotations: Vec<(String, String)>,
-    span_count: usize,
+    /// The trace so far; closed frames have their `end_us`. Its arrays are
+    /// the thread's [`Spare`] ones until it is finished.
+    trace: RequestTrace,
+    /// Indices of the open frames, innermost last.
+    open: Vec<u16>,
     /// Depth of span frames opened past [`MAX_SPANS_PER_TRACE`]; their
     /// closes unwind this counter before touching the real stack (strict
     /// RAII nesting makes the overflowed frames the innermost ones).
     overflow_depth: usize,
-    dropped_spans: u64,
-    dropped_waits: u64,
 }
 
 impl ActiveTrace {
     fn close_frame(&mut self, end_us: u64) {
-        if let Some(frame) = self.stack.pop() {
-            let node = SpanNode {
-                name: frame.name,
-                start_us: frame.start_us,
-                end_us,
-                wait_counts: frame.wait_counts,
-                wait_micros: frame.wait_micros,
-                children: frame.children,
-            };
-            match self.stack.last_mut() {
-                Some(parent) => parent.children.push(node),
-                None => self.roots.push(node),
-            }
+        if let Some(frame) = self.open.pop() {
+            self.trace.spans[frame as usize].end_us = end_us;
         }
     }
 
     fn finish(mut self) {
         let ended_us = self.ring.now_us();
-        while !self.stack.is_empty() {
+        while !self.open.is_empty() {
             self.close_frame(ended_us);
         }
-        let ring = Arc::clone(&self.ring);
-        ring.push(RequestTrace {
-            trace_id: self.trace_id,
-            origin: self.origin,
-            label: self.label,
-            enqueued_us: self.enqueued_us,
-            started_us: self.started_us,
-            ended_us,
-            spans: self.roots,
-            waits: self.waits,
-            annotations: self.annotations,
-            dropped_spans: self.dropped_spans,
-            dropped_waits: self.dropped_waits,
-        });
+        let mut trace = self.trace;
+        trace.ended_us = ended_us;
+        let spare = Spare {
+            spans: right_size(&mut trace.spans),
+            names: right_size(&mut trace.names),
+            span_waits: right_size(&mut trace.span_waits),
+            waits: right_size(&mut trace.waits),
+            annotations: right_size(&mut trace.annotations),
+            open: self.open,
+        };
+        SPARE.with(|s| *s.borrow_mut() = spare);
+        self.ring.push(trace);
     }
+}
+
+/// The arrays a request's trace is collected into, empty. A thread keeps
+/// one set from one request to the next — a request then grows none of
+/// them, and the finished trace takes exact-sized copies. What a thread
+/// keeps is bounded by the per-trace bounds (under 100 KB).
+#[derive(Default)]
+struct Spare {
+    spans: Vec<SpanNode>,
+    names: Vec<Arc<str>>,
+    span_waits: Vec<SpanWaits>,
+    waits: Vec<WaitInterval>,
+    annotations: Vec<(&'static str, Box<str>)>,
+    open: Vec<u16>,
+}
+
+/// Leave in `v` a copy of itself with no room to spare and return the
+/// array it had, emptied.
+fn right_size<T>(v: &mut Vec<T>) -> Vec<T> {
+    let mut exact = Vec::with_capacity(v.len());
+    exact.append(v);
+    std::mem::replace(v, exact)
 }
 
 thread_local! {
     /// Stack of requests being served on this thread (innermost wins).
     static ACTIVE: RefCell<Vec<ActiveTrace>> = const { RefCell::new(Vec::new()) };
+    /// Span names opened on this thread: a span of a name seen before
+    /// allocates nothing, and retained traces share one copy of the text.
+    static NAMES: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
+    static SPARE: RefCell<Spare> = RefCell::new(Spare::default());
+}
+
+fn intern(name: &str) -> Arc<str> {
+    NAMES.with(|names| {
+        let mut names = names.borrow_mut();
+        if let Some(known) = names.get(name) {
+            return Arc::clone(known);
+        }
+        let fresh: Arc<str> = Arc::from(name);
+        if names.len() < MAX_INTERNED_NAMES {
+            names.insert(Arc::clone(&fresh));
+        }
+        fresh
+    })
 }
 
 /// Trace id of the innermost request active on this thread, if any. Used
 /// by the ST05 SQL trace to tag interface crossings.
 pub fn current_trace_id() -> Option<u64> {
-    ACTIVE.with(|a| a.borrow().last().map(|t| t.trace_id))
+    ACTIVE.with(|a| a.borrow().last().map(|t| t.trace.trace_id))
 }
 
 /// Is a request trace installed on this thread? Span instrumentation that
@@ -406,11 +473,11 @@ pub fn active() -> bool {
 
 /// Attach a key/value annotation to the innermost active request (lock
 /// table names, group-commit role). No-op when no request is active.
-pub fn annotate(key: &str, value: impl std::fmt::Display) {
+pub fn annotate(key: &'static str, value: impl std::fmt::Display) {
     ACTIVE.with(|a| {
         if let Some(t) = a.borrow_mut().last_mut() {
-            if t.annotations.len() < MAX_ANNOTATIONS {
-                t.annotations.push((key.to_string(), value.to_string()));
+            if t.trace.annotations.len() < MAX_ANNOTATIONS {
+                t.trace.annotations.push((key, value.to_string().into()));
             }
         }
     });
@@ -425,20 +492,22 @@ pub(crate) fn frame_open(name: &str) -> bool {
         let Some(t) = a.last_mut() else {
             return false;
         };
-        if t.span_count >= MAX_SPANS_PER_TRACE {
+        let trace = &mut t.trace;
+        if trace.spans.len() >= MAX_SPANS_PER_TRACE {
             t.overflow_depth += 1;
-            t.dropped_spans += 1;
+            trace.dropped_spans += 1;
             return true;
         }
-        t.span_count += 1;
+        // A trace has a handful of distinct names: a scan finds a repeat.
+        let known = trace.names.iter().position(|n| &**n == name);
+        let name = known.unwrap_or_else(|| {
+            trace.names.push(intern(name));
+            trace.names.len() - 1
+        }) as u16;
         let start_us = t.ring.now_us();
-        t.stack.push(OpenFrame {
-            name: name.to_string(),
-            start_us,
-            wait_counts: [0; WaitEvent::COUNT],
-            wait_micros: [0; WaitEvent::COUNT],
-            children: Vec::new(),
-        });
+        let parent = t.open.last().copied().unwrap_or(NO_PARENT);
+        t.open.push(trace.spans.len() as u16);
+        trace.spans.push(SpanNode { start_us, end_us: start_us, parent, name, waits: NO_WAITS });
         true
     })
 }
@@ -468,22 +537,29 @@ pub(crate) fn note_wait(event: WaitEvent, waited: Duration) {
             return;
         };
         let micros = waited.as_micros() as u64;
-        if let Some(frame) = t.stack.last_mut() {
-            frame.wait_counts[event as usize] += 1;
-            frame.wait_micros[event as usize] += micros;
+        let trace = &mut t.trace;
+        if let Some(&frame) = t.open.last() {
+            let span = &mut trace.spans[frame as usize];
+            if span.waits == NO_WAITS {
+                span.waits = trace.span_waits.len() as u16;
+                trace.span_waits.push(SpanWaits::default());
+            }
+            let tally = &mut trace.span_waits[span.waits as usize];
+            tally.counts[event as usize] += 1;
+            tally.micros[event as usize] += micros;
         }
         if micros == 0 {
             return; // counted above; contributes nothing to the path
         }
-        if t.waits.len() >= MAX_WAITS_PER_TRACE {
-            t.dropped_waits += 1;
+        if trace.waits.len() >= MAX_WAITS_PER_TRACE {
+            trace.dropped_waits += 1;
             return;
         }
         let end_us = t.ring.now_us();
         // The wait may have begun before this thread picked the request
         // up (dispatch-queue time), but never before it entered.
-        let start_us = end_us.saturating_sub(micros).max(t.enqueued_us);
-        t.waits.push(WaitInterval { event, start_us, end_us });
+        let start_us = end_us.saturating_sub(micros).max(trace.enqueued_us);
+        trace.waits.push(WaitInterval { event, start_us, end_us });
     });
 }
 
@@ -494,8 +570,8 @@ pub(crate) fn note_wait(event: WaitEvent, waited: Duration) {
 pub struct RequestCtx {
     ring: Arc<TraceRing>,
     trace_id: u64,
-    origin: String,
-    label: String,
+    origin: &'static str,
+    label: Arc<str>,
     enqueued_us: u64,
 }
 
@@ -508,22 +584,27 @@ impl RequestCtx {
     /// alive, this thread's spans and wait events attach to the request.
     pub fn install(self) -> RequestGuard {
         let started_us = self.ring.now_us();
+        let spare = SPARE.with(|s| std::mem::take(&mut *s.borrow_mut()));
         ACTIVE.with(|a| {
             a.borrow_mut().push(ActiveTrace {
                 ring: self.ring,
-                trace_id: self.trace_id,
-                origin: self.origin,
-                label: self.label,
-                enqueued_us: self.enqueued_us,
-                started_us,
-                stack: Vec::new(),
-                roots: Vec::new(),
-                waits: Vec::new(),
-                annotations: Vec::new(),
-                span_count: 0,
+                trace: RequestTrace {
+                    trace_id: self.trace_id,
+                    origin: self.origin,
+                    label: self.label,
+                    enqueued_us: self.enqueued_us,
+                    started_us,
+                    ended_us: started_us,
+                    spans: spare.spans,
+                    names: spare.names,
+                    span_waits: spare.span_waits,
+                    waits: spare.waits,
+                    annotations: spare.annotations,
+                    dropped_spans: 0,
+                    dropped_waits: 0,
+                },
+                open: spare.open,
                 overflow_depth: 0,
-                dropped_spans: 0,
-                dropped_waits: 0,
             });
         });
         RequestGuard { _not_send: PhantomData }
@@ -548,7 +629,9 @@ impl Drop for RequestGuard {
 }
 
 /// Bounded ring of completed [`RequestTrace`]s plus the trace-id mint and
-/// the microsecond epoch every trace timestamps against.
+/// the microsecond epoch every trace timestamps against. Two bounds hold
+/// at once: at most `capacity` traces, and at most [`RING_BYTE_BUDGET`]
+/// bytes of them; the oldest trace goes while either is exceeded.
 #[derive(Debug)]
 pub struct TraceRing {
     epoch: Instant,
@@ -556,7 +639,15 @@ pub struct TraceRing {
     next_id: AtomicU64,
     completed: AtomicU64,
     evicted: AtomicU64,
-    ring: Mutex<VecDeque<Arc<RequestTrace>>>,
+    ring: Mutex<Retained>,
+}
+
+#[derive(Debug, Default)]
+struct Retained {
+    /// Oldest first, each with its [`RequestTrace::retained_bytes`] as
+    /// estimated when it was pushed.
+    traces: VecDeque<(usize, Arc<RequestTrace>)>,
+    bytes: usize,
 }
 
 impl TraceRing {
@@ -567,7 +658,7 @@ impl TraceRing {
             next_id: AtomicU64::new(1),
             completed: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(Retained::default()),
         })
     }
 
@@ -576,36 +667,47 @@ impl TraceRing {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Mint a trace id for a request entering the system now.
-    pub fn begin(self: &Arc<Self>, origin: &str, label: &str) -> RequestCtx {
+    /// Mint a trace id for a request entering the system now. A label
+    /// handed over as an `Arc<str>` is shared, any other text is copied.
+    pub fn begin(self: &Arc<Self>, origin: &'static str, label: impl Into<Arc<str>>) -> RequestCtx {
         RequestCtx {
             ring: Arc::clone(self),
             trace_id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            origin: origin.to_string(),
-            label: label.to_string(),
+            origin,
+            label: label.into(),
             enqueued_us: self.now_us(),
         }
     }
 
     fn push(&self, trace: RequestTrace) {
         self.completed.fetch_add(1, Ordering::Relaxed);
+        let bytes = trace.retained_bytes();
         let mut ring = self.ring.lock().unwrap();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
+        ring.traces.push_back((bytes, Arc::new(trace)));
+        ring.bytes += bytes;
+        while ring.traces.len() > self.capacity || ring.bytes > RING_BYTE_BUDGET {
+            let Some((oldest, _)) = ring.traces.pop_front() else { break };
+            ring.bytes -= oldest;
             self.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(Arc::new(trace));
     }
 
     /// Every retained trace, oldest first. Cheap Arc clones; the scan
     /// holds the ring lock only while copying the pointers, so rotation
     /// during a monitor-view read cannot tear a trace in half.
     pub fn snapshot(&self) -> Vec<Arc<RequestTrace>> {
-        self.ring.lock().unwrap().iter().map(Arc::clone).collect()
+        self.ring.lock().unwrap().traces.iter().map(|(_, t)| Arc::clone(t)).collect()
     }
 
     pub fn get(&self, trace_id: u64) -> Option<Arc<RequestTrace>> {
-        self.ring.lock().unwrap().iter().find(|t| t.trace_id == trace_id).map(Arc::clone)
+        let ring = self.ring.lock().unwrap();
+        ring.traces.iter().find(|(_, t)| t.trace_id == trace_id).map(|(_, t)| Arc::clone(t))
+    }
+
+    /// Estimated bytes of the retained traces (at most
+    /// [`RING_BYTE_BUDGET`]).
+    pub fn retained_bytes(&self) -> usize {
+        self.ring.lock().unwrap().bytes
     }
 
     /// Total requests completed (including ones the ring since evicted).
@@ -613,7 +715,7 @@ impl TraceRing {
         self.completed.load(Ordering::Relaxed)
     }
 
-    /// Traces rotated out of the bounded ring.
+    /// Traces rotated out of the ring, by either bound.
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
@@ -624,7 +726,7 @@ impl TraceRing {
 
     /// Drop every retained trace (between experiment phases).
     pub fn clear(&self) {
-        self.ring.lock().unwrap().clear();
+        *self.ring.lock().unwrap() = Retained::default();
     }
 }
 
@@ -652,14 +754,9 @@ pub fn chrome_trace_json(traces: &[Arc<RequestTrace>]) -> Json {
             "request",
             Some(t.critical_path().to_json().field("trace_id", t.trace_id)),
         ));
-        fn walk(node: &SpanNode, out: &mut Vec<(u64, u64, String, &'static str, Option<Json>)>) {
-            out.push((node.start_us, node.elapsed_us().max(1), node.name.clone(), "span", None));
-            for c in &node.children {
-                walk(c, out);
-            }
-        }
-        for root in &t.spans {
-            walk(root, &mut evs);
+        for span in &t.spans {
+            let name = t.span_name(span).to_string();
+            evs.push((span.start_us, span.elapsed_us().max(1), name, "span", None));
         }
         for w in &t.waits {
             evs.push((
@@ -796,11 +893,11 @@ mod tests {
         assert_eq!(t.trace_id, id);
         assert_eq!(t.origin, "test");
         assert_eq!(t.span_count(), 2);
-        let outer = &t.spans[0];
-        assert_eq!(outer.name, "outer");
-        assert_eq!(outer.children[0].name, "inner");
-        assert_eq!(outer.children[0].wait_micros[WaitEvent::Lock as usize], 250);
-        assert_eq!(outer.wait_micros[WaitEvent::Exec as usize], 40);
+        let (outer, inner) = (&t.spans[0], &t.spans[1]);
+        assert_eq!((t.span_name(outer), outer.parent), ("outer", NO_PARENT));
+        assert_eq!((t.span_name(inner), inner.parent), ("inner", 0));
+        assert_eq!(t.span_wait_micros(inner, WaitEvent::Lock), 250);
+        assert_eq!(t.span_wait_micros(outer, WaitEvent::Exec), 40);
         assert_eq!(t.waits.len(), 2);
         assert_eq!(t.annotation("kind"), Some("unit-test"));
         // The fabricated durations exceed the real elapsed time, so the
@@ -809,6 +906,12 @@ mod tests {
         let p = t.critical_path();
         assert_eq!(p.sum_us(), t.end_to_end_us());
         assert_eq!(ring.get(id).unwrap().trace_id, id);
+        // The JSON form nests what the trace stores flat.
+        let json = t.to_json();
+        let Some(Json::Array(roots)) = json.get("spans") else { panic!("no spans: {json:?}") };
+        let Some(Json::Array(children)) = roots[0].get("children") else { panic!("{json:?}") };
+        assert_eq!((roots.len(), children.len()), (1, 1));
+        assert_eq!(children[0].get("name").and_then(Json::as_str), Some("inner"));
     }
 
     #[test]
@@ -825,14 +928,14 @@ mod tests {
         }
         let t = &ring.snapshot()[0];
         assert!(t.waits.is_empty());
-        assert_eq!(t.spans[0].wait_counts[WaitEvent::BufferMiss as usize], 10);
+        assert_eq!(t.span_wait_count(&t.spans[0], WaitEvent::BufferMiss), 10);
     }
 
     #[test]
     fn ring_rotation_is_bounded_and_counted() {
         let ring = TraceRing::new(4);
         for i in 0..10 {
-            let ctx = ring.begin("test", &format!("req {i}"));
+            let ctx = ring.begin("test", format!("req {i}"));
             drop(ctx.install());
         }
         assert_eq!(ring.snapshot().len(), 4);
@@ -874,7 +977,7 @@ mod tests {
         }
         assert_eq!(current_trace_id(), Some(outer_id));
         let inner_trace = ring.snapshot().pop().unwrap();
-        assert_eq!(inner_trace.label, "inner");
+        assert_eq!(&*inner_trace.label, "inner");
         assert_eq!(inner_trace.waits.len(), 1);
     }
 
@@ -883,7 +986,7 @@ mod tests {
         let ring = TraceRing::new(8);
         let stats = WaitStats::new();
         for i in 0..3 {
-            let ctx = ring.begin("test", &format!("q{i}"));
+            let ctx = ring.begin("test", format!("q{i}"));
             let _g = ctx.install();
             let _s = crate::span("exec");
             stats.record(WaitEvent::Exec, Duration::from_micros(30));
