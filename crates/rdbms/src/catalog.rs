@@ -1,7 +1,7 @@
 //! The system catalog: tables, indexes, views, and optimizer statistics.
 
 use crate::error::{DbError, DbResult};
-use crate::index::BTree;
+use crate::index::{BTree, Batch};
 use crate::schema::{Column, Row, Schema};
 use crate::sql::ast::SelectStmt;
 use crate::storage::codec::encode_key;
@@ -232,19 +232,22 @@ impl Catalog {
     ) -> DbResult<Arc<Index>> {
         let index_name = index_name.to_ascii_uppercase();
         let table = self.table(table_name)?;
-        {
-            let existing = table.indexes.read();
-            if existing.iter().any(|i| i.name == index_name) {
-                return Err(DbError::catalog(format!("index '{index_name}' already exists")));
-            }
+        // Held from before the backfill reads the heap until the index is
+        // in the list: inserts and deletes hold the read side while they
+        // change the heap and the indexes, so none falls in between to be
+        // missed by the new index or to leave it an entry that dangles.
+        let mut indexes = table.indexes.write();
+        if indexes.iter().any(|i| i.name == index_name) {
+            return Err(DbError::catalog(format!("index '{index_name}' already exists")));
         }
-        let mut tree = BTree::new(Arc::clone(&self.pager), unique)?;
-        // Backfill from existing rows.
+        let mut entries = Batch::default();
         for item in table.heap.scan() {
             let (rid, row) = item?;
             let vals: Vec<Value> = columns.iter().map(|&i| row[i].clone()).collect();
-            tree.insert(&encode_key(&vals), rid)?;
+            entries.push(&encode_key(&vals), rid);
         }
+        // Built in heap order; a duplicate refuses it before it has a page.
+        let tree = BTree::with_entries(Arc::clone(&self.pager), unique, &entries)?;
         let index = Arc::new(Index {
             name: index_name,
             table: table.name.clone(),
@@ -252,7 +255,8 @@ impl Catalog {
             unique,
             tree: Mutex::new(tree),
         });
-        table.indexes.write().push(Arc::clone(&index));
+        indexes.push(Arc::clone(&index));
+        drop(indexes);
         self.bump_version(&table.name);
         Ok(index)
     }

@@ -871,22 +871,28 @@ impl Database {
         }
     }
 
-    /// Insert one pre-built row directly (bulk-load path used by the
-    /// benchmark kit; bypasses SQL parsing but not constraint checks).
+    /// Insert one pre-built row directly, logged as a bulk-loaded row
+    /// (bypasses SQL parsing but not constraint checks). One row, every
+    /// index at once; [`Database::load_rows`] builds each index once for
+    /// many.
     pub fn insert_row(&self, table_name: &str, row: &[Value]) -> DbResult<()> {
         let t = self.catalog.table(table_name)?;
         let (rid, row) = self.catalog.insert_stored(&t, row)?;
+        self.log_loaded(&t, rid, row);
+        Ok(())
+    }
+
+    /// Log a row the bulk path stored: one system-transaction record per
+    /// row — committed-if-present, no Begin/Commit bracket, never forced
+    /// per row (a loader ends with an explicit `wal_flush`).
+    pub(crate) fn log_loaded(&self, table: &crate::catalog::Table, rid: Rid, row: Row) {
         if let Some(wal) = &self.wal {
-            // Bulk load logs one system-transaction record per row —
-            // committed-if-present, no Begin/Commit bracket, never forced
-            // per row (the loader ends with an explicit `wal_flush`).
             let lsns = wal.append_batch(
                 SYSTEM_TXN,
-                &[LogPayload::Insert { table: t.name.clone(), rid, row }],
+                &[LogPayload::Insert { table: table.name.clone(), rid, row }],
             );
             self.pager.stamp_lsn(rid.page, lsns[0]);
         }
-        Ok(())
     }
 }
 

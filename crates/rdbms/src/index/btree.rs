@@ -17,12 +17,17 @@
 //!   child gives way to that child.
 //! * Nodes are (de)serialized to an in-memory form for manipulation; the
 //!   page is the unit of I/O accounting.
+//! * A batch of entries ([`BTree::insert_batch`]) runs the same insertion,
+//!   split for split and page allocation for page allocation, over nodes
+//!   it decodes once and writes back once, at the end: the tree it leaves
+//!   is node for node the one inserting the entries one by one builds.
 
 use crate::clock::Counter;
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{PageId, Rid, PAGE_SIZE};
 use crate::storage::pager::{AccessPattern, Pager};
 use bytes::{Buf, BufMut};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -30,7 +35,7 @@ const NO_PAGE: PageId = PageId::MAX;
 /// Serialized node size budget; split when exceeded.
 const NODE_BUDGET: usize = PAGE_SIZE - 64;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         next: PageId,
@@ -148,6 +153,102 @@ enum InsertResult {
     Split { sep: Vec<u8>, right: PageId },
 }
 
+/// Where an insertion reads the nodes it passes and leaves the ones it
+/// changes.
+enum Nodes {
+    /// Straight through the pager: every node read is decoded and every
+    /// change encoded and written at once (one entry at a time).
+    Pager,
+    /// A batch's decoded nodes: each is read from the pager on first touch
+    /// only, and the changed ones are written back once, by `write_back`.
+    Held { nodes: HashMap<PageId, Node>, changed: BTreeSet<PageId> },
+}
+
+impl Nodes {
+    fn held() -> Nodes {
+        Nodes::Held { nodes: HashMap::new(), changed: BTreeSet::new() }
+    }
+
+    /// Node `pid`, to be given back by `keep` or `put`.
+    fn take(&mut self, tree: &BTree, pid: PageId) -> DbResult<Node> {
+        if let Nodes::Held { nodes, .. } = self {
+            if let Some(node) = nodes.remove(&pid) {
+                return Ok(node);
+            }
+        }
+        tree.load(pid)
+    }
+
+    /// Give back a node taken and left as it was.
+    fn keep(&mut self, pid: PageId, node: Node) {
+        if let Nodes::Held { nodes, .. } = self {
+            nodes.insert(pid, node);
+        }
+    }
+
+    /// Give back a node changed, or made on a fresh page.
+    fn put(&mut self, pager: &Pager, pid: PageId, node: Node) -> DbResult<()> {
+        match self {
+            Nodes::Pager => BTree::store(pager, pid, &node),
+            Nodes::Held { nodes, changed } => {
+                changed.insert(pid);
+                nodes.insert(pid, node);
+                Ok(())
+            }
+        }
+    }
+
+    /// Encode and write every changed node, in page order.
+    fn write_back(self, pager: &Pager) -> DbResult<()> {
+        if let Nodes::Held { nodes, changed } = self {
+            for pid in changed {
+                BTree::store(pager, pid, &nodes[&pid])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Entries for [`BTree::insert_batch`], in the order they are to go in.
+/// The keys lie end to end in one buffer: a batch is three allocations,
+/// however many entries it holds.
+#[derive(Debug, Default)]
+pub struct Batch {
+    keys: Vec<u8>,
+    ends: Vec<usize>,
+    rids: Vec<Rid>,
+}
+
+impl Batch {
+    pub fn push(&mut self, key: &[u8], rid: Rid) {
+        self.keys.extend_from_slice(key);
+        self.ends.push(self.keys.len());
+        self.rids.push(rid);
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Rid)> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .zip(&self.rids)
+            .map(|((start, &end), &rid)| (&self.keys[start..end], rid))
+    }
+}
+
+fn duplicate_key(key: &[u8]) -> DbError {
+    DbError::constraint(format!("duplicate key in unique index ({} bytes)", key.len()))
+}
+
+/// Refuse a batch that holds some key twice.
+fn no_key_twice(entries: &Batch) -> DbResult<()> {
+    let mut keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k).collect();
+    keys.sort_unstable();
+    match keys.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(duplicate_key(w[0])),
+        None => Ok(()),
+    }
+}
+
 impl BTree {
     /// Create an empty tree.
     pub fn new(pager: Arc<Pager>, unique: bool) -> DbResult<Self> {
@@ -155,6 +256,19 @@ impl BTree {
         let node = Node::Leaf { next: NO_PAGE, entries: Vec::new() };
         Self::store(&pager, root, &node)?;
         Ok(BTree { pager, root, unique, entry_count: 0, entry_bytes: 0, node_pages: 1, height: 1 })
+    }
+
+    /// A tree holding `entries`, the one [`BTree::new`] and inserting them
+    /// in order would build, built as [`BTree::insert_batch`] does. A
+    /// unique tree refuses a batch that holds a key twice before it
+    /// allocates a page.
+    pub(crate) fn with_entries(pager: Arc<Pager>, unique: bool, entries: &Batch) -> DbResult<Self> {
+        if unique {
+            no_key_twice(entries)?;
+        }
+        let mut tree = BTree::new(pager, unique)?;
+        tree.replay(Nodes::held(), entries)?;
+        Ok(tree)
     }
 
     fn store(pager: &Pager, pid: PageId, node: &Node) -> DbResult<()> {
@@ -182,88 +296,133 @@ impl BTree {
     /// Insert an entry. For a unique index, an existing identical key is a
     /// constraint violation.
     pub fn insert(&mut self, key: &[u8], rid: Rid) -> DbResult<()> {
-        let skey = self.stored_key(key, rid);
         if self.unique && !self.search_exact(key)?.is_empty() {
-            return Err(DbError::constraint(format!(
-                "duplicate key in unique index ({} bytes)",
-                key.len()
-            )));
+            return Err(duplicate_key(key));
         }
-        let result = self.insert_rec(self.root, &skey, rid)?;
+        self.insert_entry(&mut Nodes::Pager, key, rid)
+    }
+
+    /// Insert `entries` in order, as many [`BTree::insert`] calls would,
+    /// split for split and page allocation for page allocation, but with
+    /// every node decoded at most once and every changed node written
+    /// once, when the batch ends. A unique tree refuses a batch with a key
+    /// twice, or a key it already holds, before it allocates or changes a
+    /// page.
+    pub fn insert_batch(&mut self, entries: &Batch) -> DbResult<()> {
+        let mut nodes = Nodes::held();
+        if self.unique {
+            no_key_twice(entries)?;
+            for (key, _) in entries.iter() {
+                if self.holds(&mut nodes, key)? {
+                    return Err(duplicate_key(key));
+                }
+            }
+        }
+        self.replay(nodes, entries)
+    }
+
+    fn replay(&mut self, mut nodes: Nodes, entries: &Batch) -> DbResult<()> {
+        for (key, rid) in entries.iter() {
+            self.insert_entry(&mut nodes, key, rid)?;
+        }
+        nodes.write_back(&self.pager)
+    }
+
+    /// Does this unique tree hold `key`? Looks in the one leaf an insert of
+    /// it would go to.
+    fn holds(&self, nodes: &mut Nodes, key: &[u8]) -> DbResult<bool> {
+        let mut pid = self.root;
+        loop {
+            let node = nodes.take(self, pid)?;
+            let (child, found) = match &node {
+                Node::Internal { separators, children } => {
+                    (children[separators.partition_point(|s| s.as_slice() <= key)], false)
+                }
+                Node::Leaf { entries, .. } => {
+                    (NO_PAGE, entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)).is_ok())
+                }
+            };
+            nodes.keep(pid, node);
+            if child == NO_PAGE {
+                return Ok(found);
+            }
+            pid = child;
+        }
+    }
+
+    fn insert_entry(&mut self, nodes: &mut Nodes, key: &[u8], rid: Rid) -> DbResult<()> {
+        let skey = self.stored_key(key, rid);
+        let stored_bytes = (skey.len() + 6) as u64;
+        let result = self.insert_rec(nodes, self.root, skey, rid)?;
         if let InsertResult::Split { sep, right } = result {
             let new_root = self.pager.allocate();
             let node = Node::Internal { separators: vec![sep], children: vec![self.root, right] };
-            Self::store(&self.pager, new_root, &node)?;
+            nodes.put(&self.pager, new_root, node)?;
             self.root = new_root;
             self.node_pages += 1;
             self.height += 1;
         }
         self.entry_count += 1;
-        self.entry_bytes += (skey.len() + 6) as u64;
+        self.entry_bytes += stored_bytes;
         Ok(())
     }
 
-    fn insert_rec(&mut self, pid: PageId, skey: &[u8], rid: Rid) -> DbResult<InsertResult> {
-        match self.load(pid)? {
+    fn insert_rec(
+        &mut self,
+        nodes: &mut Nodes,
+        pid: PageId,
+        skey: Vec<u8>,
+        rid: Rid,
+    ) -> DbResult<InsertResult> {
+        match nodes.take(self, pid)? {
             Node::Leaf { next, mut entries } => {
-                let pos = entries.partition_point(|(k, _)| k.as_slice() < skey);
-                entries.insert(pos, (skey.to_vec(), rid));
+                let pos = entries.partition_point(|(k, _)| *k < skey);
+                entries.insert(pos, (skey, rid));
                 let node = Node::Leaf { next, entries };
                 if node.serialized_size() <= NODE_BUDGET {
-                    Self::store(&self.pager, pid, &node)?;
+                    nodes.put(&self.pager, pid, node)?;
                     return Ok(InsertResult::Ok);
                 }
                 // Split leaf at the midpoint.
-                let Node::Leaf { next, entries } = node else { unreachable!() };
-                let mid = entries.len() / 2;
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
+                let Node::Leaf { next, mut entries } = node else { unreachable!() };
+                let right_entries = entries.split_off(entries.len() / 2);
                 let sep = right_entries[0].0.clone();
                 let right_pid = self.pager.allocate();
                 self.node_pages += 1;
-                Self::store(&self.pager, right_pid, &Node::Leaf { next, entries: right_entries })?;
-                Self::store(
-                    &self.pager,
-                    pid,
-                    &Node::Leaf { next: right_pid, entries: left_entries },
-                )?;
+                nodes.put(&self.pager, right_pid, Node::Leaf { next, entries: right_entries })?;
+                nodes.put(&self.pager, pid, Node::Leaf { next: right_pid, entries })?;
                 Ok(InsertResult::Split { sep, right: right_pid })
             }
             Node::Internal { mut separators, mut children } => {
-                let idx = separators.partition_point(|s| s.as_slice() <= skey);
+                let idx = separators.partition_point(|s| *s <= skey);
                 let child = children[idx];
-                match self.insert_rec(child, skey, rid)? {
-                    InsertResult::Ok => Ok(InsertResult::Ok),
-                    InsertResult::Split { sep, right } => {
-                        separators.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        let node = Node::Internal { separators, children };
-                        if node.serialized_size() <= NODE_BUDGET {
-                            Self::store(&self.pager, pid, &node)?;
-                            return Ok(InsertResult::Ok);
-                        }
-                        let Node::Internal { separators, children } = node else { unreachable!() };
-                        let mid = separators.len() / 2;
-                        let up_sep = separators[mid].clone();
-                        let right_seps = separators[mid + 1..].to_vec();
-                        let right_children = children[mid + 1..].to_vec();
-                        let left_seps = separators[..mid].to_vec();
-                        let left_children = children[..mid + 1].to_vec();
-                        let right_pid = self.pager.allocate();
-                        self.node_pages += 1;
-                        Self::store(
-                            &self.pager,
-                            right_pid,
-                            &Node::Internal { separators: right_seps, children: right_children },
-                        )?;
-                        Self::store(
-                            &self.pager,
-                            pid,
-                            &Node::Internal { separators: left_seps, children: left_children },
-                        )?;
-                        Ok(InsertResult::Split { sep: up_sep, right: right_pid })
-                    }
+                let InsertResult::Split { sep, right } =
+                    self.insert_rec(nodes, child, skey, rid)?
+                else {
+                    nodes.keep(pid, Node::Internal { separators, children });
+                    return Ok(InsertResult::Ok);
+                };
+                separators.insert(idx, sep);
+                children.insert(idx + 1, right);
+                let node = Node::Internal { separators, children };
+                if node.serialized_size() <= NODE_BUDGET {
+                    nodes.put(&self.pager, pid, node)?;
+                    return Ok(InsertResult::Ok);
                 }
+                let Node::Internal { mut separators, mut children } = node else { unreachable!() };
+                let mid = separators.len() / 2;
+                let right_seps = separators.split_off(mid + 1);
+                let up_sep = separators.pop().expect("mid separator");
+                let right_children = children.split_off(mid + 1);
+                let right_pid = self.pager.allocate();
+                self.node_pages += 1;
+                nodes.put(
+                    &self.pager,
+                    right_pid,
+                    Node::Internal { separators: right_seps, children: right_children },
+                )?;
+                nodes.put(&self.pager, pid, Node::Internal { separators, children })?;
+                Ok(InsertResult::Split { sep: up_sep, right: right_pid })
             }
         }
     }
@@ -669,5 +828,138 @@ mod tests {
         meter.reset();
         t.search_exact(&key(777)).unwrap();
         assert!(meter.get(Counter::IndexNodeReads) >= 2, "root + leaf at least");
+    }
+
+    /// Every node reachable from the root, by page, and the tree's shape
+    /// and counts.
+    type Shape = (Vec<(PageId, Node)>, PageId, u32, u64, u64, u64, usize);
+
+    fn shape(t: &BTree) -> Shape {
+        let mut nodes = Vec::new();
+        let mut todo = vec![t.root];
+        while let Some(pid) = todo.pop() {
+            let node = t.load(pid).unwrap();
+            if let Node::Internal { children, .. } = &node {
+                todo.extend(children);
+            }
+            nodes.push((pid, node));
+        }
+        nodes.sort_by_key(|(pid, _)| *pid);
+        let pages = t.pager.allocated_pages();
+        (nodes, t.root, t.height, t.node_pages, t.entry_count, t.entry_bytes, pages)
+    }
+
+    /// `n` keys in one of four orders: ascending, descending, shuffled, or
+    /// drawn from a dozen values (non-unique trees only). Wide keys are
+    /// 200 bytes, some forty to a node.
+    fn batch_keys(order: u8, wide: bool, n: usize, seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = proptest::test_runner::TestRng::new(seed);
+        let mut values: Vec<i64> = (0..n as i64).collect();
+        match order {
+            1 => values.reverse(),
+            2 => (1..n).rev().for_each(|i| values.swap(i, rng.below(i as u64 + 1) as usize)),
+            3 => values.iter_mut().for_each(|v| *v = rng.below(12) as i64),
+            _ => {}
+        }
+        let encode = |v: i64| {
+            if wide {
+                encode_key(&[Value::str(format!("{v:0200}"))])
+            } else {
+                key(v)
+            }
+        };
+        values.into_iter().map(encode).collect()
+    }
+
+    fn batch(entries: &[(Vec<u8>, Rid)]) -> Batch {
+        let mut batch = Batch::default();
+        entries.iter().for_each(|(k, rid)| batch.push(k, *rid));
+        batch
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        /// The same entries, the first `done` of them inserted one by one
+        /// into both trees first: the rest one by one into one tree and in
+        /// up to three batches into the other leave the two node for node
+        /// equal, on the same pages, with the same counts.
+        #[test]
+        fn insert_batch_builds_the_tree_sequential_inserts_build(
+            (order, wide, unique) in (0u8..4, proptest::strategy::any::<bool>(),
+                proptest::strategy::any::<bool>()),
+            (n, done, seed) in (0usize..2500, 0usize..100, proptest::strategy::any::<u64>()),
+        ) {
+            let unique = unique && order != 3;
+            let keys = batch_keys(order, wide, n, seed);
+            let entries: Vec<(Vec<u8>, Rid)> = keys
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| (k, Rid::new(i as u32, (i % 7) as u16)))
+                .collect();
+            let done = n * done / 100;
+            let (mut one_by_one, mut batched) = (tree(unique), tree(unique));
+            for (k, rid) in &entries[..done] {
+                one_by_one.insert(k, *rid).unwrap();
+                batched.insert(k, *rid).unwrap();
+            }
+            for (k, rid) in &entries[done..] {
+                one_by_one.insert(k, *rid).unwrap();
+            }
+            let rest = &entries[done..];
+            let cut = (seed as usize % (rest.len() + 1), rest.len() * 2 / 3);
+            let (a, b) = (cut.0.min(cut.1), cut.0.max(cut.1));
+            for batch in [&rest[..a], &rest[a..b], &rest[b..]] {
+                batched.insert_batch(&self::batch(batch)).unwrap();
+            }
+            proptest::prop_assert!(shape(&batched) == shape(&one_by_one), "order {order}, n {n}");
+            if done == 0 {
+                let pager = Pager::new(PagerConfig { pool_pages: 256 }, CostMeter::new());
+                let built = BTree::with_entries(pager, unique, &self::batch(&entries)).unwrap();
+                proptest::prop_assert!(shape(&built) == shape(&one_by_one));
+            }
+            proptest::prop_assert_eq!(batched.scan_all().unwrap().len(), n);
+        }
+    }
+
+    #[test]
+    fn wide_keys_reach_three_levels_in_a_batch_as_one_by_one() {
+        let entries: Vec<(Vec<u8>, Rid)> = batch_keys(2, true, 2500, 7)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, Rid::new(i as u32, 0)))
+            .collect();
+        let mut one_by_one = tree(true);
+        for (k, rid) in &entries {
+            one_by_one.insert(k, *rid).unwrap();
+        }
+        let mut batched = tree(true);
+        batched.insert_batch(&batch(&entries)).unwrap();
+        assert!(one_by_one.height() >= 3, "height {}", one_by_one.height());
+        assert!(shape(&batched) == shape(&one_by_one));
+    }
+
+    #[test]
+    fn a_unique_batch_with_a_duplicate_changes_nothing() {
+        let mut t = tree(true);
+        let entries: Vec<_> = (0..500).map(|i| (key(i), Rid::new(i as u32, 0))).collect();
+        t.insert_batch(&batch(&entries)).unwrap();
+        let before = shape(&t);
+        // Twice inside the batch, and once in the batch and once in the tree.
+        let twice = [(key(900), Rid::new(900, 0)), (key(901), Rid::new(901, 0))];
+        let twice = batch(&[&twice[..], &twice[..1]].concat());
+        let held = batch(&[(key(902), Rid::new(902, 0)), (key(250), Rid::new(903, 0))]);
+        for batch in [&twice, &held] {
+            assert!(matches!(t.insert_batch(batch), Err(DbError::Constraint(_))));
+            assert!(shape(&t) == before, "a refused batch left a trace");
+        }
+        let pager = Arc::clone(&t.pager);
+        let refused = BTree::with_entries(Arc::clone(&pager), true, &twice);
+        assert!(matches!(refused, Err(DbError::Constraint(_))));
+        assert_eq!(pager.allocated_pages(), before.6, "no root for a refused tree");
+        // A non-unique tree takes the same batch.
+        let mut dups = tree(false);
+        dups.insert_batch(&twice).unwrap();
+        assert_eq!(dups.search_exact(&key(900)).unwrap().len(), 2);
     }
 }

@@ -2,4 +2,4 @@
 
 pub mod btree;
 
-pub use btree::{increment_bytes, BTree};
+pub use btree::{increment_bytes, BTree, Batch};

@@ -22,6 +22,7 @@ pub mod db;
 pub mod error;
 pub mod exec;
 pub mod index;
+pub mod load;
 pub mod lock;
 pub mod monitor;
 pub mod plancache;
@@ -38,6 +39,7 @@ pub use clock::{CriticalPath, RequestCtx, RequestGuard, RequestTrace, TraceRing}
 pub use clock::{WaitEvent, WaitScope, WaitSnapshot, WaitStats, WaitTimer};
 pub use db::{Database, DbConfig, ExecOutcome, Prepared, QueryResult};
 pub use error::{DbError, DbResult};
+pub use load::BulkLoad;
 pub use lock::{KeyRange, LockInfo, LockManager, LockMode, RowLock, RowMode, TxnId};
 pub use monitor::{MonitorView, StatementCollector, StatementSample, StatementStats};
 pub use plancache::{CachedPlan, PlanCache, PlanCacheEntryInfo};

@@ -396,6 +396,70 @@ fn concurrent_writers_log_a_rids_tenants_in_the_order_they_had_it() {
     std::fs::remove_file(&log).ok();
 }
 
+/// An index's name, and the user key of each entry with the row it leads to.
+type IndexContents = (String, Vec<(Vec<u8>, Vec<Value>)>);
+
+/// Per index of ACCOUNTS, in index order: the user key of every entry and
+/// the row it leads to (rids differ between a database and its recovery:
+/// restart replays the rows one by one, placing index pages among them).
+fn index_contents(db: &Database) -> Vec<IndexContents> {
+    let table = db.catalog().table("accounts").unwrap();
+    let indexes = table.indexes.read();
+    indexes
+        .iter()
+        .map(|index| {
+            let tree = index.tree.lock();
+            let suffix = if tree.is_unique() { 0 } else { 6 };
+            let entries = tree.scan_all().unwrap().into_iter().map(|(mut key, rid)| {
+                key.truncate(key.len() - suffix);
+                (key, table.heap.get(rid, AccessPattern::Random).unwrap().unwrap())
+            });
+            (index.name.clone(), entries.collect())
+        })
+        .collect()
+}
+
+/// Rows bulk-loaded through `load_rows` — one system record per row, the
+/// indexes built once at the end of each load — recover to the same rows
+/// and index contents.
+#[test]
+fn bulk_loaded_rows_recover_with_their_index_contents() {
+    let log = tmp("bulk-load");
+    let db = wal_db(&log);
+    db.execute(
+        "CREATE TABLE accounts (id INTEGER NOT NULL, balance INTEGER, \
+         note VARCHAR(200), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX acc_bal ON accounts (balance)").unwrap();
+    db.execute("CREATE INDEX acc_note ON accounts (note)").unwrap();
+    let row = |i: i64| {
+        let id = (i * 7919) % 3000;
+        vec![Value::Int(id), Value::Int(id % 13), Value::str(format!("{:0150}", id % 700))]
+    };
+    assert_eq!(db.load_rows("accounts", (0..2000).map(row)).unwrap(), 2000);
+    db.execute("UPDATE accounts SET balance = -1 WHERE id < 100").unwrap();
+    // A second load, into the loaded table.
+    assert_eq!(db.load_rows("accounts", (2000..3000).map(row)).unwrap(), 1000);
+    db.wal_flush().unwrap();
+    let (state, contents) = (observed_state(&db).unwrap(), index_contents(&db));
+    let note = table_index_pages(&db, "ACC_NOTE");
+    assert!(note >= 20, "{note} pages: the wide-key index splits");
+    drop(db);
+
+    let (db, report) = recover_from(&log);
+    assert!(report.losers.is_empty());
+    assert_eq!(observed_state(&db).unwrap(), state);
+    assert!(index_contents(&db) == contents, "index contents differ after recovery");
+    assert_eq!(table_index_pages(&db, "ACC_NOTE"), note);
+    assert_indexes_consistent(&db, "bulk load");
+    std::fs::remove_file(&log).ok();
+}
+
+fn table_index_pages(db: &Database, index: &str) -> u64 {
+    db.catalog().table("accounts").unwrap().find_index(index).unwrap().node_pages()
+}
+
 #[test]
 fn recovery_is_idempotent_and_resumable() {
     let log = tmp("idempotent");

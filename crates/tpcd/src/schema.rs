@@ -216,34 +216,19 @@ pub fn lineitem_row(l: &LineItem) -> Vec<Value> {
 }
 
 /// Load a complete TPC-D database (the "original TPC-D DB" baseline) into
-/// `db` using the direct bulk path, then ANALYZE everything.
+/// `db` through the engine's bulk interface, one table at a time (rows are
+/// converted as they are stored), then ANALYZE everything.
 pub fn load(db: &Database, gen: &DbGen) -> DbResult<()> {
     create_schema(db)?;
-    for r in gen.regions() {
-        db.insert_row("region", &region_row(&r))?;
-    }
-    for n in gen.nations() {
-        db.insert_row("nation", &nation_row(&n))?;
-    }
-    for s in gen.suppliers() {
-        db.insert_row("supplier", &supplier_row(&s))?;
-    }
-    for p in gen.parts() {
-        db.insert_row("part", &part_row(&p))?;
-    }
-    for ps in gen.partsupps() {
-        db.insert_row("partsupp", &partsupp_row(&ps))?;
-    }
-    for c in gen.customers() {
-        db.insert_row("customer", &customer_row(&c))?;
-    }
+    db.load_rows("region", gen.regions().iter().map(region_row))?;
+    db.load_rows("nation", gen.nations().iter().map(nation_row))?;
+    db.load_rows("supplier", gen.suppliers().iter().map(supplier_row))?;
+    db.load_rows("part", gen.parts().iter().map(part_row))?;
+    db.load_rows("partsupp", gen.partsupps().iter().map(partsupp_row))?;
+    db.load_rows("customer", gen.customers().iter().map(customer_row))?;
     let (orders, lineitems) = gen.orders_and_lineitems();
-    for o in &orders {
-        db.insert_row("orders", &order_row(o))?;
-    }
-    for l in &lineitems {
-        db.insert_row("lineitem", &lineitem_row(l))?;
-    }
+    db.load_rows("orders", orders.iter().map(order_row))?;
+    db.load_rows("lineitem", lineitems.iter().map(lineitem_row))?;
     db.execute("ANALYZE")?;
     Ok(())
 }
