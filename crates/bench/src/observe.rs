@@ -519,8 +519,7 @@ fn statements_top_json(db: &Database, limit: usize) -> Json {
                 .field("rows", s.rows)
                 .field("total_us", s.total_micros)
                 .field("lock_waits", s.waits.count(WaitEvent::Lock))
-                .field("lock_us", s.waits.micros(WaitEvent::Lock))
-                .field("buffer_misses", s.waits.count(WaitEvent::BufferMiss)),
+                .field("lock_us", s.waits.micros(WaitEvent::Lock)),
         );
     }
     Json::Array(arr)

@@ -2,9 +2,9 @@
 //!
 //! PR 9's tracing subsystem claims that every request's latency can be
 //! decomposed into provably-complete critical-path segments (dispatch
-//! queue, lock, WAL flush, group-commit wait, buffer miss, exec, and the
-//! app-server remainder) and that the decomposition answers the paper's
-//! two headline diagnosis questions. This experiment measures both:
+//! queue, lock, WAL flush, group-commit wait, exec, and the app-server
+//! remainder) and that the decomposition answers the paper's two headline
+//! diagnosis questions. This experiment measures both:
 //!
 //! 1. **liveness + overhead** — the TPC-D query streams plus a refresh
 //!    stream run over the wire server while a monitor connection polls
@@ -203,15 +203,8 @@ fn update_stream(
 }
 
 /// The columns of M$TRACES whose values must partition END_TO_END_US.
-const SEGMENT_COLS: [&str; 7] = [
-    "DISPATCH_QUEUE_US",
-    "LOCK_US",
-    "WAL_FLUSH_US",
-    "GROUP_COMMIT_US",
-    "BUFFER_MISS_US",
-    "EXEC_US",
-    "APP_SERVER_US",
-];
+const SEGMENT_COLS: [&str; 6] =
+    ["DISPATCH_QUEUE_US", "LOCK_US", "WAL_FLUSH_US", "GROUP_COMMIT_US", "EXEC_US", "APP_SERVER_US"];
 
 /// Live monitor connection: polls M$TRACES and M$SPANS over the wire
 /// while the workload runs, and re-verifies the partition invariant on

@@ -10,4 +10,4 @@ pub use trace::request::{
     chrome_trace_json, validate_chrome_trace, CriticalPath, RequestCtx, RequestGuard, RequestTrace,
     TraceRing,
 };
-pub use trace::wait::{WaitEvent, WaitScope, WaitSnapshot, WaitStats, WaitTimer};
+pub use trace::wait::{WaitEvent, WaitSnapshot, WaitStats, WaitTimer};

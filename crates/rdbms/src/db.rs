@@ -147,7 +147,7 @@ pub struct Database {
     next_txn_id: AtomicU64,
     wal: Option<Arc<Wal>>,
     /// Engine-wide wait-event accumulators (lock waits, log forces,
-    /// group-commit parks, buffer misses, exec time) behind M$WAIT_EVENTS.
+    /// group-commit parks, queue waits, exec time) behind M$WAIT_EVENTS.
     wait: Arc<WaitStats>,
     /// Per-statement collector behind M$STATEMENTS, fed by the server
     /// session layer (and anything else that calls
@@ -196,7 +196,6 @@ impl Database {
         let meter = CostMeter::new();
         let wait = WaitStats::new();
         let pager = Pager::new(config.pager, Arc::clone(&meter));
-        pager.set_wait_stats(Arc::clone(&wait));
         let locks = Arc::new(LockManager::configured(
             config.lock_timeout,
             config.lock_escalation_threshold,

@@ -349,10 +349,10 @@ impl Plan {
     /// `EXPLAIN ANALYZE`-style tree of per-node work deltas. The same spans
     /// open wall-clock frames in the active *request* trace (`M$SPANS`)
     /// when one is installed — either listener is enough to pay for the
-    /// label formatting. Without both, the instrumentation is two
-    /// thread-local checks.
+    /// label formatting. Without either, the instrumentation is one
+    /// thread-local check.
     pub fn execute(&self, ctx: &ExecCtx) -> DbResult<Vec<Row>> {
-        if !trace::enabled() && !trace::request::active() {
+        if !trace::listening() {
             return self.execute_node(ctx);
         }
         let span = trace::span(&self.node_label());

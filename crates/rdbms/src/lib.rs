@@ -36,7 +36,7 @@ pub mod wal;
 
 pub use clock::{Calibration, CostMeter, Counter, MeterScope, MeterSnapshot};
 pub use clock::{CriticalPath, RequestCtx, RequestGuard, RequestTrace, TraceRing};
-pub use clock::{WaitEvent, WaitScope, WaitSnapshot, WaitStats, WaitTimer};
+pub use clock::{WaitEvent, WaitSnapshot, WaitStats, WaitTimer};
 pub use db::{Database, DbConfig, ExecOutcome, Prepared, QueryResult};
 pub use error::{DbError, DbResult};
 pub use load::BulkLoad;

@@ -111,8 +111,8 @@ pub struct StatementStats {
     pub total_micros: u64,
     pub min_micros: u64,
     pub max_micros: u64,
-    /// Wait breakdown summed over all calls (mirrored into the caller's
-    /// [`WaitScope`](crate::clock::WaitScope) during execution).
+    /// Wait breakdown summed over all calls: each call's request-trace
+    /// wait totals ([`RequestGuard::finish`](crate::clock::RequestGuard::finish)).
     pub waits: WaitSnapshot,
     /// Ring of the most recent executions, oldest first.
     pub recent: Vec<StatementSample>,
@@ -312,7 +312,6 @@ impl StatementCollector {
                 Column::new("LOCK_US", DataType::Int),
                 Column::new("WAL_FLUSH_US", DataType::Int),
                 Column::new("GROUP_COMMIT_US", DataType::Int),
-                Column::new("BUFFER_MISSES", DataType::Int),
                 Column::new("EVICTED_SHAPES", DataType::Int),
             ],
             move || {
@@ -336,7 +335,6 @@ impl StatementCollector {
                             int(s.waits.micros(WaitEvent::Lock)),
                             int(s.waits.micros(WaitEvent::WalFlush)),
                             int(s.waits.micros(WaitEvent::GroupCommitWait)),
-                            int(s.waits.count(WaitEvent::BufferMiss)),
                             int(evicted),
                         ]
                     })
@@ -365,7 +363,6 @@ pub fn traces_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
             Column::new("LOCK_US", DataType::Int),
             Column::new("WAL_FLUSH_US", DataType::Int),
             Column::new("GROUP_COMMIT_US", DataType::Int),
-            Column::new("BUFFER_MISS_US", DataType::Int),
             Column::new("EXEC_US", DataType::Int),
             Column::new("APP_SERVER_US", DataType::Int),
             Column::new("SPANS", DataType::Int),
@@ -390,7 +387,6 @@ pub fn traces_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
                         int(p.segment(WaitEvent::Lock)),
                         int(p.segment(WaitEvent::WalFlush)),
                         int(p.segment(WaitEvent::GroupCommitWait)),
-                        int(p.segment(WaitEvent::BufferMiss)),
                         int(p.segment(WaitEvent::Exec)),
                         int(p.app_server_us),
                         int(t.span_count() as u64),
@@ -423,7 +419,6 @@ pub fn spans_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
             Column::new("LOCK_US", DataType::Int),
             Column::new("WAL_FLUSH_US", DataType::Int),
             Column::new("GROUP_COMMIT_US", DataType::Int),
-            Column::new("BUFFER_MISSES", DataType::Int),
             Column::new("EXEC_US", DataType::Int),
         ],
         move || {
@@ -448,7 +443,6 @@ pub fn spans_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
                         int(t.span_wait_micros(node, WaitEvent::Lock)),
                         int(t.span_wait_micros(node, WaitEvent::WalFlush)),
                         int(t.span_wait_micros(node, WaitEvent::GroupCommitWait)),
-                        int(t.span_wait_count(node, WaitEvent::BufferMiss)),
                         int(t.span_wait_micros(node, WaitEvent::Exec)),
                     ]);
                 }
@@ -587,12 +581,12 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].len(), traces.schema().len());
         assert_eq!(rows[0][1], Value::str("test"));
-        // Segment columns (7..=13 incl. APP_SERVER_US) sum to END_TO_END_US.
+        // Segment columns (7..=12 incl. APP_SERVER_US) sum to END_TO_END_US.
         let as_i = |v: &Value| match v {
             Value::Int(i) => *i,
             other => panic!("expected int, got {other:?}"),
         };
-        let total: i64 = (7..=13).map(|c| as_i(&rows[0][c])).sum();
+        let total: i64 = (7..=12).map(|c| as_i(&rows[0][c])).sum();
         assert_eq!(total, as_i(&rows[0][6]), "critical path sums in the view");
         let spans = spans_view(ring);
         let srows = spans.rows();

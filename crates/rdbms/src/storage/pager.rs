@@ -9,14 +9,13 @@
 //! bill depends only on its access pattern and the pool size, never on
 //! host-machine timing.
 
-use crate::clock::{CostMeter, Counter, WaitEvent, WaitStats};
+use crate::clock::{CostMeter, Counter};
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{Page, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Declared access pattern of a page read, used to split I/O metering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,29 +97,19 @@ impl PagerInner {
         }
     }
 
-    /// Make `pid` resident, charging I/O if it was not. Returns true when
-    /// a read was charged (a metered buffer miss).
-    fn ensure_resident(
-        &mut self,
-        pid: PageId,
-        pattern: AccessPattern,
-        meter: &CostMeter,
-        charge_read: bool,
-    ) -> bool {
+    /// Make `pid` resident, charging a read if it was not.
+    fn ensure_resident(&mut self, pid: PageId, pattern: AccessPattern, meter: &CostMeter) {
         if self.resident.contains_key(&pid) {
             self.touch(pid);
-            return false;
+            return;
         }
-        if charge_read {
-            match pattern {
-                AccessPattern::Sequential => meter.bump(Counter::SeqPageReads),
-                AccessPattern::Random => meter.bump(Counter::RandPageReads),
-            }
+        match pattern {
+            AccessPattern::Sequential => meter.bump(Counter::SeqPageReads),
+            AccessPattern::Random => meter.bump(Counter::RandPageReads),
         }
         self.evict_if_needed(meter);
         self.resident.insert(pid, Resident { dirty: false, stamp: 0 });
         self.touch(pid);
-        charge_read
     }
 
     fn evict_if_needed(&mut self, meter: &CostMeter) {
@@ -146,10 +135,6 @@ impl PagerInner {
 pub struct Pager {
     inner: Mutex<PagerInner>,
     meter: Arc<CostMeter>,
-    /// Wait-event sink for M$WAIT_EVENTS buffer-miss counts; set once by
-    /// the owning [`crate::Database`]. The in-memory "disk" makes misses
-    /// stalls of zero duration — the count is the signal.
-    wait: OnceLock<Arc<WaitStats>>,
     logged: AtomicBool,
 }
 
@@ -166,18 +151,12 @@ impl Pager {
                 dirty_lsn: HashMap::new(),
             }),
             meter,
-            wait: OnceLock::new(),
             logged: AtomicBool::new(false),
         })
     }
 
     pub fn meter(&self) -> &Arc<CostMeter> {
         &self.meter
-    }
-
-    /// Attach the wait-event sink (idempotent; first caller wins).
-    pub(crate) fn set_wait_stats(&self, wait: Arc<WaitStats>) {
-        let _ = self.wait.set(wait);
     }
 
     /// From now on operations on this store are logged, each after it is
@@ -191,14 +170,6 @@ impl Pager {
     /// log holds the record (see [`crate::storage::HeapFile`]).
     pub fn logged(&self) -> bool {
         self.logged.load(Ordering::Relaxed)
-    }
-
-    fn note_miss(&self, missed: bool) {
-        if missed {
-            if let Some(w) = self.wait.get() {
-                w.record(WaitEvent::BufferMiss, Duration::ZERO);
-            }
-        }
     }
 
     /// Allocate a fresh page; it enters the pool dirty (no read charge).
@@ -270,11 +241,8 @@ impl Pager {
     ) -> DbResult<R> {
         let mut g = self.inner.lock();
         g.page_mut(pid)?;
-        let missed = g.ensure_resident(pid, pattern, &self.meter, true);
-        let out = f(g.page_mut(pid)?);
-        drop(g);
-        self.note_miss(missed);
-        Ok(out)
+        g.ensure_resident(pid, pattern, &self.meter);
+        Ok(f(g.page_mut(pid)?))
     }
 
     /// Write access to a page; marks it dirty.
@@ -286,12 +254,9 @@ impl Pager {
     ) -> DbResult<R> {
         let mut g = self.inner.lock();
         g.page_mut(pid)?;
-        let missed = g.ensure_resident(pid, pattern, &self.meter, true);
+        g.ensure_resident(pid, pattern, &self.meter);
         g.resident.get_mut(&pid).expect("resident").dirty = true;
-        let out = f(g.page_mut(pid)?);
-        drop(g);
-        self.note_miss(missed);
-        Ok(out)
+        Ok(f(g.page_mut(pid)?))
     }
 
     /// Total pages ever allocated minus freed (database footprint).

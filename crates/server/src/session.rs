@@ -27,13 +27,10 @@ use r3::sqltrace::{SqlOp, SqlTrace};
 use rdbms::db::stmt_is_ddl;
 use rdbms::sql::ast::Statement;
 use rdbms::sql::parse_statement;
-use rdbms::{
-    Database, PlanCache, Prepared, QueryResult, RequestCtx, Txn, Value, WaitScope, WaitStats,
-};
+use rdbms::{Database, PlanCache, Prepared, QueryResult, RequestCtx, RequestGuard, Txn, Value};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A named prepared statement: the shared plan plus the bind values that
 /// were stripped from the literal text at normalization time.
@@ -115,27 +112,14 @@ impl<'db> Session<'db> {
         *self.info.last_statement.lock() = text;
     }
 
-    /// Start a per-statement wait capture when monitoring is enabled: a
-    /// scratch [`WaitStats`] scoped to this thread, so every wait the
-    /// engine records while the statement runs (lock queues, WAL flushes,
-    /// buffer misses) is mirrored into it, plus the wall-clock start.
-    fn begin_statement_capture(&self) -> Option<(WaitScope, Instant)> {
-        self.db.monitor_enabled().then(|| (WaitScope::enter(WaitStats::new()), Instant::now()))
-    }
-
-    /// Complete a capture: fold the statement into the database's
-    /// [`StatementCollector`](rdbms::StatementCollector) under `key`.
-    fn finish_statement_capture(
-        &self,
-        capture: Option<(WaitScope, Instant)>,
-        key: &str,
-        sql: &str,
-        rows: u64,
-    ) {
-        if let Some((scope, started)) = capture {
-            let waits = scope.stats().snapshot();
-            drop(scope);
-            self.db.statement_collector().record(key, sql, started.elapsed(), rows, &waits);
+    /// End a statement's request and fold it into the database's
+    /// [`StatementCollector`](rdbms::StatementCollector) under `key`: its
+    /// service time, and the totals of every wait the engine recorded while
+    /// it ran (lock queues, WAL flushes, group-commit parks, exec time).
+    fn finish_statement(&self, request: Option<RequestGuard>, key: &str, sql: &str, rows: u64) {
+        if let Some(request) = request {
+            let (service, waits) = request.finish();
+            self.db.statement_collector().record(key, sql, service, rows, &waits);
         }
     }
 
@@ -251,21 +235,17 @@ impl<'db> Session<'db> {
         };
         self.info.queries.fetch_add(1, Ordering::Relaxed);
         self.note_statement(&sql);
-        // Trace context first: the request guard wraps the statement so
-        // every span and wait event below attaches to this trace id (the
-        // trace lands in M$TRACES when the guard drops, error or not).
-        let _request =
-            self.db.begin_request("server/simple", sql.as_str()).map(RequestCtx::install);
-        // The capture wraps the whole statement including COMMIT, so WAL
+        // The request wraps the whole statement including COMMIT, so every
+        // span and wait event below attaches to this trace id, and WAL
         // flush and group-commit waits show up on the statement that paid
-        // them. Errors record nothing (partial waits would not reconcile).
-        let capture = self.begin_statement_capture();
+        // them. The trace lands in M$TRACES either way; an error records
+        // nothing in M$STATEMENTS (partial waits would not reconcile).
+        let request = self.db.begin_request("server/simple", sql.as_str()).map(RequestCtx::install);
         match self.run_simple(&sql, out) {
             Ok(rows) => {
-                self.finish_statement_capture(capture, &simple_statement_key(&sql), &sql, rows);
+                self.finish_statement(request, &simple_statement_key(&sql), &sql, rows);
             }
             Err(msg) => {
-                drop(capture);
                 self.abort_txn_on_error();
                 self.send_error(out, &msg);
             }
@@ -451,12 +431,11 @@ impl<'db> Session<'db> {
         params.extend(portal.client_values.iter().cloned());
         self.info.executes.fetch_add(1, Ordering::Relaxed);
         self.note_statement(&stmt.sql);
-        let _request = self
+        let request = self
             .db
             .begin_request("server/extended", Arc::clone(&stmt.sql))
             .map(RequestCtx::install);
         let guard = self.trace.and_then(|t| t.begin());
-        let capture = self.begin_statement_capture();
         let res = if let Some(txn) = self.txn.as_mut() {
             txn.execute_prepared(&prepared, &params)
         } else {
@@ -469,21 +448,12 @@ impl<'db> Session<'db> {
         };
         match res {
             Ok(rows) => {
-                self.finish_statement_capture(
-                    capture,
-                    &stmt.key,
-                    &stmt.sql,
-                    rows.rows.len() as u64,
-                );
+                let n = rows.rows.len() as u64;
+                // The ST05 entry first: it is tagged with the request's id.
                 if let Some(g) = guard {
-                    g.finish(
-                        SqlOp::Reopen,
-                        &prepared.plan_description,
-                        &params,
-                        rows.rows.len() as u64,
-                        1,
-                    );
+                    g.finish(SqlOp::Reopen, &prepared.plan_description, &params, n, 1);
                 }
+                self.finish_statement(request, &stmt.key, &stmt.sql, n);
                 self.send_result(out, &rows);
                 Disposition::Continue
             }

@@ -57,7 +57,7 @@ fn m_views_are_queryable_live_over_the_wire() {
     let mut mon = Client::connect(&addr).unwrap();
 
     let waits = mon.simple_query("SELECT EVENT, WAITS, WAITED_US FROM M$WAIT_EVENTS").unwrap();
-    assert_eq!(waits.rows.len(), 6, "one row per wait event");
+    assert_eq!(waits.rows.len(), 5, "one row per wait event");
     let ev = col(&waits, "EVENT");
     let names: Vec<String> = waits.rows.iter().map(|r| str_at(r, ev)).collect();
     assert!(names.contains(&"exec".to_string()));
@@ -151,7 +151,7 @@ fn m_traces_and_spans_are_live_and_partition_end_to_end() {
         let traces = mon
             .simple_query(
                 "SELECT TRACE_ID, ORIGIN, END_TO_END_US, DISPATCH_QUEUE_US, LOCK_US, \
-                 WAL_FLUSH_US, GROUP_COMMIT_US, BUFFER_MISS_US, EXEC_US, APP_SERVER_US \
+                 WAL_FLUSH_US, GROUP_COMMIT_US, EXEC_US, APP_SERVER_US \
                  FROM M$TRACES",
             )
             .unwrap();
@@ -301,15 +301,13 @@ fn statement_wait_breakdown_reconciles_with_engine_accumulators() {
     c.sync().unwrap();
     c.terminate().unwrap();
 
-    // Every engine-side wait in this window happened inside a captured
-    // statement, so the per-statement breakdowns must sum to exactly the
+    // Every engine-side wait in this window happened inside a statement's
+    // request, so the per-statement breakdowns must sum to exactly the
     // delta on the engine's accumulators — the property that makes
     // M$STATEMENTS trustworthy for diagnosis.
     let total = db.statement_collector().total_waits();
     let delta = db.wait_stats().snapshot().since(&base);
-    for ev in
-        [WaitEvent::WalFlush, WaitEvent::GroupCommitWait, WaitEvent::Lock, WaitEvent::BufferMiss]
-    {
+    for ev in WaitEvent::ALL {
         assert_eq!(
             total.count(ev),
             delta.count(ev),

@@ -16,7 +16,6 @@
 
 use serde::{Deserialize, Serialize};
 use serde_json::Json;
-use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,14 +94,10 @@ pub enum Counter {
     /// Plan-cache entries discarded — capacity (LRU) evictions plus
     /// catalog-version invalidations after DDL.
     PlanCacheEvictions,
-    /// Wire-protocol frames processed by the server (client messages in).
-    NetFrames,
-    /// Wire-protocol payload bytes received by the server.
-    NetBytes,
 }
 
 impl Counter {
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 25;
 
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::SeqPageReads,
@@ -130,8 +125,6 @@ impl Counter {
         Counter::PlanCacheHits,
         Counter::PlanCacheMisses,
         Counter::PlanCacheEvictions,
-        Counter::NetFrames,
-        Counter::NetBytes,
     ];
 
     /// Stable snake_case name, used for JSON export and display.
@@ -162,8 +155,6 @@ impl Counter {
             Counter::PlanCacheHits => "plan_cache_hits",
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::PlanCacheEvictions => "plan_cache_evictions",
-            Counter::NetFrames => "net_frames",
-            Counter::NetBytes => "net_bytes",
         }
     }
 }
@@ -185,8 +176,8 @@ impl CostMeter {
         // Mirror the work into every meter scope active on this thread so a
         // transaction / dispatcher request gets its own attribution without
         // threading a meter through every storage-layer call.
-        SCOPES.with(|scopes| {
-            for scoped in scopes.borrow().iter() {
+        crate::ctx::with(|ctx| {
+            for scoped in &ctx.scopes {
                 if !std::ptr::eq(Arc::as_ptr(scoped), self) {
                     scoped.counters[field as usize].fetch_add(n, Ordering::Relaxed);
                 }
@@ -215,11 +206,6 @@ impl CostMeter {
     }
 }
 
-thread_local! {
-    /// Stack of per-transaction / per-request meters active on this thread.
-    static SCOPES: RefCell<Vec<Arc<CostMeter>>> = const { RefCell::new(Vec::new()) };
-}
-
 /// RAII guard that registers `meter` as an attribution target on the current
 /// thread: while the scope is alive, every [`CostMeter::add`] performed on
 /// this thread (against any meter) is mirrored into the scoped meter. Scopes
@@ -235,7 +221,7 @@ pub struct MeterScope {
 
 impl MeterScope {
     pub fn enter(meter: Arc<CostMeter>) -> MeterScope {
-        SCOPES.with(|scopes| scopes.borrow_mut().push(Arc::clone(&meter)));
+        crate::ctx::with(|ctx| ctx.scopes.push(Arc::clone(&meter)));
         MeterScope { meter, _not_send: PhantomData }
     }
 
@@ -247,12 +233,9 @@ impl MeterScope {
 
 impl Drop for MeterScope {
     fn drop(&mut self) {
-        SCOPES.with(|scopes| {
-            let mut scopes = scopes.borrow_mut();
-            // Scopes are strictly nested (RAII, !Send), so ours is on top.
-            let popped = scopes.pop();
-            debug_assert!(popped.is_some_and(|p| Arc::ptr_eq(&p, &self.meter)));
-        });
+        // Scopes are strictly nested (RAII, !Send), so ours is on top.
+        let popped = crate::ctx::with(|ctx| ctx.scopes.pop());
+        debug_assert!(popped.is_some_and(|p| Arc::ptr_eq(&p, &self.meter)));
     }
 }
 
@@ -405,14 +388,6 @@ impl MeterSnapshot {
         self.get(Counter::PlanCacheEvictions)
     }
 
-    pub fn net_frames(&self) -> u64 {
-        self.get(Counter::NetFrames)
-    }
-
-    pub fn net_bytes(&self) -> u64 {
-        self.get(Counter::NetBytes)
-    }
-
     /// Fraction of plan-cache lookups served from the cache.
     pub fn plan_cache_hit_ratio(&self) -> f64 {
         let probes = self.plan_cache_hits() + self.plan_cache_misses();
@@ -537,9 +512,7 @@ impl Calibration {
             | Counter::GroupCommitBatch
             | Counter::PlanCacheHits
             | Counter::PlanCacheMisses
-            | Counter::PlanCacheEvictions
-            | Counter::NetFrames
-            | Counter::NetBytes => 0.0,
+            | Counter::PlanCacheEvictions => 0.0,
         }
     }
 

@@ -13,16 +13,18 @@
 //!   a [`TraceSession`](crate::TraceSession) is installed), and
 //! * every [`WaitStats::record`](crate::WaitStats::record) performed on
 //!   the thread lands in the request as a [`WaitInterval`], attributed to
-//!   the innermost open frame.
+//!   the innermost open frame, and in the request's per-event totals.
 //!
-//! That single hook covers all six wait events because each is recorded on
+//! That single hook covers all five wait events because each is recorded on
 //! the thread serving the request: the group-commit *leader* records
 //! `WalFlush` and a *follower* records `GroupCommitWait` on their own
 //! threads, a work process records `DispatchQueue` at pickup, and lock /
-//! buffer-miss / exec waits happen inline. No wait call site changes.
+//! exec waits happen inline. No wait call site changes.
 //!
-//! When the guard drops, the finished [`RequestTrace`] is pushed into the
-//! bounded ring, where the `M$TRACES` / `M$SPANS` monitor views and the
+//! When the guard drops — or [`RequestGuard::finish`] returns the service
+//! time and wait totals, which is all `M$STATEMENTS` records of a
+//! statement — the finished [`RequestTrace`] is pushed into the bounded
+//! ring, where the `M$TRACES` / `M$SPANS` monitor views and the
 //! Chrome trace-event exporter ([`chrome_trace_json`]) read it. The
 //! [`critical_path`] analyzer decomposes the request's end-to-end wall
 //! time into per-event segments plus an app-server remainder that
@@ -32,9 +34,9 @@
 //! real thread blocking, which the deterministic cost clock intentionally
 //! does not model.
 
-use crate::wait::WaitEvent;
+use crate::ctx::ThreadCtx;
+use crate::wait::{WaitEvent, WaitSnapshot};
 use serde_json::Json;
-use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
 use std::marker::PhantomData;
 use std::mem::size_of;
@@ -61,9 +63,9 @@ pub const NO_PARENT: u16 = u16::MAX;
 const NO_WAITS: u16 = u16::MAX;
 
 /// One wait the request incurred, as a half-open interval on the ring's
-/// microsecond timeline. Zero-length waits (e.g. in-memory buffer misses)
-/// are counted in the span breakdown but not stored as intervals — they
-/// contribute nothing to the critical path.
+/// microsecond timeline. Zero-length waits are counted in the span
+/// breakdown but not stored as intervals — they contribute nothing to the
+/// critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitInterval {
     pub event: WaitEvent,
@@ -370,10 +372,11 @@ pub fn critical_path(waits: &[WaitInterval], window_start: u64, window_end: u64)
 }
 
 // ---------------------------------------------------------------------------
-// Active-request machinery (thread-local, driven by span.rs and wait.rs).
+// Active-request machinery (in the thread's context, driven by span.rs and
+// wait.rs).
 // ---------------------------------------------------------------------------
 
-struct ActiveTrace {
+pub(crate) struct ActiveTrace {
     ring: Arc<TraceRing>,
     /// The trace so far; closed frames have their `end_us`. Its arrays are
     /// the thread's [`Spare`] ones until it is finished.
@@ -384,6 +387,11 @@ struct ActiveTrace {
     /// closes unwind this counter before touching the real stack (strict
     /// RAII nesting makes the overflowed frames the innermost ones).
     overflow_depth: usize,
+    /// Every wait recorded while this request was the innermost one —
+    /// zero-length ones, ones outside any frame and ones past
+    /// [`MAX_WAITS_PER_TRACE`] included. Kept here, not on the finished
+    /// trace, so the ring's traces weigh no more for it.
+    waits: WaitSnapshot,
 }
 
 impl ActiveTrace {
@@ -392,39 +400,32 @@ impl ActiveTrace {
             self.trace.spans[frame as usize].end_us = end_us;
         }
     }
-
-    fn finish(mut self) {
-        let ended_us = self.ring.now_us();
-        while !self.open.is_empty() {
-            self.close_frame(ended_us);
-        }
-        let mut trace = self.trace;
-        trace.ended_us = ended_us;
-        let spare = Spare {
-            spans: right_size(&mut trace.spans),
-            names: right_size(&mut trace.names),
-            span_waits: right_size(&mut trace.span_waits),
-            waits: right_size(&mut trace.waits),
-            annotations: right_size(&mut trace.annotations),
-            open: self.open,
-        };
-        SPARE.with(|s| *s.borrow_mut() = spare);
-        self.ring.push(trace);
-    }
 }
 
 /// The arrays a request's trace is collected into, empty. A thread keeps
 /// one set from one request to the next — a request then grows none of
 /// them, and the finished trace takes exact-sized copies. What a thread
 /// keeps is bounded by the per-trace bounds (under 100 KB).
-#[derive(Default)]
-struct Spare {
+pub(crate) struct Spare {
     spans: Vec<SpanNode>,
     names: Vec<Arc<str>>,
     span_waits: Vec<SpanWaits>,
     waits: Vec<WaitInterval>,
     annotations: Vec<(&'static str, Box<str>)>,
     open: Vec<u16>,
+}
+
+impl Spare {
+    pub(crate) const fn new() -> Spare {
+        Spare {
+            spans: Vec::new(),
+            names: Vec::new(),
+            span_waits: Vec::new(),
+            waits: Vec::new(),
+            annotations: Vec::new(),
+            open: Vec::new(),
+        }
+    }
 }
 
 /// Leave in `v` a copy of itself with no room to spare and return the
@@ -435,49 +436,32 @@ fn right_size<T>(v: &mut Vec<T>) -> Vec<T> {
     std::mem::replace(v, exact)
 }
 
-thread_local! {
-    /// Stack of requests being served on this thread (innermost wins).
-    static ACTIVE: RefCell<Vec<ActiveTrace>> = const { RefCell::new(Vec::new()) };
-    /// Span names opened on this thread: a span of a name seen before
-    /// allocates nothing, and retained traces share one copy of the text.
-    static NAMES: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
-    static SPARE: RefCell<Spare> = RefCell::new(Spare::default());
-}
-
-fn intern(name: &str) -> Arc<str> {
-    NAMES.with(|names| {
-        let mut names = names.borrow_mut();
-        if let Some(known) = names.get(name) {
-            return Arc::clone(known);
-        }
-        let fresh: Arc<str> = Arc::from(name);
-        if names.len() < MAX_INTERNED_NAMES {
-            names.insert(Arc::clone(&fresh));
-        }
-        fresh
-    })
+fn intern(names: &mut Option<HashSet<Arc<str>>>, name: &str) -> Arc<str> {
+    let names = names.get_or_insert_with(HashSet::new);
+    if let Some(known) = names.get(name) {
+        return Arc::clone(known);
+    }
+    let fresh: Arc<str> = Arc::from(name);
+    if names.len() < MAX_INTERNED_NAMES {
+        names.insert(Arc::clone(&fresh));
+    }
+    fresh
 }
 
 /// Trace id of the innermost request active on this thread, if any. Used
 /// by the ST05 SQL trace to tag interface crossings.
 pub fn current_trace_id() -> Option<u64> {
-    ACTIVE.with(|a| a.borrow().last().map(|t| t.trace.trace_id))
-}
-
-/// Is a request trace installed on this thread? Span instrumentation that
-/// skips label-formatting work when nobody is listening gates on this (or
-/// on [`crate::enabled`], for the plan-trace listener).
-pub fn active() -> bool {
-    ACTIVE.with(|a| !a.borrow().is_empty())
+    crate::ctx::with(|ctx| ctx.requests.last().map(|t| t.trace.trace_id))
 }
 
 /// Attach a key/value annotation to the innermost active request (lock
 /// table names, group-commit role). No-op when no request is active.
 pub fn annotate(key: &'static str, value: impl std::fmt::Display) {
-    ACTIVE.with(|a| {
-        if let Some(t) = a.borrow_mut().last_mut() {
+    let value: Box<str> = value.to_string().into();
+    crate::ctx::with(|ctx| {
+        if let Some(t) = ctx.requests.last_mut() {
             if t.trace.annotations.len() < MAX_ANNOTATIONS {
-                t.trace.annotations.push((key, value.to_string().into()));
+                t.trace.annotations.push((key, value));
             }
         }
     });
@@ -486,57 +470,51 @@ pub fn annotate(key: &'static str, value: impl std::fmt::Display) {
 /// Hook called by [`span`](crate::span::span): open a frame in the active
 /// request's tree. Returns whether a frame was opened (the `Span` guard
 /// remembers, so close pairs with open even if the request ends first).
-pub(crate) fn frame_open(name: &str) -> bool {
-    ACTIVE.with(|a| {
-        let mut a = a.borrow_mut();
-        let Some(t) = a.last_mut() else {
-            return false;
-        };
-        let trace = &mut t.trace;
-        if trace.spans.len() >= MAX_SPANS_PER_TRACE {
-            t.overflow_depth += 1;
-            trace.dropped_spans += 1;
-            return true;
-        }
-        // A trace has a handful of distinct names: a scan finds a repeat.
-        let known = trace.names.iter().position(|n| &**n == name);
-        let name = known.unwrap_or_else(|| {
-            trace.names.push(intern(name));
-            trace.names.len() - 1
-        }) as u16;
-        let start_us = t.ring.now_us();
-        let parent = t.open.last().copied().unwrap_or(NO_PARENT);
-        t.open.push(trace.spans.len() as u16);
-        trace.spans.push(SpanNode { start_us, end_us: start_us, parent, name, waits: NO_WAITS });
-        true
-    })
+pub(crate) fn frame_open(ctx: &mut ThreadCtx, name: &str) -> bool {
+    let ThreadCtx { requests, names, .. } = ctx;
+    let Some(t) = requests.last_mut() else {
+        return false;
+    };
+    let trace = &mut t.trace;
+    if trace.spans.len() >= MAX_SPANS_PER_TRACE {
+        t.overflow_depth += 1;
+        trace.dropped_spans += 1;
+        return true;
+    }
+    // A trace has a handful of distinct names: a scan finds a repeat.
+    let known = trace.names.iter().position(|n| &**n == name);
+    let name = known.unwrap_or_else(|| {
+        trace.names.push(intern(names, name));
+        trace.names.len() - 1
+    }) as u16;
+    let start_us = t.ring.now_us();
+    let parent = t.open.last().copied().unwrap_or(NO_PARENT);
+    t.open.push(trace.spans.len() as u16);
+    trace.spans.push(SpanNode { start_us, end_us: start_us, parent, name, waits: NO_WAITS });
+    true
 }
 
 /// Hook called when a `Span` that opened a frame drops.
-pub(crate) fn frame_close() {
-    ACTIVE.with(|a| {
-        let mut a = a.borrow_mut();
-        let Some(t) = a.last_mut() else {
-            return; // the request already finished; nothing to close
-        };
-        if t.overflow_depth > 0 {
-            t.overflow_depth -= 1;
-            return;
-        }
-        let end_us = t.ring.now_us();
-        t.close_frame(end_us);
-    });
+pub(crate) fn frame_close(ctx: &mut ThreadCtx) {
+    let Some(t) = ctx.requests.last_mut() else {
+        return; // the request already finished; nothing to close
+    };
+    if t.overflow_depth > 0 {
+        t.overflow_depth -= 1;
+        return;
+    }
+    let end_us = t.ring.now_us();
+    t.close_frame(end_us);
 }
 
 /// Hook called by [`WaitStats::record`](crate::WaitStats::record): land
 /// the completed wait in the innermost active request.
-pub(crate) fn note_wait(event: WaitEvent, waited: Duration) {
-    ACTIVE.with(|a| {
-        let mut a = a.borrow_mut();
-        let Some(t) = a.last_mut() else {
+pub(crate) fn note_wait(event: WaitEvent, micros: u64) {
+    crate::ctx::with(|ctx| {
+        let Some(t) = ctx.requests.last_mut() else {
             return;
         };
-        let micros = waited.as_micros() as u64;
+        t.waits.add(event, micros);
         let trace = &mut t.trace;
         if let Some(&frame) = t.open.last() {
             let span = &mut trace.spans[frame as usize];
@@ -584,9 +562,9 @@ impl RequestCtx {
     /// alive, this thread's spans and wait events attach to the request.
     pub fn install(self) -> RequestGuard {
         let started_us = self.ring.now_us();
-        let spare = SPARE.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        ACTIVE.with(|a| {
-            a.borrow_mut().push(ActiveTrace {
+        crate::ctx::with(|ctx| {
+            let spare = std::mem::replace(&mut ctx.spare, Spare::new());
+            ctx.requests.push(ActiveTrace {
                 ring: self.ring,
                 trace: RequestTrace {
                     trace_id: self.trace_id,
@@ -605,27 +583,65 @@ impl RequestCtx {
                 },
                 open: spare.open,
                 overflow_depth: 0,
+                waits: WaitSnapshot::default(),
             });
         });
         RequestGuard { _not_send: PhantomData }
     }
 }
 
-/// RAII guard for a request being served. Dropping it finishes the trace
-/// and pushes it into the ring. `!Send`: it pops the same thread-local
-/// stack it pushed; strict nesting is the caller's contract (guards are
-/// scoped around one statement / one dispatched job).
+/// RAII guard for a request being served. Dropping it — or
+/// [`finish`](Self::finish)ing it — ends the trace and pushes it into the
+/// ring. `!Send`: it pops the same per-thread stack it pushed; strict
+/// nesting is the caller's contract (guards are scoped around one
+/// statement / one dispatched job).
 pub struct RequestGuard {
     _not_send: PhantomData<*const ()>,
 }
 
+impl RequestGuard {
+    /// End the request now and return its service time (install to now)
+    /// and the totals of every wait recorded while it was the innermost
+    /// request on this thread — what `M$STATEMENTS` folds per statement.
+    pub fn finish(self) -> (Duration, WaitSnapshot) {
+        std::mem::forget(self);
+        finish_innermost()
+    }
+}
+
 impl Drop for RequestGuard {
     fn drop(&mut self) {
-        let active = ACTIVE.with(|a| a.borrow_mut().pop());
-        if let Some(active) = active {
-            active.finish();
-        }
+        finish_innermost();
     }
+}
+
+/// Finish the innermost active request: close its open frames, hand its
+/// arrays back to the thread and push the trace into its ring.
+fn finish_innermost() -> (Duration, WaitSnapshot) {
+    let finished = crate::ctx::with(|ctx| {
+        let mut active = ctx.requests.pop()?;
+        let ended_us = active.ring.now_us();
+        while !active.open.is_empty() {
+            active.close_frame(ended_us);
+        }
+        let trace = &mut active.trace;
+        trace.ended_us = ended_us;
+        ctx.spare = Spare {
+            spans: right_size(&mut trace.spans),
+            names: right_size(&mut trace.names),
+            span_waits: right_size(&mut trace.span_waits),
+            waits: right_size(&mut trace.waits),
+            annotations: right_size(&mut trace.annotations),
+            open: active.open,
+        };
+        Some((active.ring, active.trace, active.waits))
+    });
+    let Some((ring, trace, waits)) = finished else {
+        return (Duration::ZERO, WaitSnapshot::default());
+    };
+    let service = Duration::from_micros(trace.ended_us.saturating_sub(trace.started_us));
+    ring.push(trace);
+    (service, waits)
 }
 
 /// Bounded ring of completed [`RequestTrace`]s plus the trace-id mint and
@@ -918,17 +934,19 @@ mod tests {
     fn zero_length_waits_count_but_add_no_interval() {
         let ring = TraceRing::new(8);
         let stats = WaitStats::new();
-        let ctx = ring.begin("test", "buffer misses");
+        let guard = ring.begin("test", "uncontended locks").install();
         {
-            let _guard = ctx.install();
             let _s = crate::span("scan");
             for _ in 0..10 {
-                stats.record(WaitEvent::BufferMiss, Duration::ZERO);
+                stats.record(WaitEvent::Lock, Duration::ZERO);
             }
         }
+        stats.record(WaitEvent::Lock, Duration::ZERO); // outside any frame
+        let (_, waits) = guard.finish();
         let t = &ring.snapshot()[0];
         assert!(t.waits.is_empty());
-        assert_eq!(t.span_wait_count(&t.spans[0], WaitEvent::BufferMiss), 10);
+        assert_eq!(t.span_wait_count(&t.spans[0], WaitEvent::Lock), 10);
+        assert_eq!((waits.count(WaitEvent::Lock), waits.micros(WaitEvent::Lock)), (11, 0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Span-based tracing over the cost clock.
 //!
-//! A [`TraceSession`] installs a thread-local tracer backed by a fresh
+//! A [`TraceSession`] installs a tracer on the thread, backed by a fresh
 //! [`CostMeter`] entered as a [`MeterScope`], so every metered operation on
 //! the thread — regardless of which meter it is charged to — is also
 //! mirrored into the session meter. Each [`span`] snapshots that meter when
@@ -10,15 +10,16 @@
 //! reproducible and convert to simulated 1996 milliseconds through a
 //! [`Calibration`].
 //!
-//! Instrumentation sites call [`span`] unconditionally; when no session is
-//! installed on the thread the guard is inert and costs one thread-local
-//! read. Sessions compose with existing [`MeterScope`]s in either nesting
+//! Instrumentation sites call [`span`] unconditionally; when nothing is
+//! listening on the thread the guard is inert and costs one thread-local
+//! read. The tracer lives in the thread's instrumentation context (see
+//! [`crate::listening`]) beside the request trace, so one access serves
+//! both. Sessions compose with existing [`MeterScope`]s in either nesting
 //! order (a dispatcher request scope around a session, or a transaction
 //! scope inside one): scope mirroring is additive.
 
 use crate::meter::{Calibration, CostMeter, MeterScope, MeterSnapshot};
 use serde_json::Json;
-use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -105,21 +106,11 @@ struct Frame {
     children: Vec<SpanRecord>,
 }
 
-struct TracerState {
+/// A [`TraceSession`]'s state in the thread's instrumentation context.
+pub(crate) struct TracerState {
     meter: Arc<CostMeter>,
     stack: Vec<Frame>,
     roots: Vec<SpanRecord>,
-}
-
-thread_local! {
-    static TRACER: RefCell<Option<TracerState>> = const { RefCell::new(None) };
-}
-
-/// Is a trace session installed on this thread? Instrumentation that needs
-/// to do extra work to label a span (formatting, counting rows) can gate on
-/// this; plain [`span`] calls don't need to.
-pub fn enabled() -> bool {
-    TRACER.with(|t| t.borrow().is_some())
 }
 
 /// Open a span. Inert (and nearly free) when no [`TraceSession`] is
@@ -128,11 +119,10 @@ pub fn enabled() -> bool {
 /// installed on this thread (see [`crate::request`]) — a request being
 /// served and a `TraceSession` are orthogonal instruments.
 pub fn span(name: &str) -> Span {
-    let req = crate::request::frame_open(name);
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
-        match t.as_mut() {
-            None => Span { depth: 0, req, _not_send: PhantomData },
+    crate::ctx::with(|ctx| {
+        let req = crate::request::frame_open(ctx, name);
+        let depth = match ctx.tracer.as_mut() {
+            None => 0,
             Some(state) => {
                 let start = state.meter.snapshot();
                 state.stack.push(Frame {
@@ -141,9 +131,10 @@ pub fn span(name: &str) -> Span {
                     start,
                     children: Vec::new(),
                 });
-                Span { depth: state.stack.len(), req, _not_send: PhantomData }
+                state.stack.len()
             }
-        }
+        };
+        Span { depth, req, _not_send: PhantomData }
     })
 }
 
@@ -167,11 +158,10 @@ impl Span {
         if self.depth == 0 {
             return;
         }
-        TRACER.with(|t| {
-            if let Some(state) = t.borrow_mut().as_mut() {
-                if let Some(frame) = state.stack.get_mut(self.depth - 1) {
-                    frame.attrs.push((key.to_string(), value.to_string()));
-                }
+        let attr = (key.to_string(), value.to_string());
+        crate::ctx::with(|ctx| {
+            if let Some(frame) = ctx.tracer.as_mut().and_then(|t| t.stack.get_mut(self.depth - 1)) {
+                frame.attrs.push(attr);
             }
         });
     }
@@ -179,29 +169,30 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.req {
-            crate::request::frame_close();
-        }
-        if self.depth == 0 {
+        if !self.req && self.depth == 0 {
             return;
         }
-        TRACER.with(|t| {
-            if let Some(state) = t.borrow_mut().as_mut() {
-                // RAII + !Send make spans strictly nested, so our frame is
-                // on top of the stack.
-                debug_assert_eq!(state.stack.len(), self.depth, "span closed out of order");
-                if let Some(frame) = state.stack.pop() {
-                    let work = state.meter.snapshot().since(&frame.start);
-                    let record = SpanRecord {
-                        name: frame.name,
-                        attrs: frame.attrs,
-                        work,
-                        children: frame.children,
-                    };
-                    match state.stack.last_mut() {
-                        Some(parent) => parent.children.push(record),
-                        None => state.roots.push(record),
-                    }
+        crate::ctx::with(|ctx| {
+            if self.req {
+                crate::request::frame_close(ctx);
+            }
+            let Some(state) = ctx.tracer.as_mut().filter(|_| self.depth > 0) else {
+                return;
+            };
+            // RAII + !Send make spans strictly nested, so our frame is on
+            // top of the stack.
+            debug_assert_eq!(state.stack.len(), self.depth, "span closed out of order");
+            if let Some(frame) = state.stack.pop() {
+                let work = state.meter.snapshot().since(&frame.start);
+                let record = SpanRecord {
+                    name: frame.name,
+                    attrs: frame.attrs,
+                    work,
+                    children: frame.children,
+                };
+                match state.stack.last_mut() {
+                    Some(parent) => parent.children.push(record),
+                    None => state.roots.push(record),
                 }
             }
         });
@@ -221,10 +212,9 @@ impl TraceSession {
     pub fn start(calibration: Calibration) -> TraceSession {
         let meter = CostMeter::new();
         let scope = MeterScope::enter(Arc::clone(&meter));
-        TRACER.with(|t| {
-            let mut t = t.borrow_mut();
-            assert!(t.is_none(), "a TraceSession is already active on this thread");
-            *t = Some(TracerState { meter, stack: Vec::new(), roots: Vec::new() });
+        crate::ctx::with(|ctx| {
+            assert!(ctx.tracer.is_none(), "a TraceSession is already active on this thread");
+            ctx.tracer = Some(TracerState { meter, stack: Vec::new(), roots: Vec::new() });
         });
         TraceSession { scope: Some(scope), calibration }
     }
@@ -232,7 +222,8 @@ impl TraceSession {
     /// Close the session and return the span tree. All spans opened during
     /// the session must be closed by now (RAII makes that the default).
     pub fn finish(mut self) -> Trace {
-        let state = TRACER.with(|t| t.borrow_mut().take()).expect("TraceSession state disappeared");
+        let state =
+            crate::ctx::with(|ctx| ctx.tracer.take()).expect("TraceSession state disappeared");
         debug_assert!(state.stack.is_empty(), "unclosed spans at TraceSession::finish");
         let total = state.meter.snapshot();
         self.scope = None; // drop the MeterScope now
@@ -245,9 +236,7 @@ impl Drop for TraceSession {
         // Abandoned without finish() (e.g. unwinding): uninstall the tracer
         // so the thread can host a future session.
         if self.scope.is_some() {
-            TRACER.with(|t| {
-                t.borrow_mut().take();
-            });
+            drop(crate::ctx::with(|ctx| ctx.tracer.take()));
         }
     }
 }
@@ -379,7 +368,7 @@ mod tests {
         s.attr("ignored", 1);
         charge(&work, 5);
         drop(s);
-        assert!(!enabled());
+        assert!(!crate::listening());
     }
 
     #[test]
@@ -415,9 +404,9 @@ mod tests {
     fn abandoned_session_uninstalls_tracer() {
         {
             let _session = TraceSession::start(Calibration::default());
-            assert!(enabled());
+            assert!(crate::listening());
         }
-        assert!(!enabled());
+        assert!(!crate::listening());
         // And a new session can start afterwards.
         let s = TraceSession::start(Calibration::default());
         s.finish();

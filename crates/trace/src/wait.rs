@@ -8,17 +8,16 @@
 //! (`pg_stat_activity.wait_event`, Oracle's `V$SYSTEM_EVENT`) answer that
 //! question live. This module is the substrate: a small fixed taxonomy
 //! ([`WaitEvent`]), per-event count + duration accumulators
-//! ([`WaitStats`]), RAII timers ([`WaitTimer`]), and the same thread-local
-//! scope mirroring as [`CostMeter`](crate::CostMeter) so a session or
-//! statement can get its own wait attribution ([`WaitScope`]).
+//! ([`WaitStats`]) and RAII timers ([`WaitTimer`]). A statement gets its
+//! own wait attribution from the request it is served under: every record
+//! also lands in the request trace active on the thread (see
+//! [`crate::request`]), which keeps per-event totals.
 //!
 //! Durations are wall-clock microseconds, not cost-clock units: waits are
 //! real thread blocking (condvar parks, file syncs, queue latency), which
 //! the deterministic cost model intentionally does not simulate.
 
 use serde_json::Json;
-use std::cell::RefCell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,24 +38,19 @@ pub enum WaitEvent {
     /// Queued in a dispatcher request queue before a work process picked
     /// the request up (SM50's "waiting" state).
     DispatchQueue,
-    /// Buffer-pool miss: the page had to be produced by the storage layer.
-    /// Counts are the signal here — the in-memory pager's "read" is not a
-    /// real disk stall, so durations stay near zero.
-    BufferMiss,
     /// Executing a statement's plan (the on-CPU bucket; everything above
     /// is off-CPU time carved out of it).
     Exec,
 }
 
 impl WaitEvent {
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     pub const ALL: [WaitEvent; WaitEvent::COUNT] = [
         WaitEvent::Lock,
         WaitEvent::WalFlush,
         WaitEvent::GroupCommitWait,
         WaitEvent::DispatchQueue,
-        WaitEvent::BufferMiss,
         WaitEvent::Exec,
     ];
 
@@ -67,7 +61,6 @@ impl WaitEvent {
             WaitEvent::WalFlush => "wal_flush",
             WaitEvent::GroupCommitWait => "group_commit_wait",
             WaitEvent::DispatchQueue => "dispatch_queue",
-            WaitEvent::BufferMiss => "buffer_miss",
             WaitEvent::Exec => "exec",
         }
     }
@@ -86,26 +79,15 @@ impl WaitStats {
         Arc::new(WaitStats::default())
     }
 
-    /// Record one completed wait. Mirrors into every [`WaitScope`] active
-    /// on this thread, exactly like [`CostMeter::add`](crate::CostMeter),
-    /// so a per-statement collector sees the lock waits incurred deep in
-    /// the storage layer without threading a handle through every call.
+    /// Record one completed wait. It also lands in the request being
+    /// served on this thread, if any (see [`crate::request`]), so a
+    /// statement sees the lock waits incurred deep in the storage layer
+    /// without threading a handle through every call.
     pub fn record(&self, event: WaitEvent, waited: Duration) {
         let micros = waited.as_micros() as u64;
         self.counts[event as usize].fetch_add(1, Ordering::Relaxed);
         self.micros[event as usize].fetch_add(micros, Ordering::Relaxed);
-        // Attribute the wait to the request being served on this thread,
-        // if any (see `crate::request`): fires once per logical wait, not
-        // once per mirrored scope.
-        crate::request::note_wait(event, waited);
-        WAIT_SCOPES.with(|scopes| {
-            for scoped in scopes.borrow().iter() {
-                if !std::ptr::eq(Arc::as_ptr(scoped), self) {
-                    scoped.counts[event as usize].fetch_add(1, Ordering::Relaxed);
-                    scoped.micros[event as usize].fetch_add(micros, Ordering::Relaxed);
-                }
-            }
-        });
+        crate::request::note_wait(event, micros);
     }
 
     /// Start a timer that records into this stats object when finished.
@@ -133,42 +115,6 @@ impl WaitStats {
         for c in self.counts.iter().chain(self.micros.iter()) {
             c.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-thread_local! {
-    /// Stack of per-session / per-statement wait collectors on this thread.
-    static WAIT_SCOPES: RefCell<Vec<Arc<WaitStats>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard registering `stats` as a wait-attribution target on the
-/// current thread: while alive, every [`WaitStats::record`] performed on
-/// this thread (against any stats object) is mirrored into it. Scopes
-/// nest; the guard is `!Send` so it pops on the thread that pushed it.
-pub struct WaitScope {
-    stats: Arc<WaitStats>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl WaitScope {
-    pub fn enter(stats: Arc<WaitStats>) -> WaitScope {
-        WAIT_SCOPES.with(|scopes| scopes.borrow_mut().push(Arc::clone(&stats)));
-        WaitScope { stats, _not_send: PhantomData }
-    }
-
-    pub fn stats(&self) -> &Arc<WaitStats> {
-        &self.stats
-    }
-}
-
-impl Drop for WaitScope {
-    fn drop(&mut self) {
-        WAIT_SCOPES.with(|scopes| {
-            let mut scopes = scopes.borrow_mut();
-            // Strictly nested (RAII, !Send), so ours is on top.
-            let popped = scopes.pop();
-            debug_assert!(popped.is_some_and(|p| Arc::ptr_eq(&p, &self.stats)));
-        });
     }
 }
 
@@ -219,6 +165,12 @@ impl WaitSnapshot {
 
     pub fn micros(&self, event: WaitEvent) -> u64 {
         self.micros[event as usize]
+    }
+
+    /// Count one more wait of `micros` microseconds.
+    pub(crate) fn add(&mut self, event: WaitEvent, micros: u64) {
+        self.counts[event as usize] += 1;
+        self.micros[event as usize] += micros;
     }
 
     /// Waits incurred between `earlier` and `self` (saturating, for the
@@ -283,37 +235,6 @@ mod tests {
         assert_eq!(w.count(WaitEvent::WalFlush), 1);
         assert_eq!(w.micros(WaitEvent::WalFlush), 0);
         assert_eq!(w.snapshot().total_micros(), 200);
-    }
-
-    #[test]
-    fn wait_scope_mirrors_and_nests() {
-        let global = WaitStats::new();
-        let outer = WaitStats::new();
-        global.record(WaitEvent::Lock, Duration::from_micros(1));
-        {
-            let _o = WaitScope::enter(Arc::clone(&outer));
-            global.record(WaitEvent::Lock, Duration::from_micros(10));
-            {
-                let inner = WaitStats::new();
-                let _i = WaitScope::enter(Arc::clone(&inner));
-                global.record(WaitEvent::Lock, Duration::from_micros(100));
-                assert_eq!(inner.micros(WaitEvent::Lock), 100);
-            }
-            global.record(WaitEvent::Lock, Duration::from_micros(1000));
-        }
-        global.record(WaitEvent::Lock, Duration::from_micros(10000));
-        assert_eq!(global.micros(WaitEvent::Lock), 11111);
-        assert_eq!(outer.micros(WaitEvent::Lock), 1110);
-        assert_eq!(outer.count(WaitEvent::Lock), 3);
-    }
-
-    #[test]
-    fn wait_scope_does_not_double_count_self() {
-        let w = WaitStats::new();
-        let _scope = WaitScope::enter(Arc::clone(&w));
-        w.record(WaitEvent::Exec, Duration::from_micros(7));
-        assert_eq!(w.count(WaitEvent::Exec), 1);
-        assert_eq!(w.micros(WaitEvent::Exec), 7);
     }
 
     #[test]
