@@ -13,20 +13,24 @@
 //! database interface holds no shared locks to end-of-transaction —
 //! cross-record consistency is the enqueue service's job, not the
 //! RDBMS's (§2.3 of the paper). A report's footprint therefore maps to
-//! existing-row probe claims: it serializes against RF2's deletes of
-//! existing orders but lets RF1's fresh-key inserts slip past. The one
-//! coarse claim left is the 2.2 KONV cluster: the encapsulated KOCLU
-//! container cannot be locked at row granularity, so batch input takes
-//! table X on it — exactly the cluster-table concurrency penalty the
-//! 3.0 transparent KONV removes.
+//! `RowLock::shared_existing` over every key of each table it reads: it
+//! serializes against RF2's deletes of existing orders but lets RF1's
+//! fresh-key inserts slip past. The one coarse claim left is the 2.2 KONV
+//! cluster: the encapsulated KOCLU container cannot be locked at row
+//! granularity, so batch input takes table X on it — exactly the
+//! cluster-table concurrency penalty the 3.0 transparent KONV removes,
+//! where batch input claims the stream's orderkey range instead. Claims
+//! are engine `LockRequest`s; the driver decides conflicts with
+//! `LockRequest::conflicts`.
 
 use crate::reports::{self, SapInterface};
 use crate::{R3System, Release};
 use rdbms::clock::{Calibration, Counter, MeterSnapshot};
 use rdbms::error::DbResult;
+use rdbms::lock::{KeyRange, LockMode, LockRequest, RowLock};
 use tpcd::queries::QueryParams;
 use tpcd::throughput::{
-    query_read_set, update_stream_claims, update_stream_span, ClaimKind, LockClaim, StreamWorkload,
+    query_read_set, update_stream_claims, update_stream_lock, LockClaim, StreamWorkload,
 };
 use tpcd::DbGen;
 
@@ -54,14 +58,11 @@ impl SapWorkload<'_> {
     /// the coarse container lock on the 2.2 cluster.
     fn update_locks(&self, stream: u64, fresh: bool) -> Vec<LockClaim> {
         let mut claims = update_stream_claims(self.gen, stream, fresh);
-        let kind = match self.sys.release {
-            Release::R22 => ClaimKind::TableX,
-            Release::R30 => {
-                let (lo, hi) = update_stream_span(self.gen, stream);
-                ClaimKind::RowX { lo, hi, fresh }
-            }
+        let req = match self.sys.release {
+            Release::R22 => LockRequest::Table(LockMode::Exclusive),
+            Release::R30 => LockRequest::Row(update_stream_lock(self.gen, stream, fresh)),
         };
-        claims.push(LockClaim { table: self.konv_physical().to_string(), kind });
+        claims.push(LockClaim { table: self.konv_physical().to_string(), req });
         claims
     }
 }
@@ -103,17 +104,12 @@ impl StreamWorkload for SapWorkload<'_> {
         // The logical footprint of the reference SQL as committed-read
         // cursor probes, plus the physical KONV representation for
         // pricing-condition queries.
-        let mut claims: Vec<LockClaim> = query_read_set(&self.sys.db, n, params)
-            .into_iter()
-            .map(|table| LockClaim { table, kind: ClaimKind::ProbeS })
-            .collect();
+        let mut tables: Vec<String> = query_read_set(&self.sys.db, n, params).into_iter().collect();
         if reports::touches_konv(n) {
-            claims.push(LockClaim {
-                table: self.konv_physical().to_string(),
-                kind: ClaimKind::ProbeS,
-            });
+            tables.push(self.konv_physical().to_string());
         }
-        claims
+        let cursor_read = LockRequest::Row(RowLock::shared_existing(KeyRange::all()));
+        tables.into_iter().map(|table| LockClaim { table, req: cursor_read.clone() }).collect()
     }
 
     fn uf1_locks(&self, stream: u64) -> Vec<LockClaim> {
@@ -199,19 +195,26 @@ mod tests {
         let workload = SapWorkload { sys: &sys, iface: SapInterface::Open, gen: &gen };
         let uf1 = workload.uf1_locks(1);
         let koclu = uf1.iter().find(|c| c.table == "KOCLU").expect("KOCLU claim");
-        assert_eq!(koclu.kind, ClaimKind::TableX, "2.2 cluster cannot be row-locked");
+        assert_eq!(
+            koclu.req,
+            LockRequest::Table(LockMode::Exclusive),
+            "2.2 cluster cannot be row-locked"
+        );
 
         let sys30 = R3System::install_default(Release::R30).unwrap();
         let workload30 = SapWorkload { sys: &sys30, iface: SapInterface::Open, gen: &gen };
         let uf1 = workload30.uf1_locks(1);
         let konv = uf1.iter().find(|c| c.table == "KONV").expect("KONV claim");
-        assert!(
-            matches!(konv.kind, ClaimKind::RowX { fresh: true, .. }),
+        assert_eq!(
+            konv.req,
+            LockRequest::Row(update_stream_lock(&gen, 1, true)),
             "3.0 transparent KONV is row-granular: {konv:?}"
         );
-        // A pricing-condition query probe does not block the 3.0 insert
+        // A pricing-condition report read does not block the 3.0 insert
         // but does collide with the 2.2 container lock.
-        assert!(!ClaimKind::ProbeS.conflicts_with(&konv.kind));
-        assert!(ClaimKind::ProbeS.conflicts_with(&koclu.kind));
+        let report = workload30.query_locks(3, &QueryParams::for_scale(gen.sf));
+        let read = &report.iter().find(|c| c.table == "KONV").expect("Q3 reads KONV").req;
+        assert!(!read.conflicts(&konv.req));
+        assert!(read.conflicts(&koclu.req));
     }
 }

@@ -203,6 +203,14 @@ impl RowLock {
         }
     }
 
+    /// Whole-table mode that covers this range lock.
+    fn table_mode(&self) -> LockMode {
+        match self.mode {
+            RowMode::Shared => LockMode::Shared,
+            RowMode::Exclusive => LockMode::Exclusive,
+        }
+    }
+
     fn conflicts_with(&self, other: &RowLock) -> bool {
         if self.mode == RowMode::Shared && other.mode == RowMode::Shared {
             return false;
@@ -220,11 +228,42 @@ impl RowLock {
     }
 }
 
-/// What a blocked transaction is waiting for.
-#[derive(Debug, Clone)]
-enum Request {
+/// One lock on one table: a table mode, or a key-range lock (which also
+/// takes its intention mode on the table). What a blocked transaction
+/// waits for, and what workload models hold in virtual time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LockRequest {
     Table(LockMode),
     Row(RowLock),
+}
+
+impl LockRequest {
+    /// Would the lock manager make these two requests, from different
+    /// transactions on the same table, wait for each other? Symmetric.
+    pub fn conflicts(&self, other: &LockRequest) -> bool {
+        match (self, other) {
+            // Two range requests' intention modes never conflict.
+            (LockRequest::Row(a), LockRequest::Row(b)) => a.conflicts_with(b),
+            _ => !LockMode::compatible(self.table_side(), other.table_side()),
+        }
+    }
+
+    /// The same access at table granularity: a range lock becomes the
+    /// whole-table S or X that covers it.
+    pub fn table_granular(&self) -> LockRequest {
+        LockRequest::Table(match self {
+            LockRequest::Table(mode) => *mode,
+            LockRequest::Row(row) => row.table_mode(),
+        })
+    }
+
+    /// The mode this request takes on the table itself.
+    fn table_side(&self) -> LockMode {
+        match self {
+            LockRequest::Table(mode) => *mode,
+            LockRequest::Row(row) => row.intention(),
+        }
+    }
 }
 
 /// One row of the `M$LOCKS` monitoring view: a holder of (or waiter for)
@@ -264,7 +303,7 @@ struct TableLocks {
 
 struct LmState {
     tables: HashMap<String, TableLocks>,
-    waiting: HashMap<TxnId, (String, Request)>,
+    waiting: HashMap<TxnId, (String, LockRequest)>,
 }
 
 /// Hierarchical strict two-phase lock manager with wait-for-graph deadlock
@@ -325,7 +364,8 @@ impl LockManager {
         let is_conversion = st.tables.get(&key).is_some_and(|t| {
             t.held.get(&me).copied().unwrap_or(0) != 0 || t.rows.iter().any(|(txn, _)| *txn == me)
         });
-        let waited = self.wait_for_grant(&mut st, me, &key, Request::Table(mode), is_conversion);
+        let waited =
+            self.wait_for_grant(&mut st, me, &key, LockRequest::Table(mode), is_conversion);
         if waited.is_ok() {
             let t = st.tables.entry(key).or_default();
             *t.held.entry(me).or_insert(0) |= mode.bit();
@@ -347,7 +387,8 @@ impl LockManager {
             return Ok(Duration::ZERO);
         }
         let intention = row.intention();
-        let waited = self.wait_for_grant(&mut st, me, &key, Request::Row(row.clone()), false)?;
+        let waited =
+            self.wait_for_grant(&mut st, me, &key, LockRequest::Row(row.clone()), false)?;
         let t = st.tables.entry(key.clone()).or_default();
         *t.held.entry(me).or_insert(0) |= intention.bit();
         t.rows.push((me, row));
@@ -356,13 +397,17 @@ impl LockManager {
         if mine <= self.escalation_threshold {
             return Ok(waited);
         }
-        // Escalate: trade all of `me`'s ranges here for one table lock.
-        let mode = if t.rows.iter().any(|(txn, r)| *txn == me && r.mode == RowMode::Exclusive) {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
-        };
-        let escalation_wait = self.wait_for_grant(&mut st, me, &key, Request::Table(mode), true)?;
+        // Escalate: trade all of `me`'s ranges here for the one table lock
+        // covering them (X if any range is exclusive, else S).
+        let mode = t
+            .rows
+            .iter()
+            .filter(|(txn, _)| *txn == me)
+            .map(|(_, r)| r.table_mode())
+            .find(|m| *m == LockMode::Exclusive)
+            .unwrap_or(LockMode::Shared);
+        let escalation_wait =
+            self.wait_for_grant(&mut st, me, &key, LockRequest::Table(mode), true)?;
         let t = st.tables.entry(key).or_default();
         *t.held.entry(me).or_insert(0) |= mode.bit();
         if t.upgrader == Some(me) {
@@ -456,8 +501,8 @@ impl LockManager {
         }
         for (txn, (table, req)) in &st.waiting {
             let mode = match req {
-                Request::Table(m) => format!("TABLE {}", mode_short(*m)),
-                Request::Row(r) => match r.mode {
+                LockRequest::Table(m) => format!("TABLE {}", mode_short(*m)),
+                LockRequest::Row(r) => match r.mode {
                     RowMode::Shared => "ROW S".to_string(),
                     RowMode::Exclusive => "ROW X".to_string(),
                 },
@@ -486,7 +531,7 @@ impl LockManager {
         st: &mut parking_lot::MutexGuard<'_, LmState>,
         me: TxnId,
         key: &str,
-        req: Request,
+        req: LockRequest,
         conversion: bool,
     ) -> DbResult<Duration> {
         let start = Instant::now();
@@ -538,11 +583,7 @@ impl LockManager {
     }
 
     fn row_covered(st: &LmState, me: TxnId, key: &str, row: &RowLock) -> bool {
-        let needed_table = match row.mode {
-            RowMode::Shared => LockMode::Shared,
-            RowMode::Exclusive => LockMode::Exclusive,
-        };
-        if Self::table_covered(st, me, key, needed_table) {
+        if Self::table_covered(st, me, key, row.table_mode()) {
             return true;
         }
         let Some(t) = st.tables.get(key) else { return false };
@@ -557,24 +598,22 @@ impl LockManager {
     /// `me`'s request. Range-lock holders are visible to table requests
     /// through their intention bits, which `acquire_row` grants atomically
     /// with the range.
-    fn conflicting_holders(st: &LmState, me: TxnId, key: &str, req: &Request) -> Vec<TxnId> {
+    fn conflicting_holders(st: &LmState, me: TxnId, key: &str, req: &LockRequest) -> Vec<TxnId> {
         let Some(t) = st.tables.get(key) else { return Vec::new() };
         let mut out = Vec::new();
         for (&txn, &bits) in &t.held {
             if txn == me || bits == 0 {
                 continue;
             }
-            let conflict = match req {
-                Request::Table(mode) => !bits_compatible(bits, *mode),
-                // A range request conflicts with another's whole-table
-                // lock exactly as its intention mode would.
-                Request::Row(row) => !bits_compatible(bits, row.intention()),
-            };
-            if conflict {
+            // A range request conflicts with another's whole-table lock
+            // exactly as its intention mode would.
+            if !bits_compatible(bits, req.table_side()) {
                 out.push(txn);
             }
         }
-        if let Request::Row(row) = req {
+        // Held ranges matter only to range requests (a table request saw
+        // their intention bits above), as `LockRequest::conflicts`' row arm.
+        if let LockRequest::Row(row) = req {
             for (txn, held) in &t.rows {
                 if *txn != me && !out.contains(txn) && held.conflicts_with(row) {
                     out.push(*txn);
@@ -587,12 +626,8 @@ impl LockManager {
         // checks before we get here).
         if let Some(u) = t.upgrader {
             if u != me && !out.contains(&u) {
-                if let Some((ukey, Request::Table(umode))) = st.waiting.get(&u) {
-                    let blocked = match req {
-                        Request::Table(mode) => !LockMode::compatible(*umode, *mode),
-                        Request::Row(row) => !LockMode::compatible(*umode, row.intention()),
-                    };
-                    if ukey == key && blocked {
+                if let Some((ukey, pending @ LockRequest::Table(_))) = st.waiting.get(&u) {
+                    if ukey == key && pending.conflicts(req) {
                         out.push(u);
                     }
                 }

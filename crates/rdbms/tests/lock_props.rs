@@ -1,10 +1,13 @@
-//! Multi-thread property tests for the hierarchical lock manager: real
-//! contention on real threads (the throughput driver models locks in
-//! virtual time; these tests check the engine's actual grant/wait/abort
-//! machinery under races).
+//! Property tests for the hierarchical lock manager: real contention on
+//! real threads, and the pure conflict function the throughput driver
+//! holds its virtual-time locks with ([`LockRequest::conflicts`]) checked
+//! against what the manager actually grants.
 
-use rdbms::error::DbError;
-use rdbms::lock::{KeyRange, LockManager, LockMode, RowLock};
+use proptest::prelude::*;
+use rdbms::error::{DbError, DbResult};
+use rdbms::lock::{KeyRange, LockManager, LockMode, LockRequest, RowLock};
+use rdbms::storage::codec::encode_key;
+use rdbms::types::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -12,6 +15,114 @@ use std::time::Duration;
 
 fn key(k: i64) -> Vec<u8> {
     k.to_be_bytes().to_vec()
+}
+
+fn int_key(k: i64) -> Vec<u8> {
+    encode_key(&[Value::Int(k)])
+}
+
+/// `[lo, hi]` over integer keys, `None` meaning unbounded on that side.
+fn span(lo: Option<i64>, hi: Option<i64>) -> KeyRange {
+    KeyRange::span(lo.map(int_key).as_deref(), hi.map(int_key).as_deref())
+}
+
+fn request(lm: &LockManager, txn: u64, req: &LockRequest) -> DbResult<Duration> {
+    match req {
+        LockRequest::Table(mode) => lm.acquire(txn, "T", *mode),
+        LockRequest::Row(row) => lm.acquire_row(txn, "T", row.clone()),
+    }
+}
+
+/// Txn 1 holds `a`; does the manager make txn 2's request for `b` wait?
+fn manager_blocks(a: &LockRequest, b: &LockRequest) -> bool {
+    let lm = LockManager::new(Duration::from_millis(5));
+    request(&lm, 1, a).expect("first request on an idle table is granted");
+    match request(&lm, 2, b) {
+        Ok(_) => false,
+        Err(DbError::Deadlock(_)) => true,
+        Err(e) => panic!("unexpected error: {e}"),
+    }
+}
+
+fn arb_bound() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![Just(None), (0i64..8).prop_map(Some)]
+}
+
+fn arb_range() -> impl Strategy<Value = KeyRange> {
+    prop_oneof![
+        (0i64..8).prop_map(|k| KeyRange::point(&int_key(k))),
+        (arb_bound(), arb_bound()).prop_map(|(lo, hi)| span(lo, hi)),
+        Just(KeyRange::all()),
+    ]
+}
+
+fn arb_request() -> impl Strategy<Value = LockRequest> {
+    prop_oneof![
+        prop_oneof![
+            Just(LockMode::IntentShared),
+            Just(LockMode::IntentExclusive),
+            Just(LockMode::Shared),
+            Just(LockMode::Exclusive),
+        ]
+        .prop_map(LockRequest::Table),
+        arb_range().prop_map(|r| LockRequest::Row(RowLock::shared(r))),
+        arb_range().prop_map(|r| LockRequest::Row(RowLock::shared_existing(r))),
+        arb_range().prop_map(|r| LockRequest::Row(RowLock::exclusive(r))),
+        arb_range().prop_map(|r| LockRequest::Row(RowLock::insert(r))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pure conflict function is the manager's: a second transaction
+    /// blocks exactly when `conflicts` says so, in either order.
+    #[test]
+    fn conflicts_predicts_the_manager(a in arb_request(), b in arb_request()) {
+        prop_assert_eq!(a.conflicts(&b), b.conflicts(&a), "symmetric: {:?} {:?}", a, b);
+        prop_assert_eq!(manager_blocks(&a, &b), a.conflicts(&b), "{:?} then {:?}", a, b);
+    }
+}
+
+/// The claim shapes the throughput driver uses, with the verdicts its
+/// workloads depend on; each is also checked against the manager.
+#[test]
+fn throughput_claim_shapes_conflict_as_documented() {
+    let table_s = LockRequest::Table(LockMode::Shared);
+    let table_x = LockRequest::Table(LockMode::Exclusive);
+    let probe = LockRequest::Row(RowLock::shared_existing(KeyRange::all()));
+    let fresh_x = LockRequest::Row(RowLock::insert(span(Some(100), Some(120))));
+    let old_x = LockRequest::Row(RowLock::exclusive(span(Some(1), Some(20))));
+    let fresh_overlap = LockRequest::Row(RowLock::insert(span(Some(110), Some(130))));
+    let cases = [
+        // Reads never conflict with reads.
+        (&table_s, &table_s, false),
+        (&table_s, &probe, false),
+        (&probe, &probe, false),
+        // Table X conflicts with everything.
+        (&table_x, &table_s, true),
+        (&table_x, &table_x, true),
+        (&table_x, &probe, true),
+        (&table_x, &fresh_x, true),
+        // Table S covers the keyspace: any row X under it must wait.
+        (&table_s, &fresh_x, true),
+        // Probes hold existing rows only: fresh inserts slip, deletes wait.
+        (&probe, &fresh_x, false),
+        (&probe, &old_x, true),
+        // Row X vs row X goes by key overlap.
+        (&fresh_x, &old_x, false),
+        (&fresh_x, &fresh_overlap, true),
+    ];
+    for (a, b, expected) in cases {
+        assert_eq!(a.conflicts(b), expected, "{a:?} vs {b:?}");
+        assert_eq!(b.conflicts(a), expected, "{b:?} vs {a:?}");
+        assert_eq!(manager_blocks(a, b), expected, "manager: {a:?} then {b:?}");
+        assert_eq!(manager_blocks(b, a), expected, "manager: {b:?} then {a:?}");
+    }
+    // Table granularity restores the pre-hierarchical baseline.
+    assert_eq!(probe.table_granular(), table_s);
+    assert_eq!(fresh_x.table_granular(), table_x);
+    assert_eq!(table_s.table_granular(), table_s);
 }
 
 /// Row-level X locks on the same key are mutually exclusive, keys are

@@ -16,16 +16,17 @@
 //!
 //! ## Lock interference model
 //!
-//! Lock interference between streams is modeled at the granularity the
-//! engine's hierarchical lock manager provides ([`rdbms::lock`]): each unit
-//! holds a set of [`LockClaim`]s for its duration. A serializable scan
-//! claims table S; a prepared-cursor probe claims shared locks on existing
-//! rows only (IS + row S — no phantom protection, so RF1's fresh-key
-//! inserts slip past it); the refresh functions claim X on their orderkey
-//! block instead of whole tables. [`LockModel::Table`] collapses every
-//! claim back to table granularity, reproducing the pre-hierarchical
-//! behaviour for baseline comparison. Waits are charged to the stream as
-//! lock-wait seconds and metered as `Counter::LockWaits`.
+//! Each unit holds a set of [`LockClaim`]s for its duration. Claims are
+//! the engine's own [`LockRequest`]s, and whether two of them make each
+//! other wait is [`LockRequest::conflicts`] — the function the lock
+//! manager grants by. A query claims exactly the read locks
+//! [`select_read_locks`] plans for it: table S where the plan scans,
+//! existing-row locks where it probes (IS + row S, no phantom protection,
+//! so RF1's fresh-key inserts slip past). The refresh functions claim X on
+//! their orderkey block instead of whole tables. [`LockModel::Table`] maps
+//! every claim through [`LockRequest::table_granular`], reproducing the
+//! pre-hierarchical behaviour for baseline comparison. Waits are charged
+//! to the stream as lock-wait seconds and metered as `Counter::LockWaits`.
 //!
 //! A unit that aborts with `DbError::Deadlock` is rolled back and retried
 //! with exponential backoff (charged as lock wait, metered as
@@ -40,13 +41,15 @@ use crate::dbgen::DbGen;
 use crate::queries::{self, QueryParams};
 use rdbms::clock::{Calibration, MeterSnapshot};
 use rdbms::error::{DbError, DbResult};
-use rdbms::exec::plan::TableRead;
-use rdbms::sql::ast::Statement;
+use rdbms::lock::{KeyRange, LockMode, LockRequest, RowLock};
+use rdbms::sql::ast::{SelectStmt, Statement};
 use rdbms::sql::parse_statement;
-use rdbms::txn::referenced_tables;
+use rdbms::storage::codec::encode_key;
+use rdbms::txn::{referenced_tables, select_read_locks, ReadLockPlan};
+use rdbms::types::Value;
 use rdbms::{Counter, Database, PlanCache};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use trace::Histogram;
 
 /// Retries before a deadlock victim gives up for good.
@@ -54,59 +57,13 @@ pub const MAX_DEADLOCK_RETRIES: u32 = 4;
 /// Simulated backoff before the first deadlock retry; doubles per retry.
 pub const DEADLOCK_BACKOFF_S: f64 = 0.05;
 
-/// One lock the interference model charges a unit with, at the granularity
-/// the engine's lock manager would use for that access.
+/// One lock a unit holds for its duration, in the engine's own terms:
+/// whether two claims conflict is [`LockRequest::conflicts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LockClaim {
     /// Upper-cased table (or physical container) name.
     pub table: String,
-    pub kind: ClaimKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClaimKind {
-    /// Serializable scan: S on the whole table — blocks and is blocked by
-    /// any writer of the table.
-    TableS,
-    /// Coarse write: X on the whole table (cluster containers, DML the
-    /// planner cannot key-range).
-    TableX,
-    /// Prepared-cursor probe of existing rows: IS at the table plus shared
-    /// locks on the rows actually fetched. No phantom protection, so
-    /// inserts of fresh keys do not conflict with it.
-    ProbeS,
-    /// Key-range X over orderkeys `lo..=hi`; `fresh` marks a block beyond
-    /// every reader's horizon (RF1 inserts), `!fresh` existing rows
-    /// (RF2 deletes).
-    RowX { lo: i64, hi: i64, fresh: bool },
-}
-
-impl ClaimKind {
-    /// Would the engine's lock manager make these two claims wait for each
-    /// other on the same table?
-    pub fn conflicts_with(&self, other: &ClaimKind) -> bool {
-        use ClaimKind::*;
-        match (self, other) {
-            (TableX, _) | (_, TableX) => true,
-            (TableS | ProbeS, TableS | ProbeS) => false,
-            // Table S covers the whole keyspace; any row X under it (IX at
-            // the table) is incompatible.
-            (TableS, RowX { .. }) | (RowX { .. }, TableS) => true,
-            // A probe holds locks on existing rows only: fresh-key inserts
-            // slip past it, deletes of existing rows do not.
-            (ProbeS, RowX { fresh, .. }) | (RowX { fresh, .. }, ProbeS) => !fresh,
-            (RowX { lo: a0, hi: a1, .. }, RowX { lo: b0, hi: b1, .. }) => a0 <= b1 && b0 <= a1,
-        }
-    }
-
-    /// The claim under table-granular locking (the pre-hierarchical
-    /// baseline): every read is table S, every write table X.
-    pub fn coarsened(self) -> ClaimKind {
-        match self {
-            ClaimKind::TableS | ClaimKind::ProbeS => ClaimKind::TableS,
-            ClaimKind::TableX | ClaimKind::RowX { .. } => ClaimKind::TableX,
-        }
-    }
+    pub req: LockRequest,
 }
 
 /// How commit durability is charged in virtual time (DESIGN.md §10.6).
@@ -384,7 +341,7 @@ struct StreamState {
 /// Claims granted so far, with the virtual second each is held until.
 #[derive(Default)]
 struct GrantedLocks {
-    by_table: HashMap<String, Vec<(ClaimKind, f64)>>,
+    by_table: HashMap<String, Vec<(LockRequest, f64)>>,
 }
 
 impl GrantedLocks {
@@ -394,8 +351,8 @@ impl GrantedLocks {
         let mut start = vtime;
         for c in claims {
             if let Some(held) = self.by_table.get(&c.table) {
-                for (kind, end) in held {
-                    if *end > start && c.kind.conflicts_with(kind) {
+                for (req, end) in held {
+                    if *end > start && c.req.conflicts(req) {
                         start = *end;
                     }
                 }
@@ -406,7 +363,7 @@ impl GrantedLocks {
 
     fn hold(&mut self, claims: &[LockClaim], end: f64) {
         for c in claims {
-            self.by_table.entry(c.table.clone()).or_default().push((c.kind, end));
+            self.by_table.entry(c.table.clone()).or_default().push((c.req.clone(), end));
         }
     }
 }
@@ -502,7 +459,7 @@ pub fn run_throughput_test<W: StreamWorkload + ?Sized>(
         let claims: Vec<LockClaim> = match config.lock_model {
             LockModel::Hierarchical => claims,
             LockModel::Table => {
-                claims.into_iter().map(|c| LockClaim { kind: c.kind.coarsened(), ..c }).collect()
+                claims.into_iter().map(|c| LockClaim { req: c.req.table_granular(), ..c }).collect()
             }
         };
 
@@ -737,85 +694,77 @@ pub fn query_read_set(db: &Database, n: usize, params: &QueryParams) -> BTreeSet
     out
 }
 
-/// Lock claims for query `n` under the engine's literal-SQL locking rules —
-/// the same planner-driven granularity `Txn::lock_statement` applies: a
-/// plan that scans a table claims table S, an index-driven access claims
-/// existing-row locks, and tables only reachable through expression
-/// subqueries (or statements the planner rejects) fall back to table S.
+/// Lock claims for query `n` under the engine's literal-SQL locking rules:
+/// exactly the read locks [`select_read_locks`] plans for each SELECT —
+/// table S where the plan scans, row locks where every access is
+/// index-driven.
 pub fn query_lock_claims(db: &Database, n: usize, params: &QueryParams) -> Vec<LockClaim> {
-    query_lock_claims_inner(db, n, params, false)
+    statement_claims(db, n, params, |q| select_read_locks(db, q))
 }
 
 /// Lock claims for query `n` when executed through the extended protocol:
 /// each SELECT is normalized ([`rdbms::sql::ast::SelectStmt::parameterized`])
-/// before deriving access paths, matching what
-/// [`ExtendedIsolatedWorkload::run_query`] actually executes — parameter
-/// markers are sargable, so selective predicates claim row probes instead
-/// of table scans.
+/// before planning, matching what [`ExtendedIsolatedWorkload::run_query`]
+/// actually executes — parameter markers are sargable, so selective
+/// predicates claim row probes instead of table scans.
 pub fn query_lock_claims_extended(db: &Database, n: usize, params: &QueryParams) -> Vec<LockClaim> {
-    query_lock_claims_inner(db, n, params, true)
+    statement_claims(db, n, params, |q| select_read_locks(db, &q.parameterized()))
 }
 
-fn query_lock_claims_inner(
+/// The read-lock plans of every statement of query `n` as claims.
+/// Non-SELECT statements (Q15's `CREATE VIEW` body, which the engine can
+/// only plan once the view exists) claim table S on their base tables.
+fn statement_claims(
     db: &Database,
     n: usize,
     params: &QueryParams,
-    parameterize: bool,
+    plan: impl Fn(&SelectStmt) -> Vec<(String, ReadLockPlan)>,
 ) -> Vec<LockClaim> {
-    let mut kinds: BTreeMap<String, ClaimKind> = BTreeMap::new();
-    let claim = |kinds: &mut BTreeMap<String, ClaimKind>, table: String, kind: ClaimKind| {
-        let entry = kinds.entry(table).or_insert(kind);
-        if matches!(kind, ClaimKind::TableS) {
-            *entry = ClaimKind::TableS;
-        }
-    };
+    let mut claims = Vec::new();
     for stmt in queries::sql(n, params) {
         let Ok(parsed) = parse_statement(&stmt) else { continue };
-        let (reads, writes) = referenced_tables(&parsed, db.catalog());
-        let accesses = match &parsed {
-            Statement::Select(q) if parameterize => db.table_accesses(&q.parameterized()).ok(),
-            Statement::Select(q) => db.table_accesses(q).ok(),
-            _ => None,
+        let plans = match &parsed {
+            Statement::Select(q) => plan(q),
+            other => {
+                let (reads, writes) = referenced_tables(other, db.catalog());
+                reads.into_iter().chain(writes).map(|t| (t, ReadLockPlan::Table)).collect()
+            }
         };
-        let mut covered: BTreeSet<String> = BTreeSet::new();
-        if let Some(list) = &accesses {
-            for a in list {
-                covered.insert(a.table.clone());
-                let kind = match a.read {
-                    TableRead::Scan => ClaimKind::TableS,
-                    TableRead::PkRange(_) | TableRead::Probe => ClaimKind::ProbeS,
-                };
-                claim(&mut kinds, a.table.clone(), kind);
-            }
-        }
-        // Tables the plan walker does not see (expression subqueries,
-        // DDL/DML statements, plan errors) keep the coarse claim.
-        for t in reads.iter().chain(writes.iter()) {
-            if !covered.contains(t) {
-                claim(&mut kinds, t.clone(), ClaimKind::TableS);
-            }
+        for (table, locks) in plans {
+            let reqs = match locks {
+                ReadLockPlan::Table => vec![LockRequest::Table(LockMode::Shared)],
+                ReadLockPlan::Rows(rows) => rows.into_iter().map(LockRequest::Row).collect(),
+            };
+            claims.extend(reqs.into_iter().map(|req| LockClaim { table: table.clone(), req }));
         }
     }
-    kinds.into_iter().map(|(table, kind)| LockClaim { table, kind }).collect()
-}
-
-/// The orderkey block `gen.update_stream(stream)` inserts and deletes.
-pub fn update_stream_span(gen: &DbGen, stream: u64) -> (i64, i64) {
-    let (orders, _) = gen.update_stream(stream);
-    let lo = orders.iter().map(|o| o.orderkey).min().unwrap_or(0);
-    let hi = orders.iter().map(|o| o.orderkey).max().unwrap_or(-1);
-    (lo, hi)
+    claims
 }
 
 /// Key-range claims of one refresh function: X on the stream's orderkey
-/// block in ORDERS and LINEITEM. RF1 inserts fresh keys (`fresh`), RF2
-/// deletes the same block once it exists (`!fresh`).
+/// block in ORDERS and LINEITEM. RF1 inserts fresh keys
+/// ([`RowLock::insert`]), RF2 deletes the same block once it exists
+/// ([`RowLock::exclusive`]).
 pub fn update_stream_claims(gen: &DbGen, stream: u64, fresh: bool) -> Vec<LockClaim> {
-    let (lo, hi) = update_stream_span(gen, stream);
+    let req = LockRequest::Row(update_stream_lock(gen, stream, fresh));
     ["ORDERS", "LINEITEM"]
         .iter()
-        .map(|t| LockClaim { table: t.to_string(), kind: ClaimKind::RowX { lo, hi, fresh } })
+        .map(|t| LockClaim { table: t.to_string(), req: req.clone() })
         .collect()
+}
+
+/// X on the orderkey block `gen.update_stream(stream)` inserts (`fresh`)
+/// or deletes.
+pub fn update_stream_lock(gen: &DbGen, stream: u64, fresh: bool) -> RowLock {
+    let (orders, _) = gen.update_stream(stream);
+    // The key encoding preserves order, so min/max are the block's bounds.
+    let keys = || orders.iter().map(|o| encode_key(&[Value::Int(o.orderkey)]));
+    let range = KeyRange::span(keys().min().as_deref(), keys().max().as_deref());
+    if fresh {
+        RowLock::insert(range)
+    } else {
+        RowLock::exclusive(range)
+    }
 }
 
 #[cfg(test)]
@@ -856,54 +805,30 @@ mod tests {
     }
 
     #[test]
-    fn claim_conflict_matrix() {
-        use ClaimKind::*;
-        let fresh_x = RowX { lo: 100, hi: 120, fresh: true };
-        let old_x = RowX { lo: 1, hi: 20, fresh: false };
-        // Reads never conflict with reads.
-        assert!(!TableS.conflicts_with(&TableS));
-        assert!(!TableS.conflicts_with(&ProbeS));
-        assert!(!ProbeS.conflicts_with(&ProbeS));
-        // Table X conflicts with everything.
-        for k in [TableS, TableX, ProbeS, fresh_x] {
-            assert!(TableX.conflicts_with(&k));
-            assert!(k.conflicts_with(&TableX));
-        }
-        // Table S covers the keyspace: any row X under it must wait.
-        assert!(TableS.conflicts_with(&fresh_x));
-        assert!(fresh_x.conflicts_with(&TableS));
-        // Probes hold existing rows only: fresh inserts slip, deletes wait.
-        assert!(!ProbeS.conflicts_with(&fresh_x));
-        assert!(!fresh_x.conflicts_with(&ProbeS));
-        assert!(ProbeS.conflicts_with(&old_x));
-        // Row X vs row X goes by key overlap.
-        assert!(!fresh_x.conflicts_with(&old_x));
-        assert!(fresh_x.conflicts_with(&RowX { lo: 110, hi: 130, fresh: true }));
-        // Coarsening restores the table-granular baseline.
-        assert_eq!(ProbeS.coarsened(), TableS);
-        assert_eq!(fresh_x.coarsened(), TableX);
-    }
-
-    #[test]
     fn literal_query_claims_use_planner_granularity() {
         let (db, gen) = fresh(0.002);
         let params = QueryParams::for_scale(gen.sf);
         // Q1 scans LINEITEM with literal predicates: table S.
         let q1 = query_lock_claims(&db, 1, &params);
         assert!(
-            q1.iter().any(|c| c.table == "LINEITEM" && c.kind == ClaimKind::TableS),
+            q1.iter()
+                .any(|c| c.table == "LINEITEM" && c.req == LockRequest::Table(LockMode::Shared)),
             "Q1: {q1:?}"
         );
-        // Q15 goes through a view the plan walker cannot expand at claim
-        // time; its base table must still be covered coarsely.
+        // Q15's view body is not a SELECT the engine can plan before the
+        // view exists; its base table falls back to table S.
         let q15 = query_lock_claims(&db, 15, &params);
-        assert!(q15.iter().any(|c| c.table == "LINEITEM"), "Q15: {q15:?}");
+        assert!(
+            q15.iter()
+                .any(|c| c.table == "LINEITEM" && c.req == LockRequest::Table(LockMode::Shared)),
+            "Q15: {q15:?}"
+        );
         // The refresh claims are key-ranged and per-stream disjoint.
         let uf1 = update_stream_claims(&gen, 1, true);
         let uf1b = update_stream_claims(&gen, 2, true);
         assert_eq!(uf1.len(), 2);
         for (a, b) in uf1.iter().zip(&uf1b) {
-            assert!(!a.kind.conflicts_with(&b.kind), "streams must not collide: {a:?} {b:?}");
+            assert!(!a.req.conflicts(&b.req), "streams must not collide: {a:?} {b:?}");
         }
     }
 
@@ -1069,7 +994,10 @@ mod tests {
         fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {
             query_read_set(self.inner.db, n, params)
                 .into_iter()
-                .map(|table| LockClaim { table, kind: ClaimKind::ProbeS })
+                .map(|table| LockClaim {
+                    table,
+                    req: LockRequest::Row(RowLock::shared_existing(KeyRange::all())),
+                })
                 .collect()
         }
         fn uf1_locks(&self, stream: u64) -> Vec<LockClaim> {
@@ -1082,6 +1010,17 @@ mod tests {
 
     #[test]
     fn hierarchical_model_lets_rf1_slip_past_probe_readers() {
+        // The claim shapes behind the schedule: a probe read lets RF1's
+        // fresh-key insert through but not RF2's delete of the same block.
+        let probe = LockRequest::Row(RowLock::shared_existing(KeyRange::all()));
+        let gen = DbGen::new(0.002);
+        for (rf1, rf2) in
+            update_stream_claims(&gen, 1, true).iter().zip(&update_stream_claims(&gen, 1, false))
+        {
+            assert!(!probe.conflicts(&rf1.req), "RF1 {rf1:?}");
+            assert!(probe.conflicts(&rf2.req), "RF2 {rf2:?}");
+            assert!(probe.table_granular().conflicts(&rf1.req.table_granular()));
+        }
         let run = |model: LockModel| {
             let (db, gen) = fresh(0.002);
             let params = QueryParams::for_scale(gen.sf);
