@@ -124,25 +124,20 @@ impl HeapFile {
         self.get_with(rid, pattern, decode_row)?.transpose()
     }
 
-    /// Run `f` on the stored bytes of one row. The bytes are copied out
-    /// first and `f` runs after the page read returns: decoding under the
-    /// pool lock instead saves the copy but makes every other thread's
-    /// page access wait for it — measured at -12 % `ops_per_s` on the
-    /// two-clerk `order_entry` workload (EXPERIMENTS.md).
+    /// Run `f` on the stored bytes of one row, in place: under the heap's
+    /// shared lock and the page's read latch, which hold up no access to
+    /// any other page. `f` must not call the pager (DESIGN.md §16.4).
     pub fn get_with<R>(
         &self,
         rid: Rid,
         pattern: AccessPattern,
         f: impl FnOnce(&[u8]) -> R,
     ) -> DbResult<Option<R>> {
-        let bytes = {
-            let st = self.state.read();
-            if !st.owns(rid.page) {
-                return Ok(None);
-            }
-            self.pager.read(rid.page, pattern, |page| page.get(rid.slot).map(|b| b.to_vec()))?
-        };
-        Ok(bytes.map(|b| f(&b)))
+        let st = self.state.read();
+        if !st.owns(rid.page) {
+            return Ok(None);
+        }
+        self.pager.read(rid.page, pattern, |page| page.get(rid.slot).map(f))
     }
 
     /// A count that moves whenever a row of this heap dies, moves or is
@@ -273,8 +268,10 @@ impl HeapFile {
 }
 
 /// Cursor over the live rows of a heap file in physical order. Each page
-/// is copied out of the pool once (one 8 KB memcpy under the pool lock),
-/// so rows are decoded — and callers' predicates run — without holding it.
+/// is copied out of the store once (one 8 KB memcpy under the page's read
+/// latch), so rows are decoded — and callers' predicates run — without
+/// holding it: a predicate may scan this same table, and a second read of
+/// a latched page can wait behind a waiting writer.
 /// The cursor remembers the last page it copied and asks the heap for the
 /// next one it owns, so pages freed or added while it runs are skipped or
 /// met, never misread.

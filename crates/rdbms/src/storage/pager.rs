@@ -1,21 +1,35 @@
 //! The pager: an in-memory "disk" plus an LRU buffer pool with I/O metering.
 //!
-//! All pages live authoritatively in one in-memory vector (the simulated
-//! disk). The buffer pool tracks which pages are *resident*; touching a
-//! non-resident page charges one physical read to the [`CostMeter`] —
-//! sequential or random according to the caller-declared access pattern —
-//! and evicting a dirty page charges one physical write. This reproduces
-//! the paper's 10 MB-buffer environment deterministically: a query's I/O
-//! bill depends only on its access pattern and the pool size, never on
-//! host-machine timing.
+//! All pages live authoritatively in a page store (the simulated disk). The
+//! buffer pool tracks which pages are *resident*; touching a non-resident
+//! page charges one physical read to the [`CostMeter`] — sequential or
+//! random according to the caller-declared access pattern — and evicting a
+//! dirty page charges one physical write. This reproduces the paper's
+//! 10 MB-buffer environment deterministically: a query's I/O bill depends
+//! only on its access pattern and the pool size, never on host-machine
+//! timing.
+//!
+//! Two kinds of lock keep work processes out of each other's way unless
+//! they touch the same page (DESIGN.md §16.4):
+//!
+//! * every page has its own latch, shared for [`Pager::read`] and exclusive
+//!   for [`Pager::write`], held while the caller's closure runs — decoding,
+//!   encoding and row fetches run under it and nothing else;
+//! * the pool lock covers the residency bookkeeping (LRU order, dirty-page
+//!   table, free list) only. It is a leaf: never held across a closure and
+//!   never while another lock is taken.
+//!
+//! Lock order: a heap's or an index's own lock, then one page latch, then
+//! the pool lock. A closure holds its page's latch, so it must not call the
+//! pager again.
 
 use crate::clock::{CostMeter, Counter};
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{Page, PageId, PAGE_SIZE};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Declared access pattern of a page read, used to split I/O metering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +60,55 @@ impl PagerConfig {
     }
 }
 
+/// A page's latch. `None` marks a freed page (or an id not handed out
+/// yet), which nothing can read, write or stamp until `allocate` hands
+/// its id out.
+type Latch = RwLock<Option<Page>>;
+
+/// The page store's first segment holds `2^FIRST_SEGMENT_BITS` latches,
+/// every later one twice as many as the one before it.
+const FIRST_SEGMENT_BITS: u32 = 10;
+/// Enough segments for every [`PageId`].
+const SEGMENTS: usize = (PageId::BITS - FIRST_SEGMENT_BITS + 1) as usize;
+
+/// The simulated disk: one latch per page id. Segments are allocated as
+/// the store grows and never move, so finding a latch takes no lock.
+struct PageStore {
+    segments: [OnceLock<Box<[Latch]>>; SEGMENTS],
+}
+
+impl PageStore {
+    fn new() -> Self {
+        PageStore { segments: std::array::from_fn(|_| OnceLock::new()) }
+    }
+
+    /// Segment and offset of `pid`'s latch.
+    fn locate(pid: PageId) -> (usize, usize) {
+        let n = u64::from(pid) + (1 << FIRST_SEGMENT_BITS);
+        let log2 = u64::BITS - 1 - n.leading_zeros();
+        ((log2 - FIRST_SEGMENT_BITS) as usize, (n - (1 << log2)) as usize)
+    }
+
+    fn latch(&self, pid: PageId) -> DbResult<&Latch> {
+        let (segment, at) = Self::locate(pid);
+        let latches = self.segments[segment].get();
+        latches
+            .map(|l| &l[at])
+            .ok_or_else(|| DbError::storage(format!("page {pid} does not exist")))
+    }
+
+    /// `pid`'s latch, allocating its segment first if need be.
+    fn latch_or_grow(&self, pid: PageId) -> &Latch {
+        let (segment, at) = Self::locate(pid);
+        let len = 1usize << (segment as u32 + FIRST_SEGMENT_BITS);
+        &self.segments[segment].get_or_init(|| (0..len).map(|_| RwLock::new(None)).collect())[at]
+    }
+}
+
+fn freed(pid: PageId) -> DbError {
+    DbError::storage(format!("page {pid} is free"))
+}
+
 /// Queue entries tolerated beyond twice the resident count before stale
 /// ones are swept (keeps tiny pools from sweeping on every other access).
 const LRU_SLACK: usize = 64;
@@ -55,10 +118,10 @@ struct Resident {
     stamp: u64,
 }
 
-struct PagerInner {
-    /// The simulated disk; `None` marks a freed page, which nothing can
-    /// read, write or stamp until `allocate` hands its id out again.
-    pages: Vec<Option<Page>>,
+/// Residency bookkeeping, behind the pool lock.
+struct Pool {
+    /// Page ids handed out so far, freed ones included.
+    pages: usize,
     free_list: Vec<PageId>,
     resident: HashMap<PageId, Resident>,
     lru: VecDeque<(PageId, u64)>,
@@ -70,20 +133,24 @@ struct PagerInner {
     dirty_lsn: HashMap<PageId, u64>,
 }
 
-impl PagerInner {
-    fn page_mut(&mut self, pid: PageId) -> DbResult<&mut Page> {
-        match self.pages.get_mut(pid as usize) {
-            Some(Some(page)) => Ok(page),
-            Some(None) => Err(DbError::storage(format!("page {pid} is free"))),
-            None => Err(DbError::storage(format!("page {pid} does not exist"))),
-        }
-    }
-
-    fn touch(&mut self, pid: PageId) {
+impl Pool {
+    /// Record an access to `pid`. A page that was not resident becomes so,
+    /// which charges a read of the declared pattern (`None` for a fresh
+    /// page: there is nothing to read). A write access marks it dirty.
+    fn access(&mut self, pid: PageId, read: Option<AccessPattern>, dirty: bool, meter: &CostMeter) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         if let Some(r) = self.resident.get_mut(&pid) {
             r.stamp = stamp;
+            r.dirty |= dirty;
+        } else {
+            match read {
+                Some(AccessPattern::Sequential) => meter.bump(Counter::SeqPageReads),
+                Some(AccessPattern::Random) => meter.bump(Counter::RandPageReads),
+                None => {}
+            }
+            self.evict_if_needed(meter);
+            self.resident.insert(pid, Resident { dirty, stamp });
         }
         self.lru.push_back((pid, stamp));
         // Every access queues an entry and only eviction pops, so a working
@@ -95,21 +162,6 @@ impl PagerInner {
             let resident = &self.resident;
             self.lru.retain(|(pid, stamp)| resident.get(pid).is_some_and(|r| r.stamp == *stamp));
         }
-    }
-
-    /// Make `pid` resident, charging a read if it was not.
-    fn ensure_resident(&mut self, pid: PageId, pattern: AccessPattern, meter: &CostMeter) {
-        if self.resident.contains_key(&pid) {
-            self.touch(pid);
-            return;
-        }
-        match pattern {
-            AccessPattern::Sequential => meter.bump(Counter::SeqPageReads),
-            AccessPattern::Random => meter.bump(Counter::RandPageReads),
-        }
-        self.evict_if_needed(meter);
-        self.resident.insert(pid, Resident { dirty: false, stamp: 0 });
-        self.touch(pid);
     }
 
     fn evict_if_needed(&mut self, meter: &CostMeter) {
@@ -133,7 +185,8 @@ impl PagerInner {
 
 /// Shared pager handle.
 pub struct Pager {
-    inner: Mutex<PagerInner>,
+    store: PageStore,
+    pool: Mutex<Pool>,
     meter: Arc<CostMeter>,
     logged: AtomicBool,
 }
@@ -141,8 +194,9 @@ pub struct Pager {
 impl Pager {
     pub fn new(config: PagerConfig, meter: Arc<CostMeter>) -> Arc<Self> {
         Arc::new(Pager {
-            inner: Mutex::new(PagerInner {
-                pages: Vec::new(),
+            store: PageStore::new(),
+            pool: Mutex::new(Pool {
+                pages: 0,
                 free_list: Vec::new(),
                 resident: HashMap::new(),
                 lru: VecDeque::new(),
@@ -174,20 +228,22 @@ impl Pager {
 
     /// Allocate a fresh page; it enters the pool dirty (no read charge).
     pub fn allocate(&self) -> PageId {
-        let mut g = self.inner.lock();
-        let pid = match g.free_list.pop() {
-            Some(pid) => {
-                g.pages[pid as usize] = Some(Page::new());
-                pid
-            }
-            None => {
-                g.pages.push(Some(Page::new()));
-                (g.pages.len() - 1) as PageId
-            }
+        let pid = {
+            let mut pool = self.pool.lock();
+            let pid = match pool.free_list.pop() {
+                Some(pid) => pid,
+                None => {
+                    pool.pages += 1;
+                    (pool.pages - 1) as PageId
+                }
+            };
+            pool.access(pid, None, true, &self.meter);
+            pid
         };
-        g.evict_if_needed(&self.meter);
-        g.resident.insert(pid, Resident { dirty: true, stamp: 0 });
-        g.touch(pid);
+        // Until the image is stored the id reads as free; only a holder of
+        // a stale id from its last life can ask.
+        let page = Page::new();
+        *self.store.latch_or_grow(pid).write() = Some(page);
         pid
     }
 
@@ -196,92 +252,96 @@ impl Pager {
     /// table without a trace (its queue entries go stale like an evicted
     /// page's). Freeing a page that is not allocated does nothing.
     pub fn free(&self, pid: PageId) {
-        let mut g = self.inner.lock();
-        if g.page_mut(pid).is_err() {
+        let Ok(latch) = self.store.latch(pid) else {
             return;
+        };
+        let mut page = latch.write();
+        if page.take().is_some() {
+            let mut pool = self.pool.lock();
+            pool.resident.remove(&pid);
+            pool.dirty_lsn.remove(&pid);
+            pool.free_list.push(pid);
         }
-        g.pages[pid as usize] = None;
-        g.resident.remove(&pid);
-        g.dirty_lsn.remove(&pid);
-        g.free_list.push(pid);
     }
 
     /// Stamp a page's LSN after its mutation was logged: raises the page
     /// LSN (monotone) and enters the page into the dirty-page table with
     /// this LSN as its recovery LSN if it is not already there.
     pub fn stamp_lsn(&self, pid: PageId, lsn: u64) {
-        let mut g = self.inner.lock();
-        if let Ok(page) = g.page_mut(pid) {
+        let Ok(latch) = self.store.latch(pid) else {
+            return;
+        };
+        if let Some(page) = latch.write().as_mut() {
             page.stamp_lsn(lsn);
-            g.dirty_lsn.entry(pid).or_insert(lsn);
+            self.pool.lock().dirty_lsn.entry(pid).or_insert(lsn);
         }
     }
 
     /// The page LSN (0 for unlogged, freed or nonexistent pages).
     pub fn page_lsn(&self, pid: PageId) -> u64 {
-        self.inner.lock().page_mut(pid).map_or(0, |p| p.lsn())
+        self.store.latch(pid).map_or(0, |latch| latch.read().as_ref().map_or(0, Page::lsn))
     }
 
     /// The dirty-page table: (page id, recovery LSN) for every page whose
     /// logged changes have not been written back, sorted by page id.
     /// Logged in fuzzy checkpoints ([`crate::wal::LogPayload::CheckpointEnd`]).
     pub fn dirty_page_table(&self) -> Vec<(PageId, u64)> {
-        let g = self.inner.lock();
-        let mut dpt: Vec<_> = g.dirty_lsn.iter().map(|(&p, &l)| (p, l)).collect();
+        let mut dpt: Vec<_> = self.pool.lock().dirty_lsn.iter().map(|(&p, &l)| (p, l)).collect();
         dpt.sort_unstable();
         dpt
     }
 
-    /// Read access to a page.
+    /// Read access to a page: `f` runs under the page's shared latch and
+    /// must not call the pager.
     pub fn read<R>(
         &self,
         pid: PageId,
         pattern: AccessPattern,
         f: impl FnOnce(&Page) -> R,
     ) -> DbResult<R> {
-        let mut g = self.inner.lock();
-        g.page_mut(pid)?;
-        g.ensure_resident(pid, pattern, &self.meter);
-        Ok(f(g.page_mut(pid)?))
+        let guard = self.store.latch(pid)?.read();
+        let page = guard.as_ref().ok_or_else(|| freed(pid))?;
+        self.pool.lock().access(pid, Some(pattern), false, &self.meter);
+        Ok(f(page))
     }
 
-    /// Write access to a page; marks it dirty.
+    /// Write access to a page; marks it dirty. `f` runs under the page's
+    /// exclusive latch and must not call the pager.
     pub fn write<R>(
         &self,
         pid: PageId,
         pattern: AccessPattern,
         f: impl FnOnce(&mut Page) -> R,
     ) -> DbResult<R> {
-        let mut g = self.inner.lock();
-        g.page_mut(pid)?;
-        g.ensure_resident(pid, pattern, &self.meter);
-        g.resident.get_mut(&pid).expect("resident").dirty = true;
-        Ok(f(g.page_mut(pid)?))
+        let mut guard = self.store.latch(pid)?.write();
+        let page = guard.as_mut().ok_or_else(|| freed(pid))?;
+        self.pool.lock().access(pid, Some(pattern), true, &self.meter);
+        Ok(f(page))
     }
 
     /// Total pages ever allocated minus freed (database footprint).
     pub fn allocated_pages(&self) -> usize {
-        let g = self.inner.lock();
-        g.pages.len() - g.free_list.len()
+        let pool = self.pool.lock();
+        pool.pages - pool.free_list.len()
     }
 
     /// Number of currently resident pages (for tests).
     pub fn resident_pages(&self) -> usize {
-        self.inner.lock().resident.len()
+        self.pool.lock().resident.len()
     }
 
     /// Drop the whole buffer pool content (e.g. between power-test queries
     /// if a cold cache is desired). Dirty pages are "written back" and
     /// charged.
     pub fn flush_all(&self) {
-        let mut g = self.inner.lock();
-        let dirty = g.resident.values().filter(|r| r.dirty).count();
+        let mut pool = self.pool.lock();
+        let dirty = pool.resident.values().filter(|r| r.dirty).count();
         self.meter.add(Counter::PageWrites, dirty as u64);
-        g.resident.clear();
-        g.lru.clear();
+        pool.resident.clear();
+        pool.lru.clear();
         // Everything is now "on disk": the dirty-page table empties, so the
         // next checkpoint records a higher redo bound.
-        g.dirty_lsn.clear();
+        pool.dirty_lsn.clear();
     }
 }
 
@@ -296,6 +356,10 @@ mod tests {
         Pager::new(PagerConfig { pool_pages }, CostMeter::new())
     }
 
+    fn resident_set(p: &Pager) -> HashSet<PageId> {
+        p.pool.lock().resident.keys().copied().collect()
+    }
+
     #[test]
     fn allocate_read_write_round_trip() {
         let p = pager(16);
@@ -307,6 +371,26 @@ mod tests {
         let got =
             p.read(pid, AccessPattern::Random, |page| page.get(0).map(|b| b.to_vec())).unwrap();
         assert_eq!(got, Some(b"abc".to_vec()));
+    }
+
+    #[test]
+    fn page_ids_find_their_latches_across_segments() {
+        for pid in [0, 1, 1023, 1024, 3071, 3072, 1 << 20, PageId::MAX] {
+            let (segment, at) = PageStore::locate(pid);
+            let len = 1u64 << (segment as u32 + FIRST_SEGMENT_BITS);
+            let first = len - (1 << FIRST_SEGMENT_BITS);
+            assert_eq!(first + at as u64, u64::from(pid), "page {pid}");
+            assert!((at as u64) < len, "page {pid}");
+        }
+        assert_eq!(PageStore::locate(PageId::MAX).0, SEGMENTS - 1);
+        let p = pager(8);
+        let pids: Vec<_> = (0..2100).map(|_| p.allocate()).collect();
+        for &pid in &pids {
+            p.write(pid, AccessPattern::Random, |page| page.stamp_lsn(u64::from(pid) + 1)).unwrap();
+        }
+        assert!(pids.iter().all(|&pid| p.page_lsn(pid) == u64::from(pid) + 1));
+        assert!(p.read(2100, AccessPattern::Random, |_| ()).is_err(), "grown, not handed out");
+        assert!(p.read(1 << 20, AccessPattern::Random, |_| ()).is_err(), "never grown");
     }
 
     #[test]
@@ -373,12 +457,12 @@ mod tests {
         for i in 0..1_000_000usize {
             p.read(pids[(i * 7) % pids.len()], AccessPattern::Random, |_| ()).unwrap();
         }
-        let g = p.inner.lock();
-        assert_eq!(g.resident.len(), 32);
+        let pool = p.pool.lock();
+        assert_eq!(pool.resident.len(), 32);
         assert!(
-            g.lru.len() <= 2 * g.resident.len() + LRU_SLACK + 1,
+            pool.lru.len() <= 2 * pool.resident.len() + LRU_SLACK + 1,
             "1M hits on 32 resident pages left {} queue entries",
-            g.lru.len()
+            pool.lru.len()
         );
     }
 
@@ -462,11 +546,9 @@ mod tests {
                 let pid = pids[which as usize];
                 // Repeats are pure hits: they only lengthen the queue.
                 for _ in 0..repeat {
-                    let before: HashSet<PageId> =
-                        p.inner.lock().resident.keys().copied().collect();
+                    let before = resident_set(&p);
                     p.read(pid, AccessPattern::Random, |_| ()).unwrap();
-                    let after: HashSet<PageId> =
-                        p.inner.lock().resident.keys().copied().collect();
+                    let after = resident_set(&p);
                     let evicted: Vec<PageId> = before.difference(&after).copied().collect();
                     let expected: Vec<PageId> = model.access(pid, CAP).into_iter().collect();
                     prop_assert_eq!(evicted, expected);
