@@ -6,9 +6,9 @@ use crate::clock::{
 };
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::ExecCtx;
-use crate::exec::plan::{Plan, TableAccess};
+use crate::exec::plan::Plan;
 use crate::lock::{LockManager, DEFAULT_ESCALATION_THRESHOLD};
-use crate::monitor::{MonitorView, StatementCollector};
+use crate::monitor::{is_monitor_name, MonitorView, StatementCollector};
 use crate::planner::{PlannedQuery, Planner, PlannerConfig};
 use crate::schema::{Column, Row, Schema};
 use crate::sql::ast::{Expr, SelectStmt, Statement};
@@ -123,15 +123,15 @@ pub struct Prepared {
     pub n_params: usize,
     /// EXPLAIN text captured at prepare time.
     pub plan_description: String,
-    /// Read locks a transaction takes before running this plan, computed
-    /// once at prepare time from the planner's access paths (probes →
-    /// shared row locks, scans → whole-table shared). Re-deriving this on
-    /// every execute would replan the statement, defeating the point of
-    /// preparing it.
+    /// Read locks a transaction takes before running this plan, derived
+    /// from this plan's access paths (probes → shared row locks, scans →
+    /// whole-table shared) when it was planned.
     pub lock_plan: Vec<(String, crate::txn::ReadLockPlan)>,
     /// Base tables/views the statement depends on (uppercase), for
     /// catalog-version invalidation by a plan cache.
     pub dependencies: Vec<String>,
+    /// Whether the plan reads an `M$` view; a plan cache never keeps one.
+    pub(crate) reads_monitor_view: bool,
     /// [`crate::catalog::Catalog::version`] observed at prepare time.
     pub catalog_version: u64,
 }
@@ -386,13 +386,11 @@ impl Database {
         Ok(lsns[0])
     }
 
-    /// How a SELECT's plan reads each base table (scan vs. index-driven),
-    /// used by the transaction layer and workload models to pick lock
-    /// granularity. Plans the query without executing it.
-    pub fn table_accesses(&self, q: &SelectStmt) -> DbResult<Vec<TableAccess>> {
-        let planner = Planner::with_config(&self.catalog, self.planner_config());
-        let pq = planner.plan_query(q)?;
-        Ok(pq.plan.table_accesses())
+    /// Plan a SELECT under the current planner configuration. Everything
+    /// that runs a SELECT plans it here once, and takes its read locks
+    /// ([`crate::txn::select_read_locks`]) from the plan it runs.
+    pub fn plan_select(&self, q: &SelectStmt) -> DbResult<PlannedQuery> {
+        Planner::with_config(&self.catalog, self.planner_config()).plan_query(q)
     }
 
     /// Open a transaction. Locks are acquired per statement and held to
@@ -432,11 +430,7 @@ impl Database {
     pub fn explain(&self, sql: &str) -> DbResult<String> {
         let stmt = parse_statement(sql)?;
         match stmt {
-            Statement::Select(q) => {
-                let planner = Planner::with_config(&self.catalog, self.planner_config());
-                let pq = planner.plan_query(&q)?;
-                Ok(pq.plan.describe())
-            }
+            Statement::Select(q) => Ok(self.plan_select(&q)?.plan.describe()),
             other => Err(DbError::analysis(format!("cannot EXPLAIN {other:?}"))),
         }
     }
@@ -458,19 +452,18 @@ impl Database {
         // Snapshot the version *before* planning so a DDL racing with this
         // prepare invalidates the entry rather than being missed.
         let catalog_version = self.catalog.version();
-        let planner = Planner::with_config(&self.catalog, self.planner_config());
-        let pq: PlannedQuery = planner.plan_query(q)?;
-        let desc = pq.plan.describe();
-        let lock_plan = crate::txn::select_read_locks(self, q);
-        let (reads, _) =
-            crate::txn::referenced_tables(&Statement::Select(Box::new(q.clone())), &self.catalog);
+        let pq = self.plan_select(q)?;
+        let lock_plan = crate::txn::select_read_locks(&pq);
+        let (monitor, dependencies): (Vec<String>, Vec<String>) =
+            pq.names.into_keys().partition(|name| is_monitor_name(name));
         Ok(Prepared {
+            plan_description: pq.plan.describe(),
             plan: Arc::new(pq.plan),
             schema: pq.schema,
             n_params: pq.n_params,
-            plan_description: desc,
             lock_plan,
-            dependencies: reads.into_iter().collect(),
+            dependencies,
+            reads_monitor_view: !monitor.is_empty(),
             catalog_version,
         })
     }
@@ -480,27 +473,30 @@ impl Database {
         if params.len() < p.n_params {
             return Err(DbError::UnboundParameter(params.len()));
         }
+        let rows = self.run(&p.plan, params)?;
+        Ok(QueryResult { schema: p.schema.clone(), rows })
+    }
+
+    /// Execute a planned SELECT that has no parameters.
+    pub(crate) fn execute_planned(&self, pq: PlannedQuery) -> DbResult<QueryResult> {
+        let rows = self.run(&pq.plan, &[])?;
+        Ok(QueryResult { schema: pq.schema, rows })
+    }
+
+    /// Run a plan, timed as one `Exec` wait event.
+    fn run(&self, plan: &Plan, params: &[Value]) -> DbResult<Vec<Row>> {
         let exec_started = self.monitor_enabled().then(Instant::now);
-        let ctx = ExecCtx::new(params, &self.meter);
-        let rows = p.plan.execute(&ctx)?;
+        let rows = plan.execute(&ExecCtx::new(params, &self.meter))?;
         if let Some(started) = exec_started {
             self.wait.record(WaitEvent::Exec, started.elapsed());
         }
-        Ok(QueryResult { schema: p.schema.clone(), rows })
+        Ok(rows)
     }
 
     fn execute_statement(&self, stmt: &Statement) -> DbResult<ExecOutcome> {
         match stmt {
             Statement::Select(q) => {
-                let planner = Planner::with_config(&self.catalog, self.planner_config());
-                let pq = planner.plan_query(q)?;
-                let exec_started = self.monitor_enabled().then(Instant::now);
-                let ctx = ExecCtx::new(&[], &self.meter);
-                let rows = pq.plan.execute(&ctx)?;
-                if let Some(started) = exec_started {
-                    self.wait.record(WaitEvent::Exec, started.elapsed());
-                }
-                Ok(ExecOutcome::Rows(QueryResult { schema: pq.schema, rows }))
+                Ok(ExecOutcome::Rows(self.execute_planned(self.plan_select(q)?)?))
             }
             Statement::Insert { .. } | Statement::Delete { .. } | Statement::Update { .. } => {
                 Ok(ExecOutcome::Count(self.apply_dml_autocommit(stmt)?))
@@ -525,8 +521,7 @@ impl Database {
             }
             Statement::CreateView { name, query } => {
                 // Validate the view body plans correctly before registering.
-                let planner = Planner::with_config(&self.catalog, self.planner_config());
-                planner.plan_query(query)?;
+                self.plan_select(query)?;
                 self.catalog.create_view(name, (**query).clone())?;
                 Ok(ExecOutcome::Done)
             }
@@ -560,20 +555,12 @@ impl Database {
         }
     }
 
-    /// Statement execution for an open transaction: DML records what it
-    /// did in `ops`, SELECT runs normally. DDL is rejected by the
-    /// transaction layer before it gets here.
-    pub(crate) fn execute_statement_in_txn(
+    /// DML for an open transaction: records what it did in `ops`.
+    pub(crate) fn execute_dml_in_txn(
         &self,
         stmt: &Statement,
         ops: &mut Vec<LogPayload>,
     ) -> DbResult<ExecOutcome> {
-        if !matches!(
-            stmt,
-            Statement::Insert { .. } | Statement::Delete { .. } | Statement::Update { .. }
-        ) {
-            return self.execute_statement(stmt);
-        }
         let exec_started = self.monitor_enabled().then(Instant::now);
         let out = self.apply_dml(stmt, Some(ops)).map(ExecOutcome::Count);
         if let Some(started) = exec_started {

@@ -165,8 +165,9 @@ pub struct TableAccess {
 
 impl Plan {
     /// Base tables this plan reads and how, recursing through children.
-    /// Subqueries planned inside expressions are *not* visited — callers
-    /// cover those tables conservatively via `referenced_tables`.
+    /// Subqueries planned inside expressions are *not* visited: the planner
+    /// flags the names they read ([`crate::planner::PlannedQuery`]), and
+    /// [`crate::txn::select_read_locks`] locks those tables whole.
     pub fn table_accesses(&self) -> Vec<TableAccess> {
         let mut out = Vec::new();
         self.collect_accesses(&mut out);

@@ -27,8 +27,7 @@
 use crate::clock::Counter;
 use crate::db::{Database, Prepared};
 use crate::error::{DbError, DbResult};
-use crate::monitor::is_monitor_name;
-use crate::sql::ast::{self, SelectStmt, Statement};
+use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parse_statement;
 use crate::types::Value;
 use parking_lot::Mutex;
@@ -144,18 +143,6 @@ impl PlanCache {
         let extracted_params = db.eval_const_exprs(&stripped)?;
         let key: Arc<str> = format!("{normalized:?}").into();
 
-        // Monitoring views produce their rows at execute time and carry no
-        // catalog version to revalidate against; their queries are also
-        // exactly the traffic we do not want evicting workload plans. They
-        // bypass the cache entirely and are metered as misses.
-        let mut monitor = false;
-        ast::visit_referenced_tables(&normalized, &mut |name| monitor |= is_monitor_name(name));
-        if monitor {
-            db.meter().bump(Counter::PlanCacheMisses);
-            let prepared = Arc::new(db.prepare_select(&normalized)?);
-            return Ok(CachedPlan { prepared, extracted_params, cache_hit: false, key });
-        }
-
         if let Some(prepared) = self.lookup(db, &key) {
             db.meter().bump(Counter::PlanCacheHits);
             return Ok(CachedPlan { prepared, extracted_params, cache_hit: true, key });
@@ -163,8 +150,14 @@ impl PlanCache {
 
         db.meter().bump(Counter::PlanCacheMisses);
         let prepared = Arc::new(db.prepare_select(&normalized)?);
-        let display = crate::monitor::display_text(sql.unwrap_or("<select prepared from AST>"));
-        self.insert(db, Arc::clone(&key), display, Arc::clone(&prepared));
+        // Monitoring views produce their rows at execute time and carry no
+        // catalog version to revalidate against; their queries are also
+        // exactly the traffic we do not want evicting workload plans. A plan
+        // that reads one is never cached, so each of its calls is a miss.
+        if !prepared.reads_monitor_view {
+            let display = crate::monitor::display_text(sql.unwrap_or("<select prepared from AST>"));
+            self.insert(db, Arc::clone(&key), display, Arc::clone(&prepared));
+        }
         Ok(CachedPlan { prepared, extracted_params, cache_hit: false, key })
     }
 

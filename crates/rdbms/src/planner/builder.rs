@@ -11,8 +11,8 @@ use crate::planner::PlannerConfig;
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, JoinKind, SelectItem, SelectStmt, TableRef};
 use crate::types::{DataType, Value};
-use std::cell::Cell;
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A fully planned query.
@@ -20,6 +20,12 @@ pub struct PlannedQuery {
     pub plan: Plan,
     pub schema: Schema,
     pub n_params: usize,
+    /// Every table, view and `M$` view name the planner resolved
+    /// (upper-cased), including names inside view bodies, derived tables
+    /// and subqueries, each mapped to whether it was resolved inside an
+    /// expression subquery (scalar, IN, EXISTS), whose plan runs outside
+    /// the main plan tree. Set by [`Planner::plan_query`].
+    pub(crate) names: BTreeMap<String, bool>,
 }
 
 /// The planner. Create one per statement; it is cheap.
@@ -31,6 +37,10 @@ pub struct Planner<'a> {
     /// Run the needed-column pass (always, except under
     /// [`Planner::keep_all_columns`]).
     prune: bool,
+    /// Names resolved so far ([`PlannedQuery::names`]).
+    names: RefCell<BTreeMap<String, bool>>,
+    /// Expression subqueries being planned right now.
+    subquery_depth: Cell<usize>,
 }
 
 /// One relation in the FROM list after flattening.
@@ -78,6 +88,8 @@ impl<'a> Planner<'a> {
             next_cache_id: Cell::new(0),
             max_param: Cell::new(0),
             prune: true,
+            names: RefCell::default(),
+            subquery_depth: Cell::new(0),
         }
     }
 
@@ -105,12 +117,15 @@ impl<'a> Planner<'a> {
     /// Plan a top-level query.
     pub fn plan_query(&self, stmt: &SelectStmt) -> DbResult<PlannedQuery> {
         self.max_param.set(0);
+        self.names.borrow_mut().clear();
+        self.subquery_depth.set(0);
         let mut used = HashSet::new();
         let mut pq = self.plan_select(stmt, &[], &mut used)?;
         if !used.is_empty() {
             return Err(DbError::analysis("top-level query has unresolved outer references"));
         }
         pq.n_params = self.max_param.get();
+        pq.names = self.names.take();
         self.prune(&mut pq.plan, vec![true; pq.schema.len()]);
         Ok(pq)
     }
@@ -326,7 +341,7 @@ impl<'a> Planner<'a> {
         if let Some(n) = stmt.limit {
             plan = Plan::Limit { input: Box::new(plan), n };
         }
-        Ok(PlannedQuery { plan, schema, n_params: 0 })
+        Ok(PlannedQuery { plan, schema, n_params: 0, names: BTreeMap::new() })
     }
 
     /// Resolve one ORDER BY expression against the projection output:
@@ -362,6 +377,30 @@ impl<'a> Planner<'a> {
     // FROM handling
     // ---------------------------------------------------------------------
 
+    /// Resolve a FROM-clause name — base table, then view (planned), then
+    /// `M$` view — and record it in [`PlannedQuery::names`]. This is the
+    /// only place a SELECT's table and view names are resolved.
+    fn resolve_named(&self, name: &str, binding: &str) -> DbResult<Rel> {
+        let rel =
+            |schema: Schema, source, est_rows| Rel { schema, source, preds: Vec::new(), est_rows };
+        let resolved = if let Some(table) = self.catalog.try_table(name) {
+            rel(table.schema.with_qualifier(binding), RelSource::Base(table), 0.0)
+        } else if let Some(view) = self.catalog.view(name) {
+            let mut sub_used = HashSet::new();
+            let pq = self.plan_select(&view, &[], &mut sub_used)?;
+            // Views have no statistics: a modest default.
+            rel(pq.schema.with_qualifier(binding), RelSource::Derived(pq.plan), 1000.0)
+        } else if let Some(mv) = self.catalog.monitor_view(name) {
+            let schema = mv.schema().with_qualifier(binding);
+            rel(schema, RelSource::Derived(Plan::MonitorScan { view: mv }), 100.0)
+        } else {
+            return Err(DbError::catalog(format!("no table or view '{name}'")));
+        };
+        let in_subquery = self.subquery_depth.get() > 0;
+        *self.names.borrow_mut().entry(name.to_ascii_uppercase()).or_default() |= in_subquery;
+        Ok(resolved)
+    }
+
     fn collect_from(
         &self,
         tref: &TableRef,
@@ -372,39 +411,8 @@ impl<'a> Planner<'a> {
     ) -> DbResult<()> {
         match tref {
             TableRef::Named { name, alias } => {
-                let binding = alias.as_deref().unwrap_or(name);
-                if let Some(table) = self.catalog.try_table(name) {
-                    let schema = table.schema.with_qualifier(binding);
-                    rels.push(Rel {
-                        schema,
-                        source: RelSource::Base(table),
-                        preds: Vec::new(),
-                        est_rows: 0.0,
-                    });
-                    return Ok(());
-                }
-                if let Some(view) = self.catalog.view(name) {
-                    let mut sub_used = HashSet::new();
-                    let pq = self.plan_select(&view, &[], &mut sub_used)?;
-                    let card = 1000.0; // views: no stats; modest default
-                    rels.push(Rel {
-                        schema: pq.schema.with_qualifier(binding),
-                        source: RelSource::Derived(pq.plan),
-                        preds: Vec::new(),
-                        est_rows: card,
-                    });
-                    return Ok(());
-                }
-                if let Some(mv) = self.catalog.monitor_view(name) {
-                    rels.push(Rel {
-                        schema: mv.schema().with_qualifier(binding),
-                        source: RelSource::Derived(Plan::MonitorScan { view: mv }),
-                        preds: Vec::new(),
-                        est_rows: 100.0,
-                    });
-                    return Ok(());
-                }
-                Err(DbError::catalog(format!("no table or view '{name}'")))
+                rels.push(self.resolve_named(name, alias.as_deref().unwrap_or(name))?);
+                Ok(())
             }
             TableRef::Subquery { query, alias } => {
                 let pq = self.plan_select(query, outer, used_outer)?;
@@ -447,22 +455,15 @@ impl<'a> Planner<'a> {
     ) -> DbResult<(Plan, Schema)> {
         match tref {
             TableRef::Named { name, alias } => {
-                let binding = alias.as_deref().unwrap_or(name);
-                if let Some(table) = self.catalog.try_table(name) {
-                    let schema = table.schema.with_qualifier(binding);
-                    let needed = vec![true; schema.len()];
-                    return Ok((Plan::SeqScan { table, filter: None, needed }, schema));
-                }
-                if let Some(view) = self.catalog.view(name) {
-                    let mut sub_used = HashSet::new();
-                    let pq = self.plan_select(&view, &[], &mut sub_used)?;
-                    return Ok((pq.plan, pq.schema.with_qualifier(binding)));
-                }
-                if let Some(mv) = self.catalog.monitor_view(name) {
-                    let schema = mv.schema().with_qualifier(binding);
-                    return Ok((Plan::MonitorScan { view: mv }, schema));
-                }
-                Err(DbError::catalog(format!("no table or view '{name}'")))
+                let rel = self.resolve_named(name, alias.as_deref().unwrap_or(name))?;
+                let plan = match rel.source {
+                    RelSource::Base(table) => {
+                        let needed = vec![true; rel.schema.len()];
+                        Plan::SeqScan { table, filter: None, needed }
+                    }
+                    RelSource::Derived(plan) => plan,
+                };
+                Ok((plan, rel.schema))
             }
             TableRef::Subquery { query, alias } => {
                 let pq = self.plan_select(query, outer, used_outer)?;
@@ -1456,7 +1457,10 @@ impl<'a> Planner<'a> {
         let mut frames: Vec<Schema> = outer.to_vec();
         frames.push(current.clone());
         let mut sub_used = HashSet::new();
-        let mut pq = self.plan_select(q, &frames, &mut sub_used)?;
+        self.subquery_depth.set(self.subquery_depth.get() + 1);
+        let planned = self.plan_select(q, &frames, &mut sub_used);
+        self.subquery_depth.set(self.subquery_depth.get() - 1);
+        let mut pq = planned?;
         match tag {
             SubKindTag::Scalar | SubKindTag::In(_) => {
                 if pq.schema.len() != 1 {

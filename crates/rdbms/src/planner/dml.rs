@@ -3,7 +3,7 @@
 use crate::catalog::Table;
 use crate::error::DbResult;
 use crate::lock::KeyRange;
-use crate::planner::sarg::{extract_sargs, match_index};
+use crate::planner::sarg::{extract_sargs, match_index, IndexAccess, Sarg};
 use crate::sql::ast::{BinOp, Expr};
 use crate::storage::codec::encode_key;
 use crate::storage::Rid;
@@ -19,47 +19,11 @@ pub fn pk_lock_range(table: &Table, filter: &Expr) -> Option<KeyRange> {
     if table.primary_key.is_empty() {
         return None;
     }
-    let schema = &table.schema;
-    let conjuncts = filter.clone().split_conjuncts();
-    let resolve = |q: Option<&str>, n: &str| schema.try_resolve(q, n);
-    let constantish = |e: &Expr| match e {
-        Expr::Literal(_) => Some(false),
-        _ => None,
-    };
-    let sargs = extract_sargs(&conjuncts, &resolve, &constantish);
-    if sargs.is_empty() {
-        return None;
-    }
-    let access = match_index(&table.primary_key, &sargs)?;
-    let lit = |e: &Expr| -> Value {
-        match e {
-            Expr::Literal(v) => v.clone(),
-            _ => unreachable!("constantish admits literals only"),
-        }
-    };
-    let eq_vals: Vec<Value> = access.eq_sargs.iter().map(|s| lit(&s.rhs)).collect();
-    let mut lower_vals = eq_vals.clone();
-    let mut has_lower = !eq_vals.is_empty();
-    if let Some(s) = &access.lower {
-        lower_vals.push(lit(&s.rhs));
-        has_lower = true;
-    }
-    let mut upper_vals = eq_vals;
-    let mut has_upper = !upper_vals.is_empty();
-    if let Some(s) = &access.upper {
-        upper_vals.push(lit(&s.rhs));
-        has_upper = true;
-    }
-    if lower_vals.iter().any(Value::is_null) || upper_vals.iter().any(Value::is_null) {
-        // A NULL key never matches; fall back to coarse locking rather
-        // than inventing a range for an empty result.
-        return None;
-    }
-    let lower_bytes = encode_key(&lower_vals);
-    let upper_bytes = encode_key(&upper_vals);
-    let lo = if has_lower { Some(lower_bytes.as_slice()) } else { None };
-    let hi = if has_upper { Some(upper_bytes.as_slice()) } else { None };
-    Some(KeyRange::span(lo, hi))
+    let access = match_index(&table.primary_key, &literal_sargs(table, filter))?;
+    // A NULL key never matches; fall back to coarse locking rather than
+    // inventing a range for an empty result.
+    let (lo, hi) = literal_bounds(&access)?;
+    Some(KeyRange::span(lo.as_ref().map(|b| &b.key[..]), hi.as_ref().map(|b| &b.key[..])))
 }
 
 /// If the filter is sargable against one of the table's indexes with
@@ -67,80 +31,73 @@ pub fn pk_lock_range(table: &Table, filter: &Expr) -> Option<KeyRange> {
 /// (callers re-check the full predicate). `None` means "no index helps —
 /// scan".
 pub fn dml_index_probe(table: &Table, filter: &Expr) -> DbResult<Option<Vec<Rid>>> {
-    let schema = &table.schema;
-    let conjuncts = filter.clone().split_conjuncts();
-    let resolve = |q: Option<&str>, n: &str| schema.try_resolve(q, n);
-    // DML probes only use literal constants (no parameters here).
-    let constantish = |e: &Expr| match e {
-        Expr::Literal(_) => Some(false),
-        _ => None,
-    };
-    let sargs = extract_sargs(&conjuncts, &resolve, &constantish);
-    if sargs.is_empty() {
-        return Ok(None);
-    }
+    let sargs = literal_sargs(table, filter);
     for index in table.indexes.read().iter() {
         let Some(access) = match_index(&index.columns, &sargs) else {
             continue;
         };
-        let lit = |e: &Expr| -> Value {
-            match e {
-                Expr::Literal(v) => v.clone(),
-                _ => unreachable!("constantish admits literals only"),
-            }
-        };
-        let eq_vals: Vec<Value> = access.eq_sargs.iter().map(|s| lit(&s.rhs)).collect();
-        if eq_vals.iter().any(Value::is_null) {
+        let Some((lo, hi)) = literal_bounds(&access) else {
             return Ok(Some(Vec::new())); // NULL key never matches
-        }
-        let mut lower_vals = eq_vals.clone();
-        let mut lower_inclusive = true;
-        let mut has_lower = !eq_vals.is_empty();
-        if let Some(s) = &access.lower {
-            let v = lit(&s.rhs);
-            if v.is_null() {
-                return Ok(Some(Vec::new()));
-            }
-            lower_vals.push(v);
-            lower_inclusive = s.op == BinOp::GtEq;
-            has_lower = true;
-        }
-        let mut upper_vals = eq_vals.clone();
-        let mut upper_inclusive = true;
-        let mut has_upper = !eq_vals.is_empty();
-        if let Some(s) = &access.upper {
-            let v = lit(&s.rhs);
-            if v.is_null() {
-                return Ok(Some(Vec::new()));
-            }
-            upper_vals.push(v);
-            upper_inclusive = s.op == BinOp::LtEq;
-            has_upper = true;
-        }
-        let lower_bytes = encode_key(&lower_vals);
-        let upper_bytes = encode_key(&upper_vals);
-        let lower_bound = if has_lower {
-            if lower_inclusive {
-                Bound::Included(lower_bytes.as_slice())
-            } else {
-                Bound::Excluded(lower_bytes.as_slice())
-            }
-        } else {
-            Bound::Unbounded
         };
-        let upper_bound = if has_upper {
-            if upper_inclusive {
-                Bound::Included(upper_bytes.as_slice())
-            } else {
-                Bound::Excluded(upper_bytes.as_slice())
-            }
-        } else {
-            Bound::Unbounded
-        };
-        let entries = index.tree.lock().range_scan(lower_bound, upper_bound)?;
+        let entries = index.tree.lock().range_scan(bound(&lo), bound(&hi))?;
         return Ok(Some(entries.into_iter().map(|(_, rid)| rid).collect()));
     }
     Ok(None)
+}
+
+/// The sargs of a DML filter whose compared value is a literal (DML
+/// locates rows by literal constants only; it has no parameters).
+fn literal_sargs(table: &Table, filter: &Expr) -> Vec<Sarg> {
+    let conjuncts = filter.clone().split_conjuncts();
+    let resolve = |q: Option<&str>, n: &str| table.schema.try_resolve(q, n);
+    let constantish = |e: &Expr| match e {
+        Expr::Literal(_) => Some(false),
+        _ => None,
+    };
+    extract_sargs(&conjuncts, &resolve, &constantish)
+}
+
+/// One end of an index range over literal values.
+struct KeyBound {
+    key: Vec<u8>,
+    inclusive: bool,
+}
+
+/// The lower and upper key bounds of an index access over
+/// [`literal_sargs`]: the equality prefix, then the range column's literal
+/// if that side has one; `None` for an unbounded side. Returns `None` when
+/// a bound value is NULL.
+fn literal_bounds(access: &IndexAccess) -> Option<(Option<KeyBound>, Option<KeyBound>)> {
+    let lit = |s: &Sarg| match &s.rhs {
+        Expr::Literal(v) => v.clone(),
+        _ => unreachable!("literal_sargs admits literals only"),
+    };
+    let eq: Vec<Value> = access.eq_sargs.iter().map(lit).collect();
+    let side = |range: &Option<Sarg>, inclusive_op: BinOp| {
+        let mut vals = eq.clone();
+        let mut inclusive = true;
+        match range {
+            Some(s) => {
+                vals.push(lit(s));
+                inclusive = s.op == inclusive_op;
+            }
+            None if eq.is_empty() => return Some(None),
+            None => {}
+        }
+        if vals.iter().any(Value::is_null) {
+            return None;
+        }
+        Some(Some(KeyBound { key: encode_key(&vals), inclusive }))
+    };
+    Some((side(&access.lower, BinOp::GtEq)?, side(&access.upper, BinOp::LtEq)?))
+}
+
+fn bound(b: &Option<KeyBound>) -> Bound<&[u8]> {
+    match b {
+        None => Bound::Unbounded,
+        Some(b) if b.inclusive => Bound::Included(&b.key),
+        Some(b) => Bound::Excluded(&b.key),
+    }
 }
 
 #[cfg(test)]

@@ -490,40 +490,6 @@ fn select_has_params(q: &SelectStmt) -> bool {
     found
 }
 
-/// Visit the name of every base table or view referenced anywhere in `q`:
-/// the FROM clause (through joins and derived tables) and subqueries in any
-/// expression position. Names are visited as written (not deduplicated, not
-/// case-folded); a deeply nested reference may be visited more than once.
-pub fn visit_referenced_tables(q: &SelectStmt, f: &mut impl FnMut(&str)) {
-    fn tables_of(t: &TableRef, f: &mut impl FnMut(&str)) {
-        match t {
-            TableRef::Named { name, .. } => f(name),
-            TableRef::Join { left, right, .. } => {
-                // `on` subqueries are reached via visit_select_exprs below.
-                tables_of(left, f);
-                tables_of(right, f);
-            }
-            TableRef::Subquery { query, .. } => visit_referenced_tables(query, f),
-        }
-    }
-    for t in &q.from {
-        tables_of(t, f);
-    }
-    visit_select_exprs(q, &mut |e| match e {
-        Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-            for t in &query.from {
-                tables_of(t, f);
-            }
-        }
-        Expr::ScalarSubquery(query) => {
-            for t in &query.from {
-                tables_of(t, f);
-            }
-        }
-        _ => {}
-    });
-}
-
 fn tableref_has_params(t: &TableRef) -> bool {
     match t {
         TableRef::Named { .. } => false,

@@ -7,13 +7,15 @@
 //! locks underneath (Gray & Reuter multi-granularity locking — the scheme
 //! the commercial RDBMS the paper benchmarks descends from).
 //!
-//! Granularity is chosen per statement from the planner's own access-path
-//! analysis ([`crate::exec::plan::Plan::table_accesses`]):
+//! Granularity is chosen per statement. A SELECT is planned once; its read
+//! locks come from that plan's access paths
+//! ([`crate::exec::plan::Plan::table_accesses`]) and the names the planner
+//! resolved ([`crate::planner::PlannedQuery`]), and that same plan runs:
 //!
 //! * a SELECT whose every access to a table is index-driven takes IS +
 //!   shared key-range locks (literal primary-key bounds) or shared
 //!   existing-row locks (run-time probes); any sequential scan falls back
-//!   to a whole-table S lock, as do tables referenced only from expression
+//!   to a whole-table S lock, as do views and tables read from expression
 //!   subqueries (their subplans are not visible in the main plan tree);
 //! * INSERT with literal primary keys takes IX + exclusive point locks
 //!   flagged *fresh*, which slip past existing-row readers — this is what
@@ -34,7 +36,9 @@ use crate::clock::{CostMeter, Counter, MeterScope, MeterSnapshot, WaitEvent};
 use crate::db::{Database, ExecOutcome, Prepared, QueryResult};
 use crate::error::{DbError, DbResult};
 use crate::exec::plan::TableRead;
+use crate::monitor::is_monitor_name;
 use crate::planner::sarg_helpers::pk_lock_range;
+use crate::planner::PlannedQuery;
 use crate::schema::Row;
 use crate::sql::ast::{Expr, SelectItem, SelectStmt, Statement, TableRef};
 use crate::sql::parse_statement;
@@ -124,18 +128,25 @@ impl<'db> Txn<'db> {
         self.lock_wait
     }
 
-    /// Execute one SQL statement inside the transaction. SELECT takes
-    /// shared locks on every referenced base table; DML takes an exclusive
-    /// lock on its target (plus shared locks for subquery reads); DDL is
-    /// rejected. A statement that fails mid-flight leaves its partial
+    /// Execute one SQL statement inside the transaction. A SELECT is
+    /// planned once and takes the read locks of that plan
+    /// ([`select_read_locks`]); DML takes an exclusive lock on its target
+    /// (plus shared locks for subquery reads); DDL is rejected. A statement that fails mid-flight leaves its partial
     /// effects in the undo log — roll the transaction back to remove them.
     pub fn execute(&mut self, sql: &str) -> DbResult<ExecOutcome> {
         let stmt = parse_statement(sql)?;
+        if let Statement::Select(q) = &stmt {
+            // Planned once: the locks are those of the plan that runs.
+            let pq = self.db.plan_select(q)?;
+            self.lock_reads(&select_read_locks(&pq))?;
+            let _scope = MeterScope::enter(Arc::clone(&self.meter));
+            return self.db.execute_planned(pq).map(ExecOutcome::Rows);
+        }
         self.lock_statement(&stmt)?;
         let mut ops = Vec::new();
         let res = {
             let _scope = MeterScope::enter(Arc::clone(&self.meter));
-            self.db.execute_statement_in_txn(&stmt, &mut ops)
+            self.db.execute_dml_in_txn(&stmt, &mut ops)
         };
         // Even a failed statement's partial effects: they are in the store,
         // so they must be in the undo log and in the WAL too (the rollback
@@ -153,16 +164,7 @@ impl<'db> Txn<'db> {
     /// protocol's Execute message for a bound portal). Read locks come from
     /// the lock plan computed at prepare time — no replanning here.
     pub fn execute_prepared(&mut self, p: &Prepared, params: &[Value]) -> DbResult<QueryResult> {
-        for (table, plan) in &p.lock_plan {
-            match plan {
-                ReadLockPlan::Table => self.lock_table(table, LockMode::Shared)?,
-                ReadLockPlan::Rows(locks) => {
-                    for lock in locks {
-                        self.lock_row(table, lock.clone())?;
-                    }
-                }
-            }
-        }
+        self.lock_reads(&p.lock_plan)?;
         let _scope = MeterScope::enter(Arc::clone(&self.meter));
         self.db.execute_prepared(p, params)
     }
@@ -346,27 +348,13 @@ impl<'db> Txn<'db> {
         }
     }
 
+    /// Locks of a DML statement; anything else that reaches here is DDL.
     fn lock_statement(&mut self, stmt: &Statement) -> DbResult<()> {
-        if matches!(
-            stmt,
-            Statement::CreateTable { .. }
-                | Statement::CreateIndex { .. }
-                | Statement::CreateView { .. }
-                | Statement::DropTable { .. }
-                | Statement::DropIndex { .. }
-                | Statement::DropView { .. }
-                | Statement::Analyze { .. }
-        ) {
-            return Err(DbError::execution(
-                "DDL is not transactional; execute it outside a transaction",
-            ));
-        }
         // Write locks first, then subquery read locks, each in sorted name
         // order, so every transaction requests locks for one statement in
         // the same global order (deadlocks can still arise across
         // statements).
         match stmt {
-            Statement::Select(q) => self.lock_select(q)?,
             Statement::Insert { table, columns, rows } => {
                 self.lock_insert(table, columns.as_deref(), rows)?;
                 self.lock_subquery_reads(stmt)?;
@@ -391,18 +379,23 @@ impl<'db> Txn<'db> {
                 self.lock_dml(table, filter.as_ref(), force_table)?;
                 self.lock_subquery_reads(stmt)?;
             }
-            _ => unreachable!("DDL rejected above"),
+            _ => {
+                return Err(DbError::execution(
+                    "DDL is not transactional; execute it outside a transaction",
+                ))
+            }
         }
         Ok(())
     }
 
-    fn lock_select(&mut self, q: &SelectStmt) -> DbResult<()> {
-        for (table, plan) in select_read_locks(self.db, q) {
+    /// Take a SELECT's read locks, in the order of its lock plan.
+    fn lock_reads(&mut self, plan: &[(String, ReadLockPlan)]) -> DbResult<()> {
+        for (table, plan) in plan {
             match plan {
-                ReadLockPlan::Table => self.lock_table(&table, LockMode::Shared)?,
+                ReadLockPlan::Table => self.lock_table(table, LockMode::Shared)?,
                 ReadLockPlan::Rows(locks) => {
                     for lock in locks {
-                        self.lock_row(&table, lock)?;
+                        self.lock_row(table, lock.clone())?;
                     }
                 }
             }
@@ -497,153 +490,37 @@ pub enum ReadLockPlan {
     Rows(Vec<RowLock>),
 }
 
-/// Per-table read-lock plan for a SELECT, derived from the planner's
-/// access-path choices. Tables whose every plan access is index-driven get
-/// row locks (key ranges for literal primary-key bounds, existing-row locks
-/// for run-time probes); tables that are scanned, referenced only from
-/// expression subqueries (whose subplans are not in the main plan tree), or
-/// that fail to plan get whole-table shared locks. Exposed so workload
+/// Per-table read-lock plan of a planned SELECT, in table-name order.
+/// Tables whose every access in the plan is index-driven get row locks
+/// (key ranges for literal primary-key bounds, existing-row locks for
+/// run-time probes). Scanned tables, views, and names read inside an
+/// expression subquery (whose subplans are not in the main plan tree) get
+/// whole-table shared locks. `M$` views get none. Exposed so workload
 /// models can predict the same lock footprint the engine takes.
-pub fn select_read_locks(db: &Database, q: &SelectStmt) -> Vec<(String, ReadLockPlan)> {
-    let catalog = db.catalog();
-    let mut reads = BTreeSet::new();
-    walk_select(q, catalog, &mut reads);
-    // Tables only reachable through expression subqueries must stay
-    // table-locked: their subplans execute outside the visible plan tree.
-    let mut coarse = BTreeSet::new();
-    collect_subquery_tables_select(q, catalog, &mut coarse);
+pub fn select_read_locks(pq: &PlannedQuery) -> Vec<(String, ReadLockPlan)> {
     let mut by_table: HashMap<String, Vec<TableRead>> = HashMap::new();
-    match db.table_accesses(q) {
-        Ok(accesses) => {
-            for a in accesses {
-                by_table.entry(a.table).or_default().push(a.read);
-            }
-        }
-        // Planning failed (the statement will error at execute time too):
-        // fall back to table locks on everything referenced.
-        Err(_) => coarse.extend(reads.iter().cloned()),
+    for a in pq.plan.table_accesses() {
+        by_table.entry(a.table).or_default().push(a.read);
     }
     let mut out = Vec::new();
-    for table in &reads {
-        let accesses = by_table.get(table);
-        let needs_table = coarse.contains(table)
-            || match accesses {
-                None => true,
-                Some(list) => list.iter().any(|r| matches!(r, TableRead::Scan)),
-            };
-        if needs_table {
-            out.push((table.clone(), ReadLockPlan::Table));
-        } else {
-            let locks = accesses
-                .expect("needs_table is true when absent")
-                .iter()
-                .map(|r| match r {
-                    TableRead::PkRange(range) => RowLock::shared(range.clone()),
-                    TableRead::Probe => RowLock::shared_existing(KeyRange::all()),
-                    TableRead::Scan => unreachable!("scans force a table lock"),
-                })
-                .collect();
-            out.push((table.clone(), ReadLockPlan::Rows(locks)));
+    for (table, &in_subquery) in &pq.names {
+        if is_monitor_name(table) {
+            continue;
         }
+        let rows = match by_table.remove(table) {
+            Some(reads) if !in_subquery => reads
+                .into_iter()
+                .map(|r| match r {
+                    TableRead::PkRange(range) => Some(RowLock::shared(range)),
+                    TableRead::Probe => Some(RowLock::shared_existing(KeyRange::all())),
+                    TableRead::Scan => None,
+                })
+                .collect(),
+            _ => None,
+        };
+        out.push((table.clone(), rows.map_or(ReadLockPlan::Table, ReadLockPlan::Rows)));
     }
     out
-}
-
-/// Tables referenced from *expression* subqueries (scalar / IN / EXISTS) of
-/// a SELECT, recursing through derived tables and views whose own bodies
-/// may contain such subqueries. FROM-clause tables themselves are excluded:
-/// their scans appear in the main plan tree.
-fn collect_subquery_tables_select(q: &SelectStmt, catalog: &Catalog, out: &mut BTreeSet<String>) {
-    for t in &q.from {
-        collect_subquery_tables_tableref(t, catalog, out);
-    }
-    for item in &q.projections {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_subquery_tables_expr(expr, catalog, out);
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        collect_subquery_tables_expr(w, catalog, out);
-    }
-    for e in &q.group_by {
-        collect_subquery_tables_expr(e, catalog, out);
-    }
-    if let Some(h) = &q.having {
-        collect_subquery_tables_expr(h, catalog, out);
-    }
-    for o in &q.order_by {
-        collect_subquery_tables_expr(&o.expr, catalog, out);
-    }
-}
-
-fn collect_subquery_tables_tableref(t: &TableRef, catalog: &Catalog, out: &mut BTreeSet<String>) {
-    match t {
-        TableRef::Named { name, .. } => {
-            if let Some(view) = catalog.view(&name.to_ascii_uppercase()) {
-                collect_subquery_tables_select(&view, catalog, out);
-            }
-        }
-        TableRef::Join { left, right, on, .. } => {
-            collect_subquery_tables_tableref(left, catalog, out);
-            collect_subquery_tables_tableref(right, catalog, out);
-            collect_subquery_tables_expr(on, catalog, out);
-        }
-        TableRef::Subquery { query, .. } => collect_subquery_tables_select(query, catalog, out),
-    }
-}
-
-fn collect_subquery_tables_expr(e: &Expr, catalog: &Catalog, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::InSubquery { expr, query, .. } => {
-            collect_subquery_tables_expr(expr, catalog, out);
-            walk_select(query, catalog, out);
-        }
-        Expr::Exists { query, .. } => walk_select(query, catalog, out),
-        Expr::ScalarSubquery(query) => walk_select(query, catalog, out),
-        Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => {}
-        Expr::Unary { expr, .. } => collect_subquery_tables_expr(expr, catalog, out),
-        Expr::Binary { left, right, .. } => {
-            collect_subquery_tables_expr(left, catalog, out);
-            collect_subquery_tables_expr(right, catalog, out);
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_subquery_tables_expr(expr, catalog, out);
-            collect_subquery_tables_expr(low, catalog, out);
-            collect_subquery_tables_expr(high, catalog, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_subquery_tables_expr(expr, catalog, out);
-            for e in list {
-                collect_subquery_tables_expr(e, catalog, out);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_subquery_tables_expr(expr, catalog, out);
-            collect_subquery_tables_expr(pattern, catalog, out);
-        }
-        Expr::IsNull { expr, .. } => collect_subquery_tables_expr(expr, catalog, out),
-        Expr::Case { branches, else_expr } => {
-            for (c, v) in branches {
-                collect_subquery_tables_expr(c, catalog, out);
-                collect_subquery_tables_expr(v, catalog, out);
-            }
-            if let Some(e) = else_expr {
-                collect_subquery_tables_expr(e, catalog, out);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                collect_subquery_tables_expr(a, catalog, out);
-            }
-        }
-        Expr::Extract { expr, .. } => collect_subquery_tables_expr(expr, catalog, out),
-        Expr::IntervalAdd { expr, .. } => collect_subquery_tables_expr(expr, catalog, out),
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_subquery_tables_expr(a, catalog, out);
-            }
-        }
-    }
 }
 
 impl Drop for Txn<'_> {

@@ -676,7 +676,7 @@ impl Wal {
             CommitPolicy::NoFsync => self.write_buffered(false),
             CommitPolicy::FsyncPerCommit => {
                 let mut st = self.state.lock();
-                if st.durable_lsn > lsn {
+                if self.already_durable(&st, lsn) {
                     return Ok(());
                 }
                 self.force_locked(&mut st, true)
@@ -693,9 +693,21 @@ impl Wal {
         self.commit(lsn)
     }
 
+    /// Whether an earlier force already made the commit at `lsn` durable.
+    /// Such a commit rode in that force without being in its batch, so it
+    /// is counted here: every commit call counts once in
+    /// [`Counter::GroupCommitBatch`].
+    fn already_durable(&self, st: &WalState, lsn: Lsn) -> bool {
+        let covered = st.durable_lsn > lsn;
+        if covered {
+            self.meter.add(Counter::GroupCommitBatch, 1);
+        }
+        covered
+    }
+
     fn group_commit(&self, lsn: Lsn) -> DbResult<()> {
         let mut st = self.state.lock();
-        if st.durable_lsn > lsn {
+        if self.already_durable(&st, lsn) {
             return Ok(());
         }
         st.commit_queue.push(lsn);
@@ -928,6 +940,25 @@ mod tests {
                 _ => assert_eq!(flushes, 3),
             }
             assert!(meter.get(Counter::WalBytes) > 0);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// B's force also covers A's records, so A's commit finds itself
+    /// durable; it still counts once.
+    #[test]
+    fn a_commit_an_earlier_force_covered_counts_once() {
+        for policy in [CommitPolicy::FsyncPerCommit, CommitPolicy::GroupCommit] {
+            let path = tmp(&format!("covered-{}", policy.as_str()));
+            let meter = CostMeter::new();
+            let wal = Wal::create(&WalConfig::new(&path).with_policy(policy), Arc::clone(&meter))
+                .unwrap();
+            let a = wal.append_batch(1, &[LogPayload::Commit]);
+            let b = wal.append_batch(2, &[LogPayload::Commit]);
+            wal.commit(b[0]).unwrap();
+            wal.commit(a[0]).unwrap();
+            assert_eq!(meter.get(Counter::WalFlushes), 1, "{}", policy.as_str());
+            assert_eq!(meter.get(Counter::GroupCommitBatch), 2, "{}", policy.as_str());
             std::fs::remove_file(&path).ok();
         }
     }

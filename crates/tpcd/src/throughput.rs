@@ -699,7 +699,7 @@ pub fn query_read_set(db: &Database, n: usize, params: &QueryParams) -> BTreeSet
 /// table S where the plan scans, row locks where every access is
 /// index-driven.
 pub fn query_lock_claims(db: &Database, n: usize, params: &QueryParams) -> Vec<LockClaim> {
-    statement_claims(db, n, params, |q| select_read_locks(db, q))
+    statement_claims(db, n, params, SelectStmt::clone)
 }
 
 /// Lock claims for query `n` when executed through the extended protocol:
@@ -708,25 +708,31 @@ pub fn query_lock_claims(db: &Database, n: usize, params: &QueryParams) -> Vec<L
 /// actually executes — parameter markers are sargable, so selective
 /// predicates claim row probes instead of table scans.
 pub fn query_lock_claims_extended(db: &Database, n: usize, params: &QueryParams) -> Vec<LockClaim> {
-    statement_claims(db, n, params, |q| select_read_locks(db, &q.parameterized()))
+    statement_claims(db, n, params, SelectStmt::parameterized)
 }
 
-/// The read-lock plans of every statement of query `n` as claims.
-/// Non-SELECT statements (Q15's `CREATE VIEW` body, which the engine can
-/// only plan once the view exists) claim table S on their base tables.
+/// The read-lock plans of every statement of query `n` as claims: each
+/// SELECT, after `normalize`, planned the way a transaction plans it. A
+/// statement the engine cannot plan — Q15's `CREATE VIEW`, and its SELECT
+/// while the view does not exist yet — claims table S on every table it
+/// names.
 fn statement_claims(
     db: &Database,
     n: usize,
     params: &QueryParams,
-    plan: impl Fn(&SelectStmt) -> Vec<(String, ReadLockPlan)>,
+    normalize: impl Fn(&SelectStmt) -> SelectStmt,
 ) -> Vec<LockClaim> {
     let mut claims = Vec::new();
     for stmt in queries::sql(n, params) {
         let Ok(parsed) = parse_statement(&stmt) else { continue };
-        let plans = match &parsed {
-            Statement::Select(q) => plan(q),
-            other => {
-                let (reads, writes) = referenced_tables(other, db.catalog());
+        let planned = match &parsed {
+            Statement::Select(q) => db.plan_select(&normalize(q)).ok(),
+            _ => None,
+        };
+        let plans = match planned {
+            Some(pq) => select_read_locks(&pq),
+            None => {
+                let (reads, writes) = referenced_tables(&parsed, db.catalog());
                 reads.into_iter().chain(writes).map(|t| (t, ReadLockPlan::Table)).collect()
             }
         };
