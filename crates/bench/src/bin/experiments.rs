@@ -10,8 +10,9 @@
 //! and dispatcher/throughput latency histograms.
 //!
 //! `durability` runs the commit-durability experiment (QthD and order
-//! entry/posting under WAL off, per-commit fsync, and group commit) and
-//! records the baseline in `BENCH_durability.json`.
+//! entry/posting under each engine commit policy: no fsync, per-commit
+//! fsync, and group commit) and records the baseline in
+//! `BENCH_durability.json`.
 //!
 //! `server` runs the wire-protocol experiment (simple vs extended protocol
 //! over real loopback sockets, plan-cache hit rates, and a 100+-connection
@@ -46,6 +47,7 @@ fn qthd_json(r: &ThroughputResult) -> Json {
         .field("durability", r.durability.clone())
         .field("query_streams", r.query_streams)
         .field("elapsed_seconds", r.elapsed_seconds)
+        .field("busy_seconds", r.streams.iter().map(|s| s.busy_seconds).sum::<f64>())
         .field("qthd", r.qthd)
         .field("commits", r.commits)
         .field("wal_flushes", r.wal_flushes)
@@ -66,10 +68,10 @@ fn order_entry_json(r: &OrderEntryResult) -> Json {
 }
 
 /// The durability experiment: QthD plus order entry/posting under each
-/// durability mode, recorded as the `BENCH_durability.json` baseline.
+/// commit policy, recorded as the `BENCH_durability.json` baseline.
 fn run_durability(sf: f64) -> Result<(), rdbms::DbError> {
     let mut qthd_runs: Vec<Json> = Vec::new();
-    println!("QthD@{sf} under each durability mode (2 query streams, seed 42):");
+    println!("QthD@{sf} under each commit policy (2 query streams, seed 42):");
     for system in [ThroughputSystem::Isolated, ThroughputSystem::Open] {
         let series = bench::run_qthd_series(system, sf, 2, 42, |r| {
             println!(
@@ -99,8 +101,11 @@ fn run_durability(sf: f64) -> Result<(), rdbms::DbError> {
     }
 
     let notes = [
-        "Virtual-time cost model: commits charge the LogDevice flush-slot model \
-         (Calibration.ms_wal_flush); durability=off charges nothing.",
+        "Virtual-time cost model: each run plays the engine's commit policy \
+         (durability) on one simulated log device whose flushes take \
+         Calibration.ms_wal_flush; no_fsync charges nothing.",
+        "Each QthD run starts from its own freshly loaded database, so the three \
+         policies do identical work (equal busy_seconds) and differ only in commit wait.",
         "QthD barely moves: only the update stream commits, and batch-input \
          documents cost seconds of consistency checking each.",
         "Order posting is the commit-bound case: interactive clerks oversubscribe \

@@ -92,14 +92,13 @@ fn main() {
     for &system in &systems {
         eprintln!("loading {system:?} at sf={sf} ...");
         let t = std::time::Instant::now();
-        let series =
-            bench::run_throughput_series_with(system, sf, &streams, seed, &lock_models, |r| {
-                eprintln!(
-                    "  {} streams={} locks={}: elapsed {:.2} sim s, QthD {:.2}",
-                    r.configuration, r.query_streams, r.lock_model, r.elapsed_seconds, r.qthd
-                );
-            })
-            .expect("throughput series");
+        let series = bench::run_throughput_series(system, sf, &streams, seed, &lock_models, |r| {
+            eprintln!(
+                "  {} streams={} locks={}: elapsed {:.2} sim s, QthD {:.2}",
+                r.configuration, r.query_streams, r.lock_model, r.elapsed_seconds, r.qthd
+            );
+        })
+        .expect("throughput series");
         eprintln!("  ({:.0}s wall for the series)", t.elapsed().as_secs_f64());
         runs.extend(series.iter().map(result_json));
     }

@@ -4,7 +4,8 @@
 //! Three series, all deterministic virtual-time simulations charging the
 //! [`tpcd::LogDevice`] flush-slot model on every commit:
 //!
-//! * **QthD** — the TPC-D throughput test under each [`DurabilityModel`].
+//! * **QthD** — the TPC-D throughput test under each [`CommitPolicy`],
+//!   each on its own freshly loaded database.
 //!   The DSS streams are read-only, so only the update stream pays; the
 //!   point of this series is that QthD barely moves — the paper's workload
 //!   is not commit-bound.
@@ -19,45 +20,43 @@
 //!   per-commit-fsync log device; group commit lets one flush cover a
 //!   whole batch of clerks and recovers most of the lost throughput.
 //!
-//! The workload is executed *once* to measure per-unit costs; each
-//! durability mode then replays those costs through its own log device, so
-//! the modes are compared on identical work.
+//! The order-entry workload is executed *once* to measure per-unit costs;
+//! each commit policy then replays those costs through its own log device,
+//! so the policies are compared on identical work.
 
 use crate::experiments::{run_throughput_matrix, ThroughputSystem};
 use r3::schema::{self, MANDT};
 use r3::{R3System, Release};
 use rdbms::error::DbResult;
+use rdbms::CommitPolicy;
 use std::collections::VecDeque;
 use tpcd::records::LineItem;
-use tpcd::throughput::LogDevice;
-use tpcd::{DbGen, DurabilityModel, ThroughputConfig, ThroughputResult};
+use tpcd::{DbGen, LogDevice, ThroughputConfig, ThroughputResult};
 
-/// The three modes every durability series records, in order.
-pub const DURABILITY_MODELS: [DurabilityModel; 3] =
-    [DurabilityModel::Off, DurabilityModel::CommitFsync, DurabilityModel::GroupCommit];
+/// The three policies every durability series records, in order.
+pub const COMMIT_POLICIES: [CommitPolicy; 3] =
+    [CommitPolicy::NoFsync, CommitPolicy::FsyncPerCommit, CommitPolicy::GroupCommit];
 
-/// The TPC-D throughput test under each durability mode (same data, same
-/// seed — only the commit charging differs).
+/// The TPC-D throughput test under each commit policy. Each policy runs on
+/// a freshly loaded database with the same seed, so only the commit
+/// charging differs (a shared database would hand each run the buffer
+/// pool the previous one left).
 pub fn run_qthd_series(
     system: ThroughputSystem,
     sf: f64,
     query_streams: usize,
     seed: u64,
-    progress: impl FnMut(&ThroughputResult),
+    mut progress: impl FnMut(&ThroughputResult),
 ) -> DbResult<Vec<ThroughputResult>> {
-    let configs: Vec<ThroughputConfig> = DURABILITY_MODELS
-        .iter()
-        .map(|&durability| ThroughputConfig {
-            query_streams,
-            seed,
-            durability,
-            ..Default::default()
-        })
-        .collect();
-    run_throughput_matrix(system, sf, &configs, progress)
+    let mut out = Vec::new();
+    for durability in COMMIT_POLICIES {
+        let config = ThroughputConfig { query_streams, seed, durability, ..Default::default() };
+        out.extend(run_throughput_matrix(system, sf, &[config], &mut progress)?);
+    }
+    Ok(out)
 }
 
-/// One phase of the order-entry experiment under one durability mode.
+/// One phase of the order-entry experiment under one commit policy.
 #[derive(Debug, Clone)]
 pub struct OrderEntryResult {
     /// "entry" (batch-input documents) or "posting" (one-row updates).
@@ -99,14 +98,14 @@ fn simulate(
     costs: &[f64],
     clerks: usize,
     think: f64,
-    durability: DurabilityModel,
+    policy: CommitPolicy,
     flush_s: f64,
 ) -> OrderEntryResult {
     let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); clerks];
     for (i, &c) in costs.iter().enumerate() {
         queues[i % clerks].push_back(c);
     }
-    let mut log = LogDevice::new(durability, flush_s);
+    let mut log = LogDevice::new(policy, flush_s);
     let mut vtime: Vec<f64> = (0..clerks).map(|c| think * c as f64 / clerks as f64).collect();
     let mut commit_wait = 0.0f64;
     while let Some(c) = (0..clerks).filter(|&c| !queues[c].is_empty()).min_by(|&a, &b| {
@@ -122,7 +121,7 @@ fn simulate(
     let elapsed = vtime.into_iter().fold(0.0, f64::max);
     OrderEntryResult {
         phase: phase.to_string(),
-        durability: durability.as_str().to_string(),
+        durability: policy.as_str().to_string(),
         clerks,
         documents: costs.len() as u64,
         elapsed_seconds: elapsed,
@@ -146,10 +145,10 @@ pub const POSTING_THINK_S: f64 = 0.1;
 /// Run the order-entry durability experiment: measure the real metered
 /// cost of entering every order document through batch input and of
 /// posting a status change to each, then replay both cost profiles under
-/// every durability mode — entry with `clerks` automated batch sessions,
+/// every commit policy — entry with `clerks` automated batch sessions,
 /// posting with [`POSTING_USERS`] interactive clerks. Returns
-/// `2 * DURABILITY_MODELS.len()` results ("entry" then "posting", each
-/// off / fsync-per-commit / group-commit).
+/// `2 * COMMIT_POLICIES.len()` results ("entry" then "posting", each
+/// no_fsync / fsync_per_commit / group_commit).
 pub fn run_order_entry_series(sf: f64, clerks: usize) -> DbResult<Vec<OrderEntryResult>> {
     assert!(clerks >= 1);
     let sys = R3System::install_default(Release::R22)?;
@@ -192,7 +191,7 @@ pub fn run_order_entry_series(sf: f64, clerks: usize) -> DbResult<Vec<OrderEntry
     // Phase 1: enter every order document through the full batch-input
     // logic, measuring each document's metered cost.
     let (orders, lineitems) = gen.orders_and_lineitems();
-    let cal = sys.calibration();
+    let cal = sys.db.calibration();
     let mut entry_costs = Vec::with_capacity(orders.len());
     let mut idx = 0usize;
     for o in &orders {
@@ -227,8 +226,8 @@ pub fn run_order_entry_series(sf: f64, clerks: usize) -> DbResult<Vec<OrderEntry
         ("posting", &posting_costs, POSTING_USERS, POSTING_THINK_S),
     ];
     for (phase, costs, sessions, think) in phases {
-        for durability in DURABILITY_MODELS {
-            out.push(simulate(phase, costs, sessions, think, durability, flush_s));
+        for policy in COMMIT_POLICIES {
+            out.push(simulate(phase, costs, sessions, think, policy, flush_s));
         }
     }
     Ok(out)
@@ -245,9 +244,9 @@ mod tests {
         // (no commit waits behind a flush scheduled "later" than it).
         let costs = [1.0, 0.1, 0.2, 0.1, 0.1, 0.1];
         let f = 0.5;
-        let fsync = simulate("t", &costs, 3, 0.0, DurabilityModel::CommitFsync, f);
-        let group = simulate("t", &costs, 3, 0.0, DurabilityModel::GroupCommit, f);
-        let off = simulate("t", &costs, 3, 0.0, DurabilityModel::Off, f);
+        let fsync = simulate("t", &costs, 3, 0.0, CommitPolicy::FsyncPerCommit, f);
+        let group = simulate("t", &costs, 3, 0.0, CommitPolicy::GroupCommit, f);
+        let off = simulate("t", &costs, 3, 0.0, CommitPolicy::NoFsync, f);
         assert_eq!(fsync.commits, 6);
         assert_eq!(fsync.wal_flushes, 6);
         assert!(group.wal_flushes < 6, "concurrent clerks share flushes");
@@ -260,6 +259,27 @@ mod tests {
         );
     }
 
+    /// The first unit of every stream runs before any commit is charged,
+    /// so on equal starting databases it does identical work under every
+    /// policy; so does each stream as a whole.
+    #[test]
+    fn qthd_series_runs_every_policy_on_a_fresh_database() {
+        let series = run_qthd_series(ThroughputSystem::Isolated, 0.01, 2, 42, |_| {}).unwrap();
+        let labels: Vec<&str> = series.iter().map(|r| r.durability.as_str()).collect();
+        assert_eq!(labels, ["no_fsync", "fsync_per_commit", "group_commit"]);
+        let base = &series[0];
+        for r in &series[1..] {
+            for (a, b) in base.streams.iter().zip(&r.streams) {
+                let (ua, ub) = (&a.units[0], &b.units[0]);
+                let at = format!("{} {} under {}", a.stream, ua.unit, r.durability);
+                assert_eq!(ua.unit, ub.unit, "{at}");
+                assert_eq!(ua.work, ub.work, "{at}");
+                assert_eq!(ua.seconds.to_bits(), ub.seconds.to_bits(), "{at}");
+                assert_eq!(a.busy_seconds.to_bits(), b.busy_seconds.to_bits(), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn group_commit_recovers_most_of_the_posting_loss() {
         let results = run_order_entry_series(0.002, 8).unwrap();
@@ -268,8 +288,8 @@ mod tests {
             results.iter().find(|r| r.phase == phase && r.durability == durability).unwrap().clone()
         };
         // Batch-input documents cost seconds each: durability is noise.
-        let entry_off = get("entry", "off");
-        let entry_fsync = get("entry", "fsync-per-commit");
+        let entry_off = get("entry", "no_fsync");
+        let entry_fsync = get("entry", "fsync_per_commit");
         assert_eq!(entry_fsync.commits, entry_fsync.documents);
         assert!(
             entry_fsync.per_hour > entry_off.per_hour * 0.95,
@@ -279,9 +299,9 @@ mod tests {
         );
         // One-row postings are commit-bound: fsync serializes the clerks,
         // group commit batches them and recovers most of the loss.
-        let off = get("posting", "off");
-        let fsync = get("posting", "fsync-per-commit");
-        let group = get("posting", "group-commit");
+        let off = get("posting", "no_fsync");
+        let fsync = get("posting", "fsync_per_commit");
+        let group = get("posting", "group_commit");
         assert_eq!(fsync.wal_flushes, fsync.commits, "fsync never batches");
         assert!(group.wal_flushes < group.commits, "group commit batches clerks");
         assert!(group.avg_batch() > 1.5, "batching factor: {}", group.avg_batch());

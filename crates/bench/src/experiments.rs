@@ -406,7 +406,7 @@ pub fn table6(sf: f64) -> DbResult<ExpTable> {
     // The experiment's index on quantity.
     sys.db.execute("CREATE INDEX VBAP_KWMENG ON VBAP (KWMENG)")?;
     sys.db.execute("ANALYZE VBAP")?;
-    let cal = sys.calibration();
+    let cal = sys.db.calibration();
 
     let measure_native = |bound: i64| -> DbResult<f64> {
         sys.db.pager().flush_all();
@@ -479,7 +479,7 @@ pub fn table7(sf: f64) -> DbResult<ExpTable> {
     let gen = DbGen::new(sf);
     let sys = R3System::install_default(Release::R30)?;
     sys.load_tpcd(&gen)?;
-    let cal = sys.calibration();
+    let cal = sys.db.calibration();
 
     // Native SQL (Figure 4, left): push the whole aggregation down.
     sys.db.pager().flush_all();
@@ -554,7 +554,7 @@ pub fn table8(sf: f64) -> DbResult<ExpTable> {
     let gen = DbGen::new(sf);
     let sys = R3System::install_default(Release::R30)?;
     sys.load_tpcd(&gen)?;
-    let cal = sys.calibration();
+    let cal = sys.db.calibration();
 
     // The Figure 5 report: for every VBAP row, one SELECT SINGLE on MARA.
     let run_report = |with_lookup: bool| -> DbResult<f64> {
@@ -704,24 +704,12 @@ impl ThroughputSystem {
 }
 
 /// Run the TPC-D throughput test on one configuration at each stream
-/// count, loading the database once and reusing it across the series
-/// (the update stream's UF1/UF2 pairs leave the data unchanged). The
-/// whole series is deterministic: rerunning it reproduces every number.
+/// count, once per lock model (the table-granular baseline vs. the
+/// engine's hierarchical granularity), loading the database once and
+/// reusing it across the series (the update stream's UF1/UF2 pairs leave
+/// the data unchanged). The whole series is deterministic: rerunning it
+/// reproduces every number.
 pub fn run_throughput_series(
-    system: ThroughputSystem,
-    sf: f64,
-    stream_counts: &[usize],
-    seed: u64,
-    progress: impl FnMut(&tpcd::ThroughputResult),
-) -> DbResult<Vec<tpcd::ThroughputResult>> {
-    let models = [tpcd::LockModel::Hierarchical];
-    run_throughput_series_with(system, sf, stream_counts, seed, &models, progress)
-}
-
-/// [`run_throughput_series`] with explicit lock models: each stream count
-/// is run once per model (the table-granular baseline vs. the engine's
-/// hierarchical granularity), so baselines can record the comparison.
-pub fn run_throughput_series_with(
     system: ThroughputSystem,
     sf: f64,
     stream_counts: &[usize],
@@ -787,17 +775,6 @@ pub fn run_throughput_matrix(
     }
 }
 
-/// Run the TPC-D throughput test on one configuration at one stream count.
-pub fn run_throughput(
-    system: ThroughputSystem,
-    sf: f64,
-    streams: usize,
-    seed: u64,
-) -> DbResult<tpcd::ThroughputResult> {
-    let mut results = run_throughput_series(system, sf, &[streams], seed, |_| {})?;
-    Ok(results.pop().expect("one run"))
-}
-
 /// The throughput experiment: each configuration at each stream count,
 /// reporting elapsed simulated time, lock-wait totals, and QthD.
 pub fn throughput_table(
@@ -806,8 +783,9 @@ pub fn throughput_table(
     systems: &[ThroughputSystem],
 ) -> DbResult<ExpTable> {
     let mut rows = Vec::new();
+    let models = [tpcd::LockModel::Hierarchical];
     for &system in systems {
-        for r in run_throughput_series(system, sf, stream_counts, 42, |_| {})? {
+        for r in run_throughput_series(system, sf, stream_counts, 42, &models, |_| {})? {
             rows.push(vec![
                 r.configuration.clone(),
                 format!("{}", r.query_streams),

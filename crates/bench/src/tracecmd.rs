@@ -91,7 +91,7 @@ fn st05_traces(n: usize, gen: &DbGen, p: &QueryParams) -> DbResult<Vec<TraceArti
         let entries = sys.sql_trace.take();
         let summary = sqltrace::summarize(&entries);
         crossings.push(summary.crossings);
-        let cal = sys.calibration();
+        let cal = sys.db.calibration();
         let mut text = format!(
             "ST05 trace: Q{n} via Open SQL on Release {release} — {} statements, {} crossings\n\n",
             summary.statements, summary.crossings,

@@ -313,7 +313,7 @@ pub fn batch_input_load(
     workers: usize,
 ) -> DbResult<Vec<LoadTiming>> {
     assert!(workers >= 1);
-    let cal = sys.calibration();
+    let cal = sys.db.calibration();
     let mut out = Vec::new();
 
     // REGION and NATION were "typed in interactively" in the paper; load

@@ -345,7 +345,7 @@ fn work_process(shared: Arc<Shared>, kind: WpKind, worker_name: String) {
             result,
         };
         shared.metrics.for_kind(stats.kind).record(&stats);
-        shared.sys.workload.record(&stats, &shared.sys.calibration());
+        shared.sys.workload.record(&stats, &shared.sys.db.calibration());
         *request.handle.done.lock() = Some(stats);
         request.handle.cv.notify_all();
     }

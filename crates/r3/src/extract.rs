@@ -287,7 +287,7 @@ pub fn extract_table(sys: &R3System, table: &str) -> DbResult<ExtractResult> {
         table: table.to_string(),
         rows,
         ascii_bytes: out.len() as u64,
-        seconds: sys.calibration().seconds(&work),
+        seconds: sys.db.calibration().seconds(&work),
     })
 }
 

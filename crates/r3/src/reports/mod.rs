@@ -89,7 +89,12 @@ pub fn run_report(
     let before = sys.snapshot();
     let rows = run_query_rows(sys, iface, n, p)?;
     let work = sys.snapshot().since(&before);
-    Ok(ReportResult { query: n, rows: rows.len(), seconds: sys.calibration().seconds(&work), work })
+    Ok(ReportResult {
+        query: n,
+        rows: rows.len(),
+        seconds: sys.db.calibration().seconds(&work),
+        work,
+    })
 }
 
 /// Run the full SAP-side power test: Q1..Q17 through `iface`, then UF1 and
@@ -100,7 +105,7 @@ pub fn run_sap_power_test(
     gen: &tpcd::DbGen,
     p: &QueryParams,
 ) -> DbResult<Vec<(String, f64, MeterSnapshot)>> {
-    let cal = sys.calibration();
+    let cal = sys.db.calibration();
     let mut out = Vec::new();
     for n in 1..=17 {
         let r = run_report(sys, iface, n, p)?;

@@ -13,7 +13,7 @@ use crate::sqltrace::{SqlOp, SqlTrace};
 use crate::workload::WorkloadMonitor;
 use crate::Release;
 use parking_lot::Mutex;
-use rdbms::clock::{Calibration, CostMeter, Counter, MeterSnapshot};
+use rdbms::clock::{CostMeter, Counter, MeterSnapshot};
 use rdbms::error::{DbError, DbResult};
 use rdbms::schema::Row;
 use rdbms::types::Value;
@@ -73,10 +73,6 @@ impl R3System {
 
     pub fn meter(&self) -> &Arc<CostMeter> {
         self.db.meter()
-    }
-
-    pub fn calibration(&self) -> Calibration {
-        self.db.calibration()
     }
 
     pub fn snapshot(&self) -> MeterSnapshot {

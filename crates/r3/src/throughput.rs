@@ -25,9 +25,9 @@
 
 use crate::reports::{self, SapInterface};
 use crate::{R3System, Release};
-use rdbms::clock::{Calibration, Counter, MeterSnapshot};
 use rdbms::error::DbResult;
 use rdbms::lock::{KeyRange, LockMode, LockRequest, RowLock};
+use rdbms::Database;
 use tpcd::queries::QueryParams;
 use tpcd::throughput::{
     query_read_set, update_stream_claims, update_stream_lock, LockClaim, StreamWorkload,
@@ -72,6 +72,10 @@ impl StreamWorkload for SapWorkload<'_> {
         format!("SAP R/3 {} {}", self.sys.release, self.iface)
     }
 
+    fn db(&self) -> &Database {
+        &self.sys.db
+    }
+
     fn run_query(&self, n: usize, params: &QueryParams) -> DbResult<u64> {
         Ok(reports::run_query_rows(self.sys, self.iface, n, params)?.len() as u64)
     }
@@ -82,22 +86,6 @@ impl StreamWorkload for SapWorkload<'_> {
 
     fn run_uf2(&self, stream: u64) -> DbResult<u64> {
         crate::batch_input::batch_uf2(self.sys, self.gen, stream)
-    }
-
-    fn snapshot(&self) -> MeterSnapshot {
-        self.sys.snapshot()
-    }
-
-    fn calibration(&self) -> Calibration {
-        self.sys.calibration()
-    }
-
-    fn note_lock_wait(&self) {
-        self.sys.meter().bump(Counter::LockWaits);
-    }
-
-    fn note_deadlock_retry(&self) {
-        self.sys.meter().bump(Counter::DeadlockRetries);
     }
 
     fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {

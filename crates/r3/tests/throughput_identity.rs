@@ -12,8 +12,9 @@
 use r3::reports::SapInterface;
 use r3::throughput::SapWorkload;
 use r3::{R3System, Release};
+use rdbms::CommitPolicy;
 use tpcd::queries::QueryParams;
-use tpcd::throughput::{run_throughput_test, DurabilityModel, LockModel, ThroughputConfig};
+use tpcd::throughput::{run_throughput_test, LockModel, ThroughputConfig};
 use tpcd::DbGen;
 
 const GOLDEN: &str = include_str!("golden/sap_throughput_schedule.txt");
@@ -31,7 +32,7 @@ fn sap_throughput_schedule_matches_golden_table() {
             let config = ThroughputConfig {
                 query_streams: 2,
                 lock_model,
-                durability: DurabilityModel::GroupCommit,
+                durability: CommitPolicy::GroupCommit,
                 ..Default::default()
             };
             let r = run_throughput_test(&workload, &params, gen.sf, &config).unwrap();

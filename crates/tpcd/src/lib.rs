@@ -18,6 +18,6 @@ pub use dbgen::DbGen;
 pub use power::{run_power_test, run_query, PowerResult, StepResult};
 pub use queries::QueryParams;
 pub use throughput::{
-    run_throughput_test, DurabilityModel, ExtendedIsolatedWorkload, IsolatedWorkload, LockModel,
-    LogDevice, StreamWorkload, ThroughputConfig, ThroughputResult,
+    run_throughput_test, ExtendedIsolatedWorkload, IsolatedWorkload, LockModel, LogDevice,
+    StreamWorkload, ThroughputConfig, ThroughputResult,
 };

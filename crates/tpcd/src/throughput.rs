@@ -39,7 +39,7 @@
 
 use crate::dbgen::DbGen;
 use crate::queries::{self, QueryParams};
-use rdbms::clock::{Calibration, MeterSnapshot};
+use rdbms::clock::MeterSnapshot;
 use rdbms::error::{DbError, DbResult};
 use rdbms::lock::{KeyRange, LockMode, LockRequest, RowLock};
 use rdbms::sql::ast::{SelectStmt, Statement};
@@ -47,7 +47,7 @@ use rdbms::sql::parse_statement;
 use rdbms::storage::codec::encode_key;
 use rdbms::txn::{referenced_tables, select_read_locks, ReadLockPlan};
 use rdbms::types::Value;
-use rdbms::{Counter, Database, PlanCache};
+use rdbms::{CommitPolicy, Counter, Database, PlanCache};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use trace::Histogram;
@@ -66,45 +66,17 @@ pub struct LockClaim {
     pub req: LockRequest,
 }
 
-/// How commit durability is charged in virtual time (DESIGN.md §10.6).
-///
-/// The engine's write-ahead log is real file I/O; the deterministic
-/// throughput driver models its cost instead, the same way it models lock
-/// interference: each commit visits a shared [`LogDevice`] whose flush
-/// slots take [`Calibration::ms_wal_flush`] simulated milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DurabilityModel {
-    /// No log force on commit — the pre-WAL behaviour. Charges exactly
-    /// nothing, so results are bit-identical to runs before the model
-    /// existed.
-    #[default]
-    Off,
-    /// Every commit forces its own log flush, serialized on the device.
-    CommitFsync,
-    /// Commits arriving while a flush is in progress park and share the
-    /// next flush — one fsync covers the whole batch ([`rdbms::wal`]'s
-    /// group commit, in virtual time).
-    GroupCommit,
-}
-
-impl DurabilityModel {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DurabilityModel::Off => "off",
-            DurabilityModel::CommitFsync => "fsync-per-commit",
-            DurabilityModel::GroupCommit => "group-commit",
-        }
-    }
-}
-
-/// The virtual-time log device: a single flusher whose fsync slots take a
-/// fixed number of simulated seconds. Mirrors the engine's group-commit
-/// protocol — a commit that arrives before a scheduled flush *starts* is
-/// covered by it (its records are in the buffer the leader writes); a
-/// commit that arrives while a flush is in progress parks for the next one.
+/// The virtual-time log device (DESIGN.md §10.6): the engine's
+/// [`CommitPolicy`] charged in simulated seconds instead of real fsyncs. A
+/// single flusher whose slots take [`rdbms::Calibration::ms_wal_flush`] each;
+/// [`CommitPolicy::NoFsync`] forces nothing and charges nothing. Group
+/// commit mirrors the engine's protocol — a commit that arrives before a
+/// scheduled flush *starts* is covered by it (its records are in the
+/// buffer the leader writes); a commit that arrives while a flush is in
+/// progress parks for the next one.
 #[derive(Debug)]
 pub struct LogDevice {
-    model: DurabilityModel,
+    policy: CommitPolicy,
     flush_s: f64,
     /// Start/end of the most recently scheduled flush slot.
     slot: Option<(f64, f64)>,
@@ -115,48 +87,31 @@ pub struct LogDevice {
 }
 
 impl LogDevice {
-    pub fn new(model: DurabilityModel, flush_s: f64) -> LogDevice {
-        LogDevice { model, flush_s, slot: None, commits: 0, flushes: 0 }
+    pub fn new(policy: CommitPolicy, flush_s: f64) -> LogDevice {
+        LogDevice { policy, flush_s, slot: None, commits: 0, flushes: 0 }
     }
 
     /// A commit reaches the log at virtual second `t`; returns the virtual
-    /// second it is durable (== `t` with durability off).
+    /// second it is durable (== `t` when nothing is forced).
     pub fn commit(&mut self, t: f64) -> f64 {
-        if self.model == DurabilityModel::Off {
+        if self.policy == CommitPolicy::NoFsync {
             return t;
         }
         self.commits += 1;
-        match self.model {
-            DurabilityModel::Off => unreachable!(),
-            DurabilityModel::CommitFsync => {
-                // A private flush, queued behind whatever the device is doing.
-                let start = match self.slot {
-                    Some((_, end)) if end > t => end,
-                    _ => t,
-                };
-                let end = start + self.flush_s;
-                self.slot = Some((start, end));
-                self.flushes += 1;
-                end
-            }
-            DurabilityModel::GroupCommit => match self.slot {
-                // The scheduled flush has not started: join its batch.
-                Some((start, end)) if start >= t => end,
-                // A flush is in progress: park; the follower batch flushes
-                // the moment it completes.
-                Some((_, end)) if end > t => {
-                    self.slot = Some((end, end + self.flush_s));
-                    self.flushes += 1;
-                    end + self.flush_s
-                }
-                // Device idle: lead a new flush.
-                _ => {
-                    self.slot = Some((t, t + self.flush_s));
-                    self.flushes += 1;
-                    t + self.flush_s
-                }
-            },
-        }
+        let (start, end) = match (self.policy, self.slot) {
+            // Group commit: the scheduled flush has not started, so join
+            // its batch.
+            (CommitPolicy::GroupCommit, Some((start, end))) if start >= t => return end,
+            // A flush is in progress: queue a new one behind it (a private
+            // flush, or the follower batch that flushes the moment the
+            // leader's completes).
+            (_, Some((_, end))) if end > t => (end, end + self.flush_s),
+            // Device idle: lead a new flush.
+            _ => (t, t + self.flush_s),
+        };
+        self.slot = Some((start, end));
+        self.flushes += 1;
+        end
     }
 
     /// Charge `n` sequential commits from one caller (each waits for its
@@ -193,10 +148,14 @@ impl LockModel {
 /// A workload the throughput driver can execute: one of the paper's three
 /// configurations (isolated RDBMS, SAP R/3 Native SQL, SAP R/3 Open SQL).
 /// Implementations run the unit and return its row count; the driver
-/// meters work through `snapshot`.
+/// meters work on the workload's [`Database`].
 pub trait StreamWorkload {
     /// Human-readable configuration name for reports.
     fn name(&self) -> String;
+    /// The database the units run on. The driver takes each unit's work
+    /// from its meter, converts it with its calibration, and bumps
+    /// `Counter::LockWaits`/`Counter::DeadlockRetries` on it.
+    fn db(&self) -> &Database;
     /// Execute TPC-D query `n`, returning the number of answer rows.
     fn run_query(&self, n: usize, params: &QueryParams) -> DbResult<u64>;
     /// Execute UF1 for `stream` (inside a transaction where the
@@ -204,15 +163,6 @@ pub trait StreamWorkload {
     fn run_uf1(&self, stream: u64) -> DbResult<u64>;
     /// Execute UF2 for `stream`, returning rows deleted.
     fn run_uf2(&self, stream: u64) -> DbResult<u64>;
-    /// Current global meter snapshot (the driver takes before/after
-    /// differences per unit).
-    fn snapshot(&self) -> MeterSnapshot;
-    /// Calibration converting metered work to simulated seconds.
-    fn calibration(&self) -> Calibration;
-    /// Record one simulated lock wait on the global meter.
-    fn note_lock_wait(&self);
-    /// Record one rollback-and-retry after a deadlock abort.
-    fn note_deadlock_retry(&self);
     /// Locks query `n` holds for the duration of its unit.
     fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim>;
     /// Locks UF1 (the RF1 inserts for `stream`) holds.
@@ -237,8 +187,9 @@ pub struct ThroughputConfig {
     pub seed: u64,
     /// Locking granularity the interference model simulates.
     pub lock_model: LockModel,
-    /// How commit durability is charged in virtual time.
-    pub durability: DurabilityModel,
+    /// How commits are charged in virtual time: the engine's commit
+    /// policy played on a [`LogDevice`].
+    pub durability: CommitPolicy,
 }
 
 impl Default for ThroughputConfig {
@@ -247,7 +198,9 @@ impl Default for ThroughputConfig {
             query_streams: 4,
             seed: 42,
             lock_model: LockModel::default(),
-            durability: DurabilityModel::default(),
+            // Not `CommitPolicy::default()` (group commit): the driver
+            // charges no commits unless asked to.
+            durability: CommitPolicy::NoFsync,
         }
     }
 }
@@ -400,7 +353,8 @@ pub fn run_throughput_test<W: StreamWorkload + ?Sized>(
     if config.query_streams == 0 {
         return Err(DbError::execution("throughput test needs at least one query stream"));
     }
-    let cal = workload.calibration();
+    let db = workload.db();
+    let cal = db.calibration();
     let mut streams: Vec<StreamState> = Vec::new();
     for s in 0..config.query_streams {
         let name = format!("S{}", s + 1);
@@ -465,14 +419,14 @@ pub fn run_throughput_test<W: StreamWorkload + ?Sized>(
 
         let mut lock_wait = granted.grant_time(&claims, stream.vtime) - stream.vtime;
         if lock_wait > 0.0 {
-            workload.note_lock_wait();
+            db.meter().bump(Counter::LockWaits);
         }
 
         // Run the unit, rolling back and retrying (with exponential
         // backoff, charged as lock wait) if it is picked as a deadlock
         // victim. Work wasted in aborted attempts stays in the unit's
         // metered cost.
-        let before = workload.snapshot();
+        let before = db.snapshot();
         let mut retries = 0u32;
         let rows = loop {
             let attempt = match unit {
@@ -483,31 +437,24 @@ pub fn run_throughput_test<W: StreamWorkload + ?Sized>(
             match attempt {
                 Ok(rows) => break rows,
                 Err(DbError::Deadlock(_)) if retries < MAX_DEADLOCK_RETRIES => {
-                    workload.note_deadlock_retry();
+                    db.meter().bump(Counter::DeadlockRetries);
                     lock_wait += DEADLOCK_BACKOFF_S * f64::from(1u32 << retries);
                     retries += 1;
                 }
                 Err(e) => return Err(e),
             }
         };
-        let work = workload.snapshot().since(&before);
+        let work = db.snapshot().since(&before);
         let seconds = cal.seconds(&work);
         let start = stream.vtime + lock_wait;
         let mut end = start + seconds;
         // The unit's commits visit the virtual log device; the stream is
-        // not done until its last commit is durable. Off charges nothing
-        // (and performs no arithmetic), keeping pre-WAL runs bit-identical.
+        // not done until its last commit is durable.
         let mut commit_wait = 0.0;
-        if config.durability != DurabilityModel::Off {
-            let commits = match unit {
-                Unit::Query(_) => 0,
-                Unit::Uf1(p) | Unit::Uf2(p) => workload.uf_commits(*p),
-            };
-            if commits > 0 {
-                let durable = log.commit_n(end, commits);
-                commit_wait = durable - end;
-                end = durable;
-            }
+        if let Unit::Uf1(p) | Unit::Uf2(p) = unit {
+            let durable = log.commit_n(end, workload.uf_commits(*p));
+            commit_wait = durable - end;
+            end = durable;
         }
         granted.hold(&claims, end);
 
@@ -557,6 +504,10 @@ impl StreamWorkload for IsolatedWorkload<'_> {
         "isolated RDBMS".to_string()
     }
 
+    fn db(&self) -> &Database {
+        self.db
+    }
+
     fn run_query(&self, n: usize, params: &QueryParams) -> DbResult<u64> {
         Ok(crate::power::run_query(self.db, n, params)?.rows.len() as u64)
     }
@@ -567,22 +518,6 @@ impl StreamWorkload for IsolatedWorkload<'_> {
 
     fn run_uf2(&self, stream: u64) -> DbResult<u64> {
         crate::updates::uf2_txn(self.db, self.gen, stream)
-    }
-
-    fn snapshot(&self) -> MeterSnapshot {
-        self.db.snapshot()
-    }
-
-    fn calibration(&self) -> Calibration {
-        self.db.calibration()
-    }
-
-    fn note_lock_wait(&self) {
-        self.db.meter().bump(Counter::LockWaits);
-    }
-
-    fn note_deadlock_retry(&self) {
-        self.db.meter().bump(Counter::DeadlockRetries);
     }
 
     fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {
@@ -623,6 +558,10 @@ impl StreamWorkload for ExtendedIsolatedWorkload<'_> {
         "isolated RDBMS (extended protocol)".to_string()
     }
 
+    fn db(&self) -> &Database {
+        self.db
+    }
+
     fn run_query(&self, n: usize, params: &QueryParams) -> DbResult<u64> {
         let mut rows = 0u64;
         for stmt in queries::sql(n, params) {
@@ -648,22 +587,6 @@ impl StreamWorkload for ExtendedIsolatedWorkload<'_> {
 
     fn run_uf2(&self, stream: u64) -> DbResult<u64> {
         crate::updates::uf2_txn(self.db, self.gen, stream)
-    }
-
-    fn snapshot(&self) -> MeterSnapshot {
-        self.db.snapshot()
-    }
-
-    fn calibration(&self) -> Calibration {
-        self.db.calibration()
-    }
-
-    fn note_lock_wait(&self) {
-        self.db.meter().bump(Counter::LockWaits);
-    }
-
-    fn note_deadlock_retry(&self) {
-        self.db.meter().bump(Counter::DeadlockRetries);
     }
 
     fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {
@@ -844,8 +767,8 @@ mod tests {
         // flushes; group commit needs two (leader, then one shared
         // follower batch).
         let f = 0.0055;
-        let mut fsync = LogDevice::new(DurabilityModel::CommitFsync, f);
-        let mut group = LogDevice::new(DurabilityModel::GroupCommit, f);
+        let mut fsync = LogDevice::new(CommitPolicy::FsyncPerCommit, f);
+        let mut group = LogDevice::new(CommitPolicy::GroupCommit, f);
         let arrivals = [0.0, 0.001, 0.002, 0.003];
         let fsync_done: Vec<f64> = arrivals.iter().map(|&t| fsync.commit(t)).collect();
         let group_done: Vec<f64> = arrivals.iter().map(|&t| group.commit(t)).collect();
@@ -858,18 +781,56 @@ mod tests {
         assert_eq!(group_done[2], group_done[1], "commit 3 joins the follower batch");
         assert_eq!(group_done[3], group_done[1], "commit 4 joins the follower batch");
         // A lone committer gets no batching: group commit == fsync.
-        let mut lone = LogDevice::new(DurabilityModel::GroupCommit, f);
+        let mut lone = LogDevice::new(CommitPolicy::GroupCommit, f);
         assert!((lone.commit_n(0.0, 3) - 3.0 * f).abs() < 1e-12);
         assert_eq!(lone.flushes, 3);
-        // Off charges nothing and schedules nothing.
-        let mut off = LogDevice::new(DurabilityModel::Off, f);
+        // No fsync charges nothing and schedules nothing.
+        let mut off = LogDevice::new(CommitPolicy::NoFsync, f);
         assert_eq!(off.commit(1.5).to_bits(), 1.5f64.to_bits());
         assert_eq!(off.flushes, 0);
         assert_eq!(off.commits, 0);
     }
 
+    /// The virtual device and the engine's WAL are two implementations of
+    /// one commit policy: for one committer issuing `n` commits in turn,
+    /// the device's flushes/commits are the WAL's metered
+    /// `WalFlushes`/`GroupCommitBatch`.
     #[test]
-    fn durability_model_charges_only_update_commits() {
+    fn log_device_agrees_with_the_wal_for_one_committer() {
+        use rdbms::{DbConfig, WalConfig};
+        let n = 5u64;
+        for (policy, expected) in [
+            (CommitPolicy::NoFsync, 0),
+            (CommitPolicy::FsyncPerCommit, n),
+            (CommitPolicy::GroupCommit, n),
+        ] {
+            let mut device = LogDevice::new(policy, 0.0055);
+            device.commit_n(0.0, n);
+
+            let path = std::env::temp_dir().join(format!(
+                "tpcd-log-device-{}-{}",
+                policy.as_str(),
+                std::process::id()
+            ));
+            let wal = WalConfig::new(&path).with_policy(policy);
+            let db = Database::open(DbConfig { wal: Some(wal), ..DbConfig::default() }).unwrap();
+            db.execute("CREATE TABLE t (k INT)").unwrap();
+            let before = db.snapshot();
+            for k in 0..n {
+                db.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+            }
+            let wal = db.snapshot().since(&before);
+            std::fs::remove_file(&path).ok();
+
+            let label = policy.as_str();
+            assert_eq!((device.flushes, device.commits), (expected, expected), "{label}");
+            assert_eq!(wal.get(Counter::WalFlushes), device.flushes, "{label}");
+            assert_eq!(wal.get(Counter::GroupCommitBatch), device.commits, "{label}");
+        }
+    }
+
+    #[test]
+    fn commit_policy_charges_only_update_commits() {
         let run = |durability| {
             let (db, gen) = fresh(0.002);
             let params = QueryParams::for_scale(gen.sf);
@@ -878,12 +839,12 @@ mod tests {
                 ThroughputConfig { query_streams: 2, seed: 7, durability, ..Default::default() };
             run_throughput_test(&workload, &params, gen.sf, &config).unwrap()
         };
-        let off = run(DurabilityModel::Off);
-        let fsync = run(DurabilityModel::CommitFsync);
-        assert_eq!(off.durability, "off");
+        let off = run(CommitPolicy::NoFsync);
+        let fsync = run(CommitPolicy::FsyncPerCommit);
+        assert_eq!(off.durability, "no_fsync");
         assert_eq!(off.commits, 0);
         assert_eq!(off.wal_flushes, 0);
-        assert_eq!(fsync.durability, "fsync-per-commit");
+        assert_eq!(fsync.durability, "fsync_per_commit");
         // One transaction per refresh function: 2 UF1/UF2 pairs = 4 commits.
         assert_eq!(fsync.commits, 4);
         assert_eq!(fsync.wal_flushes, 4, "per-commit fsync never batches");
@@ -972,6 +933,9 @@ mod tests {
         fn name(&self) -> String {
             "probe reader".to_string()
         }
+        fn db(&self) -> &Database {
+            self.inner.db
+        }
         fn run_query(&self, n: usize, params: &QueryParams) -> DbResult<u64> {
             self.inner.run_query(n, params)
         }
@@ -984,18 +948,6 @@ mod tests {
         }
         fn run_uf2(&self, stream: u64) -> DbResult<u64> {
             self.inner.run_uf2(stream)
-        }
-        fn snapshot(&self) -> MeterSnapshot {
-            self.inner.snapshot()
-        }
-        fn calibration(&self) -> Calibration {
-            self.inner.calibration()
-        }
-        fn note_lock_wait(&self) {
-            self.inner.note_lock_wait()
-        }
-        fn note_deadlock_retry(&self) {
-            self.inner.note_deadlock_retry()
         }
         fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {
             query_read_set(self.inner.db, n, params)

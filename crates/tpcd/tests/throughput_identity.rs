@@ -8,13 +8,13 @@
 //! replace `golden/throughput_schedule.txt` with the table the failing
 //! assertion prints.
 
-use rdbms::Database;
+use rdbms::{CommitPolicy, Database};
 use tpcd::dbgen::DbGen;
 use tpcd::queries::QueryParams;
 use tpcd::schema::load;
 use tpcd::throughput::{
-    run_throughput_test, DurabilityModel, ExtendedIsolatedWorkload, IsolatedWorkload, LockModel,
-    StreamWorkload, ThroughputConfig, ThroughputResult,
+    run_throughput_test, ExtendedIsolatedWorkload, IsolatedWorkload, LockModel, StreamWorkload,
+    ThroughputConfig, ThroughputResult,
 };
 
 const GOLDEN: &str = include_str!("golden/throughput_schedule.txt");
@@ -24,7 +24,7 @@ fn run(workload: &dyn StreamWorkload, gen: &DbGen, lock_model: LockModel) -> Thr
     let config = ThroughputConfig {
         query_streams: 2,
         lock_model,
-        durability: DurabilityModel::GroupCommit,
+        durability: CommitPolicy::GroupCommit,
         ..Default::default()
     };
     run_throughput_test(workload, &params, gen.sf, &config).unwrap()

@@ -38,7 +38,7 @@ fn main() {
         "entered {} orders through the application logic: {} consistency-check units, {}",
         orders.len(),
         work.check_units(),
-        fmt_duration(sys.calibration().seconds(&work))
+        fmt_duration(sys.db.calibration().seconds(&work))
     );
 
     // The checks are real: an order for an unknown customer is rejected.
@@ -62,7 +62,7 @@ fn main() {
         let work = sys.snapshot().since(&before);
         println!(
             "{label}: {} for 2000 lookups ({} DB crossings, {:.0}% buffer hits)",
-            fmt_duration(sys.calibration().seconds(&work)),
+            fmt_duration(sys.db.calibration().seconds(&work)),
             work.ipc_crossings(),
             work.cache_hit_ratio() * 100.0
         );
