@@ -1,7 +1,7 @@
 //! The system catalog: tables, indexes, views, and optimizer statistics.
 
 use crate::error::{DbError, DbResult};
-use crate::index::{BTree, Batch};
+use crate::index::{check_key, BTree, Batch};
 use crate::schema::{Column, Row, Schema};
 use crate::sql::ast::SelectStmt;
 use crate::storage::codec::encode_key;
@@ -342,10 +342,11 @@ impl Catalog {
     pub fn insert_stored(&self, table: &Table, row: &[Value]) -> DbResult<(Rid, Row)> {
         let row = crate::schema::coerce_row(&table.schema, row)?;
         let indexes = table.indexes.read();
-        // Check unique constraints first so a violation leaves no trace.
-        for index in indexes.iter().filter(|i| i.unique) {
-            let key = index.key_for(&row);
-            if !index.tree.lock().search_exact(&key)?.is_empty() {
+        let keys: Vec<Vec<u8>> = indexes.iter().map(|i| i.key_for(&row)).collect();
+        // Check every key first so a refusal leaves no trace.
+        for (index, key) in indexes.iter().zip(&keys) {
+            check_key(key, index.unique)?;
+            if index.unique && !index.tree.lock().search_exact(key)?.is_empty() {
                 return Err(DbError::constraint(format!(
                     "unique index {} violated on {}",
                     index.name, table.name
@@ -353,9 +354,8 @@ impl Catalog {
             }
         }
         let rid = table.heap.insert(&row)?;
-        for index in indexes.iter() {
-            let key = index.key_for(&row);
-            index.tree.lock().insert(&key, rid)?;
+        for (index, key) in indexes.iter().zip(&keys) {
+            index.tree.lock().insert(key, rid)?;
         }
         self.pager.meter().bump(crate::clock::Counter::DbTuples);
         Ok((rid, row))
@@ -395,14 +395,17 @@ impl Catalog {
             .get(rid, crate::storage::AccessPattern::Random)?
             .ok_or_else(|| DbError::storage(format!("no row at {rid:?}")))?;
         let indexes = table.indexes.read();
+        let new_keys: Vec<Vec<u8>> = indexes.iter().map(|i| i.key_for(&new_row)).collect();
+        for (index, key) in indexes.iter().zip(&new_keys) {
+            check_key(key, index.unique)?;
+        }
         for index in indexes.iter() {
             let key = index.key_for(&old_row);
             index.tree.lock().delete(&key, rid)?;
         }
         let new_rid = table.heap.update(rid, &new_row)?;
-        for index in indexes.iter() {
-            let key = index.key_for(&new_row);
-            index.tree.lock().insert(&key, new_rid)?;
+        for (index, key) in indexes.iter().zip(&new_keys) {
+            index.tree.lock().insert(key, new_rid)?;
         }
         self.pager.meter().bump(crate::clock::Counter::DbTuples);
         Ok((new_rid, new_row))

@@ -15,8 +15,14 @@
 //!   unlinked from its parent and its left neighbour and its page freed,
 //!   so does an interior node left without children, and a root with one
 //!   child gives way to that child.
-//! * Nodes are (de)serialized to an in-memory form for manipulation; the
-//!   page is the unit of I/O accounting.
+//! * A node's bytes are a header (kind, entry count, and the leaf's `next`
+//!   or the interior node's first child) and its entries end to end, each
+//!   a key length, the key, and the leaf's rid or the interior node's next
+//!   child. [`BTree::insert`] and [`BTree::delete`] work on those bytes:
+//!   they pick each child by reading the separators where they lie in the
+//!   page and shift the leaf's entries to add or remove one. A node is
+//!   decoded to an in-memory form only to split it, to unlink an emptied
+//!   leaf, and on the read path. The page is the unit of I/O accounting.
 //! * A batch of entries ([`BTree::insert_batch`]) runs the same insertion,
 //!   split for split and page allocation for page allocation, over nodes
 //!   it decodes once and writes back once, at the end: the tree it leaves
@@ -26,7 +32,7 @@ use crate::clock::Counter;
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{PageId, Rid, PAGE_SIZE};
 use crate::storage::pager::{AccessPattern, Pager};
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -34,6 +40,18 @@ use std::sync::Arc;
 const NO_PAGE: PageId = PageId::MAX;
 /// Serialized node size budget; split when exceeded.
 const NODE_BUDGET: usize = PAGE_SIZE - 64;
+/// A node's header: its kind, its entry count (u16), and the leaf's `next`
+/// or the interior node's first child (u32).
+const HEADER: usize = 7;
+const LEAF: u8 = 1;
+const INTERIOR: u8 = 0;
+/// What follows a key in a leaf entry (its rid) and in an interior one
+/// (the child right of the separator).
+const RID_LEN: usize = 6;
+const CHILD_LEN: usize = 4;
+/// The longest entry that shares a node with another as long. A split
+/// needs any two entries to fit one node, so a longer key is refused.
+const MAX_ENTRY: usize = (NODE_BUDGET - HEADER) / 2;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Node {
@@ -50,81 +68,204 @@ enum Node {
     },
 }
 
+fn leaf_size(entries: &[(Vec<u8>, Rid)]) -> usize {
+    HEADER + entries.iter().map(|(k, _)| 2 + k.len() + RID_LEN).sum::<usize>()
+}
+
+fn interior_size(separators: &[Vec<u8>]) -> usize {
+    HEADER + separators.iter().map(|s| 2 + s.len() + CHILD_LEN).sum::<usize>()
+}
+
 impl Node {
     fn serialized_size(&self) -> usize {
         match self {
-            Node::Leaf { entries, .. } => {
-                1 + 2 + 4 + entries.iter().map(|(k, _)| 2 + k.len() + 6).sum::<usize>()
-            }
-            Node::Internal { separators, children } => {
-                1 + 2 + 4 * children.len() + separators.iter().map(|s| 2 + s.len()).sum::<usize>()
-            }
+            Node::Leaf { entries, .. } => leaf_size(entries),
+            Node::Internal { separators, .. } => interior_size(separators),
         }
     }
 
+    /// Write the node's bytes at the start of `out`; the rest of `out` is
+    /// left as it was.
     fn encode(&self, out: &mut [u8; PAGE_SIZE]) {
-        let mut buf: Vec<u8> = Vec::with_capacity(self.serialized_size());
+        let size = self.serialized_size();
+        assert!(size <= PAGE_SIZE, "node exceeds page: {size} bytes");
+        let mut at = HEADER;
         match self {
             Node::Leaf { next, entries } => {
-                buf.put_u8(1);
-                buf.put_u16_le(entries.len() as u16);
-                buf.put_u32_le(*next);
+                put_header(out, LEAF, entries.len(), *next);
                 for (k, rid) in entries {
-                    buf.put_u16_le(k.len() as u16);
-                    buf.put_slice(k);
-                    buf.put_u32_le(rid.page);
-                    buf.put_u16_le(rid.slot);
+                    at = put_entry(out, at, k, &rid_bytes(*rid));
                 }
             }
             Node::Internal { separators, children } => {
-                buf.put_u8(0);
-                buf.put_u16_le(separators.len() as u16);
-                buf.put_u32_le(children[0]);
+                put_header(out, INTERIOR, separators.len(), children[0]);
                 for (s, child) in separators.iter().zip(&children[1..]) {
-                    buf.put_u16_le(s.len() as u16);
-                    buf.put_slice(s);
-                    buf.put_u32_le(*child);
+                    at = put_entry(out, at, s, &child.to_le_bytes());
                 }
             }
         }
-        assert!(buf.len() <= PAGE_SIZE, "node exceeds page: {} bytes", buf.len());
-        out[..buf.len()].copy_from_slice(&buf);
     }
 
-    fn decode(data: &[u8; PAGE_SIZE]) -> DbResult<Node> {
-        let mut buf = &data[..];
-        let kind = buf.get_u8();
-        let n = buf.get_u16_le() as usize;
-        match kind {
-            1 => {
-                let next = buf.get_u32_le();
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = buf.get_u16_le() as usize;
-                    let k = buf[..klen].to_vec();
-                    buf.advance(klen);
-                    let page = buf.get_u32_le();
-                    let slot = buf.get_u16_le();
-                    entries.push((k, Rid::new(page, slot)));
-                }
-                Ok(Node::Leaf { next, entries })
+    fn decode(page: &[u8]) -> DbResult<Node> {
+        let link = u32_at(page, 3);
+        match page[0] {
+            LEAF => {
+                let entries = Entries::of(page, LEAF)?;
+                let entries = entries.map(|(k, rid)| (k.to_vec(), rid_at(rid))).collect();
+                Ok(Node::Leaf { next: link, entries })
             }
-            0 => {
-                let first = buf.get_u32_le();
-                let mut separators = Vec::with_capacity(n);
-                let mut children = Vec::with_capacity(n + 1);
-                children.push(first);
-                for _ in 0..n {
-                    let klen = buf.get_u16_le() as usize;
-                    separators.push(buf[..klen].to_vec());
-                    buf.advance(klen);
-                    children.push(buf.get_u32_le());
+            INTERIOR => {
+                let entries = Entries::of(page, INTERIOR)?;
+                let mut separators = Vec::with_capacity(entries.left);
+                let mut children = Vec::with_capacity(entries.left + 1);
+                children.push(link);
+                for (s, child) in entries {
+                    separators.push(s.to_vec());
+                    children.push(u32_at(child, 0));
                 }
                 Ok(Node::Internal { separators, children })
             }
             other => Err(DbError::storage(format!("bad btree node kind {other}"))),
         }
     }
+}
+
+fn u16_at(page: &[u8], at: usize) -> usize {
+    u16::from_le_bytes([page[at], page[at + 1]]) as usize
+}
+
+fn u32_at(page: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([page[at], page[at + 1], page[at + 2], page[at + 3]])
+}
+
+fn rid_bytes(rid: Rid) -> [u8; RID_LEN] {
+    let [a, b, c, d] = rid.page.to_le_bytes();
+    let [e, f] = rid.slot.to_le_bytes();
+    [a, b, c, d, e, f]
+}
+
+fn rid_at(bytes: &[u8]) -> Rid {
+    Rid::new(u32_at(bytes, 0), u16::from_le_bytes([bytes[4], bytes[5]]))
+}
+
+fn set_count(page: &mut [u8], count: usize) {
+    page[1..3].copy_from_slice(&(count as u16).to_le_bytes());
+}
+
+fn put_header(page: &mut [u8], kind: u8, count: usize, link: PageId) {
+    page[0] = kind;
+    set_count(page, count);
+    page[3..HEADER].copy_from_slice(&link.to_le_bytes());
+}
+
+/// Write the entry `key`, `tail` at `at`; returns where it ends.
+fn put_entry(page: &mut [u8], at: usize, key: &[u8], tail: &[u8]) -> usize {
+    let end = at + 2 + key.len();
+    page[at..at + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    page[at + 2..end].copy_from_slice(key);
+    page[end..end + tail.len()].copy_from_slice(tail);
+    end + tail.len()
+}
+
+/// Add the entry `key`, `tail` at `at` to the node in `page`, which ends
+/// at `end`: the entries from `at` on move up to make room.
+fn insert_in_page(page: &mut [u8], at: usize, end: usize, key: &[u8], tail: &[u8]) {
+    page.copy_within(at..end, at + 2 + key.len() + tail.len());
+    put_entry(page, at, key, tail);
+    set_count(page, u16_at(page, 1) + 1);
+}
+
+/// Take the entry at `at..at + len` out of the node in `page`, which ends
+/// at `end`: the entries after it move down over it.
+fn remove_from_page(page: &mut [u8], at: usize, len: usize, end: usize) {
+    page.copy_within(at + len..end, at);
+    set_count(page, u16_at(page, 1) - 1);
+}
+
+/// A node's entries where they lie in its bytes, in key order: each item
+/// is a key and what follows it (a rid, or the child right of the
+/// separator). `at` is where the next entry starts, so once the last has
+/// been read it is the node's length.
+struct Entries<'a> {
+    page: &'a [u8],
+    at: usize,
+    left: usize,
+    tail: usize,
+}
+
+impl<'a> Entries<'a> {
+    fn of(page: &'a [u8], kind: u8) -> DbResult<Self> {
+        if page[0] != kind {
+            return Err(DbError::storage(format!(
+                "btree node of kind {} where kind {kind} belongs",
+                page[0]
+            )));
+        }
+        let tail = if kind == LEAF { RID_LEN } else { CHILD_LEN };
+        Ok(Entries { page, at: HEADER, left: u16_at(page, 1), tail })
+    }
+
+    /// The node's length.
+    fn end(mut self) -> usize {
+        while self.next().is_some() {}
+        self.at
+    }
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = (&'a [u8], &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let key = self.at + 2;
+        let tail = key + u16_at(self.page, self.at);
+        self.at = tail + self.tail;
+        Some((&self.page[key..tail], &self.page[tail..self.at]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
+/// Where a node whose entries take `sizes` bytes splits: at the midpoint
+/// by count, unless that leaves a half larger than a page; then where the
+/// larger half is smallest. The entry at the split point starts a leaf's
+/// right half (`up` 0) or moves up out of an interior node (`up` 1).
+fn split_point(sizes: &[usize], up: usize) -> usize {
+    let total: usize = sizes.iter().sum();
+    let larger_half = |at: usize| {
+        let left: usize = sizes[..at].iter().sum();
+        let right = total - left - sizes[at..at + up].iter().sum::<usize>();
+        HEADER + left.max(right)
+    };
+    let mid = sizes.len() / 2;
+    if larger_half(mid) <= PAGE_SIZE {
+        return mid;
+    }
+    (1..sizes.len() - up)
+        .min_by_key(|&at| larger_half(at))
+        .expect("a node over budget has entries on both sides of a split")
+}
+
+/// Refuse a key whose entry would be too long to share a node with
+/// another as long: a split needs any two entries to fit one node. Index
+/// upkeep checks every key of a row before it stores the row.
+pub fn check_key(key: &[u8], unique: bool) -> DbResult<()> {
+    let overhead = 2 + RID_LEN + if unique { 0 } else { RID_LEN };
+    if key.len() + overhead <= MAX_ENTRY {
+        return Ok(());
+    }
+    Err(DbError::constraint(format!(
+        "index key of {} bytes is longer than the {} bytes an index entry may hold",
+        key.len(),
+        MAX_ENTRY - overhead
+    )))
 }
 
 /// A B+-tree index.
@@ -138,13 +279,49 @@ pub struct BTree {
     height: u32,
 }
 
-/// One interior node on a root-to-leaf path, decoded, and the index of the
-/// child the path continues in.
+/// One interior node on a root-to-leaf path: a copy of its bytes as the
+/// descent read them, the index of the child the path continues in, and
+/// where the separator right of that child starts (where a new separator
+/// for the child's right sibling goes).
 struct Step {
     pid: PageId,
-    separators: Vec<Vec<u8>>,
-    children: Vec<PageId>,
+    page: Vec<u8>,
     idx: usize,
+    at: usize,
+}
+
+impl Step {
+    /// The step through interior node `pid` toward `key`, and the child it
+    /// leads to.
+    fn route(pid: PageId, page: &[u8], key: &[u8]) -> DbResult<(Step, PageId)> {
+        let mut entries = Entries::of(page, INTERIOR)?;
+        let (mut idx, mut child) = (0, u32_at(page, 3));
+        loop {
+            let at = entries.at;
+            match entries.next() {
+                Some((sep, right)) if sep <= key => {
+                    idx += 1;
+                    child = u32_at(right, 0);
+                }
+                _ => return Ok((Step { pid, page: page.to_vec(), idx, at }, child)),
+            }
+        }
+    }
+
+    fn decode(&self) -> DbResult<(Vec<Vec<u8>>, Vec<PageId>)> {
+        match Node::decode(&self.page)? {
+            Node::Internal { separators, children } => Ok((separators, children)),
+            Node::Leaf { .. } => Err(DbError::storage("expected interior node")),
+        }
+    }
+}
+
+/// Where a leaf takes a new entry: at `at`, moving the entries from there
+/// to the node's end `end` up; or, when that would exceed the budget, in
+/// its decoded form, to be split.
+enum Room {
+    Shift { at: usize, end: usize },
+    Split { next: PageId, entries: Vec<(Vec<u8>, Rid)> },
 }
 
 /// Result of inserting into a subtree: possibly a split.
@@ -156,8 +333,9 @@ enum InsertResult {
 /// Where an insertion reads the nodes it passes and leaves the ones it
 /// changes.
 enum Nodes {
-    /// Straight through the pager: every node read is decoded and every
-    /// change encoded and written at once (one entry at a time).
+    /// Straight through the pager, one entry at a time: the insertion
+    /// edits the pages in place (`BTree::insert_in_place`), and a node it
+    /// splits is encoded and written at once.
     Pager,
     /// A batch's decoded nodes: each is read from the pager on first touch
     /// only, and the changed ones are written back once, by `write_back`.
@@ -239,8 +417,15 @@ fn duplicate_key(key: &[u8]) -> DbError {
     DbError::constraint(format!("duplicate key in unique index ({} bytes)", key.len()))
 }
 
-/// Refuse a batch that holds some key twice.
-fn no_key_twice(entries: &Batch) -> DbResult<()> {
+/// Refuse a batch that holds a key too long for an index entry or, for a
+/// unique tree, some key twice.
+fn check_batch(entries: &Batch, unique: bool) -> DbResult<()> {
+    for (key, _) in entries.iter() {
+        check_key(key, unique)?;
+    }
+    if !unique {
+        return Ok(());
+    }
     let mut keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k).collect();
     keys.sort_unstable();
     match keys.windows(2).find(|w| w[0] == w[1]) {
@@ -260,12 +445,10 @@ impl BTree {
 
     /// A tree holding `entries`, the one [`BTree::new`] and inserting them
     /// in order would build, built as [`BTree::insert_batch`] does. A
-    /// unique tree refuses a batch that holds a key twice before it
-    /// allocates a page.
+    /// batch with a key too long for an entry, or for a unique tree a key
+    /// twice, is refused before a page is allocated.
     pub(crate) fn with_entries(pager: Arc<Pager>, unique: bool, entries: &Batch) -> DbResult<Self> {
-        if unique {
-            no_key_twice(entries)?;
-        }
+        check_batch(entries, unique)?;
         let mut tree = BTree::new(pager, unique)?;
         tree.replay(Nodes::held(), entries)?;
         Ok(tree)
@@ -293,9 +476,10 @@ impl BTree {
         }
     }
 
-    /// Insert an entry. For a unique index, an existing identical key is a
-    /// constraint violation.
+    /// Insert an entry. A key too long for an entry is refused, and for a
+    /// unique index so is an existing identical key.
     pub fn insert(&mut self, key: &[u8], rid: Rid) -> DbResult<()> {
+        check_key(key, self.unique)?;
         if self.unique && !self.search_exact(key)?.is_empty() {
             return Err(duplicate_key(key));
         }
@@ -305,13 +489,13 @@ impl BTree {
     /// Insert `entries` in order, as many [`BTree::insert`] calls would,
     /// split for split and page allocation for page allocation, but with
     /// every node decoded at most once and every changed node written
-    /// once, when the batch ends. A unique tree refuses a batch with a key
-    /// twice, or a key it already holds, before it allocates or changes a
-    /// page.
+    /// once, when the batch ends. A batch with a key too long for an
+    /// entry, or for a unique tree a key twice or a key it already holds,
+    /// is refused before a page is allocated or changed.
     pub fn insert_batch(&mut self, entries: &Batch) -> DbResult<()> {
+        check_batch(entries, self.unique)?;
         let mut nodes = Nodes::held();
         if self.unique {
-            no_key_twice(entries)?;
             for (key, _) in entries.iter() {
                 if self.holds(&mut nodes, key)? {
                     return Err(duplicate_key(key));
@@ -353,7 +537,10 @@ impl BTree {
     fn insert_entry(&mut self, nodes: &mut Nodes, key: &[u8], rid: Rid) -> DbResult<()> {
         let skey = self.stored_key(key, rid);
         let stored_bytes = (skey.len() + 6) as u64;
-        let result = self.insert_rec(nodes, self.root, skey, rid)?;
+        let result = match nodes {
+            Nodes::Pager => self.insert_in_place(skey, rid)?,
+            Nodes::Held { .. } => self.insert_rec(nodes, self.root, skey, rid)?,
+        };
         if let InsertResult::Split { sep, right } = result {
             let new_root = self.pager.allocate();
             let node = Node::Internal { separators: vec![sep], children: vec![self.root, right] };
@@ -367,6 +554,85 @@ impl BTree {
         Ok(())
     }
 
+    /// Walk from the root to the leaf `skey` belongs in, choosing each
+    /// child by the separators where they lie in the page, and run `leaf`
+    /// on the leaf's bytes. Each node is one metered random read, as
+    /// [`BTree::load`] makes it. Returns the interior nodes passed and the
+    /// leaf's page beside what `leaf` returned.
+    fn descend<T>(
+        &self,
+        skey: &[u8],
+        leaf: impl FnOnce(&[u8]) -> DbResult<T>,
+    ) -> DbResult<(Vec<Step>, PageId, T)> {
+        let mut path = Vec::with_capacity(self.height as usize - 1);
+        let mut pid = self.root;
+        for _ in 1..self.height {
+            self.pager.meter().bump(Counter::IndexNodeReads);
+            let (step, child) = self
+                .pager
+                .read(pid, AccessPattern::Random, |page| Step::route(pid, page.raw(), skey))??;
+            path.push(step);
+            pid = child;
+        }
+        self.pager.meter().bump(Counter::IndexNodeReads);
+        let found = self.pager.read(pid, AccessPattern::Random, |page| leaf(page.raw()))??;
+        Ok((path, pid, found))
+    }
+
+    /// [`BTree::insert_entry`] through the pager: the entry goes into the
+    /// leaf's page in place, and a separator a split sends up into its
+    /// parent's. A node without room is decoded from the copy the descent
+    /// kept (the leaf: from the read that found it full) and split.
+    fn insert_in_place(&mut self, skey: Vec<u8>, rid: Rid) -> DbResult<InsertResult> {
+        let (path, leaf, room) = self.descend(&skey, |page| {
+            let mut entries = Entries::of(page, LEAF)?;
+            let mut at = entries.at;
+            while entries.next().is_some_and(|(k, _)| k < skey.as_slice()) {
+                at = entries.at;
+            }
+            let end = entries.end();
+            if end + 2 + skey.len() + RID_LEN <= NODE_BUDGET {
+                return Ok(Room::Shift { at, end });
+            }
+            let Node::Leaf { next, entries } = Node::decode(page)? else {
+                unreachable!("a leaf's kind was checked");
+            };
+            Ok(Room::Split { next, entries })
+        })?;
+        let mut result = match room {
+            Room::Shift { at, end } => {
+                let tail = rid_bytes(rid);
+                self.pager.write(leaf, AccessPattern::Random, |page| {
+                    insert_in_page(page.raw_mut(), at, end, &skey, &tail)
+                })?;
+                return Ok(InsertResult::Ok);
+            }
+            Room::Split { next, mut entries } => {
+                let pos = entries.partition_point(|(k, _)| *k < skey);
+                entries.insert(pos, (skey, rid));
+                self.put_leaf(&mut Nodes::Pager, leaf, next, entries)?
+            }
+        };
+        for step in path.into_iter().rev() {
+            let InsertResult::Split { sep, right } = result else {
+                break;
+            };
+            let end = Entries::of(&step.page, INTERIOR)?.end();
+            if end + 2 + sep.len() + CHILD_LEN <= NODE_BUDGET {
+                self.pager.write(step.pid, AccessPattern::Random, |page| {
+                    insert_in_page(page.raw_mut(), step.at, end, &sep, &right.to_le_bytes())
+                })?;
+                return Ok(InsertResult::Ok);
+            }
+            let (mut separators, mut children) = step.decode()?;
+            separators.insert(step.idx, sep);
+            children.insert(step.idx + 1, right);
+            result = self.put_internal(&mut Nodes::Pager, step.pid, separators, children)?;
+        }
+        Ok(result)
+    }
+
+    /// [`BTree::insert_entry`] over a batch's held nodes.
     fn insert_rec(
         &mut self,
         nodes: &mut Nodes,
@@ -378,20 +644,7 @@ impl BTree {
             Node::Leaf { next, mut entries } => {
                 let pos = entries.partition_point(|(k, _)| *k < skey);
                 entries.insert(pos, (skey, rid));
-                let node = Node::Leaf { next, entries };
-                if node.serialized_size() <= NODE_BUDGET {
-                    nodes.put(&self.pager, pid, node)?;
-                    return Ok(InsertResult::Ok);
-                }
-                // Split leaf at the midpoint.
-                let Node::Leaf { next, mut entries } = node else { unreachable!() };
-                let right_entries = entries.split_off(entries.len() / 2);
-                let sep = right_entries[0].0.clone();
-                let right_pid = self.pager.allocate();
-                self.node_pages += 1;
-                nodes.put(&self.pager, right_pid, Node::Leaf { next, entries: right_entries })?;
-                nodes.put(&self.pager, pid, Node::Leaf { next: right_pid, entries })?;
-                Ok(InsertResult::Split { sep, right: right_pid })
+                self.put_leaf(nodes, pid, next, entries)
             }
             Node::Internal { mut separators, mut children } => {
                 let idx = separators.partition_point(|s| *s <= skey);
@@ -404,62 +657,94 @@ impl BTree {
                 };
                 separators.insert(idx, sep);
                 children.insert(idx + 1, right);
-                let node = Node::Internal { separators, children };
-                if node.serialized_size() <= NODE_BUDGET {
-                    nodes.put(&self.pager, pid, node)?;
-                    return Ok(InsertResult::Ok);
-                }
-                let Node::Internal { mut separators, mut children } = node else { unreachable!() };
-                let mid = separators.len() / 2;
-                let right_seps = separators.split_off(mid + 1);
-                let up_sep = separators.pop().expect("mid separator");
-                let right_children = children.split_off(mid + 1);
-                let right_pid = self.pager.allocate();
-                self.node_pages += 1;
-                nodes.put(
-                    &self.pager,
-                    right_pid,
-                    Node::Internal { separators: right_seps, children: right_children },
-                )?;
-                nodes.put(&self.pager, pid, Node::Internal { separators, children })?;
-                Ok(InsertResult::Split { sep: up_sep, right: right_pid })
+                self.put_internal(nodes, pid, separators, children)
             }
         }
     }
 
-    /// Remove an entry. Returns true if found.
+    /// Give back leaf `pid` holding `entries`, split onto a fresh right
+    /// page when over budget.
+    fn put_leaf(
+        &mut self,
+        nodes: &mut Nodes,
+        pid: PageId,
+        next: PageId,
+        mut entries: Vec<(Vec<u8>, Rid)>,
+    ) -> DbResult<InsertResult> {
+        if leaf_size(&entries) <= NODE_BUDGET {
+            nodes.put(&self.pager, pid, Node::Leaf { next, entries })?;
+            return Ok(InsertResult::Ok);
+        }
+        let sizes: Vec<usize> = entries.iter().map(|(k, _)| 2 + k.len() + RID_LEN).collect();
+        let right_entries = entries.split_off(split_point(&sizes, 0));
+        let sep = right_entries[0].0.clone();
+        let right_pid = self.pager.allocate();
+        self.node_pages += 1;
+        nodes.put(&self.pager, right_pid, Node::Leaf { next, entries: right_entries })?;
+        nodes.put(&self.pager, pid, Node::Leaf { next: right_pid, entries })?;
+        Ok(InsertResult::Split { sep, right: right_pid })
+    }
+
+    /// Give back interior node `pid`, split onto a fresh right page when
+    /// over budget, the separator at the split point going up.
+    fn put_internal(
+        &mut self,
+        nodes: &mut Nodes,
+        pid: PageId,
+        mut separators: Vec<Vec<u8>>,
+        mut children: Vec<PageId>,
+    ) -> DbResult<InsertResult> {
+        if interior_size(&separators) <= NODE_BUDGET {
+            nodes.put(&self.pager, pid, Node::Internal { separators, children })?;
+            return Ok(InsertResult::Ok);
+        }
+        let sizes: Vec<usize> = separators.iter().map(|s| 2 + s.len() + CHILD_LEN).collect();
+        let mid = split_point(&sizes, 1);
+        let right_seps = separators.split_off(mid + 1);
+        let up_sep = separators.pop().expect("mid separator");
+        let right_children = children.split_off(mid + 1);
+        let right_pid = self.pager.allocate();
+        self.node_pages += 1;
+        nodes.put(
+            &self.pager,
+            right_pid,
+            Node::Internal { separators: right_seps, children: right_children },
+        )?;
+        nodes.put(&self.pager, pid, Node::Internal { separators, children })?;
+        Ok(InsertResult::Split { sep: up_sep, right: right_pid })
+    }
+
+    /// Remove an entry. Returns true if found. The entry leaves the leaf's
+    /// page in place, unless it was the last one of a leaf below the root:
+    /// then the leaf is unlinked.
     pub fn delete(&mut self, key: &[u8], rid: Rid) -> DbResult<bool> {
         let skey = self.stored_key(key, rid);
-        // The interior nodes passed on the way down, with the child taken.
-        let mut path: Vec<Step> = Vec::new();
-        let mut pid = self.root;
-        let (next, mut entries) = loop {
-            match self.load(pid)? {
-                Node::Internal { separators, children } => {
-                    let idx = separators.partition_point(|s| s.as_slice() <= skey.as_slice());
-                    let child = children[idx];
-                    path.push(Step { pid, separators, children, idx });
-                    pid = child;
+        let (unique, tail) = (self.unique, rid_bytes(rid));
+        let (path, leaf, found) = self.descend(&skey, |page| {
+            let mut entries = Entries::of(page, LEAF)?;
+            let mut at = entries.at;
+            while let Some((k, r)) = entries.next() {
+                // For unique trees the same user key may map to any rid.
+                if k == skey.as_slice() && (!unique || r == tail) {
+                    let len = entries.at - at;
+                    let (count, next) = (u16_at(page, 1), u32_at(page, 3));
+                    return Ok(Some((at, len, entries.end(), count, next)));
                 }
-                Node::Leaf { next, entries } => break (next, entries),
+                at = entries.at;
             }
-        };
-        // For unique trees the same user key may map to any rid.
-        let pos = if self.unique {
-            entries.iter().position(|(k, r)| k == &skey && *r == rid)
-        } else {
-            entries.iter().position(|(k, _)| k == &skey)
-        };
-        let Some(i) = pos else {
+            Ok(None)
+        })?;
+        let Some((at, len, end, count, next)) = found else {
             return Ok(false);
         };
-        let (k, _) = entries.remove(i);
         self.entry_count -= 1;
-        self.entry_bytes -= (k.len() + 6) as u64;
-        if entries.is_empty() && !path.is_empty() {
-            self.unlink_leaf(pid, next, path)?;
+        self.entry_bytes -= (len - 2) as u64;
+        if count == 1 && !path.is_empty() {
+            self.unlink_leaf(leaf, next, path)?;
         } else {
-            Self::store(&self.pager, pid, &Node::Leaf { next, entries })?;
+            self.pager.write(leaf, AccessPattern::Random, |page| {
+                remove_from_page(page.raw_mut(), at, len, end)
+            })?;
         }
         Ok(true)
     }
@@ -471,7 +756,7 @@ impl BTree {
         // The leaf to the left is the rightmost one under the nearest
         // left sibling of an ancestor; it must skip the freed page.
         if let Some(step) = path.iter().rev().find(|s| s.idx > 0) {
-            let mut pid = step.children[step.idx - 1];
+            let mut pid = step.decode()?.1[step.idx - 1];
             loop {
                 match self.load(pid)? {
                     Node::Internal { children, .. } => pid = *children.last().expect("child"),
@@ -483,18 +768,19 @@ impl BTree {
             }
         }
         let mut freed = leaf;
-        while let Some(Step { pid, mut separators, mut children, idx }) = path.pop() {
+        while let Some(step) = path.pop() {
+            let (mut separators, mut children) = step.decode()?;
             self.pager.free(freed);
             self.node_pages -= 1;
-            children.remove(idx);
+            children.remove(step.idx);
             if children.is_empty() {
                 // Never the root: it keeps two children or gives way below.
-                freed = pid;
+                freed = step.pid;
                 continue;
             }
             // The removed child's key range falls to a neighbour.
-            separators.remove(idx.saturating_sub(1));
-            Self::store(&self.pager, pid, &Node::Internal { separators, children })?;
+            separators.remove(step.idx.saturating_sub(1));
+            Self::store(&self.pager, step.pid, &Node::Internal { separators, children })?;
             break;
         }
         while let Node::Internal { children, .. } = self.load(self.root)? {
@@ -645,6 +931,7 @@ mod tests {
     use crate::storage::codec::encode_key;
     use crate::storage::pager::PagerConfig;
     use crate::types::Value;
+    use std::collections::BTreeMap;
 
     fn tree(unique: bool) -> BTree {
         let pager = Pager::new(PagerConfig { pool_pages: 256 }, CostMeter::new());
@@ -961,5 +1248,152 @@ mod tests {
         let mut dups = tree(false);
         dups.insert_batch(&twice).unwrap();
         assert_eq!(dups.search_exact(&key(900)).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_split_goes_by_bytes_only_where_the_midpoint_overflows_a_page() {
+        let larger_half = |sizes: &[usize], at: usize, up: usize| {
+            let left: usize = sizes[..at].iter().sum();
+            HEADER + left.max(sizes[at + up..].iter().sum())
+        };
+        for up in [0, 1] {
+            let even = vec![40; 300];
+            assert_eq!(split_point(&even, up), 150);
+            // Two entries as long as an entry may be, among short ones at
+            // either end: the midpoint would leave them a half over a page.
+            for long_first in [true, false] {
+                let mut sizes = vec![30; 101];
+                let at = if long_first { 0 } else { sizes.len() };
+                sizes.splice(at..at, [MAX_ENTRY, MAX_ENTRY]);
+                assert!(larger_half(&sizes, sizes.len() / 2, up) > PAGE_SIZE);
+                let split = split_point(&sizes, up);
+                assert!(larger_half(&sizes, split, up) <= PAGE_SIZE, "up {up}, at {split}");
+            }
+        }
+    }
+
+    /// Every node reachable from the root, counted, and the leaves left to
+    /// right, each with the page its `next` names.
+    fn reachable(t: &BTree) -> (u64, Vec<(PageId, PageId)>) {
+        let (mut nodes, mut leaves, mut todo) = (0, Vec::new(), vec![t.root]);
+        while let Some(pid) = todo.pop() {
+            nodes += 1;
+            match t.load(pid).unwrap() {
+                Node::Internal { children, .. } => todo.extend(children.iter().rev()),
+                Node::Leaf { next, .. } => leaves.push((pid, next)),
+            }
+        }
+        (nodes, leaves)
+    }
+
+    /// The tree holds exactly `model` (stored key to rid), in order, with
+    /// the counts it keeps; every allocated page is a reachable node, and
+    /// the leaf chain runs through the leaves left to right.
+    fn check_against(t: &BTree, model: &BTreeMap<Vec<u8>, Rid>, context: &str) {
+        let all = t.scan_all().unwrap();
+        assert!(all.iter().map(|(k, r)| (k, r)).eq(model.iter()), "{context}: entries");
+        assert_eq!(t.entry_count(), model.len() as u64, "{context}");
+        let bytes: u64 = model.keys().map(|k| k.len() as u64 + 6).sum();
+        assert_eq!(t.entry_bytes(), bytes, "{context}");
+        let (nodes, leaves) = reachable(t);
+        assert_eq!((t.node_pages(), t.pager.allocated_pages() as u64), (nodes, nodes), "{context}");
+        let chain = leaves.iter().skip(1).map(|&(pid, _)| pid).chain([NO_PAGE]);
+        assert!(leaves.iter().map(|&(_, next)| next).eq(chain), "{context}: leaf chain");
+    }
+
+    /// The pages on the path to `skey`, as they are now.
+    fn path_pages(t: &BTree, skey: &[u8]) -> Vec<(PageId, [u8; PAGE_SIZE])> {
+        let (path, leaf, ()) = t.descend(skey, |_| Ok(())).unwrap();
+        let pids = path.iter().map(|s| s.pid).chain([leaf]);
+        pids.map(|pid| (pid, t.pager.read(pid, AccessPattern::Random, |p| *p.raw()).unwrap()))
+            .collect()
+    }
+
+    /// Each page of `before` that is still allocated holds its node's
+    /// encoding over its old bytes: an edit in place wrote exactly what
+    /// `Node::encode` writes and left the rest of the page as it was.
+    fn assert_encoded_over(t: &BTree, before: Vec<(PageId, [u8; PAGE_SIZE])>, context: &str) {
+        for (pid, mut expect) in before {
+            let Ok(now) = t.pager.read(pid, AccessPattern::Random, |p| *p.raw()) else {
+                continue; // freed by an unlink
+            };
+            Node::decode(&now).unwrap().encode(&mut expect);
+            assert!(expect == now, "{context}: page {pid} differs from its encoding");
+        }
+    }
+
+    /// A random history of inserts and deletes, applied to a tree and to a
+    /// `BTreeMap` and compared after every step. The history grows the
+    /// tree, shrinks it to nothing (deletes empty leaves and collapse
+    /// levels), then mixes both; a unique tree also meets keys it holds,
+    /// and deletes look for entries that are not there.
+    fn run_history(unique: bool, wide: bool, steps: usize, seed: u64) {
+        let mut rng = proptest::test_runner::TestRng::new(seed);
+        let mut t = tree(unique);
+        let mut model: BTreeMap<Vec<u8>, Rid> = BTreeMap::new();
+        let domain = if unique { 4 * steps as u64 } else { steps as u64 / 4 } + 1;
+        let user_key = |v: u64| {
+            if wide {
+                encode_key(&[Value::str(format!("{v:0200}"))])
+            } else {
+                key(v as i64)
+            }
+        };
+        for step in 0..steps {
+            let inserts_in_ten = [9, 1, 6][step * 5 / steps.max(1) / 2];
+            let context = format!("unique {unique}, wide {wide}, seed {seed}, step {step}");
+            if model.is_empty() || rng.below(10) < inserts_in_ten {
+                let (user, rid) =
+                    (user_key(rng.below(domain)), Rid::new(step as u32, step as u16 % 7));
+                let skey = t.stored_key(&user, rid);
+                let before = path_pages(&t, &skey);
+                let held = model.contains_key(&skey);
+                match t.insert(&user, rid) {
+                    Err(DbError::Constraint(_)) if held => {}
+                    Ok(()) if !held => assert!(model.insert(skey, rid).is_none()),
+                    other => panic!("{context}: insert gave {other:?}"),
+                }
+                assert_encoded_over(&t, before, &context);
+            } else if rng.below(10) == 0 {
+                let missing = Rid::new(u32::MAX, 0);
+                assert!(!t.delete(&user_key(rng.below(domain)), missing).unwrap(), "{context}");
+            } else {
+                let nth = rng.below(model.len() as u64) as usize;
+                let (skey, rid) = model.iter().nth(nth).map(|(k, r)| (k.clone(), *r)).unwrap();
+                let user = &skey[..skey.len() - if unique { 0 } else { 6 }];
+                let before = path_pages(&t, &skey);
+                assert!(t.delete(user, rid).unwrap(), "{context}: delete");
+                model.remove(&skey);
+                assert_encoded_over(&t, before, &context);
+            }
+            check_against(&t, &model, &context);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn insert_delete_histories_match_a_model(
+            (unique, wide) in (proptest::strategy::any::<bool>(), proptest::strategy::any::<bool>()),
+            (steps, seed) in (0usize..3000, proptest::strategy::any::<u64>()),
+        ) {
+            run_history(unique, wide, steps, seed);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        /// The same at 2 000 cases (`cargo test --release -p rdbms --lib
+        /// -- --ignored`, a few minutes).
+        #[test]
+        #[ignore]
+        fn insert_delete_histories_match_a_model_long(
+            (unique, wide) in (proptest::strategy::any::<bool>(), proptest::strategy::any::<bool>()),
+            (steps, seed) in (0usize..3000, proptest::strategy::any::<u64>()),
+        ) {
+            run_history(unique, wide, steps, seed);
+        }
     }
 }

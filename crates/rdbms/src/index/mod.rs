@@ -2,4 +2,4 @@
 
 pub mod btree;
 
-pub use btree::{increment_bytes, BTree, Batch};
+pub use btree::{check_key, increment_bytes, BTree, Batch};

@@ -16,7 +16,7 @@ use crate::catalog::{Index, Table};
 use crate::clock::Counter;
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
-use crate::index::Batch;
+use crate::index::{check_key, Batch};
 use crate::schema::{coerce_row, Row};
 use crate::storage::Rid;
 use crate::types::Value;
@@ -149,6 +149,7 @@ impl TableLoad {
             })
             .collect();
         for (l, (key, hash)) in self.indexes.iter().zip(&keys) {
+            check_key(key, l.index.unique)?;
             if l.index.unique
                 && (l.holds(key, *hash) || !l.index.tree.lock().search_exact(key)?.is_empty())
             {

@@ -126,3 +126,40 @@ fn a_bulk_load_stops_at_a_duplicate_with_the_rows_before_it_indexed() {
     assert!(bad.is_err());
     assert_eq!(db.query("SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), count);
 }
+
+/// Two long keys in one leaf of short ones: the split that makes room for
+/// the second must not leave a half larger than a page (the count
+/// midpoint did, and the engine panicked). A key too long to share a node
+/// with another is refused before anything is stored, by an insert, a
+/// bulk load and `CREATE INDEX` alike.
+#[test]
+fn long_index_keys_split_by_bytes_and_longer_ones_are_refused() {
+    let db = Database::with_defaults();
+    db.execute("CREATE TABLE t (id INT NOT NULL, s VARCHAR(9000), PRIMARY KEY (id))").unwrap();
+    db.execute("CREATE INDEX t_s ON t (s)").unwrap();
+    for id in 0..100 {
+        db.execute(&format!("INSERT INTO t VALUES ({id}, 's{id}')")).unwrap();
+    }
+    for (id, c) in [(100, 'a'), (101, 'b')] {
+        let s = c.to_string().repeat(3_900);
+        db.execute(&format!("INSERT INTO t VALUES ({id}, '{s}')")).unwrap();
+    }
+    assert_indexes_match_heap(&db, "t", "after two long keys");
+    let long = "SELECT COUNT(*) FROM t WHERE s > 'a' AND s < 'c'";
+    assert_eq!(db.query(long).unwrap().scalar().unwrap(), Value::Int(2));
+
+    let too_long = "z".repeat(5_000);
+    let refused = db.execute(&format!("INSERT INTO t VALUES (102, '{too_long}')"));
+    assert!(matches!(refused, Err(DbError::Constraint(_))), "{refused:?}");
+    let loaded = db.load_rows("t", [vec![Value::Int(103), Value::str(too_long.clone())]]);
+    assert!(matches!(loaded, Err(DbError::Constraint(_))), "{loaded:?}");
+    assert_eq!(db.query("SELECT COUNT(*) FROM t").unwrap().scalar().unwrap(), Value::Int(102));
+    assert_indexes_match_heap(&db, "t", "after refused long keys");
+
+    db.execute("CREATE TABLE u (id INT NOT NULL, s VARCHAR(9000))").unwrap();
+    db.execute(&format!("INSERT INTO u VALUES (1, '{too_long}')")).unwrap();
+    let pages = db.pager().allocated_pages();
+    let index = db.execute("CREATE INDEX u_s ON u (s)");
+    assert!(matches!(index, Err(DbError::Constraint(_))), "{index:?}");
+    assert_eq!(db.pager().allocated_pages(), pages, "the refused index kept pages");
+}
