@@ -22,7 +22,12 @@
 //!   they pick each child by reading the separators where they lie in the
 //!   page and shift the leaf's entries to add or remove one. A node is
 //!   decoded to an in-memory form only to split it, to unlink an emptied
-//!   leaf, and on the read path. The page is the unit of I/O accounting.
+//!   leaf, and in [`BTree::range_scan`] (the executor's index scans and
+//!   [`BTree::scan_all`]). The page is the unit of I/O accounting.
+//! * Point lookups ([`BTree::search_exact`]: every unique-key check) and
+//!   DML's row probe ([`BTree::range_rids`]) read in place too: they walk
+//!   the leaf chain in the page, with exactly the node reads
+//!   `range_scan` makes, and admit entries by the same rule.
 //! * A batch of entries ([`BTree::insert_batch`]) runs the same insertion,
 //!   split for split and page allocation for page allocation, over nodes
 //!   it decodes once and writes back once, at the end: the tree it leaves
@@ -33,6 +38,7 @@ use crate::error::{DbError, DbResult};
 use crate::storage::page::{PageId, Rid, PAGE_SIZE};
 use crate::storage::pager::{AccessPattern, Pager};
 use bytes::BufMut;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -279,6 +285,74 @@ pub struct BTree {
     height: u32,
 }
 
+/// The child of the interior node in `page` that `key` belongs under,
+/// found by walking the separators where they lie in the page: its index
+/// among the node's children, where the separator right of it starts, and
+/// its page.
+fn find_child(page: &[u8], key: &[u8]) -> DbResult<(usize, usize, PageId)> {
+    let mut entries = Entries::of(page, INTERIOR)?;
+    let (mut idx, mut child) = (0, u32_at(page, 3));
+    loop {
+        let at = entries.at;
+        match entries.next() {
+            Some((sep, right)) if sep <= key => {
+                idx += 1;
+                child = u32_at(right, 0);
+            }
+            _ => return Ok((idx, at, child)),
+        }
+    }
+}
+
+/// A range over user keys as a scan applies it to a tree's stored keys:
+/// the key whose leaf the scan starts in, and which entries it admits.
+/// [`BTree::range_scan`] and [`BTree::walk`] both admit through it, so
+/// they admit the same entries.
+struct Span<'a> {
+    lower: Bound<&'a [u8]>,
+    /// The upper bound as an exclusive bound on stored keys; `None` when
+    /// the range runs to the tree's end.
+    end: Option<Cow<'a, [u8]>>,
+    unique: bool,
+}
+
+impl<'a> Span<'a> {
+    fn new(lower: Bound<&'a [u8]>, upper: Bound<&'a [u8]>, unique: bool) -> Self {
+        let end = match upper {
+            Bound::Unbounded => None,
+            Bound::Excluded(u) => Some(Cow::Borrowed(u)),
+            // Include all stored keys whose user part == u: widen by
+            // byte-increment (works for both unique and suffixed keys).
+            Bound::Included(u) => increment_bytes(u).map(Cow::Owned),
+        };
+        Span { lower, end, unique }
+    }
+
+    /// The key the descent routes by.
+    fn start(&self) -> &'a [u8] {
+        match self.lower {
+            Bound::Unbounded => &[],
+            Bound::Included(l) | Bound::Excluded(l) => l,
+        }
+    }
+
+    /// Does the stored key `k` fall below the range, to be skipped?
+    fn below(&self, k: &[u8]) -> bool {
+        match self.lower {
+            Bound::Unbounded => false,
+            Bound::Included(l) => k < l,
+            // Excluded lower on user keys: skip everything with that
+            // exact user-key prefix.
+            Bound::Excluded(l) => k < l || (!self.unique && k.starts_with(l)) || k == l,
+        }
+    }
+
+    /// Does the stored key `k` sort past the range, ending the scan?
+    fn past(&self, k: &[u8]) -> bool {
+        self.end.as_deref().is_some_and(|end| k >= end)
+    }
+}
+
 /// One interior node on a root-to-leaf path: a copy of its bytes as the
 /// descent read them, the index of the child the path continues in, and
 /// where the separator right of that child starts (where a new separator
@@ -294,18 +368,8 @@ impl Step {
     /// The step through interior node `pid` toward `key`, and the child it
     /// leads to.
     fn route(pid: PageId, page: &[u8], key: &[u8]) -> DbResult<(Step, PageId)> {
-        let mut entries = Entries::of(page, INTERIOR)?;
-        let (mut idx, mut child) = (0, u32_at(page, 3));
-        loop {
-            let at = entries.at;
-            match entries.next() {
-                Some((sep, right)) if sep <= key => {
-                    idx += 1;
-                    child = u32_at(right, 0);
-                }
-                _ => return Ok((Step { pid, page: page.to_vec(), idx, at }, child)),
-            }
-        }
+        let (idx, at, child) = find_child(page, key)?;
+        Ok((Step { pid, page: page.to_vec(), idx, at }, child))
     }
 
     fn decode(&self) -> DbResult<(Vec<Vec<u8>>, Vec<PageId>)> {
@@ -795,22 +859,20 @@ impl BTree {
         Ok(())
     }
 
-    /// Exact-match lookup on the user key; returns all matching RIDs.
+    /// Exact-match lookup on the user key; returns all matching RIDs. The
+    /// inclusive upper bound covers every stored key the user key
+    /// prefixes: a unique tree's key itself, a non-unique tree's key with
+    /// any rid suffix.
     pub fn search_exact(&self, key: &[u8]) -> DbResult<Vec<Rid>> {
-        let upper = increment_bytes(key);
-        let upper_bound = match &upper {
-            Some(u) => Bound::Excluded(u.as_slice()),
-            None => Bound::Unbounded,
-        };
-        // For a unique tree, the stored key == user key, so an exact range
-        // [key, key] suffices; for non-unique the RID suffix makes matches
-        // fall in [key, increment(key)).
-        if self.unique {
-            self.range_scan(Bound::Included(key), Bound::Included(key))
-        } else {
-            self.range_scan(Bound::Included(key), upper_bound)
-        }
-        .map(|v| v.into_iter().map(|(_, rid)| rid).collect())
+        self.range_rids(Bound::Included(key), Bound::Included(key))
+    }
+
+    /// The rids [`BTree::range_scan`] finds for the same bounds, in the
+    /// same order, read in place by [`BTree::walk`].
+    pub fn range_rids(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> DbResult<Vec<Rid>> {
+        let mut rids = Vec::new();
+        self.walk(lower, upper, |_, rid| rids.push(rid))?;
+        Ok(rids)
     }
 
     /// Range scan over *user* keys. Bounds are byte-encoded keys; for
@@ -821,35 +883,11 @@ impl BTree {
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
     ) -> DbResult<Vec<(Vec<u8>, Rid)>> {
-        // Normalize the upper bound to an exclusive byte bound.
-        let upper_owned: Option<Vec<u8>>;
-        let upper_excl: Option<&[u8]> = match upper {
-            Bound::Unbounded => None,
-            Bound::Excluded(u) => {
-                upper_owned = Some(u.to_vec());
-                upper_owned.as_deref()
-            }
-            Bound::Included(u) => {
-                // Include all stored keys whose user part == u: widen by
-                // byte-increment (works for both unique and suffixed keys).
-                match increment_bytes(u) {
-                    Some(inc) => {
-                        upper_owned = Some(inc);
-                        upper_owned.as_deref()
-                    }
-                    None => None,
-                }
-            }
-        };
-        let lower_key: &[u8] = match lower {
-            Bound::Unbounded => &[],
-            Bound::Included(l) | Bound::Excluded(l) => l,
-        };
-        // Descend to the leaf that may contain lower_key.
+        let span = Span::new(lower, upper, self.unique);
+        // Descend to the leaf that may contain the lower bound.
         let mut pid = self.root;
         while let Node::Internal { separators, children } = self.load(pid)? {
-            let idx = separators.partition_point(|s| s.as_slice() <= lower_key);
-            pid = children[idx];
+            pid = children[separators.partition_point(|s| s.as_slice() <= span.start())];
         }
         let mut out = Vec::new();
         loop {
@@ -857,22 +895,11 @@ impl BTree {
                 return Err(DbError::storage("expected leaf"));
             };
             for (k, rid) in entries {
-                let below_lower = match lower {
-                    Bound::Unbounded => false,
-                    Bound::Included(l) => k.as_slice() < l,
-                    // Excluded lower on user keys: skip everything with
-                    // that exact user-key prefix.
-                    Bound::Excluded(l) => {
-                        k.as_slice() < l || (!self.unique && k.starts_with(l)) || k.as_slice() == l
-                    }
-                };
-                if below_lower {
+                if span.below(&k) {
                     continue;
                 }
-                if let Some(u) = upper_excl {
-                    if k.as_slice() >= u {
-                        return Ok(out);
-                    }
+                if span.past(&k) {
+                    return Ok(out);
                 }
                 out.push((k, rid));
             }
@@ -881,6 +908,59 @@ impl BTree {
             }
             pid = next;
         }
+    }
+
+    /// [`BTree::range_scan`] without the decode: call `visit` with each
+    /// entry it admits, as the stored key and rid, in key order, read
+    /// where the entry lies in its leaf's page under the page's read
+    /// latch. The walk makes `range_scan`'s page reads exactly, node read
+    /// for node read: the descent routes through each interior node in
+    /// the page and reads the leaf it reaches, then the leaf loop reads
+    /// that leaf again and each next one until an entry sorts past the
+    /// range or the chain ends (so a key past a leaf's last entry reads
+    /// the neighbour leaf too). `visit` runs under the latch, so it must
+    /// not reach the pager.
+    fn walk(
+        &self,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        mut visit: impl FnMut(&[u8], Rid),
+    ) -> DbResult<()> {
+        let span = Span::new(lower, upper, self.unique);
+        let mut pid = self.root;
+        while let Some(child) = self.child_toward(pid, span.start())? {
+            pid = child;
+        }
+        loop {
+            self.pager.meter().bump(Counter::IndexNodeReads);
+            let next = self.pager.read(pid, AccessPattern::Random, |page| {
+                let page = page.raw();
+                for (k, rid) in Entries::of(page, LEAF)? {
+                    if span.below(k) {
+                        continue;
+                    }
+                    if span.past(k) {
+                        return Ok(NO_PAGE);
+                    }
+                    visit(k, rid_at(rid));
+                }
+                Ok(u32_at(page, 3))
+            })??;
+            if next == NO_PAGE {
+                return Ok(());
+            }
+            pid = next;
+        }
+    }
+
+    /// The child of node `pid` that `key` belongs under, or `None` when
+    /// `pid` is a leaf: one metered random read, as [`BTree::load`] makes.
+    fn child_toward(&self, pid: PageId, key: &[u8]) -> DbResult<Option<PageId>> {
+        self.pager.meter().bump(Counter::IndexNodeReads);
+        self.pager.read(pid, AccessPattern::Random, |page| match page.raw()[0] {
+            LEAF => Ok(None),
+            _ => find_child(page.raw(), key).map(|(_, _, child)| Some(child)),
+        })?
     }
 
     /// Full scan in key order.
@@ -1322,51 +1402,269 @@ mod tests {
         }
     }
 
-    /// A random history of inserts and deletes, applied to a tree and to a
-    /// `BTreeMap` and compared after every step. The history grows the
-    /// tree, shrinks it to nothing (deletes empty leaves and collapse
-    /// levels), then mixes both; a unique tree also meets keys it holds,
-    /// and deletes look for entries that are not there.
-    fn run_history(unique: bool, wide: bool, steps: usize, seed: u64) {
-        let mut rng = proptest::test_runner::TestRng::new(seed);
-        let mut t = tree(unique);
-        let mut model: BTreeMap<Vec<u8>, Rid> = BTreeMap::new();
-        let domain = if unique { 4 * steps as u64 } else { steps as u64 / 4 } + 1;
-        let user_key = |v: u64| {
-            if wide {
+    /// The user key a stored key holds: all of it in a unique tree, all
+    /// but the rid suffix in another.
+    fn user_part(unique: bool, skey: &[u8]) -> &[u8] {
+        &skey[..skey.len() - if unique { 0 } else { RID_LEN }]
+    }
+
+    /// A random history of inserts and deletes, and the model (stored key
+    /// to rid) of the tree it leaves. The history grows the tree, shrinks
+    /// it to nothing (deletes empty leaves and collapse levels), then
+    /// mixes both; a unique tree also meets keys it holds, and deletes
+    /// look for entries that are not there.
+    struct History {
+        rng: proptest::test_runner::TestRng,
+        model: BTreeMap<Vec<u8>, Rid>,
+        unique: bool,
+        wide: bool,
+        steps: usize,
+        domain: u64,
+    }
+
+    /// One step of a [`History`]: an insert or a delete of `user`, `rid`,
+    /// stored as `skey`.
+    struct Op {
+        insert: bool,
+        user: Vec<u8>,
+        rid: Rid,
+        skey: Vec<u8>,
+    }
+
+    impl History {
+        fn new(unique: bool, wide: bool, steps: usize, seed: u64) -> History {
+            let domain = if unique { 4 * steps as u64 } else { steps as u64 / 4 } + 1;
+            let rng = proptest::test_runner::TestRng::new(seed);
+            History { rng, model: BTreeMap::new(), unique, wide, steps, domain }
+        }
+
+        /// A user key that sorts as `v`; wide keys are 200 bytes.
+        fn user_key(&self, v: u64) -> Vec<u8> {
+            if self.wide {
                 encode_key(&[Value::str(format!("{v:0200}"))])
             } else {
                 key(v as i64)
             }
-        };
-        for step in 0..steps {
-            let inserts_in_ten = [9, 1, 6][step * 5 / steps.max(1) / 2];
-            let context = format!("unique {unique}, wide {wide}, seed {seed}, step {step}");
-            if model.is_empty() || rng.below(10) < inserts_in_ten {
-                let (user, rid) =
-                    (user_key(rng.below(domain)), Rid::new(step as u32, step as u16 % 7));
-                let skey = t.stored_key(&user, rid);
-                let before = path_pages(&t, &skey);
-                let held = model.contains_key(&skey);
-                match t.insert(&user, rid) {
-                    Err(DbError::Constraint(_)) if held => {}
-                    Ok(()) if !held => assert!(model.insert(skey, rid).is_none()),
+        }
+
+        fn random_key(&mut self) -> Vec<u8> {
+            let v = self.rng.below(self.domain);
+            self.user_key(v)
+        }
+
+        /// A key to look up: one the model holds, one of `ends`, or one
+        /// the tree may not hold.
+        fn lookup_key(&mut self, ends: &[Vec<u8>]) -> Vec<u8> {
+            match self.rng.below(3) {
+                0 if !self.model.is_empty() => {
+                    let nth = self.rng.below(self.model.len() as u64) as usize;
+                    user_part(self.unique, self.model.keys().nth(nth).unwrap()).to_vec()
+                }
+                1 if !ends.is_empty() => ends[self.rng.below(ends.len() as u64) as usize].clone(),
+                _ => self.random_key(),
+            }
+        }
+
+        /// Step `step`'s operation on the tree `t` holds.
+        fn op(&mut self, step: usize, t: &BTree) -> Op {
+            let inserts_in_ten = [9, 1, 6][step * 5 / self.steps.max(1) / 2];
+            let (insert, user, rid) = if self.model.is_empty()
+                || self.rng.below(10) < inserts_in_ten
+            {
+                (true, self.random_key(), Rid::new(step as u32, step as u16 % 7))
+            } else if self.rng.below(10) == 0 {
+                (false, self.random_key(), Rid::new(u32::MAX, 0))
+            } else {
+                let nth = self.rng.below(self.model.len() as u64) as usize;
+                let (skey, rid) = self.model.iter().nth(nth).map(|(k, r)| (k.clone(), *r)).unwrap();
+                (false, user_part(self.unique, &skey).to_vec(), rid)
+            };
+            Op { skey: t.stored_key(&user, rid), insert, user, rid }
+        }
+
+        /// Run `op` on `t` and check its outcome against the model.
+        fn run(&self, op: &Op, t: &mut BTree, context: &str) {
+            let held = self.model.get(&op.skey);
+            if op.insert {
+                match t.insert(&op.user, op.rid) {
+                    Err(DbError::Constraint(_)) if held.is_some() => {}
+                    Ok(()) if held.is_none() => {}
                     other => panic!("{context}: insert gave {other:?}"),
                 }
-                assert_encoded_over(&t, before, &context);
-            } else if rng.below(10) == 0 {
-                let missing = Rid::new(u32::MAX, 0);
-                assert!(!t.delete(&user_key(rng.below(domain)), missing).unwrap(), "{context}");
             } else {
-                let nth = rng.below(model.len() as u64) as usize;
-                let (skey, rid) = model.iter().nth(nth).map(|(k, r)| (k.clone(), *r)).unwrap();
-                let user = &skey[..skey.len() - if unique { 0 } else { 6 }];
-                let before = path_pages(&t, &skey);
-                assert!(t.delete(user, rid).unwrap(), "{context}: delete");
-                model.remove(&skey);
-                assert_encoded_over(&t, before, &context);
+                let found = t.delete(&op.user, op.rid).unwrap();
+                assert_eq!(found, held == Some(&op.rid), "{context}: delete");
             }
-            check_against(&t, &model, &context);
+        }
+
+        /// Bring the model up to date with `op`, once it has run.
+        fn record(&mut self, op: Op) {
+            let held = self.model.get(&op.skey);
+            if !op.insert && held == Some(&op.rid) {
+                self.model.remove(&op.skey);
+            } else if op.insert && held.is_none() {
+                self.model.insert(op.skey, op.rid);
+            }
+        }
+    }
+
+    /// A [`History`] applied to a tree and compared with its model after
+    /// every step.
+    fn run_history(unique: bool, wide: bool, steps: usize, seed: u64) {
+        let mut history = History::new(unique, wide, steps, seed);
+        let mut t = tree(unique);
+        for step in 0..steps {
+            let context = format!("unique {unique}, wide {wide}, seed {seed}, step {step}");
+            let op = history.op(step, &t);
+            let before = path_pages(&t, &op.skey);
+            history.run(&op, &mut t, &context);
+            history.record(op);
+            assert_encoded_over(&t, before, &context);
+            check_against(&t, &history.model, &context);
+        }
+    }
+
+    /// Two trees a [`History`] changes alike, each in its own pool of
+    /// eight pages, where LRU order decides which node reads miss. Lookups
+    /// go through `range_scan` on one tree and through `walk` on the other.
+    struct Twins {
+        scanned: BTree,
+        walked: BTree,
+        scan_meter: Arc<CostMeter>,
+        walk_meter: Arc<CostMeter>,
+    }
+
+    impl Twins {
+        fn new(unique: bool) -> Twins {
+            let pooled = || {
+                let meter = CostMeter::new();
+                let pager = Pager::new(PagerConfig { pool_pages: 8 }, Arc::clone(&meter));
+                (BTree::new(pager, unique).unwrap(), meter)
+            };
+            let ((scanned, scan_meter), (walked, walk_meter)) = (pooled(), pooled());
+            Twins { scanned, walked, scan_meter, walk_meter }
+        }
+
+        /// Look `lower`..`upper` up in both trees, a point lookup on the
+        /// walked tree through `search_exact`: both find the same entries
+        /// in the same order with the same metered work. Returns the node
+        /// reads.
+        fn lookup(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>, context: &str) -> u64 {
+            let before = self.scan_meter.snapshot();
+            let want = self.scanned.range_scan(lower, upper).unwrap();
+            let scan_work = self.scan_meter.snapshot().since(&before);
+            let before = self.walk_meter.snapshot();
+            match (lower, upper) {
+                (Bound::Included(a), Bound::Included(b)) if a == b => {
+                    let rids = self.walked.search_exact(a).unwrap();
+                    assert!(rids.iter().eq(want.iter().map(|(_, r)| r)), "{context}: point");
+                }
+                _ => {
+                    let mut got = Vec::new();
+                    self.walked.walk(lower, upper, |k, rid| got.push((k.to_vec(), rid))).unwrap();
+                    assert!(got == want, "{context}: {lower:?}..{upper:?}");
+                }
+            }
+            let walk_work = self.walk_meter.snapshot().since(&before);
+            assert_eq!(walk_work, scan_work, "{context}: {lower:?}..{upper:?}");
+            scan_work.index_node_reads()
+        }
+
+        /// The user key of each leaf's last entry, leaves left to right,
+        /// read alike from both trees (an empty root leaf has none).
+        fn leaf_ends(&self) -> Vec<Vec<u8>> {
+            let ends = |t: &BTree| -> Vec<Vec<u8>> {
+                let leaves = reachable(t).1.into_iter().map(|(pid, _)| t.load(pid).unwrap());
+                leaves
+                    .filter_map(|leaf| match leaf {
+                        Node::Leaf { entries, .. } => {
+                            entries.last().map(|(k, _)| user_part(t.unique, k).to_vec())
+                        }
+                        Node::Internal { .. } => unreachable!("a leaf"),
+                    })
+                    .collect()
+            };
+            let found = ends(&self.scanned);
+            assert!(ends(&self.walked) == found);
+            found
+        }
+    }
+
+    /// A bound of kind `kind` (unbounded, included, excluded) at `key`.
+    fn bound_of(kind: u64, key: &[u8]) -> Bound<&[u8]> {
+        match kind {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(key),
+            _ => Bound::Excluded(key),
+        }
+    }
+
+    /// A [`History`] applied to [`Twins`], with lookups after every step:
+    /// all nine pairs of bound kinds over keys the tree holds, keys it may
+    /// not hold, and the last keys of leaves. Every 32 steps each leaf's
+    /// last key is looked up, and so is a key just past it: a lookup of a
+    /// leaf's last key reads the neighbour leaf too. Non-unique trees hold
+    /// each key a few times, so an excluded lower bound skips a prefix.
+    fn run_lookups(unique: bool, wide: bool, steps: usize, seed: u64) {
+        let mut history = History::new(unique, wide, steps, seed);
+        let mut twins = Twins::new(unique);
+        let mut ends = Vec::new();
+        for step in 0..steps {
+            let context = format!("unique {unique}, wide {wide}, seed {seed}, step {step}");
+            let op = history.op(step, &twins.scanned);
+            history.run(&op, &mut twins.scanned, &context);
+            history.run(&op, &mut twins.walked, &context);
+            history.record(op);
+            if step % 32 == 0 {
+                ends = twins.leaf_ends();
+                let height = twins.scanned.height() as u64;
+                for (i, end) in ends.iter().enumerate() {
+                    let reads = twins.lookup(Bound::Included(end), Bound::Included(end), &context);
+                    if i + 1 < ends.len() {
+                        assert!(reads >= height + 2, "{context}: the neighbour of leaf {i}");
+                    }
+                    let past = [&end[..], &[0]].concat();
+                    let lower = bound_of(history.rng.below(3), &past);
+                    twins.lookup(lower, bound_of(history.rng.below(3), &past), &context);
+                }
+            }
+            for _ in 0..2 {
+                let a = history.lookup_key(&ends);
+                let b =
+                    if history.rng.below(4) == 0 { a.clone() } else { history.lookup_key(&ends) };
+                let (lo, hi) = (a.clone().min(b.clone()), a.max(b));
+                let kinds = (history.rng.below(3), history.rng.below(3));
+                twins.lookup(bound_of(kinds.0, &lo), bound_of(kinds.1, &hi), &context);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        /// `walk` (and `search_exact` on it) is `range_scan` minus the
+        /// decode: the same entries, the same node reads, the same misses.
+        #[test]
+        fn walk_reads_what_range_scan_reads(
+            (unique, wide) in (proptest::strategy::any::<bool>(), proptest::strategy::any::<bool>()),
+            (steps, seed) in (0usize..1500, proptest::strategy::any::<u64>()),
+        ) {
+            run_lookups(unique, wide, steps, seed);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1000))]
+
+        /// The same at 1 000 cases (`cargo test --release -p rdbms --lib
+        /// walk_reads_what_range_scan_reads_long -- --ignored`).
+        #[test]
+        #[ignore]
+        fn walk_reads_what_range_scan_reads_long(
+            (unique, wide) in (proptest::strategy::any::<bool>(), proptest::strategy::any::<bool>()),
+            (steps, seed) in (0usize..1500, proptest::strategy::any::<u64>()),
+        ) {
+            run_lookups(unique, wide, steps, seed);
         }
     }
 

@@ -27,7 +27,7 @@ pub fn pk_lock_range(table: &Table, filter: &Expr) -> Option<KeyRange> {
 }
 
 /// If the filter is sargable against one of the table's indexes with
-/// literal bounds, return the candidate RIDs from an index range scan
+/// literal bounds, return the candidate RIDs the index holds in that range
 /// (callers re-check the full predicate). `None` means "no index helps —
 /// scan".
 pub fn dml_index_probe(table: &Table, filter: &Expr) -> DbResult<Option<Vec<Rid>>> {
@@ -39,8 +39,7 @@ pub fn dml_index_probe(table: &Table, filter: &Expr) -> DbResult<Option<Vec<Rid>
         let Some((lo, hi)) = literal_bounds(&access) else {
             return Ok(Some(Vec::new())); // NULL key never matches
         };
-        let entries = index.tree.lock().range_scan(bound(&lo), bound(&hi))?;
-        return Ok(Some(entries.into_iter().map(|(_, rid)| rid).collect()));
+        return Ok(Some(index.tree.lock().range_rids(bound(&lo), bound(&hi))?));
     }
     Ok(None)
 }

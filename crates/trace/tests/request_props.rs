@@ -102,15 +102,20 @@ proptest! {
 }
 
 /// Concurrent completions: the ring stays bounded, never panics, and a
-/// snapshot taken mid-rotation never observes a duplicated trace id.
+/// snapshot taken mid-rotation never observes a duplicated trace id. The
+/// writers start only once the reader has taken its first snapshot, so
+/// the reader scans however the threads are scheduled.
 #[test]
 fn concurrent_completions_never_duplicate_ids_in_a_snapshot() {
     let ring = TraceRing::new(32);
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let start = Arc::new(std::sync::Barrier::new(9));
     let writers: Vec<_> = (0..8)
         .map(|w| {
             let ring = Arc::clone(&ring);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 let stats = WaitStats::new();
                 for i in 0..200 {
                     let ctx = ring.begin("race", format!("w{w}-{i}"));
@@ -126,8 +131,11 @@ fn concurrent_completions_never_duplicate_ids_in_a_snapshot() {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut scans = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            loop {
                 let snap = ring.snapshot();
+                if scans == 0 {
+                    start.wait();
+                }
                 let mut ids: Vec<u64> = snap.iter().map(|t| t.trace_id).collect();
                 let n = ids.len();
                 assert!(n <= 32, "ring exceeded its bound: {n}");
@@ -135,8 +143,10 @@ fn concurrent_completions_never_duplicate_ids_in_a_snapshot() {
                 ids.dedup();
                 assert_eq!(ids.len(), n, "duplicate trace ids in one snapshot");
                 scans += 1;
+                if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    return scans;
+                }
             }
-            scans
         })
     };
     for w in writers {
