@@ -14,7 +14,7 @@ use r3::opensql::{CmpOp, Cond, SelectSpec};
 use r3::report::Extract;
 use r3::reports::{run_sap_power_test, SapInterface};
 use r3::{R3System, Release};
-use rdbms::clock::fmt_duration;
+use rdbms::clock::{fmt_duration, MeterSnapshot};
 use rdbms::error::DbResult;
 use rdbms::types::Value;
 use rdbms::Database;
@@ -29,6 +29,10 @@ pub struct ExpTable {
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
     pub notes: Vec<String>,
+    /// The metered work behind the table's simulated-seconds cells, one
+    /// labelled snapshot per measurement. Rendered under the table, so a
+    /// counter that moves shows even when its seconds round the same.
+    pub work: Vec<(String, MeterSnapshot)>,
 }
 
 impl serde_json::ToJson for ExpTable {
@@ -40,6 +44,7 @@ impl serde_json::ToJson for ExpTable {
             .field("headers", self.headers.clone())
             .field("rows", Json::Array(self.rows.iter().map(|r| Json::from(r.clone())).collect()))
             .field("notes", self.notes.clone())
+            .field("work", Json::Array(self.work.iter().map(|(l, w)| work_json(l, w)).collect()))
     }
 }
 
@@ -73,8 +78,16 @@ impl ExpTable {
         for n in &self.notes {
             out.push_str(&format!("  note: {n}\n"));
         }
+        for (label, w) in &self.work {
+            let json = serde_json::to_string(&w.to_json()).expect("a snapshot serializes");
+            out.push_str(&format!("  work {label}: {json}\n"));
+        }
         out
     }
+}
+
+fn work_json(label: &str, work: &MeterSnapshot) -> serde_json::Json {
+    serde_json::Json::object().field("label", label).field("work", work.to_json())
 }
 
 fn dur(seconds: f64) -> String {
@@ -135,6 +148,7 @@ pub fn table1() -> DbResult<ExpTable> {
         ],
         rows,
         notes: vec!["KONV becomes transparent after the 3.0 conversion".into()],
+        work: Vec::new(),
     })
 }
 
@@ -236,6 +250,7 @@ pub fn table2(sf: f64) -> DbResult<ExpTable> {
                 ratio(totals.3 as f64, totals.1 as f64)
             ),
         ],
+        work: Vec::new(),
     })
 }
 
@@ -264,6 +279,7 @@ pub fn table3(sf: f64) -> DbResult<ExpTable> {
         notes: vec![
             "ORDER+LINEITEM dominates in both; per-record consistency checks drive the cost".into(),
         ],
+        work: timings.iter().map(|t| (t.table.clone(), t.work)).collect(),
     })
 }
 
@@ -310,6 +326,7 @@ fn power_table(
     let open = run_sap_power_test(&sys, SapInterface::Open, &gen, &params)?;
 
     let mut rows = Vec::new();
+    let mut work = Vec::new();
     let mut totals = [0.0f64; 6]; // measured r/n/o, paper r/n/o (queries only)
     let mut all_totals = [0.0f64; 6];
     for (i, step) in rdbms_result.steps.iter().enumerate() {
@@ -326,6 +343,9 @@ fn power_table(
             dur(pn),
             dur(po),
         ]);
+        work.push((format!("{} RDBMS", step.step), step.work));
+        work.push((format!("{} Native", step.step), n.2));
+        work.push((format!("{} Open", step.step), o.2));
         if step.step.starts_with('Q') {
             totals[0] += step.seconds;
             totals[1] += n.1;
@@ -384,6 +404,7 @@ fn power_table(
                 ratio(totals[5], totals[3])
             ),
         ],
+        work,
     })
 }
 
@@ -408,30 +429,28 @@ pub fn table6(sf: f64) -> DbResult<ExpTable> {
     sys.db.execute("ANALYZE VBAP")?;
     let cal = sys.db.calibration();
 
-    let measure_native = |bound: i64| -> DbResult<f64> {
+    // The work of one run of the query, Native or Open, from a cold pool.
+    let measure = |bound: i64, open: bool| -> DbResult<MeterSnapshot> {
         sys.db.pager().flush_all();
         let before = sys.snapshot();
-        let _ = sys.native_query(&format!(
-            "SELECT KWMENG FROM VBAP WHERE KWMENG < {bound} AND MANDT = '301'"
-        ))?;
-        Ok(cal.seconds(&sys.snapshot().since(&before)))
+        if open {
+            let cond = Cond::new("KWMENG", CmpOp::Lt, Value::Int(bound));
+            sys.open_select(&SelectSpec::from_table("VBAP").fields(&["KWMENG"]).cond(cond))?;
+        } else {
+            sys.native_query(&format!(
+                "SELECT KWMENG FROM VBAP WHERE KWMENG < {bound} AND MANDT = '301'"
+            ))?;
+        }
+        Ok(sys.snapshot().since(&before))
     };
-    let native_high = measure_native(0)?;
-    let native_low = measure_native(9999)?;
-
-    let measure_open = |bound: i64| -> DbResult<f64> {
-        sys.db.pager().flush_all();
-        let before = sys.snapshot();
-        let _ =
-            sys.open_select(&SelectSpec::from_table("VBAP").fields(&["KWMENG"]).cond(Cond::new(
-                "KWMENG",
-                CmpOp::Lt,
-                Value::Int(bound),
-            )))?;
-        Ok(cal.seconds(&sys.snapshot().since(&before)))
-    };
-    let open_high = measure_open(0)?;
-    let open_low = measure_open(9999)?;
+    let work = vec![
+        ("high Native".to_string(), measure(0, false)?),
+        ("low Native".to_string(), measure(9999, false)?),
+        ("high Open".to_string(), measure(0, true)?),
+        ("low Open".to_string(), measure(9999, true)?),
+    ];
+    let [native_high, native_low, open_high, open_low] =
+        [0, 1, 2, 3].map(|i| cal.seconds(&work[i].1));
 
     let rows = vec![
         vec![
@@ -468,6 +487,7 @@ pub fn table6(sf: f64) -> DbResult<ExpTable> {
             ),
             "Open SQL's parameterized translation hides the constant; the optimizer blindly picks the index".into(),
         ],
+        work,
     })
 }
 
@@ -490,7 +510,8 @@ pub fn table7(sf: f64) -> DbResult<ExpTable> {
            AND KSCHL = 'DISC' \
          GROUP BY KPOSN ORDER BY KPOSN",
     )?;
-    let native_s = cal.seconds(&sys.snapshot().since(&before));
+    let native_work = sys.snapshot().since(&before);
+    let native_s = cal.seconds(&native_work);
 
     // Open SQL (Figure 4, right): fetch and EXTRACT/SORT/LOOP in the app
     // server, because the aggregate expression cannot be pushed.
@@ -523,7 +544,8 @@ pub fn table7(sf: f64) -> DbResult<ExpTable> {
         open_groups += 1;
         Ok(())
     })?;
-    let open_s = cal.seconds(&sys.snapshot().since(&before));
+    let open_work = sys.snapshot().since(&before);
+    let open_s = cal.seconds(&open_work);
 
     Ok(ExpTable {
         id: "Table 7".into(),
@@ -543,6 +565,7 @@ pub fn table7(sf: f64) -> DbResult<ExpTable> {
             native_rows.rows.len(),
             open_groups
         )],
+        work: vec![("Native".into(), native_work), ("Open".into(), open_work)],
     })
 }
 
@@ -557,7 +580,7 @@ pub fn table8(sf: f64) -> DbResult<ExpTable> {
     let cal = sys.db.calibration();
 
     // The Figure 5 report: for every VBAP row, one SELECT SINGLE on MARA.
-    let run_report = |with_lookup: bool| -> DbResult<f64> {
+    let run_report = |with_lookup: bool| -> DbResult<MeterSnapshot> {
         sys.db.pager().flush_all();
         let before = sys.snapshot();
         let items = sys.open_select(&SelectSpec::from_table("VBAP").fields(&["MATNR"]))?;
@@ -570,7 +593,7 @@ pub fn table8(sf: f64) -> DbResult<ExpTable> {
                 )?;
             }
         }
-        Ok(cal.seconds(&sys.snapshot().since(&before)))
+        Ok(sys.snapshot().since(&before))
     };
 
     // Cache sizes scaled from the paper's 2 MB / 20 MB at SF 0.2.
@@ -578,7 +601,9 @@ pub fn table8(sf: f64) -> DbResult<ExpTable> {
     let small = ((2 << 20) as f64 * scale) as usize;
     let big = ((20 << 20) as f64 * scale) as usize;
 
-    let vbap_only = run_report(false)?;
+    let vbap_work = run_report(false)?;
+    let vbap_only = cal.seconds(&vbap_work);
+    let mut work = vec![("VBAP only".to_string(), vbap_work)];
     let mut rows = Vec::new();
     for (label, capacity, paper_idx) in [
         ("No Caching", 0usize, 0usize),
@@ -592,18 +617,18 @@ pub fn table8(sf: f64) -> DbResult<ExpTable> {
         } else {
             sys.buffer.disable("MARA");
         }
-        let before = sys.snapshot();
-        let total = run_report(true)?;
-        let work = sys.snapshot().since(&before);
+        let report = run_report(true)?;
+        let total = cal.seconds(&report);
         let mara_cost = (total - vbap_only).max(0.0);
         let (_, phit, psec) = paper::TABLE8[paper_idx];
         rows.push(vec![
             label.to_string(),
-            format!("{:.0}%", work.cache_hit_ratio() * 100.0),
+            format!("{:.0}%", report.cache_hit_ratio() * 100.0),
             dur(mara_cost),
             format!("{:.0}%", phit * 100.0),
             dur(psec),
         ]);
+        work.push((label.to_string(), report));
     }
     Ok(ExpTable {
         id: "Table 8".into(),
@@ -622,6 +647,7 @@ pub fn table8(sf: f64) -> DbResult<ExpTable> {
         notes: vec![
             "MARA cost = report cost minus the VBAP-only pass (the paper's footnote method)".into(),
         ],
+        work,
     })
 }
 
@@ -665,6 +691,7 @@ pub fn table9(sf: f64) -> DbResult<ExpTable> {
             "LINEITEM dominates; total is comparable to one Open SQL power test (paper's point)"
                 .into(),
         ],
+        work: results.iter().map(|r| (r.table.clone(), r.work)).collect(),
     })
 }
 
@@ -812,6 +839,7 @@ pub fn throughput_table(
             "not in the paper: extends the three-way comparison to the multi-user regime".into(),
             "update stream runs UF1/UF2 pairs in transactions (batch input on SAP)".into(),
         ],
+        work: Vec::new(),
     })
 }
 

@@ -9,7 +9,7 @@
 use crate::opensql::{Cond, SelectSpec};
 use crate::system::R3System;
 use crate::Release;
-use rdbms::clock::Counter;
+use rdbms::clock::{Counter, MeterSnapshot};
 use rdbms::error::DbResult;
 use rdbms::schema::Row;
 use rdbms::types::Value;
@@ -21,6 +21,8 @@ pub struct ExtractResult {
     pub rows: u64,
     pub ascii_bytes: u64,
     pub seconds: f64,
+    /// The metered work behind `seconds`.
+    pub work: MeterSnapshot,
 }
 
 fn ascii_line(out: &mut String, fields: &[&Value]) {
@@ -288,6 +290,7 @@ pub fn extract_table(sys: &R3System, table: &str) -> DbResult<ExtractResult> {
         rows,
         ascii_bytes: out.len() as u64,
         seconds: sys.db.calibration().seconds(&work),
+        work,
     })
 }
 
