@@ -156,35 +156,15 @@ pub fn run_order_entry_series(sf: f64, clerks: usize) -> DbResult<Vec<OrderEntry
 
     // Master data through the logical path: present for the documents'
     // referential checks, not part of the timed experiment.
-    for n in gen.nations() {
-        for (t, row) in schema::nation_rows(&n) {
-            sys.insert_logical(t, &row)?;
-        }
-    }
-    for r in gen.regions() {
-        for (t, row) in schema::region_rows(&r) {
-            sys.insert_logical(t, &row)?;
-        }
-    }
-    for s in gen.suppliers() {
-        for (t, row) in schema::supplier_rows(&s) {
-            sys.insert_logical(t, &row)?;
-        }
-    }
-    for p in gen.parts() {
-        for (t, row) in schema::part_rows(&p) {
-            sys.insert_logical(t, &row)?;
-        }
-    }
-    for ps in gen.partsupps() {
-        for (t, row) in schema::partsupp_rows(&ps) {
-            sys.insert_logical(t, &row)?;
-        }
-    }
-    for c in gen.customers() {
-        for (t, row) in schema::customer_rows(&c) {
-            sys.insert_logical(t, &row)?;
-        }
+    let masters = (gen.nations().iter().map(schema::nation_rows))
+        .chain(gen.regions().iter().map(schema::region_rows))
+        .chain(gen.suppliers().iter().map(schema::supplier_rows))
+        .chain(gen.parts().iter().map(schema::part_rows))
+        .chain(gen.partsupps().iter().map(schema::partsupp_rows))
+        .chain(gen.customers().iter().map(schema::customer_rows))
+        .collect::<Vec<_>>();
+    for rows in masters {
+        sys.insert_record(&rows)?;
     }
     sys.db.execute("ANALYZE")?;
 

@@ -28,7 +28,7 @@ use rdbms::exec::expr::like_match;
 use rdbms::schema::{Column, Row, Schema};
 use rdbms::sql::ast::AggFunc;
 use rdbms::types::Value;
-use rdbms::QueryResult;
+use rdbms::{QueryResult, Txn};
 use std::cmp::Ordering;
 
 /// Comparison operators available in Open SQL WHERE clauses.
@@ -268,8 +268,14 @@ impl SelectSpec {
 }
 
 impl R3System {
-    /// Execute an Open SQL SELECT.
+    /// Execute an Open SQL SELECT as a one-statement LUW.
     pub fn open_select(&self, spec: &SelectSpec) -> DbResult<QueryResult> {
+        self.db.autocommit(|luw| self.open_select_in(luw, spec))
+    }
+
+    /// Execute an Open SQL SELECT inside the LUW `luw`, under its locks
+    /// (held to the LUW's COMMIT WORK).
+    pub fn open_select_in(&self, luw: &mut Txn<'_>, spec: &SelectSpec) -> DbResult<QueryResult> {
         // Feature gating.
         let tables = spec.from.tables();
         let multi = tables.len() > 1;
@@ -305,7 +311,7 @@ impl R3System {
                     "aggregates cannot be applied to pool/cluster tables",
                 ));
             }
-            return self.select_encapsulated(&tables[0], spec);
+            return self.select_encapsulated(luw, &tables[0], spec);
         }
         // SELECT SINGLE on a buffered table: try the application buffer.
         if spec.single && !multi {
@@ -315,7 +321,7 @@ impl R3System {
         }
         // Transparent path: translate to parameterized SQL.
         let (sql, params) = self.translate(spec, &tables)?;
-        let mut result = self.db_select_prepared(&sql, &params)?;
+        let mut result = self.db_select(luw, &sql, &params)?;
         // Install into the buffer if applicable.
         if spec.single && !multi && self.buffer.is_buffered(&tables[0]) && spec.fields.is_empty() {
             if let Some(key) = self.single_key(&tables[0], spec)? {
@@ -328,11 +334,11 @@ impl R3System {
         Ok(result)
     }
 
-    /// Open SQL INSERT (dictionary-mediated write).
-    pub fn open_insert(&self, table: &str, row: &[Value]) -> DbResult<()> {
+    /// Open SQL INSERT (dictionary-mediated write) in the LUW `luw`.
+    pub fn open_insert(&self, luw: &mut Txn<'_>, table: &str, row: &[Value]) -> DbResult<()> {
         let traced = self.sql_trace.begin();
         self.meter().bump(Counter::IpcCrossings);
-        self.insert_logical(table, row)?;
+        self.insert_logical(luw, table, row)?;
         if let Some(t) = traced {
             t.finish(SqlOp::Insert, format!("INSERT {table}"), &[], 1, 1);
         }
@@ -346,15 +352,15 @@ impl R3System {
         Ok(())
     }
 
-    /// Open SQL DELETE by key conditions.
-    pub fn open_delete(&self, table: &str, conds: &[Cond]) -> DbResult<u64> {
+    /// Open SQL DELETE by key conditions, in the LUW `luw`.
+    pub fn open_delete(&self, luw: &mut Txn<'_>, table: &str, conds: &[Cond]) -> DbResult<u64> {
         let lt = self.dict.table(table)?;
         if lt.kind.is_encapsulated() {
             // Cluster delete by document key.
             if let Some(c) = conds.iter().find(|c| c.op == CmpOp::Eq) {
                 let traced = self.sql_trace.begin();
                 self.meter().bump(Counter::IpcCrossings);
-                let n = self.delete_cluster_document(table, &c.value)?;
+                let n = self.delete_cluster_document(luw, table, &c.value)?;
                 if let Some(t) = traced {
                     t.finish(
                         SqlOp::Delete,
@@ -374,7 +380,7 @@ impl R3System {
         }
         let traced = self.sql_trace.begin();
         self.meter().bump(Counter::IpcCrossings);
-        let n = self.db.execute(&sql)?.count()?;
+        let n = luw.execute(&sql)?.count()?;
         if let Some(t) = traced {
             t.finish(SqlOp::Delete, sql, &[], n, 1);
         }
@@ -509,7 +515,12 @@ impl R3System {
     }
 
     /// Dictionary-decoded read of a pool or cluster table.
-    fn select_encapsulated(&self, table: &str, spec: &SelectSpec) -> DbResult<QueryResult> {
+    fn select_encapsulated(
+        &self,
+        luw: &mut Txn<'_>,
+        table: &str,
+        spec: &SelectSpec,
+    ) -> DbResult<QueryResult> {
         let lt = self.dict.table(table)?;
         let mut rows: Vec<Row> = Vec::new();
         match &lt.kind {
@@ -524,27 +535,17 @@ impl R3System {
                             .map(|c| c.value.clone())
                     })
                     .collect();
-                let result = match full_key {
-                    Some(vals) => {
-                        let mut probe = vec![Value::str(MANDT)];
-                        probe.extend(vals);
-                        let varkey = pool_varkey(&lt, &probe_row(&lt, &probe));
-                        self.db_select_prepared(
-                            &format!(
-                                "SELECT VARKEY, VARDATA FROM {container} \
-                                 WHERE MANDT = ? AND TABNAME = ? AND VARKEY = ?"
-                            ),
-                            &[Value::str(MANDT), Value::str(&lt.name), Value::Str(varkey)],
-                        )?
-                    }
-                    None => self.db_select_prepared(
-                        &format!(
-                            "SELECT VARKEY, VARDATA FROM {container} \
-                             WHERE MANDT = ? AND TABNAME = ?"
-                        ),
-                        &[Value::str(MANDT), Value::str(&lt.name)],
-                    )?,
-                };
+                let mut sql = format!(
+                    "SELECT VARKEY, VARDATA FROM {container} WHERE MANDT = ? AND TABNAME = ?"
+                );
+                let mut params = vec![Value::str(MANDT), Value::str(&lt.name)];
+                if let Some(vals) = full_key {
+                    let mut probe = vec![Value::str(MANDT)];
+                    probe.extend(vals);
+                    sql.push_str(" AND VARKEY = ?");
+                    params.push(Value::Str(pool_varkey(&lt, &probe_row(&lt, &probe))));
+                }
+                let result = self.db_select(luw, &sql, &params)?;
                 for prow in &result.rows {
                     self.meter().bump(Counter::AppTuples); // dictionary decode
                     let varkey = prow[0].as_str()?;
@@ -557,19 +558,13 @@ impl R3System {
             TableKind::Cluster { container, cluster_key_len } => {
                 let key_col = &lt.columns[1].name;
                 let key_cond = spec.conds.iter().find(|c| c.op == CmpOp::Eq && c.field == *key_col);
-                let result = match key_cond {
-                    Some(c) => self.db_select_prepared(
-                        &format!(
-                            "SELECT {key_col}, VARDATA FROM {container} \
-                             WHERE MANDT = ? AND {key_col} = ?"
-                        ),
-                        &[Value::str(MANDT), c.value.clone()],
-                    )?,
-                    None => self.db_select_prepared(
-                        &format!("SELECT {key_col}, VARDATA FROM {container} WHERE MANDT = ?"),
-                        &[Value::str(MANDT)],
-                    )?,
-                };
+                let mut sql = format!("SELECT {key_col}, VARDATA FROM {container} WHERE MANDT = ?");
+                let mut params = vec![Value::str(MANDT)];
+                if let Some(c) = key_cond {
+                    sql.push_str(&format!(" AND {key_col} = ?"));
+                    params.push(c.value.clone());
+                }
+                let result = self.db_select(luw, &sql, &params)?;
                 for prow in &result.rows {
                     let decoded =
                         decode_cluster_rows(prow[1].as_str()?, lt.data_cluster_columns())?;
@@ -841,13 +836,17 @@ mod tests {
         let gen = DbGen::new(0.001);
         let mut c = gen.customers()[0].clone();
         c.custkey = 99_999;
+        let mut luw = s.db.begin();
         for (t, row) in crate::schema::customer_rows(&c) {
-            s.open_insert(t, &row).unwrap();
+            s.open_insert(&mut luw, t, &row).unwrap();
         }
+        s.commit_work(luw).unwrap();
         let mid: i64 =
             s.db.query("SELECT COUNT(*) FROM KNA1").unwrap().scalar().unwrap().as_int().unwrap();
         assert_eq!(mid, before + 1);
-        let n = s.open_delete("KNA1", &[Cond::eq("KUNNR", key16(99_999))]).unwrap();
+        let n =
+            s.db.autocommit(|luw| s.open_delete(luw, "KNA1", &[Cond::eq("KUNNR", key16(99_999))]))
+                .unwrap();
         assert_eq!(n, 1);
     }
 }

@@ -3,12 +3,20 @@
 //! Every call from the application server into the RDBMS goes through the
 //! metered helpers here, charging interface crossings and shipped tuples —
 //! the costs that drive the paper's Native-vs-Open-vs-isolated comparisons.
+//!
+//! A logical unit of work (LUW) — one batch-input document, from its first
+//! check to COMMIT WORK — is one engine transaction ([`rdbms::Txn`]). Every
+//! helper that writes takes the LUW, so each statement of a document runs
+//! under its locks and its undo log, and a document commits or vanishes
+//! whole. [`R3System::commit_work`] is [`rdbms::Txn::commit`]. A read
+//! outside any LUW (a report's Open or Native SQL) is a one-statement
+//! transaction of its own.
 
 use crate::buffer::TableBuffer;
 use crate::dict::{
     decode_cluster_rows, encode_cluster_rows, encode_row_data, DataDict, LogicalTable, TableKind,
 };
-use crate::schema::{build_dict, physical_ddl, MANDT};
+use crate::schema::{build_dict, physical_ddl, LogicalRow, MANDT};
 use crate::sqltrace::{SqlOp, SqlTrace};
 use crate::workload::WorkloadMonitor;
 use crate::Release;
@@ -17,7 +25,7 @@ use rdbms::clock::{CostMeter, Counter, MeterSnapshot};
 use rdbms::error::{DbError, DbResult};
 use rdbms::schema::Row;
 use rdbms::types::Value;
-use rdbms::{Database, DbConfig, Prepared, QueryResult};
+use rdbms::{Database, DbConfig, Prepared, QueryResult, Txn};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpcd::DbGen;
@@ -84,8 +92,19 @@ impl R3System {
     // ------------------------------------------------------------------
 
     /// One prepared round trip (the Open SQL path: parameterized text,
-    /// cursor-cached plan).
+    /// cursor-cached plan), as a one-statement LUW.
     pub fn db_select_prepared(&self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
+        self.db.autocommit(|luw| self.db_select(luw, sql, params))
+    }
+
+    /// [`R3System::db_select_prepared`] inside the LUW `luw`, under its
+    /// read locks.
+    pub(crate) fn db_select(
+        &self,
+        luw: &mut Txn<'_>,
+        sql: &str,
+        params: &[Value],
+    ) -> DbResult<QueryResult> {
         let (prepared, reopen) = {
             let mut cache = self.cursor_cache.lock();
             match cache.get(sql) {
@@ -99,7 +118,7 @@ impl R3System {
         };
         let traced = self.sql_trace.begin();
         self.meter().bump(Counter::IpcCrossings);
-        let result = self.db.execute_prepared(&prepared, params)?;
+        let result = luw.execute_prepared(&prepared, params)?;
         self.meter().add(Counter::IpcTuples, result.rows.len() as u64);
         if let Some(t) = traced {
             let op = if reopen { SqlOp::Reopen } else { SqlOp::Open };
@@ -136,19 +155,19 @@ impl R3System {
         self.db_execute_direct(sql)?.rows()
     }
 
-    /// COMMIT WORK: the durability point at the end of a logical unit of
-    /// work (one batch-input document). Everything the work process wrote
-    /// is made durable per the database's [`rdbms::CommitPolicy`] — under
-    /// group commit the calling work process parks here until a shared log
-    /// force covers it — and the commit round trip is traced as one
-    /// interface crossing. No-op when the database runs without a WAL.
-    pub fn commit_work(&self) -> DbResult<()> {
-        let Some(wal) = self.db.wal() else {
-            return Ok(());
-        };
+    /// COMMIT WORK: commit the logical unit of work `luw` (one batch-input
+    /// document). Its locks are released once its commit record is durable
+    /// per the database's [`rdbms::CommitPolicy`] — under group commit the
+    /// calling work process parks here until a shared log force covers
+    /// it. With a WAL the commit round trip is traced as one interface
+    /// crossing; without one it costs nothing.
+    pub fn commit_work(&self, luw: Txn<'_>) -> DbResult<()> {
+        if self.db.wal().is_none() {
+            return luw.commit().map(drop);
+        }
         let traced = self.sql_trace.begin();
         self.meter().bump(Counter::IpcCrossings);
-        wal.commit_appended()?;
+        luw.commit()?;
         if let Some(t) = traced {
             t.finish(SqlOp::Commit, "COMMIT WORK", &[], 0, 1);
         }
@@ -159,21 +178,33 @@ impl R3System {
     // Logical-table writes through the dictionary
     // ------------------------------------------------------------------
 
-    /// Insert one logical row (dictionary-mediated; handles pool and
-    /// cluster encoding). Used by batch input.
-    pub fn insert_logical(&self, table: &str, row: &[Value]) -> DbResult<()> {
-        self.store_logical(table, row, |physical, row| self.db.insert_row(physical, row))
+    /// Insert one logical row in the LUW `luw` (dictionary-mediated;
+    /// handles pool and cluster encoding). Used by batch input.
+    pub fn insert_logical(&self, luw: &mut Txn<'_>, table: &str, row: &[Value]) -> DbResult<()> {
+        if !self.store_logical(table, row, |physical, row| luw.insert_row(physical, row))? {
+            let lt = self.dict.table(table)?;
+            self.insert_cluster_rows(luw, &lt, std::slice::from_ref(&row.to_vec()))?;
+        }
+        Ok(())
+    }
+
+    /// Insert one record's logical rows as one LUW, without batch input's
+    /// checks (master data typed in, or set up for an experiment).
+    pub fn insert_record(&self, rows: &[LogicalRow]) -> DbResult<()> {
+        self.db
+            .autocommit(|luw| rows.iter().try_for_each(|(t, row)| self.insert_logical(luw, t, row)))
     }
 
     /// Store one logical row: a transparent table's as it is and a pool
-    /// table's encoded into its container's row, both through `store`; a
-    /// cluster table's by the per-document path.
+    /// table's encoded into its container's row, both through `store`.
+    /// A cluster table's rows are stored per document
+    /// ([`R3System::insert_cluster_rows`]): `false`, nothing stored.
     fn store_logical(
         &self,
         table: &str,
         row: &[Value],
         store: impl FnOnce(&str, &[Value]) -> DbResult<()>,
-    ) -> DbResult<()> {
+    ) -> DbResult<bool> {
         let lt = self.dict.table(table)?;
         if row.len() != lt.columns.len() {
             return Err(DbError::execution(format!(
@@ -183,7 +214,7 @@ impl R3System {
             )));
         }
         match &lt.kind {
-            TableKind::Transparent => store(&lt.name, row),
+            TableKind::Transparent => store(&lt.name, row)?,
             TableKind::Pool { container } => {
                 let varkey = pool_varkey(&lt, row);
                 let vardata = encode_row_data(&row[lt.key_len..]);
@@ -195,18 +226,23 @@ impl R3System {
                         Value::Str(varkey),
                         Value::Str(vardata),
                     ],
-                )
+                )?
             }
-            TableKind::Cluster { .. } => {
-                self.insert_cluster_rows(&lt, std::slice::from_ref(&row.to_vec()))
-            }
+            TableKind::Cluster { .. } => return Ok(false),
         }
+        Ok(true)
     }
 
     /// Insert a batch of logical rows of a *cluster* table that share the
-    /// same cluster key (one business document), bundling them into the
-    /// physical container row. Appends to an existing blob if present.
-    pub fn insert_cluster_rows(&self, lt: &LogicalTable, rows: &[Row]) -> DbResult<()> {
+    /// same cluster key (one business document) in the LUW `luw`, bundling
+    /// them into the physical container row. Appends to an existing blob if
+    /// present.
+    pub fn insert_cluster_rows(
+        &self,
+        luw: &mut Txn<'_>,
+        lt: &LogicalTable,
+        rows: &[Row],
+    ) -> DbResult<()> {
         let TableKind::Cluster { container, cluster_key_len } = &lt.kind else {
             return Err(DbError::execution(format!("{} is not a cluster table", lt.name)));
         };
@@ -221,12 +257,12 @@ impl R3System {
         let key_col = &lt.columns[1].name; // after MANDT
         let key_lit = sql_quote(key[1].as_str()?);
         // Read-modify-write of the container row.
-        let existing = self.db.query(&format!(
+        let existing = luw.query(&format!(
             "SELECT VARDATA FROM {container} WHERE MANDT = '{MANDT}' AND {key_col} = '{key_lit}'"
         ))?;
         if existing.rows.is_empty() {
             let blob = encode_cluster_rows(&data_rows);
-            self.db.insert_row(
+            luw.insert_row(
                 container,
                 &[key[0].clone(), key[1].clone(), Value::Int(0), Value::Str(blob)],
             )?;
@@ -235,7 +271,7 @@ impl R3System {
             let mut all = decode_cluster_rows(&old, lt.data_cluster_columns())?;
             all.extend(data_rows);
             let blob = encode_cluster_rows(&all);
-            self.db.execute(&format!(
+            luw.execute(&format!(
                 "UPDATE {container} SET VARDATA = '{}' WHERE MANDT = '{MANDT}' AND {key_col} = '{key_lit}'",
                 sql_quote(&blob)
             ))?;
@@ -243,19 +279,24 @@ impl R3System {
         Ok(())
     }
 
-    /// Delete all cluster rows for one cluster key (document).
-    pub fn delete_cluster_document(&self, table: &str, key: &Value) -> DbResult<u64> {
+    /// Delete all cluster rows for one cluster key (document) in the LUW
+    /// `luw`.
+    pub fn delete_cluster_document(
+        &self,
+        luw: &mut Txn<'_>,
+        table: &str,
+        key: &Value,
+    ) -> DbResult<u64> {
         let lt = self.dict.table(table)?;
         let TableKind::Cluster { container, .. } = &lt.kind else {
             return Err(DbError::execution(format!("{table} is not a cluster table")));
         };
         let key_col = &lt.columns[1].name;
-        self.db
-            .execute(&format!(
-                "DELETE FROM {container} WHERE MANDT = '{MANDT}' AND {key_col} = '{}'",
-                sql_quote(key.as_str()?)
-            ))?
-            .count()
+        luw.execute(&format!(
+            "DELETE FROM {container} WHERE MANDT = '{MANDT}' AND {key_col} = '{}'",
+            sql_quote(key.as_str()?)
+        ))?
+        .count()
     }
 
     // ------------------------------------------------------------------
@@ -266,15 +307,19 @@ impl R3System {
     /// database's bulk interface — used to set up experiments. The
     /// *measured* loading experiment (paper Table 3) goes through
     /// `batch_input` instead. Transparent and pool rows are stored as they
-    /// come; a cluster document goes in whole, by the per-document path,
-    /// which reads its container back.
+    /// come; a cluster document goes in whole, by the per-document path
+    /// (which reads its container back), as a one-document LUW.
     pub fn load_tpcd(&self, gen: &DbGen) -> DbResult<()> {
         use crate::schema as s;
         let konv = self.dict.table("KONV")?;
         self.db.bulk_load(|load| {
             let mut put = |rows: Vec<(&str, Row)>| {
                 rows.into_iter().try_for_each(|(t, row)| {
-                    self.store_logical(t, &row, |physical, row| load.insert(physical, row))
+                    let stored =
+                        self.store_logical(t, &row, |physical, row| load.insert(physical, row))?;
+                    stored
+                        .then_some(())
+                        .ok_or_else(|| DbError::execution(format!("{t} is clustered")))
                 })
             };
             gen.nations().iter().try_for_each(|n| put(s::nation_rows(n)))?;
@@ -298,7 +343,7 @@ impl R3System {
                     li_idx += 1;
                 }
                 if !konv_rows.is_empty() {
-                    self.insert_cluster_rows(&konv, &konv_rows)?;
+                    self.db.autocommit(|luw| self.insert_cluster_rows(luw, &konv, &konv_rows))?;
                 }
             }
             Ok(())
@@ -436,8 +481,9 @@ mod tests {
             }
             r
         };
-        sys.insert_cluster_rows(&konv, &[mk_row("040")]).unwrap();
-        sys.insert_cluster_rows(&konv, &[mk_row("050")]).unwrap();
+        for stunr in ["040", "050"] {
+            sys.db.autocommit(|luw| sys.insert_cluster_rows(luw, &konv, &[mk_row(stunr)])).unwrap();
+        }
         let blob = sys.db.query("SELECT VARDATA FROM KOCLU").unwrap();
         assert_eq!(blob.rows.len(), 1, "single container row");
         let rows =
@@ -452,7 +498,7 @@ mod tests {
         let gen = DbGen::new(0.001);
         let p = &gen.parts()[0];
         for (t, row) in crate::schema::part_rows(p) {
-            sys.insert_logical(t, &row).unwrap();
+            sys.db.autocommit(|luw| sys.insert_logical(luw, t, &row)).unwrap();
         }
         let pool = sys.db.query("SELECT TABNAME, VARKEY FROM KAPOL").unwrap();
         assert_eq!(pool.rows.len(), 1);

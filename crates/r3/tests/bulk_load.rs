@@ -13,9 +13,7 @@ use tpcd::DbGen;
 /// The loader before bulk load: one `insert_logical` per row, every index
 /// maintained per row.
 fn load_row_by_row(sys: &R3System, gen: &DbGen) {
-    let put = |rows: Vec<(&str, Row)>| {
-        rows.into_iter().for_each(|(t, row)| sys.insert_logical(t, &row).unwrap())
-    };
+    let put = |rows: Vec<(&'static str, Row)>| sys.insert_record(&rows).unwrap();
     gen.nations().iter().for_each(|n| put(s::nation_rows(n)));
     gen.regions().iter().for_each(|r| put(s::region_rows(r)));
     gen.parts().iter().for_each(|p| put(s::part_rows(p)));
@@ -33,12 +31,12 @@ fn load_row_by_row(sys: &R3System, gen: &DbGen) {
                 if t == "KONV" && konv.kind.is_encapsulated() {
                     konv_rows.push(row);
                 } else {
-                    sys.insert_logical(t, &row).unwrap();
+                    sys.insert_record(&[(t, row)]).unwrap();
                 }
             }
         }
         if !konv_rows.is_empty() {
-            sys.insert_cluster_rows(&konv, &konv_rows).unwrap();
+            sys.db.autocommit(|luw| sys.insert_cluster_rows(luw, &konv, &konv_rows)).unwrap();
         }
     }
     sys.db.execute("ANALYZE").unwrap();

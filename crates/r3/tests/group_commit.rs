@@ -89,7 +89,7 @@ fn concurrent_commit_work_batches_log_forces() {
 fn commit_work_without_wal_is_free() {
     let sys = R3System::install_default(Release::R22).unwrap();
     let before = sys.meter().snapshot();
-    sys.commit_work().unwrap();
+    sys.commit_work(sys.db.begin()).unwrap();
     let work = sys.meter().snapshot().since(&before);
     assert_eq!(work.ipc_crossings(), 0, "no WAL, no commit crossing");
     assert_eq!(work.wal_flushes(), 0);

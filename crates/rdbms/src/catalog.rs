@@ -361,9 +361,9 @@ impl Catalog {
         Ok((rid, row))
     }
 
-    /// Delete a row by RID, maintaining indexes. The row must be fetched
-    /// first to compute its index keys.
-    pub fn delete_row(&self, table: &Table, rid: Rid) -> DbResult<()> {
+    /// Delete a row by RID, maintaining indexes. The row is fetched first
+    /// to compute its index keys, and returned (the log's before-image).
+    pub fn delete_row(&self, table: &Table, rid: Rid) -> DbResult<Row> {
         let row = table
             .heap
             .get(rid, crate::storage::AccessPattern::Random)?
@@ -373,7 +373,8 @@ impl Catalog {
             index.tree.lock().delete(&key, rid)?;
         }
         self.pager.meter().bump(crate::clock::Counter::DbTuples);
-        table.heap.delete(rid)
+        table.heap.delete(rid)?;
+        Ok(row)
     }
 
     /// Update a row by RID, maintaining indexes.
@@ -396,12 +397,21 @@ impl Catalog {
             .ok_or_else(|| DbError::storage(format!("no row at {rid:?}")))?;
         let indexes = table.indexes.read();
         let new_keys: Vec<Vec<u8>> = indexes.iter().map(|i| i.key_for(&new_row)).collect();
-        for (index, key) in indexes.iter().zip(&new_keys) {
+        let old_keys: Vec<Vec<u8>> = indexes.iter().map(|i| i.key_for(&old_row)).collect();
+        // Check every key first so a refusal leaves no trace. A unique key
+        // the update keeps is its own row's, so only a changed one is
+        // probed.
+        for ((index, key), old) in indexes.iter().zip(&new_keys).zip(&old_keys) {
             check_key(key, index.unique)?;
+            if index.unique && key != old && !index.tree.lock().search_exact(key)?.is_empty() {
+                return Err(DbError::constraint(format!(
+                    "unique index {} violated on {}",
+                    index.name, table.name
+                )));
+            }
         }
-        for index in indexes.iter() {
-            let key = index.key_for(&old_row);
-            index.tree.lock().delete(&key, rid)?;
+        for (index, key) in indexes.iter().zip(&old_keys) {
+            index.tree.lock().delete(key, rid)?;
         }
         let new_rid = table.heap.update(rid, &new_row)?;
         for (index, key) in indexes.iter().zip(&new_keys) {

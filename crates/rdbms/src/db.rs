@@ -401,15 +401,28 @@ impl Database {
     }
 
     /// Execute any single SQL statement (constants visible to the optimizer).
+    /// A SELECT or DML statement is a one-statement transaction: it takes
+    /// the locks it would take inside one, and commits, or rolls back
+    /// whatever it did if it fails. DDL is not transactional.
     pub fn execute(&self, sql: &str) -> DbResult<ExecOutcome> {
         let stmt = parse_statement(sql)?;
-        let out = self.execute_statement(&stmt)?;
+        if !stmt_is_ddl(&stmt) {
+            return self.autocommit(|txn| txn.execute_statement(&stmt));
+        }
+        self.execute_ddl(&stmt)?;
         // DDL is logged as its statement text and replayed by re-execution
         // (recovery replays against a WAL-less engine, so this cannot
-        // re-log). DML logging happens inside the apply path.
-        if self.wal.is_some() && stmt_is_ddl(&stmt) {
-            self.log_ddl(sql)?;
-        }
+        // re-log).
+        self.log_ddl(sql)?;
+        Ok(ExecOutcome::Done)
+    }
+
+    /// Run `f` in a transaction of its own: commit what it did, or, if it
+    /// fails, roll it back (dropping the `Txn` does that).
+    pub fn autocommit<T>(&self, f: impl FnOnce(&mut Txn<'_>) -> DbResult<T>) -> DbResult<T> {
+        let mut txn = self.begin();
+        let out = f(&mut txn)?;
+        txn.commit()?;
         Ok(out)
     }
 
@@ -468,8 +481,14 @@ impl Database {
         })
     }
 
-    /// Execute a prepared query with bindings (cursor OPEN / REOPEN).
+    /// Execute a prepared query with bindings (cursor OPEN / REOPEN), as a
+    /// one-statement transaction under the plan's read locks.
     pub fn execute_prepared(&self, p: &Prepared, params: &[Value]) -> DbResult<QueryResult> {
+        self.autocommit(|txn| txn.execute_prepared(p, params))
+    }
+
+    /// Run a prepared plan with bindings; the caller holds its locks.
+    pub(crate) fn run_prepared(&self, p: &Prepared, params: &[Value]) -> DbResult<QueryResult> {
         if params.len() < p.n_params {
             return Err(DbError::UnboundParameter(params.len()));
         }
@@ -493,14 +512,8 @@ impl Database {
         Ok(rows)
     }
 
-    fn execute_statement(&self, stmt: &Statement) -> DbResult<ExecOutcome> {
+    fn execute_ddl(&self, stmt: &Statement) -> DbResult<()> {
         match stmt {
-            Statement::Select(q) => {
-                Ok(ExecOutcome::Rows(self.execute_planned(self.plan_select(q)?)?))
-            }
-            Statement::Insert { .. } | Statement::Delete { .. } | Statement::Update { .. } => {
-                Ok(ExecOutcome::Count(self.apply_dml_autocommit(stmt)?))
-            }
             Statement::CreateTable { name, columns, primary_key } => {
                 let cols: Vec<Column> = columns
                     .iter()
@@ -513,29 +526,29 @@ impl Database {
                     })
                     .collect();
                 self.catalog.create_table(name, cols, primary_key)?;
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
             Statement::CreateIndex { name, table, columns, unique } => {
                 self.catalog.create_index(name, table, columns, *unique)?;
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
             Statement::CreateView { name, query } => {
                 // Validate the view body plans correctly before registering.
                 self.plan_select(query)?;
                 self.catalog.create_view(name, (**query).clone())?;
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
             Statement::DropTable { name } => {
                 self.catalog.drop_table(name)?;
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
             Statement::DropIndex { name } => {
                 self.catalog.drop_index(name)?;
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
             Statement::DropView { name } => {
                 self.catalog.drop_view(name)?;
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
             Statement::Analyze { table } => {
                 match table {
@@ -550,56 +563,19 @@ impl Database {
                         }
                     }
                 }
-                Ok(ExecOutcome::Done)
+                Ok(())
             }
+            other => Err(DbError::execution(format!("not DDL: {other:?}"))),
         }
     }
 
-    /// DML for an open transaction: records what it did in `ops`.
-    pub(crate) fn execute_dml_in_txn(
-        &self,
-        stmt: &Statement,
-        ops: &mut Vec<LogPayload>,
-    ) -> DbResult<ExecOutcome> {
-        let exec_started = self.monitor_enabled().then(Instant::now);
-        let out = self.apply_dml(stmt, Some(ops)).map(ExecOutcome::Count);
-        if let Some(started) = exec_started {
-            self.wait.record(WaitEvent::Exec, started.elapsed());
-        }
-        out
-    }
-
-    /// Autocommit DML. With a WAL every statement is an *implicit
-    /// transaction*: its operations plus a `Commit` go to the log as one
-    /// batch under a fresh transaction id, so a crash mid-statement makes
-    /// the partial statement a loser that restart rolls back. Without a
-    /// WAL this is the plain pre-WAL apply path.
-    fn apply_dml_autocommit(&self, stmt: &Statement) -> DbResult<u64> {
-        let Some(wal) = &self.wal else {
-            return self.apply_dml(stmt, None);
-        };
-        let mut ops = Vec::new();
-        let res = self.apply_dml(stmt, Some(&mut ops));
-        // A failed statement's partial effects stay in the store (autocommit
-        // has no undo), so they must reach the log too — as committed.
-        let mut logged = Ok(());
-        if !ops.is_empty() {
-            ops.push(LogPayload::Commit);
-            let id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
-            let lsns = wal.append_batch(id, &ops);
-            self.note_logged(&ops, &lsns);
-            logged = wal.commit(*lsns.last().expect("commit lsn"));
-        }
-        let n = res?;
-        logged?;
-        Ok(n)
-    }
-
-    /// Apply one DML statement. Each operation is recorded in `ops` as it
-    /// is done, in the form the log takes it: with the rids it was done at
-    /// and the row images as they were read and stored then (a rid names
-    /// another row once its own is gone, so nothing is read back later).
-    fn apply_dml(&self, stmt: &Statement, ops: Option<&mut Vec<LogPayload>>) -> DbResult<u64> {
+    /// Apply one DML statement of an open transaction, timed as one `Exec`
+    /// wait event. Each operation is recorded in `ops` as it is done, in
+    /// the form the log takes it: with the rids it was done at and the row
+    /// images as they were read and stored then (a rid names another row
+    /// once its own is gone, so nothing is read back later).
+    pub(crate) fn apply_dml(&self, stmt: &Statement, ops: &mut Vec<LogPayload>) -> DbResult<u64> {
+        let _exec = self.monitor_enabled().then(|| self.wait.timer(WaitEvent::Exec));
         match stmt {
             Statement::Insert { table, columns, rows } => {
                 self.apply_insert(table, columns.as_deref(), rows, ops)
@@ -655,7 +631,7 @@ impl Database {
         table: &str,
         columns: Option<&[String]>,
         rows: &[Vec<Expr>],
-        mut ops: Option<&mut Vec<LogPayload>>,
+        ops: &mut Vec<LogPayload>,
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let ctx = ExecCtx::new(&[], &self.meter);
@@ -663,9 +639,7 @@ impl Database {
         for exprs in rows {
             let row = self.build_insert_row(&t, columns, exprs, &ctx)?;
             let (rid, row) = self.catalog.insert_stored(&t, &row)?;
-            if let Some(ops) = ops.as_deref_mut() {
-                ops.push(LogPayload::Insert { table: t.name.clone(), rid, row });
-            }
+            ops.push(LogPayload::Insert { table: t.name.clone(), rid, row });
             inserted += 1;
         }
         Ok(inserted)
@@ -675,22 +649,14 @@ impl Database {
         &self,
         table: &str,
         filter: Option<&Expr>,
-        mut ops: Option<&mut Vec<LogPayload>>,
+        ops: &mut Vec<LogPayload>,
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let pred = self.bind_dml_filter(&t.schema, filter)?;
         let _rows_stay = t.changes.lock();
         let rids = self.matching_rids(&t, filter, &pred)?;
         for &rid in &rids {
-            let Some(ops) = ops.as_deref_mut() else {
-                self.catalog.delete_row(&t, rid)?;
-                continue;
-            };
-            let row = t
-                .heap
-                .get(rid, crate::storage::AccessPattern::Random)?
-                .ok_or_else(|| DbError::storage("row vanished during DELETE"))?;
-            self.catalog.delete_row(&t, rid)?;
+            let row = self.catalog.delete_row(&t, rid)?;
             ops.push(LogPayload::Delete { table: t.name.clone(), rid, row });
         }
         Ok(rids.len() as u64)
@@ -701,7 +667,7 @@ impl Database {
         table: &str,
         assignments: &[(String, Expr)],
         filter: Option<&Expr>,
-        mut ops: Option<&mut Vec<LogPayload>>,
+        ops: &mut Vec<LogPayload>,
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let pred = self.bind_dml_filter(&t.schema, filter)?;
@@ -731,9 +697,7 @@ impl Database {
         let n = updates.len() as u64;
         for (rid, old, new_row) in updates {
             let (new_rid, new) = self.catalog.update_stored(&t, rid, &new_row)?;
-            if let Some(ops) = ops.as_deref_mut() {
-                ops.push(LogPayload::Update { table: t.name.clone(), rid, new_rid, old, new });
-            }
+            ops.push(LogPayload::Update { table: t.name.clone(), rid, new_rid, old, new });
         }
         Ok(n)
     }
@@ -857,15 +821,12 @@ impl Database {
         }
     }
 
-    /// Insert one pre-built row directly, logged as a bulk-loaded row
-    /// (bypasses SQL parsing but not constraint checks). One row, every
-    /// index at once; [`Database::load_rows`] builds each index once for
-    /// many.
+    /// Insert one pre-built row as a one-statement transaction (bypasses
+    /// SQL parsing but not constraint checks or locks; see
+    /// [`Txn::insert_row`]). One row, every index at once;
+    /// [`Database::load_rows`] builds each index once for many.
     pub fn insert_row(&self, table_name: &str, row: &[Value]) -> DbResult<()> {
-        let t = self.catalog.table(table_name)?;
-        let (rid, row) = self.catalog.insert_stored(&t, row)?;
-        self.log_loaded(&t, rid, row);
-        Ok(())
+        self.autocommit(|txn| txn.insert_row(table_name, row))
     }
 
     /// Log a row the bulk path stored: one system-transaction record per

@@ -130,16 +130,36 @@ pub enum TableRead {
     /// before execution): a shared key-range lock with phantom protection
     /// suffices.
     PkRange(KeyRange),
+    /// Index scan on the primary key whose bounds are literals and
+    /// parameter markers: the same key-range lock, once the statement's
+    /// bindings are known ([`PkBounds::range`]).
+    PkParams(PkBounds),
     /// Index-driven access whose keys are only known at run time (probe
-    /// sides of index nested-loop joins, secondary indexes, parameterized
-    /// bounds): a shared lock on existing rows.
+    /// sides of index nested-loop joins, secondary indexes): a shared lock
+    /// on existing rows.
     Probe,
 }
 
-/// Encoded key bytes for an index bound whose values are all literal:
-/// `None` = not literal (known only at run time), `Some(None)` = no bound,
-/// `Some(Some(bytes))` = literal bound.
-fn literal_key(bound: &Option<IndexKeyBound>) -> Option<Option<Vec<u8>>> {
+/// The bounds of a primary-key index scan, made of literals and
+/// parameter markers.
+#[derive(Debug, Clone)]
+pub struct PkBounds {
+    lower: Option<IndexKeyBound>,
+    upper: Option<IndexKeyBound>,
+}
+
+impl PkBounds {
+    /// The keys the scan reads under `params`, as a lock range.
+    pub fn range(&self, params: &[Value]) -> KeyRange {
+        let (lo, hi) = (bound_key(&self.lower, params), bound_key(&self.upper, params));
+        KeyRange::span(lo.flatten().as_deref(), hi.flatten().as_deref())
+    }
+}
+
+/// Encoded key bytes for an index bound whose values are all literals or
+/// markers bound in `params`: `None` = not known before the scan runs,
+/// `Some(None)` = no bound, `Some(Some(bytes))` = the bound.
+fn bound_key(bound: &Option<IndexKeyBound>, params: &[Value]) -> Option<Option<Vec<u8>>> {
     match bound {
         None => Some(None),
         Some(b) => {
@@ -148,12 +168,18 @@ fn literal_key(bound: &Option<IndexKeyBound>) -> Option<Option<Vec<u8>>> {
                 .iter()
                 .map(|e| match e {
                     BExpr::Literal(v) => Some(v.clone()),
+                    BExpr::Param(i) => params.get(*i).cloned(),
                     _ => None,
                 })
                 .collect();
             vals.map(|v| Some(encode_key(&v)))
         }
     }
+}
+
+/// Is every value of the bound a literal or a parameter marker?
+fn binds_to_key(bound: &Option<IndexKeyBound>) -> bool {
+    bound.iter().flat_map(|b| &b.values).all(|e| matches!(e, BExpr::Literal(_) | BExpr::Param(_)))
 }
 
 /// One base-table access discovered by [`Plan::table_accesses`].
@@ -181,13 +207,16 @@ impl Plan {
             }
             Plan::IndexScan { table, index, lower, upper, .. } => {
                 let on_pk = !table.primary_key.is_empty() && index.columns == table.primary_key;
-                let read = match (on_pk, literal_key(lower), literal_key(upper)) {
+                let read = match (on_pk, bound_key(lower, &[]), bound_key(upper, &[])) {
                     // An unbounded scan on the PK is an ordered full read:
                     // treat it like a probe (existing rows) rather than a
                     // whole-key-space phantom claim.
                     (true, Some(None), Some(None)) => TableRead::Probe,
                     (true, Some(lo), Some(hi)) => {
                         TableRead::PkRange(KeyRange::span(lo.as_deref(), hi.as_deref()))
+                    }
+                    (true, ..) if [lower, upper].iter().all(|b| binds_to_key(b)) => {
+                        TableRead::PkParams(PkBounds { lower: lower.clone(), upper: upper.clone() })
                     }
                     _ => TableRead::Probe,
                 };

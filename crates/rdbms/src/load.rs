@@ -1,6 +1,7 @@
 //! Bulk load: rows go to their heaps, and to the log, one by one in the
-//! order they come — placed and logged exactly as [`Database::insert_row`]
-//! places and logs them — while their index entries wait; when the load
+//! order they come — placed exactly as [`Database::insert_row`] places
+//! them, and logged as system-transaction records (committed if present,
+//! no Begin/Commit bracket) — while their index entries wait; when the load
 //! ends each index is built once, by [`BTree::insert_batch`] over the
 //! entries in arrival order, which leaves the tree inserting them one by
 //! one would (DESIGN.md §17).

@@ -30,12 +30,19 @@
 //! [`Counter::LockWaits`] and the wall wait duration is accumulated per
 //! transaction, so multi-stream drivers can attribute lock-wait time to
 //! the right stream.
+//!
+//! This is the engine's only transaction implementation. A statement run
+//! outside one — [`Database::execute`], `query`, `execute_prepared`,
+//! `insert_row` — is a one-statement `Txn` ([`Database::autocommit`]):
+//! it takes the same locks, and a statement that fails is rolled back
+//! whole. An R/3 logical unit of work, from its first statement to COMMIT
+//! WORK, is one `Txn` too. Only the bulk loader and DDL write outside one.
 
 use crate::catalog::Catalog;
 use crate::clock::{CostMeter, Counter, MeterScope, MeterSnapshot, WaitEvent};
 use crate::db::{Database, ExecOutcome, Prepared, QueryResult};
 use crate::error::{DbError, DbResult};
-use crate::exec::plan::TableRead;
+use crate::exec::plan::{PkBounds, TableRead};
 use crate::monitor::is_monitor_name;
 use crate::planner::sarg_helpers::pk_lock_range;
 use crate::planner::PlannedQuery;
@@ -134,19 +141,23 @@ impl<'db> Txn<'db> {
     /// (plus shared locks for subquery reads); DDL is rejected. A statement that fails mid-flight leaves its partial
     /// effects in the undo log — roll the transaction back to remove them.
     pub fn execute(&mut self, sql: &str) -> DbResult<ExecOutcome> {
-        let stmt = parse_statement(sql)?;
-        if let Statement::Select(q) = &stmt {
+        self.execute_statement(&parse_statement(sql)?)
+    }
+
+    /// [`Txn::execute`] of a parsed statement.
+    pub(crate) fn execute_statement(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
+        if let Statement::Select(q) = stmt {
             // Planned once: the locks are those of the plan that runs.
             let pq = self.db.plan_select(q)?;
-            self.lock_reads(&select_read_locks(&pq))?;
+            self.lock_reads(&select_read_locks(&pq), &[])?;
             let _scope = MeterScope::enter(Arc::clone(&self.meter));
             return self.db.execute_planned(pq).map(ExecOutcome::Rows);
         }
-        self.lock_statement(&stmt)?;
+        self.lock_statement(stmt)?;
         let mut ops = Vec::new();
         let res = {
             let _scope = MeterScope::enter(Arc::clone(&self.meter));
-            self.db.execute_dml_in_txn(&stmt, &mut ops)
+            self.db.apply_dml(stmt, &mut ops).map(ExecOutcome::Count)
         };
         // Even a failed statement's partial effects: they are in the store,
         // so they must be in the undo log and in the WAL too (the rollback
@@ -162,11 +173,12 @@ impl<'db> Txn<'db> {
 
     /// Execute a prepared SELECT under this transaction's locks (the wire
     /// protocol's Execute message for a bound portal). Read locks come from
-    /// the lock plan computed at prepare time — no replanning here.
+    /// the lock plan computed at prepare time — no replanning here — with
+    /// its parameter markers bound to `params`.
     pub fn execute_prepared(&mut self, p: &Prepared, params: &[Value]) -> DbResult<QueryResult> {
-        self.lock_reads(&p.lock_plan)?;
+        self.lock_reads(&p.lock_plan, params)?;
         let _scope = MeterScope::enter(Arc::clone(&self.meter));
-        self.db.execute_prepared(p, params)
+        self.db.run_prepared(p, params)
     }
 
     /// Bulk-path insert of a pre-built row (the benchmark kit's refresh
@@ -175,20 +187,11 @@ impl<'db> Txn<'db> {
     /// tables without a primary key fall back to a table X lock.
     pub fn insert_row(&mut self, table: &str, row: &[Value]) -> DbResult<()> {
         let t = self.db.catalog().table(table)?;
-        let pk_vals: Option<Vec<Value>> = if t.primary_key.is_empty() {
-            None
-        } else {
-            let vals: Vec<Value> =
-                t.primary_key.iter().filter_map(|&i| row.get(i).cloned()).collect();
-            (vals.len() == t.primary_key.len() && !vals.iter().any(Value::is_null)).then_some(vals)
-        };
-        match pk_vals {
-            Some(vals) => {
-                let key = encode_key(&vals);
-                self.lock_row(&t.name, RowLock::insert(KeyRange::point(&key)))?;
-            }
-            None => self.lock_table(&t.name, LockMode::Exclusive)?,
-        }
+        // The row's whole primary key, if it has one.
+        let pk: Option<Vec<Value>> =
+            t.primary_key.iter().map(|&i| row.get(i).filter(|v| !v.is_null()).cloned()).collect();
+        let key = pk.filter(|_| !t.primary_key.is_empty()).map(|vals| vec![encode_key(&vals)]);
+        self.lock_new_rows(&t.name, key)?;
         let (rid, row) = {
             let _scope = MeterScope::enter(Arc::clone(&self.meter));
             self.db.catalog().insert_stored(&t, row)?
@@ -388,8 +391,9 @@ impl<'db> Txn<'db> {
         Ok(())
     }
 
-    /// Take a SELECT's read locks, in the order of its lock plan.
-    fn lock_reads(&mut self, plan: &[(String, ReadLockPlan)]) -> DbResult<()> {
+    /// Take a SELECT's read locks, in the order of its lock plan, its
+    /// parameter markers bound to `params`.
+    fn lock_reads(&mut self, plan: &[(String, ReadLockPlan)], params: &[Value]) -> DbResult<()> {
         for (table, plan) in plan {
             match plan {
                 ReadLockPlan::Table => self.lock_table(table, LockMode::Shared)?,
@@ -397,6 +401,9 @@ impl<'db> Txn<'db> {
                     for lock in locks {
                         self.lock_row(table, lock.clone())?;
                     }
+                }
+                ReadLockPlan::PkParams(bounds) => {
+                    self.lock_row(table, RowLock::shared(bounds.range(params)))?
                 }
             }
         }
@@ -418,11 +425,9 @@ impl<'db> Txn<'db> {
             // nonexistent name is harmless (matches the old behaviour).
             return self.lock_table(table, LockMode::Exclusive);
         };
-        if t.primary_key.is_empty() {
-            return self.lock_table(&t.name, LockMode::Exclusive);
-        }
         // Position of each primary-key column inside the VALUES tuples.
         let positions: Option<Vec<usize>> = match columns {
+            _ if t.primary_key.is_empty() => None,
             None => Some(t.primary_key.clone()),
             Some(cols) => t
                 .primary_key
@@ -433,22 +438,29 @@ impl<'db> Txn<'db> {
                 })
                 .collect(),
         };
-        let Some(positions) = positions else {
-            return self.lock_table(&t.name, LockMode::Exclusive);
+        // Each VALUES tuple's key, if every key column is a literal.
+        let keys = positions.and_then(|positions| {
+            rows.iter()
+                .map(|row| {
+                    let vals = positions.iter().map(|&p| match row.get(p) {
+                        Some(Expr::Literal(v)) if !v.is_null() => Some(v.clone()),
+                        _ => None,
+                    });
+                    Some(encode_key(&vals.collect::<Option<Vec<_>>>()?))
+                })
+                .collect()
+        });
+        self.lock_new_rows(&t.name, keys)
+    }
+
+    /// Exclusive *fresh* point locks on the primary keys of rows about to
+    /// be inserted, or a table X lock when the keys are not known (`None`).
+    fn lock_new_rows(&mut self, table: &str, keys: Option<Vec<Vec<u8>>>) -> DbResult<()> {
+        let Some(keys) = keys else {
+            return self.lock_table(table, LockMode::Exclusive);
         };
-        let mut keys = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut vals = Vec::with_capacity(positions.len());
-            for &p in &positions {
-                match row.get(p) {
-                    Some(Expr::Literal(v)) if !v.is_null() => vals.push(v.clone()),
-                    _ => return self.lock_table(&t.name, LockMode::Exclusive),
-                }
-            }
-            keys.push(encode_key(&vals));
-        }
         for key in keys {
-            self.lock_row(&t.name, RowLock::insert(KeyRange::point(&key)))?;
+            self.lock_row(table, RowLock::insert(KeyRange::point(&key)))?;
         }
         Ok(())
     }
@@ -488,14 +500,19 @@ pub enum ReadLockPlan {
     Table,
     /// Key-range / existing-row locks; every access is index-driven.
     Rows(Vec<RowLock>),
+    /// One primary-key range whose bounds hold parameter markers: a
+    /// shared key-range lock over the keys the bound statement reads.
+    PkParams(PkBounds),
 }
 
 /// Per-table read-lock plan of a planned SELECT, in table-name order.
 /// Tables whose every access in the plan is index-driven get row locks
 /// (key ranges for literal primary-key bounds, existing-row locks for
-/// run-time probes). Scanned tables, views, and names read inside an
-/// expression subquery (whose subplans are not in the main plan tree) get
-/// whole-table shared locks. `M$` views get none. Exposed so workload
+/// run-time probes). A table read once, by a primary-key range whose
+/// bounds hold parameter markers, gets that key range, bound when the
+/// statement runs ([`ReadLockPlan::PkParams`]). Scanned tables, views,
+/// and names read inside an expression subquery (whose subplans are not
+/// in the main plan tree) get whole-table shared locks. `M$` views get none. Exposed so workload
 /// models can predict the same lock footprint the engine takes.
 pub fn select_read_locks(pq: &PlannedQuery) -> Vec<(String, ReadLockPlan)> {
     let mut by_table: HashMap<String, Vec<TableRead>> = HashMap::new();
@@ -507,18 +524,27 @@ pub fn select_read_locks(pq: &PlannedQuery) -> Vec<(String, ReadLockPlan)> {
         if is_monitor_name(table) {
             continue;
         }
-        let rows = match by_table.remove(table) {
+        let plan = match by_table.remove(table) {
+            // The one read of the table is a parameterized primary-key range.
+            Some(mut reads) if !in_subquery && matches!(reads[..], [TableRead::PkParams(_)]) => {
+                let Some(TableRead::PkParams(bounds)) = reads.pop() else { unreachable!() };
+                ReadLockPlan::PkParams(bounds)
+            }
+            // Among others, a parameterized range locks as a probe does.
             Some(reads) if !in_subquery => reads
                 .into_iter()
                 .map(|r| match r {
                     TableRead::PkRange(range) => Some(RowLock::shared(range)),
-                    TableRead::Probe => Some(RowLock::shared_existing(KeyRange::all())),
+                    TableRead::PkParams(_) | TableRead::Probe => {
+                        Some(RowLock::shared_existing(KeyRange::all()))
+                    }
                     TableRead::Scan => None,
                 })
-                .collect(),
-            _ => None,
+                .collect::<Option<_>>()
+                .map_or(ReadLockPlan::Table, ReadLockPlan::Rows),
+            _ => ReadLockPlan::Table,
         };
-        out.push((table.clone(), rows.map_or(ReadLockPlan::Table, ReadLockPlan::Rows)));
+        out.push((table.clone(), plan));
     }
     out
 }

@@ -685,14 +685,6 @@ impl Wal {
         }
     }
 
-    /// Make everything appended so far durable per the commit policy — the
-    /// `COMMIT WORK` path for callers that batched many records without
-    /// tracking individual LSNs. Fast no-op when already durable.
-    pub fn commit_appended(&self) -> DbResult<()> {
-        let lsn = self.state.lock().next_lsn.saturating_sub(1);
-        self.commit(lsn)
-    }
-
     /// Whether an earlier force already made the commit at `lsn` durable.
     /// Such a commit rode in that force without being in its batch, so it
     /// is counted here: every commit call counts once in

@@ -2,10 +2,14 @@
 //! detected and broken, committed work is visible to later transactions,
 //! rollback undoes everything, and lock waits are metered.
 
+use rdbms::catalog::Table;
 use rdbms::db::DbConfig;
+use rdbms::exec::ExecCtx;
 use rdbms::storage::codec::encode_key;
+use rdbms::storage::AccessPattern;
 use rdbms::types::Value;
 use rdbms::{Database, DbError};
+use std::ops::Bound::Included;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -291,13 +295,15 @@ fn an_index_reader_never_fetches_a_reused_slots_next_tenant() {
     assert_eq!(last.execute_prepared(&probe, &[Value::Int(8)]).unwrap().rows.len(), ROWS as usize);
 }
 
-/// Autocommit statements take no locks. What a reader gets when the row it
-/// holds a rid for is deleted under it, and the slot given to another row,
-/// is then up to the scan itself: it notices that the heap changed since
-/// it read the index and holds every row against the key of the entry that
-/// led to it. The rows of group 7 are exactly those with an id below 1000.
+/// A reader that takes no locks — the plan run straight off its prepared
+/// form — and writers that take none either, deleting and inserting
+/// through the catalog. What the reader gets when the row it holds a rid
+/// for is deleted under it, and the slot given to another row, is then up
+/// to the scan itself: it notices that the heap changed since it read the
+/// index and holds every row against the key of the entry that led to it.
+/// The rows of group 7 are exactly those with an id below 1000.
 #[test]
-fn an_autocommit_index_reader_sees_a_dangling_entry_not_the_next_tenant() {
+fn a_lockless_index_reader_sees_a_dangling_entry_not_the_next_tenant() {
     const ROWS: i64 = 40;
     let db = Database::with_defaults();
     db.execute("CREATE TABLE t (id INTEGER NOT NULL, grp INTEGER, PRIMARY KEY (id))").unwrap();
@@ -308,14 +314,16 @@ fn an_autocommit_index_reader_sees_a_dangling_entry_not_the_next_tenant() {
     // The key column is not among those the scan decodes for its caller.
     let probe = db.prepare("SELECT id FROM t WHERE grp = ?").unwrap();
     assert!(probe.plan_description.contains("IndexScan"), "{}", probe.plan_description);
+    let read = || probe.plan.execute(&ExecCtx::new(&[Value::Int(7)], db.meter()));
+    let table = db.catalog().table("t").unwrap();
     let done = AtomicBool::new(false);
     let (reads, dangling) = std::thread::scope(|scope| {
         let reader = scope.spawn(|| {
             let (mut reads, mut dangling) = (0, 0);
             while !done.load(Ordering::Acquire) {
-                match db.execute_prepared(&probe, &[Value::Int(7)]) {
-                    Ok(found) => {
-                        let ids = found.rows.iter().map(|r| r[0].as_int().unwrap());
+                match read() {
+                    Ok(rows) => {
+                        let ids = rows.iter().map(|r| r[0].as_int().unwrap());
                         let strangers: Vec<i64> = ids.filter(|id| *id >= 1000).collect();
                         assert!(
                             strangers.is_empty(),
@@ -333,44 +341,66 @@ fn an_autocommit_index_reader_sees_a_dangling_entry_not_the_next_tenant() {
         for round in 0..60 {
             let (gone, come) = if round % 2 == 0 { (0, 1000) } else { (1000, 0) };
             for id in 0..ROWS {
-                db.execute(&format!("DELETE FROM t WHERE id = {}", gone + id)).unwrap();
+                assert_eq!(delete_by_key(&db, &table, gone + id), 1);
                 let grp = if come == 0 { 7 } else { 8 };
-                db.execute(&format!("INSERT INTO t VALUES ({}, {grp})", come + id)).unwrap();
+                db.catalog().insert_row(&table, &[Value::Int(come + id), Value::Int(grp)]).unwrap();
             }
         }
         done.store(true, Ordering::Release);
         reader.join().unwrap()
     });
     assert!(reads > 0, "{reads} reads, {dangling} dangling entries");
-    assert_eq!(db.execute_prepared(&probe, &[Value::Int(7)]).unwrap().rows.len(), ROWS as usize);
+    assert_eq!(read().unwrap().len(), ROWS as usize);
 }
 
-/// Autocommit writers on the same rows: two deleters and an updater work
-/// through the same keys while an inserter fills the slots they free with
-/// rows of its own. A statement holds its table's `changes` latch from
-/// before it reads rids until it has acted on them, so each row is deleted
-/// once, by one of them, and no statement ever acts on the slot's next
-/// tenant: the inserter's rows all survive, untouched.
+/// Delete the row with primary key `id` through the catalog, the way a
+/// DELETE statement does: the rids read and acted on under the table's
+/// `changes` latch. Returns the rows deleted.
+fn delete_by_key(db: &Database, table: &Table, id: i64) -> u64 {
+    let _rows_stay = table.changes.lock();
+    let pkey = table.find_index(&format!("{}_PKEY", table.name)).unwrap();
+    let rids = pkey.tree.lock().search_exact(&encode_key(&[Value::Int(id)])).unwrap();
+    for &rid in &rids {
+        db.catalog().delete_row(table, rid).unwrap();
+    }
+    rids.len() as u64
+}
+
+/// Lockless writers on the same rows, through the catalog: two deleters
+/// and an updater work through the same keys while an inserter fills the
+/// slots they free with rows of its own. Each holds the table's `changes`
+/// latch from before it reads rids until it has acted on them, as every
+/// DELETE and UPDATE statement does, so each row is deleted once, by one
+/// of them, and no writer ever acts on the slot's next tenant: the
+/// inserter's rows all survive, untouched.
 #[test]
-fn autocommit_writers_never_act_on_a_reused_slots_next_tenant() {
+fn lockless_writers_never_act_on_a_reused_slots_next_tenant() {
     const ROWS: i64 = 300;
     let db = Database::with_defaults();
     db.execute("CREATE TABLE t (id INTEGER NOT NULL, v INTEGER, PRIMARY KEY (id))").unwrap();
     for id in 0..ROWS {
         db.execute(&format!("INSERT INTO t VALUES ({id}, 0)")).unwrap();
     }
-    let count = |sql: String| db.execute(&sql).unwrap().count().unwrap();
+    let table = db.catalog().table("t").unwrap();
+    let pkey = table.find_index("T_PKEY").unwrap();
+    // UPDATE t SET v = v + 1 WHERE id BETWEEN lo AND lo + 3.
+    let bump = |lo: i64| {
+        let _rows_stay = table.changes.lock();
+        let (from, to) = (encode_key(&[Value::Int(lo)]), encode_key(&[Value::Int(lo + 3)]));
+        let rids = pkey.tree.lock().range_rids(Included(&from), Included(&to)).unwrap();
+        for rid in rids {
+            let mut row = table.heap.get(rid, AccessPattern::Random).unwrap().unwrap();
+            row[1] = Value::Int(row[1].as_int().unwrap() + 1);
+            db.catalog().update_row(&table, rid, &row).unwrap();
+        }
+    };
     let deleted: u64 = std::thread::scope(|scope| {
-        let deleter = || (0..ROWS).map(|id| count(format!("DELETE FROM t WHERE id = {id}"))).sum();
+        let deleter = || (0..ROWS).map(|id| delete_by_key(&db, &table, id)).sum();
         let deleters = [scope.spawn(deleter), scope.spawn(deleter)];
+        scope.spawn(|| (0..ROWS).for_each(bump));
         scope.spawn(|| {
             for id in 0..ROWS {
-                count(format!("UPDATE t SET v = v + 1 WHERE id BETWEEN {id} AND {}", id + 3));
-            }
-        });
-        scope.spawn(|| {
-            for id in 0..ROWS {
-                count(format!("INSERT INTO t VALUES ({}, 0)", 1000 + id));
+                db.catalog().insert_row(&table, &[Value::Int(1000 + id), Value::Int(0)]).unwrap();
             }
         });
         deleters.map(|d| d.join().unwrap()).iter().sum::<u64>()

@@ -101,9 +101,8 @@ fn run_session(log: &PathBuf) -> Vec<u8> {
         db.execute(&format!("INSERT INTO accounts VALUES ({i}, {}, 'init')", i * 100)).unwrap();
     }
     // Bulk-load rows: system records, committed-if-present.
-    for i in 100..103 {
-        db.insert_row("accounts", &[Value::Int(i), Value::Int(7), Value::str("bulk")]).unwrap();
-    }
+    let bulk = (100..103).map(|i| vec![Value::Int(i), Value::Int(7), Value::str("bulk")]);
+    db.load_rows("accounts", bulk).unwrap();
     db.execute("ANALYZE accounts").unwrap();
     // A committed transaction touching all three DML kinds.
     let mut t = db.begin();
@@ -534,10 +533,19 @@ fn dropped_txn_with_failing_rollback_still_logs_abort() {
     {
         let mut t = db.begin();
         t.execute("INSERT INTO accounts VALUES (1, 5, 'mine')").unwrap();
-        // Sabotage the undo: an autocommit DELETE removes the row underneath
-        // the open transaction (autocommit takes no locks), so the drop-time
-        // rollback's delete of the already-dead slot fails.
-        db.execute("DELETE FROM accounts WHERE id = 1").unwrap();
+        // Sabotage the undo: delete the row underneath the open transaction
+        // through the catalog, which takes no locks, and log that delete as
+        // a committed transaction of its own. The drop-time rollback's
+        // delete of the already-dead slot fails.
+        let table = db.catalog().table("accounts").unwrap();
+        let rid = rid_of(&db, 1).unwrap();
+        let row = db.catalog().delete_row(&table, rid).unwrap();
+        let wal = db.wal().unwrap();
+        let saboteur = db.begin();
+        let delete = LogPayload::Delete { table: table.name.clone(), rid, row };
+        let lsns = wal.append_batch(saboteur.id(), &[delete, LogPayload::Commit]);
+        wal.commit(lsns[1]).unwrap();
+        saboteur.commit().unwrap();
         drop(t);
     }
     assert!(db.meter().snapshot().rollback_errors() > before, "the failed undo must be observable");
@@ -557,7 +565,7 @@ fn dropped_txn_with_failing_rollback_still_logs_abort() {
     drop(db);
     let (db, report) = recover_from(&log);
     assert!(report.losers.is_empty(), "aborted transaction is not a loser");
-    // The committed autocommit DELETE stands; the aborted insert is gone.
+    // The committed DELETE stands; the aborted insert is gone.
     let r = db.query("SELECT COUNT(*) FROM accounts").unwrap();
     assert_eq!(r.scalar().unwrap(), Value::Int(0));
     std::fs::remove_file(&log).ok();

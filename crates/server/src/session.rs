@@ -14,9 +14,9 @@
 //!
 //! Transactions: `BEGIN` / `COMMIT` / `ROLLBACK` are recognized at the
 //! session layer (the engine's transaction API is programmatic).
-//! Statements outside a transaction run in an ephemeral one — begin,
-//! lock, execute, commit — so autocommit statements still take the same
-//! locks a transactional client would. DDL is non-transactional and
+//! Statements outside a transaction run as the engine's one-statement
+//! transactions, so autocommit statements take the same locks a
+//! transactional client would. DDL is non-transactional and
 //! only legal outside a `BEGIN` block. A statement error aborts the open
 //! transaction (the R/3 model: a failed database call rolls the logical
 //! unit of work back); the following ReadyForQuery reports Idle.
@@ -24,7 +24,6 @@
 use crate::protocol::*;
 use crate::server::SessionInfo;
 use r3::sqltrace::{SqlOp, SqlTrace};
-use rdbms::db::stmt_is_ddl;
 use rdbms::sql::ast::Statement;
 use rdbms::sql::parse_statement;
 use rdbms::{Database, PlanCache, Prepared, QueryResult, RequestCtx, RequestGuard, Txn, Value};
@@ -278,23 +277,14 @@ impl<'db> Session<'db> {
         }
 
         let guard = self.trace.and_then(|t| t.begin());
-        let outcome = if let Some(txn) = self.txn.as_mut() {
-            txn.execute(sql).map_err(|e| e.to_string())?
-        } else {
-            let stmt = parse_statement(sql).map_err(|e| e.to_string())?;
-            if stmt_is_ddl(&stmt) {
-                // Non-transactional: run directly against the engine. The
-                // catalog version bump invalidates affected cached plans.
-                self.db.execute(sql).map_err(|e| e.to_string())?
-            } else {
-                // Ephemeral transaction so autocommit statements take the
-                // same locks a BEGIN-wrapped execution would.
-                let mut txn = self.db.begin();
-                let outcome = txn.execute(sql).map_err(|e| e.to_string())?;
-                txn.commit().map_err(|e| e.to_string())?;
-                outcome
-            }
-        };
+        // Outside a BEGIN block the engine runs the statement as a
+        // one-statement transaction (DDL directly; its catalog version bump
+        // invalidates affected cached plans).
+        let outcome = match self.txn.as_mut() {
+            Some(txn) => txn.execute(sql),
+            None => self.db.execute(sql),
+        }
+        .map_err(|e| e.to_string())?;
         use rdbms::ExecOutcome;
         let rows = match &outcome {
             ExecOutcome::Rows(r) => r.rows.len() as u64,
@@ -436,15 +426,9 @@ impl<'db> Session<'db> {
             .begin_request("server/extended", Arc::clone(&stmt.sql))
             .map(RequestCtx::install);
         let guard = self.trace.and_then(|t| t.begin());
-        let res = if let Some(txn) = self.txn.as_mut() {
-            txn.execute_prepared(&prepared, &params)
-        } else {
-            let mut txn = self.db.begin();
-            let res = txn.execute_prepared(&prepared, &params);
-            match res {
-                Ok(r) => txn.commit().map(|_| r),
-                Err(e) => Err(e),
-            }
+        let res = match self.txn.as_mut() {
+            Some(txn) => txn.execute_prepared(&prepared, &params),
+            None => self.db.execute_prepared(&prepared, &params),
         };
         match res {
             Ok(rows) => {

@@ -513,11 +513,11 @@ impl StreamWorkload for IsolatedWorkload<'_> {
     }
 
     fn run_uf1(&self, stream: u64) -> DbResult<u64> {
-        crate::updates::uf1_txn(self.db, self.gen, stream)
+        crate::updates::uf1(self.db, self.gen, stream)
     }
 
     fn run_uf2(&self, stream: u64) -> DbResult<u64> {
-        crate::updates::uf2_txn(self.db, self.gen, stream)
+        crate::updates::uf2(self.db, self.gen, stream)
     }
 
     fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {
@@ -582,11 +582,11 @@ impl StreamWorkload for ExtendedIsolatedWorkload<'_> {
     }
 
     fn run_uf1(&self, stream: u64) -> DbResult<u64> {
-        crate::updates::uf1_txn(self.db, self.gen, stream)
+        crate::updates::uf1(self.db, self.gen, stream)
     }
 
     fn run_uf2(&self, stream: u64) -> DbResult<u64> {
-        crate::updates::uf2_txn(self.db, self.gen, stream)
+        crate::updates::uf2(self.db, self.gen, stream)
     }
 
     fn query_locks(&self, n: usize, params: &QueryParams) -> Vec<LockClaim> {
@@ -663,6 +663,13 @@ fn statement_claims(
             let reqs = match locks {
                 ReadLockPlan::Table => vec![LockRequest::Table(LockMode::Shared)],
                 ReadLockPlan::Rows(rows) => rows.into_iter().map(LockRequest::Row).collect(),
+                // Claims are taken before a statement is bound: the
+                // existing-row lock over every key stands in for the key
+                // range the engine binds (not modelled, so the pinned
+                // schedules keep their claims).
+                ReadLockPlan::PkParams(_) => {
+                    vec![LockRequest::Row(RowLock::shared_existing(KeyRange::all()))]
+                }
             };
             claims.extend(reqs.into_iter().map(|req| LockClaim { table: table.clone(), req }));
         }

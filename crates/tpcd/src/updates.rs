@@ -8,40 +8,12 @@ use crate::schema::{lineitem_row, order_row};
 use rdbms::error::DbResult;
 use rdbms::Database;
 
-/// UF1: insert the update stream's orders and lineitems (direct inserts —
-/// the RDBMS bulk path, no application-level checking).
+/// UF1 as one transaction: insert the update stream's orders and
+/// lineitems (direct inserts — the RDBMS bulk path, no application-level
+/// checking), each under an exclusive point lock on its primary key. The
+/// throughput test's update stream runs this concurrently with query
+/// streams.
 pub fn uf1(db: &Database, gen: &DbGen, stream: u64) -> DbResult<u64> {
-    let (orders, lineitems) = gen.update_stream(stream);
-    let mut n = 0;
-    for o in &orders {
-        db.insert_row("orders", &order_row(o))?;
-        n += 1;
-    }
-    for l in &lineitems {
-        db.insert_row("lineitem", &lineitem_row(l))?;
-        n += 1;
-    }
-    Ok(n)
-}
-
-/// UF2: delete the same orders and their lineitems by key range.
-pub fn uf2(db: &Database, gen: &DbGen, stream: u64) -> DbResult<u64> {
-    let (orders, _) = gen.update_stream(stream);
-    let lo = orders.iter().map(|o| o.orderkey).min().unwrap_or(0);
-    let hi = orders.iter().map(|o| o.orderkey).max().unwrap_or(-1);
-    let d1 = db
-        .execute(&format!("DELETE FROM lineitem WHERE l_orderkey BETWEEN {lo} AND {hi}"))?
-        .count()?;
-    let d2 = db
-        .execute(&format!("DELETE FROM orders WHERE o_orderkey BETWEEN {lo} AND {hi}"))?
-        .count()?;
-    Ok(d1 + d2)
-}
-
-/// UF1 as one ACID transaction: all inserts commit together under an
-/// exclusive table lock (the throughput test's update stream runs this
-/// concurrently with query streams).
-pub fn uf1_txn(db: &Database, gen: &DbGen, stream: u64) -> DbResult<u64> {
     let (orders, lineitems) = gen.update_stream(stream);
     let mut txn = db.begin();
     let mut n = 0;
@@ -57,8 +29,9 @@ pub fn uf1_txn(db: &Database, gen: &DbGen, stream: u64) -> DbResult<u64> {
     Ok(n)
 }
 
-/// UF2 as one ACID transaction.
-pub fn uf2_txn(db: &Database, gen: &DbGen, stream: u64) -> DbResult<u64> {
+/// UF2 as one transaction: delete the same orders and their lineitems by
+/// key range.
+pub fn uf2(db: &Database, gen: &DbGen, stream: u64) -> DbResult<u64> {
     let (orders, _) = gen.update_stream(stream);
     let lo = orders.iter().map(|o| o.orderkey).min().unwrap_or(0);
     let hi = orders.iter().map(|o| o.orderkey).max().unwrap_or(-1);
@@ -95,22 +68,7 @@ mod tests {
         let after: i64 =
             db.query("SELECT COUNT(*) FROM orders").unwrap().scalar().unwrap().as_int().unwrap();
         assert_eq!(after, before_orders);
-    }
-
-    #[test]
-    fn transactional_refresh_matches_plain_refresh() {
-        let db = Database::with_defaults();
-        let gen = DbGen::new(0.001);
-        load(&db, &gen).unwrap();
-        let before: i64 =
-            db.query("SELECT COUNT(*) FROM orders").unwrap().scalar().unwrap().as_int().unwrap();
-        let inserted = uf1_txn(&db, &gen, 2).unwrap();
-        let deleted = uf2_txn(&db, &gen, 2).unwrap();
-        assert_eq!(inserted, deleted);
-        let after: i64 =
-            db.query("SELECT COUNT(*) FROM orders").unwrap().scalar().unwrap().as_int().unwrap();
-        assert_eq!(after, before);
         // Locks were all released on commit.
-        assert!(db.lock_manager().held(1).is_empty());
+        assert!(db.lock_manager().snapshot_locks().is_empty());
     }
 }

@@ -31,7 +31,7 @@ fn rf1_inserts_proceed_while_probe_reader_holds_row_locks() {
 
     // RF1 in its own transaction: fresh-key inserts take IX + insert row
     // locks and must be granted without waiting for the reader.
-    let inserted = updates::uf1_txn(&db, &gen, 1).expect("RF1 must slip past a probe reader");
+    let inserted = updates::uf1(&db, &gen, 1).expect("RF1 must slip past a probe reader");
     assert!(inserted > 0, "refresh inserted nothing");
 
     // The reader is still live and can finish its unit of work.
@@ -39,7 +39,7 @@ fn rf1_inserts_proceed_while_probe_reader_holds_row_locks() {
     reader.commit().unwrap();
 
     // RF2 removes what RF1 added, restoring the base state.
-    let deleted = updates::uf2_txn(&db, &gen, 1).unwrap();
+    let deleted = updates::uf2(&db, &gen, 1).unwrap();
     assert_eq!(deleted, inserted, "RF2 must undo exactly what RF1 added");
 
     let snap = db.snapshot();
@@ -60,11 +60,11 @@ fn full_scan_still_blocks_rf1_until_commit() {
     scanner.query("SELECT COUNT(*) FROM lineitem").unwrap();
 
     let err =
-        updates::uf1_txn(&db, &gen, 1).expect_err("RF1 must block behind a serializable full scan");
+        updates::uf1(&db, &gen, 1).expect_err("RF1 must block behind a serializable full scan");
     assert!(matches!(err, DbError::Deadlock(_)), "blocked refresh surfaces as deadlock: {err}");
 
     scanner.commit().unwrap();
-    let inserted = updates::uf1_txn(&db, &gen, 1).expect("RF1 proceeds once the scan commits");
-    let deleted = updates::uf2_txn(&db, &gen, 1).unwrap();
+    let inserted = updates::uf1(&db, &gen, 1).expect("RF1 proceeds once the scan commits");
+    let deleted = updates::uf2(&db, &gen, 1).unwrap();
     assert_eq!(deleted, inserted);
 }
