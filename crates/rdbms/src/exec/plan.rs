@@ -1,16 +1,20 @@
-//! Physical query plans and their (materializing) executor.
+//! Physical query plans and their pull executor.
 //!
-//! Operators execute bottom-up and materialize intermediate results. All
-//! physical work — page I/O through the pager, per-tuple CPU — is metered
-//! into the engine's [`crate::clock::CostMeter`], which is what the paper-reproduction
-//! experiments read out.
+//! An open plan ([`Plan::open`]) is a tree of cursors that hand their
+//! output up in batches of rows; only sort, distinct, a hash join's build
+//! side, an aggregate's groups and a nested-loop join's sides are held
+//! whole. All physical work — page I/O through the pager, per-tuple CPU —
+//! is metered into the engine's [`crate::clock::CostMeter`], which is what
+//! the paper-reproduction experiments read out. What a query meters, and
+//! the order it reads pages in, do not depend on how its rows are cut
+//! into batches (DESIGN.md §15.5).
 //!
-//! What is materialized is each operator's *output*; on the way there a row
-//! is not copied: scans decode only the columns the plan reads (the rest
-//! stay `Value::Null` placeholders, so row width and column positions never
-//! change), predicates are evaluated on borrowed values, joins test the
-//! (left, right) pair and build the combined row only for matches, and
-//! sort/group/distinct order or mark row indexes over borrowed keys.
+//! On the way a row is not copied: scans decode only the columns the plan
+//! reads (the rest stay `Value::Null` placeholders, so row width and column
+//! positions never change), predicates are evaluated on borrowed values,
+//! joins test the (left, right) pair and build the combined row only for
+//! matches, and sort/group/distinct order, number or mark rows over
+//! borrowed keys.
 
 use crate::catalog::{Index, Table};
 use crate::clock::Counter;
@@ -20,11 +24,13 @@ use crate::lock::KeyRange;
 use crate::schema::Row;
 use crate::sql::ast::{AggFunc, BinOp, JoinKind};
 use crate::storage::codec::{decode_columns, encode_key};
-use crate::storage::AccessPattern;
+use crate::storage::{AccessPattern, HeapScan, Rid};
 use crate::types::{Decimal, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -102,9 +108,10 @@ pub enum Plan {
         input: Box<Plan>,
         keys: Vec<(BExpr, bool)>,
     },
-    /// Sort-based grouped aggregation (pipelined sort+group, as the paper
-    /// describes the back-end RDBMS doing in Section 4.2). Output row is
-    /// group keys followed by aggregate results.
+    /// Grouped aggregation, output sorted by the group keys: the order of
+    /// the sort+group pipeline the paper describes the back-end RDBMS
+    /// running (Section 4.2), computed by hashing (§15.5 of DESIGN.md).
+    /// Output row is group keys followed by aggregate results.
     Aggregate {
         input: Box<Plan>,
         groups: Vec<BExpr>,
@@ -222,17 +229,10 @@ impl Plan {
                 };
                 out.push(TableAccess { table: table.name.clone(), read });
             }
-            Plan::Values { .. } | Plan::MonitorScan { .. } => {}
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Limit { input, .. } => input.collect_accesses(out),
-            Plan::NLJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-                left.collect_accesses(out);
-                right.collect_accesses(out);
-            }
+            _ => {}
+        }
+        for input in self.inputs().into_iter().flatten() {
+            input.collect_accesses(out);
         }
     }
 
@@ -281,26 +281,10 @@ impl Plan {
             }
             Plan::MonitorScan { .. } | Plan::Distinct { .. } | Plan::Limit { .. } => {}
         }
-        match self {
-            Plan::SeqScan { .. }
-            | Plan::IndexScan { .. }
-            | Plan::Values { .. }
-            | Plan::MonitorScan { .. } => {}
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Limit { input, .. } => input.mark_outer_refs(level, cols),
-            Plan::NLJoin { left, right, right_correlated, .. } => {
-                left.mark_outer_refs(level, cols);
-                right.mark_outer_refs(level + usize::from(*right_correlated), cols);
-            }
-            Plan::HashJoin { left, right, .. } => {
-                left.mark_outer_refs(level, cols);
-                right.mark_outer_refs(level, cols);
-            }
-        }
+        let correlated = matches!(self, Plan::NLJoin { right_correlated: true, .. });
+        let [left, right] = self.inputs();
+        left.into_iter().for_each(|p| p.mark_outer_refs(level, cols));
+        right.into_iter().for_each(|p| p.mark_outer_refs(level + usize::from(correlated), cols));
     }
 
     /// One-line-per-node plan description (EXPLAIN output), used by tests
@@ -312,87 +296,62 @@ impl Plan {
     }
 
     fn describe_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
+        out.push_str(&format!("{}{}\n", "  ".repeat(depth), self.node_label()));
+        for input in self.inputs().into_iter().flatten() {
+            input.describe_into(out, depth + 1);
+        }
+    }
+
+    /// The node's inputs, left to right.
+    fn inputs(&self) -> [Option<&Plan>; 2] {
         match self {
-            Plan::SeqScan { table, filter, .. } => {
-                out.push_str(&format!(
-                    "{pad}SeqScan {} {}\n",
-                    table.name,
-                    if filter.is_some() { "(filtered)" } else { "" }
-                ));
-            }
-            Plan::IndexScan { table, index, .. } => {
-                out.push_str(&format!("{pad}IndexScan {} via {}\n", table.name, index.name));
-            }
-            Plan::Values { rows } => {
-                out.push_str(&format!("{pad}Values ({} rows)\n", rows.len()));
-            }
-            Plan::MonitorScan { view } => {
-                out.push_str(&format!("{pad}MonitorScan {}\n", view.name()));
-            }
-            Plan::Filter { input, .. } => {
-                out.push_str(&format!("{pad}Filter\n"));
-                input.describe_into(out, depth + 1);
-            }
-            Plan::Project { input, exprs } => {
-                out.push_str(&format!("{pad}Project ({} cols)\n", exprs.len()));
-                input.describe_into(out, depth + 1);
-            }
-            Plan::NLJoin { left, right, kind, .. } => {
-                out.push_str(&format!("{pad}NLJoin {kind:?}\n"));
-                left.describe_into(out, depth + 1);
-                right.describe_into(out, depth + 1);
-            }
-            Plan::HashJoin { left, right, kind, left_keys, .. } => {
-                out.push_str(&format!("{pad}HashJoin {kind:?} ({} keys)\n", left_keys.len()));
-                left.describe_into(out, depth + 1);
-                right.describe_into(out, depth + 1);
-            }
-            Plan::Sort { input, keys } => {
-                out.push_str(&format!("{pad}Sort ({} keys)\n", keys.len()));
-                input.describe_into(out, depth + 1);
-            }
-            Plan::Aggregate { input, groups, aggs } => {
-                out.push_str(&format!(
-                    "{pad}Aggregate ({} groups, {} aggs)\n",
-                    groups.len(),
-                    aggs.len()
-                ));
-                input.describe_into(out, depth + 1);
-            }
-            Plan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.describe_into(out, depth + 1);
-            }
-            Plan::Limit { input, n } => {
-                out.push_str(&format!("{pad}Limit {n}\n"));
-                input.describe_into(out, depth + 1);
+            Plan::SeqScan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::Values { .. }
+            | Plan::MonitorScan { .. } => [None, None],
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Limit { input, .. } => [Some(input), None],
+            Plan::NLJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+                [Some(left), Some(right)]
             }
         }
     }
 
-    /// Execute to completion.
+    /// Open the plan: a cursor that does no work until its first
+    /// [`Cursor::next`].
     ///
     /// When a [`trace::TraceSession`] is active on the calling thread,
-    /// every plan node opens a span named like its EXPLAIN line and records
-    /// its output cardinality, so a query execution yields an
-    /// `EXPLAIN ANALYZE`-style tree of per-node work deltas. The same spans
-    /// open wall-clock frames in the active *request* trace (`M$SPANS`)
-    /// when one is installed — either listener is enough to pay for the
-    /// label formatting. Without either, the instrumentation is one
-    /// thread-local check.
-    pub fn execute(&self, ctx: &ExecCtx) -> DbResult<Vec<Row>> {
-        if !trace::listening() {
-            return self.execute_node(ctx);
+    /// every plan node has a span named like its EXPLAIN line, entered for
+    /// each of its `next` calls and closed after the last with its output
+    /// cardinality, so a query execution yields an `EXPLAIN ANALYZE`-style
+    /// tree of per-node work deltas. The same spans are wall-clock frames
+    /// in the active *request* trace (`M$SPANS`) when one is installed —
+    /// either listener is enough to pay for the label formatting. Without
+    /// either, the instrumentation is one thread-local check per open.
+    pub fn open(&self) -> Cursor<'_> {
+        Cursor {
+            node: Node { plan: self, state: State::Start },
+            span: trace::listening().then(|| trace::ResumableSpan::new(self.node_label())),
+            rows_out: 0,
         }
-        let span = trace::span(&self.node_label());
-        let rows = self.execute_node(ctx)?;
-        span.attr("rows_out", rows.len());
+    }
+
+    /// Execute to completion: open the plan, then drain it.
+    pub fn execute(&self, ctx: &ExecCtx) -> DbResult<Vec<Row>> {
+        let mut cursor = self.open();
+        let mut rows = Vec::new();
+        while let Some(mut batch) = cursor.next(ctx)? {
+            rows.append(&mut batch);
+        }
         Ok(rows)
     }
 
-    /// Span name for this node: operator plus its salient argument,
-    /// mirroring the first line [`Plan::describe`] would print for it.
+    /// This node's EXPLAIN line and span name: operator plus its salient
+    /// argument.
     fn node_label(&self) -> String {
         match self {
             Plan::SeqScan { table, filter, .. } => format!(
@@ -419,57 +378,150 @@ impl Plan {
             Plan::Limit { n, .. } => format!("Limit {n}"),
         }
     }
+}
 
-    fn execute_node(&self, ctx: &ExecCtx) -> DbResult<Vec<Row>> {
+/// Rows per batch for every operator but `SeqScan`, which hands over the
+/// survivors of one heap page at a time. A join closes a batch only
+/// between two rows of its driving side, so one row's matches may run
+/// past it. A constant, not a setting.
+pub const BATCH_ROWS: usize = 64;
+
+/// An open plan node ([`Plan::open`]): a pull cursor handing out its
+/// output in non-empty batches, then `None`.
+pub struct Cursor<'p> {
+    node: Node<'p>,
+    span: Option<trace::ResumableSpan>,
+    rows_out: usize,
+}
+
+impl Cursor<'_> {
+    /// The next batch of rows, or `None` once the node is drained.
+    pub fn next(&mut self, ctx: &ExecCtx) -> DbResult<Option<Vec<Row>>> {
+        let Some(span) = &mut self.span else {
+            return self.node.pull(ctx);
+        };
+        let call = span.enter();
+        let pulled = self.node.pull(ctx);
+        drop(call);
+        match &pulled {
+            Ok(Some(batch)) => self.rows_out += batch.len(),
+            Ok(None) => span.attr("rows_out", self.rows_out),
+            Err(_) => {}
+        }
+        if let Some(span) = self.span.take_if(|_| !matches!(pulled, Ok(Some(_)))) {
+            span.close();
+        }
+        pulled
+    }
+}
+
+struct Node<'p> {
+    plan: &'p Plan,
+    state: State<'p>,
+}
+
+/// Where an open node stands between two calls.
+enum State<'p> {
+    /// Not called yet: the first call opens the inputs and drains those
+    /// the node reads whole.
+    Start,
+    Scan {
+        scan: HeapScan<'p>,
+        first: Vec<bool>,
+        rest: Vec<bool>,
+    },
+    Fetch {
+        entries: std::vec::IntoIter<(Vec<u8>, Rid)>,
+        version: u64,
+        changed: bool,
+    },
+    /// The output, computed in full.
+    Rows(std::vec::IntoIter<Row>),
+    /// `Filter`, `Project` and `Limit` (with the rows it has been offered).
+    Pipe(Input<'p>, u64),
+    NLJoin {
+        left: std::vec::IntoIter<Row>,
+        right: Option<Vec<Row>>,
+    },
+    HashJoin(Box<Probe<'p>>),
+    Done,
+}
+
+/// A node's streamed input. It is drained first instead when the node's
+/// own expressions hold a subquery, so that the subquery's page reads
+/// still follow all of the input's.
+enum Input<'p> {
+    Open(Box<Cursor<'p>>),
+    Drained(std::vec::IntoIter<Row>),
+}
+
+impl<'p> Input<'p> {
+    fn new<'e>(
+        plan: &'p Plan,
+        exprs: impl IntoIterator<Item = &'e BExpr>,
+        ctx: &ExecCtx,
+    ) -> DbResult<Self> {
+        let holds_subquery = |e: &BExpr| {
+            let mut found = false;
+            e.visit(&mut |x| found |= matches!(x, BExpr::Subquery(_)));
+            found
+        };
+        Ok(if exprs.into_iter().any(holds_subquery) {
+            Input::Drained(plan.execute(ctx)?.into_iter())
+        } else {
+            Input::Open(Box::new(plan.open()))
+        })
+    }
+
+    fn next(&mut self, ctx: &ExecCtx) -> DbResult<Option<Vec<Row>>> {
         match self {
-            Plan::SeqScan { table, filter, needed } => {
+            Input::Open(cursor) => cursor.next(ctx),
+            Input::Drained(rows) => Ok(take_batch(rows)),
+        }
+    }
+}
+
+fn take_batch(rows: &mut std::vec::IntoIter<Row>) -> Option<Vec<Row>> {
+    let batch: Vec<Row> = rows.take(BATCH_ROWS).collect();
+    (!batch.is_empty()).then_some(batch)
+}
+
+impl<'p> Node<'p> {
+    fn pull(&mut self, ctx: &ExecCtx) -> DbResult<Option<Vec<Row>>> {
+        if let State::Start = self.state {
+            self.state = self.start(ctx)?;
+        }
+        let batch = match (&mut self.state, self.plan) {
+            (State::Scan { scan, first, rest }, Plan::SeqScan { filter, .. }) => {
                 // Decode what the filter reads, test it, and decode the
                 // remaining needed columns of survivors only.
-                let mut first = vec![false; needed.len()];
-                if let Some(f) = filter {
-                    f.mark_columns(&mut first);
-                }
-                let rest: Vec<bool> = needed.iter().zip(&first).map(|(n, f)| *n && !*f).collect();
                 let mut out = Vec::new();
                 let mut row = Row::new();
-                let mut scan = table.heap.scan();
-                while let Some(item) = scan.next_tuple() {
+                while out.is_empty() || !scan.page_done() {
+                    let Some(item) = scan.next_tuple() else {
+                        self.state = State::Done;
+                        break;
+                    };
                     let (_, bytes) = item?;
                     ctx.meter.bump(Counter::DbTuples);
                     if let Some(f) = filter {
-                        decode_columns(bytes, &first, &mut row)?;
+                        decode_columns(bytes, first, &mut row)?;
                         if f.eval_bool(&row, ctx)? != Some(true) {
                             continue;
                         }
                     }
-                    decode_columns(bytes, &rest, &mut row)?;
+                    decode_columns(bytes, rest, &mut row)?;
                     // The emptied `row` is regrown with NULLs by the next decode.
                     out.push(std::mem::take(&mut row));
                 }
-                Ok(out)
+                return Ok((!out.is_empty()).then_some(out));
             }
-            Plan::IndexScan { table, index, lower, upper, residual, needed } => {
-                let lo = eval_bound(lower, ctx)?;
-                let hi = eval_bound(upper, ctx)?;
-                let (lo, hi) = match (lo, hi) {
-                    (Some(l), Some(h)) => (l, h),
-                    // A NULL in a bound means the predicate is UNKNOWN for
-                    // every row: empty result.
-                    _ => return Ok(Vec::new()),
-                };
-                // No lock is held between reading the index and fetching
-                // by the rids read, and a rid names another row once its
-                // own is gone. While the heap's version has not moved since
-                // before the index was read, none did; from then on every
-                // row is held against the key of the entry that led to it.
-                let version = table.heap.version();
-                let entries = {
-                    let tree = index.tree.lock();
-                    tree.range_scan(as_bound(&lo), as_bound(&hi))?
-                };
-                let mut changed = false;
-                let mut out = Vec::with_capacity(entries.len());
-                for (key, rid) in entries {
+            (
+                State::Fetch { entries, version, changed },
+                Plan::IndexScan { table, index, residual, needed, .. },
+            ) => {
+                let mut out = Vec::new();
+                for (key, rid) in entries.by_ref() {
                     // Unclustered index: each qualifying tuple is a random
                     // heap fetch — the crux of the paper's Table 6.
                     let fetch = |want: &[bool]| {
@@ -482,11 +534,11 @@ impl Plan {
                             .ok_or_else(|| DbError::storage("dangling index entry"))?
                     };
                     let mut row = Row::new();
-                    if !changed {
+                    if !*changed {
                         row = fetch(needed)?;
-                        changed = table.heap.version() != version;
+                        *changed = table.heap.version() != *version;
                     }
-                    if changed {
+                    if *changed {
                         row = fetch(&[])?;
                         if !key.starts_with(&index.key_for(&row)) {
                             return Err(DbError::storage("dangling index entry"));
@@ -499,55 +551,57 @@ impl Plan {
                         }
                     }
                     out.push(row);
+                    if out.len() == BATCH_ROWS {
+                        break;
+                    }
                 }
-                Ok(out)
+                (!out.is_empty()).then_some(out)
             }
-            Plan::Values { rows } => {
-                let mut out = Vec::with_capacity(rows.len());
-                for exprs in rows {
-                    let row: Row =
-                        exprs.iter().map(|e| e.eval(&[], ctx)).collect::<DbResult<_>>()?;
-                    out.push(row);
-                }
-                Ok(out)
-            }
-            Plan::MonitorScan { view } => {
-                let rows = view.rows();
-                ctx.meter.add(Counter::DbTuples, rows.len() as u64);
-                Ok(rows)
-            }
-            Plan::Filter { input, pred } => {
-                let rows = input.execute(ctx)?;
-                let mut out = Vec::new();
-                for row in rows {
+            (State::Rows(rows), _) => take_batch(rows),
+            (State::Pipe(input, _), Plan::Filter { pred, .. }) => loop {
+                let Some(batch) = input.next(ctx)? else { break None };
+                let mut out = Vec::with_capacity(batch.len());
+                for row in batch {
                     if pred.eval_bool(&row, ctx)? == Some(true) {
                         out.push(row);
                     }
                 }
-                Ok(out)
-            }
-            Plan::Project { input, exprs } => {
-                let rows = input.execute(ctx)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let projected: Row =
-                        exprs.iter().map(|e| e.eval(&row, ctx)).collect::<DbResult<_>>()?;
-                    out.push(projected);
+                if !out.is_empty() {
+                    break Some(out);
                 }
-                Ok(out)
-            }
-            Plan::NLJoin { left, right, kind, on, right_correlated, right_width } => {
-                let left_rows = left.execute(ctx)?;
-                // Uncorrelated inner: materialize once, borrow per outer row.
-                let materialized_right: Option<Vec<Row>> =
-                    if *right_correlated { None } else { Some(right.execute(ctx)?) };
+            },
+            (State::Pipe(input, _), Plan::Project { exprs, .. }) => match input.next(ctx)? {
+                None => None,
+                Some(batch) => Some(
+                    batch
+                        .iter()
+                        .map(|row| exprs.iter().map(|e| e.eval(row, ctx)).collect())
+                        .collect::<DbResult<_>>()?,
+                ),
+            },
+            // Every row is pulled: stopping at `n` would change what the
+            // query meters (DESIGN.md §15.5).
+            (State::Pipe(input, offered), Plan::Limit { n, .. }) => loop {
+                let Some(mut batch) = input.next(ctx)? else { break None };
+                let room = n.saturating_sub(*offered);
+                *offered += batch.len() as u64;
+                batch.truncate(room.min(batch.len() as u64) as usize);
+                if !batch.is_empty() {
+                    break Some(batch);
+                }
+            },
+            (
+                State::NLJoin { left, right: inner },
+                Plan::NLJoin { right, kind, on, right_width, .. },
+            ) => {
                 let mut out = Vec::new();
-                for lrow in &left_rows {
+                while out.len() < BATCH_ROWS {
+                    let Some(lrow) = left.next() else { break };
                     let correlated_right;
-                    let right_rows: &[Row] = match &materialized_right {
+                    let right_rows: &[Row] = match inner {
                         Some(r) => r,
                         None => {
-                            correlated_right = right.execute(&ctx.push_outer(lrow))?;
+                            correlated_right = right.execute(&ctx.push_outer(&lrow))?;
                             &correlated_right
                         }
                     };
@@ -555,7 +609,7 @@ impl Plan {
                     for rrow in right_rows {
                         ctx.meter.bump(Counter::DbTuples);
                         let ok = match on {
-                            Some(p) => p.eval_bool_pair(lrow, rrow, ctx)? == Some(true),
+                            Some(p) => p.eval_bool_pair(&lrow, rrow, ctx)? == Some(true),
                             None => true,
                         };
                         if ok {
@@ -564,85 +618,213 @@ impl Plan {
                         }
                     }
                     if *kind == JoinKind::LeftOuter && !matched {
-                        out.push(null_extended(lrow, *right_width));
+                        out.push(null_extended(&lrow, *right_width));
                     }
                 }
-                Ok(out)
+                (!out.is_empty()).then_some(out)
             }
-            Plan::HashJoin { left, right, left_keys, right_keys, residual, kind, right_width } => {
-                let build_rows = left.execute(ctx)?;
-                let probe_rows = right.execute(ctx)?;
-                // Keys borrow from the build rows wherever the key
-                // expression is a plain column.
-                let mut table: HashMap<Vec<Cow<Value>>, Vec<usize>> =
-                    HashMap::with_capacity(build_rows.len());
-                for (i, row) in build_rows.iter().enumerate() {
-                    ctx.meter.bump(Counter::DbTuples);
-                    let key = join_key(left_keys, row, ctx)?;
-                    if key.iter().any(|v| v.is_null()) {
-                        continue; // null keys never join
-                    }
-                    table.entry(key).or_default().push(i);
+            (State::HashJoin(probe), plan) => probe.pull(plan, ctx)?,
+            _ => None,
+        };
+        if batch.is_none() {
+            self.state = State::Done;
+        }
+        Ok(batch)
+    }
+
+    /// The first call's work: open the inputs, drain those read whole.
+    fn start(&self, ctx: &ExecCtx) -> DbResult<State<'p>> {
+        let plan: &'p Plan = self.plan;
+        Ok(match plan {
+            Plan::SeqScan { table, filter, needed } => {
+                let mut first = vec![false; needed.len()];
+                if let Some(f) = filter {
+                    f.mark_columns(&mut first);
                 }
-                let mut matched_build = vec![false; build_rows.len()];
-                let mut out = Vec::new();
-                for prow in &probe_rows {
-                    ctx.meter.bump(Counter::DbTuples);
-                    let key = join_key(right_keys, prow, ctx)?;
-                    if key.iter().any(|v| v.is_null()) {
-                        continue;
-                    }
-                    if let Some(idxs) = table.get(&key) {
-                        for &i in idxs {
-                            let ok = match residual {
-                                Some(p) => {
-                                    p.eval_bool_pair(&build_rows[i], prow, ctx)? == Some(true)
-                                }
-                                None => true,
-                            };
-                            if ok {
-                                matched_build[i] = true;
-                                out.push([build_rows[i].as_slice(), prow].concat());
-                            }
-                        }
-                    }
-                }
-                if *kind == JoinKind::LeftOuter {
-                    for (row, matched) in build_rows.iter().zip(&matched_build) {
-                        if !matched {
-                            out.push(null_extended(row, *right_width));
-                        }
-                    }
-                }
-                Ok(out)
+                let rest = needed.iter().zip(&first).map(|(n, f)| *n && !*f).collect();
+                State::Scan { scan: table.heap.scan(), first, rest }
             }
+            Plan::IndexScan { table, index, lower, upper, .. } => {
+                let (lo, hi) = match (eval_bound(lower, ctx)?, eval_bound(upper, ctx)?) {
+                    (Some(l), Some(h)) => (l, h),
+                    // A NULL in a bound means the predicate is UNKNOWN for
+                    // every row: empty result.
+                    _ => return Ok(State::Done),
+                };
+                // No lock is held between reading the index and fetching
+                // by the rids read, and a rid names another row once its
+                // own is gone. While the heap's version has not moved since
+                // before the index was read, none did; from then on every
+                // row is held against the key of the entry that led to it.
+                let version = table.heap.version();
+                let entries = index.tree.lock().range_scan(as_bound(&lo), as_bound(&hi))?;
+                State::Fetch { entries: entries.into_iter(), version, changed: false }
+            }
+            Plan::Values { rows } => State::Rows(
+                rows.iter()
+                    .map(|exprs| exprs.iter().map(|e| e.eval(&[], ctx)).collect())
+                    .collect::<DbResult<Vec<Row>>>()?
+                    .into_iter(),
+            ),
+            Plan::MonitorScan { view } => {
+                let rows = view.rows();
+                ctx.meter.add(Counter::DbTuples, rows.len() as u64);
+                State::Rows(rows.into_iter())
+            }
+            Plan::Filter { input, pred } => State::Pipe(Input::new(input, [pred], ctx)?, 0),
+            Plan::Project { input, exprs } => State::Pipe(Input::new(input, exprs, ctx)?, 0),
+            Plan::Limit { input, .. } => State::Pipe(Input::new(input, [], ctx)?, 0),
+            Plan::NLJoin { left, right, right_correlated, .. } => {
+                let left = left.execute(ctx)?.into_iter();
+                // Uncorrelated inner: materialize once, borrow per outer row.
+                let right = if *right_correlated { None } else { Some(right.execute(ctx)?) };
+                State::NLJoin { left, right }
+            }
+            Plan::HashJoin { .. } => State::HashJoin(Box::new(Probe::build(plan, ctx)?)),
             Plan::Sort { input, keys } => {
                 let rows = input.execute(ctx)?;
                 ctx.meter.add(Counter::DbTuples, rows.len() as u64);
-                sort_rows(rows, keys, ctx)
+                State::Rows(sort_rows(rows, keys, ctx)?.into_iter())
             }
             Plan::Aggregate { input, groups, aggs } => {
-                let rows = input.execute(ctx)?;
-                ctx.meter.add(Counter::DbTuples, rows.len() as u64);
-                aggregate(rows, groups, aggs, ctx)
+                State::Rows(aggregate(input, groups, aggs, ctx)?.into_iter())
             }
             Plan::Distinct { input } => {
                 let mut rows = input.execute(ctx)?;
                 ctx.meter.add(Counter::DbTuples, rows.len() as u64);
-                let first_seen: Vec<bool> = {
-                    let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
-                    rows.iter().map(|row| seen.insert(row)).collect()
-                };
+                let mut seen = HashSet::with_capacity(rows.len());
+                let first_seen: Vec<bool> = rows.iter().map(|row| seen.insert(&row[..])).collect();
                 let mut first_seen = first_seen.into_iter();
                 rows.retain(|_| first_seen.next().expect("one flag per row"));
-                Ok(rows)
+                State::Rows(rows.into_iter())
             }
-            Plan::Limit { input, n } => {
-                let mut rows = input.execute(ctx)?;
-                rows.truncate(*n as usize);
-                Ok(rows)
+        })
+    }
+}
+
+/// A hash join past its build: the build rows, numbered by key, and the
+/// probe input still to stream.
+struct Probe<'p> {
+    build: Vec<Row>,
+    keys: KeyTable,
+    /// The build rows of each key, in input order.
+    rows_of: Vec<Vec<usize>>,
+    matched: Vec<bool>,
+    /// `None` once drained.
+    probe: Option<Input<'p>>,
+    /// The rest of the probe batch being joined.
+    pending: std::vec::IntoIter<Row>,
+    /// Build rows a left outer join has emitted unmatched rows up to.
+    unmatched_at: usize,
+}
+
+impl<'p> Probe<'p> {
+    /// Drain the build side, open the probe side, then hash the build
+    /// rows: the probe's first page read follows the build's last.
+    fn build(plan: &'p Plan, ctx: &ExecCtx) -> DbResult<Self> {
+        let Plan::HashJoin { left, right, left_keys, right_keys, residual, .. } = plan else {
+            unreachable!("a hash join's state")
+        };
+        let build = left.execute(ctx)?;
+        let probe = Input::new(right, left_keys.iter().chain(right_keys).chain(residual), ctx)?;
+        let mut keys = KeyTable { width: left_keys.len(), ..KeyTable::default() };
+        let mut rows_of: Vec<Vec<usize>> = Vec::new();
+        for (i, row) in build.iter().enumerate() {
+            ctx.meter.bump(Counter::DbTuples);
+            let key = join_key(left_keys, row, ctx)?;
+            if key.iter().any(|v| v.is_null()) {
+                continue; // null keys never join
+            }
+            let id = keys.intern(&key);
+            if id == rows_of.len() {
+                rows_of.push(Vec::new());
+            }
+            rows_of[id].push(i);
+        }
+        let matched = vec![false; build.len()];
+        let pending = Vec::new().into_iter();
+        Ok(Probe { build, keys, rows_of, matched, probe: Some(probe), pending, unmatched_at: 0 })
+    }
+
+    fn pull(&mut self, plan: &Plan, ctx: &ExecCtx) -> DbResult<Option<Vec<Row>>> {
+        let Plan::HashJoin { right_keys, residual, kind, right_width, .. } = plan else {
+            unreachable!("a hash join's state")
+        };
+        let mut out = Vec::new();
+        while out.len() < BATCH_ROWS {
+            let Some(prow) = self.pending.next() else {
+                match self.probe.as_mut().map(|p| p.next(ctx)).transpose()?.flatten() {
+                    Some(batch) => self.pending = batch.into_iter(),
+                    None => {
+                        self.probe = None;
+                        break;
+                    }
+                }
+                continue;
+            };
+            ctx.meter.bump(Counter::DbTuples);
+            let key = join_key(right_keys, &prow, ctx)?;
+            if key.iter().any(|v| v.is_null()) {
+                continue;
+            }
+            let Some(id) = self.keys.find(&key) else { continue };
+            for &i in &self.rows_of[id] {
+                let ok = match residual {
+                    Some(p) => p.eval_bool_pair(&self.build[i], &prow, ctx)? == Some(true),
+                    None => true,
+                };
+                if ok {
+                    self.matched[i] = true;
+                    out.push([self.build[i].as_slice(), &prow].concat());
+                }
             }
         }
+        // Unmatched build rows of a left outer join come after every match.
+        if self.probe.is_none() && *kind == JoinKind::LeftOuter {
+            while out.len() < BATCH_ROWS && self.unmatched_at < self.build.len() {
+                if !self.matched[self.unmatched_at] {
+                    out.push(null_extended(&self.build[self.unmatched_at], *right_width));
+                }
+                self.unmatched_at += 1;
+            }
+        }
+        Ok((!out.is_empty()).then_some(out))
+    }
+}
+
+/// Keys of `width` values, numbered in first-seen order under `Value`'s
+/// `Eq` and `Hash` — the equivalence `total_cmp` uses, so `Int 3` meets
+/// `Decimal 3.00` and `'A'` meets `'A  '`. Looked up by borrowed values;
+/// a key is copied once, when it is first seen.
+#[derive(Default)]
+struct KeyTable {
+    width: usize,
+    keys: Vec<Value>,
+    /// Hash → the newest key with that hash; `older[id]` → the one before.
+    newest: HashMap<u64, usize>,
+    older: Vec<Option<usize>>,
+    hasher: RandomState,
+}
+
+impl KeyTable {
+    fn key(&self, id: usize) -> &[Value] {
+        &self.keys[id * self.width..][..self.width]
+    }
+
+    fn find(&self, key: &[Cow<Value>]) -> Option<usize> {
+        let hash = self.hasher.hash_one(key);
+        std::iter::successors(self.newest.get(&hash).copied(), |&id| self.older[id])
+            .find(|&id| self.key(id).iter().zip(key).all(|(a, b)| a == b.as_ref()))
+    }
+
+    /// The id of `key`, numbering it if it is new.
+    fn intern(&mut self, key: &[Cow<Value>]) -> usize {
+        self.find(key).unwrap_or_else(|| {
+            let id = self.older.len();
+            self.older.push(self.newest.insert(self.hasher.hash_one(key), id));
+            self.keys.extend(key.iter().map(|v| v.as_ref().clone()));
+            id
+        })
     }
 }
 
@@ -808,58 +990,60 @@ impl Acc {
     }
 }
 
-/// Sort-based grouping: sort input rows by group keys, then stream groups.
+/// Hash grouping: each row is folded into its group's accumulators in
+/// input order as its batch arrives, and the groups are sorted by key at
+/// the end — the order, the tie order and the key values (each group's
+/// first row's) that sorting the rows by key and folding each run gave.
 fn aggregate(
-    rows: Vec<Row>,
+    input: &Plan,
     groups: &[BExpr],
     aggs: &[AggSpec],
     ctx: &ExecCtx,
 ) -> DbResult<Vec<Row>> {
+    let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+    let mut input = Input::new(input, groups.iter().chain(args), ctx)?;
+    let fresh = || aggs.iter().map(|a| Acc::new(a.distinct)).collect::<Vec<Acc>>();
+    let mut keys = KeyTable { width: groups.len(), ..KeyTable::default() };
+    let mut accs: Vec<Vec<Acc>> = Vec::new();
     // Scalar aggregate (no GROUP BY): one group, present even for empty input.
     if groups.is_empty() {
-        let mut accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.distinct)).collect();
-        for row in &rows {
-            accumulate(&mut accs, aggs, row, ctx)?;
-        }
-        let out: Row = accs
-            .iter()
-            .zip(aggs)
-            .map(|(acc, spec)| acc.finish(spec.func))
-            .collect::<DbResult<_>>()?;
-        return Ok(vec![out]);
+        keys.intern(&[]);
+        accs.push(fresh());
     }
-    // Sort row indexes by group key (pipelined sort+group), then stream
-    // the groups off the permutation; keys stay borrowed from the rows.
-    let width = groups.len();
-    let keys = eval_keys(&rows, groups.iter(), ctx)?;
-    let key = |i: usize| &keys[i * width..][..width];
-    let cmp_keys = |a: usize, b: usize| {
-        key(a)
-            .iter()
-            .zip(key(b))
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|ord| !ord.is_eq())
-            .unwrap_or(Ordering::Equal)
-    };
-    let mut perm: Vec<usize> = (0..rows.len()).collect();
-    perm.sort_by(|&a, &b| cmp_keys(a, b));
-    let mut out = Vec::new();
-    let mut group_start: Option<usize> = None;
-    let mut accs: Vec<Acc> = Vec::new();
-    for &i in &perm {
-        if group_start.is_none_or(|g| !cmp_keys(g, i).is_eq()) {
-            if let Some(g) = group_start {
-                out.push(finish_group(key(g), &accs, aggs)?);
+    while let Some(batch) = input.next(ctx)? {
+        ctx.meter.add(Counter::DbTuples, batch.len() as u64);
+        let mut key = Vec::with_capacity(groups.len());
+        for row in &batch {
+            key.clear();
+            for e in groups {
+                key.push(e.eval_cow(row, ctx)?);
             }
-            group_start = Some(i);
-            accs = aggs.iter().map(|a| Acc::new(a.distinct)).collect();
+            let id = if groups.is_empty() { 0 } else { keys.intern(&key) };
+            if id == accs.len() {
+                accs.push(fresh());
+            }
+            accumulate(&mut accs[id], aggs, row, ctx)?;
         }
-        accumulate(&mut accs, aggs, &rows[i], ctx)?;
     }
-    if let Some(g) = group_start {
-        out.push(finish_group(key(g), &accs, aggs)?);
-    }
-    Ok(out)
+    let mut order: Vec<usize> = (0..accs.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ka, kb) = (keys.key(a), keys.key(b));
+        ka.iter()
+            .zip(kb)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    order
+        .into_iter()
+        .map(|g| {
+            let mut row = keys.key(g).to_vec();
+            for (acc, spec) in accs[g].iter().zip(aggs) {
+                row.push(acc.finish(spec.func)?);
+            }
+            Ok(row)
+        })
+        .collect()
 }
 
 fn accumulate(accs: &mut [Acc], aggs: &[AggSpec], row: &Row, ctx: &ExecCtx) -> DbResult<()> {
@@ -873,14 +1057,6 @@ fn accumulate(accs: &mut [Acc], aggs: &[AggSpec], row: &Row, ctx: &ExecCtx) -> D
         }
     }
     Ok(())
-}
-
-fn finish_group(key: &[Cow<Value>], accs: &[Acc], aggs: &[AggSpec]) -> DbResult<Row> {
-    let mut row: Row = key.iter().map(|v| v.as_ref().clone()).collect();
-    for (acc, spec) in accs.iter().zip(aggs) {
-        row.push(acc.finish(spec.func)?);
-    }
-    Ok(row)
 }
 
 impl std::fmt::Debug for Plan {

@@ -316,6 +316,12 @@ impl HeapScan<'_> {
             self.next_slot = 0;
         }
     }
+
+    /// Every slot of the page read last has been handed out: the next
+    /// [`HeapScan::next_tuple`] reads another page.
+    pub fn page_done(&self) -> bool {
+        self.next_slot >= self.page.nslots()
+    }
 }
 
 impl Iterator for HeapScan<'_> {

@@ -52,5 +52,5 @@ pub use request::{
     chrome_trace_json, critical_path, validate_chrome_trace, CriticalPath, RequestCtx,
     RequestGuard, RequestTrace, SpanNode, TraceRing, WaitInterval,
 };
-pub use span::{span, Span, SpanRecord, Trace, TraceSession};
+pub use span::{span, Entered, ResumableSpan, Span, SpanRecord, Trace, TraceSession};
 pub use wait::{WaitEvent, WaitSnapshot, WaitStats, WaitTimer};

@@ -59,6 +59,8 @@ const MAX_INTERNED_NAMES: usize = 1024;
 /// [`SpanNode::parent`] of a span opened outside any other
 /// ([`MAX_SPANS_PER_TRACE`] is far below).
 pub const NO_PARENT: u16 = u16::MAX;
+/// What [`frame_open`] returns for a frame past [`MAX_SPANS_PER_TRACE`].
+const DROPPED: u16 = u16::MAX;
 /// `SpanNode::waits` of a span that recorded no wait.
 const NO_WAITS: u16 = u16::MAX;
 
@@ -468,18 +470,17 @@ pub fn annotate(key: &'static str, value: impl std::fmt::Display) {
 }
 
 /// Hook called by [`span`](crate::span::span): open a frame in the active
-/// request's tree. Returns whether a frame was opened (the `Span` guard
-/// remembers, so close pairs with open even if the request ends first).
-pub(crate) fn frame_open(ctx: &mut ThreadCtx, name: &str) -> bool {
+/// request's tree. Returns where, if a frame was opened ([`DROPPED`] past
+/// the bound; the `Span` guard remembers, so close pairs with open even if
+/// the request ends first).
+pub(crate) fn frame_open(ctx: &mut ThreadCtx, name: &str) -> Option<u16> {
     let ThreadCtx { requests, names, .. } = ctx;
-    let Some(t) = requests.last_mut() else {
-        return false;
-    };
+    let t = requests.last_mut()?;
     let trace = &mut t.trace;
     if trace.spans.len() >= MAX_SPANS_PER_TRACE {
         t.overflow_depth += 1;
         trace.dropped_spans += 1;
-        return true;
+        return Some(DROPPED);
     }
     // A trace has a handful of distinct names: a scan finds a repeat.
     let known = trace.names.iter().position(|n| &**n == name);
@@ -489,8 +490,26 @@ pub(crate) fn frame_open(ctx: &mut ThreadCtx, name: &str) -> bool {
     }) as u16;
     let start_us = t.ring.now_us();
     let parent = t.open.last().copied().unwrap_or(NO_PARENT);
-    t.open.push(trace.spans.len() as u16);
+    let at = trace.spans.len() as u16;
+    t.open.push(at);
     trace.spans.push(SpanNode { start_us, end_us: start_us, parent, name, waits: NO_WAITS });
+    Some(at)
+}
+
+/// Hook called when a [`ResumableSpan`](crate::span::ResumableSpan) is
+/// entered again: reopen its frame `at` (as [`frame_open`] returned it)
+/// in the innermost active request. Returns whether a close is owed.
+pub(crate) fn frame_resume(ctx: &mut ThreadCtx, at: u16) -> bool {
+    let Some(t) = ctx.requests.last_mut() else {
+        return false;
+    };
+    // Inside an overflowed frame, or a frame of another request: the
+    // close unwinds the overflow counter (see `overflow_depth`).
+    if at == DROPPED || t.overflow_depth > 0 || usize::from(at) >= t.trace.spans.len() {
+        t.overflow_depth += 1;
+    } else {
+        t.open.push(at);
+    }
     true
 }
 
@@ -928,6 +947,41 @@ mod tests {
         let Some(Json::Array(children)) = roots[0].get("children") else { panic!("{json:?}") };
         assert_eq!((roots.len(), children.len()), (1, 1));
         assert_eq!(children[0].get("name").and_then(Json::as_str), Some("inner"));
+    }
+
+    #[test]
+    fn a_resumable_span_is_one_frame_across_its_calls() {
+        let ring = TraceRing::new(8);
+        let stats = WaitStats::new();
+        let guard = ring.begin("test", "pull").install();
+        {
+            let _root = crate::span("root");
+            let mut node = crate::ResumableSpan::new("node".to_string());
+            for _ in 0..3 {
+                let _call = node.enter();
+                let _child = crate::span("child");
+                stats.record(WaitEvent::Lock, Duration::from_micros(5));
+            }
+            let _after = crate::span("after");
+            node.close();
+        }
+        drop(guard);
+        let t = &ring.snapshot()[0];
+        let names: Vec<(&str, u16)> = t.spans.iter().map(|s| (t.span_name(s), s.parent)).collect();
+        assert_eq!(
+            names,
+            [
+                ("root", NO_PARENT),
+                ("node", 0),
+                ("child", 1),
+                ("child", 1),
+                ("child", 1),
+                ("after", 0)
+            ]
+        );
+        let (node, last_child) = (&t.spans[1], &t.spans[4]);
+        assert!(node.start_us <= t.spans[2].start_us && node.end_us >= last_child.end_us);
+        assert_eq!(t.span_wait_count(&t.spans[2], WaitEvent::Lock), 1);
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    fn named(name: String) -> SpanRecord {
+        SpanRecord { name, attrs: Vec::new(), work: MeterSnapshot::default(), children: Vec::new() }
+    }
+
     /// Exclusive work: this span's delta minus its children's. Summing
     /// `self_work` over a tree reproduces the root's inclusive work.
     pub fn self_work(&self) -> MeterSnapshot {
@@ -120,22 +124,42 @@ pub(crate) struct TracerState {
 /// served and a `TraceSession` are orthogonal instruments.
 pub fn span(name: &str) -> Span {
     crate::ctx::with(|ctx| {
-        let req = crate::request::frame_open(ctx, name);
+        let req = crate::request::frame_open(ctx, name).is_some();
         let depth = match ctx.tracer.as_mut() {
             None => 0,
-            Some(state) => {
-                let start = state.meter.snapshot();
-                state.stack.push(Frame {
-                    name: name.to_string(),
-                    attrs: Vec::new(),
-                    start,
-                    children: Vec::new(),
-                });
-                state.stack.len()
-            }
+            Some(state) => state.push(SpanRecord::named(name.to_string())),
         };
         Span { depth, req, _not_send: PhantomData }
     })
+}
+
+impl TracerState {
+    /// Push a frame that continues `record`; returns the new depth.
+    fn push(&mut self, record: SpanRecord) -> usize {
+        // The meter only grows, so it covers the work already recorded:
+        // counting from `now - work` adds that back in at the close.
+        let start = self.meter.snapshot().since(&record.work);
+        let SpanRecord { name, attrs, children, .. } = record;
+        self.stack.push(Frame { name, attrs, start, children });
+        self.stack.len()
+    }
+
+    /// Pop the frame at `depth` into a record of its work.
+    fn pop(&mut self, depth: usize) -> Option<SpanRecord> {
+        // RAII + !Send make spans strictly nested, so our frame is on top.
+        debug_assert_eq!(self.stack.len(), depth, "span closed out of order");
+        let frame = self.stack.pop()?;
+        let work = self.meter.snapshot().since(&frame.start);
+        Some(SpanRecord { name: frame.name, attrs: frame.attrs, work, children: frame.children })
+    }
+
+    /// Attach a closed record to the innermost open span, or as a root.
+    fn attach(&mut self, record: SpanRecord) {
+        match self.stack.last_mut() {
+            Some(parent) => parent.children.push(record),
+            None => self.roots.push(record),
+        }
+    }
 }
 
 /// RAII guard for an open span. Dropping it closes the span, computes the
@@ -179,21 +203,90 @@ impl Drop for Span {
             let Some(state) = ctx.tracer.as_mut().filter(|_| self.depth > 0) else {
                 return;
             };
-            // RAII + !Send make spans strictly nested, so our frame is on
-            // top of the stack.
-            debug_assert_eq!(state.stack.len(), self.depth, "span closed out of order");
-            if let Some(frame) = state.stack.pop() {
-                let work = state.meter.snapshot().since(&frame.start);
-                let record = SpanRecord {
-                    name: frame.name,
-                    attrs: frame.attrs,
-                    work,
-                    children: frame.children,
-                };
-                match state.stack.last_mut() {
-                    Some(parent) => parent.children.push(record),
-                    None => state.roots.push(record),
+            if let Some(record) = state.pop(self.depth) {
+                state.attach(record);
+            }
+        });
+    }
+}
+
+/// A span entered once per call of a resumable producer — an executor
+/// operator's `next` — and closed once, after its last call. Its work is
+/// the sum of the calls' meter deltas, the spans opened during the calls
+/// are its children, and it becomes a child of the span open when it is
+/// closed. In the active request trace it is one frame, from its first
+/// call's entry to its last call's exit. Whether a [`TraceSession`] sees
+/// it is decided at its first call. `!Send`, like [`Span`].
+pub struct ResumableSpan {
+    /// Between calls, the tracer's record so far; dropped at the first
+    /// call if no session sees it.
+    record: Option<SpanRecord>,
+    /// After the first call: the span's frame in the active request
+    /// trace, if one was opened.
+    frame: Option<Option<u16>>,
+    _not_send: PhantomData<*const ()>,
+}
+
+/// One call inside a [`ResumableSpan`]; dropping it leaves the span.
+pub struct Entered<'a> {
+    span: &'a mut ResumableSpan,
+    /// As [`Span`]'s fields.
+    depth: usize,
+    req: bool,
+}
+
+impl ResumableSpan {
+    pub fn new(name: String) -> ResumableSpan {
+        let record = Some(SpanRecord::named(name));
+        ResumableSpan { record, frame: None, _not_send: PhantomData }
+    }
+
+    /// Enter the span for one call.
+    pub fn enter(&mut self) -> Entered<'_> {
+        crate::ctx::with(|ctx| {
+            let req = match self.frame {
+                Some(frame) => frame.is_some_and(|at| crate::request::frame_resume(ctx, at)),
+                None => {
+                    let name = self.record.as_ref().map_or("", |r| r.name.as_str());
+                    let frame = crate::request::frame_open(ctx, name);
+                    self.frame = Some(frame);
+                    frame.is_some()
                 }
+            };
+            let depth = match (ctx.tracer.as_mut(), self.record.take()) {
+                (Some(state), Some(record)) => state.push(record),
+                _ => 0,
+            };
+            Entered { span: self, depth, req }
+        })
+    }
+
+    /// Attach a key/value attribute (between calls).
+    pub fn attr(&mut self, key: &str, value: impl fmt::Display) {
+        if let Some(record) = &mut self.record {
+            record.attrs.push((key.to_string(), value.to_string()));
+        }
+    }
+
+    /// Close the span after its last call.
+    pub fn close(mut self) {
+        if let Some(record) = self.record.take() {
+            crate::ctx::with(|ctx| ctx.tracer.as_mut().map(|state| state.attach(record)));
+        }
+    }
+}
+
+impl Drop for Entered<'_> {
+    fn drop(&mut self) {
+        if !self.req && self.depth == 0 {
+            return;
+        }
+        crate::ctx::with(|ctx| {
+            if self.req {
+                crate::request::frame_close(ctx);
+            }
+            if let Some(state) = ctx.tracer.as_mut().filter(|_| self.depth > 0) {
+                self.span.record = state.pop(self.depth);
             }
         });
     }
@@ -338,6 +431,38 @@ mod tests {
         assert_eq!(root.children[0].work.db_tuples(), 10);
         assert_eq!(root.children[1].work.db_tuples(), 100);
         assert_eq!(root.children[1].attr("rows_out"), Some("7"));
+    }
+
+    #[test]
+    fn resumable_span_sums_its_calls_and_attaches_at_close() {
+        let work = CostMeter::new();
+        let session = TraceSession::start(Calibration::default());
+        {
+            let _root = span("root");
+            let mut node = ResumableSpan::new("node".to_string());
+            for call in 0..3 {
+                {
+                    let _call = node.enter();
+                    charge(&work, 10);
+                    let _child = span(&format!("child-{call}"));
+                    charge(&work, 1);
+                }
+                charge(&work, 100); // the caller's, between calls
+            }
+            node.attr("rows_out", 3);
+            node.close();
+        }
+        let trace = session.finish();
+        let root = trace.root().expect("one root");
+        assert_eq!(root.work.db_tuples(), 333);
+        assert_eq!(root.children.len(), 1);
+        let node = &root.children[0];
+        assert_eq!(node.name, "node");
+        assert_eq!(node.work.db_tuples(), 33);
+        assert_eq!(node.self_work().db_tuples(), 30);
+        let names: Vec<&str> = node.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["child-0", "child-1", "child-2"]);
+        assert_eq!(node.attr("rows_out"), Some("3"));
     }
 
     #[test]
