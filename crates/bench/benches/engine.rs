@@ -1,12 +1,12 @@
 //! Microbenchmarks of the rdbms engine's building blocks.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rdbms::clock::CostMeter;
 use rdbms::index::BTree;
 use rdbms::storage::codec::{decode_row, encode_key, encode_row};
 use rdbms::storage::{Pager, PagerConfig, Rid};
 use rdbms::types::{Decimal, Value};
 use rdbms::Database;
+use trace::meter::CostMeter;
 
 fn bench_codec(c: &mut Criterion) {
     let row = vec![

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--sf <scale>] [table1 .. table9 | figures | all | trace [qN]
-//!              | durability | server | observe [--smoke]]
+//!              | durability | server | observe [--smoke] | tracereq [--smoke]]
 //! ```
 //!
 //! `trace` runs the end-to-end observability demo for one query (default
@@ -119,10 +119,23 @@ fn run_durability(sf: f64) -> Result<(), rdbms::DbError> {
         .field("notes", Json::Array(notes.iter().map(|&n| Json::from(n)).collect()))
         .field("qthd_runs", Json::Array(qthd_runs))
         .field("order_entry", Json::Array(order_entry.iter().map(order_entry_json).collect()));
-    let out = "BENCH_durability.json";
-    fs::write(out, serde_json::to_string_pretty(&doc).unwrap()).expect("write baseline");
-    println!("\n  (written to {out})");
+    emit("BENCH_durability.json", &doc);
     Ok(())
+}
+
+/// Serialize `doc`, prove the text re-parses, and write it to `path`.
+/// Exits non-zero on any failure: CI gates on what these files hold.
+fn emit(path: &str, doc: &Json) {
+    let json = serde_json::to_string_pretty(doc).expect("document serializes");
+    if let Err(e) = serde_json::from_str(&json) {
+        eprintln!("{path}: emitted JSON does not parse: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = fs::write(path, json) {
+        eprintln!("write to {path} failed: {e}");
+        std::process::exit(1);
+    }
+    println!("\n  (written to {path})");
 }
 
 fn main() {
@@ -163,29 +176,10 @@ fn main() {
         Err(e) => eprintln!("{name} failed: {e}"),
     };
 
-    if which.first().map(String::as_str) == Some("server") {
-        let sf = if args.iter().any(|a| a == "--sf") { sf } else { 0.02 };
-        match bench::serverexp::run_server_experiment(sf) {
-            Ok(doc) => {
-                let json = serde_json::to_string_pretty(&doc).expect("server doc serializes");
-                if let Err(e) = serde_json::from_str(&json) {
-                    eprintln!("BENCH_server.json: emitted JSON does not parse: {e}");
-                    std::process::exit(1);
-                }
-                let out = "BENCH_server.json";
-                fs::write(out, json).expect("write baseline");
-                println!("\n  (written to {out})");
-            }
-            Err(e) => {
-                eprintln!("server experiment failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if which.first().map(String::as_str) == Some("observe") {
-        let smoke = which.iter().any(|w| w == "--smoke" || w == "smoke");
+    // The wire experiments: SF 0.02 unless `--sf` is given, 0.005 for a
+    // smoke run (written under `target/experiments/`).
+    if let Some(name @ ("server" | "observe" | "tracereq")) = which.first().map(String::as_str) {
+        let smoke = name != "server" && which.iter().any(|w| w == "--smoke" || w == "smoke");
         let sf = if args.iter().any(|a| a == "--sf") {
             sf
         } else if smoke {
@@ -193,55 +187,20 @@ fn main() {
         } else {
             0.02
         };
-        match bench::observe::run_observe_experiment(sf, smoke) {
-            Ok(doc) => {
-                let json = serde_json::to_string_pretty(&doc).expect("observe doc serializes");
-                if let Err(e) = serde_json::from_str(&json) {
-                    eprintln!("observe: emitted JSON does not parse: {e}");
-                    std::process::exit(1);
-                }
-                let out = if smoke {
-                    format!("{out_dir}/BENCH_observe_smoke.json")
-                } else {
-                    "BENCH_observe.json".to_string()
-                };
-                fs::write(&out, json).expect("write baseline");
-                println!("\n  (written to {out})");
-            }
-            Err(e) => {
-                eprintln!("observe experiment failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if which.first().map(String::as_str) == Some("tracereq") {
-        let smoke = which.iter().any(|w| w == "--smoke" || w == "smoke");
-        let sf = if args.iter().any(|a| a == "--sf") {
-            sf
-        } else if smoke {
-            0.005
-        } else {
-            0.02
+        let doc = match name {
+            "server" => bench::serverexp::run_server_experiment(sf),
+            "observe" => bench::observe::run_observe_experiment(sf, smoke),
+            _ => bench::tracereq::run_tracereq_experiment(sf, smoke),
         };
-        match bench::tracereq::run_tracereq_experiment(sf, smoke) {
-            Ok(doc) => {
-                let json = serde_json::to_string_pretty(&doc).expect("tracereq doc serializes");
-                if let Err(e) = serde_json::from_str(&json) {
-                    eprintln!("tracereq: emitted JSON does not parse: {e}");
-                    std::process::exit(1);
-                }
-                let out = if smoke {
-                    format!("{out_dir}/BENCH_tracereq_smoke.json")
-                } else {
-                    "BENCH_tracereq.json".to_string()
-                };
-                fs::write(&out, json).expect("write baseline");
-                println!("\n  (written to {out})");
-            }
+        let path = if smoke {
+            format!("{out_dir}/BENCH_{name}_smoke.json")
+        } else {
+            format!("BENCH_{name}.json")
+        };
+        match doc {
+            Ok(doc) => emit(&path, &doc),
             Err(e) => {
-                eprintln!("tracereq experiment failed: {e}");
+                eprintln!("{name} experiment failed: {e}");
                 std::process::exit(1);
             }
         }
@@ -270,18 +229,7 @@ fn main() {
             Ok(artifacts) => {
                 for a in &artifacts {
                     println!("{}", a.text);
-                    let path = format!("{out_dir}/{}.json", a.name);
-                    let json =
-                        serde_json::to_string_pretty(&a.json).expect("trace artifact serializes");
-                    // Validate what we are about to publish round-trips.
-                    if let Err(e) = serde_json::from_str(&json) {
-                        eprintln!("{path}: emitted JSON does not parse: {e}");
-                        std::process::exit(1);
-                    }
-                    match fs::write(&path, json) {
-                        Ok(()) => println!("  (written to {path})\n"),
-                        Err(e) => eprintln!("  (write to {path} failed: {e})\n"),
-                    }
+                    emit(&format!("{out_dir}/{}.json", a.name), &a.json);
                 }
             }
             Err(e) => {

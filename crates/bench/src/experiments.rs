@@ -14,12 +14,12 @@ use r3::opensql::{CmpOp, Cond, SelectSpec};
 use r3::report::Extract;
 use r3::reports::{run_sap_power_test, SapInterface};
 use r3::{R3System, Release};
-use rdbms::clock::{fmt_duration, MeterSnapshot};
 use rdbms::error::DbResult;
 use rdbms::types::Value;
 use rdbms::Database;
 use serde::Serialize;
 use tpcd::{DbGen, QueryParams};
+use trace::meter::{fmt_duration, MeterSnapshot};
 
 /// A rendered experiment result.
 #[derive(Debug, Serialize)]

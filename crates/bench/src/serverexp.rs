@@ -9,7 +9,8 @@
 //! protocol (every call ships literal SQL) and once over the extended
 //! protocol (Parse/Bind/Execute through the shared plan cache).
 //!
-//! Three phases, each against the same loaded database:
+//! Three phases, each against the same loaded database; the first two run
+//! on the shared wire driver ([`crate::wire`]):
 //!
 //! 1. **simple** — S query-stream clients run R rounds of the 17 TPC-D
 //!    queries as literal SQL while an update client runs UF1/UF2 pairs.
@@ -24,16 +25,15 @@
 //! plan-cache hit/miss/eviction deltas, server statistics, and
 //! per-message-type service-time histograms.
 
-use rdbms::{Database, DbConfig, Value};
+use crate::wire::{self, Phase, PhaseRun, Protocol};
+use rdbms::{Database, Value};
 use serde_json::Json;
-use server::{Client, ClientError, Server, ServerConfig};
+use server::{Client, Server, ServerConfig};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use tpcd::dbgen::DbGen;
-use tpcd::queries::{self, QueryParams};
-use tpcd::schema;
 
 /// Query-stream clients per measured phase.
 pub const STREAMS: usize = 8;
@@ -48,59 +48,26 @@ pub const STRESS_CONNS: usize = 120;
 /// cleanly: every `STRESS_DROP_EVERY`-th one.
 pub const STRESS_DROP_EVERY: usize = 8;
 
-/// Attempts before a statement that keeps failing (deadlock victim, lock
-/// timeout) fails the phase. Deadlocks are routine under the simple
-/// protocol — table-S readers against the update stream's X locks — so
-/// victims back off exponentially and try again, like the deterministic
-/// throughput driver does.
-const MAX_RETRIES: usize = 10;
-
-/// Base backoff after the first deadlock abort; doubles per attempt.
-const BACKOFF_MS: u64 = 10;
-
-/// Think time between update-stream refresh pairs: the updater would
-/// otherwise hold table X locks nearly continuously and re-victimize the
-/// same readers on every retry.
-const UPDATE_THINK_MS: u64 = 50;
-
-/// One measured phase of the experiment.
-pub struct PhaseResult {
-    pub phase: &'static str,
-    pub elapsed_seconds: f64,
-    pub queries_run: u64,
-    pub qthd: f64,
-    pub update_pairs: u64,
-    pub retries: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub hit_ratio: f64,
-    pub stats: server::StatsSnapshot,
-    pub latency: Json,
-}
-
-impl PhaseResult {
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .field("phase", self.phase)
-            .field("query_streams", STREAMS)
-            .field("rounds", ROUNDS)
-            .field("queries_run", self.queries_run)
-            .field("elapsed_seconds", self.elapsed_seconds)
-            .field("qthd", self.qthd)
-            .field("update_pairs", self.update_pairs)
-            .field("retries", self.retries)
-            .field(
-                "plan_cache",
-                Json::object()
-                    .field("hits", self.cache_hits)
-                    .field("misses", self.cache_misses)
-                    .field("evictions", self.cache_evictions)
-                    .field("hit_ratio", self.hit_ratio),
-            )
-            .field("server", stats_json(&self.stats))
-            .field("latency_us", self.latency.clone())
-    }
+fn phase_json(name: &str, run: &PhaseRun, qthd: f64) -> Json {
+    Json::object()
+        .field("phase", name)
+        .field("query_streams", STREAMS)
+        .field("rounds", ROUNDS)
+        .field("queries_run", run.queries_run)
+        .field("elapsed_seconds", run.elapsed_seconds)
+        .field("qthd", qthd)
+        .field("update_pairs", run.update_pairs)
+        .field("retries", run.retries)
+        .field(
+            "plan_cache",
+            Json::object()
+                .field("hits", run.work.plan_cache_hits())
+                .field("misses", run.work.plan_cache_misses())
+                .field("evictions", run.work.plan_cache_evictions())
+                .field("hit_ratio", run.work.plan_cache_hit_ratio()),
+        )
+        .field("server", stats_json(&run.stats))
+        .field("latency_us", latency_json(&run.latency))
 }
 
 fn stats_json(s: &server::StatsSnapshot) -> Json {
@@ -138,221 +105,37 @@ fn latency_json(hists: &HashMap<u8, Arc<trace::Histogram>>) -> Json {
     obj
 }
 
-/// Run `sql` over the simple protocol, retrying deadlock victims.
-fn simple_with_retry(c: &mut Client, sql: &str, retries: &AtomicU64) -> Result<u64, String> {
-    let mut last = String::new();
-    for attempt in 0..MAX_RETRIES {
-        match c.simple_query(sql) {
-            Ok(rows) => return Ok(rows.rows.len() as u64),
-            Err(ClientError::Server(e)) => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                last = e.0;
-                std::thread::sleep(Duration::from_millis(BACKOFF_MS << attempt.min(7)));
-            }
-            Err(e) => return Err(format!("transport error on '{sql}': {e}")),
-        }
-    }
-    Err(format!("statement kept failing after {MAX_RETRIES} attempts: {last} ({sql})"))
-}
-
-/// Run `sql` over the extended protocol (SELECTs only; DDL such as Q15's
-/// CREATE/DROP VIEW falls back to the simple protocol, as the plan cache
-/// holds SELECT plans only).
-fn extended_with_retry(c: &mut Client, sql: &str, retries: &AtomicU64) -> Result<u64, String> {
-    if !sql.trim_start().get(..6).is_some_and(|p| p.eq_ignore_ascii_case("SELECT")) {
-        return simple_with_retry(c, sql, retries);
-    }
-    let mut last = String::new();
-    for attempt in 0..MAX_RETRIES {
-        match c.extended_query(sql, &[]) {
-            Ok(rows) => return Ok(rows.rows.len() as u64),
-            Err(ClientError::Server(e)) => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                last = e.0;
-                std::thread::sleep(Duration::from_millis(BACKOFF_MS << attempt.min(7)));
-            }
-            Err(e) => return Err(format!("transport error on '{sql}': {e}")),
-        }
-    }
-    Err(format!("statement kept failing after {MAX_RETRIES} attempts: {last} ({sql})"))
-}
-
-/// One query stream: R rounds of the 17 TPC-D queries. Q15's view gets a
-/// per-stream name so concurrent streams do not collide on its DDL (the
-/// deterministic simulation serializes units; real threads do not).
-fn query_stream(
-    addr: &str,
-    stream_id: usize,
-    params: &QueryParams,
-    extended: bool,
-    retries: &AtomicU64,
-) -> Result<u64, String> {
-    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut ran = 0u64;
-    for _round in 0..ROUNDS {
-        for n in 1..=17 {
-            for stmt in queries::sql(n, params) {
-                let stmt = stmt.replace("revenue0", &format!("revenue0_s{stream_id}"));
-                if extended {
-                    extended_with_retry(&mut c, &stmt, retries)?;
-                } else {
-                    simple_with_retry(&mut c, &stmt, retries)?;
-                }
-            }
-            ran += 1;
-        }
-    }
-    c.terminate().map_err(|e| format!("terminate: {e}"))?;
-    Ok(ran)
-}
-
-/// The update stream: UF1 (insert an order block with its lineitems) then
-/// UF2 (delete it again) as wire transactions, looping until the query
-/// streams finish. Every statement ships as literal SQL — the paper's
-/// update stream is a batch feed, not a prepared OLTP path.
-fn update_stream(
-    addr: &str,
-    gen: &DbGen,
-    done: &AtomicBool,
-    retries: &AtomicU64,
-    seq_base: u64,
-) -> Result<u64, String> {
-    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut pairs = 0u64;
-    while !done.load(Ordering::Relaxed) {
-        let seq = seq_base + pairs;
-        let (orders, lineitems) = gen.update_stream(seq);
-        let lo = orders.iter().map(|o| o.orderkey).min().unwrap_or(0);
-        let hi = orders.iter().map(|o| o.orderkey).max().unwrap_or(-1);
-        let mut uf1 = vec!["BEGIN".to_string()];
-        for o in &orders {
-            uf1.push(insert_sql("orders", &schema::order_row(o)));
-        }
-        for l in &lineitems {
-            uf1.push(insert_sql("lineitem", &schema::lineitem_row(l)));
-        }
-        uf1.push("COMMIT".into());
-        let uf2 = vec![
-            "BEGIN".to_string(),
-            format!("DELETE FROM lineitem WHERE l_orderkey BETWEEN {lo} AND {hi}"),
-            format!("DELETE FROM orders WHERE o_orderkey BETWEEN {lo} AND {hi}"),
-            "COMMIT".into(),
-        ];
-        for txn in [&uf1, &uf2] {
-            // A statement error aborts the server-side transaction; roll
-            // back defensively and retry the whole refresh from BEGIN.
-            let mut attempt = 0;
-            'txn: loop {
-                for sql in txn.iter() {
-                    if let Err(e) = c.simple_query(sql) {
-                        match e {
-                            ClientError::Server(_) => {
-                                attempt += 1;
-                                retries.fetch_add(1, Ordering::Relaxed);
-                                if attempt >= MAX_RETRIES {
-                                    return Err(format!("refresh kept failing: {e}"));
-                                }
-                                let _ = c.simple_query("ROLLBACK");
-                                std::thread::sleep(Duration::from_millis(
-                                    BACKOFF_MS << attempt.min(7),
-                                ));
-                                continue 'txn;
-                            }
-                            other => return Err(format!("transport error in refresh: {other}")),
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        pairs += 1;
-        std::thread::sleep(Duration::from_millis(UPDATE_THINK_MS));
-    }
-    c.terminate().map_err(|e| format!("terminate: {e}"))?;
-    Ok(pairs)
-}
-
-fn insert_sql(table: &str, row: &[Value]) -> String {
-    let vals: Vec<String> = row.iter().map(r3::opensql::literal).collect();
-    format!("INSERT INTO {table} VALUES ({})", vals.join(", "))
-}
-
-/// Run one measured phase (simple or extended) against a fresh server on
-/// the shared database.
-fn run_phase(
+/// Run one measured protocol phase against a fresh server on the shared
+/// database. Returns the run and its QthD over wall-clock time: each
+/// stream ran the 17-query set ROUNDS times, so one "test" took
+/// elapsed/ROUNDS.
+fn run_protocol_phase(
     db: &Arc<Database>,
     gen: &DbGen,
     sf: f64,
-    extended: bool,
+    protocol: Protocol,
     seq_base: u64,
-) -> Result<PhaseResult, String> {
-    let server = Server::start(Arc::clone(db), ServerConfig::default())
-        .map_err(|e| format!("server start: {e}"))?;
-    let addr = server.local_addr().to_string();
-    let params = QueryParams::for_scale(sf);
-    let retries = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-    let before = db.snapshot();
-    let started = Instant::now();
-
-    let updater = {
-        let (addr, gen, done, retries) = (addr.clone(), *gen, done.clone(), retries.clone());
-        std::thread::spawn(move || update_stream(&addr, &gen, &done, &retries, seq_base))
+) -> Result<(PhaseRun, f64), String> {
+    let phase = Phase {
+        streams: STREAMS,
+        rounds: ROUNDS,
+        protocol,
+        monitor: true,
+        seq_base,
+        poller: None,
+        on_step: None,
     };
-    let streams: Vec<_> = (0..STREAMS)
-        .map(|sid| {
-            let (addr, params, retries) = (addr.clone(), params.clone(), retries.clone());
-            std::thread::spawn(move || query_stream(&addr, sid, &params, extended, &retries))
-        })
-        .collect();
-
-    let mut queries_run = 0u64;
-    let mut first_err = None;
-    for t in streams {
-        match t.join().map_err(|_| "query stream panicked".to_string()) {
-            Ok(Ok(n)) => queries_run += n,
-            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    done.store(true, Ordering::Relaxed);
-    let update_pairs = match updater.join().map_err(|_| "update stream panicked".to_string()) {
-        Ok(Ok(n)) => n,
-        Ok(Err(e)) | Err(e) => {
-            first_err = first_err.or(Some(e));
-            0
-        }
-    };
-    let elapsed = started.elapsed().as_secs_f64();
-    let delta = db.snapshot().since(&before);
-    let latency = latency_json(&server.latency_histograms());
-    let stats = server.shutdown();
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    if stats.panics != 0 || stats.sessions_active != 0 {
-        return Err(format!(
-            "phase left the server dirty: {} panics, {} leaked sessions",
-            stats.panics, stats.sessions_active
-        ));
-    }
-
-    // TPC-D throughput metric over wall-clock time: each stream ran the
-    // 17-query set ROUNDS times, so one "test" took elapsed/ROUNDS.
-    let qthd = STREAMS as f64 * 17.0 * ROUNDS as f64 * 3600.0 / elapsed * sf;
-    Ok(PhaseResult {
-        phase: if extended { "extended" } else { "simple" },
-        elapsed_seconds: elapsed,
-        queries_run,
-        qthd,
-        update_pairs,
-        retries: retries.load(Ordering::Relaxed),
-        cache_hits: delta.plan_cache_hits(),
-        cache_misses: delta.plan_cache_misses(),
-        cache_evictions: delta.plan_cache_evictions(),
-        hit_ratio: delta.plan_cache_hit_ratio(),
-        stats,
-        latency,
-    })
+    let run = wire::run_phase(db, gen, sf, &phase)?;
+    let qthd = STREAMS as f64 * 17.0 * ROUNDS as f64 * 3600.0 / run.elapsed_seconds * sf;
+    println!(
+        "  qthd={qthd:.1} elapsed={:.1}s queries={} update_pairs={} retries={} hit_ratio={:.3}",
+        run.elapsed_seconds,
+        run.queries_run,
+        run.update_pairs,
+        run.retries,
+        run.work.plan_cache_hit_ratio()
+    );
+    Ok((run, qthd))
 }
 
 /// The stress phase: `STRESS_CONNS` concurrent connections all held open at
@@ -453,46 +236,22 @@ fn run_stress(db: &Arc<Database>, n_suppliers: i64) -> Result<Json, String> {
 /// Load the database, run all three phases, and return the
 /// `BENCH_server.json` document.
 pub fn run_server_experiment(sf: f64) -> Result<Json, String> {
-    let gen = DbGen::new(sf);
-    // The lock-wait timeout doubles as the deadlock backstop; under the
-    // simple protocol the update stream legitimately queues behind whole
-    // granted groups of table-S scans, so give it benchmark headroom
-    // instead of letting the 5 s default declare it a deadlock victim.
-    let config = DbConfig { lock_timeout: Duration::from_secs(120), ..DbConfig::default() };
-    let db = Arc::new(Database::new(config));
-    println!("loading TPC-D database at SF {sf} ...");
-    schema::load(&db, &gen).map_err(|e| format!("load: {e}"))?;
+    let (db, gen) = wire::load_database(sf)?;
 
     println!(
         "phase 1/3: simple protocol ({STREAMS} query streams x {ROUNDS} rounds + update stream)"
     );
-    let simple = run_phase(&db, &gen, sf, false, 10_000)?;
-    println!(
-        "  qthd={:.1} elapsed={:.1}s queries={} update_pairs={} retries={}",
-        simple.qthd,
-        simple.elapsed_seconds,
-        simple.queries_run,
-        simple.update_pairs,
-        simple.retries
-    );
+    let (simple, qthd_simple) = run_protocol_phase(&db, &gen, sf, Protocol::Simple, 10_000)?;
 
     println!("phase 2/3: extended protocol (same workload via Parse/Bind/Execute)");
-    let extended = run_phase(&db, &gen, sf, true, 20_000)?;
-    println!(
-        "  qthd={:.1} elapsed={:.1}s queries={} update_pairs={} retries={} hit_ratio={:.3}",
-        extended.qthd,
-        extended.elapsed_seconds,
-        extended.queries_run,
-        extended.update_pairs,
-        extended.retries,
-        extended.hit_ratio
-    );
+    let (extended, qthd_extended) = run_protocol_phase(&db, &gen, sf, Protocol::Extended, 20_000)?;
+    let hit_ratio = extended.work.plan_cache_hit_ratio();
 
     println!("phase 3/3: stress ({STRESS_CONNS} concurrent connections, mixed workload)");
     let stress = run_stress(&db, gen.n_suppliers())?;
     println!("  ok");
 
-    let speedup = if simple.qthd > 0.0 { extended.qthd / simple.qthd } else { 0.0 };
+    let speedup = if qthd_simple > 0.0 { qthd_extended / qthd_simple } else { 0.0 };
     let doc = Json::object()
         .field("benchmark", "server")
         .field("sf", sf)
@@ -501,7 +260,9 @@ pub fn run_server_experiment(sf: f64) -> Result<Json, String> {
             Json::Array(
                 [
                     "Wall-clock wire-protocol run (real threads and sockets), unlike the \
-                     virtual-time BENCH_throughput.json entries.",
+                     virtual-time BENCH_throughput.json entries. A phase's elapsed time ends \
+                     when its query streams finish; the update stream's wind-down is not \
+                     counted.",
                     "simple = literal SQL per call (OPEN, release 2.2G); extended = \
                      Parse/Bind/Execute through the shared plan cache (REOPEN, release 3.0E).",
                     "Q15 runs with a per-stream view name; its DDL churn is why the plan-cache \
@@ -513,17 +274,23 @@ pub fn run_server_experiment(sf: f64) -> Result<Json, String> {
                 .collect(),
             ),
         )
-        .field("phases", Json::Array(vec![simple.to_json(), extended.to_json()]))
+        .field(
+            "phases",
+            Json::Array(vec![
+                phase_json("simple", &simple, qthd_simple),
+                phase_json("extended", &extended, qthd_extended),
+            ]),
+        )
         .field("stress", stress)
         .field(
             "comparison",
             Json::object()
-                .field("qthd_simple", simple.qthd)
-                .field("qthd_extended", extended.qthd)
+                .field("qthd_simple", qthd_simple)
+                .field("qthd_extended", qthd_extended)
                 .field("extended_over_simple", speedup)
-                .field("extended_beats_simple", extended.qthd > simple.qthd)
-                .field("extended_hit_ratio", extended.hit_ratio)
-                .field("hit_ratio_above_90pct", extended.hit_ratio > 0.9),
+                .field("extended_beats_simple", qthd_extended > qthd_simple)
+                .field("extended_hit_ratio", hit_ratio)
+                .field("hit_ratio_above_90pct", hit_ratio > 0.9),
         );
     Ok(doc)
 }

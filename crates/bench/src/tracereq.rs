@@ -10,9 +10,10 @@
 //!    stream run over the wire server while a monitor connection polls
 //!    `M$TRACES` and `M$SPANS` mid-run; every poll must succeed and every
 //!    fetched trace row's segment columns must sum to `END_TO_END_US`.
-//!    The same workload then runs alternating monitor-off/monitor-on
-//!    repetitions; the headline number is the on/off throughput ratio
-//!    with the 3% overhead acceptance bar.
+//!    The same workload first runs alternating monitor-off/monitor-on
+//!    repetitions (the [`crate::wire`] driver's loop, shared with the
+//!    observe experiment); the headline number is the on/off throughput
+//!    ratio with the 3% overhead acceptance bar.
 //! 2. **attribution** — three R/3 configurations driven through the
 //!    dispatcher, each decomposed at the p99 tail:
 //!    * `blind_plan` replays §4.1: readers with a non-selective predicate
@@ -25,7 +26,7 @@
 //! 3. **export** — the live phase's trace ring is exported as Chrome
 //!    trace-event JSON (loadable in chrome://tracing / Perfetto), written
 //!    under `target/experiments/` and re-parsed with the vendored JSON
-//!    parser plus [`rdbms::clock`]'s `validate_chrome_trace` before the
+//!    parser plus [`trace::request::validate_chrome_trace`] before the
 //!    experiment is allowed to pass.
 //!
 //! Baseline gating is ratio/fraction-based (see `diff.rs`): attribution
@@ -33,332 +34,45 @@
 //! them two-sided against the committed baseline instead of gating on
 //! absolute microseconds.
 
+use crate::wire::{self, Knobs, Phase, PolledView, Protocol};
 use r3::dispatcher::{Dispatcher, DispatcherConfig, RequestStats, WpKind};
 use r3::reports::{self, SapInterface};
 use r3::{R3System, Release};
-use rdbms::{Database, DbConfig, RequestTrace, Value, WaitEvent};
+use rdbms::{Database, RequestTrace, Value, WaitEvent};
 use serde_json::Json;
-use server::{Client, ClientError, Server, ServerConfig};
 use std::fs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tpcd::dbgen::DbGen;
-use tpcd::queries::{self, QueryParams};
-use tpcd::schema;
+use tpcd::queries::QueryParams;
 
-const MAX_RETRIES: usize = 10;
-const BACKOFF_MS: u64 = 10;
-const UPDATE_THINK_MS: u64 = 50;
-const MONITOR_POLL_MS: u64 = 25;
 /// How long each blind-plan update transaction holds its row lock.
 const BLIND_HOLD_MS: u64 = 8;
-
-/// Workload sizing. `steps` is the dialog-step count per R/3
-/// configuration; the server phases reuse the observe experiment's
-/// stream/round shape.
-#[derive(Clone, Copy)]
-pub struct Knobs {
-    pub streams: usize,
-    pub rounds: usize,
-    pub reps: usize,
-    pub steps: usize,
-}
-
-impl Knobs {
-    pub fn full() -> Knobs {
-        Knobs { streams: 2, rounds: 2, reps: 2, steps: 96 }
-    }
-
-    /// CI-sized run: enough requests that the p99 tail is a real trace
-    /// and the attribution fractions are not single-sample noise.
-    pub fn smoke() -> Knobs {
-        Knobs { streams: 2, rounds: 1, reps: 2, steps: 32 }
-    }
-}
-
-fn simple_with_retry(c: &mut Client, sql: &str, retries: &AtomicU64) -> Result<u64, String> {
-    let mut last = String::new();
-    for attempt in 0..MAX_RETRIES {
-        match c.simple_query(sql) {
-            Ok(rows) => return Ok(rows.rows.len() as u64),
-            Err(ClientError::Server(e)) => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                last = e.0;
-                std::thread::sleep(Duration::from_millis(BACKOFF_MS << attempt.min(7)));
-            }
-            Err(e) => return Err(format!("transport error on '{sql}': {e}")),
-        }
-    }
-    Err(format!("statement kept failing after {MAX_RETRIES} attempts: {last} ({sql})"))
-}
-
-fn extended_with_retry(c: &mut Client, sql: &str, retries: &AtomicU64) -> Result<u64, String> {
-    if !sql.trim_start().get(..6).is_some_and(|p| p.eq_ignore_ascii_case("SELECT")) {
-        return simple_with_retry(c, sql, retries);
-    }
-    let mut last = String::new();
-    for attempt in 0..MAX_RETRIES {
-        match c.extended_query(sql, &[]) {
-            Ok(rows) => return Ok(rows.rows.len() as u64),
-            Err(ClientError::Server(e)) => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                last = e.0;
-                std::thread::sleep(Duration::from_millis(BACKOFF_MS << attempt.min(7)));
-            }
-            Err(e) => return Err(format!("transport error on '{sql}': {e}")),
-        }
-    }
-    Err(format!("statement kept failing after {MAX_RETRIES} attempts: {last} ({sql})"))
-}
-
-/// One TPC-D query stream over the extended protocol.
-fn query_stream(
-    addr: &str,
-    stream_id: usize,
-    params: &QueryParams,
-    rounds: usize,
-    retries: &AtomicU64,
-) -> Result<u64, String> {
-    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut ran = 0u64;
-    for _round in 0..rounds {
-        for n in 1..=17 {
-            for stmt in queries::sql(n, params) {
-                let stmt = stmt.replace("revenue0", &format!("revenue0_s{stream_id}"));
-                extended_with_retry(&mut c, &stmt, retries)?;
-            }
-            ran += 1;
-        }
-    }
-    c.terminate().map_err(|e| format!("terminate: {e}"))?;
-    Ok(ran)
-}
-
-fn insert_sql(table: &str, row: &[Value]) -> String {
-    let vals: Vec<String> = row.iter().map(r3::opensql::literal).collect();
-    format!("INSERT INTO {table} VALUES ({})", vals.join(", "))
-}
-
-/// UF1/UF2 refresh pairs until the query streams finish — these commits
-/// are what put WAL-flush and group-commit segments on the traces.
-fn update_stream(
-    addr: &str,
-    gen: &DbGen,
-    done: &AtomicBool,
-    retries: &AtomicU64,
-    seq_base: u64,
-) -> Result<u64, String> {
-    let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut pairs = 0u64;
-    while !done.load(Ordering::Relaxed) {
-        let seq = seq_base + pairs;
-        let (orders, lineitems) = gen.update_stream(seq);
-        let lo = orders.iter().map(|o| o.orderkey).min().unwrap_or(0);
-        let hi = orders.iter().map(|o| o.orderkey).max().unwrap_or(-1);
-        let mut uf1 = vec!["BEGIN".to_string()];
-        for o in &orders {
-            uf1.push(insert_sql("orders", &schema::order_row(o)));
-        }
-        for l in &lineitems {
-            uf1.push(insert_sql("lineitem", &schema::lineitem_row(l)));
-        }
-        uf1.push("COMMIT".into());
-        let uf2 = vec![
-            "BEGIN".to_string(),
-            format!("DELETE FROM lineitem WHERE l_orderkey BETWEEN {lo} AND {hi}"),
-            format!("DELETE FROM orders WHERE o_orderkey BETWEEN {lo} AND {hi}"),
-            "COMMIT".into(),
-        ];
-        for txn in [&uf1, &uf2] {
-            let mut attempt = 0;
-            'txn: loop {
-                for sql in txn.iter() {
-                    if let Err(e) = c.simple_query(sql) {
-                        match e {
-                            ClientError::Server(_) => {
-                                attempt += 1;
-                                retries.fetch_add(1, Ordering::Relaxed);
-                                if attempt >= MAX_RETRIES {
-                                    return Err(format!("refresh kept failing: {e}"));
-                                }
-                                let _ = c.simple_query("ROLLBACK");
-                                std::thread::sleep(Duration::from_millis(
-                                    BACKOFF_MS << attempt.min(7),
-                                ));
-                                continue 'txn;
-                            }
-                            other => return Err(format!("transport error in refresh: {other}")),
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        pairs += 1;
-        std::thread::sleep(Duration::from_millis(UPDATE_THINK_MS));
-    }
-    c.terminate().map_err(|e| format!("terminate: {e}"))?;
-    Ok(pairs)
-}
 
 /// The columns of M$TRACES whose values must partition END_TO_END_US.
 const SEGMENT_COLS: [&str; 6] =
     ["DISPATCH_QUEUE_US", "LOCK_US", "WAL_FLUSH_US", "GROUP_COMMIT_US", "EXEC_US", "APP_SERVER_US"];
 
-/// Live monitor connection: polls M$TRACES and M$SPANS over the wire
-/// while the workload runs, and re-verifies the partition invariant on
-/// every fetched trace row. A single failed poll or a single row whose
-/// segments do not sum fails the experiment.
-fn live_trace_monitor(addr: &str, done: &AtomicBool) -> Result<Json, String> {
-    let mut c = Client::connect(addr).map_err(|e| format!("monitor connect: {e}"))?;
-    let mut trace_polls = 0u64;
-    let mut span_polls = 0u64;
-    let mut last_trace_rows = 0u64;
-    let mut last_span_rows = 0u64;
-    let mut rows_sum_checked = 0u64;
-    let segment_list = SEGMENT_COLS.join(", ");
-    while !done.load(Ordering::Relaxed) {
-        let traces = c
-            .simple_query(&format!("SELECT END_TO_END_US, {segment_list} FROM M$TRACES"))
-            .map_err(|e| format!("M$TRACES poll failed mid-run: {e}"))?;
-        trace_polls += 1;
-        last_trace_rows = traces.rows.len() as u64;
-        for row in &traces.rows {
-            let ints: Vec<i64> = row
-                .iter()
-                .map(|v| match v {
-                    Value::Int(i) => Ok(*i),
-                    other => Err(format!("non-integer in M$TRACES row: {other:?}")),
-                })
-                .collect::<Result<_, _>>()?;
-            let (e2e, segs) = (ints[0], &ints[1..]);
-            let sum: i64 = segs.iter().sum();
-            if sum != e2e {
-                return Err(format!(
-                    "M$TRACES partition violated over the wire: segments {segs:?} \
-                     sum to {sum}, END_TO_END_US is {e2e}"
-                ));
-            }
-            rows_sum_checked += 1;
-        }
-        let spans = c
-            .simple_query("SELECT TRACE_ID, SPAN_ID, ELAPSED_US FROM M$SPANS")
-            .map_err(|e| format!("M$SPANS poll failed mid-run: {e}"))?;
-        span_polls += 1;
-        last_span_rows = spans.rows.len() as u64;
-        std::thread::sleep(Duration::from_millis(MONITOR_POLL_MS));
-    }
-    c.terminate().map_err(|e| format!("monitor terminate: {e}"))?;
-    if trace_polls == 0 || span_polls == 0 {
-        return Err("trace views were never successfully polled mid-run".into());
-    }
-    Ok(Json::object()
-        .field(
-            "M$TRACES",
-            Json::object().field("polls", trace_polls).field("last_rows", last_trace_rows),
-        )
-        .field(
-            "M$SPANS",
-            Json::object().field("polls", span_polls).field("last_rows", last_span_rows),
-        )
-        .field("rows_sum_checked", rows_sum_checked))
-}
-
-struct PhaseRun {
-    elapsed_seconds: f64,
-    queries_run: u64,
-    update_pairs: u64,
-    retries: u64,
-    live_views: Option<Json>,
-}
-
-/// One measured run of the wire workload with the monitor in the given
-/// state; `with_live_monitor` adds the trace-view polling connection.
-fn run_server_phase(
-    db: &Arc<Database>,
-    gen: &DbGen,
-    sf: f64,
-    knobs: &Knobs,
-    monitor_on: bool,
-    with_live_monitor: bool,
-    seq_base: u64,
-) -> Result<PhaseRun, String> {
-    db.set_monitor_enabled(monitor_on);
-    let server = Server::start(Arc::clone(db), ServerConfig::default())
-        .map_err(|e| format!("server start: {e}"))?;
-    let addr = server.local_addr().to_string();
-    let params = QueryParams::for_scale(sf);
-    let retries = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
-
-    let updater = {
-        let (addr, gen, done, retries) = (addr.clone(), *gen, done.clone(), retries.clone());
-        std::thread::spawn(move || update_stream(&addr, &gen, &done, &retries, seq_base))
-    };
-    let monitor = with_live_monitor.then(|| {
-        let (addr, done) = (addr.clone(), done.clone());
-        std::thread::spawn(move || live_trace_monitor(&addr, &done))
-    });
-    let streams: Vec<_> = (0..knobs.streams)
-        .map(|sid| {
-            let (addr, params, retries) = (addr.clone(), params.clone(), retries.clone());
-            let rounds = knobs.rounds;
-            std::thread::spawn(move || query_stream(&addr, sid, &params, rounds, &retries))
+/// The partition invariant on one `END_TO_END_US, <SEGMENT_COLS>` row of
+/// M$TRACES fetched over the wire.
+fn segments_sum_to_end_to_end(row: &[Value]) -> Result<(), String> {
+    let ints: Vec<i64> = row
+        .iter()
+        .map(|v| match v {
+            Value::Int(i) => Ok(*i),
+            other => Err(format!("non-integer in M$TRACES row: {other:?}")),
         })
-        .collect();
-
-    let mut queries_run = 0u64;
-    let mut first_err = None;
-    for t in streams {
-        match t.join().map_err(|_| "query stream panicked".to_string()) {
-            Ok(Ok(n)) => queries_run += n,
-            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    done.store(true, Ordering::Relaxed);
-    let update_pairs = match updater.join().map_err(|_| "update stream panicked".to_string()) {
-        Ok(Ok(n)) => n,
-        Ok(Err(e)) | Err(e) => {
-            first_err = first_err.or(Some(e));
-            0
-        }
-    };
-    let live_views = match monitor
-        .map(|t| t.join().map_err(|_| "live monitor panicked".to_string()))
-        .transpose()
-    {
-        Ok(r) => match r.transpose() {
-            Ok(v) => v,
-            Err(e) => {
-                first_err = first_err.or(Some(e));
-                None
-            }
-        },
-        Err(e) => {
-            first_err = first_err.or(Some(e));
-            None
-        }
-    };
-    let stats = server.shutdown();
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    if stats.panics != 0 || stats.sessions_active != 0 {
+        .collect::<Result<_, _>>()?;
+    let (e2e, segs) = (ints[0], &ints[1..]);
+    let sum: i64 = segs.iter().sum();
+    if sum != e2e {
         return Err(format!(
-            "phase left the server dirty: {} panics, {} leaked sessions",
-            stats.panics, stats.sessions_active
+            "M$TRACES partition violated over the wire: segments {segs:?} \
+             sum to {sum}, END_TO_END_US is {e2e}"
         ));
     }
-    Ok(PhaseRun {
-        elapsed_seconds: elapsed,
-        queries_run,
-        update_pairs,
-        retries: retries.load(Ordering::Relaxed),
-        live_views,
-    })
+    Ok(())
 }
 
 /// Attribution rollup for one batch of traces: summed critical-path
@@ -600,13 +314,13 @@ fn export_chrome(db: &Database, path: &str) -> Result<Json, String> {
     if traces.is_empty() {
         return Err("nothing to export: trace ring is empty".into());
     }
-    let doc = rdbms::clock::chrome_trace_json(&traces);
+    let doc = trace::request::chrome_trace_json(&traces);
     let text = serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize: {e}"))?;
     fs::write(path, &text).map_err(|e| format!("write {path}: {e}"))?;
     // Round-trip through the parser: what a browser will load is what we
     // validate, not the in-memory value we happened to serialize.
     let reparsed = serde_json::from_str(&text).map_err(|e| format!("re-parse {path}: {e}"))?;
-    let events = rdbms::clock::validate_chrome_trace(&reparsed)?;
+    let events = trace::request::validate_chrome_trace(&reparsed)?;
     Ok(Json::object()
         .field("path", path)
         .field("events", events as u64)
@@ -616,40 +330,19 @@ fn export_chrome(db: &Database, path: &str) -> Result<Json, String> {
 
 /// Run the whole experiment and return the `BENCH_tracereq.json` document.
 pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
-    let knobs = if smoke { Knobs::smoke() } else { Knobs::full() };
-    let gen = DbGen::new(sf);
-    let config = DbConfig { lock_timeout: Duration::from_secs(120), ..DbConfig::default() };
-    let db = Arc::new(Database::new(config));
-    println!("loading TPC-D database at SF {sf} ...");
-    schema::load(&db, &gen).map_err(|e| format!("load: {e}"))?;
+    // `steps` is the dialog-step count per R/3 configuration. The smoke run
+    // still takes enough requests that the p99 tail is a real trace and the
+    // attribution fractions are not single-sample noise.
+    let (knobs, steps) = if smoke {
+        (Knobs { streams: 2, rounds: 1, reps: 2 }, 32)
+    } else {
+        (Knobs { streams: 2, rounds: 2, reps: 2 }, 96)
+    };
+    let (db, gen) = wire::load_database(sf)?;
 
-    println!("warmup: {} streams x 1 round (unmeasured)", knobs.streams);
-    let warm = Knobs { rounds: 1, reps: 1, ..knobs };
-    run_server_phase(&db, &gen, sf, &warm, true, false, 5_000)?;
-
-    // Overhead pair: alternate off/on so machine drift hits both modes.
-    let mut elapsed = [0.0f64; 2];
-    let mut queries_run = [0u64; 2];
-    let mut retries = [0u64; 2];
-    for rep in 0..knobs.reps {
-        for (mode, &monitor_on) in [false, true].iter().enumerate() {
-            println!(
-                "rep {}/{}: tracing {} ({} streams x {} rounds)",
-                rep + 1,
-                knobs.reps,
-                if monitor_on { "on" } else { "off" },
-                knobs.streams,
-                knobs.rounds,
-            );
-            let seq_base = 10_000 + (rep as u64 * 2 + monitor_on as u64) * 10_000;
-            let run = run_server_phase(&db, &gen, sf, &knobs, monitor_on, false, seq_base)?;
-            elapsed[mode] += run.elapsed_seconds;
-            queries_run[mode] += run.queries_run;
-            retries[mode] += run.retries;
-        }
-    }
-    let qps_off = queries_run[0] as f64 / elapsed[0];
-    let qps_on = queries_run[1] as f64 / elapsed[1];
+    let [off, on] = wire::off_on_repetitions(&db, &gen, sf, &knobs, None)?;
+    let qps_off = off.queries_run as f64 / off.elapsed_seconds;
+    let qps_on = on.queries_run as f64 / on.elapsed_seconds;
     let on_over_off = if qps_off > 0.0 { qps_on / qps_off } else { 0.0 };
     let overhead = 1.0 - on_over_off;
     println!(
@@ -661,9 +354,30 @@ pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
     // over the wire and re-checking the partition on every fetched row.
     println!("live phase: M$TRACES/M$SPANS polled over the wire mid-run");
     db.trace_ring().clear();
-    let live_knobs = Knobs { reps: 1, ..knobs };
-    let live = run_server_phase(&db, &gen, sf, &live_knobs, true, true, 90_000)?;
-    let live_views = live.live_views.clone().ok_or("live monitor never ran")?;
+    let views = [
+        PolledView {
+            view: "M$TRACES",
+            sql: format!("SELECT END_TO_END_US, {} FROM M$TRACES", SEGMENT_COLS.join(", ")),
+            check_row: Some(segments_sum_to_end_to_end),
+        },
+        PolledView {
+            view: "M$SPANS",
+            sql: "SELECT TRACE_ID, SPAN_ID, ELAPSED_US FROM M$SPANS".into(),
+            check_row: None,
+        },
+    ];
+    let live_phase = Phase {
+        streams: knobs.streams,
+        rounds: knobs.rounds,
+        protocol: Protocol::Extended,
+        monitor: true,
+        seq_base: 90_000,
+        poller: Some(&views),
+        on_step: None,
+    };
+    let live = wire::run_phase(&db, &gen, sf, &live_phase)?;
+    let polled = live.polled.as_ref().ok_or("live monitor never ran")?;
+    let live_views = polled.to_json().field("rows_sum_checked", polled.rows_checked);
     let traced_requests = db.trace_ring().completed();
     if traced_requests == 0 {
         return Err("live phase completed no traced requests".into());
@@ -680,8 +394,8 @@ pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
     println!("chrome trace written to {chrome_path}");
 
     // Attribution phase: the three R/3 configurations.
-    println!("blind-plan configuration ({} dialog steps)", knobs.steps);
-    let blind = run_blind_config(knobs.steps)?;
+    println!("blind-plan configuration ({steps} dialog steps)");
+    let blind = run_blind_config(steps)?;
     println!(
         "  p99={}us queue={:.2} lock={:.2} exec={:.2} app={:.2}",
         blind.p99_us,
@@ -690,8 +404,8 @@ pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
         blind.fraction(WaitEvent::Exec),
         blind.app_server_fraction()
     );
-    println!("Open SQL 2.2G configuration ({} dialog steps)", knobs.steps);
-    let r22 = run_release_config(Release::R22, &gen, sf, knobs.steps)?;
+    println!("Open SQL 2.2G configuration ({steps} dialog steps)");
+    let r22 = run_release_config(Release::R22, &gen, sf, steps)?;
     println!(
         "  p99={}us queue={:.2} exec={:.2} app={:.2}",
         r22.p99_us,
@@ -699,8 +413,8 @@ pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
         r22.fraction(WaitEvent::Exec),
         r22.app_server_fraction()
     );
-    println!("Open SQL 3.0E configuration ({} dialog steps)", knobs.steps);
-    let r30 = run_release_config(Release::R30, &gen, sf, knobs.steps)?;
+    println!("Open SQL 3.0E configuration ({steps} dialog steps)");
+    let r30 = run_release_config(Release::R30, &gen, sf, steps)?;
     println!(
         "  p99={}us queue={:.2} exec={:.2} app={:.2}",
         r30.p99_us,
@@ -741,6 +455,9 @@ pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
          shows as app-server-segment dominance.",
         "The Chrome export loads in chrome://tracing or Perfetto: one track per \
          request (tid = trace id), complete events for spans and wait intervals.",
+        "qps_off/qps_on are queries over the summed elapsed time of the alternating \
+         tracing-off/on repetitions; a phase's elapsed time ends when its query \
+         streams finish, so the update stream's wind-down is not counted.",
         "Regenerate: cargo run --release -p bench --bin experiments -- tracereq \
          (add --smoke for the CI-sized run).",
     ];
@@ -753,12 +470,12 @@ pub fn run_tracereq_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
             "overhead",
             Json::object()
                 .field("repetitions", knobs.reps)
-                .field("elapsed_seconds_off", elapsed[0])
-                .field("elapsed_seconds_on", elapsed[1])
-                .field("queries_off", queries_run[0])
-                .field("queries_on", queries_run[1])
-                .field("retries_off", retries[0])
-                .field("retries_on", retries[1])
+                .field("elapsed_seconds_off", off.elapsed_seconds)
+                .field("elapsed_seconds_on", on.elapsed_seconds)
+                .field("queries_off", off.queries_run)
+                .field("queries_on", on.queries_run)
+                .field("retries_off", off.retries)
+                .field("retries_on", on.retries)
                 .field("qps_off", qps_off)
                 .field("qps_on", qps_on),
         )

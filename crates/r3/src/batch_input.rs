@@ -22,12 +22,12 @@
 use crate::opensql::{Cond, SelectSpec};
 use crate::schema::{self, key16, MANDT};
 use crate::system::R3System;
-use rdbms::clock::{Counter, MeterSnapshot};
 use rdbms::error::{DbError, DbResult};
 use rdbms::schema::Row;
 use rdbms::types::Value;
 use rdbms::Txn;
 use tpcd::records::{Customer, LineItem, Order, Part, PartSupp, Supplier};
+use trace::meter::{Counter, MeterSnapshot};
 
 /// How many check-units one record of each type costs on top of its real
 /// database probes (dialog simulation, screen logic, authority checks, ...).
@@ -387,8 +387,8 @@ pub fn batch_uf2(sys: &R3System, gen: &tpcd::DbGen, stream: u64) -> DbResult<u64
 mod tests {
     use super::*;
     use crate::Release;
-    use rdbms::clock::Counter;
     use tpcd::DbGen;
+    use trace::meter::Counter;
 
     #[test]
     fn batch_load_small() {

@@ -12,10 +12,10 @@
 //! on local writes, which is the best case.
 
 use parking_lot::Mutex;
-use rdbms::clock::{CostMeter, Counter};
 use rdbms::schema::Row;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use trace::meter::{CostMeter, Counter};
 
 struct Entry {
     row: Option<Row>, // None caches a miss ("no such record")

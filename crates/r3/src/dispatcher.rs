@@ -16,7 +16,6 @@
 
 use crate::R3System;
 use parking_lot::{Condvar, Mutex};
-use rdbms::clock::{Calibration, CostMeter, MeterScope, MeterSnapshot, WaitEvent};
 use rdbms::{DbError, DbResult, RequestCtx};
 use serde_json::Json;
 use std::collections::VecDeque;
@@ -24,6 +23,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use trace::meter::{Calibration, CostMeter, MeterScope, MeterSnapshot};
+use trace::wait::WaitEvent;
 use trace::Histogram;
 
 /// Work-process type, which doubles as the request class.

@@ -9,11 +9,11 @@
 use crate::opensql::{Cond, SelectSpec};
 use crate::system::R3System;
 use crate::Release;
-use rdbms::clock::{Counter, MeterSnapshot};
 use rdbms::error::DbResult;
 use rdbms::schema::Row;
 use rdbms::types::Value;
 use std::fmt::Write as _;
+use trace::meter::{Counter, MeterSnapshot};
 
 /// Result of extracting one TPC-D table.
 pub struct ExtractResult {

@@ -22,7 +22,6 @@ use crate::schema::MANDT;
 use crate::sqltrace::SqlOp;
 use crate::system::{pool_varkey, R3System};
 use crate::Release;
-use rdbms::clock::Counter;
 use rdbms::error::{DbError, DbResult};
 use rdbms::exec::expr::like_match;
 use rdbms::schema::{Column, Row, Schema};
@@ -30,6 +29,7 @@ use rdbms::sql::ast::AggFunc;
 use rdbms::types::Value;
 use rdbms::{QueryResult, Txn};
 use std::cmp::Ordering;
+use trace::meter::Counter;
 
 /// Comparison operators available in Open SQL WHERE clauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,7 +13,6 @@
 //! * an application-side aggregation helper used by every Open SQL report
 //!   that cannot push its aggregates down.
 
-use rdbms::clock::{CostMeter, Counter};
 use rdbms::error::{DbError, DbResult};
 use rdbms::exec::expr::{BExpr, ExecCtx};
 use rdbms::schema::Row;
@@ -22,6 +21,7 @@ use rdbms::storage::PAGE_SIZE;
 use rdbms::types::{Decimal, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
+use trace::meter::{CostMeter, Counter};
 
 /// An ABAP internal (temporary) table: plain materialized rows, no indexes.
 #[derive(Debug, Default, Clone)]

@@ -19,11 +19,11 @@ pub mod source;
 
 use crate::system::R3System;
 use crate::Release;
-use rdbms::clock::MeterSnapshot;
 use rdbms::error::DbResult;
 use rdbms::schema::Row;
 use serde::{Deserialize, Serialize};
 use tpcd::QueryParams;
+use trace::meter::MeterSnapshot;
 
 /// Which database interface the report uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

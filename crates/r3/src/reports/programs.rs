@@ -15,7 +15,6 @@ use crate::opensql::{CmpOp, Cond, SelectSpec};
 use crate::report::{app_aggregate, app_aggregate_scalar, app_sort, AppAgg};
 use crate::schema::key16;
 use crate::system::R3System;
-use rdbms::clock::Counter;
 use rdbms::error::{DbError, DbResult};
 use rdbms::exec::expr::BExpr;
 use rdbms::schema::Row;
@@ -23,6 +22,7 @@ use rdbms::sql::ast::{AggFunc, BinOp};
 use rdbms::types::{Date, Decimal, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use tpcd::QueryParams;
+use trace::meter::Counter;
 
 // ---------------------------------------------------------------------------
 // Small expression builders for application-side aggregation

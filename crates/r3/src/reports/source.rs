@@ -27,12 +27,12 @@ use crate::opensql::{literal, Cond, SelectSpec, TableExpr};
 use crate::schema::{key16, parse_key, MANDT};
 use crate::system::R3System;
 use crate::Release;
-use rdbms::clock::Counter;
 use rdbms::error::DbResult;
 use rdbms::schema::Row;
 use rdbms::types::{Date, Decimal, Value};
 use rdbms::QueryResult;
 use std::collections::HashMap;
+use trace::meter::Counter;
 
 use super::SapInterface;
 

@@ -16,7 +16,6 @@
 //! crossings sum to the meter's `ipc_crossings` counter is tested in
 //! `tests/sqltrace_equivalence.rs`.
 
-use rdbms::clock::{CostMeter, MeterScope, MeterSnapshot};
 use rdbms::types::Value;
 use serde_json::Json;
 use std::collections::VecDeque;
@@ -24,6 +23,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
+use trace::meter::{CostMeter, MeterScope, MeterSnapshot};
 
 /// What kind of interface call an entry records. OPEN/REOPEN/EXEC each
 /// model one OPEN + FETCH-to-completion + CLOSE round trip (a single
@@ -47,12 +47,6 @@ pub enum SqlOp {
     /// COMMIT WORK: the database commit at the end of a logical unit of
     /// work (group commit parks here until a log force covers it).
     Commit,
-    /// Wire protocol: Parse message — statement text parsed, normalized,
-    /// and planned (or fetched from the shared plan cache).
-    Parse,
-    /// Wire protocol: Bind message — host variables bound to a prepared
-    /// statement, producing an executable portal.
-    Bind,
 }
 
 impl SqlOp {
@@ -65,8 +59,6 @@ impl SqlOp {
             SqlOp::Insert => "INSERT",
             SqlOp::Delete => "DELETE",
             SqlOp::Commit => "COMMIT",
-            SqlOp::Parse => "PARSE",
-            SqlOp::Bind => "BIND",
         }
     }
 }
@@ -280,7 +272,7 @@ pub fn summarize(entries: &[SqlTraceEntry]) -> SqlTraceSummary {
 /// line always covers every entry).
 pub fn render(
     entries: &[SqlTraceEntry],
-    cal: &rdbms::clock::Calibration,
+    cal: &trace::meter::Calibration,
     max_statement: usize,
     max_entries: usize,
 ) -> String {
@@ -324,7 +316,7 @@ pub fn render(
 /// many were dropped).
 pub fn to_json(
     entries: &[SqlTraceEntry],
-    cal: &rdbms::clock::Calibration,
+    cal: &trace::meter::Calibration,
     max_entries: usize,
 ) -> Json {
     let shown = if max_entries > 0 { entries.len().min(max_entries) } else { entries.len() };
@@ -402,7 +394,7 @@ mod tests {
         assert_eq!(st05.take().len(), 4);
         // And the JSON export carries the id for offline correlation.
         st05.begin().unwrap().finish(SqlOp::Exec, "S-json", &[], 0, 1);
-        let json = to_json(&st05.take(), &rdbms::clock::Calibration::default(), 0);
+        let json = to_json(&st05.take(), &trace::meter::Calibration::default(), 0);
         assert!(serde_json::to_string(&json).unwrap().contains("\"trace_id\""));
     }
 

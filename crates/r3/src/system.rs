@@ -21,7 +21,6 @@ use crate::sqltrace::{SqlOp, SqlTrace};
 use crate::workload::WorkloadMonitor;
 use crate::Release;
 use parking_lot::Mutex;
-use rdbms::clock::{CostMeter, Counter, MeterSnapshot};
 use rdbms::error::{DbError, DbResult};
 use rdbms::schema::Row;
 use rdbms::types::Value;
@@ -29,6 +28,7 @@ use rdbms::{Database, DbConfig, Prepared, QueryResult, Txn};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tpcd::DbGen;
+use trace::meter::{CostMeter, Counter, MeterSnapshot};
 
 /// Escape a string for inclusion in a SQL literal.
 pub fn sql_quote(s: &str) -> String {

@@ -13,13 +13,13 @@
 
 use crate::dispatcher::{RequestStats, WpKind};
 use parking_lot::Mutex;
-use rdbms::clock::Calibration;
 use rdbms::monitor::MonitorView;
 use rdbms::schema::Column;
 use rdbms::types::{DataType, Value};
 use serde_json::Json;
 use std::collections::HashMap;
 use std::sync::Arc;
+use trace::meter::Calibration;
 
 /// Aggregated statistics for one (task type, work-process class) pair.
 #[derive(Debug, Clone, Default)]
@@ -146,8 +146,8 @@ impl WorkloadMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdbms::clock::MeterSnapshot;
     use std::time::Duration;
+    use trace::meter::MeterSnapshot;
 
     fn stats(name: &str, kind: WpKind, queue_ms: u64, service_ms: u64) -> RequestStats {
         RequestStats {

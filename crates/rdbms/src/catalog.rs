@@ -357,7 +357,7 @@ impl Catalog {
         for (index, key) in indexes.iter().zip(&keys) {
             index.tree.lock().insert(key, rid)?;
         }
-        self.pager.meter().bump(crate::clock::Counter::DbTuples);
+        self.pager.meter().bump(trace::meter::Counter::DbTuples);
         Ok((rid, row))
     }
 
@@ -372,7 +372,7 @@ impl Catalog {
             let key = index.key_for(&row);
             index.tree.lock().delete(&key, rid)?;
         }
-        self.pager.meter().bump(crate::clock::Counter::DbTuples);
+        self.pager.meter().bump(trace::meter::Counter::DbTuples);
         table.heap.delete(rid)?;
         Ok(row)
     }
@@ -417,7 +417,7 @@ impl Catalog {
         for (index, key) in indexes.iter().zip(&new_keys) {
             index.tree.lock().insert(key, new_rid)?;
         }
-        self.pager.meter().bump(crate::clock::Counter::DbTuples);
+        self.pager.meter().bump(trace::meter::Counter::DbTuples);
         Ok((new_rid, new_row))
     }
 
@@ -488,9 +488,9 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::CostMeter;
     use crate::storage::PagerConfig;
     use crate::types::DataType;
+    use trace::meter::CostMeter;
 
     fn catalog() -> Catalog {
         Catalog::new(Pager::new(PagerConfig::default(), CostMeter::new()))

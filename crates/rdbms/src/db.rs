@@ -1,9 +1,6 @@
 //! The `Database` façade: parse, plan, execute.
 
 use crate::catalog::Catalog;
-use crate::clock::{
-    Calibration, CostMeter, MeterSnapshot, RequestCtx, TraceRing, WaitEvent, WaitStats,
-};
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::ExecCtx;
 use crate::exec::plan::Plan;
@@ -22,6 +19,9 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trace::meter::{Calibration, CostMeter, MeterSnapshot};
+use trace::request::{RequestCtx, TraceRing};
+use trace::wait::{WaitEvent, WaitStats};
 
 /// Database configuration.
 #[derive(Debug, Clone)]
@@ -720,7 +720,7 @@ impl Database {
                     let Some(row) = t.heap.get(rid, crate::storage::AccessPattern::Random)? else {
                         continue;
                     };
-                    self.meter.bump(crate::clock::Counter::DbTuples);
+                    self.meter.bump(trace::meter::Counter::DbTuples);
                     let hit = match pred {
                         Some(p) => p.eval_bool(&row, &ctx)? == Some(true),
                         None => true,
@@ -735,7 +735,7 @@ impl Database {
         let mut rids = Vec::new();
         for item in t.heap.scan() {
             let (rid, row) = item?;
-            self.meter.bump(crate::clock::Counter::DbTuples);
+            self.meter.bump(trace::meter::Counter::DbTuples);
             let hit = match pred {
                 Some(p) => p.eval_bool(&row, &ctx)? == Some(true),
                 None => true,

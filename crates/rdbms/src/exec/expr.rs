@@ -6,7 +6,6 @@
 //! are executed through the evaluation context, with correlated references
 //! resolved against a stack of enclosing rows.
 
-use crate::clock::{CostMeter, Counter};
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::{AggFunc, BinOp, IntervalUnit};
 use crate::types::{Decimal, Value};
@@ -15,6 +14,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::sync::Arc;
+use trace::meter::{CostMeter, Counter};
 
 /// Scalar functions supported by the engine. `VendorContains` is the
 /// "special, non-standard SQL string function" of the paper's Section 3.4.4
@@ -699,7 +699,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::CostMeter;
+    use trace::meter::CostMeter;
 
     fn ctx<'a>(params: &'a [Value], meter: &'a CostMeter) -> ExecCtx<'a> {
         ExecCtx::new(params, meter)

@@ -4,7 +4,7 @@
 //! output up in batches of rows; only sort, distinct, a hash join's build
 //! side, an aggregate's groups and a nested-loop join's sides are held
 //! whole. All physical work — page I/O through the pager, per-tuple CPU —
-//! is metered into the engine's [`crate::clock::CostMeter`], which is what
+//! is metered into the engine's [`trace::meter::CostMeter`], which is what
 //! the paper-reproduction experiments read out. What a query meters, and
 //! the order it reads pages in, do not depend on how its rows are cut
 //! into batches (DESIGN.md §15.5).
@@ -17,7 +17,6 @@
 //! borrowed keys.
 
 use crate::catalog::{Index, Table};
-use crate::clock::Counter;
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::{AggSpec, BExpr, ExecCtx};
 use crate::lock::KeyRange;
@@ -33,6 +32,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::ops::Bound;
 use std::sync::Arc;
+use trace::meter::Counter;
 
 /// A bound for one side of an index range, as expressions evaluated at
 /// execution time (they may contain parameters or outer references, which

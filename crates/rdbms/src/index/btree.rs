@@ -33,7 +33,6 @@
 //!   it decodes once and writes back once, at the end: the tree it leaves
 //!   is node for node the one inserting the entries one by one builds.
 
-use crate::clock::Counter;
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{PageId, Rid, PAGE_SIZE};
 use crate::storage::pager::{AccessPattern, Pager};
@@ -42,6 +41,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
+use trace::meter::Counter;
 
 const NO_PAGE: PageId = PageId::MAX;
 /// Serialized node size budget; split when exceeded.
@@ -868,7 +868,7 @@ impl BTree {
     }
 
     /// The rids [`BTree::range_scan`] finds for the same bounds, in the
-    /// same order, read in place by [`BTree::walk`].
+    /// same order, read in place by `BTree::walk`.
     pub fn range_rids(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> DbResult<Vec<Rid>> {
         let mut rids = Vec::new();
         self.walk(lower, upper, |_, rid| rids.push(rid))?;
@@ -1007,11 +1007,11 @@ pub fn increment_bytes(key: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::CostMeter;
     use crate::storage::codec::encode_key;
     use crate::storage::pager::PagerConfig;
     use crate::types::Value;
     use std::collections::BTreeMap;
+    use trace::meter::CostMeter;
 
     fn tree(unique: bool) -> BTree {
         let pager = Pager::new(PagerConfig { pool_pages: 256 }, CostMeter::new());

@@ -10,14 +10,14 @@
 //!   date/interval arithmetic, parameters),
 //! * a System-R-style planner with the two period-faithful behaviours the
 //!   paper measures (parameter-blind plans, naive nested queries),
-//! * a materializing executor,
+//! * a batch-streaming executor (operators pass row batches; DESIGN.md
+//!   §15.5),
 //! * the deterministic cost clock used by every experiment in this
 //!   workspace (see DESIGN.md §5),
 //! * an ARIES-style write-ahead log with group commit and restart
 //!   recovery (see DESIGN.md §10).
 
 pub mod catalog;
-pub mod clock;
 pub mod db;
 pub mod error;
 pub mod exec;
@@ -34,9 +34,6 @@ pub mod txn;
 pub mod types;
 pub mod wal;
 
-pub use clock::{Calibration, CostMeter, Counter, MeterScope, MeterSnapshot};
-pub use clock::{CriticalPath, RequestCtx, RequestGuard, RequestTrace, TraceRing};
-pub use clock::{WaitEvent, WaitSnapshot, WaitStats, WaitTimer};
 pub use db::{Database, DbConfig, ExecOutcome, Prepared, QueryResult};
 pub use error::{DbError, DbResult};
 pub use load::BulkLoad;
@@ -44,6 +41,9 @@ pub use lock::{KeyRange, LockInfo, LockManager, LockMode, RowLock, RowMode, TxnI
 pub use monitor::{MonitorView, StatementCollector, StatementSample, StatementStats};
 pub use plancache::{CachedPlan, PlanCache, PlanCacheEntryInfo};
 pub use schema::{Column, Row, Schema};
+pub use trace::meter::{Calibration, CostMeter, Counter, MeterScope, MeterSnapshot};
+pub use trace::request::{CriticalPath, RequestCtx, RequestGuard, RequestTrace, TraceRing};
+pub use trace::wait::{WaitEvent, WaitSnapshot, WaitStats, WaitTimer};
 pub use txn::{Txn, TxnStats};
 pub use types::{DataType, Date, Decimal, Value};
 pub use wal::{CommitPolicy, Lsn, RecoveryReport, Wal, WalConfig};

@@ -14,7 +14,6 @@
 //! [`BTree::insert_batch`]: crate::index::BTree::insert_batch
 
 use crate::catalog::{Index, Table};
-use crate::clock::Counter;
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::index::{check_key, Batch};
@@ -25,6 +24,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::Hasher;
 use std::sync::Arc;
+use trace::meter::Counter;
 
 /// A bulk load in progress (see [`Database::bulk_load`]).
 pub struct BulkLoad<'a> {

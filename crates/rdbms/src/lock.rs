@@ -21,13 +21,13 @@
 //! genuine deadlock. Deadlocks across both levels are detected with the
 //! same wait-for graph, backstopped by a lock-wait timeout.
 
-use crate::clock::{CostMeter, Counter};
 use crate::error::{DbError, DbResult};
 use crate::index::btree::increment_bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trace::meter::{CostMeter, Counter};
 
 /// Transaction identifier (monotonically increasing per database).
 pub type TxnId = u64;

@@ -14,7 +14,6 @@
 //! Monitor views take no locks, have no catalog version, and are invisible
 //! to DDL — reading them never blocks the workload being observed.
 
-use crate::clock::{TraceRing, WaitEvent, WaitSnapshot, WaitStats};
 use crate::schema::{Column, Row, Schema};
 use crate::types::{DataType, Value};
 use parking_lot::Mutex;
@@ -22,6 +21,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use trace::request::TraceRing;
+use trace::wait::{WaitEvent, WaitSnapshot, WaitStats};
 
 /// True if `name` is in the reserved monitoring namespace (`M$` prefix,
 /// case-insensitive). Such names never reach the catalog's base-table
@@ -112,7 +113,7 @@ pub struct StatementStats {
     pub min_micros: u64,
     pub max_micros: u64,
     /// Wait breakdown summed over all calls: each call's request-trace
-    /// wait totals ([`RequestGuard::finish`](crate::clock::RequestGuard::finish)).
+    /// wait totals ([`RequestGuard::finish`](trace::request::RequestGuard::finish)).
     pub waits: WaitSnapshot,
     /// Ring of the most recent executions, oldest first.
     pub recent: Vec<StatementSample>,

@@ -24,7 +24,6 @@
 //! unrelated DDL (TPC-D Q15 creating and dropping its `revenue0` view every
 //! execution) from flushing the whole cache.
 
-use crate::clock::Counter;
 use crate::db::{Database, Prepared};
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::{SelectStmt, Statement};
@@ -33,6 +32,7 @@ use crate::types::Value;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use trace::meter::Counter;
 
 /// A cache lookup's result: the shared plan plus the bind values that were
 /// extracted from the literal text during normalization. Execute with

@@ -32,7 +32,7 @@ pub mod sarg_helpers {
 
 pub use builder::{PlannedQuery, Planner};
 
-use crate::clock::Calibration;
+use trace::meter::Calibration;
 
 /// Optimizer configuration. Exposed so the ablation benches can toggle the
 /// vendor behaviours.

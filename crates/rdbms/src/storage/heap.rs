@@ -338,9 +338,9 @@ impl Iterator for HeapScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{CostMeter, Counter};
     use crate::storage::pager::PagerConfig;
     use crate::types::Value;
+    use trace::meter::{CostMeter, Counter};
 
     fn heap() -> HeapFile {
         let pager = Pager::new(PagerConfig { pool_pages: 64 }, CostMeter::new());

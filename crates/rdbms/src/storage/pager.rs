@@ -23,13 +23,13 @@
 //! the pool lock. A closure holds its page's latch, so it must not call the
 //! pager again.
 
-use crate::clock::{CostMeter, Counter};
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{Page, PageId, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use trace::meter::{CostMeter, Counter};
 
 /// Declared access pattern of a page read, used to split I/O metering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,9 +348,9 @@ impl Pager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Counter;
     use proptest::prelude::*;
     use std::collections::HashSet;
+    use trace::meter::Counter;
 
     fn pager(pool_pages: usize) -> Arc<Pager> {
         Pager::new(PagerConfig { pool_pages }, CostMeter::new())

@@ -39,7 +39,6 @@
 //! WORK, is one `Txn` too. Only the bulk loader and DDL write outside one.
 
 use crate::catalog::Catalog;
-use crate::clock::{CostMeter, Counter, MeterScope, MeterSnapshot, WaitEvent};
 use crate::db::{Database, ExecOutcome, Prepared, QueryResult};
 use crate::error::{DbError, DbResult};
 use crate::exec::plan::{PkBounds, TableRead};
@@ -56,6 +55,8 @@ use crate::wal::{LogPayload, Lsn, UndoAction, NULL_LSN};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
+use trace::meter::{CostMeter, Counter, MeterScope, MeterSnapshot};
+use trace::wait::WaitEvent;
 
 pub use crate::lock::{KeyRange, LockManager, LockMode, RowLock, RowMode, TxnId};
 

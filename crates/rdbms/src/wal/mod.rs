@@ -36,7 +36,6 @@
 
 pub mod recovery;
 
-use crate::clock::{CostMeter, Counter, WaitEvent, WaitStats};
 use crate::error::{DbError, DbResult};
 use crate::schema::Row;
 use crate::storage::codec::{decode_row, encode_row};
@@ -49,6 +48,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+use trace::meter::{CostMeter, Counter};
+use trace::wait::{WaitEvent, WaitStats};
 
 pub use recovery::{recover, RecoveryReport};
 

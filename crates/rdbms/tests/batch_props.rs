@@ -354,7 +354,7 @@ fn limit_meters_what_its_input_meters() {
         let (one, limited) = work(&format!("{sql} LIMIT 1"));
         assert!((all, one) > (1, 0), "{sql}: {all} rows, {one} with LIMIT 1");
         assert!(unlimited.pages_read() > 0, "{sql} read no page");
-        let counters = |w: &rdbms::clock::MeterSnapshot| {
+        let counters = |w: &trace::meter::MeterSnapshot| {
             (w.db_tuples(), w.seq_page_reads(), w.rand_page_reads(), w.index_node_reads())
         };
         assert_eq!(counters(&limited), counters(&unlimited), "{sql}");

@@ -214,7 +214,7 @@ proptest! {
 
     #[test]
     fn btree_matches_model(ops in arb_tree_ops()) {
-        use rdbms::clock::CostMeter;
+        use trace::meter::CostMeter;
         use rdbms::index::BTree;
         use rdbms::storage::{Pager, PagerConfig, Rid};
 

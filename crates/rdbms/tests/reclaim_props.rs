@@ -5,13 +5,13 @@
 //! growing.
 
 use proptest::prelude::*;
-use rdbms::clock::CostMeter;
 use rdbms::index::btree::BTree;
 use rdbms::storage::codec::encode_key;
 use rdbms::storage::{AccessPattern, HeapFile, Pager, PagerConfig, Rid, PAGE_SIZE};
 use rdbms::types::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use trace::meter::CostMeter;
 
 /// A table of `(key, payload)` rows with a unique index on the key and a
 /// non-unique one on the payload's length class.

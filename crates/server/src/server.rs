@@ -3,7 +3,6 @@
 use crate::protocol::{read_frame, write_frame, write_string, MSG_ERROR};
 use crate::session::{Disposition, Session};
 use parking_lot::Mutex;
-use r3::SqlTrace;
 use rdbms::monitor::MonitorView;
 use rdbms::{Column, DataType, Database, PlanCache, Value};
 use std::collections::HashMap;
@@ -23,8 +22,6 @@ pub struct ServerConfig {
     pub plan_cache_capacity: usize,
     /// Per-frame payload cap.
     pub max_frame: usize,
-    /// Record PARSE/BIND/EXEC events into an ST05-style SQL trace.
-    pub sql_trace: bool,
 }
 
 impl Default for ServerConfig {
@@ -33,7 +30,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             plan_cache_capacity: 256,
             max_frame: crate::protocol::MAX_FRAME,
-            sql_trace: false,
         }
     }
 }
@@ -96,8 +92,6 @@ impl SessionInfo {
 struct Shared {
     db: Arc<Database>,
     cache: PlanCache,
-    trace: SqlTrace,
-    sql_trace: bool,
     max_frame: usize,
     stats: ServerStats,
     shutdown: AtomicBool,
@@ -126,15 +120,9 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let trace = SqlTrace::default();
-        if config.sql_trace {
-            trace.enable();
-        }
         let shared = Arc::new(Shared {
             db,
             cache: PlanCache::new(config.plan_cache_capacity),
-            trace,
-            sql_trace: config.sql_trace,
             max_frame: config.max_frame,
             stats: ServerStats::default(),
             shutdown: AtomicBool::new(false),
@@ -170,12 +158,6 @@ impl Server {
     /// Per-message-type service-time histograms (µs), keyed by tag byte.
     pub fn latency_histograms(&self) -> HashMap<u8, Arc<Histogram>> {
         self.shared.latencies.lock().clone()
-    }
-
-    /// Drain the server-side ST05 SQL trace (empty unless
-    /// [`ServerConfig::sql_trace`] was set).
-    pub fn take_sql_trace(&self) -> Vec<r3::SqlTraceEntry> {
-        self.shared.trace.take()
     }
 
     /// Number of plans currently cached.
@@ -330,8 +312,7 @@ fn record_latency(shared: &Shared, tag: u8, micros: u64) {
 fn serve_connection(stream: TcpStream, shared: &Shared, info: Arc<SessionInfo>) {
     let mut reader = stream.try_clone().expect("clone stream");
     let mut writer = BufWriter::new(stream);
-    let trace = shared.sql_trace.then_some(&shared.trace);
-    let mut session = Session::new(&shared.db, &shared.cache, trace, info);
+    let mut session = Session::new(&shared.db, &shared.cache, info);
     let mut out = Vec::new();
     loop {
         let frame = match read_frame(&mut reader, shared.max_frame) {

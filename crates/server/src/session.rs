@@ -23,7 +23,6 @@
 
 use crate::protocol::*;
 use crate::server::SessionInfo;
-use r3::sqltrace::{SqlOp, SqlTrace};
 use rdbms::sql::ast::Statement;
 use rdbms::sql::parse_statement;
 use rdbms::{Database, PlanCache, Prepared, QueryResult, RequestCtx, RequestGuard, Txn, Value};
@@ -65,7 +64,6 @@ pub(crate) enum Disposition {
 pub(crate) struct Session<'db> {
     db: &'db Database,
     cache: &'db PlanCache,
-    trace: Option<&'db SqlTrace>,
     txn: Option<Txn<'db>>,
     statements: HashMap<String, Arc<StatementHandle>>,
     portals: HashMap<String, Portal>,
@@ -76,16 +74,10 @@ pub(crate) struct Session<'db> {
 }
 
 impl<'db> Session<'db> {
-    pub fn new(
-        db: &'db Database,
-        cache: &'db PlanCache,
-        trace: Option<&'db SqlTrace>,
-        info: Arc<SessionInfo>,
-    ) -> Self {
+    pub fn new(db: &'db Database, cache: &'db PlanCache, info: Arc<SessionInfo>) -> Self {
         Session {
             db,
             cache,
-            trace,
             txn: None,
             statements: HashMap::new(),
             portals: HashMap::new(),
@@ -115,11 +107,9 @@ impl<'db> Session<'db> {
     /// [`StatementCollector`](rdbms::StatementCollector) under `key`: its
     /// service time, and the totals of every wait the engine recorded while
     /// it ran (lock queues, WAL flushes, group-commit parks, exec time).
-    fn finish_statement(&self, request: Option<RequestGuard>, key: &str, sql: &str, rows: u64) {
-        if let Some(request) = request {
-            let (service, waits) = request.finish();
-            self.db.statement_collector().record(key, sql, service, rows, &waits);
-        }
+    fn finish_statement(&self, request: RequestGuard, key: &str, sql: &str, rows: u64) {
+        let (service, waits) = request.finish();
+        self.db.statement_collector().record(key, sql, service, rows, &waits);
     }
 
     /// Is a client-initiated transaction open? (Used by the server to
@@ -242,7 +232,11 @@ impl<'db> Session<'db> {
         let request = self.db.begin_request("server/simple", sql.as_str()).map(RequestCtx::install);
         match self.run_simple(&sql, out) {
             Ok(rows) => {
-                self.finish_statement(request, &simple_statement_key(&sql), &sql, rows);
+                // The key is a second parse: pay for it only when the
+                // monitor records the statement.
+                if let Some(request) = request {
+                    self.finish_statement(request, &simple_statement_key(&sql), &sql, rows);
+                }
             }
             Err(msg) => {
                 self.abort_txn_on_error();
@@ -276,7 +270,6 @@ impl<'db> Session<'db> {
             return Ok(0);
         }
 
-        let guard = self.trace.and_then(|t| t.begin());
         // Outside a BEGIN block the engine runs the statement as a
         // one-statement transaction (DDL directly; its catalog version bump
         // invalidates affected cached plans).
@@ -291,9 +284,6 @@ impl<'db> Session<'db> {
             ExecOutcome::Count(n) => *n,
             ExecOutcome::Done => 0,
         };
-        if let Some(g) = guard {
-            g.finish(SqlOp::Exec, sql, &[], rows, 1);
-        }
         match outcome {
             ExecOutcome::Rows(r) => self.send_result(out, &r),
             ExecOutcome::Count(n) => self.send_command_complete(out, &format!("OK {n}")),
@@ -315,14 +305,10 @@ impl<'db> Session<'db> {
             Ok(v) => v,
             Err(e) => return self.payload_error(out, &e),
         };
-        let guard = self.trace.and_then(|t| t.begin());
         let cached = match self.cache.prepare(self.db, &sql) {
             Ok(c) => c,
             Err(e) => return self.extended_error(out, &e.to_string()),
         };
-        if let Some(g) = guard {
-            g.finish(SqlOp::Parse, sql.as_str(), &[], 0, 1);
-        }
         let client_params = cached.prepared.n_params - cached.extracted_params.len();
         let handle = Arc::new(StatementHandle {
             sql: sql.into(),
@@ -364,9 +350,6 @@ impl<'db> Session<'db> {
                 out,
                 &format!("statement takes {expected} parameters, {} bound", values.len()),
             );
-        }
-        if let Some(g) = self.trace.and_then(|t| t.begin()) {
-            g.finish(SqlOp::Bind, format!("BIND {portal} <- {stmt_name}"), &values, 0, 1);
         }
         self.portals.insert(portal, Portal { stmt, client_values: values });
         write_frame(out, MSG_BIND_COMPLETE, &[]).expect("vec write");
@@ -425,7 +408,6 @@ impl<'db> Session<'db> {
             .db
             .begin_request("server/extended", Arc::clone(&stmt.sql))
             .map(RequestCtx::install);
-        let guard = self.trace.and_then(|t| t.begin());
         let res = match self.txn.as_mut() {
             Some(txn) => txn.execute_prepared(&prepared, &params),
             None => self.db.execute_prepared(&prepared, &params),
@@ -433,11 +415,9 @@ impl<'db> Session<'db> {
         match res {
             Ok(rows) => {
                 let n = rows.rows.len() as u64;
-                // The ST05 entry first: it is tagged with the request's id.
-                if let Some(g) = guard {
-                    g.finish(SqlOp::Reopen, &prepared.plan_description, &params, n, 1);
+                if let Some(request) = request {
+                    self.finish_statement(request, &stmt.key, &stmt.sql, n);
                 }
-                self.finish_statement(request, &stmt.key, &stmt.sql, n);
                 self.send_result(out, &rows);
                 Disposition::Continue
             }

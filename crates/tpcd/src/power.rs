@@ -3,15 +3,15 @@
 //! The power test executes all queries and update functions one at a time
 //! and measures each individually (paper §3.1). Timings here are the
 //! engine's deterministic simulated seconds, derived from metered physical
-//! work (see `rdbms::clock`).
+//! work (see `trace::meter`).
 
 use crate::dbgen::DbGen;
 use crate::queries::{self, QueryParams};
 use crate::updates;
-use rdbms::clock::MeterSnapshot;
 use rdbms::error::DbResult;
 use rdbms::{Database, QueryResult};
 use serde::{Deserialize, Serialize};
+use trace::meter::MeterSnapshot;
 
 /// One measured step of the power test.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -39,7 +39,6 @@
 
 use crate::dbgen::DbGen;
 use crate::queries::{self, QueryParams};
-use rdbms::clock::MeterSnapshot;
 use rdbms::error::{DbError, DbResult};
 use rdbms::lock::{KeyRange, LockMode, LockRequest, RowLock};
 use rdbms::sql::ast::{SelectStmt, Statement};
@@ -50,6 +49,7 @@ use rdbms::types::Value;
 use rdbms::{CommitPolicy, Counter, Database, PlanCache};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
+use trace::meter::MeterSnapshot;
 use trace::Histogram;
 
 /// Retries before a deadlock victim gives up for good.

@@ -7,8 +7,8 @@
 //! deterministic cost clock so every number is reproducible bit-for-bit:
 //!
 //! * [`meter`] — the cost clock itself ([`CostMeter`], [`Counter`],
-//!   [`MeterSnapshot`], [`MeterScope`], [`Calibration`]), moved here from
-//!   `rdbms::clock` so layers above and below the engine can share it.
+//!   [`MeterSnapshot`], [`MeterScope`], [`Calibration`]), shared by the
+//!   engine and the layers above it.
 //! * [`mod@span`] — span-based tracing. A [`TraceSession`] installs a
 //!   tracer on the thread; every [`span`](span::span) records the
 //!   [`MeterSnapshot`] delta across its lifetime and the spans form a tree

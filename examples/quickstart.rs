@@ -51,6 +51,6 @@ fn main() {
     println!("metered work: {work}");
     println!(
         "simulated time on the paper's 1996 hardware: {}",
-        rdbms::clock::fmt_duration(seconds)
+        trace::meter::fmt_duration(seconds)
     );
 }

@@ -10,10 +10,10 @@
 
 use r3::opensql::{CmpOp, Cond, SelectSpec};
 use r3::{R3System, Release};
-use rdbms::clock::fmt_duration;
 use rdbms::sql::ast::AggFunc;
 use rdbms::types::Value;
 use tpcd::DbGen;
+use trace::meter::fmt_duration;
 
 fn main() {
     let sys = R3System::install_default(Release::R30).expect("install R/3 3.0E");

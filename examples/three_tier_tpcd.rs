@@ -8,9 +8,9 @@
 
 use r3::reports::{run_report, SapInterface};
 use r3::{R3System, Release};
-use rdbms::clock::fmt_duration;
 use rdbms::Database;
 use tpcd::{DbGen, QueryParams};
+use trace::meter::fmt_duration;
 
 fn main() {
     let query: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(3);

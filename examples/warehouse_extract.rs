@@ -11,9 +11,9 @@
 use r3::extract::extract_warehouse;
 use r3::reports::{run_report, SapInterface};
 use r3::{R3System, Release};
-use rdbms::clock::fmt_duration;
 use rdbms::Database;
 use tpcd::{DbGen, QueryParams};
+use trace::meter::fmt_duration;
 
 fn main() {
     let sf = 0.002;
