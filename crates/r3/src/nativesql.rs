@@ -17,7 +17,7 @@
 use crate::dict::TableKind;
 use crate::system::R3System;
 use rdbms::error::{DbError, DbResult};
-use rdbms::sql::ast::{Expr, SelectStmt, Statement, TableRef};
+use rdbms::sql::ast::{Node, Statement};
 use rdbms::sql::parse_statement;
 use rdbms::{ExecOutcome, QueryResult};
 
@@ -54,97 +54,17 @@ impl R3System {
 /// Collect all base-table names referenced by a statement, including
 /// subqueries in FROM and in expressions.
 pub fn collect_statement_tables(stmt: &Statement, out: &mut Vec<String>) {
-    match stmt {
-        Statement::Select(q) => collect_select_tables(q, out),
-        Statement::Insert { table, .. }
-        | Statement::Delete { table, .. }
-        | Statement::Update { table, .. } => out.push(table.clone()),
-        Statement::CreateView { query, .. } => collect_select_tables(query, out),
-        _ => {}
+    if let Statement::Insert { table, .. }
+    | Statement::Delete { table, .. }
+    | Statement::Update { table, .. } = stmt
+    {
+        out.push(table.clone());
     }
-}
-
-fn collect_select_tables(q: &SelectStmt, out: &mut Vec<String>) {
-    for tref in &q.from {
-        collect_tableref(tref, out);
-    }
-    let mut exprs: Vec<&Expr> = Vec::new();
-    for item in &q.projections {
-        if let rdbms::sql::ast::SelectItem::Expr { expr, .. } = item {
-            exprs.push(expr);
+    stmt.walk(&mut |node| {
+        if let Node::Table(name) = node {
+            out.push(name.to_string());
         }
-    }
-    if let Some(w) = &q.where_clause {
-        exprs.push(w);
-    }
-    if let Some(h) = &q.having {
-        exprs.push(h);
-    }
-    for e in exprs {
-        collect_expr_tables(e, out);
-    }
-}
-
-fn collect_tableref(tref: &TableRef, out: &mut Vec<String>) {
-    match tref {
-        TableRef::Named { name, .. } => out.push(name.clone()),
-        TableRef::Join { left, right, .. } => {
-            collect_tableref(left, out);
-            collect_tableref(right, out);
-        }
-        TableRef::Subquery { query, .. } => collect_select_tables(query, out),
-    }
-}
-
-fn collect_expr_tables(e: &Expr, out: &mut Vec<String>) {
-    // Walk subquery-bearing nodes; Expr::visit does not descend into them.
-    match e {
-        Expr::ScalarSubquery(q) => collect_select_tables(q, out),
-        Expr::Exists { query, .. } => collect_select_tables(query, out),
-        Expr::InSubquery { expr, query, .. } => {
-            collect_expr_tables(expr, out);
-            collect_select_tables(query, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_expr_tables(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_expr_tables(left, out);
-            collect_expr_tables(right, out);
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_expr_tables(expr, out);
-            collect_expr_tables(low, out);
-            collect_expr_tables(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_expr_tables(expr, out);
-            for x in list {
-                collect_expr_tables(x, out);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_expr_tables(expr, out);
-            collect_expr_tables(pattern, out);
-        }
-        Expr::Case { branches, else_expr } => {
-            for (c, r) in branches {
-                collect_expr_tables(c, out);
-                collect_expr_tables(r, out);
-            }
-            if let Some(x) = else_expr {
-                collect_expr_tables(x, out);
-            }
-        }
-        Expr::Agg { arg: Some(a), .. } => collect_expr_tables(a, out),
-        Expr::Extract { expr, .. } | Expr::IntervalAdd { expr, .. } => {
-            collect_expr_tables(expr, out)
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_expr_tables(a, out);
-            }
-        }
-        _ => {}
-    }
+    });
 }
 
 #[cfg(test)]

@@ -41,7 +41,13 @@ pub struct R3System {
     pub db: Database,
     pub dict: DataDict,
     pub buffer: TableBuffer,
-    /// Cursor cache: Open SQL statement text -> prepared plan (§2.3).
+    /// Cursor cache: Open SQL statement text -> prepared plan (§2.3). A
+    /// plan is reused while [`Prepared::is_current`] holds. The key is the
+    /// exact text, not the engine's normalized [`rdbms::sql::StatementId`]:
+    /// Open SQL generates its statements with `?` markers, so the text
+    /// already is the normal form, and normalizing would add a parse to
+    /// every crossing (174 per `sap_reports` op, ~20 per `order_entry`
+    /// batch-input op).
     cursor_cache: Mutex<HashMap<String, Arc<Prepared>>>,
     /// Number-range allocation lock (SAP serializes NRIV intervals).
     pub(crate) number_range_lock: Mutex<()>,
@@ -105,9 +111,10 @@ impl R3System {
         sql: &str,
         params: &[Value],
     ) -> DbResult<QueryResult> {
+        // A cursor whose plan DDL made stale is re-prepared: an OPEN.
         let (prepared, reopen) = {
             let mut cache = self.cursor_cache.lock();
-            match cache.get(sql) {
+            match cache.get(sql).filter(|p| p.is_current(self.db.catalog())) {
                 Some(p) => (Arc::clone(p), true),
                 None => {
                     let p = Arc::new(self.db.prepare(sql)?);

@@ -136,6 +136,16 @@ pub struct Prepared {
     pub catalog_version: u64,
 }
 
+impl Prepared {
+    /// Whether this plan may still run: no DDL since it was planned (one
+    /// atomic load), or none on an object it depends on. The one validity
+    /// rule every cache of plans applies before reusing one.
+    pub fn is_current(&self, catalog: &Catalog) -> bool {
+        catalog.version() == self.catalog_version
+            || self.dependencies.iter().all(|d| catalog.object_version(d) <= self.catalog_version)
+    }
+}
+
 /// The database engine.
 pub struct Database {
     pager: Arc<Pager>,
@@ -405,11 +415,16 @@ impl Database {
     /// the locks it would take inside one, and commits, or rolls back
     /// whatever it did if it fails. DDL is not transactional.
     pub fn execute(&self, sql: &str) -> DbResult<ExecOutcome> {
-        let stmt = parse_statement(sql)?;
-        if !stmt_is_ddl(&stmt) {
-            return self.autocommit(|txn| txn.execute_statement(&stmt));
+        self.execute_statement(&parse_statement(sql)?, sql)
+    }
+
+    /// [`Database::execute`] of `stmt`, already parsed from `sql` (the
+    /// text DDL is logged as).
+    pub fn execute_statement(&self, stmt: &Statement, sql: &str) -> DbResult<ExecOutcome> {
+        if !stmt_is_ddl(stmt) {
+            return self.autocommit(|txn| txn.execute_statement(stmt));
         }
-        self.execute_ddl(&stmt)?;
+        self.execute_ddl(stmt)?;
         // DDL is logged as its statement text and replayed by re-execution
         // (recovery replays against a WAL-less engine, so this cannot
         // re-log).
@@ -763,8 +778,8 @@ impl Database {
     }
 
     /// Evaluate constant expressions (no column references) to values. The
-    /// plan cache uses this to turn the literals stripped by
-    /// [`SelectStmt::parameterized_collect`] into bind values.
+    /// plan cache uses this to turn the constants stripped by
+    /// [`Statement::normalized`] into bind values.
     pub fn eval_const_exprs(&self, exprs: &[Expr]) -> DbResult<Vec<Value>> {
         let planner = Planner::with_config(&self.catalog, self.planner_config());
         let empty = Schema::new(Vec::new());

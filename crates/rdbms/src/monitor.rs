@@ -15,6 +15,7 @@
 //! to DDL — reading them never blocks the workload being observed.
 
 use crate::schema::{Column, Row, Schema};
+use crate::sql::StatementId;
 use crate::types::{DataType, Value};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -133,12 +134,12 @@ struct StatementEntry {
 }
 
 /// pg_stat_statements-style collector: cumulative per-statement counters
-/// keyed on the plan cache's normalized statement shape, so `SELECT ... =
-/// 1` and `SELECT ... = 2` aggregate into one row while distinct shapes
-/// stay separate. The shape map is bounded: past `max_shapes` distinct
-/// shapes the least-recently-executed one is evicted (and counted), so a
-/// workload generating unbounded distinct SQL cannot grow the collector
-/// without limit.
+/// keyed on the [`StatementId`] of the normalized statement, so `SELECT ...
+/// = 1` and `SELECT ... = 2` (or two literal UPDATEs) aggregate into one
+/// row while distinct shapes stay separate. The shape map is bounded: past
+/// `max_shapes` distinct shapes the least-recently-executed one is evicted
+/// (and counted), so a workload generating unbounded distinct SQL cannot
+/// grow the collector without limit.
 pub struct StatementCollector {
     inner: Mutex<ShapeMap>,
     /// Recent-sample ring capacity per statement shape.
@@ -151,7 +152,7 @@ pub struct StatementCollector {
 }
 
 struct ShapeMap {
-    map: HashMap<String, StatementEntry>,
+    map: HashMap<StatementId, StatementEntry>,
     /// Monotone use counter stamping `last_used`.
     tick: u64,
 }
@@ -190,12 +191,11 @@ impl StatementCollector {
         }
     }
 
-    /// Record one completed execution. `key` is the normalized statement
-    /// shape (the plan-cache key where available, the raw SQL otherwise);
-    /// `statement` is the concrete text kept for display.
+    /// Record one completed execution of the statement `id`;
+    /// `statement` is the concrete text, kept for display the first time.
     pub fn record(
         &self,
-        key: &str,
+        id: StatementId,
         statement: &str,
         elapsed: Duration,
         rows: u64,
@@ -205,18 +205,18 @@ impl StatementCollector {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if !inner.map.contains_key(key) && inner.map.len() >= self.max_shapes {
+        if !inner.map.contains_key(&id) && inner.map.len() >= self.max_shapes {
             // Evict the least-recently-executed shape (O(n) scan; the map
             // is bounded, so n <= max_shapes).
             if let Some(coldest) =
-                inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
+                inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k)
             {
                 inner.map.remove(&coldest);
                 self.evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
         let samples = self.samples_per_statement;
-        let entry = inner.map.entry(key.to_string()).or_insert_with(|| StatementEntry {
+        let entry = inner.map.entry(id).or_insert_with(|| StatementEntry {
             statement: display_text(statement),
             calls: 0,
             rows: 0,
@@ -454,8 +454,8 @@ pub fn spans_view(ring: Arc<TraceRing>) -> Arc<MonitorView> {
 }
 
 /// Normalize statement text for display: collapse whitespace, bound the
-/// length to the view's column width.
-pub(crate) fn display_text(sql: &str) -> String {
+/// length to the views' `VARCHAR(200)` columns (in bytes, whole chars).
+pub fn display_text(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len().min(200));
     let mut last_space = false;
     for ch in sql.trim().chars() {
@@ -463,11 +463,11 @@ pub(crate) fn display_text(sql: &str) -> String {
         if ch == ' ' && last_space {
             continue;
         }
-        last_space = ch == ' ';
-        out.push(ch);
-        if out.len() >= 200 {
+        if out.len() + ch.len_utf8() > 200 {
             break;
         }
+        last_space = ch == ' ';
+        out.push(ch);
     }
     out
 }
@@ -503,12 +503,12 @@ mod tests {
     fn collector_aggregates_by_key() {
         let c = StatementCollector::new();
         let mut w = WaitStats::new().snapshot();
-        c.record("K1", "SELECT * FROM T WHERE A = 1", Duration::from_micros(100), 5, &w);
+        c.record(StatementId(1), "SELECT * FROM T WHERE A = 1", Duration::from_micros(100), 5, &w);
         let stats = WaitStats::new();
         stats.record(WaitEvent::Lock, Duration::from_micros(30));
         w = stats.snapshot();
-        c.record("K1", "SELECT * FROM T WHERE A = 2", Duration::from_micros(300), 7, &w);
-        c.record("K2", "INSERT INTO T VALUES (1)", Duration::from_micros(10), 0, &w);
+        c.record(StatementId(1), "SELECT * FROM T WHERE A = 2", Duration::from_micros(300), 7, &w);
+        c.record(StatementId(2), "INSERT INTO T VALUES (1)", Duration::from_micros(10), 0, &w);
         assert_eq!(c.len(), 2);
         let snap = c.snapshot();
         assert_eq!(snap[0].statement, "SELECT * FROM T WHERE A = 1", "first-seen text kept");
@@ -529,7 +529,7 @@ mod tests {
         let c = StatementCollector::new();
         let w = WaitSnapshot::default();
         for i in 0..100 {
-            c.record("K", "Q", Duration::from_micros(i), 1, &w);
+            c.record(StatementId(0), "Q", Duration::from_micros(i), 1, &w);
         }
         let snap = c.snapshot();
         assert_eq!(snap[0].calls, 100);
@@ -542,20 +542,20 @@ mod tests {
         let c = Arc::new(StatementCollector::bounded(4));
         let w = WaitSnapshot::default();
         for i in 0..4 {
-            c.record(&format!("K{i}"), "Q", Duration::from_micros(10), 1, &w);
+            c.record(StatementId(i), "Q", Duration::from_micros(10), 1, &w);
         }
         assert_eq!(c.len(), 4);
         assert_eq!(c.evicted_shapes(), 0);
         // Touch K0 so K1 becomes the coldest, then overflow.
-        c.record("K0", "Q", Duration::from_micros(10), 1, &w);
-        c.record("K4", "Q", Duration::from_micros(10), 1, &w);
+        c.record(StatementId(0), "Q", Duration::from_micros(10), 1, &w);
+        c.record(StatementId(4), "Q", Duration::from_micros(10), 1, &w);
         assert_eq!(c.len(), 4, "stays bounded");
         assert_eq!(c.evicted_shapes(), 1);
         let keys: Vec<String> = c.snapshot().into_iter().map(|s| s.statement).collect();
         assert_eq!(keys.len(), 4);
         // K1 (least recently executed) was the one evicted: re-recording
         // it starts a fresh entry while K0 kept its two calls.
-        c.record("K1", "Q", Duration::from_micros(10), 1, &w);
+        c.record(StatementId(1), "Q", Duration::from_micros(10), 1, &w);
         assert_eq!(c.evicted_shapes(), 2);
         let view = c.view();
         let rows = view.rows();
@@ -598,9 +598,23 @@ mod tests {
     }
 
     #[test]
+    fn display_text_fits_the_column() {
+        let long = format!("SELECT {}é FROM t", "a".repeat(192));
+        let shown = display_text(&long);
+        assert_eq!(shown.len(), 199, "a char that would cross 200 bytes is left out");
+        assert!(display_text(&"x ".repeat(300)).len() <= 200);
+    }
+
+    #[test]
     fn statements_view_shape() {
         let c = StatementCollector::new();
-        c.record("K", "SELECT   1", Duration::from_micros(50), 1, &WaitSnapshot::default());
+        c.record(
+            StatementId(0),
+            "SELECT   1",
+            Duration::from_micros(50),
+            1,
+            &WaitSnapshot::default(),
+        );
         let view = c.view();
         let rows = view.rows();
         assert_eq!(rows.len(), 1);

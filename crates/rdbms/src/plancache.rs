@@ -6,31 +6,32 @@
 //! This cache gives the server's Parse path REOPEN economics even when
 //! clients send literal SQL: the statement is normalized by replacing
 //! predicate-position constants with parameters
-//! ([`SelectStmt::parameterized_collect`]), so every literal variant of a
-//! query shares one cached plan, and that plan sees parameter markers —
-//! which the planner treats as sargable probes, yielding index access paths
-//! and row-level locks instead of the full scans literal planning produces
-//! for selective predicates.
+//! ([`Statement::normalized`]), so every literal variant of a query shares
+//! one cached plan, and that plan sees parameter markers — which the
+//! planner treats as sargable probes, yielding index access paths and
+//! row-level locks instead of the full scans literal planning produces for
+//! selective predicates.
 //!
-//! Keying is by the canonical render of the *normalized AST*, not by
-//! text munging: lexer-level literal replacement would merge statements
-//! that differ in non-predicate literals (e.g. projected constants), which
-//! the AST normalization deliberately leaves in place.
+//! Keying is by the *normalized AST* itself: an entry is found by its
+//! [`StatementId`] and confirmed by [`Statement::identical`], so a hit can
+//! never be a hash collision. Lexer-level literal replacement would merge
+//! statements that differ in non-predicate literals (projected constants),
+//! which the AST normalization deliberately leaves in place, and the
+//! comparison tells those literals apart by type and exact value.
 //!
-//! Invalidation is by catalog version: each entry records the catalog
-//! version at prepare time plus the set of objects the plan depends on; a
-//! lookup revalidates each dependency's version
-//! ([`crate::catalog::Catalog::object_version`]). Per-object versions keep
-//! unrelated DDL (TPC-D Q15 creating and dropping its `revenue0` view every
-//! execution) from flushing the whole cache.
+//! Invalidation is [`Prepared::is_current`]: a plan is reused while no DDL
+//! touched an object it depends on. Per-object versions keep unrelated DDL
+//! (TPC-D Q15 creating and dropping its `revenue0` view every execution)
+//! from flushing the whole cache.
 
 use crate::db::{Database, Prepared};
 use crate::error::{DbError, DbResult};
-use crate::sql::ast::{SelectStmt, Statement};
+use crate::sql::ast::{SelectStmt, Statement, StatementId};
 use crate::sql::parse_statement;
 use crate::types::Value;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use trace::meter::Counter;
 
@@ -45,11 +46,10 @@ pub struct CachedPlan {
     pub extracted_params: Vec<Value>,
     /// Whether the plan came from the cache (vs. freshly planned).
     pub cache_hit: bool,
-    /// Canonical render of the normalized AST — the cache key. Stable
-    /// across literal variants of the same statement, which makes it the
-    /// natural aggregation key for per-statement monitoring
+    /// Identity of the normalized statement, shared by its literal
+    /// variants: the per-statement monitoring key
     /// ([`crate::monitor::StatementCollector`]).
-    pub key: Arc<str>,
+    pub id: StatementId,
 }
 
 /// One cached plan as reported by [`PlanCache::entries_snapshot`] (the
@@ -67,6 +67,26 @@ pub struct PlanCacheEntryInfo {
     pub n_params: usize,
     /// Base tables/views the plan depends on (invalidation set).
     pub dependencies: Vec<String>,
+}
+
+/// A normalized SELECT as a map key: hashed by its id, compared exactly.
+struct Key {
+    id: StatementId,
+    stmt: Statement,
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.id == other.id && self.stmt.identical(&other.stmt)
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id.hash(state);
+    }
 }
 
 struct Entry {
@@ -87,7 +107,7 @@ pub struct PlanCache {
 }
 
 struct Inner {
-    entries: HashMap<Arc<str>, Entry>,
+    entries: HashMap<Key, Entry>,
     tick: u64,
 }
 
@@ -117,63 +137,54 @@ impl PlanCache {
     /// must take the literal execution path. Hits, misses, and evictions
     /// are metered on the database's cost meter.
     pub fn prepare(&self, db: &Database, sql: &str) -> DbResult<CachedPlan> {
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(q) => self.prepare_inner(db, &q, Some(sql)),
+        match parse_statement(sql)? {
+            stmt @ Statement::Select(_) => self.prepare_statement(db, stmt, sql),
             other => Err(DbError::analysis(format!("can only cache SELECT plans, got {other:?}"))),
         }
     }
 
     /// [`PlanCache::prepare`] for an already-parsed SELECT.
     pub fn prepare_select(&self, db: &Database, q: &SelectStmt) -> DbResult<CachedPlan> {
-        self.prepare_inner(db, q, None)
+        self.prepare_statement(
+            db,
+            Statement::Select(Box::new(q.clone())),
+            "<select prepared from AST>",
+        )
     }
 
-    fn prepare_inner(
-        &self,
-        db: &Database,
-        q: &SelectStmt,
-        sql: Option<&str>,
-    ) -> DbResult<CachedPlan> {
-        // Normalize: statements that already carry `?` markers are their
-        // own normal form (re-parameterizing would renumber the client's
-        // binds); literal statements get predicate constants stripped.
-        let (normalized, stripped) =
-            if q.has_params() { (q.clone(), Vec::new()) } else { q.parameterized_collect() };
+    fn prepare_statement(&self, db: &Database, stmt: Statement, sql: &str) -> DbResult<CachedPlan> {
+        let (stmt, stripped) = stmt.normalized();
         let extracted_params = db.eval_const_exprs(&stripped)?;
-        let key: Arc<str> = format!("{normalized:?}").into();
+        let key = Key { id: StatementId::of(&stmt), stmt };
+        let id = key.id;
 
         if let Some(prepared) = self.lookup(db, &key) {
             db.meter().bump(Counter::PlanCacheHits);
-            return Ok(CachedPlan { prepared, extracted_params, cache_hit: true, key });
+            return Ok(CachedPlan { prepared, extracted_params, cache_hit: true, id });
         }
 
         db.meter().bump(Counter::PlanCacheMisses);
-        let prepared = Arc::new(db.prepare_select(&normalized)?);
+        let Statement::Select(q) = &key.stmt else { unreachable!("only SELECTs are prepared") };
+        let prepared = Arc::new(db.prepare_select(q)?);
         // Monitoring views produce their rows at execute time and carry no
         // catalog version to revalidate against; their queries are also
         // exactly the traffic we do not want evicting workload plans. A plan
         // that reads one is never cached, so each of its calls is a miss.
         if !prepared.reads_monitor_view {
-            let display = crate::monitor::display_text(sql.unwrap_or("<select prepared from AST>"));
-            self.insert(db, Arc::clone(&key), display, Arc::clone(&prepared));
+            let display = crate::monitor::display_text(sql);
+            self.insert(db, key, display, Arc::clone(&prepared));
         }
-        Ok(CachedPlan { prepared, extracted_params, cache_hit: false, key })
+        Ok(CachedPlan { prepared, extracted_params, cache_hit: false, id })
     }
 
-    /// Return the entry for `key` if present and still valid against the
-    /// catalog; remove it if stale.
-    fn lookup(&self, db: &Database, key: &str) -> Option<Arc<Prepared>> {
+    /// Return the entry for `key` if present and still current; remove it
+    /// if stale.
+    fn lookup(&self, db: &Database, key: &Key) -> Option<Arc<Prepared>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.entries.get_mut(key)?;
-        let valid = entry
-            .prepared
-            .dependencies
-            .iter()
-            .all(|dep| db.catalog().object_version(dep) <= entry.prepared.catalog_version);
-        if valid {
+        if entry.prepared.is_current(db.catalog()) {
             entry.last_used = tick;
             entry.hits += 1;
             Some(Arc::clone(&entry.prepared))
@@ -185,7 +196,7 @@ impl PlanCache {
         }
     }
 
-    fn insert(&self, db: &Database, key: Arc<str>, display: String, prepared: Arc<Prepared>) {
+    fn insert(&self, db: &Database, key: Key, display: String, prepared: Arc<Prepared>) {
         if self.capacity == 0 {
             return;
         }
@@ -193,13 +204,9 @@ impl PlanCache {
         inner.tick += 1;
         let tick = inner.tick;
         while inner.entries.len() >= self.capacity && !inner.entries.contains_key(&key) {
-            let victim = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| Arc::clone(k))
-                .expect("non-empty map at capacity");
-            inner.entries.remove(&victim);
+            // Ticks are unique, so the oldest one names a single victim.
+            let oldest = inner.entries.values().map(|e| e.last_used).min().expect("at capacity");
+            inner.entries.retain(|_, e| e.last_used != oldest);
             db.meter().bump(Counter::PlanCacheEvictions);
         }
         inner.entries.insert(key, Entry { prepared, display, hits: 0, last_used: tick });
@@ -268,6 +275,24 @@ mod tests {
         let rb = db.execute_prepared(&b.prepared, &b.extracted_params).unwrap();
         assert_eq!(ra.rows, vec![vec![Value::Int(1)]]);
         assert_eq!(rb.rows, vec![vec![Value::Int(9)]]);
+
+        // Literals SQL `=` equates are still different statements: each
+        // pair projects its own value of its own type.
+        for (x, y, vx, vy) in [
+            ("3", "3.0", Value::Int(3), Value::decimal(30, 1)),
+            ("'x'", "'x '", Value::str("x"), Value::str("x ")),
+        ] {
+            let before = cache.len();
+            let a = cache.prepare(&db, &format!("SELECT {x} FROM t WHERE a = 2")).unwrap();
+            let b = cache.prepare(&db, &format!("SELECT {y} FROM t WHERE a = 2")).unwrap();
+            assert!(!a.cache_hit && !b.cache_hit, "{x} and {y} must not share a plan");
+            assert_ne!(a.id, b.id);
+            assert_eq!(cache.len(), before + 2);
+            let ra = db.execute_prepared(&a.prepared, &a.extracted_params).unwrap();
+            let rb = db.execute_prepared(&b.prepared, &b.extracted_params).unwrap();
+            assert!(ra.rows[0][0].identical(&vx), "{x} gave {:?}", ra.rows[0][0]);
+            assert!(rb.rows[0][0].identical(&vy), "{y} gave {:?}", rb.rows[0][0]);
+        }
     }
 
     #[test]
@@ -281,6 +306,15 @@ mod tests {
         assert!(again.cache_hit);
         let rows = db.execute_prepared(&p.prepared, &[Value::Int(5)]).unwrap();
         assert_eq!(rows.rows, vec![vec![Value::Int(50)]]);
+
+        // A marker inside a subquery counts too: the outer `b > 5` stays a
+        // literal instead of taking the client's parameter number.
+        let nested = "SELECT b FROM t WHERE a = (SELECT MAX(a) FROM t WHERE b < ?) AND b > 5";
+        let n = cache.prepare(&db, nested).unwrap();
+        assert!(n.extracted_params.is_empty());
+        assert_eq!(n.prepared.n_params, 1);
+        let rows = db.execute_prepared(&n.prepared, &[Value::Int(100)]).unwrap();
+        assert_eq!(rows.rows, vec![vec![Value::Int(90)]]);
     }
 
     #[test]
@@ -355,14 +389,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_plan_key_is_stable_across_literals() {
+    fn cached_plan_id_is_stable_across_literals() {
         let db = db_with_table();
         let cache = PlanCache::new(8);
         let a = cache.prepare(&db, "SELECT b FROM t WHERE a = 3").unwrap();
         let b = cache.prepare(&db, "SELECT b FROM t WHERE a = 99").unwrap();
-        assert_eq!(a.key, b.key, "literal variants must share a statement key");
+        assert_eq!(a.id, b.id, "literal variants must share a statement id");
         let c = cache.prepare(&db, "SELECT a FROM t WHERE b = 3").unwrap();
-        assert_ne!(a.key, c.key);
+        assert_ne!(a.id, c.id);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 
 use crate::types::{DataType, Value};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A top-level SQL statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Statement {
     Select(Box<SelectStmt>),
     Insert {
@@ -58,7 +59,7 @@ pub enum Statement {
 }
 
 /// Column definition in CREATE TABLE.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnDef {
     pub name: String,
     pub ty: DataType,
@@ -66,7 +67,7 @@ pub struct ColumnDef {
 }
 
 /// A SELECT statement (also used as subquery body and view definition).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct SelectStmt {
     pub distinct: bool,
     pub projections: Vec<SelectItem>,
@@ -78,7 +79,7 @@ pub struct SelectStmt {
     pub limit: Option<u64>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SelectItem {
     /// `*`
     Wildcard,
@@ -88,19 +89,19 @@ pub enum SelectItem {
     Expr { expr: Expr, alias: Option<String> },
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderItem {
     pub expr: Expr,
     pub desc: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKind {
     Inner,
     LeftOuter,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TableRef {
     /// Base table or view, optionally aliased.
     Named { name: String, alias: Option<String> },
@@ -122,7 +123,7 @@ impl TableRef {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -164,13 +165,13 @@ impl fmt::Display for BinOp {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     Neg,
     Not,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     Count,
     Sum,
@@ -192,7 +193,7 @@ impl fmt::Display for AggFunc {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntervalUnit {
     Day,
     Month,
@@ -200,7 +201,7 @@ pub enum IntervalUnit {
 }
 
 /// A scalar expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     Column {
         qualifier: Option<String>,
@@ -342,53 +343,67 @@ impl Expr {
 
     /// Pre-order visit of this expression's nodes (not descending into
     /// subquery bodies).
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.walk(false, &mut |node| {
+            if let Node::Expr(e) = node {
+                f(e)
+            }
+        })
+    }
+
+    /// Pre-order walk of this expression's nodes; `deep` also walks
+    /// subquery bodies.
+    fn walk<'a, F: FnMut(Node<'a>)>(&'a self, deep: bool, f: &mut F) {
+        f(Node::Expr(self));
         match self {
             Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => {}
-            Expr::Unary { expr, .. } => expr.visit(f),
-            Expr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Extract { expr, .. }
+            | Expr::IntervalAdd { expr, .. } => expr.walk(deep, f),
+            Expr::Binary { left, right, .. } | Expr::Like { expr: left, pattern: right, .. } => {
+                left.walk(deep, f);
+                right.walk(deep, f);
             }
             Expr::Between { expr, low, high, .. } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
+                for e in [expr, low, high] {
+                    e.walk(deep, f);
+                }
             }
             Expr::InList { expr, list, .. } => {
-                expr.visit(f);
+                expr.walk(deep, f);
                 for e in list {
-                    e.visit(f);
+                    e.walk(deep, f);
                 }
             }
-            Expr::InSubquery { expr, .. } => expr.visit(f),
-            Expr::Exists { .. } => {}
-            Expr::ScalarSubquery(_) => {}
-            Expr::Like { expr, pattern, .. } => {
-                expr.visit(f);
-                pattern.visit(f);
+            Expr::InSubquery { expr, query, .. } => {
+                expr.walk(deep, f);
+                if deep {
+                    query.walk(f);
+                }
             }
-            Expr::IsNull { expr, .. } => expr.visit(f),
+            Expr::Exists { query, .. } | Expr::ScalarSubquery(query) => {
+                if deep {
+                    query.walk(f);
+                }
+            }
             Expr::Case { branches, else_expr } => {
                 for (c, r) in branches {
-                    c.visit(f);
-                    r.visit(f);
+                    c.walk(deep, f);
+                    r.walk(deep, f);
                 }
                 if let Some(e) = else_expr {
-                    e.visit(f);
+                    e.walk(deep, f);
                 }
             }
             Expr::Agg { arg, .. } => {
                 if let Some(a) = arg {
-                    a.visit(f);
+                    a.walk(deep, f);
                 }
             }
-            Expr::Extract { expr, .. } => expr.visit(f),
-            Expr::IntervalAdd { expr, .. } => expr.visit(f),
             Expr::Func { args, .. } => {
                 for a in args {
-                    a.visit(f);
+                    a.walk(deep, f);
                 }
             }
         }
@@ -423,6 +438,118 @@ impl Expr {
     }
 }
 
+/// What a walk of a statement meets: every expression node, and the name
+/// of every table or view a FROM clause reads. A DML statement's target is
+/// written, not read, and is not a node.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    Expr(&'a Expr),
+    Table(&'a str),
+}
+
+/// A statement's identity: a hash of its normal form
+/// ([`Statement::normalized`]), so the literal variants of one statement
+/// share an id. The hash follows each literal's variant and exact value
+/// ([`Value::hash_exact`]), not SQL equality: `SELECT 3` and `SELECT 3.0`
+/// project constants of different types and are different statements.
+/// Keys that must never merge two statements (the plan cache) compare the
+/// statements themselves ([`Statement::identical`]); the statement
+/// statistics accept a 64-bit collision, as `pg_stat_statements`' queryid
+/// does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct StatementId(pub u64);
+
+impl StatementId {
+    /// The id of `stmt` as written (pass a normal form).
+    pub fn of(stmt: &Statement) -> StatementId {
+        let mut h = std::hash::DefaultHasher::new();
+        stmt.hash(&mut h);
+        stmt.visit_exprs(&mut |e| {
+            if let Expr::Literal(v) = e {
+                v.hash_exact(&mut h);
+            }
+        });
+        StatementId(h.finish())
+    }
+}
+
+impl Statement {
+    /// The statement's normal form, and the constants it replaced in
+    /// parameter order. Constants become `?` where a prepared cursor binds
+    /// them: a SELECT's predicate operands ([`SelectStmt::parameterized`]),
+    /// an UPDATE's SET values and WHERE, a DELETE's WHERE and an INSERT's
+    /// VALUES. A statement that already carries `?` markers is its own
+    /// normal form (renumbering them would scramble the client's binds),
+    /// and DDL stays as written.
+    pub fn normalized(mut self) -> (Statement, Vec<Expr>) {
+        let (mut n, mut bound) = (0, Vec::new());
+        if !self.has_params() {
+            match &mut self {
+                Statement::Select(q) => parameterize_select(q, &mut n, &mut bound),
+                Statement::Insert { rows, .. } => {
+                    for e in rows.iter_mut().flatten() {
+                        parameterize_operand(e, &mut n, &mut bound);
+                    }
+                }
+                Statement::Update { assignments, filter, .. } => {
+                    for (_, e) in assignments {
+                        parameterize_operand(e, &mut n, &mut bound);
+                    }
+                    if let Some(w) = filter {
+                        parameterize_pred(w, &mut n, &mut bound);
+                    }
+                }
+                Statement::Delete { filter: Some(w), .. } => {
+                    parameterize_pred(w, &mut n, &mut bound)
+                }
+                _ => {}
+            }
+        }
+        (self, bound)
+    }
+
+    /// The id of this statement's normal form.
+    pub fn into_id(self) -> StatementId {
+        StatementId::of(&self.normalized().0)
+    }
+
+    /// `==` that also tells literals apart by variant and exact value
+    /// ([`Value::identical`]): `3` is not `3.0`, `'x'` is not `'x '`.
+    pub fn identical(&self, other: &Statement) -> bool {
+        self == other && literals(self).iter().zip(literals(other)).all(|(a, b)| a.identical(b))
+    }
+
+    /// Pre-order walk of the whole statement, subqueries and derived
+    /// tables included (see [`Node`]).
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        match self {
+            Statement::Select(q) | Statement::CreateView { query: q, .. } => q.walk(f),
+            Statement::Insert { rows, .. } => rows.iter().flatten().for_each(|e| e.walk(true, f)),
+            Statement::Update { assignments, filter, .. } => {
+                assignments.iter().map(|(_, e)| e).chain(filter).for_each(|e| e.walk(true, f))
+            }
+            Statement::Delete { filter, .. } => filter.iter().for_each(|e| e.walk(true, f)),
+            _ => {}
+        }
+    }
+
+    /// [`Statement::walk`]'s expressions.
+    fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.walk(&mut |node| {
+            if let Node::Expr(e) = node {
+                f(e)
+            }
+        })
+    }
+
+    /// Does this statement contain positional parameters (`?`)?
+    fn has_params(&self) -> bool {
+        let mut found = false;
+        self.visit_exprs(&mut |e| found |= matches!(e, Expr::Param(_)));
+        found
+    }
+}
+
 impl SelectStmt {
     /// The statement as a prepared cursor sees it: every constant operand of
     /// a comparison (or BETWEEN / IN-list element) in a predicate position is
@@ -431,125 +558,52 @@ impl SelectStmt {
     /// built from the result shows the access paths the parameter-blind
     /// optimizer picks (§4.1).
     pub fn parameterized(&self) -> SelectStmt {
-        self.parameterized_collect().0
-    }
-
-    /// [`SelectStmt::parameterized`], also returning the constant expression
-    /// each introduced parameter replaced, in parameter-index order. A plan
-    /// cache evaluates these to bind values: plan from the parameterized
-    /// statement (shared across literal variants), execute with the values
-    /// extracted from the concrete text — the wire protocol's Parse/Bind
-    /// split over a single literal statement.
-    pub fn parameterized_collect(&self) -> (SelectStmt, Vec<Expr>) {
         let mut q = self.clone();
-        let mut n = 0usize;
-        let mut bound = Vec::new();
-        parameterize_select(&mut q, &mut n, &mut bound);
-        (q, bound)
+        parameterize_select(&mut q, &mut 0, &mut Vec::new());
+        q
     }
 
-    /// Does this statement already contain positional parameters (`?`)?
-    /// Such a statement is its own normalized form: re-parameterizing it
-    /// would renumber markers, so plan caches key it as written.
-    pub fn has_params(&self) -> bool {
-        select_has_params(self)
-    }
-}
-
-fn select_has_params(q: &SelectStmt) -> bool {
-    let mut found = false;
-    let mut check = |e: &Expr| {
-        visit_with_subqueries(e, &mut |x| {
-            if matches!(x, Expr::Param(_)) {
-                found = true;
+    /// Pre-order walk of the query: projections, FROM (names, join
+    /// conditions, derived tables), WHERE, GROUP BY, HAVING, ORDER BY, and
+    /// the subqueries in any of them.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        for item in &self.projections {
+            if let SelectItem::Expr { expr, .. } = item {
+                expr.walk(true, f);
             }
-        });
-    };
-    for t in &q.from {
-        if tableref_has_params(t) {
-            return true;
         }
-    }
-    for item in &q.projections {
-        if let SelectItem::Expr { expr, .. } = item {
-            check(expr);
+        for t in &self.from {
+            t.walk(f);
         }
-    }
-    if let Some(w) = &q.where_clause {
-        check(w);
-    }
-    for e in &q.group_by {
-        check(e);
-    }
-    if let Some(h) = &q.having {
-        check(h);
-    }
-    for o in &q.order_by {
-        check(&o.expr);
-    }
-    found
-}
-
-fn tableref_has_params(t: &TableRef) -> bool {
-    match t {
-        TableRef::Named { .. } => false,
-        TableRef::Join { left, right, on, .. } => {
-            let mut found = false;
-            visit_with_subqueries(on, &mut |x| {
-                if matches!(x, Expr::Param(_)) {
-                    found = true;
-                }
-            });
-            found || tableref_has_params(left) || tableref_has_params(right)
+        let clauses = self.where_clause.iter().chain(&self.group_by).chain(&self.having);
+        for e in clauses.chain(self.order_by.iter().map(|o| &o.expr)) {
+            e.walk(true, f);
         }
-        TableRef::Subquery { query, .. } => select_has_params(query),
     }
 }
 
-/// Like [`Expr::visit`] but descending into subquery bodies too.
-fn visit_with_subqueries(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    e.visit(f);
-    match e {
-        Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-            visit_select_exprs(query, f);
+/// The literals of `stmt`, in [`Statement::visit_exprs`] order.
+fn literals(stmt: &Statement) -> Vec<&Value> {
+    let mut out = Vec::new();
+    stmt.visit_exprs(&mut |e| {
+        if let Expr::Literal(v) = e {
+            out.push(v);
         }
-        Expr::ScalarSubquery(query) => visit_select_exprs(query, f),
-        _ => {}
-    }
+    });
+    out
 }
 
-fn visit_select_exprs(q: &SelectStmt, f: &mut impl FnMut(&Expr)) {
-    for item in &q.projections {
-        if let SelectItem::Expr { expr, .. } = item {
-            visit_with_subqueries(expr, f);
+impl TableRef {
+    fn walk<'a, F: FnMut(Node<'a>)>(&'a self, f: &mut F) {
+        match self {
+            TableRef::Named { name, .. } => f(Node::Table(name)),
+            TableRef::Join { left, right, on, .. } => {
+                left.walk(f);
+                right.walk(f);
+                on.walk(true, f);
+            }
+            TableRef::Subquery { query, .. } => query.walk(f),
         }
-    }
-    for t in &q.from {
-        visit_tableref_exprs(t, f);
-    }
-    if let Some(w) = &q.where_clause {
-        visit_with_subqueries(w, f);
-    }
-    for e in &q.group_by {
-        visit_with_subqueries(e, f);
-    }
-    if let Some(h) = &q.having {
-        visit_with_subqueries(h, f);
-    }
-    for o in &q.order_by {
-        visit_with_subqueries(&o.expr, f);
-    }
-}
-
-fn visit_tableref_exprs(t: &TableRef, f: &mut impl FnMut(&Expr)) {
-    match t {
-        TableRef::Named { .. } => {}
-        TableRef::Join { left, right, on, .. } => {
-            visit_tableref_exprs(left, f);
-            visit_tableref_exprs(right, f);
-            visit_with_subqueries(on, f);
-        }
-        TableRef::Subquery { query, .. } => visit_select_exprs(query, f),
     }
 }
 
@@ -583,9 +637,18 @@ fn parameterize_tableref(t: &mut TableRef, n: &mut usize, bound: &mut Vec<Expr>)
 }
 
 fn bind(e: &mut Expr, n: &mut usize, bound: &mut Vec<Expr>) {
-    bound.push(e.clone());
-    *e = Expr::Param(*n);
+    bound.push(std::mem::replace(e, Expr::Param(*n)));
     *n += 1;
+}
+
+/// A value position (BETWEEN bound, IN-list element, SET value, VALUES
+/// cell): a constant there is bound whole.
+fn parameterize_operand(e: &mut Expr, n: &mut usize, bound: &mut Vec<Expr>) {
+    if e.is_bind_constant() {
+        bind(e, n, bound);
+    } else {
+        parameterize_pred(e, n, bound);
+    }
 }
 
 fn parameterize_pred(e: &mut Expr, n: &mut usize, bound: &mut Vec<Expr>) {
@@ -613,25 +676,13 @@ fn parameterize_pred(e: &mut Expr, n: &mut usize, bound: &mut Vec<Expr>) {
         }
         Expr::Between { expr, low, high, .. } => {
             parameterize_pred(expr, n, bound);
-            if low.is_bind_constant() {
-                bind(low, n, bound);
-            } else {
-                parameterize_pred(low, n, bound);
-            }
-            if high.is_bind_constant() {
-                bind(high, n, bound);
-            } else {
-                parameterize_pred(high, n, bound);
-            }
+            parameterize_operand(low, n, bound);
+            parameterize_operand(high, n, bound);
         }
         Expr::InList { expr, list, .. } => {
             parameterize_pred(expr, n, bound);
             for item in list {
-                if item.is_bind_constant() {
-                    bind(item, n, bound);
-                } else {
-                    parameterize_pred(item, n, bound);
-                }
+                parameterize_operand(item, n, bound);
             }
         }
         Expr::InSubquery { expr, query, .. } => {

@@ -6,6 +6,6 @@ pub mod parser;
 
 pub use ast::{
     AggFunc, BinOp, ColumnDef, Expr, IntervalUnit, JoinKind, OrderItem, SelectItem, SelectStmt,
-    Statement, TableRef, UnaryOp,
+    Statement, StatementId, TableRef, UnaryOp,
 };
 pub use parser::{parse_query, parse_statement};

@@ -46,7 +46,7 @@ use crate::monitor::is_monitor_name;
 use crate::planner::sarg_helpers::pk_lock_range;
 use crate::planner::PlannedQuery;
 use crate::schema::Row;
-use crate::sql::ast::{Expr, SelectItem, SelectStmt, Statement, TableRef};
+use crate::sql::ast::{Expr, Node, Statement};
 use crate::sql::parse_statement;
 use crate::storage::codec::encode_key;
 use crate::storage::Rid;
@@ -146,7 +146,7 @@ impl<'db> Txn<'db> {
     }
 
     /// [`Txn::execute`] of a parsed statement.
-    pub(crate) fn execute_statement(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
+    pub fn execute_statement(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
         if let Statement::Select(q) = stmt {
             // Planned once: the locks are those of the plan that runs.
             let pq = self.db.plan_select(q)?;
@@ -574,142 +574,33 @@ pub fn referenced_tables(
 ) -> (BTreeSet<String>, BTreeSet<String>) {
     let mut reads = BTreeSet::new();
     let mut writes = BTreeSet::new();
-    match stmt {
-        Statement::Select(q) => walk_select(q, catalog, &mut reads),
-        Statement::Insert { table, rows, .. } => {
-            writes.insert(table.to_ascii_uppercase());
-            for row in rows {
-                for e in row {
-                    walk_expr(e, catalog, &mut reads);
-                }
-            }
-        }
-        Statement::Delete { table, filter } => {
-            writes.insert(table.to_ascii_uppercase());
-            if let Some(f) = filter {
-                walk_expr(f, catalog, &mut reads);
-            }
-        }
-        Statement::Update { table, assignments, filter } => {
-            writes.insert(table.to_ascii_uppercase());
-            for (_, e) in assignments {
-                walk_expr(e, catalog, &mut reads);
-            }
-            if let Some(f) = filter {
-                walk_expr(f, catalog, &mut reads);
-            }
-        }
-        // CREATE VIEW reads its defining query's tables — callers that use
-        // this for read-set analysis (not locking) want those names.
-        Statement::CreateView { query, .. } => walk_select(query, catalog, &mut reads),
-        // Other DDL takes no data locks (rejected inside transactions).
-        _ => {}
+    if let Statement::Insert { table, .. }
+    | Statement::Delete { table, .. }
+    | Statement::Update { table, .. } = stmt
+    {
+        writes.insert(table.to_ascii_uppercase());
     }
+    // CREATE VIEW reads its defining query's tables — callers that use
+    // this for read-set analysis (not locking) want those names. Other DDL
+    // reads nothing and takes no data locks (rejected inside transactions).
+    stmt.walk(&mut |node| note_read(node, catalog, &mut reads));
     (reads, writes)
 }
 
-fn walk_select(q: &SelectStmt, catalog: &Catalog, reads: &mut BTreeSet<String>) {
-    for t in &q.from {
-        walk_tableref(t, catalog, reads);
+fn note_read(node: Node<'_>, catalog: &Catalog, reads: &mut BTreeSet<String>) {
+    let Node::Table(name) = node else { return };
+    let upper = name.to_ascii_uppercase();
+    // Virtual M$ monitoring views take no locks and are not plan-cache
+    // dependencies.
+    if is_monitor_name(&upper) {
+        return;
     }
-    for item in &q.projections {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk_expr(expr, catalog, reads);
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        walk_expr(w, catalog, reads);
-    }
-    for e in &q.group_by {
-        walk_expr(e, catalog, reads);
-    }
-    if let Some(h) = &q.having {
-        walk_expr(h, catalog, reads);
-    }
-    for o in &q.order_by {
-        walk_expr(&o.expr, catalog, reads);
-    }
-}
-
-fn walk_tableref(t: &TableRef, catalog: &Catalog, reads: &mut BTreeSet<String>) {
-    match t {
-        TableRef::Named { name, .. } => {
-            let upper = name.to_ascii_uppercase();
-            // Virtual M$ monitoring views take no locks and are not
-            // plan-cache dependencies.
-            if crate::monitor::is_monitor_name(&upper) {
-                return;
-            }
-            if let Some(view) = catalog.view(&upper) {
-                // Views cannot be self-referential (a view must plan at
-                // CREATE time, before its own name exists), so recursion
-                // terminates.
-                if reads.insert(upper) {
-                    walk_select(&view, catalog, reads);
-                }
-            } else {
-                reads.insert(upper);
-            }
-        }
-        TableRef::Join { left, right, on, .. } => {
-            walk_tableref(left, catalog, reads);
-            walk_tableref(right, catalog, reads);
-            walk_expr(on, catalog, reads);
-        }
-        TableRef::Subquery { query, .. } => walk_select(query, catalog, reads),
-    }
-}
-
-fn walk_expr(e: &Expr, catalog: &Catalog, reads: &mut BTreeSet<String>) {
-    match e {
-        Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => {}
-        Expr::Unary { expr, .. } => walk_expr(expr, catalog, reads),
-        Expr::Binary { left, right, .. } => {
-            walk_expr(left, catalog, reads);
-            walk_expr(right, catalog, reads);
-        }
-        Expr::Between { expr, low, high, .. } => {
-            walk_expr(expr, catalog, reads);
-            walk_expr(low, catalog, reads);
-            walk_expr(high, catalog, reads);
-        }
-        Expr::InList { expr, list, .. } => {
-            walk_expr(expr, catalog, reads);
-            for e in list {
-                walk_expr(e, catalog, reads);
-            }
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            walk_expr(expr, catalog, reads);
-            walk_select(query, catalog, reads);
-        }
-        Expr::Exists { query, .. } => walk_select(query, catalog, reads),
-        Expr::ScalarSubquery(query) => walk_select(query, catalog, reads),
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr(expr, catalog, reads);
-            walk_expr(pattern, catalog, reads);
-        }
-        Expr::IsNull { expr, .. } => walk_expr(expr, catalog, reads),
-        Expr::Case { branches, else_expr } => {
-            for (c, v) in branches {
-                walk_expr(c, catalog, reads);
-                walk_expr(v, catalog, reads);
-            }
-            if let Some(e) = else_expr {
-                walk_expr(e, catalog, reads);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                walk_expr(a, catalog, reads);
-            }
-        }
-        Expr::Extract { expr, .. } => walk_expr(expr, catalog, reads),
-        Expr::IntervalAdd { expr, .. } => walk_expr(expr, catalog, reads),
-        Expr::Func { args, .. } => {
-            for a in args {
-                walk_expr(a, catalog, reads);
-            }
+    let view = catalog.view(&upper);
+    // Views cannot be self-referential (a view must plan at CREATE time,
+    // before its own name exists), so recursion terminates.
+    if reads.insert(upper) {
+        if let Some(view) = view {
+            view.walk(&mut |n| note_read(n, catalog, reads));
         }
     }
 }

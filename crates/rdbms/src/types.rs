@@ -447,6 +447,28 @@ impl Value {
         Value::Date(Date::from_ymd(y, m, d).expect("valid literal date"))
     }
 
+    /// Identity as written, unlike SQL `=` (which equates `3` with `3.0`
+    /// and `'x'` with `'x '`): the same variant and the same representation.
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Decimal(a), Value::Decimal(b)) => {
+                (a.mantissa, a.scale) == (b.mantissa, b.scale)
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+        }
+    }
+
+    /// A hash that follows [`Value::identical`] (`Hash` follows SQL `=`).
+    pub fn hash_exact<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::Decimal(d) => (d.mantissa, d.scale).hash(state),
+            Value::Str(s) => s.hash(state),
+            other => other.hash(state),
+        }
+    }
+
     pub fn as_int(&self) -> DbResult<i64> {
         match self {
             Value::Int(v) => Ok(*v),

@@ -3,6 +3,7 @@
 //! invalidating plan-cache entries, tables appearing and disappearing,
 //! and statements being re-planned concurrently.
 
+use rdbms::sql::StatementId;
 use rdbms::{Database, PlanCache, Value, WaitEvent, WaitSnapshot};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -183,14 +184,14 @@ fn monitor_rows_stay_fresh_through_prepared_plans() {
     // server session layer is the production caller of `record`).
     let waits = WaitSnapshot::default();
     db.statement_collector().record(
-        "k1",
+        StatementId(1),
         "SELECT b FROM t WHERE a = ?",
         Duration::from_micros(120),
         1,
         &waits,
     );
     db.statement_collector().record(
-        "k2",
+        StatementId(2),
         "UPDATE t SET b = ? WHERE a = ?",
         Duration::from_micros(250),
         1,

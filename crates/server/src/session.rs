@@ -23,9 +23,12 @@
 
 use crate::protocol::*;
 use crate::server::SessionInfo;
-use rdbms::sql::ast::Statement;
-use rdbms::sql::parse_statement;
-use rdbms::{Database, PlanCache, Prepared, QueryResult, RequestCtx, RequestGuard, Txn, Value};
+use rdbms::monitor::display_text;
+use rdbms::sql::{parse_statement, Statement, StatementId};
+use rdbms::{
+    CachedPlan, Database, ExecOutcome, PlanCache, Prepared, QueryResult, RequestCtx, RequestGuard,
+    Txn, Value,
+};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -39,8 +42,58 @@ pub(crate) struct StatementHandle {
     pub prepared: Arc<Prepared>,
     pub extracted: Vec<Value>,
     pub cache_hit: bool,
-    /// Normalized-AST cache key, the M$STATEMENTS aggregation key.
-    pub key: Arc<str>,
+    /// The normalized statement's id, the M$STATEMENTS aggregation key.
+    pub id: StatementId,
+}
+
+impl StatementHandle {
+    fn new(sql: Arc<str>, cached: CachedPlan) -> Arc<Self> {
+        Arc::new(StatementHandle {
+            sql,
+            prepared: cached.prepared,
+            extracted: cached.extracted_params,
+            cache_hit: cached.cache_hit,
+            id: cached.id,
+        })
+    }
+}
+
+/// A simple-protocol statement, parsed once: transaction control the
+/// session handles itself, or a statement for the engine.
+enum Simple {
+    Begin,
+    Commit,
+    Rollback,
+    Sql(Statement),
+}
+
+impl Simple {
+    fn parse(sql: &str) -> Result<Simple, String> {
+        let head = sql.trim().trim_end_matches(';').trim();
+        let is = |word: &str| head.eq_ignore_ascii_case(word);
+        Ok(if is("BEGIN") {
+            Simple::Begin
+        } else if is("COMMIT") {
+            Simple::Commit
+        } else if is("ROLLBACK") {
+            Simple::Rollback
+        } else {
+            Simple::Sql(parse_statement(sql).map_err(|e| e.to_string())?)
+        })
+    }
+
+    /// The M$STATEMENTS key: fixed for transaction control (a hash meets
+    /// one of these with probability 2^-64), the normalized statement's id
+    /// otherwise, so literal variants of a query or DML statement fold
+    /// into one row whichever protocol carried them.
+    fn into_id(self) -> StatementId {
+        match self {
+            Simple::Begin => StatementId(1),
+            Simple::Commit => StatementId(2),
+            Simple::Rollback => StatementId(3),
+            Simple::Sql(stmt) => stmt.into_id(),
+        }
+    }
 }
 
 /// A bound portal: statement + the client's bind values (the full
@@ -89,27 +142,16 @@ impl<'db> Session<'db> {
     /// Publish `sql` as this session's most recent statement (collapsed
     /// and bounded for the `M$SESSIONS` display column).
     fn note_statement(&self, sql: &str) {
-        let mut text = String::with_capacity(sql.len().min(200));
-        for word in sql.split_whitespace() {
-            if !text.is_empty() {
-                text.push(' ');
-            }
-            if text.len() + word.len() > 200 {
-                text.push('…');
-                break;
-            }
-            text.push_str(word);
-        }
-        *self.info.last_statement.lock() = text;
+        *self.info.last_statement.lock() = display_text(sql);
     }
 
     /// End a statement's request and fold it into the database's
-    /// [`StatementCollector`](rdbms::StatementCollector) under `key`: its
+    /// [`StatementCollector`](rdbms::StatementCollector) under `id`: its
     /// service time, and the totals of every wait the engine recorded while
     /// it ran (lock queues, WAL flushes, group-commit parks, exec time).
-    fn finish_statement(&self, request: RequestGuard, key: &str, sql: &str, rows: u64) {
+    fn finish_statement(&self, request: RequestGuard, id: StatementId, sql: &str, rows: u64) {
         let (service, waits) = request.finish();
-        self.db.statement_collector().record(key, sql, service, rows, &waits);
+        self.db.statement_collector().record(id, sql, service, rows, &waits);
     }
 
     /// Is a client-initiated transaction open? (Used by the server to
@@ -230,12 +272,14 @@ impl<'db> Session<'db> {
         // them. The trace lands in M$TRACES either way; an error records
         // nothing in M$STATEMENTS (partial waits would not reconcile).
         let request = self.db.begin_request("server/simple", sql.as_str()).map(RequestCtx::install);
-        match self.run_simple(&sql, out) {
-            Ok(rows) => {
-                // The key is a second parse: pay for it only when the
-                // monitor records the statement.
+        let done =
+            Simple::parse(&sql).and_then(|stmt| Ok((self.run_simple(&stmt, &sql, out)?, stmt)));
+        match done {
+            Ok((rows, stmt)) => {
+                // Normalizing for the id is paid only when the monitor
+                // records the statement.
                 if let Some(request) = request {
-                    self.finish_statement(request, &simple_statement_key(&sql), &sql, rows);
+                    self.finish_statement(request, stmt.into_id(), &sql, rows);
                 }
             }
             Err(msg) => {
@@ -247,38 +291,39 @@ impl<'db> Session<'db> {
         Disposition::Continue
     }
 
-    fn run_simple(&mut self, sql: &str, out: &mut Vec<u8>) -> Result<u64, String> {
-        let head = sql.trim().trim_end_matches(';').trim();
-        if head.eq_ignore_ascii_case("BEGIN") {
-            if self.txn.is_some() {
-                return Err("transaction already open".into());
+    fn run_simple(&mut self, stmt: &Simple, sql: &str, out: &mut Vec<u8>) -> Result<u64, String> {
+        let stmt = match stmt {
+            Simple::Begin => {
+                if self.txn.is_some() {
+                    return Err("transaction already open".into());
+                }
+                self.txn = Some(self.db.begin());
+                self.send_command_complete(out, "BEGIN");
+                return Ok(0);
             }
-            self.txn = Some(self.db.begin());
-            self.send_command_complete(out, "BEGIN");
-            return Ok(0);
-        }
-        if head.eq_ignore_ascii_case("COMMIT") {
-            let txn = self.txn.take().ok_or("no transaction open")?;
-            txn.commit().map_err(|e| e.to_string())?;
-            self.send_command_complete(out, "COMMIT");
-            return Ok(0);
-        }
-        if head.eq_ignore_ascii_case("ROLLBACK") {
-            let txn = self.txn.take().ok_or("no transaction open")?;
-            txn.rollback().map_err(|e| e.to_string())?;
-            self.send_command_complete(out, "ROLLBACK");
-            return Ok(0);
-        }
+            Simple::Commit => {
+                let txn = self.txn.take().ok_or("no transaction open")?;
+                txn.commit().map_err(|e| e.to_string())?;
+                self.send_command_complete(out, "COMMIT");
+                return Ok(0);
+            }
+            Simple::Rollback => {
+                let txn = self.txn.take().ok_or("no transaction open")?;
+                txn.rollback().map_err(|e| e.to_string())?;
+                self.send_command_complete(out, "ROLLBACK");
+                return Ok(0);
+            }
+            Simple::Sql(stmt) => stmt,
+        };
 
         // Outside a BEGIN block the engine runs the statement as a
         // one-statement transaction (DDL directly; its catalog version bump
         // invalidates affected cached plans).
         let outcome = match self.txn.as_mut() {
-            Some(txn) => txn.execute(sql),
-            None => self.db.execute(sql),
+            Some(txn) => txn.execute_statement(stmt),
+            None => self.db.execute_statement(stmt, sql),
         }
         .map_err(|e| e.to_string())?;
-        use rdbms::ExecOutcome;
         let rows = match &outcome {
             ExecOutcome::Rows(r) => r.rows.len() as u64,
             ExecOutcome::Count(n) => *n,
@@ -310,13 +355,7 @@ impl<'db> Session<'db> {
             Err(e) => return self.extended_error(out, &e.to_string()),
         };
         let client_params = cached.prepared.n_params - cached.extracted_params.len();
-        let handle = Arc::new(StatementHandle {
-            sql: sql.into(),
-            prepared: cached.prepared,
-            extracted: cached.extracted_params,
-            cache_hit: cached.cache_hit,
-            key: cached.key,
-        });
+        let handle = StatementHandle::new(sql.into(), cached);
         self.statements.insert(name, Arc::clone(&handle));
         let mut p = Vec::new();
         p.push(handle.cache_hit as u8);
@@ -370,29 +409,16 @@ impl<'db> Session<'db> {
             return self.extended_error(out, &format!("unknown portal {portal_name:?}"));
         }
         // DDL since prepare? A stale plan may reference dropped objects —
-        // re-prepare through the cache (which already dropped the stale
-        // entry) before running. The paper's REOPEN has the same hazard:
-        // the R/3 cursor cache flushes on DD changes.
-        let stale = {
-            let stmt = &self.portals[&portal_name].stmt;
-            stmt.prepared
-                .dependencies
-                .iter()
-                .any(|d| self.db.catalog().object_version(d) > stmt.prepared.catalog_version)
-        };
-        if stale {
+        // re-prepare through the cache (which drops the stale entry) before
+        // running. The paper's REOPEN has the same hazard: the R/3 cursor
+        // cache flushes on DD changes.
+        if !self.portals[&portal_name].stmt.prepared.is_current(self.db.catalog()) {
             let sql = Arc::clone(&self.portals[&portal_name].stmt.sql);
             let cached = match self.cache.prepare(self.db, &sql) {
                 Ok(c) => c,
                 Err(e) => return self.extended_error(out, &e.to_string()),
             };
-            let fresh = Arc::new(StatementHandle {
-                sql,
-                prepared: cached.prepared,
-                extracted: cached.extracted_params,
-                cache_hit: cached.cache_hit,
-                key: cached.key,
-            });
+            let fresh = StatementHandle::new(sql, cached);
             self.portals.get_mut(&portal_name).expect("checked above").stmt = fresh;
         }
         let portal = &self.portals[&portal_name];
@@ -416,7 +442,7 @@ impl<'db> Session<'db> {
             Ok(rows) => {
                 let n = rows.rows.len() as u64;
                 if let Some(request) = request {
-                    self.finish_statement(request, &stmt.key, &stmt.sql, n);
+                    self.finish_statement(request, stmt.id, &stmt.sql, n);
                 }
                 self.send_result(out, &rows);
                 Disposition::Continue
@@ -450,17 +476,4 @@ impl<'db> Session<'db> {
         write_frame(out, MSG_CLOSE_COMPLETE, &[]).expect("vec write");
         Disposition::Continue
     }
-}
-
-/// Aggregation key for a simple-protocol statement. SELECTs normalize the
-/// same way the plan cache does, so `M$STATEMENTS` folds literal variants
-/// of a query into one row whichever protocol carried them; everything
-/// else (DML, BEGIN/COMMIT) keys on its collapsed text.
-fn simple_statement_key(sql: &str) -> String {
-    if let Ok(Statement::Select(q)) = parse_statement(sql) {
-        let normalized = if q.has_params() { *q } else { q.parameterized_collect().0 };
-        return format!("{normalized:?}");
-    }
-    let words: Vec<&str> = sql.split_whitespace().collect();
-    words.join(" ").to_ascii_uppercase()
 }

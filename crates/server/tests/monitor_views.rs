@@ -220,11 +220,13 @@ fn lock_wait_is_visible_live_and_attributed_to_the_blocked_statement() {
     holder.simple_query("BEGIN").unwrap();
     holder.simple_query("UPDATE t SET b = 100 WHERE a = 10").unwrap();
 
-    // A second session blocks on the same row in a background thread.
+    // A second session blocks on the same row in a background thread. Its
+    // statement has another shape than the holder's (a literal SET value
+    // would fold both into one M$STATEMENTS row).
     let addr2 = addr.clone();
     let blocked = std::thread::spawn(move || {
         let mut c = Client::connect(&addr2).unwrap();
-        c.simple_query("UPDATE t SET b = 200 WHERE a = 10").unwrap();
+        c.simple_query("UPDATE t SET b = b + 200 WHERE a = 10").unwrap();
         c.terminate().unwrap();
     });
 
@@ -250,18 +252,22 @@ fn lock_wait_is_visible_live_and_attributed_to_the_blocked_statement() {
     // blocked statement's own breakdown all agree a lock wait happened.
     let snap = db.wait_stats().snapshot();
     assert!(snap.count(WaitEvent::Lock) >= 1);
-    let stmt = db
-        .statement_collector()
-        .snapshot()
-        .into_iter()
-        .find(|s| s.statement.starts_with("UPDATE t SET b = 200"))
-        .expect("blocked statement was collected");
+    let stmts = db.statement_collector().snapshot();
+    let find = |prefix: &str| {
+        stmts.iter().find(|s| s.statement.starts_with(prefix)).expect("statement was collected")
+    };
+    let stmt = find("UPDATE t SET b = b + 200");
     assert!(
         stmt.waits.count(WaitEvent::Lock) >= 1,
         "lock wait attributed to the statement that waited: {:?}",
         stmt.waits
     );
     assert!(stmt.waits.micros(WaitEvent::Lock) > 0);
+    assert_eq!(
+        find("UPDATE t SET b = 100").waits.count(WaitEvent::Lock),
+        0,
+        "the holder never waited"
+    );
 
     mon.terminate().unwrap();
     holder.terminate().unwrap();
@@ -321,4 +327,34 @@ fn statement_wait_breakdown_reconciles_with_engine_accumulators() {
     let stats = server.shutdown();
     assert_eq!(stats.panics, 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Literal DML folds into one `M$STATEMENTS` row per shape, as literal
+/// SELECTs do: the constants of an UPDATE's SET list and WHERE clause are
+/// not part of its identity, so more of them than the collector holds
+/// shapes neither fill it nor evict anything.
+#[test]
+fn literal_updates_fold_into_one_statement_row() {
+    let (server, addr, db) = serve();
+    db.statement_collector().reset();
+    const N: i64 = 600;
+    let mut c = Client::connect(&addr).unwrap();
+    c.simple_query("BEGIN").unwrap();
+    for k in 0..N {
+        c.simple_query(&format!("UPDATE t SET b = {} WHERE a = {}", k * 3, k % 50)).unwrap();
+    }
+    c.simple_query("COMMIT").unwrap();
+    c.terminate().unwrap();
+
+    let rows = db.statement_collector().view().rows();
+    let updates: Vec<_> = rows.iter().filter(|r| str_at(r, 0).starts_with("UPDATE")).collect();
+    assert_eq!(updates.len(), 1, "one UPDATE shape: {updates:?}");
+    assert_eq!(int_at(updates[0], 1), N, "CALLS counts every literal variant");
+    assert_eq!(updates[0][0], Value::str("UPDATE t SET b = 0 WHERE a = 0"), "first text shown");
+    assert_eq!(rows.len(), 3, "UPDATE, BEGIN and COMMIT: {rows:?}");
+    let evicted = rows[0].len() - 1;
+    assert!(rows.iter().all(|r| int_at(r, evicted) == 0), "EVICTED_SHAPES stays 0");
+
+    let stats = server.shutdown();
+    assert_eq!(stats.panics, 0);
 }

@@ -404,6 +404,59 @@ mod tests {
         }
     }
 
+    /// The SELECT of each query (Q15's middle statement) as its id.
+    fn select_ids(p: &QueryParams) -> Vec<rdbms::sql::StatementId> {
+        (1..=17)
+            .map(|n| {
+                let select = sql(n, p).into_iter().find(|s| s.starts_with("SELECT")).unwrap();
+                rdbms::sql::parse_statement(&select).unwrap().into_id()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_query_has_its_own_id_across_predicate_constants() {
+        let ids = select_ids(&QueryParams::default());
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 17, "no two queries share an id: {ids:?}");
+
+        // Another substitution of every predicate-position parameter. (Q1's
+        // interval, the LIKE patterns and Q11's fraction are not predicate
+        // operands: changing them makes another statement.)
+        let other = QueryParams {
+            q2_size: 20,
+            q2_region: "ASIA".into(),
+            q3_segment: "MACHINERY".into(),
+            q3_date: "1995-03-20".into(),
+            q4_date: "1994-02-01".into(),
+            q5_region: "EUROPE".into(),
+            q5_date: "1995-01-01".into(),
+            q6_date: "1995-01-01".into(),
+            q6_discount: "0.04".into(),
+            q6_quantity: 25,
+            q7_nation1: "JAPAN".into(),
+            q7_nation2: "CHINA".into(),
+            q8_nation: "PERU".into(),
+            q8_region: "AMERICA".into(),
+            q8_type: "SMALL PLATED COPPER".into(),
+            q10_date: "1994-03-01".into(),
+            q11_nation: "FRANCE".into(),
+            q12_mode1: "AIR".into(),
+            q12_mode2: "RAIL".into(),
+            q12_date: "1995-01-01".into(),
+            q13_custkey: 7,
+            q13_date: "1996-06-01".into(),
+            q14_date: "1996-02-01".into(),
+            q15_date: "1997-01-01".into(),
+            q16_brand: "Brand#12".into(),
+            q16_sizes: [1, 2, 3, 4, 5, 6, 7, 8],
+            q17_brand: "Brand#55".into(),
+            q17_container: "LG CASE".into(),
+            ..QueryParams::default()
+        };
+        assert_eq!(select_ids(&other), ids, "predicate constants are not part of the id");
+    }
+
     #[test]
     fn scale_adjusts_q11_fraction() {
         let p = QueryParams::for_scale(0.01);
