@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--sf <scale>] [table1 .. table9 | figures | all | trace [qN]
-//!              | durability | server | observe [--smoke] | tracereq [--smoke]]
+//!              | durability | server | observe [--smoke]]
 //! ```
 //!
 //! `trace` runs the end-to-end observability demo for one query (default
@@ -19,18 +19,13 @@
 //! stress phase) and records the baseline in `BENCH_server.json`. Its
 //! default scale is 0.02 unless `--sf` is given explicitly.
 //!
-//! `observe` runs the live-monitoring experiment (collectors-off vs
-//! collectors-on QthD, a live monitor connection polling the six `M$`
-//! views mid-run, and the §4.1 blind-plan lock-wait diagnosis) and records
-//! the baseline in `BENCH_observe.json`. `observe --smoke` is the CI-sized
+//! `observe` runs the live-monitoring and request-tracing experiment
+//! (collectors-off vs collectors-on QthD, a live monitor connection
+//! polling all eight `M$` views mid-run, the Chrome trace export, the §4.1
+//! blind-plan lock-wait diagnosis, and p99 critical-path attribution
+//! across the blind-plan / 2.2G / 3.0E configurations) and records the
+//! baseline in `BENCH_observe.json`. `observe --smoke` is the CI-sized
 //! variant, written to `target/experiments/BENCH_observe_smoke.json`.
-//!
-//! `tracereq` runs the request-tracing experiment (tracing-off vs
-//! tracing-on overhead, M$TRACES/M$SPANS polled over the wire mid-run, the
-//! Chrome trace export, and p99 critical-path attribution across the
-//! blind-plan / 2.2G / 3.0E configurations) and records the baseline in
-//! `BENCH_tracereq.json`. `tracereq --smoke` writes
-//! `target/experiments/BENCH_tracereq_smoke.json`.
 //!
 //! Results print as text tables (paper numbers alongside) and are also
 //! dumped as JSON under `target/experiments/`.
@@ -178,7 +173,7 @@ fn main() {
 
     // The wire experiments: SF 0.02 unless `--sf` is given, 0.005 for a
     // smoke run (written under `target/experiments/`).
-    if let Some(name @ ("server" | "observe" | "tracereq")) = which.first().map(String::as_str) {
+    if let Some(name @ ("server" | "observe")) = which.first().map(String::as_str) {
         let smoke = name != "server" && which.iter().any(|w| w == "--smoke" || w == "smoke");
         let sf = if args.iter().any(|a| a == "--sf") {
             sf
@@ -189,8 +184,7 @@ fn main() {
         };
         let doc = match name {
             "server" => bench::serverexp::run_server_experiment(sf),
-            "observe" => bench::observe::run_observe_experiment(sf, smoke),
-            _ => bench::tracereq::run_tracereq_experiment(sf, smoke),
+            _ => bench::observe::run_observe_experiment(sf, smoke),
         };
         let path = if smoke {
             format!("{out_dir}/BENCH_{name}_smoke.json")

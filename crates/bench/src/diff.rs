@@ -10,10 +10,10 @@
 //! than the tolerance (default 10%) below the committed value.
 //!
 //! Attribution *fractions* (`comparison` fields ending in `_fraction`,
-//! introduced by the tracereq experiment) are gated too, but two-sided:
-//! a fraction of end-to-end latency has no "more is better" direction, so
-//! the generated value must stay within ±tolerance (absolute) of the
-//! baseline. Fractions are already in [0, 1], making absolute tolerance
+//! such as the observe experiment's critical-path shares) are gated too,
+//! but two-sided: a fraction of end-to-end latency has no "more is better"
+//! direction, so the generated value must stay within ±tolerance
+//! (absolute) of the baseline. Fractions are already in [0, 1], making absolute tolerance
 //! the natural unit.
 
 use serde_json::Json;

@@ -8,7 +8,6 @@ pub mod observe;
 pub mod paper;
 pub mod serverexp;
 pub mod tracecmd;
-pub mod tracereq;
 pub mod wire;
 
 pub use durability::{run_order_entry_series, run_qthd_series, OrderEntryResult, COMMIT_POLICIES};

@@ -1,50 +1,93 @@
-//! The live-monitoring experiment (`BENCH_observe.json`).
+//! The live-monitoring and request-tracing experiment
+//! (`BENCH_observe.json`).
 //!
-//! The monitoring subsystem is only worth shipping always-on if watching
-//! costs (almost) nothing and the views actually answer the questions the
-//! paper's DBAs asked. This experiment measures both:
+//! The monitoring and tracing subsystems are only worth shipping always-on
+//! if watching costs (almost) nothing and what they show answers the
+//! questions the paper's DBAs asked. One run, on one loaded database,
+//! measures both:
 //!
 //! 1. **overhead** — the TPC-D query streams plus update stream from the
 //!    server experiment run twice per repetition over the wire, once with
-//!    the collectors disabled (`Database::set_monitor_enabled(false)`) and
-//!    once enabled. Repetitions alternate off/on so cache warm-up and
-//!    machine drift hit both modes equally (the [`crate::wire`] driver's
-//!    repetition loop, shared with the tracereq experiment). The headline
-//!    number is the collectors-on / collectors-off QthD ratio; the
-//!    acceptance bar is a delta under 3%.
+//!    the collectors disabled (`Database::set_monitor_enabled(false)`:
+//!    wait timers, the statement collector, Exec timing and request
+//!    traces) and once enabled. Repetitions alternate off/on so cache
+//!    warm-up and machine drift hit both modes equally (the
+//!    [`crate::wire`] driver's repetition loop). The headline number is
+//!    the collectors-on / collectors-off QthD ratio; the acceptance bar is
+//!    a delta under 3%.
 //! 2. **liveness** — a dedicated collectors-on phase runs the same
-//!    workload while a separate monitor connection polls all six `M$`
-//!    views over the same wire protocol. Every poll must succeed mid-run;
-//!    the per-view poll counts and final row counts are recorded. This
-//!    phase is reported separately from the overhead comparison because
-//!    an active monitor connection is real extra load, not collector cost.
-//! 3. **diagnosis** — the §4.1 blind-plan scenario replayed as a DBA would
+//!    workload while a separate monitor connection polls all eight `M$`
+//!    views over the same wire protocol. Every poll must succeed mid-run,
+//!    and every fetched `M$TRACES` row's critical-path segments must sum
+//!    to its `END_TO_END_US`. This phase is reported separately from the
+//!    overhead comparison because an active monitor connection is real
+//!    extra load, not collector cost.
+//! 3. **export** — the live phase's trace ring is exported as Chrome
+//!    trace-event JSON (loadable in chrome://tracing / Perfetto), written
+//!    under `target/experiments/` and re-parsed with the vendored JSON
+//!    parser plus [`trace::request::validate_chrome_trace`] before the
+//!    experiment is allowed to pass.
+//! 4. **diagnosis** — the §4.1 blind-plan scenario replayed as a DBA would
 //!    see it: an update transaction parks on one supplier row, a reader
 //!    with a non-selective predicate (the "blind" plan: no usable index, so
 //!    a full scan behind a table S lock) blocks behind it, and the monitor
 //!    connection watches the queue form in `M$LOCKS`, the lock-wait time
 //!    accumulate in `M$WAIT_EVENTS`, and — after the holder commits — the
 //!    wait land on the guilty statement in `M$STATEMENTS`.
+//! 5. **attribution** — three R/3 configurations driven through the
+//!    dispatcher, each decomposed whole-run and at the p99 tail:
+//!    * `blind_plan` replays §4.1 per request: readers with a non-selective
+//!      predicate full-scan behind an update transaction's row lock, so
+//!      the tail is lock+exec dominated.
+//!    * `open_sql_2_2` / `open_sql_3_0` run KONV-touching reports through
+//!      Open SQL on Release 2.2G vs 3.0E. The 2.2 cluster decode and its
+//!      extra interface crossings happen on the application server, so
+//!      the crossing gap surfaces as app-server-segment dominance.
 //!
 //! `M$WORKLOAD` is fed the way an R/3 application server would feed it:
 //! the driver threads play the work processes, and the driver's per-step
 //! callback folds one [`RequestStats`] per dialog step (query) and batch
 //! step (refresh pair) into a [`WorkloadMonitor`] registered on the served
 //! database.
+//!
+//! Baseline gating (see `diff.rs`) reads the `comparison` object: the QthD
+//! ratio one-sided, the attribution *fractions* two-sided — they are
+//! dimensionless and survive hardware changes, unlike absolute
+//! microseconds.
 
 use crate::wire::{self, Knobs, ModeTotals, Phase, PolledView, Protocol, Step};
-use r3::dispatcher::{RequestStats, WpKind};
+use r3::dispatcher::{Dispatcher, DispatcherConfig, RequestStats, WpKind};
+use r3::reports::{self, SapInterface};
 use r3::workload::WorkloadMonitor;
-use rdbms::{Database, Value, WaitEvent, WaitSnapshot};
+use r3::{R3System, Release};
+use rdbms::{CriticalPath, Database, DbResult, RequestTrace, Value, WaitEvent, WaitSnapshot};
 use serde_json::Json;
 use server::{Client, Server, ServerConfig};
+use std::fs;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tpcd::dbgen::DbGen;
+use tpcd::queries::QueryParams;
 use trace::meter::{Calibration, MeterSnapshot};
 
-/// All six system views, polled in this order by the live monitor.
-pub const VIEWS: [&str; 6] =
+/// The six system views polled with `SELECT *` by the live monitor, in
+/// this order, before `M$TRACES` and `M$SPANS`.
+const VIEWS: [&str; 6] =
     ["M$WAIT_EVENTS", "M$STATEMENTS", "M$SESSIONS", "M$LOCKS", "M$WORKLOAD", "M$PLAN_CACHE"];
+
+/// The columns of M$TRACES whose values must partition END_TO_END_US.
+const SEGMENT_COLS: [&str; 6] =
+    ["DISPATCH_QUEUE_US", "LOCK_US", "WAL_FLUSH_US", "GROUP_COMMIT_US", "EXEC_US", "APP_SERVER_US"];
+
+/// How long each blind-plan update transaction holds its row lock.
+const BLIND_HOLD_MS: u64 = 8;
+
+/// How many dialog steps are in flight at once during the attribution
+/// configurations. Matched to the work-process count: submission is
+/// closed-loop, so the dispatch-queue segment reflects scheduling, not a
+/// flood of offered load drowning every other segment.
+const DIALOG_WIDTH: usize = 2;
 
 /// QthD over the summed elapsed time of one mode's repetitions.
 fn qthd(t: &ModeTotals, knobs: &Knobs, sf: f64) -> f64 {
@@ -77,6 +120,70 @@ fn waits_json(w: &WaitSnapshot) -> Json {
         );
     }
     obj
+}
+
+/// The partition invariant on one `END_TO_END_US, <SEGMENT_COLS>` row of
+/// M$TRACES fetched over the wire.
+fn segments_sum_to_end_to_end(row: &[Value]) -> Result<(), String> {
+    let ints: Vec<i64> = row
+        .iter()
+        .map(|v| match v {
+            Value::Int(i) => Ok(*i),
+            other => Err(format!("non-integer in M$TRACES row: {other:?}")),
+        })
+        .collect::<Result<_, _>>()?;
+    let (e2e, segs) = (ints[0], &ints[1..]);
+    let sum: i64 = segs.iter().sum();
+    if sum != e2e {
+        return Err(format!(
+            "M$TRACES partition violated over the wire: segments {segs:?} \
+             sum to {sum}, END_TO_END_US is {e2e}"
+        ));
+    }
+    Ok(())
+}
+
+/// What the live monitor polls: the six views whole, `M$TRACES` with the
+/// partition check on every row, and `M$SPANS`.
+fn live_views() -> Vec<PolledView> {
+    let all = |view| PolledView { view, sql: format!("SELECT * FROM {view}"), check_row: None };
+    VIEWS
+        .into_iter()
+        .map(all)
+        .chain([
+            PolledView {
+                view: "M$TRACES",
+                sql: format!("SELECT END_TO_END_US, {} FROM M$TRACES", SEGMENT_COLS.join(", ")),
+                check_row: Some(segments_sum_to_end_to_end),
+            },
+            PolledView {
+                view: "M$SPANS",
+                sql: "SELECT TRACE_ID, SPAN_ID, ELAPSED_US FROM M$SPANS".into(),
+                check_row: None,
+            },
+        ])
+        .collect()
+}
+
+/// Export the ring as Chrome trace-event JSON, write it, and prove the
+/// written bytes re-parse and validate.
+fn export_chrome(db: &Database, path: &str) -> Result<Json, String> {
+    let traces = db.trace_ring().snapshot();
+    if traces.is_empty() {
+        return Err("nothing to export: trace ring is empty".into());
+    }
+    let doc = trace::request::chrome_trace_json(&traces);
+    let text = serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize: {e}"))?;
+    fs::write(path, &text).map_err(|e| format!("write {path}: {e}"))?;
+    // Round-trip through the parser: what a browser will load is what we
+    // validate, not the in-memory value we happened to serialize.
+    let reparsed = serde_json::from_str(&text).map_err(|e| format!("re-parse {path}: {e}"))?;
+    let events = trace::request::validate_chrome_trace(&reparsed)?;
+    Ok(Json::object()
+        .field("path", path)
+        .field("events", events as u64)
+        .field("traces", traces.len() as u64)
+        .field("validated", true))
 }
 
 /// The §4.1 diagnosis demo: watch a blind-plan reader queue behind an
@@ -180,6 +287,193 @@ fn run_lock_diagnosis(db: &Arc<Database>) -> Result<Json, String> {
         .field("statement_lock_waited_us", stmt_lock_us))
 }
 
+/// Attribution rollup for one batch of traces: summed critical paths,
+/// whole run and p99 tail (every trace at or above the p99 latency).
+struct Attribution {
+    requests: usize,
+    p99_us: u64,
+    mean_us: f64,
+    total: CriticalPath,
+    tail: CriticalPath,
+}
+
+impl Attribution {
+    /// Fold traces into totals, re-asserting the partition invariant on
+    /// every one of them — an exported trace whose segments do not sum to
+    /// its end-to-end latency fails the whole experiment.
+    fn compute(traces: &[Arc<RequestTrace>]) -> Result<Attribution, String> {
+        if traces.is_empty() {
+            return Err("attribution over zero traces".into());
+        }
+        let mut e2e: Vec<u64> = traces.iter().map(|t| t.end_to_end_us()).collect();
+        e2e.sort_unstable();
+        let p99_idx = ((e2e.len() as f64 * 0.99).ceil() as usize).clamp(1, e2e.len()) - 1;
+        let p99_us = e2e[p99_idx];
+        let mut a = Attribution {
+            requests: traces.len(),
+            p99_us,
+            mean_us: e2e.iter().sum::<u64>() as f64 / e2e.len() as f64,
+            total: CriticalPath::default(),
+            tail: CriticalPath::default(),
+        };
+        let add = |sum: &mut CriticalPath, p: &CriticalPath| {
+            sum.end_to_end_us += p.end_to_end_us;
+            sum.app_server_us += p.app_server_us;
+            sum.segments.iter_mut().zip(p.segments).for_each(|(s, x)| *s += x);
+        };
+        for t in traces {
+            let p = t.critical_path();
+            if p.sum_us() != t.end_to_end_us() {
+                return Err(format!(
+                    "trace {} violates the partition: segments sum to {}, \
+                     end-to-end is {}",
+                    t.trace_id,
+                    p.sum_us(),
+                    t.end_to_end_us()
+                ));
+            }
+            add(&mut a.total, &p);
+            if t.end_to_end_us() >= p99_us {
+                add(&mut a.tail, &p);
+            }
+        }
+        Ok(a)
+    }
+
+    fn fractions_json(p: &CriticalPath) -> Json {
+        WaitEvent::ALL
+            .into_iter()
+            .fold(Json::object(), |obj, ev| {
+                obj.field(&format!("{}_fraction", ev.name()), p.fraction(ev))
+            })
+            .field("app_server_fraction", p.app_server_fraction())
+    }
+
+    fn to_json(&self, name: &str, detail: &str) -> Json {
+        Json::object()
+            .field("configuration", name)
+            .field("detail", detail)
+            .field("requests", self.requests as u64)
+            .field("p99_end_to_end_us", self.p99_us)
+            .field("mean_end_to_end_us", self.mean_us)
+            .field("attribution", Self::fractions_json(&self.total))
+            .field("p99_tail", Self::fractions_json(&self.tail))
+    }
+}
+
+/// Run `steps` dialog steps through a dispatcher on `sys`, closed-loop at
+/// [`DIALOG_WIDTH`] in flight, and attribute their traces.
+fn dialog_steps<J>(
+    sys: &Arc<R3System>,
+    steps: usize,
+    step: impl Fn(usize) -> (String, J),
+) -> Result<Attribution, String>
+where
+    J: FnOnce(&R3System) -> DbResult<()> + Send + 'static,
+{
+    let dispatcher = Dispatcher::start(
+        Arc::clone(sys),
+        DispatcherConfig { dialog_processes: DIALOG_WIDTH, batch_processes: 0 },
+    );
+    let mut stats: Vec<RequestStats> = Vec::with_capacity(steps);
+    let mut pending = Vec::with_capacity(DIALOG_WIDTH);
+    for i in 0..steps {
+        let (name, job) = step(i);
+        pending.push(dispatcher.submit(WpKind::Dialog, name, job));
+        if pending.len() == DIALOG_WIDTH {
+            stats.extend(pending.drain(..).map(|h| h.wait()));
+        }
+    }
+    stats.extend(pending.drain(..).map(|h| h.wait()));
+    dispatcher.shutdown();
+    let ring = sys.db.trace_ring();
+    let traces = stats
+        .iter()
+        .map(|s| {
+            if let Err(e) = &s.result {
+                return Err(format!("{} request '{}' failed: {e}", sys.release, s.name));
+            }
+            if s.trace_id == 0 {
+                return Err(format!("request '{}' was not traced", s.name));
+            }
+            ring.get(s.trace_id).ok_or_else(|| {
+                format!("trace {} for '{}' fell out of the ring", s.trace_id, s.name)
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Attribution::compute(&traces)
+}
+
+/// §4.1 as the trace view sees it: dialog readers whose blind plan full
+/// scans behind an update transaction's row lock.
+fn run_blind_config(steps: usize) -> Result<Attribution, String> {
+    let sys = Arc::new(R3System::install_default(Release::R30).map_err(|e| e.to_string())?);
+    sys.db
+        .execute("CREATE TABLE blind_acct (k INTEGER, bal INTEGER)")
+        .map_err(|e| e.to_string())?;
+    let vals: Vec<String> = (0..256).map(|k| format!("({k}, {})", k * 10)).collect();
+    sys.db
+        .execute(&format!("INSERT INTO blind_acct VALUES {}", vals.join(", ")))
+        .map_err(|e| e.to_string())?;
+
+    let done = Arc::new(AtomicBool::new(false));
+    let holder = {
+        let (sys, done) = (Arc::clone(&sys), done.clone());
+        std::thread::spawn(move || -> Result<(), String> {
+            while !done.load(Ordering::Relaxed) {
+                let mut txn = sys.db.begin();
+                txn.execute("UPDATE blind_acct SET bal = bal + 1 WHERE k = 1")
+                    .map_err(|e| e.to_string())?;
+                std::thread::sleep(Duration::from_millis(BLIND_HOLD_MS));
+                txn.commit().map_err(|e| e.to_string())?;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(())
+        })
+    };
+    let attribution = dialog_steps(&sys, steps, |i| {
+        let job = |sys: &R3System| {
+            // No index helps `bal > -1`, so the read transaction's full
+            // scan takes a table S lock that queues behind the updater's
+            // exclusive lock. (A bare `Database::query` takes no locks at
+            // all — only the transaction path replays §4.1.)
+            let mut txn = sys.db.begin();
+            txn.execute("SELECT COUNT(*) FROM blind_acct WHERE bal > -1")?;
+            txn.commit()?;
+            Ok(())
+        };
+        (format!("blind-{i}"), job)
+    });
+    done.store(true, Ordering::Relaxed);
+    holder.join().map_err(|_| "lock holder panicked".to_string())??;
+    attribution
+}
+
+/// KONV-touching reports through Open SQL on the given release, driven as
+/// dispatcher dialog steps.
+fn run_release_config(
+    release: Release,
+    gen: &DbGen,
+    sf: f64,
+    steps: usize,
+) -> Result<Attribution, String> {
+    let sys = Arc::new(R3System::install_default(release).map_err(|e| e.to_string())?);
+    sys.load_tpcd(gen).map_err(|e| e.to_string())?;
+    let params = QueryParams::for_scale(sf);
+    // Q6 and Q14 both price through KONV — the tables the 2.2 cluster
+    // encapsulates — and are cheap enough to run as dialog steps.
+    let queries = [6usize, 14];
+    dialog_steps(&sys, steps, |i| {
+        let n = queries[i % queries.len()];
+        let params = params.clone();
+        let job = move |sys: &R3System| {
+            reports::run_query_rows(sys, SapInterface::Open, n, &params)?;
+            Ok(())
+        };
+        (format!("q{n}-{i}"), job)
+    })
+}
+
 fn statements_top_json(db: &Database, limit: usize) -> Json {
     let mut arr = Vec::new();
     for s in db.statement_collector().snapshot().into_iter().take(limit) {
@@ -197,13 +491,20 @@ fn statements_top_json(db: &Database, limit: usize) -> Json {
 }
 
 /// Load the database, measure collectors-off vs collectors-on, run the
-/// live-view and diagnosis phases, and return the `BENCH_observe.json`
-/// document.
+/// live-view, export, diagnosis and attribution phases, and return the
+/// `BENCH_observe.json` document.
 pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
     // Full runs alternate off/on twice. So does smoke, not once: single
     // smoke phases run only a few seconds and a lone pair is too noisy to
-    // gate on.
-    let knobs = Knobs { streams: if smoke { 2 } else { 4 }, rounds: 2, reps: 2 };
+    // gate on. `steps` is the dialog-step count per R/3 configuration;
+    // the smoke run still takes enough requests that the p99 tail is a
+    // real trace and the attribution fractions are not single-sample
+    // noise.
+    let (knobs, steps) = if smoke {
+        (Knobs { streams: 2, rounds: 2, reps: 2 }, 32)
+    } else {
+        (Knobs { streams: 4, rounds: 2, reps: 2 }, 96)
+    };
     let (db, gen) = wire::load_database(sf)?;
     let workload = WorkloadMonitor::new();
     db.catalog().register_monitor_view(workload.view());
@@ -230,17 +531,16 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
         workload.record(&stats, &cal);
     };
 
-    let [off, on] = wire::off_on_repetitions(&db, &gen, sf, &knobs, Some(&fold))?;
+    let [off, on] = wire::off_on_repetitions(&db, &gen, sf, &knobs, &fold)?;
 
     // The live-view phase is reported separately from the overhead
     // measurement: an active monitor connection is real extra load (its
     // polls are statements too), distinct from the cost of the always-on
-    // collectors.
-    println!("live phase: collectors on + monitor connection polling all {} views", VIEWS.len());
-    let views: Vec<PolledView> = VIEWS
-        .into_iter()
-        .map(|view| PolledView { view, sql: format!("SELECT * FROM {view}"), check_row: None })
-        .collect();
+    // collectors. Its trace ring is what the export below holds.
+    let views = live_views();
+    println!("live phase: collectors on + monitor connection polling all {} views", views.len());
+    db.trace_ring().clear();
+    let traced_before = db.trace_ring().completed();
     let live_knobs = Knobs { reps: 1, ..knobs };
     let live_phase = Phase {
         streams: knobs.streams,
@@ -256,12 +556,66 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
         "  elapsed={:.1}s queries={} update_pairs={}",
         live_run.elapsed_seconds, live_run.queries_run, live_run.update_pairs
     );
-    let live_views = live_run.polled.as_ref().ok_or("live monitor never ran")?.to_json();
+    let polled = live_run.polled.as_ref().ok_or("live monitor never ran")?;
+    let traced_requests = db.trace_ring().completed() - traced_before;
+    if traced_requests == 0 || polled.rows_checked == 0 {
+        return Err(format!(
+            "live phase traced {traced_requests} requests and partition-checked {} \
+             M$TRACES rows; both must be non-zero",
+            polled.rows_checked
+        ));
+    }
+    let live_views = polled
+        .to_json()
+        .field("rows_sum_checked", polled.rows_checked)
+        .field("traced_requests", traced_requests);
     let mut live_totals = ModeTotals::default();
     live_totals.add(&live_run);
 
+    let chrome_path = if smoke {
+        "target/experiments/OBSERVE_chrome_smoke.json"
+    } else {
+        "target/experiments/OBSERVE_chrome.json"
+    };
+    let chrome = export_chrome(&db, chrome_path)?;
+    println!("chrome trace written to {chrome_path}");
+
     println!("diagnosis: blind-plan lock wait watched live (§4.1)");
     let diagnosis = run_lock_diagnosis(&db)?;
+
+    println!("blind-plan configuration ({steps} dialog steps)");
+    let blind = run_blind_config(steps)?;
+    println!("Open SQL 2.2G configuration ({steps} dialog steps)");
+    let r22 = run_release_config(Release::R22, &gen, sf, steps)?;
+    println!("Open SQL 3.0E configuration ({steps} dialog steps)");
+    let r30 = run_release_config(Release::R30, &gen, sf, steps)?;
+    for (name, a) in [("blind", &blind), ("2.2G", &r22), ("3.0E", &r30)] {
+        println!(
+            "  {name}: p99={}us queue={:.2} lock={:.2} exec={:.2} app={:.2}",
+            a.p99_us,
+            a.total.fraction(WaitEvent::DispatchQueue),
+            a.total.fraction(WaitEvent::Lock),
+            a.total.fraction(WaitEvent::Exec),
+            a.total.app_server_fraction()
+        );
+    }
+
+    // The two attribution claims must actually hold.
+    let blind_lock_exec =
+        blind.total.fraction(WaitEvent::Lock) + blind.total.fraction(WaitEvent::Exec);
+    if blind_lock_exec <= 0.5 {
+        return Err(format!(
+            "blind-plan tail is not lock+exec dominated: fraction {blind_lock_exec:.3}"
+        ));
+    }
+    if r22.total.app_server_fraction() <= r30.total.app_server_fraction() {
+        return Err(format!(
+            "2.2G app-server share {:.3} did not exceed 3.0E's {:.3}: the crossing \
+             gap should surface as app-server time",
+            r22.total.app_server_fraction(),
+            r30.total.app_server_fraction()
+        ));
+    }
 
     let qthd_off = qthd(&off, &knobs, sf);
     let qthd_on = qthd(&on, &knobs, sf);
@@ -273,19 +627,34 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
     );
 
     let notes = [
-        "Collectors-off disables wait-event timers, the statement collector, and \
-         Exec timing via Database::set_monitor_enabled(false); the M$ views stay \
-         queryable but stop accumulating.",
+        "Collectors-off disables wait-event timers, the statement collector, \
+         Exec timing and request traces via Database::set_monitor_enabled(false); \
+         the M$ views stay queryable but stop accumulating.",
         "Off/on repetitions alternate after a warmup round so cache state and \
          machine drift hit both modes equally; QthD per mode is computed over the \
          summed elapsed time. A phase's elapsed time ends when its query streams \
          finish; the update stream's wind-down is not counted.",
         "The live-view phase runs separately from the overhead measurement: an \
-         active monitor connection polling all six M$ views is real extra load, \
-         distinct from collector cost. A single failed poll fails the experiment.",
+         active monitor connection polling all eight M$ views is real extra load, \
+         distinct from collector cost. A single failed poll, or one fetched \
+         M$TRACES row whose segments do not sum to END_TO_END_US, fails the \
+         experiment.",
+        "The Chrome export holds the live phase's trace ring and loads in \
+         chrome://tracing or Perfetto: one track per request (tid = trace id), \
+         complete events for spans and wait intervals.",
         "The diagnosis phase replays §4.1: a blind full-scan reader queues behind \
          an update transaction, visible as a WAITING row in M$LOCKS and then as \
          LOCK_US on the statement's M$STATEMENTS row.",
+        "Critical-path rule: each microsecond of a request belongs to the \
+         latest-starting wait interval covering it, remainder to the app server; \
+         segments provably sum to end-to-end latency (re-asserted on every trace \
+         this experiment touches, in-process and over the wire).",
+        "The blind_plan configuration replays §4.1 per request: full-scan readers \
+         queue behind an update transaction's row lock, so the tail is lock+exec \
+         dominated. The 2.2G-vs-3.0E pair prices through KONV via Open SQL; the \
+         2.2 cluster decode runs on the application server, so the crossing gap \
+         shows as app-server-segment dominance. Fractions, not absolute \
+         microseconds, are what benchdiff gates.",
         "Regenerate: cargo run --release -p bench --bin experiments -- observe \
          (add --smoke for the CI-sized run).",
     ];
@@ -309,10 +678,26 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
                 .field("qthd_collectors_on", qthd_on)
                 .field("on_over_off", on_over_off)
                 .field("overhead_fraction", overhead)
-                .field("overhead_under_3pct", overhead < 0.03),
+                .field("overhead_under_3pct", overhead < 0.03)
+                .field("blind_lock_fraction", blind.total.fraction(WaitEvent::Lock))
+                .field("blind_exec_fraction", blind.total.fraction(WaitEvent::Exec))
+                .field("blind_app_server_fraction", blind.total.app_server_fraction())
+                .field("r22_app_server_fraction", r22.total.app_server_fraction())
+                .field("r30_app_server_fraction", r30.total.app_server_fraction())
+                .field("r22_app_server_dominant", true)
+                .field("blind_lock_exec_dominant", true),
         )
         .field("live_views", live_views)
+        .field("chrome_export", chrome)
         .field("lock_diagnosis", diagnosis)
+        .field(
+            "configurations",
+            Json::Array(vec![
+                blind.to_json("blind_plan", "§4.1 full scan behind a row lock (R30)"),
+                r22.to_json("open_sql_2_2", "Open SQL reports, Release 2.2G (KONV cluster)"),
+                r30.to_json("open_sql_3_0", "Open SQL reports, Release 3.0E (transparent KONV)"),
+            ]),
+        )
         .field("statements_top", statements_top_json(&db, 10))
         .field("workload", workload.to_json()))
 }

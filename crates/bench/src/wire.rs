@@ -1,5 +1,5 @@
-//! The TPC-D-over-the-wire driver behind the `server`, `observe` and
-//! `tracereq` experiments.
+//! The TPC-D-over-the-wire driver behind the `server` and `observe`
+//! experiments.
 //!
 //! A phase serves the loaded database from a fresh [`Server`] and runs S
 //! query-stream clients, each R rounds of the 17 TPC-D queries over the
@@ -400,13 +400,13 @@ pub fn run_phase(
 /// unmeasured warmup round with the collectors on, then `knobs.reps`
 /// repetitions of a collectors-off and a collectors-on phase. Repetitions
 /// alternate so cache warm-up and machine drift hit both modes equally.
-/// Returns the `[off, on]` totals.
+/// `on_step` sees every measured step. Returns the `[off, on]` totals.
 pub fn off_on_repetitions(
     db: &Arc<Database>,
     gen: &DbGen,
     sf: f64,
     knobs: &Knobs,
-    on_step: Option<OnStep>,
+    on_step: OnStep,
 ) -> Result<[ModeTotals; 2], String> {
     let phase = |rounds, monitor, seq_base, on_step| Phase {
         streams: knobs.streams,
@@ -432,7 +432,8 @@ pub fn off_on_repetitions(
                 knobs.rounds,
             );
             let seq_base = 10_000 + (rep * 2 + mode) as u64 * 10_000;
-            let run = run_phase(db, gen, sf, &phase(knobs.rounds, monitor, seq_base, on_step))?;
+            let run =
+                run_phase(db, gen, sf, &phase(knobs.rounds, monitor, seq_base, Some(on_step)))?;
             println!(
                 "  elapsed={:.1}s queries={} update_pairs={} retries={}",
                 run.elapsed_seconds, run.queries_run, run.update_pairs, run.retries

@@ -21,6 +21,7 @@
 
 use crate::opensql::{Cond, SelectSpec};
 use crate::schema::{self, key16, MANDT};
+use crate::sqltrace::SqlOp;
 use crate::system::R3System;
 use rdbms::error::{DbError, DbResult};
 use rdbms::schema::Row;
@@ -124,16 +125,10 @@ impl R3System {
                     .insert_row("NRIV", &[Value::str(MANDT), Value::str(object), Value::Int(1)]);
             }
             let n = existing.rows[0][0].as_int()? + 1;
-            let traced = self.sql_trace.begin();
-            self.meter().bump(Counter::IpcCrossings);
             let sql = format!(
                 "UPDATE NRIV SET NRLEVEL = {n} WHERE MANDT = '{MANDT}' AND OBJECT = '{object}'"
             );
-            nr.execute(&sql)?;
-            if let Some(t) = traced {
-                t.finish(crate::sqltrace::SqlOp::Exec, sql, &[], 1, 1);
-            }
-            Ok(())
+            self.crossing(SqlOp::Exec, || sql.clone(), &[], || nr.execute(&sql).map(drop), |_| 1)
         })
     }
 
@@ -223,18 +218,13 @@ impl R3System {
             self.open_insert(&mut luw, t, row)?;
         }
         if !konv_rows.is_empty() {
-            let traced = self.sql_trace.begin();
-            self.meter().bump(Counter::IpcCrossings);
-            self.insert_cluster_rows(&mut luw, &konv, &konv_rows)?;
-            if let Some(t) = traced {
-                t.finish(
-                    crate::sqltrace::SqlOp::Insert,
-                    "INSERT KONV (cluster batch)",
-                    &[],
-                    konv_rows.len() as u64,
-                    1,
-                );
-            }
+            self.crossing(
+                SqlOp::Insert,
+                || "INSERT KONV (cluster batch)".into(),
+                &[],
+                || self.insert_cluster_rows(&mut luw, &konv, &konv_rows),
+                |_| konv_rows.len() as u64,
+            )?;
         }
         self.commit_work(luw)
     }

@@ -336,12 +336,13 @@ impl R3System {
 
     /// Open SQL INSERT (dictionary-mediated write) in the LUW `luw`.
     pub fn open_insert(&self, luw: &mut Txn<'_>, table: &str, row: &[Value]) -> DbResult<()> {
-        let traced = self.sql_trace.begin();
-        self.meter().bump(Counter::IpcCrossings);
-        self.insert_logical(luw, table, row)?;
-        if let Some(t) = traced {
-            t.finish(SqlOp::Insert, format!("INSERT {table}"), &[], 1, 1);
-        }
+        self.crossing(
+            SqlOp::Insert,
+            || format!("INSERT {table}"),
+            &[],
+            || self.insert_logical(luw, table, row),
+            |_| 1,
+        )?;
         // Invalidate any buffered copy.
         if self.buffer.is_buffered(table) {
             if let Ok(lt) = self.dict.table(table) {
@@ -358,19 +359,13 @@ impl R3System {
         if lt.kind.is_encapsulated() {
             // Cluster delete by document key.
             if let Some(c) = conds.iter().find(|c| c.op == CmpOp::Eq) {
-                let traced = self.sql_trace.begin();
-                self.meter().bump(Counter::IpcCrossings);
-                let n = self.delete_cluster_document(luw, table, &c.value)?;
-                if let Some(t) = traced {
-                    t.finish(
-                        SqlOp::Delete,
-                        format!("DELETE {table} (cluster document)"),
-                        std::slice::from_ref(&c.value),
-                        n,
-                        1,
-                    );
-                }
-                return Ok(n);
+                return self.crossing(
+                    SqlOp::Delete,
+                    || format!("DELETE {table} (cluster document)"),
+                    std::slice::from_ref(&c.value),
+                    || self.delete_cluster_document(luw, table, &c.value),
+                    |&n| n,
+                );
             }
             return Err(DbError::analysis("encapsulated delete needs a key condition"));
         }
@@ -378,13 +373,7 @@ impl R3System {
         for c in conds {
             sql.push_str(&format!(" AND {} {} {}", c.field, c.op.sql(), literal(&c.value)));
         }
-        let traced = self.sql_trace.begin();
-        self.meter().bump(Counter::IpcCrossings);
-        let n = luw.execute(&sql)?.count()?;
-        if let Some(t) = traced {
-            t.finish(SqlOp::Delete, sql, &[], n, 1);
-        }
-        Ok(n)
+        self.crossing(SqlOp::Delete, || sql.clone(), &[], || luw.execute(&sql)?.count(), |&n| n)
     }
 
     // ------------------------------------------------------------------

@@ -988,21 +988,6 @@ impl<'a> Src<'a> {
         }
         Ok(out)
     }
-
-    /// Line items of a single part (Q17's nested access path).
-    pub fn lineitems_of_part(&self, partkey: i64) -> DbResult<Vec<(Decimal, Decimal)>> {
-        let r = self.sys.open_select(
-            &SelectSpec::from_table("VBAP")
-                .fields(&["KWMENG", "NETWR"])
-                .cond(Cond::eq("MATNR", key16(partkey))),
-        )?;
-        let mut out = Vec::with_capacity(r.rows.len());
-        for row in &r.rows {
-            self.meter_app(1);
-            out.push((row[0].as_decimal()?, row[1].as_decimal()?));
-        }
-        Ok(out)
-    }
 }
 
 /// Evaluate conjunctive conditions against a fetched row (application-side

@@ -85,11 +85,14 @@ pub struct SqlTraceEntry {
     pub crossings: u64,
     /// Exact work delta of the call.
     pub work: MeterSnapshot,
+    /// The error the call returned, if it failed (its crossing was still
+    /// charged).
+    pub error: Option<String>,
 }
 
 impl SqlTraceEntry {
     pub fn to_json(&self) -> Json {
-        Json::object()
+        let obj = Json::object()
             .field("seq", self.seq)
             .field("trace_id", self.trace_id)
             .field("op", self.op.label())
@@ -100,7 +103,11 @@ impl SqlTraceEntry {
             )
             .field("rows", self.rows)
             .field("crossings", self.crossings)
-            .field("work", self.work.to_json())
+            .field("work", self.work.to_json());
+        match &self.error {
+            Some(e) => obj.field("error", e.clone()),
+            None => obj,
+        }
     }
 }
 
@@ -200,20 +207,26 @@ impl SqlTrace {
         }
         let meter = CostMeter::new();
         let scope = MeterScope::enter(Arc::clone(&meter));
-        Some(SqlTraceGuard { trace: self, meter, _scope: scope })
+        Some(SqlTraceGuard { trace: self, meter, error: None, _scope: scope })
     }
 }
 
 /// In-flight recording of one traced call. Dropping it without
-/// [`SqlTraceGuard::finish`] discards the entry (e.g. when the statement
-/// errored).
+/// [`SqlTraceGuard::finish`] discards the entry.
 pub struct SqlTraceGuard<'a> {
     trace: &'a SqlTrace,
     meter: Arc<CostMeter>,
+    error: Option<String>,
     _scope: MeterScope,
 }
 
 impl SqlTraceGuard<'_> {
+    /// Record the call as failed with `error`.
+    pub fn failed(mut self, error: &impl fmt::Display) -> Self {
+        self.error = Some(error.to_string());
+        self
+    }
+
     pub fn finish(
         self,
         op: SqlOp,
@@ -239,6 +252,7 @@ impl SqlTraceGuard<'_> {
             rows,
             crossings,
             work,
+            error: self.error,
         });
         // _scope pops here, ending the attribution window.
     }
@@ -289,6 +303,9 @@ pub fn render(
         if !e.params.is_empty() {
             let ps: Vec<String> = e.params.iter().map(|p| format!("'{p}'")).collect();
             stmt.push_str(&format!("  [{}]", ps.join(", ")));
+        }
+        if let Some(err) = &e.error {
+            stmt.push_str(&format!("  !! {err}"));
         }
         out.push_str(&format!(
             "{:>4} | {:>8.3} | {:>6} | {:>4} | {} | {}\n",

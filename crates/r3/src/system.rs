@@ -97,6 +97,31 @@ impl R3System {
     // Metered database interface
     // ------------------------------------------------------------------
 
+    /// One interface crossing: charge `ipc_crossings`, run `call`, and —
+    /// with ST05 on — trace it as `op` on `statement()` with `params`
+    /// and `rows(result)` rows; a failed call is traced with its error.
+    /// `statement` and `rows` run only when tracing is on, so with ST05
+    /// off a crossing formats and allocates nothing.
+    pub(crate) fn crossing<T>(
+        &self,
+        op: SqlOp,
+        statement: impl FnOnce() -> String,
+        params: &[Value],
+        call: impl FnOnce() -> DbResult<T>,
+        rows: impl FnOnce(&T) -> u64,
+    ) -> DbResult<T> {
+        let traced = self.sql_trace.begin();
+        self.meter().bump(Counter::IpcCrossings);
+        let out = call();
+        if let Some(t) = traced {
+            match &out {
+                Ok(v) => t.finish(op, statement(), params, rows(v), 1),
+                Err(e) => t.failed(e).finish(op, statement(), params, 0, 1),
+            }
+        }
+        out
+    }
+
     /// One prepared round trip (the Open SQL path: parameterized text,
     /// cursor-cached plan), as a one-statement LUW.
     pub fn db_select_prepared(&self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
@@ -123,15 +148,18 @@ impl R3System {
                 }
             }
         };
-        let traced = self.sql_trace.begin();
-        self.meter().bump(Counter::IpcCrossings);
-        let result = luw.execute_prepared(&prepared, params)?;
-        self.meter().add(Counter::IpcTuples, result.rows.len() as u64);
-        if let Some(t) = traced {
-            let op = if reopen { SqlOp::Reopen } else { SqlOp::Open };
-            t.finish(op, sql, params, result.rows.len() as u64, 1);
-        }
-        Ok(result)
+        let op = if reopen { SqlOp::Reopen } else { SqlOp::Open };
+        self.crossing(
+            op,
+            || sql.to_string(),
+            params,
+            || {
+                let result = luw.execute_prepared(&prepared, params)?;
+                self.meter().add(Counter::IpcTuples, result.rows.len() as u64);
+                Ok(result)
+            },
+            |result| result.rows.len() as u64,
+        )
     }
 
     /// The prepared plan for a statement (for tests asserting blindness).
@@ -141,21 +169,24 @@ impl R3System {
 
     /// One direct round trip with literals visible (the Native SQL path).
     pub fn db_execute_direct(&self, sql: &str) -> DbResult<rdbms::ExecOutcome> {
-        let traced = self.sql_trace.begin();
-        self.meter().bump(Counter::IpcCrossings);
-        let out = self.db.execute(sql)?;
-        let rows = match &out {
-            rdbms::ExecOutcome::Rows(r) => {
-                self.meter().add(Counter::IpcTuples, r.rows.len() as u64);
-                r.rows.len() as u64
-            }
-            rdbms::ExecOutcome::Count(n) => *n,
-            _ => 0,
-        };
-        if let Some(t) = traced {
-            t.finish(SqlOp::Exec, sql, &[], rows, 1);
-        }
-        Ok(out)
+        use rdbms::ExecOutcome;
+        self.crossing(
+            SqlOp::Exec,
+            || sql.to_string(),
+            &[],
+            || {
+                let out = self.db.execute(sql)?;
+                if let ExecOutcome::Rows(r) = &out {
+                    self.meter().add(Counter::IpcTuples, r.rows.len() as u64);
+                }
+                Ok(out)
+            },
+            |out| match out {
+                ExecOutcome::Rows(r) => r.rows.len() as u64,
+                ExecOutcome::Count(n) => *n,
+                _ => 0,
+            },
+        )
     }
 
     pub fn db_query_direct(&self, sql: &str) -> DbResult<QueryResult> {
@@ -172,13 +203,7 @@ impl R3System {
         if self.db.wal().is_none() {
             return luw.commit().map(drop);
         }
-        let traced = self.sql_trace.begin();
-        self.meter().bump(Counter::IpcCrossings);
-        luw.commit()?;
-        if let Some(t) = traced {
-            t.finish(SqlOp::Commit, "COMMIT WORK", &[], 0, 1);
-        }
-        Ok(())
+        self.crossing(SqlOp::Commit, || "COMMIT WORK".into(), &[], || luw.commit().map(drop), |_| 0)
     }
 
     // ------------------------------------------------------------------

@@ -85,6 +85,18 @@ fn traced_crossings_equal_meter_counter_for_batch_input() {
 }
 
 #[test]
+fn a_failing_crossing_is_traced_with_its_error() {
+    let sys = R3System::install_default(Release::R30).unwrap();
+    let (entries, metered, res) = traced(&sys, || sys.db_execute_direct("SELECT * FROM NOPE"));
+    assert!(res.is_err(), "the statement names no table");
+    assert_eq!(metered, 1, "the failed call still crossed the interface");
+    assert_eq!(sqltrace::summarize(&entries).crossings, metered);
+    assert_eq!(entries.len(), 1);
+    assert_eq!((entries[0].op, entries[0].rows), (SqlOp::Exec, 0));
+    assert!(entries[0].error.is_some(), "{:?}", entries[0]);
+}
+
+#[test]
 fn open_sql_push_down_reduces_crossings_on_konv_reports() {
     // The paper's §4 story, read straight off the ST05 trace: the same
     // Open SQL report on 2.2G (nested per-document KONV reads, app-side

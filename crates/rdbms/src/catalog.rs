@@ -89,11 +89,6 @@ impl Table {
     pub fn find_index(&self, name: &str) -> Option<Arc<Index>> {
         self.indexes.read().iter().find(|i| i.name == name).cloned()
     }
-
-    /// Indexes whose first key column is `col`.
-    pub fn indexes_on_prefix(&self, col: usize) -> Vec<Arc<Index>> {
-        self.indexes.read().iter().filter(|i| i.columns.first() == Some(&col)).cloned().collect()
-    }
 }
 
 /// The catalog.
@@ -138,12 +133,6 @@ impl Catalog {
 
     pub fn monitor_view(&self, name: &str) -> Option<Arc<crate::monitor::MonitorView>> {
         self.monitor_views.read().get(&name.to_ascii_uppercase()).cloned()
-    }
-
-    pub fn monitor_view_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.monitor_views.read().keys().cloned().collect();
-        names.sort();
-        names
     }
 
     pub fn pager(&self) -> &Arc<Pager> {

@@ -358,11 +358,6 @@ impl Database {
         &self.locks
     }
 
-    /// Shared handle to the lock manager (monitor-view providers).
-    pub fn lock_manager_arc(&self) -> Arc<LockManager> {
-        Arc::clone(&self.locks)
-    }
-
     /// The write-ahead log, if this database was configured with one.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.wal.as_ref()

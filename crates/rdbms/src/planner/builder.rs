@@ -197,7 +197,7 @@ impl<'a> Planner<'a> {
         let mut agg_asts: Vec<Expr> = Vec::new();
         let collect_aggs = |e: &Expr, out: &mut Vec<Expr>| {
             e.visit(&mut |node| {
-                if matches!(node, Expr::Agg { .. }) && !out.contains(node) {
+                if matches!(node, Expr::Agg { .. }) && !out.iter().any(|a| a.identical(node)) {
                     out.push(node.clone());
                 }
             });
@@ -1100,10 +1100,10 @@ impl<'a> Planner<'a> {
         outer: &[Schema],
         used_outer: &mut HashSet<usize>,
     ) -> DbResult<BExpr> {
-        if let Some(i) = group_by.iter().position(|g| g == e) {
+        if let Some(i) = group_by.iter().position(|g| g.identical(e)) {
             return Ok(BExpr::Column(i));
         }
-        if let Some(i) = agg_asts.iter().position(|a| a == e) {
+        if let Some(i) = agg_asts.iter().position(|a| a.identical(e)) {
             return Ok(BExpr::Column(group_by.len() + i));
         }
         let rec = |x: &Expr, u: &mut HashSet<usize>| {

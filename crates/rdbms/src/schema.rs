@@ -142,11 +142,6 @@ impl Schema {
     pub fn try_resolve(&self, qualifier: Option<&str>, name: &str) -> Option<usize> {
         self.resolve(qualifier, name).ok()
     }
-
-    /// Fixed-width estimate of a row in bytes (planning only).
-    pub fn estimated_row_width(&self) -> usize {
-        self.columns.iter().map(|c| c.ty.fixed_width().unwrap_or(32) + 1).sum()
-    }
 }
 
 impl fmt::Display for Schema {

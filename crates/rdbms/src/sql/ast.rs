@@ -341,6 +341,17 @@ impl Expr {
         found
     }
 
+    /// `==` that also tells literals apart by variant and exact value
+    /// ([`Value::identical`]), subqueries included: `b + 1` is not
+    /// `b + 1.0`, `'x'` is not `'x '`.
+    pub fn identical(&self, other: &Expr) -> bool {
+        self == other
+            && identical_literals(
+                literals(|f| self.walk(true, &mut |n| f(n))),
+                literals(|f| other.walk(true, &mut |n| f(n))),
+            )
+    }
+
     /// Pre-order visit of this expression's nodes (not descending into
     /// subquery bodies).
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
@@ -516,7 +527,11 @@ impl Statement {
     /// `==` that also tells literals apart by variant and exact value
     /// ([`Value::identical`]): `3` is not `3.0`, `'x'` is not `'x '`.
     pub fn identical(&self, other: &Statement) -> bool {
-        self == other && literals(self).iter().zip(literals(other)).all(|(a, b)| a.identical(b))
+        self == other
+            && identical_literals(
+                literals(|f| self.walk(&mut |n| f(n))),
+                literals(|f| other.walk(&mut |n| f(n))),
+            )
     }
 
     /// Pre-order walk of the whole statement, subqueries and derived
@@ -582,15 +597,21 @@ impl SelectStmt {
     }
 }
 
-/// The literals of `stmt`, in [`Statement::visit_exprs`] order.
-fn literals(stmt: &Statement) -> Vec<&Value> {
+/// The literals a walk visits, in walk order.
+fn literals<'a>(walk: impl FnOnce(&mut dyn FnMut(Node<'a>))) -> Vec<&'a Value> {
     let mut out = Vec::new();
-    stmt.visit_exprs(&mut |e| {
-        if let Expr::Literal(v) = e {
+    walk(&mut |node| {
+        if let Node::Expr(Expr::Literal(v)) = node {
             out.push(v);
         }
     });
     out
+}
+
+/// Are two `==` trees' literals, in walk order, pairwise
+/// [`Value::identical`]?
+fn identical_literals(a: Vec<&Value>, b: Vec<&Value>) -> bool {
+    a.into_iter().zip(b).all(|(a, b)| a.identical(b))
 }
 
 impl TableRef {

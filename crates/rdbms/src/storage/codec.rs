@@ -54,11 +54,6 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Decode one value from the front of `buf`.
-pub fn decode_value(buf: &mut &[u8]) -> DbResult<Value> {
-    read_value(buf, true)
-}
-
 /// Step over (`keep == false`) or decode the value at the front of `buf`.
 /// Stepping over checks lengths and tags exactly as decoding does but
 /// neither validates nor copies string bytes, and yields `Value::Null`.

@@ -37,14 +37,6 @@ impl DataType {
             DataType::Bool => Some(1),
         }
     }
-
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, DataType::Int | DataType::Decimal { .. })
-    }
-
-    pub fn is_string(&self) -> bool {
-        matches!(self, DataType::Char(_) | DataType::VarChar(_))
-    }
 }
 
 impl fmt::Display for DataType {
@@ -502,15 +494,6 @@ impl Value {
         match self {
             Value::Date(d) => Ok(*d),
             other => Err(DbError::execution(format!("expected DATE, found {}", other.type_name()))),
-        }
-    }
-
-    pub fn as_bool(&self) -> DbResult<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => {
-                Err(DbError::execution(format!("expected BOOLEAN, found {}", other.type_name())))
-            }
         }
     }
 

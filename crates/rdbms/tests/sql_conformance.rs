@@ -381,3 +381,18 @@ fn three_way_join_with_filters_on_each() {
         r.rows.iter().map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap())).collect();
     assert_eq!(got, vec![(1, 10), (3, 10), (3, 30)]);
 }
+
+#[test]
+fn aggregates_differing_only_in_a_literal_keep_their_own_slots() {
+    let d = db();
+    d.execute("CREATE TABLE t (b INTEGER)").unwrap();
+    d.execute("INSERT INTO t VALUES (10)").unwrap();
+    // `1` and `1.0` are equal under SQL `=` but give different result
+    // types; `'x'` and `'x '` compare equal but are different strings.
+    let r = d.query("SELECT SUM(b + 1), SUM(b + 1.0) FROM t").unwrap();
+    assert!(r.rows[0][0].identical(&Value::Int(11)), "{:?}", r.rows[0]);
+    assert!(r.rows[0][1].identical(&Value::decimal(110, 1)), "{:?}", r.rows[0]);
+    let r = d.query("SELECT MAX('x'), MAX('x ') FROM t").unwrap();
+    assert!(r.rows[0][0].identical(&Value::str("x")), "{:?}", r.rows[0]);
+    assert!(r.rows[0][1].identical(&Value::str("x ")), "{:?}", r.rows[0]);
+}
