@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--sf <scale>] [table1 .. table9 | figures | all | trace [qN]
-//!              | durability | server | observe [--smoke]]
+//!              | durability | observe [--smoke]]
 //! ```
 //!
 //! `trace` runs the end-to-end observability demo for one query (default
@@ -14,18 +14,16 @@
 //! fsync, and group commit) and records the baseline in
 //! `BENCH_durability.json`.
 //!
-//! `server` runs the wire-protocol experiment (simple vs extended protocol
-//! over real loopback sockets, plan-cache hit rates, and a 100+-connection
-//! stress phase) and records the baseline in `BENCH_server.json`. Its
-//! default scale is 0.02 unless `--sf` is given explicitly.
-//!
-//! `observe` runs the live-monitoring and request-tracing experiment
+//! `observe` runs the wire, live-monitoring and request-tracing experiment
 //! (collectors-off vs collectors-on QthD, a live monitor connection
-//! polling all eight `M$` views mid-run, the Chrome trace export, the §4.1
-//! blind-plan lock-wait diagnosis, and p99 critical-path attribution
-//! across the blind-plan / 2.2G / 3.0E configurations) and records the
-//! baseline in `BENCH_observe.json`. `observe --smoke` is the CI-sized
-//! variant, written to `target/experiments/BENCH_observe_smoke.json`.
+//! polling all eight `M$` views mid-run, the Chrome trace export, the
+//! simple vs extended protocol phases over real loopback sockets, a
+//! 120-connection stress phase, the §4.1 blind-plan lock-wait diagnosis,
+//! and p99 critical-path attribution across the blind-plan / 2.2G / 3.0E
+//! configurations) and records the baseline in `BENCH_observe.json`. Its
+//! default scale is 0.02 unless `--sf` is given explicitly.
+//! `observe --smoke` is the CI-sized variant (SF 0.005), written to
+//! `target/experiments/BENCH_observe_smoke.json`.
 //!
 //! Results print as text tables (paper numbers alongside) and are also
 //! dumped as JSON under `target/experiments/`.
@@ -133,6 +131,12 @@ fn emit(path: &str, doc: &Json) {
     println!("\n  (written to {path})");
 }
 
+/// Report a failed experiment and exit non-zero.
+fn fail(what: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("{what} failed: {e}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut sf = 0.01f64;
@@ -171,86 +175,63 @@ fn main() {
         Err(e) => eprintln!("{name} failed: {e}"),
     };
 
-    // The wire experiments: SF 0.02 unless `--sf` is given, 0.005 for a
-    // smoke run (written under `target/experiments/`).
-    if let Some(name @ ("server" | "observe")) = which.first().map(String::as_str) {
-        let smoke = name != "server" && which.iter().any(|w| w == "--smoke" || w == "smoke");
-        let sf = if args.iter().any(|a| a == "--sf") {
-            sf
-        } else if smoke {
-            0.005
-        } else {
-            0.02
-        };
-        let doc = match name {
-            "server" => bench::serverexp::run_server_experiment(sf),
-            _ => bench::observe::run_observe_experiment(sf, smoke),
-        };
-        let path = if smoke {
-            format!("{out_dir}/BENCH_{name}_smoke.json")
-        } else {
-            format!("BENCH_{name}.json")
-        };
-        match doc {
-            Ok(doc) => emit(&path, &doc),
-            Err(e) => {
-                eprintln!("{name} experiment failed: {e}");
-                std::process::exit(1);
+    match which.first().map(String::as_str) {
+        // The wire experiment: SF 0.02 unless `--sf` is given, 0.005 for a
+        // smoke run (written under `target/experiments/`).
+        Some("observe") => {
+            let smoke = which.iter().any(|w| w == "--smoke" || w == "smoke");
+            let sf = if args.iter().any(|a| a == "--sf") {
+                sf
+            } else if smoke {
+                0.005
+            } else {
+                0.02
+            };
+            let path = if smoke {
+                format!("{out_dir}/BENCH_observe_smoke.json")
+            } else {
+                "BENCH_observe.json".to_string()
+            };
+            let doc = bench::observe::run_observe_experiment(sf, smoke);
+            emit(&path, &doc.unwrap_or_else(|e| fail("observe experiment", e)));
+        }
+        Some("durability") => run_durability(sf).unwrap_or_else(|e| fail("durability", e)),
+        // `trace [qN|N]`: one subcommand consuming an optional query operand.
+        Some("trace") => {
+            let n = which
+                .get(1)
+                .map(|q| {
+                    q.trim_start_matches(['q', 'Q'])
+                        .parse::<usize>()
+                        .unwrap_or_else(|_| panic!("trace: bad query '{q}'"))
+                })
+                .unwrap_or(3);
+            let artifacts = bench::tracecmd::run_trace(n, sf).unwrap_or_else(|e| fail("trace", e));
+            for a in &artifacts {
+                println!("{}", a.text);
+                emit(&format!("{out_dir}/{}.json", a.name), &a.json);
             }
         }
-        return;
-    }
-
-    if which.first().map(String::as_str) == Some("durability") {
-        if let Err(e) = run_durability(sf) {
-            eprintln!("durability failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // `trace [qN|N]`: one subcommand consuming an optional query operand.
-    if which.first().map(String::as_str) == Some("trace") {
-        let n = which
-            .get(1)
-            .map(|q| {
-                q.trim_start_matches(['q', 'Q'])
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("trace: bad query '{q}'"))
-            })
-            .unwrap_or(3);
-        match bench::tracecmd::run_trace(n, sf) {
-            Ok(artifacts) => {
-                for a in &artifacts {
-                    println!("{}", a.text);
-                    emit(&format!("{out_dir}/{}.json", a.name), &a.json);
+        _ => {
+            for w in &which {
+                match w.as_str() {
+                    "table1" => run("table1", bench::table1()),
+                    "table2" => run("table2", bench::table2(sf)),
+                    "table3" => run("table3", bench::table3(sf)),
+                    "table4" => run("table4", bench::table4(sf)),
+                    "table5" => run("table5", bench::table5(sf)),
+                    "table6" => run("table6", bench::table6(sf)),
+                    "table7" => run("table7", bench::table7(sf)),
+                    "table8" => run("table8", bench::table8(sf)),
+                    "table9" => run("table9", bench::table9(sf)),
+                    "throughput" => run(
+                        "throughput",
+                        bench::throughput_table(sf, &[1, 2, 4], &bench::ThroughputSystem::ALL),
+                    ),
+                    "figures" => println!("{}", bench::figures()),
+                    other => eprintln!("unknown experiment '{other}'"),
                 }
             }
-            Err(e) => {
-                eprintln!("trace failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    for w in &which {
-        match w.as_str() {
-            "table1" => run("table1", bench::table1()),
-            "table2" => run("table2", bench::table2(sf)),
-            "table3" => run("table3", bench::table3(sf)),
-            "table4" => run("table4", bench::table4(sf)),
-            "table5" => run("table5", bench::table5(sf)),
-            "table6" => run("table6", bench::table6(sf)),
-            "table7" => run("table7", bench::table7(sf)),
-            "table8" => run("table8", bench::table8(sf)),
-            "table9" => run("table9", bench::table9(sf)),
-            "throughput" => run(
-                "throughput",
-                bench::throughput_table(sf, &[1, 2, 4], &bench::ThroughputSystem::ALL),
-            ),
-            "figures" => println!("{}", bench::figures()),
-            other => eprintln!("unknown experiment '{other}'"),
         }
     }
 }

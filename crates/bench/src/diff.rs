@@ -4,9 +4,10 @@
 //! Absolute QthD is wall-clock and therefore machine-dependent — a laptop
 //! baseline would fail every CI runner — so the gate is on the QthD
 //! *ratios* each document already reports in its `comparison` object
-//! (`on_over_off` for the observe experiment, `extended_over_simple` for
-//! the server experiment): dimensionless, same-machine quotients that are
-//! comparable across hardware. A run fails when any ratio regresses more
+//! (the observe experiment's `on_over_off`, collectors on over off, and
+//! `extended_over_simple`, the extended over the simple protocol's QthD):
+//! dimensionless, same-machine quotients that are comparable across
+//! hardware. A run fails when any ratio regresses more
 //! than the tolerance (default 10%) below the committed value.
 //!
 //! Attribution *fractions* (`comparison` fields ending in `_fraction`,

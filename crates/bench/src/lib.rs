@@ -6,7 +6,6 @@ pub mod durability;
 pub mod experiments;
 pub mod observe;
 pub mod paper;
-pub mod serverexp;
 pub mod tracecmd;
 pub mod wire;
 

@@ -1,13 +1,14 @@
-//! The live-monitoring and request-tracing experiment
+//! The wire, live-monitoring and request-tracing experiment
 //! (`BENCH_observe.json`).
 //!
 //! The monitoring and tracing subsystems are only worth shipping always-on
 //! if watching costs (almost) nothing and what they show answers the
-//! questions the paper's DBAs asked. One run, on one loaded database,
-//! measures both:
+//! questions the paper's DBAs asked; §4's release contrast is only worth
+//! reporting if it holds over real sockets. One run, on one loaded
+//! database, measures all of it:
 //!
-//! 1. **overhead** — the TPC-D query streams plus update stream from the
-//!    server experiment run twice per repetition over the wire, once with
+//! 1. **overhead** — TPC-D query streams plus a UF1/UF2 update stream run
+//!    twice per repetition over the wire, once with
 //!    the collectors disabled (`Database::set_monitor_enabled(false)`:
 //!    wait timers, the statement collector, Exec timing and request
 //!    traces) and once enabled. Repetitions alternate off/on so cache
@@ -27,14 +28,19 @@
 //!    under `target/experiments/` and re-parsed with the vendored JSON
 //!    parser plus [`trace::request::validate_chrome_trace`] before the
 //!    experiment is allowed to pass.
-//! 4. **diagnosis** — the §4.1 blind-plan scenario replayed as a DBA would
+//! 4. **protocols** — §4's OPEN (Release 2.2G) vs REOPEN (3.0E) over real
+//!    sockets: the simple protocol, then the extended one through the
+//!    shared plan cache, whose hit ratio must clear 90 %.
+//! 5. **stress** — 120 connections open at once, 15 dropping
+//!    mid-transaction; the server must roll those back and leak nothing.
+//! 6. **diagnosis** — the §4.1 blind-plan scenario replayed as a DBA would
 //!    see it: an update transaction parks on one supplier row, a reader
 //!    with a non-selective predicate (the "blind" plan: no usable index, so
 //!    a full scan behind a table S lock) blocks behind it, and the monitor
 //!    connection watches the queue form in `M$LOCKS`, the lock-wait time
 //!    accumulate in `M$WAIT_EVENTS`, and — after the holder commits — the
 //!    wait land on the guilty statement in `M$STATEMENTS`.
-//! 5. **attribution** — three R/3 configurations driven through the
+//! 7. **attribution** — three R/3 configurations driven through the
 //!    dispatcher, each decomposed whole-run and at the p99 tail:
 //!    * `blind_plan` replays §4.1 per request: readers with a non-selective
 //!      predicate full-scan behind an update transaction's row lock, so
@@ -62,10 +68,11 @@ use r3::workload::WorkloadMonitor;
 use r3::{R3System, Release};
 use rdbms::{CriticalPath, Database, DbResult, RequestTrace, Value, WaitEvent, WaitSnapshot};
 use serde_json::Json;
-use server::{Client, Server, ServerConfig};
+use server::{Client, Server, ServerConfig, StatsSnapshot};
+use std::collections::HashMap;
 use std::fs;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use tpcd::dbgen::DbGen;
 use tpcd::queries::QueryParams;
@@ -83,11 +90,29 @@ const SEGMENT_COLS: [&str; 6] =
 /// How long each blind-plan update transaction holds its row lock.
 const BLIND_HOLD_MS: u64 = 8;
 
+/// Dialog steps of the blind-plan configuration, smoke runs included: at
+/// 32 steps a smoke run's `blind_lock_fraction` strayed 0.13 from the
+/// baseline, and a step costs ~10-30 ms.
+const BLIND_STEPS: usize = 192;
+
 /// How many dialog steps are in flight at once during the attribution
 /// configurations. Matched to the work-process count: submission is
 /// closed-loop, so the dispatch-queue segment reflects scheduling, not a
 /// flood of offered load drowning every other segment.
 const DIALOG_WIDTH: usize = 2;
+
+/// The protocol phases' workload. At 8 streams x 4 rounds the plan-cache
+/// hit ratio clears 90 %: the only repeat misses are Q15's per-stream view
+/// plans (invalidated by its own CREATE/DROP VIEW churn), so the expected
+/// ratio is `1 - (16 + S*R) / (17*S*R)`.
+const PROTOCOL_KNOBS: Knobs = Knobs { streams: 8, rounds: 4, reps: 1 };
+
+/// Connections held open at once in the stress phase.
+const STRESS_CONNS: usize = 120;
+
+/// Every `STRESS_DROP_EVERY`-th stress connection drops mid-transaction
+/// instead of terminating cleanly.
+const STRESS_DROP_EVERY: usize = 8;
 
 /// QthD over the summed elapsed time of one mode's repetitions.
 fn qthd(t: &ModeTotals, knobs: &Knobs, sf: f64) -> f64 {
@@ -184,6 +209,172 @@ fn export_chrome(db: &Database, path: &str) -> Result<Json, String> {
         .field("events", events as u64)
         .field("traces", traces.len() as u64)
         .field("validated", true))
+}
+
+fn stats_json(s: &StatsSnapshot) -> Json {
+    Json::object()
+        .field("sessions_opened", s.sessions_opened)
+        .field("sessions_leaked", s.sessions_active)
+        .field("simple_queries", s.simple_queries)
+        .field("extended_executes", s.extended_executes)
+        .field("protocol_errors", s.protocol_errors)
+        .field("disconnect_rollbacks", s.disconnect_rollbacks)
+        .field("panics", s.panics)
+}
+
+/// Client message names by tag byte, in tag order.
+const MESSAGES: [(u8, &str); 7] = [
+    (b'B', "Bind"),
+    (b'C', "Close"),
+    (b'E', "Execute"),
+    (b'P', "Parse"),
+    (b'Q', "Query"),
+    (b'S', "Sync"),
+    (b'X', "Terminate"),
+];
+
+/// Per-message-type service time, keyed by message name.
+fn latency_json(hists: &HashMap<u8, Arc<trace::Histogram>>) -> Json {
+    MESSAGES
+        .iter()
+        .filter_map(|(tag, name)| Some((name, hists.get(tag)?)))
+        .fold(Json::object(), |obj, (name, hist)| obj.field(name, hist.to_json("us")))
+}
+
+/// One protocol phase at [`PROTOCOL_KNOBS`], collectors on, against a fresh
+/// server. Returns its JSON (the overhead phases' fields plus plan-cache
+/// counters, server statistics and per-message latency), its QthD and its
+/// plan-cache hit ratio.
+fn run_protocol_phase(
+    db: &Arc<Database>,
+    gen: &DbGen,
+    sf: f64,
+    protocol: Protocol,
+    seq_base: u64,
+) -> Result<(Json, f64, f64), String> {
+    let knobs = PROTOCOL_KNOBS;
+    let phase = Phase {
+        streams: knobs.streams,
+        rounds: knobs.rounds,
+        protocol,
+        monitor: true,
+        seq_base,
+        poller: None,
+        on_step: None,
+    };
+    let run = wire::run_phase(db, gen, sf, &phase)?;
+    let mut totals = ModeTotals::default();
+    totals.add(&run);
+    let (qthd, hit_ratio) = (qthd(&totals, &knobs, sf), run.work.plan_cache_hit_ratio());
+    println!("  qthd={qthd:.1} hit_ratio={hit_ratio:.3}");
+    let name = format!("{protocol:?}").to_lowercase();
+    let json = mode_json(&totals, &name, &knobs, sf)
+        .field(
+            "plan_cache",
+            Json::object()
+                .field("hits", run.work.plan_cache_hits())
+                .field("misses", run.work.plan_cache_misses())
+                .field("evictions", run.work.plan_cache_evictions())
+                .field("hit_ratio", hit_ratio),
+        )
+        .field("server", stats_json(&run.stats))
+        .field("latency_us", latency_json(&run.latency));
+    Ok((json, qthd, hit_ratio))
+}
+
+/// The stress phase: [`STRESS_CONNS`] connections all held open at once
+/// (seen server-side before any workload runs), each running a small mixed
+/// workload over both protocols. Every [`STRESS_DROP_EVERY`]-th connection
+/// drops mid-transaction; the server must roll each of those back.
+fn run_stress(db: &Arc<Database>, n_suppliers: i64) -> Result<Json, String> {
+    let server = Server::start(Arc::clone(db), ServerConfig::default())
+        .map_err(|e| format!("server start: {e}"))?;
+    let addr = server.local_addr().to_string();
+    // All workers plus the coordinator: workers connect, then wait at the
+    // barrier until the coordinator has seen every session open.
+    let barrier = Arc::new(Barrier::new(STRESS_CONNS + 1));
+
+    // Each worker returns how many of its lookups did not find one row.
+    let workers: Vec<_> = (0..STRESS_CONNS)
+        .map(|i| {
+            let (addr, barrier) = (addr.clone(), barrier.clone());
+            std::thread::spawn(move || -> Result<u64, String> {
+                let mut c = Client::connect(&addr).map_err(|e| format!("connect: {e}"))?;
+                barrier.wait();
+                let nation = (i % 25) as i64;
+                let supp = (i as i64 % n_suppliers) + 1;
+                let mut errors = 0;
+                for _ in 0..3 {
+                    let rows = c
+                        .extended_query(
+                            "SELECT n_name FROM nation WHERE n_nationkey = ?",
+                            &[Value::Int(nation)],
+                        )
+                        .map_err(|e| format!("extended: {e}"))?;
+                    errors += u64::from(rows.rows.len() != 1);
+                    c.simple_query("SELECT r_name FROM region WHERE r_regionkey = 3")
+                        .map_err(|e| format!("simple: {e}"))?;
+                    c.simple_query("BEGIN").map_err(|e| format!("begin: {e}"))?;
+                    c.simple_query(&format!(
+                        "UPDATE supplier SET s_acctbal = s_acctbal + 0 WHERE s_suppkey = {supp}"
+                    ))
+                    .map_err(|e| format!("update: {e}"))?;
+                    if i % STRESS_DROP_EVERY == 0 {
+                        // Abandon the connection mid-transaction: the
+                        // server must roll back and release the row lock.
+                        return Ok(errors);
+                    }
+                    c.simple_query("COMMIT").map_err(|e| format!("commit: {e}"))?;
+                }
+                c.terminate().map_err(|e| format!("terminate: {e}"))?;
+                Ok(errors)
+            })
+        })
+        .collect();
+
+    // Every connection must be open at the same time before the workload
+    // starts: that is what "N concurrent connections" certifies.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut peak = 0;
+    while peak < STRESS_CONNS as u64 {
+        peak = peak.max(server.stats().sessions_active);
+        if Instant::now() > deadline {
+            return Err(format!("only {peak}/{STRESS_CONNS} sessions came up"));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    barrier.wait();
+
+    let (mut first_err, mut errors) = (None, 0);
+    for t in workers {
+        match t.join().map_err(|_| "stress worker panicked".to_string()) {
+            Ok(Ok(n)) => errors += n,
+            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
+        }
+    }
+    let stats = server.shutdown();
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+    let expected_drops = STRESS_CONNS.div_ceil(STRESS_DROP_EVERY) as u64;
+    if stats.panics != 0 || stats.sessions_active != 0 {
+        return Err(format!(
+            "stress left the server dirty: {} panics, {} leaked sessions",
+            stats.panics, stats.sessions_active
+        ));
+    }
+    if stats.disconnect_rollbacks != expected_drops {
+        return Err(format!(
+            "expected {expected_drops} disconnect rollbacks, saw {}",
+            stats.disconnect_rollbacks
+        ));
+    }
+    Ok(Json::object()
+        .field("connections", STRESS_CONNS)
+        .field("peak_concurrent_sessions", peak)
+        .field("deliberate_mid_txn_drops", expected_drops)
+        .field("result_errors", errors)
+        .field("server", stats_json(&stats)))
 }
 
 /// The §4.1 diagnosis demo: watch a blind-plan reader queue behind an
@@ -491,15 +682,15 @@ fn statements_top_json(db: &Database, limit: usize) -> Json {
 }
 
 /// Load the database, measure collectors-off vs collectors-on, run the
-/// live-view, export, diagnosis and attribution phases, and return the
-/// `BENCH_observe.json` document.
+/// live-view, export, protocol, stress, diagnosis and attribution phases,
+/// and return the `BENCH_observe.json` document.
 pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
     // Full runs alternate off/on twice. So does smoke, not once: single
     // smoke phases run only a few seconds and a lone pair is too noisy to
-    // gate on. `steps` is the dialog-step count per R/3 configuration;
-    // the smoke run still takes enough requests that the p99 tail is a
-    // real trace and the attribution fractions are not single-sample
-    // noise.
+    // gate on. `steps` is the dialog-step count per Open SQL
+    // configuration; the smoke run still takes enough requests that the
+    // p99 tail is a real trace and the attribution fractions are not
+    // single-sample noise.
     let (knobs, steps) = if smoke {
         (Knobs { streams: 2, rounds: 2, reps: 2 }, 32)
     } else {
@@ -552,10 +743,6 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
         on_step: Some(&fold),
     };
     let live_run = wire::run_phase(&db, &gen, sf, &live_phase)?;
-    println!(
-        "  elapsed={:.1}s queries={} update_pairs={}",
-        live_run.elapsed_seconds, live_run.queries_run, live_run.update_pairs
-    );
     let polled = live_run.polled.as_ref().ok_or("live monitor never ran")?;
     let traced_requests = db.trace_ring().completed() - traced_before;
     if traced_requests == 0 || polled.rows_checked == 0 {
@@ -580,11 +767,30 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
     let chrome = export_chrome(&db, chrome_path)?;
     println!("chrome trace written to {chrome_path}");
 
+    let Knobs { streams, rounds, .. } = PROTOCOL_KNOBS;
+    println!("protocols: simple ({streams} query streams x {rounds} rounds + update stream)");
+    let (simple, qthd_simple, _) = run_protocol_phase(&db, &gen, sf, Protocol::Simple, 100_000)?;
+    println!("protocols: extended (same workload via Parse/Bind/Execute)");
+    let (extended, qthd_extended, hit_ratio) =
+        run_protocol_phase(&db, &gen, sf, Protocol::Extended, 110_000)?;
+    if hit_ratio <= 0.9 {
+        return Err(format!(
+            "extended-protocol plan-cache hit ratio {hit_ratio:.3} is not above 0.9"
+        ));
+    }
+    let extended_over_simple = if qthd_simple > 0.0 { qthd_extended / qthd_simple } else { 0.0 };
+    println!("stress: {STRESS_CONNS} concurrent connections, mixed workload");
+    let stress = run_stress(&db, gen.n_suppliers())?;
+    let wire_protocols = Json::object()
+        .field("phases", Json::Array(vec![simple, extended]))
+        .field("extended_beats_simple", qthd_extended > qthd_simple)
+        .field("stress", stress);
+
     println!("diagnosis: blind-plan lock wait watched live (§4.1)");
     let diagnosis = run_lock_diagnosis(&db)?;
 
-    println!("blind-plan configuration ({steps} dialog steps)");
-    let blind = run_blind_config(steps)?;
+    println!("blind-plan configuration ({BLIND_STEPS} dialog steps)");
+    let blind = run_blind_config(BLIND_STEPS)?;
     println!("Open SQL 2.2G configuration ({steps} dialog steps)");
     let r22 = run_release_config(Release::R22, &gen, sf, steps)?;
     println!("Open SQL 3.0E configuration ({steps} dialog steps)");
@@ -655,6 +861,9 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
          2.2 cluster decode runs on the application server, so the crossing gap \
          shows as app-server-segment dominance. Fractions, not absolute \
          microseconds, are what benchdiff gates.",
+        "wire_protocols: simple = literal SQL per call (OPEN, release 2.2G); extended \
+         = Parse/Bind/Execute through the shared plan cache (REOPEN, release 3.0E). \
+         Q15's per-stream view DDL is why the hit ratio stays below 1 - 16/(17*S*R).",
         "Regenerate: cargo run --release -p bench --bin experiments -- observe \
          (add --smoke for the CI-sized run).",
     ];
@@ -679,6 +888,7 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
                 .field("on_over_off", on_over_off)
                 .field("overhead_fraction", overhead)
                 .field("overhead_under_3pct", overhead < 0.03)
+                .field("extended_over_simple", extended_over_simple)
                 .field("blind_lock_fraction", blind.total.fraction(WaitEvent::Lock))
                 .field("blind_exec_fraction", blind.total.fraction(WaitEvent::Exec))
                 .field("blind_app_server_fraction", blind.total.app_server_fraction())
@@ -687,6 +897,7 @@ pub fn run_observe_experiment(sf: f64, smoke: bool) -> Result<Json, String> {
                 .field("r22_app_server_dominant", true)
                 .field("blind_lock_exec_dominant", true),
         )
+        .field("wire_protocols", wire_protocols)
         .field("live_views", live_views)
         .field("chrome_export", chrome)
         .field("lock_diagnosis", diagnosis)

@@ -338,7 +338,8 @@ fn join<T>(
     }
 }
 
-/// Run one phase against a fresh server on the shared database.
+/// Run one phase against a fresh server on the shared database, and print
+/// its summary line.
 pub fn run_phase(
     db: &Arc<Database>,
     gen: &DbGen,
@@ -383,11 +384,16 @@ pub fn run_phase(
             stats.panics, stats.sessions_active
         ));
     }
+    let retries = retries.load(Ordering::Relaxed);
+    println!(
+        "  elapsed={elapsed_seconds:.1}s queries={queries_run} update_pairs={update_pairs} \
+         retries={retries}"
+    );
     Ok(PhaseRun {
         elapsed_seconds,
         queries_run,
         update_pairs,
-        retries: retries.load(Ordering::Relaxed),
+        retries,
         waits,
         work,
         stats,
@@ -434,10 +440,6 @@ pub fn off_on_repetitions(
             let seq_base = 10_000 + (rep * 2 + mode) as u64 * 10_000;
             let run =
                 run_phase(db, gen, sf, &phase(knobs.rounds, monitor, seq_base, Some(on_step)))?;
-            println!(
-                "  elapsed={:.1}s queries={} update_pairs={} retries={}",
-                run.elapsed_seconds, run.queries_run, run.update_pairs, run.retries
-            );
             totals[mode].add(&run);
         }
     }

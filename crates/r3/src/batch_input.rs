@@ -121,8 +121,14 @@ impl R3System {
                 &[Value::str(MANDT), Value::str(object)],
             )?;
             if existing.rows.is_empty() {
-                return nr
-                    .insert_row("NRIV", &[Value::str(MANDT), Value::str(object), Value::Int(1)]);
+                let row = [Value::str(MANDT), Value::str(object), Value::Int(1)];
+                return self.crossing(
+                    SqlOp::Insert,
+                    || "INSERT NRIV".into(),
+                    &[],
+                    || nr.insert_row("NRIV", &row),
+                    |_| 1,
+                );
             }
             let n = existing.rows[0][0].as_int()? + 1;
             let sql = format!(

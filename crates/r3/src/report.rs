@@ -15,11 +15,11 @@
 
 use rdbms::error::{DbError, DbResult};
 use rdbms::exec::expr::{BExpr, ExecCtx};
+use rdbms::exec::plan::Acc;
 use rdbms::schema::Row;
 use rdbms::sql::ast::AggFunc;
 use rdbms::storage::PAGE_SIZE;
-use rdbms::types::{Decimal, Value};
-use std::collections::HashMap;
+use rdbms::types::Value;
 use std::sync::Arc;
 use trace::meter::{CostMeter, Counter};
 
@@ -184,10 +184,9 @@ pub fn app_aggregate(meter: &Arc<CostMeter>, rows: &[Row], agg: &AppAgg) -> DbRe
     extract.loop_groups(meter, |key, lines| {
         let mut result: Row = key.to_vec();
         for (func, expr) in &agg.aggs {
-            let mut acc = AppAcc::new();
+            let mut acc = Acc::new(false);
             for (_, row) in lines {
-                let v = expr.eval(row, &ctx)?;
-                acc.update(v)?;
+                acc.update(&expr.eval(row, &ctx)?, *func)?;
             }
             result.push(acc.finish(*func)?);
         }
@@ -209,11 +208,11 @@ pub fn app_aggregate_scalar(
     aggs: &[(AggFunc, BExpr)],
 ) -> DbResult<Row> {
     let ctx = ExecCtx::new(&[], meter);
-    let mut accs: Vec<AppAcc> = aggs.iter().map(|_| AppAcc::new()).collect();
+    let mut accs: Vec<Acc> = aggs.iter().map(|_| Acc::new(false)).collect();
     for row in rows {
         meter.bump(Counter::AppTuples);
-        for ((_, expr), acc) in aggs.iter().zip(&mut accs) {
-            acc.update(expr.eval(row, &ctx)?)?;
+        for ((func, expr), acc) in aggs.iter().zip(&mut accs) {
+            acc.update(&expr.eval(row, &ctx)?, *func)?;
         }
     }
     aggs.iter().zip(&accs).map(|((f, _), acc)| acc.finish(*f)).collect()
@@ -239,73 +238,14 @@ pub fn app_sort(meter: &CostMeter, rows: &mut [Row], keys: &[(usize, bool)]) {
     });
 }
 
-/// One aggregate accumulator.
-struct AppAcc {
-    count: u64,
-    sum: Option<Value>,
-    min: Option<Value>,
-    max: Option<Value>,
-}
-
-impl AppAcc {
-    fn new() -> Self {
-        AppAcc { count: 0, sum: None, min: None, max: None }
-    }
-
-    fn update(&mut self, v: Value) -> DbResult<()> {
-        if v.is_null() {
-            return Ok(());
-        }
-        self.count += 1;
-        self.sum = Some(match self.sum.take() {
-            None => v.clone(),
-            Some(s) => {
-                if s.type_name() == "STRING" {
-                    s
-                } else {
-                    rdbms::exec::expr::arith(&s, rdbms::sql::ast::BinOp::Add, &v)?
-                }
-            }
-        });
-        if self.min.as_ref().map(|m| v.total_cmp(m).is_lt()).unwrap_or(true) {
-            self.min = Some(v.clone());
-        }
-        if self.max.as_ref().map(|m| v.total_cmp(m).is_gt()).unwrap_or(true) {
-            self.max = Some(v);
-        }
-        Ok(())
-    }
-
-    fn finish(&self, func: AggFunc) -> DbResult<Value> {
-        Ok(match func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => self.sum.clone().unwrap_or(Value::Null),
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-            AggFunc::Avg => match &self.sum {
-                None => Value::Null,
-                Some(s) => {
-                    Value::Decimal(s.as_decimal()?.div(Decimal::from_int(self.count as i64))?)
-                }
-            },
-        })
-    }
-}
-
 /// COUNT DISTINCT helper for app-side Q16-style logic.
 pub fn app_count_distinct(meter: &CostMeter, values: impl Iterator<Item = Value>) -> i64 {
-    let mut seen: HashMap<Value, ()> = HashMap::new();
-    let mut n = 0i64;
+    let mut acc = Acc::new(true);
     for v in values {
         meter.bump(Counter::AppTuples);
-        if v.is_null() {
-            continue;
-        }
-        if seen.insert(v, ()).is_none() {
-            n += 1;
-        }
+        acc.update(&v, AggFunc::Count).expect("COUNT folds without arithmetic");
     }
-    n
+    acc.finish(AggFunc::Count).and_then(|n| n.as_int()).expect("COUNT is an integer")
 }
 
 #[cfg(test)]

@@ -85,6 +85,27 @@ fn traced_crossings_equal_meter_counter_for_batch_input() {
 }
 
 #[test]
+fn a_first_number_draw_is_metered_and_traced() {
+    // A fresh system has no NRIV interval yet: posting the first part
+    // draws MATL's first number, a SELECT that finds nothing and the
+    // INSERT of the interval row. Both cross the interface.
+    let gen = DbGen::new(SF);
+    let sys = R3System::install_default(Release::R30).unwrap();
+    let part = &gen.parts()[0];
+    let (entries, metered, res) = traced(&sys, || sys.batch_input_part(part));
+    res.unwrap();
+    assert_eq!(sqltrace::summarize(&entries).crossings, metered);
+    let nriv: Vec<(SqlOp, u64)> = entries
+        .iter()
+        .filter(|e| e.statement.contains("NRIV"))
+        .map(|e| (e.op, e.crossings))
+        .collect();
+    assert_eq!(nriv.len(), 2, "SELECT + INSERT of the interval row: {nriv:?}");
+    assert_eq!(nriv[1], (SqlOp::Insert, 1), "{nriv:?}");
+    assert!(nriv.iter().all(|&(_, crossings)| crossings == 1), "{nriv:?}");
+}
+
+#[test]
 fn a_failing_crossing_is_traced_with_its_error() {
     let sys = R3System::install_default(Release::R30).unwrap();
     let (entries, metered, res) = traced(&sys, || sys.db_execute_direct("SELECT * FROM NOPE"));

@@ -301,6 +301,12 @@ impl Database {
         self.calibration
     }
 
+    /// A planner under the current configuration, pricing access paths
+    /// with this database's calibration.
+    pub fn planner(&self) -> Planner<'_> {
+        Planner::new(&self.catalog, self.planner_config(), self.calibration)
+    }
+
     pub fn planner_config(&self) -> PlannerConfig {
         *self.planner_config.read()
     }
@@ -395,7 +401,7 @@ impl Database {
     /// that runs a SELECT plans it here once, and takes its read locks
     /// ([`crate::txn::select_read_locks`]) from the plan it runs.
     pub fn plan_select(&self, q: &SelectStmt) -> DbResult<PlannedQuery> {
-        Planner::with_config(&self.catalog, self.planner_config()).plan_query(q)
+        self.planner().plan_query(q)
     }
 
     /// Open a transaction. Locks are acquired per statement and held to
@@ -681,7 +687,7 @@ impl Database {
     ) -> DbResult<u64> {
         let t = self.catalog.table(table)?;
         let pred = self.bind_dml_filter(&t.schema, filter)?;
-        let planner = Planner::with_config(&self.catalog, self.planner_config());
+        let planner = self.planner();
         let mut bound_assignments = Vec::new();
         for (col, e) in assignments {
             let idx = t.schema.resolve(None, col)?;
@@ -765,7 +771,7 @@ impl Database {
         match filter {
             None => Ok(None),
             Some(f) => {
-                let planner = Planner::with_config(&self.catalog, self.planner_config());
+                let planner = self.planner();
                 let mut used = HashSet::new();
                 Ok(Some(planner.bind_expr(f, schema, &[], &mut used)?))
             }
@@ -776,7 +782,7 @@ impl Database {
     /// plan cache uses this to turn the constants stripped by
     /// [`Statement::normalized`] into bind values.
     pub fn eval_const_exprs(&self, exprs: &[Expr]) -> DbResult<Vec<Value>> {
-        let planner = Planner::with_config(&self.catalog, self.planner_config());
+        let planner = self.planner();
         let empty = Schema::new(Vec::new());
         let mut used = HashSet::new();
         let ctx = ExecCtx::new(&[], &self.meter);
@@ -796,7 +802,7 @@ impl Database {
         exprs: &[Expr],
         ctx: &ExecCtx,
     ) -> DbResult<Row> {
-        let planner = Planner::with_config(&self.catalog, self.planner_config());
+        let planner = self.planner();
         let empty = Schema::new(Vec::new());
         let mut used = HashSet::new();
         let values: Vec<Value> = exprs
@@ -1150,5 +1156,23 @@ mod tests {
         let idx = db.query("SELECT id FROM big WHERE grp = 77 ORDER BY id").unwrap();
         assert_eq!(seq.rows, idx.rows);
         assert_eq!(idx.rows.len(), 10);
+    }
+
+    #[test]
+    fn the_planner_prices_with_the_databases_calibration() {
+        // With random page reads priced far above a whole sequential scan,
+        // the selective equality that takes the index by default must scan.
+        let dear = Calibration { ms_rand_page_read: 1e9, ..Calibration::default() };
+        for (calibration, indexed) in [(Calibration::default(), true), (dear, false)] {
+            let db = Database::new(DbConfig { calibration, ..DbConfig::default() });
+            db.execute("CREATE TABLE big (id INTEGER NOT NULL, grp INTEGER, PRIMARY KEY (id))")
+                .unwrap();
+            let values: Vec<String> = (0..2000).map(|id| format!("({id}, {})", id % 20)).collect();
+            db.execute(&format!("INSERT INTO big VALUES {}", values.join(", "))).unwrap();
+            db.execute("ANALYZE big").unwrap();
+            let plan = db.explain("SELECT grp FROM big WHERE id = 1234").unwrap();
+            assert_eq!(plan.contains("IndexScan"), indexed, "{calibration:?}: {plan}");
+            assert_eq!(db.query("SELECT grp FROM big WHERE id = 1234").unwrap().rows.len(), 1);
+        }
     }
 }

@@ -918,8 +918,10 @@ pub fn sort_rows(rows: Vec<Row>, keys: &[(BExpr, bool)], ctx: &ExecCtx) -> DbRes
     Ok(permute(rows, &perm))
 }
 
-/// One aggregate's accumulator.
-struct Acc {
+/// One aggregate's accumulator: COUNT, SUM, MIN, MAX and AVG over the
+/// non-null values folded in, optionally DISTINCT. The executor's
+/// aggregates and the R/3 report runtime's application-side ones share it.
+pub struct Acc {
     count: u64,
     sum: Option<Value>,
     min: Option<Value>,
@@ -928,7 +930,7 @@ struct Acc {
 }
 
 impl Acc {
-    fn new(distinct: bool) -> Self {
+    pub fn new(distinct: bool) -> Self {
         Acc {
             count: 0,
             sum: None,
@@ -940,7 +942,7 @@ impl Acc {
 
     /// Fold one input value in; it is copied only where the accumulator
     /// keeps it (a new distinct value, the first addend, a new extreme).
-    fn update(&mut self, v: &Value, func: AggFunc) -> DbResult<()> {
+    pub fn update(&mut self, v: &Value, func: AggFunc) -> DbResult<()> {
         if v.is_null() {
             return Ok(());
         }
@@ -973,7 +975,7 @@ impl Acc {
         Ok(())
     }
 
-    fn finish(&self, func: AggFunc) -> DbResult<Value> {
+    pub fn finish(&self, func: AggFunc) -> DbResult<Value> {
         Ok(match func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => self.sum.clone().unwrap_or(Value::Null),

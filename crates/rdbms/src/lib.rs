@@ -38,7 +38,7 @@ pub use db::{Database, DbConfig, ExecOutcome, Prepared, QueryResult};
 pub use error::{DbError, DbResult};
 pub use load::BulkLoad;
 pub use lock::{KeyRange, LockInfo, LockManager, LockMode, RowLock, RowMode, TxnId};
-pub use monitor::{MonitorView, StatementCollector, StatementSample, StatementStats};
+pub use monitor::{MonitorView, StatementCollector, StatementStats};
 pub use plancache::{CachedPlan, PlanCache, PlanCacheEntryInfo};
 pub use schema::{Column, Row, Schema};
 pub use trace::meter::{Calibration, CostMeter, Counter, MeterScope, MeterSnapshot};

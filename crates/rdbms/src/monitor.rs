@@ -18,7 +18,7 @@ use crate::schema::{Column, Row, Schema};
 use crate::sql::StatementId;
 use crate::types::{DataType, Value};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -96,13 +96,6 @@ pub fn wait_events_view(stats: Arc<WaitStats>) -> Arc<MonitorView> {
     )
 }
 
-/// One recent execution of a statement (the `M$STATEMENTS` sample ring).
-#[derive(Debug, Clone, Copy)]
-pub struct StatementSample {
-    pub micros: u64,
-    pub rows: u64,
-}
-
 /// Cumulative statistics for one normalized statement shape.
 #[derive(Debug, Clone)]
 pub struct StatementStats {
@@ -116,8 +109,8 @@ pub struct StatementStats {
     /// Wait breakdown summed over all calls: each call's request-trace
     /// wait totals ([`RequestGuard::finish`](trace::request::RequestGuard::finish)).
     pub waits: WaitSnapshot,
-    /// Ring of the most recent executions, oldest first.
-    pub recent: Vec<StatementSample>,
+    /// Elapsed time of the newest execution (`M$STATEMENTS.LAST_US`).
+    pub last_micros: u64,
 }
 
 struct StatementEntry {
@@ -128,7 +121,7 @@ struct StatementEntry {
     min_micros: u64,
     max_micros: u64,
     waits: WaitSnapshot,
-    recent: VecDeque<StatementSample>,
+    last_micros: u64,
     /// Recency stamp from the collector's tick, for LRU eviction.
     last_used: u64,
 }
@@ -142,8 +135,6 @@ struct StatementEntry {
 /// grow the collector without limit.
 pub struct StatementCollector {
     inner: Mutex<ShapeMap>,
-    /// Recent-sample ring capacity per statement shape.
-    samples_per_statement: usize,
     /// Maximum distinct statement shapes retained.
     max_shapes: usize,
     /// Shapes evicted to stay under `max_shapes` (surfaced in
@@ -185,7 +176,6 @@ impl StatementCollector {
     pub fn bounded(max_shapes: usize) -> StatementCollector {
         StatementCollector {
             inner: Mutex::new(ShapeMap { map: HashMap::new(), tick: 0 }),
-            samples_per_statement: 16,
             max_shapes: max_shapes.max(1),
             evicted: AtomicU64::new(0),
         }
@@ -215,7 +205,6 @@ impl StatementCollector {
                 self.evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let samples = self.samples_per_statement;
         let entry = inner.map.entry(id).or_insert_with(|| StatementEntry {
             statement: display_text(statement),
             calls: 0,
@@ -224,7 +213,7 @@ impl StatementCollector {
             min_micros: u64::MAX,
             max_micros: 0,
             waits: WaitSnapshot::default(),
-            recent: VecDeque::with_capacity(samples),
+            last_micros: 0,
             last_used: 0,
         });
         entry.last_used = tick;
@@ -234,10 +223,7 @@ impl StatementCollector {
         entry.min_micros = entry.min_micros.min(micros);
         entry.max_micros = entry.max_micros.max(micros);
         entry.waits = entry.waits.plus(waits);
-        if entry.recent.len() == self.samples_per_statement {
-            entry.recent.pop_front();
-        }
-        entry.recent.push_back(StatementSample { micros, rows });
+        entry.last_micros = micros;
     }
 
     /// Number of distinct statement shapes currently retained.
@@ -273,7 +259,7 @@ impl StatementCollector {
                 min_micros: if e.calls == 0 { 0 } else { e.min_micros },
                 max_micros: e.max_micros,
                 waits: e.waits,
-                recent: e.recent.iter().copied().collect(),
+                last_micros: e.last_micros,
             })
             .collect();
         drop(inner);
@@ -331,7 +317,7 @@ impl StatementCollector {
                             int(s.total_micros.checked_div(s.calls).unwrap_or(0)),
                             int(s.min_micros),
                             int(s.max_micros),
-                            int(s.recent.last().map_or(0, |r| r.micros)),
+                            int(s.last_micros),
                             int(s.waits.count(WaitEvent::Lock)),
                             int(s.waits.micros(WaitEvent::Lock)),
                             int(s.waits.micros(WaitEvent::WalFlush)),
@@ -518,14 +504,14 @@ mod tests {
         assert_eq!(snap[0].min_micros, 100);
         assert_eq!(snap[0].max_micros, 300);
         assert_eq!(snap[0].waits.micros(WaitEvent::Lock), 30);
-        assert_eq!(snap[0].recent.len(), 2);
+        assert_eq!(snap[0].last_micros, 300, "newest execution shown");
         assert_eq!(c.total_waits().count(WaitEvent::Lock), 2);
         c.reset();
         assert!(c.is_empty());
     }
 
     #[test]
-    fn sample_ring_is_bounded() {
+    fn last_execution_is_the_newest() {
         let c = StatementCollector::new();
         let w = WaitSnapshot::default();
         for i in 0..100 {
@@ -533,8 +519,7 @@ mod tests {
         }
         let snap = c.snapshot();
         assert_eq!(snap[0].calls, 100);
-        assert_eq!(snap[0].recent.len(), 16, "ring bounded");
-        assert_eq!(snap[0].recent.last().unwrap().micros, 99, "newest kept");
+        assert_eq!(snap[0].last_micros, 99, "newest kept");
     }
 
     #[test]

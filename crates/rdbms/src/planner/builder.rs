@@ -14,6 +14,7 @@ use crate::types::{DataType, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
+use trace::meter::Calibration;
 
 /// A fully planned query.
 pub struct PlannedQuery {
@@ -32,6 +33,8 @@ pub struct PlannedQuery {
 pub struct Planner<'a> {
     catalog: &'a Catalog,
     pub config: PlannerConfig,
+    /// Cost constants for access-path decisions: the database's own.
+    calibration: Calibration,
     next_cache_id: Cell<usize>,
     max_param: Cell<usize>,
     /// Run the needed-column pass (always, except under
@@ -81,20 +84,19 @@ struct Built {
 }
 
 impl<'a> Planner<'a> {
-    pub fn new(catalog: &'a Catalog) -> Self {
+    /// A planner over `catalog` that prices access paths with
+    /// `calibration` ([`crate::Database::planner`] passes the database's).
+    pub fn new(catalog: &'a Catalog, config: PlannerConfig, calibration: Calibration) -> Self {
         Planner {
             catalog,
-            config: PlannerConfig::default(),
+            config,
+            calibration,
             next_cache_id: Cell::new(0),
             max_param: Cell::new(0),
             prune: true,
             names: RefCell::default(),
             subquery_depth: Cell::new(0),
         }
-    }
-
-    pub fn with_config(catalog: &'a Catalog, config: PlannerConfig) -> Self {
-        Planner { config, ..Planner::new(catalog) }
     }
 
     /// Leave every scan at its default of decoding all columns. This is the
@@ -658,7 +660,7 @@ impl<'a> Planner<'a> {
                 // Selectivity of all single-table predicates.
                 let mut sel = 1.0;
                 for p in &rel.preds {
-                    sel *= conjunct_selectivity(p, &stats, &resolve_local, &self.config);
+                    sel *= conjunct_selectivity(p, &stats, &resolve_local);
                 }
                 let est_rows = (base_rows * sel).max(1.0);
 
@@ -694,7 +696,7 @@ impl<'a> Planner<'a> {
                     }
                 }
 
-                let cal = &self.config.calibration;
+                let cal = &self.calibration;
                 let scan_cost = base_pages * cal.ms_seq_page_read + base_rows * cal.ms_db_tuple;
 
                 let use_index = match &best {
@@ -763,7 +765,7 @@ impl<'a> Planner<'a> {
         use crate::planner::selectivity::{cmp_selectivity, default_for};
         let col_stats = if stats.analyzed { stats.columns.get(s.column) } else { None };
         if let Expr::Literal(v) = &s.rhs {
-            cmp_selectivity(s.op, v, col_stats, &self.config)
+            cmp_selectivity(s.op, v, col_stats)
         } else if s.op == crate::sql::ast::BinOp::Eq {
             // Equality against an unknown constant: 1/NDV is still a sound
             // estimate (the classic System R rule). This keeps the blind
@@ -771,10 +773,10 @@ impl<'a> Planner<'a> {
             // MANDT client) as selective.
             match col_stats {
                 Some(st) if st.n_distinct > 0 => 1.0 / st.n_distinct as f64,
-                _ => default_for(s.op, &self.config),
+                _ => default_for(s.op),
             }
         } else {
-            default_for(s.op, &self.config)
+            default_for(s.op)
         }
     }
 

@@ -32,35 +32,19 @@ pub mod sarg_helpers {
 
 pub use builder::{PlannedQuery, Planner};
 
-use trace::meter::Calibration;
-
 /// Optimizer configuration. Exposed so the ablation benches can toggle the
-/// vendor behaviours.
+/// vendor behaviours. Access-path costs come from the database's own
+/// [`Calibration`](trace::meter::Calibration) ([`crate::Database::planner`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     /// Rule-based index preference for parameterized sargs (§4.1).
     pub blind_param_plans: bool,
-    /// Default equality selectivity when statistics are missing.
-    pub default_eq_sel: f64,
-    /// Default selectivity for range predicates with unknown constants.
-    pub default_range_sel: f64,
-    /// Default selectivity for LIKE predicates.
-    pub like_sel: f64,
     /// Allow hash joins (else all joins are nested-loop).
     pub enable_hash_join: bool,
-    /// Cost constants used for access-path decisions.
-    pub calibration: Calibration,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig {
-            blind_param_plans: true,
-            default_eq_sel: 0.005,
-            default_range_sel: 0.05,
-            like_sel: 0.05,
-            enable_hash_join: true,
-            calibration: Calibration::default(),
-        }
+        PlannerConfig { blind_param_plans: true, enable_hash_join: true }
     }
 }

@@ -1,9 +1,15 @@
 //! Selectivity estimation from catalog statistics, System-R style.
 
 use crate::catalog::{ColumnStats, TableStats};
-use crate::planner::PlannerConfig;
 use crate::sql::ast::{BinOp, Expr};
 use crate::types::Value;
+
+/// Equality selectivity when statistics are missing.
+pub const DEFAULT_EQ_SEL: f64 = 0.005;
+/// Selectivity of a range predicate whose constant is unknown.
+pub const DEFAULT_RANGE_SEL: f64 = 0.05;
+/// Selectivity of a LIKE predicate.
+pub const LIKE_SEL: f64 = 0.05;
 
 /// Convert a value to a point on the number line for interpolation.
 pub fn value_to_f64(v: &Value) -> Option<f64> {
@@ -25,28 +31,23 @@ pub fn value_to_f64(v: &Value) -> Option<f64> {
 }
 
 /// Selectivity of `col op literal` using column stats.
-pub fn cmp_selectivity(
-    op: BinOp,
-    lit: &Value,
-    stats: Option<&ColumnStats>,
-    config: &PlannerConfig,
-) -> f64 {
+pub fn cmp_selectivity(op: BinOp, lit: &Value, stats: Option<&ColumnStats>) -> f64 {
     let Some(st) = stats else {
-        return default_for(op, config);
+        return default_for(op);
     };
     match op {
         BinOp::Eq => {
             if st.n_distinct > 0 {
                 1.0 / st.n_distinct as f64
             } else {
-                config.default_eq_sel
+                DEFAULT_EQ_SEL
             }
         }
         BinOp::NotEq => {
             if st.n_distinct > 0 {
                 1.0 - 1.0 / st.n_distinct as f64
             } else {
-                1.0 - config.default_eq_sel
+                1.0 - DEFAULT_EQ_SEL
             }
         }
         BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
@@ -55,10 +56,10 @@ pub fn cmp_selectivity(
                 st.max.as_ref().and_then(value_to_f64),
                 value_to_f64(lit),
             ) else {
-                return default_for(op, config);
+                return default_for(op);
             };
             if max <= min {
-                return default_for(op, config);
+                return default_for(op);
             }
             let frac = ((v - min) / (max - min)).clamp(0.0, 1.0);
             match op {
@@ -70,11 +71,11 @@ pub fn cmp_selectivity(
     }
 }
 
-pub fn default_for(op: BinOp, config: &PlannerConfig) -> f64 {
+pub fn default_for(op: BinOp) -> f64 {
     match op {
-        BinOp::Eq => config.default_eq_sel,
-        BinOp::NotEq => 1.0 - config.default_eq_sel,
-        BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => config.default_range_sel,
+        BinOp::Eq => DEFAULT_EQ_SEL,
+        BinOp::NotEq => 1.0 - DEFAULT_EQ_SEL,
+        BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => DEFAULT_RANGE_SEL,
         _ => 0.25,
     }
 }
@@ -85,7 +86,6 @@ pub fn conjunct_selectivity(
     conjunct: &Expr,
     stats: &TableStats,
     resolve: &dyn Fn(Option<&str>, &str) -> Option<usize>,
-    config: &PlannerConfig,
 ) -> f64 {
     let col_stats = |e: &Expr| -> Option<&ColumnStats> {
         if let Expr::Column { qualifier, name } = e {
@@ -100,32 +100,31 @@ pub fn conjunct_selectivity(
         Expr::Binary { left, op, right } if op.is_comparison() => {
             // column vs literal (either order)
             if let Expr::Literal(v) = right.as_ref() {
-                return cmp_selectivity(*op, v, col_stats(left), config);
+                return cmp_selectivity(*op, v, col_stats(left));
             }
             if let Expr::Literal(v) = left.as_ref() {
-                return cmp_selectivity(flip(*op), v, col_stats(right), config);
+                return cmp_selectivity(flip(*op), v, col_stats(right));
             }
             // Parameter or expression: unknown constant.
-            default_for(*op, config)
+            default_for(*op)
         }
         Expr::Binary { left, op: BinOp::And, right } => {
-            conjunct_selectivity(left, stats, resolve, config)
-                * conjunct_selectivity(right, stats, resolve, config)
+            conjunct_selectivity(left, stats, resolve) * conjunct_selectivity(right, stats, resolve)
         }
         Expr::Binary { left, op: BinOp::Or, right } => {
-            let a = conjunct_selectivity(left, stats, resolve, config);
-            let b = conjunct_selectivity(right, stats, resolve, config);
+            let a = conjunct_selectivity(left, stats, resolve);
+            let b = conjunct_selectivity(right, stats, resolve);
             (a + b - a * b).min(1.0)
         }
         Expr::Between { expr, low, high, negated } => {
             let sel = match (low.as_ref(), high.as_ref()) {
                 (Expr::Literal(lo), Expr::Literal(hi)) => {
                     let st = col_stats(expr);
-                    let a = cmp_selectivity(BinOp::GtEq, lo, st, config);
-                    let b = cmp_selectivity(BinOp::LtEq, hi, st, config);
+                    let a = cmp_selectivity(BinOp::GtEq, lo, st);
+                    let b = cmp_selectivity(BinOp::LtEq, hi, st);
                     (a + b - 1.0).clamp(1e-9, 1.0)
                 }
-                _ => config.default_range_sel,
+                _ => DEFAULT_RANGE_SEL,
             };
             if *negated {
                 1.0 - sel
@@ -137,7 +136,7 @@ pub fn conjunct_selectivity(
             let st = col_stats(expr);
             let eq = match st {
                 Some(s) if s.n_distinct > 0 => 1.0 / s.n_distinct as f64,
-                _ => config.default_eq_sel,
+                _ => DEFAULT_EQ_SEL,
             };
             let sel = (eq * list.len() as f64).min(1.0);
             if *negated {
@@ -148,9 +147,9 @@ pub fn conjunct_selectivity(
         }
         Expr::Like { negated, .. } => {
             if *negated {
-                1.0 - config.like_sel
+                1.0 - LIKE_SEL
             } else {
-                config.like_sel
+                LIKE_SEL
             }
         }
         Expr::IsNull { negated, .. } => {
@@ -190,28 +189,25 @@ mod tests {
 
     #[test]
     fn equality_uses_ndv() {
-        let cfg = PlannerConfig::default();
-        let s = cmp_selectivity(BinOp::Eq, &Value::Int(5), Some(&stats_0_100()), &cfg);
+        let s = cmp_selectivity(BinOp::Eq, &Value::Int(5), Some(&stats_0_100()));
         assert!((s - 0.01).abs() < 1e-12);
     }
 
     #[test]
     fn range_interpolates() {
-        let cfg = PlannerConfig::default();
-        let s = cmp_selectivity(BinOp::Lt, &Value::Int(25), Some(&stats_0_100()), &cfg);
+        let s = cmp_selectivity(BinOp::Lt, &Value::Int(25), Some(&stats_0_100()));
         assert!((s - 0.25).abs() < 1e-9);
-        let s = cmp_selectivity(BinOp::Gt, &Value::Int(25), Some(&stats_0_100()), &cfg);
+        let s = cmp_selectivity(BinOp::Gt, &Value::Int(25), Some(&stats_0_100()));
         assert!((s - 0.75).abs() < 1e-9);
         // Out-of-range literal clamps.
-        let s = cmp_selectivity(BinOp::Lt, &Value::Int(-5), Some(&stats_0_100()), &cfg);
+        let s = cmp_selectivity(BinOp::Lt, &Value::Int(-5), Some(&stats_0_100()));
         assert!(s <= 1e-6);
     }
 
     #[test]
     fn missing_stats_fall_back_to_defaults() {
-        let cfg = PlannerConfig::default();
-        assert_eq!(cmp_selectivity(BinOp::Eq, &Value::Int(5), None, &cfg), cfg.default_eq_sel);
-        assert_eq!(cmp_selectivity(BinOp::Lt, &Value::Int(5), None, &cfg), cfg.default_range_sel);
+        assert_eq!(cmp_selectivity(BinOp::Eq, &Value::Int(5), None), DEFAULT_EQ_SEL);
+        assert_eq!(cmp_selectivity(BinOp::Lt, &Value::Int(5), None), DEFAULT_RANGE_SEL);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use rdbms::exec::expr::{like_match, BExpr, ExecCtx};
 use rdbms::exec::plan::Plan;
-use rdbms::planner::{Planner, PlannerConfig};
+use rdbms::planner::PlannerConfig;
 use rdbms::sql::ast::{BinOp, Statement};
 use rdbms::sql::parse_statement;
 use rdbms::storage::codec::{decode_columns, decode_row, encode_row};
@@ -368,11 +368,8 @@ fn joins_match_the_combined_row_model() {
 
 fn plan_both_ways(db: &Database, sql: &str) -> (Plan, Plan) {
     let Statement::Select(q) = parse_statement(sql).unwrap() else { panic!("not a SELECT: {sql}") };
-    let pruned = Planner::with_config(db.catalog(), db.planner_config()).plan_query(&q).unwrap();
-    let all = Planner::with_config(db.catalog(), db.planner_config())
-        .keep_all_columns()
-        .plan_query(&q)
-        .unwrap();
+    let pruned = db.planner().plan_query(&q).unwrap();
+    let all = db.planner().keep_all_columns().plan_query(&q).unwrap();
     assert_eq!(
         pruned.plan.describe(),
         all.plan.describe(),

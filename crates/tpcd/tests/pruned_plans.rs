@@ -6,7 +6,6 @@
 //! `SELECT *`, `UPDATE ... WHERE` — are in `rdbms/tests/row_path.rs`.)
 
 use rdbms::exec::expr::ExecCtx;
-use rdbms::planner::Planner;
 use rdbms::sql::ast::Statement;
 use rdbms::sql::parse_statement;
 use rdbms::{Database, Row};
@@ -23,7 +22,7 @@ fn compare_query(db: &Database, n: usize, params: &QueryParams) -> usize {
             db.execute(&sql).unwrap(); // Q15's CREATE VIEW / DROP VIEW
             continue;
         };
-        let planner = || Planner::with_config(db.catalog(), db.planner_config());
+        let planner = || db.planner();
         let pruned = planner().plan_query(&q).unwrap();
         let all = planner().keep_all_columns().plan_query(&q).unwrap();
         assert_eq!(pruned.plan.describe(), all.plan.describe(), "Q{n}: same plan shape");
