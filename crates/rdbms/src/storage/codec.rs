@@ -15,7 +15,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::types::{Date, Decimal, Value};
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -54,57 +54,83 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Step over (`keep == false`) or decode the value at the front of `buf`.
-/// Stepping over checks lengths and tags exactly as decoding does but
-/// neither validates nor copies string bytes, and yields `Value::Null`.
-fn read_value(buf: &mut &[u8], keep: bool) -> DbResult<Value> {
-    fn need(buf: &&[u8], n: usize) -> DbResult<()> {
-        if buf.remaining() < n {
-            Err(DbError::storage("truncated tuple"))
-        } else {
-            Ok(())
-        }
+/// A read position in a byte slice: each read splits its bytes off the
+/// front, or returns `None` and moves nothing if too few remain. Rows and
+/// log records are decoded with it.
+pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Reader<'a> {
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
     }
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_INT => {
-            need(buf, 8)?;
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_DEC => {
-            need(buf, 17)?;
-            let mantissa = buf.get_i128_le();
-            let scale = buf.get_u8();
-            Value::Decimal(Decimal::new(mantissa, scale))
-        }
-        TAG_STR => {
-            need(buf, 2)?;
-            let len = buf.get_u16_le() as usize;
-            if buf.remaining() < len {
-                return Err(DbError::storage("truncated string value"));
-            }
-            let v = if keep {
-                let s = std::str::from_utf8(&buf[..len])
-                    .map_err(|_| DbError::storage("invalid UTF-8 in stored string"))?;
-                Value::Str(s.to_string())
-            } else {
-                Value::Null
-            };
-            buf.advance(len);
-            v
-        }
-        TAG_DATE => {
-            need(buf, 4)?;
-            Value::Date(Date::from_days(buf.get_i32_le()))
-        }
-        TAG_BOOL => {
-            need(buf, 1)?;
-            Value::Bool(buf.get_u8() != 0)
-        }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    pub(crate) fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    pub(crate) fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+}
+
+/// Split the field at the front of `r` into its tag and its payload. Every
+/// field is split whether it is then decoded or not, so truncation and
+/// unknown tags are errors whatever is wanted.
+#[inline]
+fn field<'a>(r: &mut Reader<'a>) -> DbResult<(u8, &'a [u8])> {
+    let truncated = || DbError::storage("truncated tuple");
+    let tag = r.u8().ok_or_else(truncated)?;
+    let len = match tag {
+        TAG_NULL => 0,
+        TAG_INT => 8,
+        TAG_DEC => 17,
+        TAG_STR => r.u16().ok_or_else(truncated)? as usize,
+        TAG_DATE => 4,
+        TAG_BOOL => 1,
         other => return Err(DbError::storage(format!("unknown value tag {other}"))),
+    };
+    let short = if tag == TAG_STR { "truncated string value" } else { "truncated tuple" };
+    Ok((tag, r.take(len).ok_or_else(|| DbError::storage(short))?))
+}
+
+/// The value of a field [`field`] split off (`body` is as long as `tag`
+/// says). Only a string can fail: its bytes are checked here, so a string
+/// that is skipped is never validated or copied.
+#[inline]
+fn value(tag: u8, body: &[u8]) -> DbResult<Value> {
+    Ok(match tag {
+        TAG_INT => Value::Int(i64::from_le_bytes(fixed(body))),
+        TAG_DEC => Value::Decimal(Decimal::new(i128::from_le_bytes(fixed(body)), body[16])),
+        TAG_STR => Value::Str(
+            std::str::from_utf8(body)
+                .map_err(|_| DbError::storage("invalid UTF-8 in stored string"))?
+                .to_owned(),
+        ),
+        TAG_DATE => Value::Date(Date::from_days(i32::from_le_bytes(fixed(body)))),
+        TAG_BOOL => Value::Bool(body[0] != 0),
+        _ => Value::Null,
     })
+}
+
+/// The first `N` bytes of a payload [`field`] has found long enough.
+fn fixed<const N: usize>(body: &[u8]) -> [u8; N] {
+    *body.first_chunk().expect("field length checked")
 }
 
 /// Encode a whole row.
@@ -118,21 +144,10 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
     out
 }
 
-fn read_width(buf: &mut &[u8]) -> DbResult<usize> {
-    if buf.remaining() < 2 {
-        return Err(DbError::storage("truncated row header"));
-    }
-    Ok(buf.get_u16_le() as usize)
-}
-
 /// Decode a whole row.
-pub fn decode_row(mut buf: &[u8]) -> DbResult<Vec<Value>> {
-    let n = read_width(&mut buf)?;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        row.push(read_value(&mut buf, true)?);
-    }
-    Ok(row)
+pub fn decode_row(bytes: &[u8]) -> DbResult<Vec<Value>> {
+    let mut row = Vec::new();
+    decode_columns(bytes, &[], &mut row).map(|()| row)
 }
 
 /// Decode into `row` only the columns `i` with `want[i]` (columns past the
@@ -141,14 +156,14 @@ pub fn decode_row(mut buf: &[u8]) -> DbResult<Vec<Value>> {
 /// call with the complementary mask completes a row the first call began.
 /// The whole tuple is walked either way: truncation and unknown tags are
 /// errors whatever the mask.
-pub fn decode_columns(mut buf: &[u8], want: &[bool], row: &mut Vec<Value>) -> DbResult<()> {
-    let n = read_width(&mut buf)?;
-    row.resize(n, Value::Null);
+pub fn decode_columns(bytes: &[u8], want: &[bool], row: &mut Vec<Value>) -> DbResult<()> {
+    let mut r = Reader(bytes);
+    let n = r.u16().ok_or_else(|| DbError::storage("truncated row header"))?;
+    row.resize(n as usize, Value::Null);
     for (i, slot) in row.iter_mut().enumerate() {
-        let keep = want.get(i).copied().unwrap_or(true);
-        let v = read_value(&mut buf, keep)?;
-        if keep {
-            *slot = v;
+        let (tag, body) = field(&mut r)?;
+        if want.get(i).copied().unwrap_or(true) {
+            *slot = value(tag, body)?;
         }
     }
     Ok(())

@@ -38,7 +38,7 @@ pub mod recovery;
 
 use crate::error::{DbError, DbResult};
 use crate::schema::Row;
-use crate::storage::codec::{decode_row, encode_row};
+use crate::storage::codec::{decode_row, encode_row, Reader};
 use crate::storage::{PageId, Rid};
 use crate::txn::TxnId;
 use parking_lot::{Condvar, Mutex};
@@ -232,49 +232,28 @@ fn put_row(out: &mut Vec<u8>, row: &Row) {
     out.extend_from_slice(&bytes);
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The reads of a log record body: a short read is one error, whatever
+/// field it cut.
+fn short() -> DbError {
+    DbError::storage("truncated log record body")
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(DbError::storage("truncated log record body"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
+fn take<'a>(c: &mut Reader<'a>, n: usize) -> DbResult<&'a [u8]> {
+    c.take(n).ok_or_else(short)
+}
 
-    fn u16(&mut self) -> DbResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
+fn read_str(c: &mut Reader) -> DbResult<String> {
+    let n = c.u16().ok_or_else(short)? as usize;
+    String::from_utf8(take(c, n)?.to_vec()).map_err(|_| DbError::storage("bad utf8 in log record"))
+}
 
-    fn u32(&mut self) -> DbResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
+fn read_rid(c: &mut Reader) -> DbResult<Rid> {
+    Ok(Rid { page: c.u32().ok_or_else(short)?, slot: c.u16().ok_or_else(short)? })
+}
 
-    fn u64(&mut self) -> DbResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> DbResult<String> {
-        let n = self.u16()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| DbError::storage("bad utf8 in log record"))
-    }
-
-    fn rid(&mut self) -> DbResult<Rid> {
-        let page = self.u32()?;
-        let slot = self.u16()?;
-        Ok(Rid { page, slot })
-    }
-
-    fn row(&mut self) -> DbResult<Row> {
-        let n = self.u32()? as usize;
-        decode_row(self.take(n)?)
-    }
+fn read_row(c: &mut Reader) -> DbResult<Row> {
+    let n = c.u32().ok_or_else(short)? as usize;
+    decode_row(take(c, n)?)
 }
 
 const K_BEGIN: u8 = 1;
@@ -370,18 +349,18 @@ fn encode_body(txn: TxnId, prev_lsn: Lsn, payload: &LogPayload) -> Vec<u8> {
 }
 
 fn decode_body(body: &[u8]) -> DbResult<(TxnId, Lsn, LogPayload)> {
-    let mut c = Cursor { buf: body, pos: 0 };
-    let kind = c.take(1)?[0];
-    let txn = c.u64()?;
-    let prev = c.u64()?;
+    let mut c = Reader(body);
+    let kind = c.u8().ok_or_else(short)?;
+    let txn = c.u64().ok_or_else(short)?;
+    let prev = c.u64().ok_or_else(short)?;
     let payload = match kind {
         K_BEGIN => LogPayload::Begin,
         K_COMMIT => LogPayload::Commit,
         K_ABORT => LogPayload::Abort,
         K_INSERT | K_DELETE => {
-            let table = c.str()?;
-            let rid = c.rid()?;
-            let row = c.row()?;
+            let table = read_str(&mut c)?;
+            let rid = read_rid(&mut c)?;
+            let row = read_row(&mut c)?;
             if kind == K_INSERT {
                 LogPayload::Insert { table, rid, row }
             } else {
@@ -389,24 +368,28 @@ fn decode_body(body: &[u8]) -> DbResult<(TxnId, Lsn, LogPayload)> {
             }
         }
         K_UPDATE => {
-            let table = c.str()?;
-            let rid = c.rid()?;
-            let new_rid = c.rid()?;
-            let old = c.row()?;
-            let new = c.row()?;
+            let table = read_str(&mut c)?;
+            let rid = read_rid(&mut c)?;
+            let new_rid = read_rid(&mut c)?;
+            let old = read_row(&mut c)?;
+            let new = read_row(&mut c)?;
             LogPayload::Update { table, rid, new_rid, old, new }
         }
         K_CLR => {
-            let undo_next = c.u64()?;
-            let akind = c.take(1)?[0];
+            let undo_next = c.u64().ok_or_else(short)?;
+            let akind = c.u8().ok_or_else(short)?;
             let action = match akind {
-                A_DELETE => UndoAction::Delete { table: c.str()?, rid: c.rid()? },
-                A_INSERT => UndoAction::Insert { table: c.str()?, rid: c.rid()?, row: c.row()? },
+                A_DELETE => UndoAction::Delete { table: read_str(&mut c)?, rid: read_rid(&mut c)? },
+                A_INSERT => UndoAction::Insert {
+                    table: read_str(&mut c)?,
+                    rid: read_rid(&mut c)?,
+                    row: read_row(&mut c)?,
+                },
                 A_REVERT => UndoAction::Revert {
-                    table: c.str()?,
-                    rid: c.rid()?,
-                    prev_rid: c.rid()?,
-                    old: c.row()?,
+                    table: read_str(&mut c)?,
+                    rid: read_rid(&mut c)?,
+                    prev_rid: read_rid(&mut c)?,
+                    old: read_row(&mut c)?,
                 },
                 other => {
                     return Err(DbError::storage(format!("unknown CLR action {other}")));
@@ -416,25 +399,25 @@ fn decode_body(body: &[u8]) -> DbResult<(TxnId, Lsn, LogPayload)> {
         }
         K_CKPT_BEGIN => LogPayload::CheckpointBegin,
         K_CKPT_END => {
-            let n = c.u32()? as usize;
+            let n = c.u32().ok_or_else(short)? as usize;
             let mut att = Vec::with_capacity(n);
             for _ in 0..n {
-                let t = c.u64()?;
-                let l = c.u64()?;
+                let t = c.u64().ok_or_else(short)?;
+                let l = c.u64().ok_or_else(short)?;
                 att.push((t, l));
             }
-            let m = c.u32()? as usize;
+            let m = c.u32().ok_or_else(short)? as usize;
             let mut dpt = Vec::with_capacity(m);
             for _ in 0..m {
-                let p = c.u32()?;
-                let l = c.u64()?;
+                let p = c.u32().ok_or_else(short)?;
+                let l = c.u64().ok_or_else(short)?;
                 dpt.push((p, l));
             }
             LogPayload::CheckpointEnd { att, dpt }
         }
         K_DDL => {
-            let n = c.u32()? as usize;
-            let sql = String::from_utf8(c.take(n)?.to_vec())
+            let n = c.u32().ok_or_else(short)? as usize;
+            let sql = String::from_utf8(take(&mut c, n)?.to_vec())
                 .map_err(|_| DbError::storage("bad utf8 in DDL record"))?;
             LogPayload::Ddl { sql }
         }

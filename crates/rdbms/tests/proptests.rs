@@ -2,7 +2,7 @@
 //! invariants.
 
 use proptest::prelude::*;
-use rdbms::storage::codec::{decode_row, encode_key, encode_row};
+use rdbms::storage::codec::{decode_columns, decode_row, encode_key, encode_row};
 use rdbms::types::{Date, Decimal, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -24,11 +24,15 @@ fn arb_value() -> impl Strategy<Value = Value> {
         Just(Value::Null),
         any::<i64>().prop_map(Value::Int),
         arb_decimal().prop_map(Value::Decimal),
-        "[ -~]{0,40}".prop_map(Value::Str),
+        TEXT.prop_map(Value::Str),
         arb_date().prop_map(Value::Date),
         any::<bool>().prop_map(Value::Bool),
     ]
 }
+
+/// Printable ASCII mixed with two-, three- and four-byte UTF-8 characters.
+const TEXT: &str = "[ -~éß€中😀]{0,40}";
+const NONEMPTY_TEXT: &str = "[ -~éß€中😀]{1,40}";
 
 /// Key-safe values (the documented key domain: numerics within the
 /// scale-6 i128 envelope, strings, dates, bools).
@@ -42,6 +46,151 @@ fn arb_key_value() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         Just(Value::Null),
     ]
+}
+
+fn arb_row() -> impl Strategy<Value = Vec<Value>> {
+    prop::collection::vec(arb_value(), 0..24)
+}
+
+/// Masks of any length up to a little past the widest row, so some are
+/// shorter than the row they decode (the missing columns count as wanted).
+fn arb_mask() -> impl Strategy<Value = Vec<bool>> {
+    prop::collection::vec(any::<bool>(), 0..28)
+}
+
+/// The masks every corrupt tuple is tried under: `mask`, nothing wanted,
+/// everything wanted (`&[]`).
+fn masks(row: &[Value], mask: &[bool]) -> [Vec<bool>; 3] {
+    [mask.to_vec(), vec![false; row.len()], Vec::new()]
+}
+
+/// Byte offset of column `i`'s tag in `encode_row(row)`.
+fn tag_offset(row: &[Value], i: usize) -> usize {
+    encode_row(&row[..i]).len()
+}
+
+/// `decode_columns(mask)` then `decode_columns(!mask)` is `decode_row`, and
+/// the first call leaves exactly the unwanted columns NULL. (`Debug` tells
+/// `Int(3)` from `Decimal(3.0)` and counts trailing blanks; `==` does not.)
+fn masks_compose(row: &[Value], mask: &[bool]) {
+    let bytes = encode_row(row);
+    let full = decode_row(&bytes).unwrap();
+    assert_eq!(format!("{full:?}"), format!("{row:?}"));
+    let mut part = Vec::new();
+    decode_columns(&bytes, mask, &mut part).unwrap();
+    let first: Vec<Value> = (0..row.len())
+        .map(|i| if mask.get(i) == Some(&false) { Value::Null } else { row[i].clone() })
+        .collect();
+    assert_eq!(format!("{part:?}"), format!("{first:?}"), "mask {mask:?}");
+    let rest: Vec<bool> = mask.iter().map(|w| !w).collect();
+    decode_columns(&bytes, &rest, &mut part).unwrap();
+    assert_eq!(format!("{part:?}"), format!("{row:?}"), "mask {mask:?}");
+}
+
+fn prefixes_fail(row: &[Value], mask: &[bool]) {
+    let bytes = encode_row(row);
+    for cut in 0..bytes.len() {
+        assert!(decode_row(&bytes[..cut]).is_err(), "prefix {cut} of {row:?}");
+        for m in masks(row, mask) {
+            let mut out = Vec::new();
+            assert!(decode_columns(&bytes[..cut], &m, &mut out).is_err(), "prefix {cut}, {m:?}");
+        }
+    }
+}
+
+fn unknown_tag_fails(row: &[Value], mask: &[bool], at: usize, tag: u8) {
+    if row.is_empty() {
+        return;
+    }
+    let i = at % row.len();
+    let mut bytes = encode_row(row);
+    bytes[tag_offset(row, i)] = tag;
+    assert!(decode_row(&bytes).is_err());
+    for m in masks(row, mask) {
+        assert!(decode_columns(&bytes, &m, &mut Vec::new()).is_err(), "tag {tag} at {i}, {m:?}");
+    }
+}
+
+/// A string whose bytes are not UTF-8 is an error when its column is
+/// decoded and goes unchecked when it is skipped.
+fn bad_utf8_fails_when_kept(mut row: Vec<Value>, s: String, at: usize, mask: &[bool], byte: usize) {
+    let i = at % (row.len() + 1);
+    let len = s.len();
+    row.insert(i, Value::Str(s));
+    let mut bytes = encode_row(&row);
+    // 0xFF never occurs in UTF-8; the string's bytes follow tag and length.
+    bytes[tag_offset(&row, i) + 3 + byte % len] = 0xFF;
+    assert!(decode_row(&bytes).is_err());
+    let mut kept = mask.to_vec();
+    kept.resize(kept.len().max(i + 1), true);
+    kept[i] = true;
+    assert!(decode_columns(&bytes, &kept, &mut Vec::new()).is_err());
+    kept[i] = false;
+    let mut part = Vec::new();
+    decode_columns(&bytes, &kept, &mut part).unwrap();
+    assert!(part[i].is_null());
+}
+
+// ---------------------------------------------------------------------------
+// Row codec under masks and corruption. The `_long` variants run the same
+// checks on more cases (`cargo test --release -p rdbms --test proptests --
+// --ignored`).
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn masked_decodes_compose_to_decode_row(row in arb_row(), mask in arb_mask()) {
+        masks_compose(&row, &mask);
+    }
+
+    #[test]
+    fn every_strict_prefix_is_an_error(row in arb_row(), mask in arb_mask()) {
+        prefixes_fail(&row, &mask);
+    }
+
+    #[test]
+    fn unknown_tags_are_errors(row in arb_row(), mask in arb_mask(), at in any::<usize>(),
+                               tag in 6u8..=255) {
+        unknown_tag_fails(&row, &mask, at, tag);
+    }
+
+    #[test]
+    fn invalid_utf8_fails_only_when_kept(row in arb_row(), s in NONEMPTY_TEXT, at in any::<usize>(),
+                                         mask in arb_mask(), byte in any::<usize>()) {
+        bad_utf8_fails_when_kept(row, s, at, &mask, byte);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    #[ignore]
+    fn masked_decodes_compose_to_decode_row_long(row in arb_row(), mask in arb_mask()) {
+        masks_compose(&row, &mask);
+    }
+
+    #[test]
+    #[ignore]
+    fn every_strict_prefix_is_an_error_long(row in arb_row(), mask in arb_mask()) {
+        prefixes_fail(&row, &mask);
+    }
+
+    #[test]
+    #[ignore]
+    fn unknown_tags_are_errors_long(row in arb_row(), mask in arb_mask(), at in any::<usize>(),
+                               tag in 6u8..=255) {
+        unknown_tag_fails(&row, &mask, at, tag);
+    }
+
+    #[test]
+    #[ignore]
+    fn invalid_utf8_fails_only_when_kept_long(row in arb_row(), s in NONEMPTY_TEXT, at in any::<usize>(),
+                                         mask in arb_mask(), byte in any::<usize>()) {
+        bad_utf8_fails_when_kept(row, s, at, &mask, byte);
+    }
 }
 
 proptest! {
@@ -60,15 +209,6 @@ proptest! {
                 _ => prop_assert!(a == b, "mismatch: {:?} vs {:?}", a, b),
             }
         }
-    }
-
-    #[test]
-    fn truncated_rows_never_panic(row in prop::collection::vec(arb_value(), 1..8),
-                                  cut in 0usize..64) {
-        let bytes = encode_row(&row);
-        let cut = cut.min(bytes.len());
-        // Must either decode or error — never panic.
-        let _ = decode_row(&bytes[..cut]);
     }
 
     // -- order-preserving key encoding --------------------------------------

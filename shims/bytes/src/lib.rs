@@ -1,64 +1,5 @@
-//! Shim providing the `bytes::Buf`/`bytes::BufMut` methods this workspace
-//! uses: little-endian integer gets/puts over `&[u8]` and `Vec<u8>`.
-//! Reads past the end panic, like the real crate.
-
-macro_rules! get_impl {
-    ($name:ident, $ty:ty) => {
-        fn $name(&mut self) -> $ty {
-            const N: usize = std::mem::size_of::<$ty>();
-            let mut raw = [0u8; N];
-            raw.copy_from_slice(&self.chunk_bytes()[..N]);
-            self.advance(N);
-            <$ty>::from_le_bytes(raw)
-        }
-    };
-}
-
-pub trait Buf {
-    fn remaining(&self) -> usize;
-    fn chunk_bytes(&self) -> &[u8];
-    fn advance(&mut self, n: usize);
-
-    fn get_u8(&mut self) -> u8 {
-        let b = self.chunk_bytes()[0];
-        self.advance(1);
-        b
-    }
-
-    get_impl!(get_u16_le, u16);
-    get_impl!(get_u32_le, u32);
-    get_impl!(get_u64_le, u64);
-    get_impl!(get_i32_le, i32);
-    get_impl!(get_i64_le, i64);
-    get_impl!(get_i128_le, i128);
-
-    // Big-endian variants (the real crate's unsuffixed methods).
-    fn get_u16(&mut self) -> u16 {
-        self.get_u16_le().swap_bytes()
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        self.get_u32_le().swap_bytes()
-    }
-
-    fn get_u64(&mut self) -> u64 {
-        self.get_u64_le().swap_bytes()
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk_bytes(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, n: usize) {
-        *self = &self[n..];
-    }
-}
+//! Shim providing the `bytes::BufMut` methods this workspace uses:
+//! little- and big-endian integer puts onto a `Vec<u8>`.
 
 macro_rules! put_impl {
     ($name:ident, $ty:ty) => {
@@ -107,25 +48,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_all_widths() {
+    fn puts_append_in_order() {
         let mut out: Vec<u8> = Vec::new();
         out.put_u8(7);
         out.put_u16_le(513);
         out.put_u32_le(70_000);
         out.put_i32_le(-5);
         out.put_i64_le(-1_000_000_007);
-        out.put_i128_le(-170_141_183_460_469_231_731_687_303_715_884_105_727);
+        out.put_i128_le(i128::MIN + 1);
+        out.put_u32(0x0102_0304);
         out.put_slice(b"xy");
-        let mut buf: &[u8] = &out;
-        assert_eq!(buf.get_u8(), 7);
-        assert_eq!(buf.get_u16_le(), 513);
-        assert_eq!(buf.get_u32_le(), 70_000);
-        assert_eq!(buf.get_i32_le(), -5);
-        assert_eq!(buf.get_i64_le(), -1_000_000_007);
-        assert_eq!(buf.get_i128_le(), -170_141_183_460_469_231_731_687_303_715_884_105_727);
-        assert_eq!(buf.remaining(), 2);
-        buf.advance(1);
-        assert_eq!(buf.get_u8(), b'y');
-        assert_eq!(buf.remaining(), 0);
+        let mut want = vec![7u8];
+        want.extend(513u16.to_le_bytes());
+        want.extend(70_000u32.to_le_bytes());
+        want.extend((-5i32).to_le_bytes());
+        want.extend((-1_000_000_007i64).to_le_bytes());
+        want.extend((i128::MIN + 1).to_le_bytes());
+        want.extend([1, 2, 3, 4]);
+        want.extend(b"xy");
+        assert_eq!(out, want);
     }
 }

@@ -170,7 +170,7 @@ pub fn to_string<T: ToJson>(value: &T) -> Result<String, Error> {
 /// without `.`/`e` that fit an `i64` parse as [`Json::Int`], everything
 /// else numeric as [`Json::Float`]).
 pub fn from_str(s: &str) -> Result<Json, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -181,6 +181,7 @@ pub fn from_str(s: &str) -> Result<Json, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -335,17 +336,19 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::at(self.pos, "invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(Error::at(self.pos, "unescaped control character"));
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        match b {
+                            b'"' | b'\\' => break,
+                            0..0x20 => {
+                                return Err(Error::at(self.pos, "unescaped control character"))
+                            }
+                            _ => self.pos += 1,
+                        }
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
                 None => return Err(Error::at(self.pos, "unterminated string")),
             }
@@ -567,6 +570,30 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_characters_beside_escapes_round_trip() {
+        for text in ["é\n€", "\"中\"", "😀\\😀", "a\té\u{1}ß", "\n", "€", ""] {
+            let v = Json::object().field(text, vec![text, "x"]);
+            for s in [to_string_pretty(&v).unwrap(), to_string(&v).unwrap()] {
+                assert_eq!(from_str(&s).unwrap(), v, "{s}");
+            }
+        }
+        // Escaped surrogate pairs and literal characters, side by side.
+        assert_eq!(
+            from_str(r#""é\uD834\uDD1E😀\u00e9\"ß""#).unwrap(),
+            Json::Str("é𝄞😀é\"ß".into())
+        );
+    }
+
+    #[test]
+    fn parses_a_multi_megabyte_string_document() {
+        let text = "ab€中😀\"\\\n".repeat(200_000);
+        let v = Json::Array(vec![Json::Str(text.clone()), Json::object().field("k", text)]);
+        let s = to_string(&v).unwrap();
+        assert!(s.len() > 4_000_000, "{} bytes", s.len());
+        assert_eq!(from_str(&s).unwrap(), v);
+    }
+
+    #[test]
     fn parse_rejects_malformed_input() {
         for bad in [
             "",
@@ -580,6 +607,8 @@ mod tests {
             "{\"a\" 1}",
             "\"\\q\"",
             "\"\\uD834\"",
+            "\"tab\tinside\"",
+            "\"é\u{1}\"",
         ] {
             assert!(from_str(bad).is_err(), "accepted malformed input {bad:?}");
         }
