@@ -463,6 +463,70 @@ impl BExpr {
         });
     }
 
+    /// The mutable mirror of [`BExpr::mark_columns`] (`level` 0) and
+    /// `mark_outer_refs`: the row `level` frames up (0 = the
+    /// evaluated row) lost columns, and its column `i` is now column
+    /// `map[i]`. A reference to a column `map` drops becomes a NULL
+    /// literal. Subquery plans are rebound one level deeper; each must be
+    /// owned by this expression alone, or planning fails.
+    pub fn rebind(&mut self, level: usize, map: &[Option<usize>]) -> DbResult<()> {
+        match self {
+            BExpr::Column(i) if level == 0 => {
+                *self = map[*i].map_or(BExpr::Literal(Value::Null), BExpr::Column);
+            }
+            BExpr::Outer { depth, index } if *depth == level => {
+                let depth = *depth;
+                *self = map[*index]
+                    .map_or(BExpr::Literal(Value::Null), |index| BExpr::Outer { depth, index });
+            }
+            BExpr::Column(_) | BExpr::Outer { .. } | BExpr::Literal(_) | BExpr::Param(_) => {}
+            BExpr::Neg(e)
+            | BExpr::Not(e)
+            | BExpr::IsNull { expr: e, .. }
+            | BExpr::Extract { expr: e, .. }
+            | BExpr::IntervalAdd { expr: e, .. } => e.rebind(level, map)?,
+            BExpr::Binary { left: a, right: b, .. } | BExpr::Like { expr: a, pattern: b, .. } => {
+                a.rebind(level, map)?;
+                b.rebind(level, map)?;
+            }
+            BExpr::Between { expr, low, high, .. } => {
+                for e in [expr, low, high] {
+                    e.rebind(level, map)?;
+                }
+            }
+            BExpr::InList { expr, list, .. } => {
+                expr.rebind(level, map)?;
+                for e in list {
+                    e.rebind(level, map)?;
+                }
+            }
+            BExpr::Case { branches, else_expr } => {
+                for (c, r) in branches {
+                    c.rebind(level, map)?;
+                    r.rebind(level, map)?;
+                }
+                if let Some(e) = else_expr {
+                    e.rebind(level, map)?;
+                }
+            }
+            BExpr::Func { args, .. } => {
+                for a in args {
+                    a.rebind(level, map)?;
+                }
+            }
+            BExpr::Subquery(sq) => {
+                let sq = Arc::get_mut(sq).ok_or_else(|| {
+                    DbError::analysis("a subquery plan shared by two expressions cannot be rebound")
+                })?;
+                if let SubqueryKind::In { lhs, .. } = &mut sq.kind {
+                    lhs.rebind(level, map)?;
+                }
+                sq.plan.rebind_outer_refs(level + 1, map)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Visit all nodes (not crossing into subquery plans).
     pub fn visit(&self, f: &mut impl FnMut(&BExpr)) {
         f(self);

@@ -9,12 +9,12 @@
 //! the order it reads pages in, do not depend on how its rows are cut
 //! into batches (DESIGN.md §15.5).
 //!
-//! On the way a row is not copied: scans decode only the columns the plan
-//! reads (the rest stay `Value::Null` placeholders, so row width and column
-//! positions never change), predicates are evaluated on borrowed values,
-//! joins test the (left, right) pair and build the combined row only for
-//! matches, and sort/group/distinct order, number or mark rows over
-//! borrowed keys.
+//! On the way a row is not copied, and it holds only the columns the plan
+//! reads: scans decode just those, into compact rows (the planner rebinds
+//! every expression to the compact positions, DESIGN.md §15.1), predicates
+//! are evaluated on borrowed values, joins test the (left, right) pair and
+//! build the combined row only for matches, and sort/group/distinct order,
+//! number or mark rows over borrowed keys.
 
 use crate::catalog::{Index, Table};
 use crate::error::{DbError, DbResult};
@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::ops::Bound;
 use std::sync::Arc;
-use trace::meter::Counter;
+use trace::meter::{CostMeter, Counter};
 
 /// A bound for one side of an index range, as expressions evaluated at
 /// execution time (they may contain parameters or outer references, which
@@ -49,9 +49,9 @@ pub enum Plan {
     SeqScan {
         table: Arc<Table>,
         filter: Option<BExpr>,
-        /// Columns read by `filter` or by any operator above: only these
-        /// are decoded, the others are `Value::Null` placeholders. All
-        /// columns until the planner's needed-column pass narrows it.
+        /// The stored columns read by `filter` or by any operator above:
+        /// the scan's rows hold only these, in stored order. All columns
+        /// until the planner's needed-column pass narrows it.
         needed: Vec<bool>,
     },
     /// B+-tree range scan + heap fetch, with optional residual filter.
@@ -239,7 +239,9 @@ impl Plan {
     /// Number of columns in this node's output rows.
     pub fn width(&self) -> usize {
         match self {
-            Plan::SeqScan { table, .. } | Plan::IndexScan { table, .. } => table.schema.len(),
+            Plan::SeqScan { needed, .. } | Plan::IndexScan { needed, .. } => {
+                needed.iter().filter(|n| **n).count()
+            }
             Plan::Values { rows } => rows.first().map_or(0, Vec::len),
             Plan::MonitorScan { view } => view.schema().len(),
             Plan::Filter { input, .. }
@@ -287,6 +289,49 @@ impl Plan {
         right.into_iter().for_each(|p| p.mark_outer_refs(level + usize::from(correlated), cols));
     }
 
+    /// The mutable mirror of [`Plan::mark_outer_refs`]: the enclosing row
+    /// `level` frames above this plan's own expressions lost columns, and
+    /// its column `i` is now column `map[i]` ([`BExpr::rebind`]).
+    pub(crate) fn rebind_outer_refs(
+        &mut self,
+        level: usize,
+        map: &[Option<usize>],
+    ) -> DbResult<()> {
+        let exprs: Vec<&mut BExpr> = match self {
+            Plan::SeqScan { filter, .. } => filter.iter_mut().collect(),
+            Plan::IndexScan { lower, upper, residual, .. } => [lower, upper]
+                .into_iter()
+                .flatten()
+                .flat_map(|bound| &mut bound.values)
+                .chain(residual)
+                .collect(),
+            Plan::Values { rows } => rows.iter_mut().flatten().collect(),
+            Plan::Filter { pred, .. } => vec![pred],
+            Plan::Project { exprs, .. } => exprs.iter_mut().collect(),
+            Plan::NLJoin { on, .. } => on.iter_mut().collect(),
+            Plan::HashJoin { left_keys, right_keys, residual, .. } => {
+                left_keys.iter_mut().chain(right_keys).chain(residual).collect()
+            }
+            Plan::Sort { keys, .. } => keys.iter_mut().map(|(e, _)| e).collect(),
+            Plan::Aggregate { groups, aggs, .. } => {
+                groups.iter_mut().chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut())).collect()
+            }
+            Plan::MonitorScan { .. } | Plan::Distinct { .. } | Plan::Limit { .. } => Vec::new(),
+        };
+        for e in exprs {
+            e.rebind(level, map)?;
+        }
+        let correlated = matches!(self, Plan::NLJoin { right_correlated: true, .. });
+        let [left, right] = self.inputs_mut();
+        if let Some(p) = left {
+            p.rebind_outer_refs(level, map)?;
+        }
+        if let Some(p) = right {
+            p.rebind_outer_refs(level + usize::from(correlated), map)?;
+        }
+        Ok(())
+    }
+
     /// One-line-per-node plan description (EXPLAIN output), used by tests
     /// to assert optimizer choices and by the experiment harness.
     pub fn describe(&self) -> String {
@@ -304,6 +349,25 @@ impl Plan {
 
     /// The node's inputs, left to right.
     fn inputs(&self) -> [Option<&Plan>; 2] {
+        match self {
+            Plan::SeqScan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::Values { .. }
+            | Plan::MonitorScan { .. } => [None, None],
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Limit { input, .. } => [Some(input), None],
+            Plan::NLJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+                [Some(left), Some(right)]
+            }
+        }
+    }
+
+    /// [`Plan::inputs`], to rewrite.
+    fn inputs_mut(&mut self) -> [Option<&mut Plan>; 2] {
         match self {
             Plan::SeqScan { .. }
             | Plan::IndexScan { .. }
@@ -425,15 +489,19 @@ enum State<'p> {
     /// Not called yet: the first call opens the inputs and drains those
     /// the node reads whole.
     Start,
+    /// A `SeqScan`: `first` (what its filter reads) and `rest` split its
+    /// `needed` columns, in stored positions; `width` counts them.
     Scan {
         scan: HeapScan<'p>,
         first: Vec<bool>,
         rest: Vec<bool>,
+        width: usize,
     },
     Fetch {
         entries: std::vec::IntoIter<(Vec<u8>, Rid)>,
         version: u64,
         changed: bool,
+        width: usize,
     },
     /// The output, computed in full.
     Rows(std::vec::IntoIter<Row>),
@@ -492,44 +560,48 @@ impl<'p> Node<'p> {
             self.state = self.start(ctx)?;
         }
         let batch = match (&mut self.state, self.plan) {
-            (State::Scan { scan, first, rest }, Plan::SeqScan { filter, .. }) => {
+            (State::Scan { scan, first, rest, width }, Plan::SeqScan { filter, needed, .. }) => {
                 // Decode what the filter reads, test it, and decode the
-                // remaining needed columns of survivors only.
+                // remaining needed columns of survivors only. A rejected
+                // tuple leaves `row` to the next one, string buffers and all.
                 let mut out = Vec::new();
                 let mut row = Row::new();
+                let mut tuples = Tally(ctx.meter, 0);
                 while out.is_empty() || !scan.page_done() {
                     let Some(item) = scan.next_tuple() else {
                         self.state = State::Done;
                         break;
                     };
                     let (_, bytes) = item?;
-                    ctx.meter.bump(Counter::DbTuples);
+                    tuples.1 += 1;
+                    if row.capacity() == 0 {
+                        row.reserve_exact(*width);
+                    }
                     if let Some(f) = filter {
-                        decode_columns(bytes, first, &mut row)?;
+                        decode_columns(bytes, needed, first, &mut row)?;
                         if f.eval_bool(&row, ctx)? != Some(true) {
                             continue;
                         }
                     }
-                    decode_columns(bytes, rest, &mut row)?;
-                    // The emptied `row` is regrown with NULLs by the next decode.
+                    decode_columns(bytes, needed, rest, &mut row)?;
                     out.push(std::mem::take(&mut row));
                 }
                 return Ok((!out.is_empty()).then_some(out));
             }
             (
-                State::Fetch { entries, version, changed },
+                State::Fetch { entries, version, changed, width },
                 Plan::IndexScan { table, index, residual, needed, .. },
             ) => {
                 let mut out = Vec::new();
                 for (key, rid) in entries.by_ref() {
                     // Unclustered index: each qualifying tuple is a random
                     // heap fetch — the crux of the paper's Table 6.
-                    let fetch = |want: &[bool]| {
+                    let fetch = |keep: &[bool]| {
                         table
                             .heap
                             .get_with(rid, AccessPattern::Random, |bytes| {
-                                let mut row = Row::new();
-                                decode_columns(bytes, want, &mut row).map(|()| row)
+                                let mut row = Row::with_capacity(*width);
+                                decode_columns(bytes, keep, &[], &mut row).map(|()| row)
                             })?
                             .ok_or_else(|| DbError::storage("dangling index entry"))?
                     };
@@ -543,6 +615,8 @@ impl<'p> Node<'p> {
                         if !key.starts_with(&index.key_for(&row)) {
                             return Err(DbError::storage("dangling index entry"));
                         }
+                        let mut kept = needed.iter();
+                        row.retain(|_| *kept.next().unwrap_or(&true));
                     }
                     ctx.meter.bump(Counter::DbTuples);
                     if let Some(f) = residual {
@@ -637,12 +711,18 @@ impl<'p> Node<'p> {
         let plan: &'p Plan = self.plan;
         Ok(match plan {
             Plan::SeqScan { table, filter, needed } => {
-                let mut first = vec![false; needed.len()];
+                // The filter reads compact positions; map them back to
+                // stored ones (the `k`-th needed column is compact `k`).
+                let width = plan.width();
+                let mut read = vec![false; width];
                 if let Some(f) = filter {
-                    f.mark_columns(&mut first);
+                    f.mark_columns(&mut read);
                 }
+                let mut read = read.into_iter();
+                let first: Vec<bool> =
+                    needed.iter().map(|&n| n && read.next().unwrap_or(false)).collect();
                 let rest = needed.iter().zip(&first).map(|(n, f)| *n && !*f).collect();
-                State::Scan { scan: table.heap.scan(), first, rest }
+                State::Scan { scan: table.heap.scan(), first, rest, width }
             }
             Plan::IndexScan { table, index, lower, upper, .. } => {
                 let (lo, hi) = match (eval_bound(lower, ctx)?, eval_bound(upper, ctx)?) {
@@ -658,7 +738,12 @@ impl<'p> Node<'p> {
                 // row is held against the key of the entry that led to it.
                 let version = table.heap.version();
                 let entries = index.tree.lock().range_scan(as_bound(&lo), as_bound(&hi))?;
-                State::Fetch { entries: entries.into_iter(), version, changed: false }
+                State::Fetch {
+                    entries: entries.into_iter(),
+                    version,
+                    changed: false,
+                    width: plan.width(),
+                }
             }
             Plan::Values { rows } => State::Rows(
                 rows.iter()
@@ -729,8 +814,9 @@ impl<'p> Probe<'p> {
         let probe = Input::new(right, left_keys.iter().chain(right_keys).chain(residual), ctx)?;
         let mut keys = KeyTable { width: left_keys.len(), ..KeyTable::default() };
         let mut rows_of: Vec<Vec<usize>> = Vec::new();
+        let mut tuples = Tally(ctx.meter, 0);
         for (i, row) in build.iter().enumerate() {
-            ctx.meter.bump(Counter::DbTuples);
+            tuples.1 += 1;
             let key = join_key(left_keys, row, ctx)?;
             if key.iter().any(|v| v.is_null()) {
                 continue; // null keys never join
@@ -751,6 +837,7 @@ impl<'p> Probe<'p> {
             unreachable!("a hash join's state")
         };
         let mut out = Vec::new();
+        let mut tuples = Tally(ctx.meter, 0);
         while out.len() < BATCH_ROWS {
             let Some(prow) = self.pending.next() else {
                 match self.probe.as_mut().map(|p| p.next(ctx)).transpose()?.flatten() {
@@ -762,7 +849,7 @@ impl<'p> Probe<'p> {
                 }
                 continue;
             };
-            ctx.meter.bump(Counter::DbTuples);
+            tuples.1 += 1;
             let key = join_key(right_keys, &prow, ctx)?;
             if key.iter().any(|v| v.is_null()) {
                 continue;
@@ -825,6 +912,19 @@ impl KeyTable {
             self.keys.extend(key.iter().map(|v| v.as_ref().clone()));
             id
         })
+    }
+}
+
+/// `DbTuples` counted in a local and added to the meter once, when the
+/// tally is dropped: at the end of a batch, or on an early error return.
+/// The totals are those of one bump per tuple (DESIGN.md §15.5).
+struct Tally<'m>(&'m CostMeter, u64);
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        if self.1 > 0 {
+            self.0.add(Counter::DbTuples, self.1);
+        }
     }
 }
 

@@ -108,12 +108,14 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Narrow the scans under a finished plan to the columns it reads, given
-    /// which of its own output columns are read.
-    fn prune(&self, plan: &mut Plan, required: Vec<bool>) {
+    /// Shrink the rows under a finished plan to the columns it reads, given
+    /// which of its own output columns are read. The output columns that
+    /// are read keep their positions, so the caller rebinds nothing.
+    fn prune(&self, plan: &mut Plan, required: Vec<bool>) -> DbResult<()> {
         if self.prune {
-            prune_columns(plan, required);
+            prune_columns(plan, required)?;
         }
+        Ok(())
     }
 
     /// Plan a top-level query.
@@ -128,7 +130,7 @@ impl<'a> Planner<'a> {
         }
         pq.n_params = self.max_param.get();
         pq.names = self.names.take();
-        self.prune(&mut pq.plan, vec![true; pq.schema.len()]);
+        self.prune(&mut pq.plan, vec![true; pq.schema.len()])?;
         Ok(pq)
     }
 
@@ -1471,11 +1473,11 @@ impl<'a> Planner<'a> {
                         pq.schema.len()
                     )));
                 }
-                self.prune(&mut pq.plan, vec![true]);
+                self.prune(&mut pq.plan, vec![true])?;
             }
             SubKindTag::Exists(_) => {
                 // EXISTS only needs one row, and none of its columns.
-                self.prune(&mut pq.plan, vec![false; pq.schema.len()]);
+                self.prune(&mut pq.plan, vec![false; pq.schema.len()])?;
                 pq.plan = Plan::Limit { input: Box::new(pq.plan), n: 1 };
             }
         }

@@ -31,6 +31,8 @@ pub mod sarg_helpers {
 }
 
 pub use builder::{PlannedQuery, Planner};
+#[doc(hidden)]
+pub use columns::prune_columns;
 
 /// Optimizer configuration. Exposed so the ablation benches can toggle the
 /// vendor behaviours. Access-path costs come from the database's own

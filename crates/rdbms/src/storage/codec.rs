@@ -109,23 +109,31 @@ fn field<'a>(r: &mut Reader<'a>) -> DbResult<(u8, &'a [u8])> {
     Ok((tag, r.take(len).ok_or_else(|| DbError::storage(short))?))
 }
 
-/// The value of a field [`field`] split off (`body` is as long as `tag`
-/// says). Only a string can fail: its bytes are checked here, so a string
+/// Write the value of a field [`field`] split off (`body` is as long as
+/// `tag` says) into `slot`. A string lands in the slot's own `String` when
+/// it already holds one, so a row reused across tuples allocates nothing
+/// for it. Only a string can fail: its bytes are checked here, so a string
 /// that is skipped is never validated or copied.
 #[inline]
-fn value(tag: u8, body: &[u8]) -> DbResult<Value> {
-    Ok(match tag {
+fn value_into(tag: u8, body: &[u8], slot: &mut Value) -> DbResult<()> {
+    *slot = match tag {
         TAG_INT => Value::Int(i64::from_le_bytes(fixed(body))),
         TAG_DEC => Value::Decimal(Decimal::new(i128::from_le_bytes(fixed(body)), body[16])),
-        TAG_STR => Value::Str(
-            std::str::from_utf8(body)
-                .map_err(|_| DbError::storage("invalid UTF-8 in stored string"))?
-                .to_owned(),
-        ),
+        TAG_STR => {
+            let s = std::str::from_utf8(body)
+                .map_err(|_| DbError::storage("invalid UTF-8 in stored string"))?;
+            if let Value::Str(buf) = slot {
+                buf.clear();
+                buf.push_str(s);
+                return Ok(());
+            }
+            Value::Str(s.to_owned())
+        }
         TAG_DATE => Value::Date(Date::from_days(i32::from_le_bytes(fixed(body)))),
         TAG_BOOL => Value::Bool(body[0] != 0),
         _ => Value::Null,
-    })
+    };
+    Ok(())
 }
 
 /// The first `N` bytes of a payload [`field`] has found long enough.
@@ -146,26 +154,43 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 
 /// Decode a whole row.
 pub fn decode_row(bytes: &[u8]) -> DbResult<Vec<Value>> {
-    let mut row = Vec::new();
-    decode_columns(bytes, &[], &mut row).map(|()| row)
+    let stored = Reader(bytes).u16().map_or(0, usize::from);
+    let mut row = Vec::with_capacity(stored);
+    decode_columns(bytes, &[], &[], &mut row).map(|()| row)
 }
 
-/// Decode into `row` only the columns `i` with `want[i]` (columns past the
-/// end of `want` count as wanted). `row` is grown with `Value::Null` to the
-/// stored width; positions not wanted are left as they are, so a second
-/// call with the complementary mask completes a row the first call began.
-/// The whole tuple is walked either way: truncation and unknown tags are
-/// errors whatever the mask.
-pub fn decode_columns(bytes: &[u8], want: &[bool], row: &mut Vec<Value>) -> DbResult<()> {
+/// Decode a tuple into a *compact* row: `row` holds only the stored
+/// columns `i` with `keep[i]`, in stored order, so kept column `i` is at
+/// the number of kept columns before it. Of those, only the ones with
+/// `want[i]` are decoded now; the slots of the others are left as they
+/// are (a fresh slot is `Value::Null`), so a second call with the same
+/// `keep` and the complementary `want` completes a row the first call
+/// began. Columns past the end of either mask count as `true`. `row` is
+/// grown or cut to the kept width. The whole tuple is walked either way:
+/// truncation and unknown tags are errors whatever the masks.
+pub fn decode_columns(
+    bytes: &[u8],
+    keep: &[bool],
+    want: &[bool],
+    row: &mut Vec<Value>,
+) -> DbResult<()> {
     let mut r = Reader(bytes);
     let n = r.u16().ok_or_else(|| DbError::storage("truncated row header"))?;
-    row.resize(n as usize, Value::Null);
-    for (i, slot) in row.iter_mut().enumerate() {
+    let mut slot = 0;
+    for i in 0..n as usize {
         let (tag, body) = field(&mut r)?;
-        if want.get(i).copied().unwrap_or(true) {
-            *slot = value(tag, body)?;
+        if !keep.get(i).copied().unwrap_or(true) {
+            continue;
         }
+        if slot == row.len() {
+            row.push(Value::Null);
+        }
+        if want.get(i).copied().unwrap_or(true) {
+            value_into(tag, body, &mut row[slot])?;
+        }
+        slot += 1;
     }
+    row.truncate(slot);
     Ok(())
 }
 
@@ -337,20 +362,25 @@ mod tests {
             Value::str("kept   "),
         ];
         let bytes = encode_row(&full);
+        let keep = [true, false, false, true, true];
         let first = [true, false, false, false, true];
         let mut row = Vec::new();
-        decode_columns(&bytes, &first, &mut row).unwrap();
-        assert_eq!(row.len(), 5, "width unchanged");
+        decode_columns(&bytes, &keep, &first, &mut row).unwrap();
+        assert_eq!(row.len(), 3, "only the kept columns");
         assert_eq!(row[0], Value::Int(42));
-        assert!(row[1].is_null() && row[3].is_null(), "unwanted columns are NULL placeholders");
-        assert_eq!(row[4], Value::str("kept   "));
+        assert!(row[1].is_null(), "kept but not wanted yet");
+        assert_eq!(row[2], Value::str("kept   "));
         // The complementary mask completes the row.
         let rest: Vec<bool> = first.iter().map(|w| !w).collect();
-        decode_columns(&bytes, &rest, &mut row).unwrap();
-        assert_eq!(row, decode_row(&bytes).unwrap());
-        // Truncation is an error even when the cut column is not wanted.
+        decode_columns(&bytes, &keep, &rest, &mut row).unwrap();
+        assert_eq!(row, vec![full[0].clone(), full[3].clone(), full[4].clone()]);
+        // A reused row is cut to the kept width, and its strings are rewritten.
+        let mut reused = vec![Value::str("a much longer old value"); 6];
+        decode_columns(&bytes, &[false, true], &[], &mut reused).unwrap();
+        assert_eq!(reused, full[1..].to_vec());
+        // Truncation is an error even when the cut column is not kept.
         let mut scratch = Vec::new();
-        assert!(decode_columns(&bytes[..bytes.len() - 1], &[false; 5], &mut scratch).is_err());
+        assert!(decode_columns(&bytes[..bytes.len() - 1], &[false; 5], &[], &mut scratch).is_err());
     }
 
     #[test]

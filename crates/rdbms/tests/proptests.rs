@@ -53,15 +53,25 @@ fn arb_row() -> impl Strategy<Value = Vec<Value>> {
 }
 
 /// Masks of any length up to a little past the widest row, so some are
-/// shorter than the row they decode (the missing columns count as wanted).
+/// shorter than the row they decode (the missing columns count as `true`).
 fn arb_mask() -> impl Strategy<Value = Vec<bool>> {
     prop::collection::vec(any::<bool>(), 0..28)
 }
 
-/// The masks every corrupt tuple is tried under: `mask`, nothing wanted,
-/// everything wanted (`&[]`).
+/// The `keep` masks every corrupt tuple is tried under: `mask`, nothing
+/// kept, everything kept (`&[]`).
 fn masks(row: &[Value], mask: &[bool]) -> [Vec<bool>; 3] {
     [mask.to_vec(), vec![false; row.len()], Vec::new()]
+}
+
+/// Does a mask say `true` for column `i`?
+fn on(mask: &[bool], i: usize) -> bool {
+    mask.get(i).copied().unwrap_or(true)
+}
+
+/// The columns of `row` that `keep` keeps, in order.
+fn kept(row: &[Value], keep: &[bool]) -> Vec<Value> {
+    (0..row.len()).filter(|&i| on(keep, i)).map(|i| row[i].clone()).collect()
 }
 
 /// Byte offset of column `i`'s tag in `encode_row(row)`.
@@ -69,36 +79,51 @@ fn tag_offset(row: &[Value], i: usize) -> usize {
     encode_row(&row[..i]).len()
 }
 
-/// `decode_columns(mask)` then `decode_columns(!mask)` is `decode_row`, and
-/// the first call leaves exactly the unwanted columns NULL. (`Debug` tells
-/// `Int(3)` from `Decimal(3.0)` and counts trailing blanks; `==` does not.)
-fn masks_compose(row: &[Value], mask: &[bool]) {
+/// Decoding into compact positions is `decode_row` filtered by the mask,
+/// also into a row left over from another tuple (its strings are reused).
+/// (`Debug` tells `Int(3)` from `Decimal(3.0)` and counts trailing blanks;
+/// `==` does not.)
+fn compact_is_filtered(row: &[Value], keep: &[bool], stale: Vec<Value>) {
+    let bytes = encode_row(row);
+    let want = format!("{:?}", kept(&decode_row(&bytes).unwrap(), keep));
+    for mut out in [Vec::new(), stale] {
+        decode_columns(&bytes, keep, &[], &mut out).unwrap();
+        assert_eq!(format!("{out:?}"), want, "keep {keep:?}");
+    }
+}
+
+/// `decode_columns(keep, want)` then `decode_columns(keep, !want)` is the
+/// kept part of `decode_row`, and the first call leaves exactly the kept
+/// but unwanted columns NULL.
+fn masks_compose(row: &[Value], keep: &[bool], want: &[bool]) {
     let bytes = encode_row(row);
     let full = decode_row(&bytes).unwrap();
     assert_eq!(format!("{full:?}"), format!("{row:?}"));
     let mut part = Vec::new();
-    decode_columns(&bytes, mask, &mut part).unwrap();
-    let first: Vec<Value> = (0..row.len())
-        .map(|i| if mask.get(i) == Some(&false) { Value::Null } else { row[i].clone() })
-        .collect();
-    assert_eq!(format!("{part:?}"), format!("{first:?}"), "mask {mask:?}");
-    let rest: Vec<bool> = mask.iter().map(|w| !w).collect();
-    decode_columns(&bytes, &rest, &mut part).unwrap();
-    assert_eq!(format!("{part:?}"), format!("{row:?}"), "mask {mask:?}");
+    decode_columns(&bytes, keep, want, &mut part).unwrap();
+    let first: Vec<Value> =
+        (0..row.len()).map(|i| if on(want, i) { row[i].clone() } else { Value::Null }).collect();
+    assert_eq!(format!("{part:?}"), format!("{:?}", kept(&first, keep)), "{keep:?} {want:?}");
+    let rest: Vec<bool> = (0..row.len()).map(|i| !on(want, i)).collect();
+    decode_columns(&bytes, keep, &rest, &mut part).unwrap();
+    assert_eq!(format!("{part:?}"), format!("{:?}", kept(row, keep)), "{keep:?} {want:?}");
 }
 
-fn prefixes_fail(row: &[Value], mask: &[bool]) {
+fn prefixes_fail(row: &[Value], keep: &[bool], want: &[bool]) {
     let bytes = encode_row(row);
     for cut in 0..bytes.len() {
         assert!(decode_row(&bytes[..cut]).is_err(), "prefix {cut} of {row:?}");
-        for m in masks(row, mask) {
-            let mut out = Vec::new();
-            assert!(decode_columns(&bytes[..cut], &m, &mut out).is_err(), "prefix {cut}, {m:?}");
+        for k in masks(row, keep) {
+            for w in [want, &[]] {
+                let mut out = Vec::new();
+                let decoded = decode_columns(&bytes[..cut], &k, w, &mut out);
+                assert!(decoded.is_err(), "prefix {cut}, {k:?}, {w:?}");
+            }
         }
     }
 }
 
-fn unknown_tag_fails(row: &[Value], mask: &[bool], at: usize, tag: u8) {
+fn unknown_tag_fails(row: &[Value], keep: &[bool], want: &[bool], at: usize, tag: u8) {
     if row.is_empty() {
         return;
     }
@@ -106,13 +131,16 @@ fn unknown_tag_fails(row: &[Value], mask: &[bool], at: usize, tag: u8) {
     let mut bytes = encode_row(row);
     bytes[tag_offset(row, i)] = tag;
     assert!(decode_row(&bytes).is_err());
-    for m in masks(row, mask) {
-        assert!(decode_columns(&bytes, &m, &mut Vec::new()).is_err(), "tag {tag} at {i}, {m:?}");
+    for k in masks(row, keep) {
+        for w in [want, &[]] {
+            let decoded = decode_columns(&bytes, &k, w, &mut Vec::new());
+            assert!(decoded.is_err(), "tag {tag} at {i}, {k:?}, {w:?}");
+        }
     }
 }
 
 /// A string whose bytes are not UTF-8 is an error when its column is
-/// decoded and goes unchecked when it is skipped.
+/// decoded and goes unchecked when it is dropped or not wanted yet.
 fn bad_utf8_fails_when_kept(mut row: Vec<Value>, s: String, at: usize, mask: &[bool], byte: usize) {
     let i = at % (row.len() + 1);
     let len = s.len();
@@ -121,14 +149,18 @@ fn bad_utf8_fails_when_kept(mut row: Vec<Value>, s: String, at: usize, mask: &[b
     // 0xFF never occurs in UTF-8; the string's bytes follow tag and length.
     bytes[tag_offset(&row, i) + 3 + byte % len] = 0xFF;
     assert!(decode_row(&bytes).is_err());
-    let mut kept = mask.to_vec();
-    kept.resize(kept.len().max(i + 1), true);
-    kept[i] = true;
-    assert!(decode_columns(&bytes, &kept, &mut Vec::new()).is_err());
-    kept[i] = false;
+    let mut keep = mask.to_vec();
+    keep.resize(keep.len().max(i + 1), true);
+    keep[i] = true;
+    assert!(decode_columns(&bytes, &keep, &[], &mut Vec::new()).is_err());
+    let mut want = vec![true; row.len()];
+    want[i] = false;
     let mut part = Vec::new();
-    decode_columns(&bytes, &kept, &mut part).unwrap();
-    assert!(part[i].is_null());
+    decode_columns(&bytes, &keep, &want, &mut part).unwrap();
+    assert!(part[keep[..i].iter().filter(|k| **k).count()].is_null());
+    keep[i] = false;
+    decode_columns(&bytes, &keep, &[], &mut part).unwrap();
+    assert_eq!(part.len(), kept(&row, &keep).len());
 }
 
 // ---------------------------------------------------------------------------
@@ -141,19 +173,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn masked_decodes_compose_to_decode_row(row in arb_row(), mask in arb_mask()) {
-        masks_compose(&row, &mask);
+    fn compact_decode_is_decode_row_filtered(row in arb_row(), keep in arb_mask(),
+                                             stale in arb_row()) {
+        compact_is_filtered(&row, &keep, stale);
     }
 
     #[test]
-    fn every_strict_prefix_is_an_error(row in arb_row(), mask in arb_mask()) {
-        prefixes_fail(&row, &mask);
+    fn masked_decodes_compose_to_decode_row(row in arb_row(), keep in arb_mask(),
+                                            want in arb_mask()) {
+        masks_compose(&row, &keep, &want);
     }
 
     #[test]
-    fn unknown_tags_are_errors(row in arb_row(), mask in arb_mask(), at in any::<usize>(),
-                               tag in 6u8..=255) {
-        unknown_tag_fails(&row, &mask, at, tag);
+    fn every_strict_prefix_is_an_error(row in arb_row(), keep in arb_mask(), want in arb_mask()) {
+        prefixes_fail(&row, &keep, &want);
+    }
+
+    #[test]
+    fn unknown_tags_are_errors(row in arb_row(), keep in arb_mask(), want in arb_mask(),
+                               at in any::<usize>(), tag in 6u8..=255) {
+        unknown_tag_fails(&row, &keep, &want, at, tag);
     }
 
     #[test]
@@ -168,21 +207,30 @@ proptest! {
 
     #[test]
     #[ignore]
-    fn masked_decodes_compose_to_decode_row_long(row in arb_row(), mask in arb_mask()) {
-        masks_compose(&row, &mask);
+    fn compact_decode_is_decode_row_filtered_long(row in arb_row(), keep in arb_mask(),
+                                                  stale in arb_row()) {
+        compact_is_filtered(&row, &keep, stale);
     }
 
     #[test]
     #[ignore]
-    fn every_strict_prefix_is_an_error_long(row in arb_row(), mask in arb_mask()) {
-        prefixes_fail(&row, &mask);
+    fn masked_decodes_compose_to_decode_row_long(row in arb_row(), keep in arb_mask(),
+                                                 want in arb_mask()) {
+        masks_compose(&row, &keep, &want);
     }
 
     #[test]
     #[ignore]
-    fn unknown_tags_are_errors_long(row in arb_row(), mask in arb_mask(), at in any::<usize>(),
-                               tag in 6u8..=255) {
-        unknown_tag_fails(&row, &mask, at, tag);
+    fn every_strict_prefix_is_an_error_long(row in arb_row(), keep in arb_mask(),
+                                            want in arb_mask()) {
+        prefixes_fail(&row, &keep, &want);
+    }
+
+    #[test]
+    #[ignore]
+    fn unknown_tags_are_errors_long(row in arb_row(), keep in arb_mask(), want in arb_mask(),
+                                    at in any::<usize>(), tag in 6u8..=255) {
+        unknown_tag_fails(&row, &keep, &want, at, tag);
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //! that crate).
 
 use proptest::prelude::*;
-use rdbms::exec::expr::{like_match, BExpr, ExecCtx};
+use rdbms::exec::expr::{like_match, BExpr, BoundSubquery, ExecCtx, SubqueryKind};
 use rdbms::exec::plan::Plan;
-use rdbms::planner::PlannerConfig;
-use rdbms::sql::ast::{BinOp, Statement};
+use rdbms::planner::{prune_columns, PlannerConfig};
+use rdbms::sql::ast::{BinOp, JoinKind, Statement};
 use rdbms::sql::parse_statement;
 use rdbms::storage::codec::{decode_columns, decode_row, encode_row};
 use rdbms::types::{Date, Decimal, Value};
 use rdbms::{CostMeter, Database, Row};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Generators (a tiny deterministic RNG: the proptest shim has no recursive
@@ -168,26 +169,34 @@ proptest! {
         let full = decode_row(&bytes).unwrap();
         let expected = pred.eval_bool(&full, &ctx);
 
-        // The scan's way: decode what the filter reads, filter, and decode
-        // the rest of the needed columns only for a survivor.
+        // The scan's way: keep what the filter or the plan above reads,
+        // decode what the filter reads into a row left over from another
+        // tuple, filter with the predicate rebound to the kept columns, and
+        // decode the rest of them only for a survivor.
         let mut first = vec![false; width];
         pred.mark_columns(&mut first);
-        let mut row = Row::new();
-        decode_columns(&bytes, &first, &mut row).unwrap();
-        prop_assert_eq!(row.len(), width);
-        let got = pred.eval_bool(&row, &ctx);
+        let keep: Vec<bool> = above.iter().zip(&first).map(|(a, f)| *a || *f).collect();
+        let mut kept = 0;
+        let map: Vec<Option<usize>> = keep
+            .iter()
+            .map(|&k| {
+                kept += usize::from(k);
+                k.then_some(kept - 1)
+            })
+            .collect();
+        let mut compact_pred = pred.clone();
+        compact_pred.rebind(0, &map).unwrap();
+        let mut row = row_of(1 + rng.below(9) as usize, &mut rng);
+        decode_columns(&bytes, &keep, &first, &mut row).unwrap();
+        prop_assert_eq!(row.len(), kept);
+        let got = compact_pred.eval_bool(&row, &ctx);
         prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"), "pred {:?} on {:?}", pred, full);
 
         if let Ok(Some(true)) = got {
             let rest: Vec<bool> = above.iter().zip(&first).map(|(a, f)| *a && !*f).collect();
-            decode_columns(&bytes, &rest, &mut row).unwrap();
-            for i in 0..width {
-                if above[i] || first[i] {
-                    prop_assert_eq!(format!("{:?}", row[i]), format!("{:?}", full[i]));
-                } else {
-                    prop_assert!(row[i].is_null(), "column {} was not asked for", i);
-                }
-            }
+            decode_columns(&bytes, &keep, &rest, &mut row).unwrap();
+            let want: Vec<&Value> = (0..width).filter(|&i| keep[i]).map(|i| &full[i]).collect();
+            prop_assert_eq!(format!("{row:?}"), format!("{want:?}"));
         }
     }
 
@@ -200,8 +209,9 @@ proptest! {
         let cut = rng.below(bytes.len() as u64) as usize;
         let mut row = Row::new();
         prop_assert!(decode_row(&bytes[..cut]).is_err());
-        prop_assert!(decode_columns(&bytes[..cut], &mask, &mut row).is_err());
-        prop_assert!(decode_columns(&bytes[..cut], &vec![false; width], &mut row).is_err());
+        prop_assert!(decode_columns(&bytes[..cut], &mask, &[], &mut row).is_err());
+        prop_assert!(decode_columns(&bytes[..cut], &[], &mask, &mut row).is_err());
+        prop_assert!(decode_columns(&bytes[..cut], &vec![false; width], &[], &mut row).is_err());
     }
 
     // -----------------------------------------------------------------------
@@ -378,12 +388,22 @@ fn plan_both_ways(db: &Database, sql: &str) -> (Plan, Plan) {
     (pruned.plan, all.plan)
 }
 
-/// Fraction of scan columns the pruned plan leaves undecoded (top-level
-/// tree only), so a test can tell that pruning happened at all.
-fn skipped_columns(plan: &Plan) -> usize {
+/// Number of stored columns the scans of the top-level tree leave out, so
+/// a test can tell that pruning happened at all. On the way it checks that
+/// every scan's rows are as wide as its `needed` has `true`s (each scan
+/// that can run on its own, without an enclosing row, is executed), and
+/// that every join's `right_width` is its right input's width.
+fn skipped_columns(plan: &Plan, ctx: &ExecCtx) -> usize {
     match plan {
         Plan::SeqScan { needed, .. } | Plan::IndexScan { needed, .. } => {
-            needed.iter().filter(|n| !**n).count()
+            let width = needed.iter().filter(|n| **n).count();
+            assert_eq!(plan.width(), width);
+            if let Ok(rows) = plan.execute(ctx) {
+                for row in rows {
+                    assert_eq!(row.len(), width, "a row of {}", plan.describe());
+                }
+            }
+            needed.len() - width
         }
         Plan::Values { .. } | Plan::MonitorScan { .. } => 0,
         Plan::Filter { input, .. }
@@ -391,9 +411,11 @@ fn skipped_columns(plan: &Plan) -> usize {
         | Plan::Sort { input, .. }
         | Plan::Aggregate { input, .. }
         | Plan::Distinct { input }
-        | Plan::Limit { input, .. } => skipped_columns(input),
-        Plan::NLJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            skipped_columns(left) + skipped_columns(right)
+        | Plan::Limit { input, .. } => skipped_columns(input, ctx),
+        Plan::NLJoin { left, right, right_width, .. }
+        | Plan::HashJoin { left, right, right_width, .. } => {
+            assert_eq!(*right_width, right.width(), "{}", plan.describe());
+            skipped_columns(left, ctx) + skipped_columns(right, ctx)
         }
     }
 }
@@ -415,8 +437,9 @@ fn assert_pruned_equals_all_bound(
     let want = all.execute(&ctx).unwrap();
     assert!(!want.is_empty(), "vacuous comparison: {sql}");
     assert_same_rows(&got, &want, sql);
-    assert_eq!(skipped_columns(&all), 0);
-    assert_eq!(skipped_columns(&pruned) > 0, expect_pruning, "{sql}\n{}", pruned.describe());
+    let ctx = ExecCtx::new(params, db.meter());
+    assert_eq!(skipped_columns(&all, &ctx), 0);
+    assert_eq!(skipped_columns(&pruned, &ctx) > 0, expect_pruning, "{sql}\n{}", pruned.describe());
 }
 
 fn orders_db() -> Database {
@@ -605,4 +628,170 @@ fn update_where_writes_back_full_rows() {
     for o in [0, 17, 599] {
         assert_eq!(rows_of(&db, &format!("SELECT o_id FROM ord WHERE o_id = {o}")).len(), 1);
     }
+}
+
+/// Every way the needed-column pass rebinds a reference, against the same
+/// plans with every scan decoding all columns.
+#[test]
+fn every_rebinding_case_returns_what_unpruned_plans_return() {
+    let db = orders_db();
+    for hash in [true, false] {
+        db.set_planner_config(PlannerConfig { enable_hash_join: hash, ..db.planner_config() });
+        // A correlated subquery two levels deep above a join: only the
+        // innermost level reads `o_clerk` of the joined row, and `c_nation`
+        // sits past columns of `cust` the plan drops.
+        let sql = "SELECT c_id, o_id FROM cust, ord WHERE c_id = o_cust AND o_total >= \
+                     (SELECT MIN(o1.o_total) FROM ord o1 WHERE o1.o_cust = c_id AND o1.o_id IN \
+                        (SELECT o2.o_id FROM ord o2 WHERE o2.o_clerk = ord.o_clerk \
+                           AND o2.o_prio <> c_nation)) \
+                   ORDER BY c_id, o_id";
+        let (pruned, _) = plan_both_ways(&db, sql);
+        let join = if hash { "HashJoin" } else { "NLJoin" };
+        assert!(pruned.describe().contains(join), "{}", pruned.describe());
+        assert_pruned_equals_all(&db, sql, true);
+        // A LEFT OUTER JOIN whose right side needs no column: unmatched
+        // rows are NULL-extended to the right side's new width, zero.
+        let sql = "SELECT c_id, c_name FROM cust LEFT OUTER JOIN ord ON c_bal > 800 \
+                   ORDER BY c_id, c_name";
+        let (pruned, _) = plan_both_ways(&db, sql);
+        let right_width = |plan: &Plan| -> Option<usize> {
+            let mut plan = plan;
+            loop {
+                match plan {
+                    Plan::NLJoin { right_width, .. } | Plan::HashJoin { right_width, .. } => {
+                        return Some(*right_width)
+                    }
+                    Plan::Filter { input, .. }
+                    | Plan::Project { input, .. }
+                    | Plan::Sort { input, .. }
+                    | Plan::Aggregate { input, .. }
+                    | Plan::Distinct { input }
+                    | Plan::Limit { input, .. } => plan = input,
+                    _ => return None,
+                }
+            }
+        };
+        assert_eq!(right_width(&pruned), Some(0), "{}", pruned.describe());
+        assert_pruned_equals_all(&db, sql, true);
+        // An unread `Project` output that holds a subquery still runs it,
+        // with its correlation value; an unread one that does not is
+        // computed over a NULL literal.
+        assert_pruned_equals_all(
+            &db,
+            "SELECT t.c_id FROM (SELECT c_id, c_bal * 2 AS b2, \
+                (SELECT COUNT(*) FROM ord WHERE o_cust = c_id AND o_prio <> c_nation) AS n \
+              FROM cust) AS t ORDER BY t.c_id",
+            true,
+        );
+        // The left operand of an IN subquery moves with its row (`o_cust`
+        // from 1 to 0), inside a filter that holds the subquery.
+        assert_pruned_equals_all(
+            &db,
+            "SELECT o_total, o_date FROM ord WHERE o_cust IN \
+               (SELECT c_id FROM cust WHERE c_nation = 'PERU') ORDER BY o_total, o_date",
+            true,
+        );
+        // DISTINCT over a join.
+        assert_pruned_equals_all(
+            &db,
+            "SELECT DISTINCT c_nation, o_prio FROM cust, ord WHERE c_id = o_cust \
+             ORDER BY c_nation, o_prio",
+            true,
+        );
+        // SELECT * over a join, inner and outer.
+        assert_pruned_equals_all(&db, "SELECT * FROM cust, ord WHERE c_id = o_cust", false);
+        assert_pruned_equals_all(
+            &db,
+            "SELECT * FROM cust LEFT OUTER JOIN ord ON c_id = o_cust AND o_total > 40",
+            false,
+        );
+    }
+}
+
+/// A correlated nested-loop join inner reads the left row through `Outer`
+/// references, which move with the left row's columns. The planner builds
+/// no such join from SQL, so the plan is built by hand and the pass run on
+/// it directly.
+#[test]
+fn a_correlated_join_inner_is_rebound_with_the_left_row() {
+    let db = orders_db();
+    let col = |i: usize| BExpr::Column(i).boxed();
+    let outer = |index: usize| BExpr::Outer { depth: 1, index }.boxed();
+    let plan = || {
+        let table = |name: &str| db.catalog().table(name).unwrap();
+        // cust: c_id, c_name, c_nation, c_bal, c_note;
+        // ord: o_id, o_cust, o_total, o_date, o_prio, o_clerk, o_note.
+        let left = Plan::SeqScan { table: table("CUST"), filter: None, needed: vec![true; 5] };
+        let filter = BExpr::Binary {
+            left: BExpr::Binary { left: col(1), op: BinOp::Eq, right: outer(0) }.boxed(),
+            op: BinOp::And,
+            right: BExpr::Binary { left: col(2), op: BinOp::Gt, right: outer(3) }.boxed(),
+        };
+        let right =
+            Plan::SeqScan { table: table("ORD"), filter: Some(filter), needed: vec![true; 7] };
+        let join = Plan::NLJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            kind: JoinKind::LeftOuter,
+            on: None,
+            right_correlated: true,
+            right_width: 7,
+        };
+        // c_nation, o_total, o_date
+        Plan::Project {
+            input: Box::new(join),
+            exprs: vec![BExpr::Column(2), BExpr::Column(7), BExpr::Column(8)],
+        }
+    };
+    let all = plan();
+    let mut pruned = plan();
+    prune_columns(&mut pruned, vec![true; 3]).unwrap();
+    let Plan::Project { input, .. } = &pruned else { unreachable!() };
+    let Plan::NLJoin { left, right_width, .. } = input.as_ref() else { unreachable!() };
+    // c_id, c_nation and c_bal on the left; c_bal moved from 3 to 2.
+    assert_eq!((left.width(), *right_width), (3, 3));
+    let ctx = ExecCtx::new(&[], db.meter());
+    let got = pruned.execute(&ctx).unwrap();
+    let want = all.execute(&ExecCtx::new(&[], db.meter())).unwrap();
+    assert!(want.iter().any(|r| r[1].is_null()) && want.iter().any(|r| !r[1].is_null()));
+    assert_same_rows(&got, &want, "correlated NLJoin LeftOuter");
+    assert!(skipped_columns(&pruned, &ctx) > 0);
+}
+
+/// The pass rewrites subquery plans in place, so one plan shared by two
+/// expressions would be rebound twice; planning fails instead.
+#[test]
+fn a_shared_subquery_plan_fails_the_pass() {
+    let db = orders_db();
+    let table = |name: &str| db.catalog().table(name).unwrap();
+    // (SELECT o_total FROM ord WHERE o_id = c_bal), twice over cust.
+    let filter = BExpr::Binary {
+        left: BExpr::Column(0).boxed(),
+        op: BinOp::Eq,
+        right: BExpr::Outer { depth: 1, index: 3 }.boxed(),
+    };
+    let sub = Plan::Project {
+        input: Box::new(Plan::SeqScan {
+            table: table("ORD"),
+            filter: Some(filter),
+            needed: vec![true; 7],
+        }),
+        exprs: vec![BExpr::Column(2)],
+    };
+    let sq = Arc::new(BoundSubquery {
+        plan: sub,
+        kind: SubqueryKind::Scalar,
+        correlated: true,
+        cache_id: 0,
+    });
+    let mut plan = Plan::Project {
+        input: Box::new(Plan::SeqScan {
+            table: table("CUST"),
+            filter: None,
+            needed: vec![true; 5],
+        }),
+        exprs: vec![BExpr::Subquery(Arc::clone(&sq)), BExpr::Subquery(sq)],
+    };
+    let err = prune_columns(&mut plan, vec![true; 2]).unwrap_err();
+    assert!(err.to_string().contains("shared"), "{err}");
 }

@@ -2,7 +2,8 @@
 //! from its column-pruned plan, exactly the rows the same plan returns with
 //! every scan decoding all columns (`Planner::keep_all_columns`) — on the
 //! loaded database, after UF1 has inserted its orders, and after UF2 has
-//! deleted them again. (The engine-level cases — correlated subqueries,
+//! deleted them again; the `--ignored` long mode does the same at SF 0.005
+//! on two generator seeds. (The engine-level cases — correlated subqueries,
 //! `SELECT *`, `UPDATE ... WHERE` — are in `rdbms/tests/row_path.rs`.)
 
 use rdbms::exec::expr::ExecCtx;
@@ -39,10 +40,10 @@ fn compare_query(db: &Database, n: usize, params: &QueryParams) -> usize {
     compared
 }
 
-#[test]
-fn pruned_tpcd_plans_return_what_unpruned_plans_return() {
+/// All 17 queries both ways on `gen`'s population: loaded, after UF1,
+/// and after UF2.
+fn compare_rounds(gen: DbGen) {
     let db = Database::with_defaults();
-    let gen = DbGen::new(0.002);
     load(&db, &gen).unwrap();
     let params = QueryParams::for_scale(gen.sf);
 
@@ -58,4 +59,18 @@ fn pruned_tpcd_plans_return_what_unpruned_plans_return() {
     assert!(updates::uf2(&db, &gen, 1).unwrap() > 0);
     // UF1 + UF2 is the identity on the data, so on the answers too.
     assert_eq!(round("after UF2"), loaded);
+}
+
+#[test]
+fn pruned_tpcd_plans_return_what_unpruned_plans_return() {
+    compare_rounds(DbGen::new(0.002));
+}
+
+/// The same at SF 0.005, on the default population and on a second one
+/// (`cargo test --release -p tpcd --test pruned_plans -- --ignored`).
+#[test]
+#[ignore]
+fn pruned_tpcd_plans_return_what_unpruned_plans_return_long() {
+    compare_rounds(DbGen::new(0.005));
+    compare_rounds(DbGen::with_seed(0.005, 7));
 }
