@@ -1016,6 +1016,18 @@ mod tests {
         assert_eq!(all.rows.len(), 100);
         let none = db.execute_prepared(&p, &[Value::Int(0)]).unwrap();
         assert!(none.rows.is_empty());
+        // Switched off, the planner costs the marker as it would a
+        // literal: the same statement scans, and reads no index node.
+        let index_nodes_read = |p: &Prepared| {
+            let before = db.snapshot();
+            assert_eq!(db.execute_prepared(p, &[Value::Int(9999)]).unwrap().rows.len(), 100);
+            db.snapshot().since(&before).index_node_reads()
+        };
+        assert!(index_nodes_read(&p) > 0);
+        db.set_planner_config(PlannerConfig { blind_param_plans: false, ..db.planner_config() });
+        let seeing = db.prepare("SELECT * FROM items WHERE qty < ?").unwrap();
+        assert!(seeing.plan_description.contains("SeqScan"), "{}", seeing.plan_description);
+        assert_eq!(index_nodes_read(&seeing), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::sql::ast::{AggFunc, BinOp, IntervalUnit};
 use crate::types::{Decimal, Value};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use trace::meter::{CostMeter, Counter};
 
@@ -146,11 +146,72 @@ pub struct AggSpec {
     pub distinct: bool,
 }
 
+/// The executor's hasher for its per-row hash structures: FxHash's
+/// word-at-a-time multiplicative mix (the one rustc hashes with). Fixed and
+/// unseeded, so a key costs one multiply per word instead of a SipHash
+/// pass; a crafted key set only lengthens chains, and every chain hit
+/// compares whole keys (DESIGN.md §15.4). `Value`'s `Hash` decides what
+/// hashes alike, so `Int 3` and `Decimal 3.00` still do.
+#[derive(Default, Clone, Copy)]
+pub struct FxHasher(u64);
+
+/// [`FxHasher`] as a `HashMap`/`HashSet` hasher.
+pub type FxBuild = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        let rest = words.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.add(n as u64);
+        self.add((n >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its best mixed: rotate them down to
+    /// where bucket indexes are taken from.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Cached result of an uncorrelated subquery within one execution.
 pub enum SubqueryResult {
     Scalar(Value),
     Exists(bool),
-    InSet { set: HashSet<Value>, has_null: bool },
+    InSet { set: HashSet<Value, FxBuild>, has_null: bool },
 }
 
 /// The row an expression reads its columns from: one slice, or the two
@@ -185,12 +246,12 @@ pub struct ExecCtx<'a> {
     /// a correlated subquery copies neither the row nor the stack.
     outer: Option<(RowRef<'a>, &'a ExecCtx<'a>)>,
     /// Cache for uncorrelated subquery results, keyed by `cache_id`.
-    pub subquery_cache: Arc<Mutex<HashMap<usize, Arc<SubqueryResult>>>>,
+    pub subquery_cache: Arc<Mutex<HashMap<usize, Arc<SubqueryResult>, FxBuild>>>,
 }
 
 impl<'a> ExecCtx<'a> {
     pub fn new(params: &'a [Value], meter: &'a CostMeter) -> Self {
-        ExecCtx { params, meter, outer: None, subquery_cache: Arc::new(Mutex::new(HashMap::new())) }
+        ExecCtx { params, meter, outer: None, subquery_cache: Arc::default() }
     }
 
     /// Child context with `row` pushed as the innermost enclosing row.
@@ -650,7 +711,7 @@ fn eval_subquery(sq: &Arc<BoundSubquery>, row: RowRef, ctx: &ExecCtx) -> DbResul
                 }
                 SubqueryKind::Exists { .. } => SubqueryResult::Exists(!rows.is_empty()),
                 SubqueryKind::In { .. } => {
-                    let mut set = HashSet::with_capacity(rows.len());
+                    let mut set = HashSet::with_capacity_and_hasher(rows.len(), FxBuild::default());
                     let mut has_null = false;
                     for mut r in rows {
                         let v = r.swap_remove(0);

@@ -18,7 +18,7 @@
 
 use crate::catalog::{Index, Table};
 use crate::error::{DbError, DbResult};
-use crate::exec::expr::{AggSpec, BExpr, ExecCtx};
+use crate::exec::expr::{AggSpec, BExpr, ExecCtx, FxBuild, FxHasher};
 use crate::lock::KeyRange;
 use crate::schema::Row;
 use crate::sql::ast::{AggFunc, BinOp, JoinKind};
@@ -27,9 +27,8 @@ use crate::storage::{AccessPattern, HeapScan, Rid};
 use crate::types::{Decimal, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 use trace::meter::{CostMeter, Counter};
@@ -777,7 +776,7 @@ impl<'p> Node<'p> {
             Plan::Distinct { input } => {
                 let mut rows = input.execute(ctx)?;
                 ctx.meter.add(Counter::DbTuples, rows.len() as u64);
-                let mut seen = HashSet::with_capacity(rows.len());
+                let mut seen = HashSet::with_capacity_and_hasher(rows.len(), FxBuild::default());
                 let first_seen: Vec<bool> = rows.iter().map(|row| seen.insert(&row[..])).collect();
                 let mut first_seen = first_seen.into_iter();
                 rows.retain(|_| first_seen.next().expect("one flag per row"));
@@ -787,13 +786,16 @@ impl<'p> Node<'p> {
     }
 }
 
-/// A hash join past its build: the build rows, numbered by key, and the
+/// A hash join past its build: the build rows, grouped by key, and the
 /// probe input still to stream.
 struct Probe<'p> {
     build: Vec<Row>,
     keys: KeyTable,
-    /// The build rows of each key, in input order.
-    rows_of: Vec<Vec<usize>>,
+    /// The build rows of key `id`, in input order: `first[id]`, then each
+    /// one's `next`.
+    first: Vec<Option<usize>>,
+    next: Vec<Option<usize>>,
+    probe_key: RowKey<'p>,
     matched: Vec<bool>,
     /// `None` once drained.
     probe: Option<Input<'p>>,
@@ -813,27 +815,37 @@ impl<'p> Probe<'p> {
         let build = left.execute(ctx)?;
         let probe = Input::new(right, left_keys.iter().chain(right_keys).chain(residual), ctx)?;
         let mut keys = KeyTable { width: left_keys.len(), ..KeyTable::default() };
-        let mut rows_of: Vec<Vec<usize>> = Vec::new();
+        let mut key = RowKey::new(left_keys);
+        // Each build row's key id; none for a NULL key, which never joins.
+        let mut ids = Vec::with_capacity(build.len());
         let mut tuples = Tally(ctx.meter, 0);
-        for (i, row) in build.iter().enumerate() {
+        for row in &build {
             tuples.1 += 1;
-            let key = join_key(left_keys, row, ctx)?;
-            if key.iter().any(|v| v.is_null()) {
-                continue; // null keys never join
-            }
-            let id = keys.intern(&key);
-            if id == rows_of.len() {
-                rows_of.push(Vec::new());
-            }
-            rows_of[id].push(i);
+            let (hash, null) = key.eval(row, ctx)?;
+            ids.push((!null).then(|| keys.intern(hash, key.values(row))));
         }
-        let matched = vec![false; build.len()];
-        let pending = Vec::new().into_iter();
-        Ok(Probe { build, keys, rows_of, matched, probe: Some(probe), pending, unmatched_at: 0 })
+        let mut first = vec![None; keys.len()];
+        let mut next = vec![None; build.len()];
+        for (i, id) in ids.into_iter().enumerate().rev() {
+            if let Some(id) = id {
+                next[i] = first[id].replace(i);
+            }
+        }
+        Ok(Probe {
+            matched: vec![false; build.len()],
+            build,
+            keys,
+            first,
+            next,
+            probe_key: RowKey::new(right_keys),
+            probe: Some(probe),
+            pending: Vec::new().into_iter(),
+            unmatched_at: 0,
+        })
     }
 
     fn pull(&mut self, plan: &Plan, ctx: &ExecCtx) -> DbResult<Option<Vec<Row>>> {
-        let Plan::HashJoin { right_keys, residual, kind, right_width, .. } = plan else {
+        let Plan::HashJoin { residual, kind, right_width, .. } = plan else {
             unreachable!("a hash join's state")
         };
         let mut out = Vec::new();
@@ -850,20 +862,32 @@ impl<'p> Probe<'p> {
                 continue;
             };
             tuples.1 += 1;
-            let key = join_key(right_keys, &prow, ctx)?;
-            if key.iter().any(|v| v.is_null()) {
+            let (hash, null) = self.probe_key.eval(&prow, ctx)?;
+            if null {
                 continue;
             }
-            let Some(id) = self.keys.find(&key) else { continue };
-            for &i in &self.rows_of[id] {
+            let Some(id) = self.keys.find(hash, self.probe_key.values(&prow)) else { continue };
+            // Every match but the last copies the probe row; the last
+            // takes its values.
+            let (mut at, mut last) = (self.first[id], None);
+            while let Some(i) = at {
+                at = self.next[i];
                 let ok = match residual {
                     Some(p) => p.eval_bool_pair(&self.build[i], &prow, ctx)? == Some(true),
                     None => true,
                 };
                 if ok {
                     self.matched[i] = true;
-                    out.push([self.build[i].as_slice(), &prow].concat());
+                    if let Some(j) = last.replace(i) {
+                        out.push([self.build[j].as_slice(), &prow].concat());
+                    }
                 }
+            }
+            if let Some(j) = last {
+                let mut row = Vec::with_capacity(self.build[j].len() + prow.len());
+                row.extend_from_slice(&self.build[j]);
+                row.extend(prow);
+                out.push(row);
             }
         }
         // Unmatched build rows of a left outer join come after every match.
@@ -879,37 +903,79 @@ impl<'p> Probe<'p> {
     }
 }
 
+/// One row's key: `exprs` over the row, each plain column read in place
+/// and every other value computed into `computed`, a buffer that serves
+/// row after row — so a key allocates nothing of its own, whatever its
+/// width.
+struct RowKey<'e> {
+    exprs: &'e [BExpr],
+    computed: Vec<Value>,
+}
+
+impl<'e> RowKey<'e> {
+    fn new(exprs: &'e [BExpr]) -> Self {
+        RowKey { exprs, computed: Vec::new() }
+    }
+
+    /// Evaluate the key over `row`: its hash, and whether a value is NULL.
+    fn eval(&mut self, row: &[Value], ctx: &ExecCtx) -> DbResult<(u64, bool)> {
+        self.computed.clear();
+        for e in self.exprs.iter().filter(|e| !matches!(e, BExpr::Column(_))) {
+            self.computed.push(e.eval(row, ctx)?);
+        }
+        let mut hasher = FxHasher::default();
+        let mut null = false;
+        for v in self.values(row) {
+            v.hash(&mut hasher);
+            null |= v.is_null();
+        }
+        Ok((hasher.finish(), null))
+    }
+
+    /// The key's values over `row`, as [`RowKey::eval`] last computed them.
+    fn values<'a>(&'a self, row: &'a [Value]) -> impl Iterator<Item = &'a Value> + Clone {
+        let mut computed = self.computed.iter();
+        self.exprs.iter().map(move |e| match e {
+            BExpr::Column(i) => &row[*i],
+            _ => computed.next().expect("one computed value per expression"),
+        })
+    }
+}
+
 /// Keys of `width` values, numbered in first-seen order under `Value`'s
 /// `Eq` and `Hash` — the equivalence `total_cmp` uses, so `Int 3` meets
-/// `Decimal 3.00` and `'A'` meets `'A  '`. Looked up by borrowed values;
-/// a key is copied once, when it is first seen.
+/// `Decimal 3.00` and `'A'` meets `'A  '`. The caller hashes a key once
+/// ([`RowKey`]); a lookup compares whole keys along that hash's chain. A
+/// key is copied once, when it is first seen.
 #[derive(Default)]
 struct KeyTable {
     width: usize,
     keys: Vec<Value>,
     /// Hash → the newest key with that hash; `older[id]` → the one before.
-    newest: HashMap<u64, usize>,
+    newest: HashMap<u64, usize, FxBuild>,
     older: Vec<Option<usize>>,
-    hasher: RandomState,
 }
 
 impl KeyTable {
+    fn len(&self) -> usize {
+        self.older.len()
+    }
+
     fn key(&self, id: usize) -> &[Value] {
         &self.keys[id * self.width..][..self.width]
     }
 
-    fn find(&self, key: &[Cow<Value>]) -> Option<usize> {
-        let hash = self.hasher.hash_one(key);
+    fn find<'a>(&self, hash: u64, key: impl Iterator<Item = &'a Value> + Clone) -> Option<usize> {
         std::iter::successors(self.newest.get(&hash).copied(), |&id| self.older[id])
-            .find(|&id| self.key(id).iter().zip(key).all(|(a, b)| a == b.as_ref()))
+            .find(|&id| self.key(id).iter().zip(key.clone()).all(|(a, b)| a == b))
     }
 
-    /// The id of `key`, numbering it if it is new.
-    fn intern(&mut self, key: &[Cow<Value>]) -> usize {
-        self.find(key).unwrap_or_else(|| {
-            let id = self.older.len();
-            self.older.push(self.newest.insert(self.hasher.hash_one(key), id));
-            self.keys.extend(key.iter().map(|v| v.as_ref().clone()));
+    /// The id of `key`, whose hash is `hash`, numbering it if it is new.
+    fn intern<'a>(&mut self, hash: u64, key: impl Iterator<Item = &'a Value> + Clone) -> usize {
+        self.find(hash, key.clone()).unwrap_or_else(|| {
+            let id = self.len();
+            self.older.push(self.newest.insert(hash, id));
+            self.keys.extend(key.cloned());
             id
         })
     }
@@ -934,14 +1000,6 @@ fn null_extended(left: &[Value], right_width: usize) -> Row {
     row.extend_from_slice(left);
     row.resize(left.len() + right_width, Value::Null);
     row
-}
-
-fn join_key<'v>(
-    keys: &'v [BExpr],
-    row: &'v [Value],
-    ctx: &'v ExecCtx<'v>,
-) -> DbResult<Vec<Cow<'v, Value>>> {
-    keys.iter().map(|e| e.eval_cow(row, ctx)).collect()
 }
 
 fn eval_bound(bound: &Option<IndexKeyBound>, ctx: &ExecCtx) -> DbResult<Option<EvaluatedBound>> {
@@ -1026,7 +1084,8 @@ pub struct Acc {
     sum: Option<Value>,
     min: Option<Value>,
     max: Option<Value>,
-    distinct: Option<HashSet<Value>>,
+    /// The distinct values folded in so far.
+    distinct: Option<KeyTable>,
 }
 
 impl Acc {
@@ -1036,7 +1095,7 @@ impl Acc {
             sum: None,
             min: None,
             max: None,
-            distinct: if distinct { Some(HashSet::new()) } else { None },
+            distinct: distinct.then(|| KeyTable { width: 1, ..KeyTable::default() }),
         }
     }
 
@@ -1046,21 +1105,22 @@ impl Acc {
         if v.is_null() {
             return Ok(());
         }
-        if let Some(set) = &mut self.distinct {
-            if set.contains(v) {
+        if let Some(seen) = &mut self.distinct {
+            let known = seen.len();
+            if seen.intern(FxBuild::default().hash_one(v), std::iter::once(v)) < known {
                 return Ok(());
             }
-            set.insert(v.clone());
         }
         self.count += 1;
         match func {
             AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                self.sum = Some(match &self.sum {
-                    None => v.clone(),
-                    Some(s) => crate::exec::expr::arith(s, BinOp::Add, v)?,
-                });
-            }
+            // An addend of the running sum's own type adds in place.
+            AggFunc::Sum | AggFunc::Avg => match (&mut self.sum, v) {
+                (Some(Value::Decimal(s)), Value::Decimal(d)) => *s = s.add(*d),
+                (Some(Value::Int(s)), Value::Int(d)) => *s += d,
+                (Some(s), _) => *s = crate::exec::expr::arith(s, BinOp::Add, v)?,
+                (None, _) => self.sum = Some(v.clone()),
+            },
             AggFunc::Min => {
                 if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
                     self.min = Some(v.clone());
@@ -1106,21 +1166,22 @@ fn aggregate(
     let mut input = Input::new(input, groups.iter().chain(args), ctx)?;
     let fresh = || aggs.iter().map(|a| Acc::new(a.distinct)).collect::<Vec<Acc>>();
     let mut keys = KeyTable { width: groups.len(), ..KeyTable::default() };
+    let mut key = RowKey::new(groups);
     let mut accs: Vec<Vec<Acc>> = Vec::new();
-    // Scalar aggregate (no GROUP BY): one group, present even for empty input.
+    // Scalar aggregate (no GROUP BY): one group, present even for empty
+    // input, whose key is the empty `keys.key(0)`.
     if groups.is_empty() {
-        keys.intern(&[]);
         accs.push(fresh());
     }
     while let Some(batch) = input.next(ctx)? {
         ctx.meter.add(Counter::DbTuples, batch.len() as u64);
-        let mut key = Vec::with_capacity(groups.len());
         for row in &batch {
-            key.clear();
-            for e in groups {
-                key.push(e.eval_cow(row, ctx)?);
-            }
-            let id = if groups.is_empty() { 0 } else { keys.intern(&key) };
+            let id = if groups.is_empty() {
+                0
+            } else {
+                let (hash, _) = key.eval(row, ctx)?;
+                keys.intern(hash, key.values(row))
+            };
             if id == accs.len() {
                 accs.push(fresh());
             }

@@ -34,8 +34,8 @@ pub use builder::{PlannedQuery, Planner};
 #[doc(hidden)]
 pub use columns::prune_columns;
 
-/// Optimizer configuration. Exposed so the ablation benches can toggle the
-/// vendor behaviours. Access-path costs come from the database's own
+/// Optimizer configuration. Exposed so tests can toggle the vendor
+/// behaviours. Access-path costs come from the database's own
 /// [`Calibration`](trace::meter::Calibration) ([`crate::Database::planner`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {

@@ -2,10 +2,12 @@
 //! input is cut into batches. Tables of B−1, B, B+1 and 2B+1 rows (B is
 //! `BATCH_ROWS`; a wide column puts ~20 rows on a heap page, so scans cut
 //! them again) go through filter, project, sort, grouped, scalar and empty
-//! aggregates, DISTINCT, LIMIT and inner and left-outer joins. Each result
-//! is checked against a model of the query and against the same query
-//! planned with hash joins off; each batch the plan hands out is checked
-//! too.
+//! aggregates, DISTINCT, LIMIT and inner and left-outer joins. Keys equal
+//! across representations (`Int` and `Decimal`, trailing blanks) meet in
+//! grouping, DISTINCT, COUNT(DISTINCT), one- and two-key hash joins and
+//! `IN`/`NOT IN` subqueries. Each result is checked against a model of
+//! the query and against the same query planned with hash joins off; each
+//! batch the plan hands out is checked too.
 
 use proptest::prelude::*;
 use rdbms::exec::plan::BATCH_ROWS;
@@ -143,9 +145,10 @@ fn fold(vals: &[Option<i64>]) -> Row {
 }
 
 /// Grouped aggregation as the engine defines it: groups under
-/// `total_cmp` equality, keyed by their first row's value, in key order.
-fn group_by(rows: impl Iterator<Item = (Value, Option<i64>)>) -> Vec<Row> {
-    let mut groups: Vec<(Value, Vec<Option<i64>>)> = Vec::new();
+/// `total_cmp` equality, keyed by their first row's value, in key order,
+/// each group's values folded by `fold`.
+fn group_by<V>(rows: impl Iterator<Item = (Value, V)>, fold: impl Fn(&[V]) -> Row) -> Vec<Row> {
+    let mut groups: Vec<(Value, Vec<V>)> = Vec::new();
     for (key, v) in rows {
         match groups.iter_mut().find(|(k, _)| k.total_cmp(&key).is_eq()) {
             Some((_, vals)) => vals.push(v),
@@ -154,6 +157,11 @@ fn group_by(rows: impl Iterator<Item = (Value, Option<i64>)>) -> Vec<Row> {
     }
     groups.sort_by(|a, b| a.0.total_cmp(&b.0));
     groups.into_iter().map(|(k, vals)| [vec![k], fold(&vals)].concat()).collect()
+}
+
+/// COUNT(DISTINCT) of `vals` under `total_cmp` equality.
+fn count_distinct(vals: &[Value]) -> Value {
+    Value::Int(distinct(vals.iter().cloned()).len() as i64)
 }
 
 /// First occurrences in input order.
@@ -210,6 +218,23 @@ fn run_case(n: usize, m: usize, limit: usize, seed: u64) {
         rows.iter().map(|r| vec![Value::Int(r.id), int(r.v)]).collect()
     };
     let ki_of = |id: i64| t[id as usize].ki;
+    // Keys equal across representations: `kd` is `ki` as a DECIMAL, and
+    // `s` has trailing-blank twins.
+    let same_s = |a: &T, b: &T| a.s.trim_end() == b.s.trim_end();
+    let pairs = |on: &dyn Fn(&T, &T) -> bool| -> Vec<Row> {
+        t.iter()
+            .flat_map(|a| t.iter().filter(move |b| on(a, b)).map(move |b| vec![a.id, b.id]))
+            .map(|r| r.into_iter().map(Value::Int).collect())
+            .collect()
+    };
+    // `x NOT IN (SELECT v FROM t WHERE id < 8)`: false on a match, else
+    // UNKNOWN if a `v` there is NULL.
+    let sub: Vec<Option<i64>> = t.iter().take(8).map(|r| r.v).collect();
+    let not_in = |x: i64| match (sub.contains(&Some(x)), sub.contains(&None)) {
+        (true, _) => Value::Bool(false),
+        (false, true) => Value::Null,
+        (false, false) => Value::Bool(true),
+    };
     let cases: Vec<(String, Vec<Row>, bool)> = vec![
         (
             "SELECT id, v + 1 FROM t WHERE v > 0".into(),
@@ -223,17 +248,17 @@ fn run_case(n: usize, m: usize, limit: usize, seed: u64) {
             "SELECT CASE WHEN f = 1 THEN ki ELSE kd END, COUNT(*), SUM(v), MIN(v), MAX(v), \
              AVG(v) FROM t GROUP BY CASE WHEN f = 1 THEN ki ELSE kd END"
                 .into(),
-            group_by(t.iter().map(|r| (r.key(), r.v))),
+            group_by(t.iter().map(|r| (r.key(), r.v)), fold),
             true,
         ),
         (
             "SELECT s, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY s".into(),
-            group_by(t.iter().map(|r| (Value::str(r.s), r.v))),
+            group_by(t.iter().map(|r| (Value::str(r.s), r.v)), fold),
             true,
         ),
         (
             "SELECT id, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY id".into(),
-            group_by(t.iter().map(|r| (Value::Int(r.id), r.v))),
+            group_by(t.iter().map(|r| (Value::Int(r.id), r.v)), fold),
             true,
         ),
         (
@@ -268,6 +293,7 @@ fn run_case(n: usize, m: usize, limit: usize, seed: u64) {
             group_by(
                 join.iter()
                     .map(|r| (Value::Int(ki_of(r[0].as_int().unwrap())), r[2].as_int().ok())),
+                fold,
             ),
             true,
         ),
@@ -275,7 +301,54 @@ fn run_case(n: usize, m: usize, limit: usize, seed: u64) {
             "SELECT u.uid, COUNT(*), SUM(t.v), MIN(t.v), MAX(t.v), AVG(t.v) FROM t JOIN u \
              ON t.id = u.k GROUP BY u.uid"
                 .into(),
-            group_by(join.iter().map(|r| (r[1].clone(), t[r[0].as_int().unwrap() as usize].v))),
+            group_by(
+                join.iter().map(|r| (r[1].clone(), t[r[0].as_int().unwrap() as usize].v)),
+                fold,
+            ),
+            true,
+        ),
+        (
+            "SELECT t.id, u.uid FROM t JOIN u ON t.kd = u.w".into(),
+            t.iter()
+                .flat_map(|r| u.iter().filter(move |x| x.w == r.ki).map(move |x| (r.id, x.uid)))
+                .map(|(id, uid)| vec![Value::Int(id), Value::Int(uid)])
+                .collect(),
+            false,
+        ),
+        (
+            "SELECT a.id, b.id FROM t a JOIN t b ON a.kd = b.ki AND a.s = b.s".into(),
+            pairs(&|a, b| a.ki == b.ki && same_s(a, b)),
+            false,
+        ),
+        (
+            "SELECT a.id, b.id FROM t a JOIN t b ON a.s = b.s AND a.id <= b.id".into(),
+            pairs(&|a, b| same_s(a, b) && a.id <= b.id),
+            false,
+        ),
+        (
+            "SELECT COUNT(DISTINCT CASE WHEN f = 1 THEN ki ELSE kd END) FROM t".into(),
+            vec![vec![count_distinct(&t.iter().map(T::key).collect::<Vec<_>>())]],
+            true,
+        ),
+        (
+            "SELECT s, COUNT(DISTINCT CASE WHEN f = 1 THEN ki ELSE kd END) FROM t GROUP BY s"
+                .into(),
+            group_by(t.iter().map(|r| (Value::str(r.s), r.key())), |keys| {
+                vec![count_distinct(keys)]
+            }),
+            true,
+        ),
+        (
+            "SELECT id FROM t WHERE s IN (SELECT s FROM t WHERE v > 0)".into(),
+            t.iter()
+                .filter(|r| t.iter().any(|x| x.v.is_some_and(|v| v > 0) && same_s(r, x)))
+                .map(|r| vec![Value::Int(r.id)])
+                .collect(),
+            true,
+        ),
+        (
+            "SELECT id, kd NOT IN (SELECT v FROM t WHERE id < 8) FROM t".into(),
+            t.iter().map(|r| vec![Value::Int(r.id), not_in(r.ki)]).collect(),
             true,
         ),
     ];
@@ -285,6 +358,7 @@ fn run_case(n: usize, m: usize, limit: usize, seed: u64) {
         for hash in [true, false] {
             db.set_planner_config(PlannerConfig { enable_hash_join: hash, ..db.planner_config() });
             let plan = db.explain(sql).unwrap();
+            assert_eq!(plan.contains("HashJoin"), hash && joins, "{sql}\n{plan}");
             let got = pull(&db, sql, &[], joins);
             assert_eq!(debug(&got), debug(&db.query(sql).unwrap().rows), "cursor vs query: {sql}");
             let (g, w) =

@@ -2,9 +2,11 @@
 //! invariants.
 
 use proptest::prelude::*;
+use rdbms::exec::expr::FxBuild;
 use rdbms::storage::codec::{decode_columns, decode_row, encode_key, encode_row};
 use rdbms::types::{Date, Decimal, Value};
 use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 use std::ops::Bound;
 
 // ---------------------------------------------------------------------------
@@ -163,10 +165,52 @@ fn bad_utf8_fails_when_kept(mut row: Vec<Value>, s: String, at: usize, mask: &[b
     assert_eq!(part.len(), kept(&row, &keep).len());
 }
 
+/// `v` under every other representation of it: an `Int` or a `Decimal`
+/// at each scale up to `Decimal::MAX_SCALE`, a string with zero to three
+/// trailing blanks. NULL, dates and bools have only themselves.
+fn twins(v: &Value) -> Vec<Value> {
+    let rescaled = |m: i128, from: u8| {
+        (from..=Decimal::MAX_SCALE)
+            .map(move |s| Value::Decimal(Decimal::new(m * 10i128.pow(u32::from(s - from)), s)))
+    };
+    match v {
+        Value::Int(n) => rescaled(i128::from(*n), 0).chain([v.clone()]).collect(),
+        Value::Decimal(d) => rescaled(d.mantissa(), d.scale()).collect(),
+        Value::Str(s) => {
+            (0..4).map(|k| Value::Str(format!("{}{}", s.trim_end(), " ".repeat(k)))).collect()
+        }
+        other => vec![other.clone()],
+    }
+}
+
+/// Values that are equal hash equal under the executor's hasher: hash
+/// joins, grouping, DISTINCT and IN find a key by its hash first.
+fn equal_values_hash_equal(v: &Value) {
+    let hash = |v: &Value| FxBuild::default().hash_one(v);
+    for twin in twins(v) {
+        assert!(twin == *v, "{twin:?} is a twin of {v:?}");
+        assert_eq!(hash(&twin), hash(v), "{v:?} and {twin:?} hash apart");
+    }
+}
+
+/// Numerics around zero on both sides, decimals of every scale, strings
+/// with and without trailing blanks, NULL and dates.
+fn arb_hashed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-1_000i64..1_000).prop_map(Value::Int),
+        (-1_000_000_000_000i64..1_000_000_000_000).prop_map(Value::Int),
+        (-1_000_000i128..1_000_000, 0u8..13).prop_map(|(m, s)| Value::Decimal(Decimal::new(m, s))),
+        "[a-zA-Z0-9 ]{0,12}".prop_map(Value::Str),
+        TEXT.prop_map(Value::Str),
+        Just(Value::Null),
+        arb_date().prop_map(Value::Date),
+    ]
+}
+
 // ---------------------------------------------------------------------------
-// Row codec under masks and corruption. The `_long` variants run the same
-// checks on more cases (`cargo test --release -p rdbms --test proptests --
-// --ignored`).
+// Row codec under masks and corruption, and the executor's hash against
+// equality. The `_long` variants run the same checks on more cases
+// (`cargo test --release -p rdbms --test proptests -- --ignored`).
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -199,6 +243,11 @@ proptest! {
     fn invalid_utf8_fails_only_when_kept(row in arb_row(), s in NONEMPTY_TEXT, at in any::<usize>(),
                                          mask in arb_mask(), byte in any::<usize>()) {
         bad_utf8_fails_when_kept(row, s, at, &mask, byte);
+    }
+
+    #[test]
+    fn equal_values_hash_equal_in_the_executor(v in arb_hashed_value()) {
+        equal_values_hash_equal(&v);
     }
 }
 
@@ -238,6 +287,12 @@ proptest! {
     fn invalid_utf8_fails_only_when_kept_long(row in arb_row(), s in NONEMPTY_TEXT, at in any::<usize>(),
                                          mask in arb_mask(), byte in any::<usize>()) {
         bad_utf8_fails_when_kept(row, s, at, &mask, byte);
+    }
+
+    #[test]
+    #[ignore]
+    fn equal_values_hash_equal_in_the_executor_long(v in arb_hashed_value()) {
+        equal_values_hash_equal(&v);
     }
 }
 

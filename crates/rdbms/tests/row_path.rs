@@ -364,7 +364,12 @@ fn joins_match_the_combined_row_model() {
         ] {
             let plan = db.prepare(sql).unwrap().plan_description;
             assert_eq!(plan.contains("HashJoin"), hash, "{sql}: {plan}");
+            let before = db.snapshot();
             let got = sorted(rows_of(&db, sql));
+            // The switch's simulated work: both scans, then each row built
+            // or probed once, or each of the 40 x 30 pairs tested once.
+            let tuples = db.snapshot().since(&before).db_tuples();
+            assert_eq!(tuples, 40 + 30 + if hash { 40 + 30 } else { 40 * 30 }, "{sql}");
             let want = model(outer);
             assert!(want.len() > 5, "the model must produce matches to compare");
             assert_same_rows(&got, &want, &format!("hash={hash} {sql}"));

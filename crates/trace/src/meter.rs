@@ -11,7 +11,7 @@
 //!
 //! Every layer of this workspace meters its real work into a [`CostMeter`];
 //! a [`Calibration`] turns the meter into simulated seconds. Calibration is
-//! data, not code, so benches can sweep it (ablation) and EXPERIMENTS.md can
+//! data, not code, so an experiment can sweep it and EXPERIMENTS.md can
 //! report both raw counters and derived times.
 
 use serde::{Deserialize, Serialize};
