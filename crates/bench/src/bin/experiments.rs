@@ -1,9 +1,14 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--sf <scale>] [table1 .. table9 | figures | all | trace [qN]
-//!              | durability | observe [--smoke]]
+//! experiments [--sf <scale>] [table1 .. table9 | figures | all | throughput
+//!              | trace [qN] | durability | observe [--smoke]]
 //! ```
+//!
+//! `throughput` runs the multi-user TPC-D test on all four configurations
+//! (isolated, isolated over the extended protocol, Native SQL, Open SQL)
+//! at 1, 2 and 4 query streams, each under table and hierarchical
+//! locking.
 //!
 //! `trace` runs the end-to-end observability demo for one query (default
 //! Q3): an EXPLAIN ANALYZE plan trace, ST05 SQL traces on 2.2G vs 3.0E,
@@ -224,10 +229,7 @@ fn main() {
                     "table7" => run("table7", bench::table7(sf)),
                     "table8" => run("table8", bench::table8(sf)),
                     "table9" => run("table9", bench::table9(sf)),
-                    "throughput" => run(
-                        "throughput",
-                        bench::throughput_table(sf, &[1, 2, 4], &bench::ThroughputSystem::ALL),
-                    ),
+                    "throughput" => run("throughput", bench::throughput_table(sf)),
                     "figures" => println!("{}", bench::figures()),
                     other => eprintln!("unknown experiment '{other}'"),
                 }

@@ -17,12 +17,11 @@ use r3::{R3System, Release};
 use rdbms::error::DbResult;
 use rdbms::types::Value;
 use rdbms::Database;
-use serde::Serialize;
 use tpcd::{DbGen, QueryParams};
 use trace::meter::{fmt_duration, MeterSnapshot};
 
 /// A rendered experiment result.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ExpTable {
     pub id: String,
     pub title: String,
@@ -718,44 +717,6 @@ impl ThroughputSystem {
         ThroughputSystem::Native,
         ThroughputSystem::Open,
     ];
-
-    pub fn parse(s: &str) -> Option<ThroughputSystem> {
-        match s {
-            "isolated" => Some(ThroughputSystem::Isolated),
-            "isolated-extended" => Some(ThroughputSystem::IsolatedExtended),
-            "native" => Some(ThroughputSystem::Native),
-            "open" => Some(ThroughputSystem::Open),
-            _ => None,
-        }
-    }
-}
-
-/// Run the TPC-D throughput test on one configuration at each stream
-/// count, once per lock model (the table-granular baseline vs. the
-/// engine's hierarchical granularity), loading the database once and
-/// reusing it across the series (the update stream's UF1/UF2 pairs leave
-/// the data unchanged). The whole series is deterministic: rerunning it
-/// reproduces every number.
-pub fn run_throughput_series(
-    system: ThroughputSystem,
-    sf: f64,
-    stream_counts: &[usize],
-    seed: u64,
-    lock_models: &[tpcd::LockModel],
-    progress: impl FnMut(&tpcd::ThroughputResult),
-) -> DbResult<Vec<tpcd::ThroughputResult>> {
-    let mut configs = Vec::new();
-    for &streams in stream_counts {
-        for &lock_model in lock_models {
-            configs.push(tpcd::ThroughputConfig {
-                query_streams: streams,
-                seed,
-                lock_model,
-                ..Default::default()
-            });
-        }
-    }
-    run_throughput_matrix(system, sf, &configs, progress)
 }
 
 /// Run the throughput test once per explicit config on one configuration,
@@ -802,20 +763,38 @@ pub fn run_throughput_matrix(
     }
 }
 
-/// The throughput experiment: each configuration at each stream count,
-/// reporting elapsed simulated time, lock-wait totals, and QthD.
-pub fn throughput_table(
-    sf: f64,
-    stream_counts: &[usize],
-    systems: &[ThroughputSystem],
-) -> DbResult<ExpTable> {
+/// The throughput experiment: each configuration at 1, 2 and 4 query
+/// streams, once per lock model (the table-granular baseline vs. the engine's
+/// hierarchical granularity), reporting elapsed simulated time, lock-wait
+/// totals, and QthD. Each configuration loads its database once and
+/// reuses it across the matrix (the update stream's UF1/UF2 pairs leave
+/// the data unchanged), so rerunning the experiment reproduces every
+/// number.
+pub fn throughput_table(sf: f64) -> DbResult<ExpTable> {
+    let mut configs = Vec::new();
+    for query_streams in [1, 2, 4] {
+        for lock_model in [tpcd::LockModel::Table, tpcd::LockModel::Hierarchical] {
+            configs.push(tpcd::ThroughputConfig {
+                query_streams,
+                seed: 42,
+                lock_model,
+                ..Default::default()
+            });
+        }
+    }
     let mut rows = Vec::new();
-    let models = [tpcd::LockModel::Hierarchical];
-    for &system in systems {
-        for r in run_throughput_series(system, sf, stream_counts, 42, &models, |_| {})? {
+    for system in ThroughputSystem::ALL {
+        let progress = |r: &tpcd::ThroughputResult| {
+            eprintln!(
+                "  {} streams={} locks={}: QthD {:.2}",
+                r.configuration, r.query_streams, r.lock_model, r.qthd
+            )
+        };
+        for r in run_throughput_matrix(system, sf, &configs, progress)? {
             rows.push(vec![
                 r.configuration.clone(),
                 format!("{}", r.query_streams),
+                r.lock_model.clone(),
                 dur(r.elapsed_seconds),
                 dur(r.streams.iter().map(|s| s.busy_seconds).sum()),
                 dur(r.total_lock_wait()),
@@ -829,6 +808,7 @@ pub fn throughput_table(
         headers: vec![
             "configuration".into(),
             "streams".into(),
+            "locks".into(),
             "elapsed".into(),
             "busy".into(),
             "lock wait".into(),

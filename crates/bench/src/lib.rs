@@ -11,6 +11,6 @@ pub mod wire;
 
 pub use durability::{run_order_entry_series, run_qthd_series, OrderEntryResult, COMMIT_POLICIES};
 pub use experiments::{
-    figures, run_throughput_matrix, run_throughput_series, table1, table2, table3, table4, table5,
-    table6, table7, table8, table9, throughput_table, ExpTable, ThroughputSystem,
+    figures, run_throughput_matrix, table1, table2, table3, table4, table5, table6, table7, table8,
+    table9, throughput_table, ExpTable, ThroughputSystem,
 };

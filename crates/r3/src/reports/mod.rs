@@ -21,7 +21,6 @@ use crate::system::R3System;
 use crate::Release;
 use rdbms::error::DbResult;
 use rdbms::schema::Row;
-use serde::{Deserialize, Serialize};
 use tpcd::QueryParams;
 use trace::meter::MeterSnapshot;
 
@@ -42,7 +41,7 @@ impl std::fmt::Display for SapInterface {
 }
 
 /// Outcome of one report run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReportResult {
     pub query: usize,
     pub rows: usize,

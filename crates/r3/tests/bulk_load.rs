@@ -75,6 +75,7 @@ fn facts(sys: &R3System) -> Facts {
 #[test]
 fn sap_bulk_load_builds_the_database_row_by_row_loading_builds() {
     let gen = DbGen::new(0.002);
+    let mut konv_bytes = Vec::new();
     for release in [Release::R22, Release::R30] {
         let bulk = R3System::install_default(release).unwrap();
         bulk.load_tpcd(&gen).unwrap();
@@ -91,5 +92,11 @@ fn sap_bulk_load_builds_the_database_row_by_row_loading_builds() {
         // KONV is a cluster under 2.2G: the per-document path ran.
         let konv = bulk.dict.table("KONV").unwrap();
         assert_eq!(matches!(konv.kind, TableKind::Cluster { .. }), release == Release::R22);
+        let (data, index) = got.2.iter().find(|(t, _)| *t == "KONV").unwrap().1;
+        konv_bytes.push(data + index);
     }
+    // The paper's Table 2 point: converting the KONV cluster into a
+    // transparent table for 3.0 roughly tripled its data plus index bytes.
+    let growth = konv_bytes[1] as f64 / konv_bytes[0] as f64;
+    assert!((3.0..=3.6).contains(&growth), "KONV grew {growth:.2}x from 2.2G to 3.0E");
 }

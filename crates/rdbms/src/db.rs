@@ -32,9 +32,6 @@ pub struct DbConfig {
     /// How long a transaction blocks on a lock before it is aborted as a
     /// presumed-deadlock victim (backstop behind the wait-for graph).
     pub lock_timeout: Duration,
-    /// Row locks a transaction may hold on one table before the lock
-    /// manager trades them for a single table lock.
-    pub lock_escalation_threshold: usize,
     /// Write-ahead logging: `None` (the default) runs without durability,
     /// exactly as before the WAL existed; `Some` logs every mutation to
     /// the named file and makes commits durable per the
@@ -49,7 +46,6 @@ impl Default for DbConfig {
             planner: PlannerConfig::default(),
             calibration: Calibration::default(),
             lock_timeout: Duration::from_secs(5),
-            lock_escalation_threshold: DEFAULT_ESCALATION_THRESHOLD,
             wal: None,
         }
     }
@@ -208,7 +204,7 @@ impl Database {
         let pager = Pager::new(config.pager, Arc::clone(&meter));
         let locks = Arc::new(LockManager::configured(
             config.lock_timeout,
-            config.lock_escalation_threshold,
+            DEFAULT_ESCALATION_THRESHOLD,
             Some(Arc::clone(&meter)),
         ));
         let db = Database {

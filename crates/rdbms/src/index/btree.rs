@@ -36,7 +36,6 @@
 use crate::error::{DbError, DbResult};
 use crate::storage::page::{PageId, Rid, PAGE_SIZE};
 use crate::storage::pager::{AccessPattern, Pager};
-use bytes::BufMut;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
@@ -534,8 +533,8 @@ impl BTree {
         } else {
             let mut k = Vec::with_capacity(key.len() + 6);
             k.extend_from_slice(key);
-            k.put_u32(rid.page);
-            k.put_u16(rid.slot);
+            k.extend_from_slice(&rid.page.to_be_bytes());
+            k.extend_from_slice(&rid.slot.to_be_bytes());
             k
         }
     }

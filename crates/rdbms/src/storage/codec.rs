@@ -15,7 +15,6 @@
 
 use crate::error::{DbError, DbResult};
 use crate::types::{Date, Decimal, Value};
-use bytes::BufMut;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -27,29 +26,29 @@ const TAG_BOOL: u8 = 5;
 /// Append one value to `out`.
 pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => out.put_u8(TAG_NULL),
+        Value::Null => out.push(TAG_NULL),
         Value::Int(i) => {
-            out.put_u8(TAG_INT);
-            out.put_i64_le(*i);
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
         }
         Value::Decimal(d) => {
-            out.put_u8(TAG_DEC);
-            out.put_i128_le(d.mantissa());
-            out.put_u8(d.scale());
+            out.push(TAG_DEC);
+            out.extend_from_slice(&d.mantissa().to_le_bytes());
+            out.push(d.scale());
         }
         Value::Str(s) => {
-            out.put_u8(TAG_STR);
+            out.push(TAG_STR);
             debug_assert!(s.len() <= u16::MAX as usize);
-            out.put_u16_le(s.len() as u16);
-            out.put_slice(s.as_bytes());
+            out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
         }
         Value::Date(d) => {
-            out.put_u8(TAG_DATE);
-            out.put_i32_le(d.days());
+            out.push(TAG_DATE);
+            out.extend_from_slice(&d.days().to_le_bytes());
         }
         Value::Bool(b) => {
-            out.put_u8(TAG_BOOL);
-            out.put_u8(*b as u8);
+            out.push(TAG_BOOL);
+            out.push(*b as u8);
         }
     }
 }
@@ -145,7 +144,7 @@ fn fixed<const N: usize>(body: &[u8]) -> [u8; N] {
 pub fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.iter().map(|v| v.storage_size() + 1).sum());
     debug_assert!(row.len() <= u16::MAX as usize);
-    out.put_u16_le(row.len() as u16);
+    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         encode_value(&mut out, v);
     }
@@ -212,13 +211,13 @@ pub fn encode_key(values: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 12);
     for v in values {
         match v {
-            Value::Null => out.put_u8(0x00),
+            Value::Null => out.push(0x00),
             Value::Bool(b) => {
-                out.put_u8(0x01);
-                out.put_u8(*b as u8);
+                out.push(0x01);
+                out.push(*b as u8);
             }
             Value::Int(_) | Value::Decimal(_) => {
-                out.put_u8(0x02);
+                out.push(0x02);
                 // Normalize all numerics to scale 6 for comparability; this
                 // covers every key column used by the workloads (keys are
                 // integers or money with scale <= 2). Values beyond i128/1e6
@@ -227,22 +226,22 @@ pub fn encode_key(values: &[Value]) -> Vec<u8> {
                 encode_varnum(&mut out, d.mantissa());
             }
             Value::Date(d) => {
-                out.put_u8(0x03);
+                out.push(0x03);
                 let flipped = (d.days() as u32) ^ (1u32 << 31);
-                out.put_u32(flipped);
+                out.extend_from_slice(&flipped.to_be_bytes());
             }
             Value::Str(s) => {
-                out.put_u8(0x04);
+                out.push(0x04);
                 for &b in s.trim_end().as_bytes() {
                     if b == 0x00 {
-                        out.put_u8(0x00);
-                        out.put_u8(0xFF);
+                        out.push(0x00);
+                        out.push(0xFF);
                     } else {
-                        out.put_u8(b);
+                        out.push(b);
                     }
                 }
-                out.put_u8(0x00);
-                out.put_u8(0x00);
+                out.push(0x00);
+                out.push(0x00);
             }
         }
     }
@@ -269,9 +268,9 @@ fn encode_varnum(out: &mut Vec<u8>, m: i128) {
     }
     let len = (16 - start) as u8;
     if m >= 0 {
-        out.put_u8(0x80 + len);
+        out.push(0x80 + len);
     } else {
-        out.put_u8(0x80 - len);
+        out.push(0x80 - len);
     }
     out.extend_from_slice(&bytes[start..]);
 }

@@ -79,7 +79,6 @@ pub struct ParseReply {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    max_frame: usize,
 }
 
 impl Client {
@@ -87,7 +86,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { reader, writer: BufWriter::new(stream), max_frame: MAX_FRAME })
+        Ok(Client { reader, writer: BufWriter::new(stream) })
     }
 
     fn send(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
@@ -96,7 +95,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> ClientResult<(u8, Vec<u8>)> {
-        match read_frame(&mut self.reader, self.max_frame)? {
+        match read_frame(&mut self.reader, MAX_FRAME)? {
             Some(f) => Ok(f),
             None => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

@@ -1,6 +1,6 @@
 //! Accept loop, connection threads, and server-wide statistics.
 
-use crate::protocol::{read_frame, write_frame, write_string, MSG_ERROR};
+use crate::protocol::{read_frame, write_frame, write_string, MAX_FRAME, MSG_ERROR};
 use crate::session::{Disposition, Session};
 use parking_lot::Mutex;
 use rdbms::monitor::MonitorView;
@@ -15,22 +15,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trace::Histogram;
 
+/// Shared plan-cache capacity (plans, not bytes).
+const PLAN_CACHE_CAPACITY: usize = 256;
+
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Shared plan-cache capacity (plans, not bytes).
-    pub plan_cache_capacity: usize,
-    /// Per-frame payload cap.
-    pub max_frame: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            plan_cache_capacity: 256,
-            max_frame: crate::protocol::MAX_FRAME,
-        }
+        ServerConfig { addr: "127.0.0.1:0".into() }
     }
 }
 
@@ -92,7 +87,6 @@ impl SessionInfo {
 struct Shared {
     db: Arc<Database>,
     cache: PlanCache,
-    max_frame: usize,
     stats: ServerStats,
     shutdown: AtomicBool,
     /// Stream clones for every live connection, so shutdown can unblock
@@ -122,8 +116,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             db,
-            cache: PlanCache::new(config.plan_cache_capacity),
-            max_frame: config.max_frame,
+            cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             stats: ServerStats::default(),
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
@@ -315,7 +308,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, info: Arc<SessionInfo>) 
     let mut session = Session::new(&shared.db, &shared.cache, info);
     let mut out = Vec::new();
     loop {
-        let frame = match read_frame(&mut reader, shared.max_frame) {
+        let frame = match read_frame(&mut reader, MAX_FRAME) {
             Ok(Some(f)) => f,
             Ok(None) => break, // clean EOF
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {

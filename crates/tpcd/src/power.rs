@@ -10,11 +10,10 @@ use crate::queries::{self, QueryParams};
 use crate::updates;
 use rdbms::error::DbResult;
 use rdbms::{Database, QueryResult};
-use serde::{Deserialize, Serialize};
 use trace::meter::MeterSnapshot;
 
 /// One measured step of the power test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StepResult {
     /// "Q1".."Q17", "UF1", "UF2".
     pub step: String,
@@ -27,7 +26,7 @@ pub struct StepResult {
 }
 
 /// Full power-test result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerResult {
     pub steps: Vec<StepResult>,
 }

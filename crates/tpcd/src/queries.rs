@@ -7,10 +7,8 @@
 //! paper's Tables 4/5 we model it as a highly selective, index-supported
 //! single-customer report (documented in DESIGN.md).
 
-use serde::{Deserialize, Serialize};
-
 /// Substitution parameters with the TPC-D validation defaults.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryParams {
     /// Q1: DELTA days.
     pub q1_delta: u32,

@@ -47,7 +47,6 @@ use rdbms::storage::codec::encode_key;
 use rdbms::txn::{referenced_tables, select_read_locks, ReadLockPlan};
 use rdbms::types::Value;
 use rdbms::{CommitPolicy, Counter, Database, PlanCache};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use trace::meter::MeterSnapshot;
 use trace::Histogram;
@@ -206,7 +205,7 @@ impl Default for ThroughputConfig {
 }
 
 /// One executed unit (a query or an update function) within a stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnitResult {
     /// "Q5", "UF1(2)", ...
     pub unit: String,
@@ -229,7 +228,7 @@ pub struct UnitResult {
 }
 
 /// Everything one stream did.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamResult {
     /// "S1".."Sn" for query streams, "UPD" for the update stream.
     pub stream: String,
@@ -247,7 +246,7 @@ pub struct StreamResult {
 }
 
 /// Full throughput-test result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputResult {
     pub configuration: String,
     pub sf: f64,

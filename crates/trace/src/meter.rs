@@ -14,7 +14,6 @@
 //! data, not code, so an experiment can sweep it and EXPERIMENTS.md can
 //! report both raw counters and derived times.
 
-use serde::{Deserialize, Serialize};
 use serde_json::Json;
 use std::fmt;
 use std::marker::PhantomData;
@@ -240,7 +239,7 @@ impl Drop for MeterScope {
 }
 
 /// An immutable point-in-time copy of the meter, with difference support.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeterSnapshot {
     counts: [u64; Counter::COUNT],
 }
@@ -430,7 +429,7 @@ impl fmt::Display for MeterSnapshot {
 
 /// Cost constants in milliseconds per unit, calibrated to the paper's 1996
 /// environment. See DESIGN.md section 5.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Calibration {
     pub ms_seq_page_read: f64,
     pub ms_rand_page_read: f64,
