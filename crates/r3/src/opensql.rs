@@ -571,12 +571,17 @@ impl R3System {
             }
             TableKind::Transparent => unreachable!("checked by caller"),
         }
-        // Residual predicate evaluation in the application server.
+        // Residual predicate evaluation in the application server, each
+        // field resolved once per statement (as the projection's are).
         let schema = Schema::qualified(lt.columns.clone(), table);
+        let conds: Vec<(usize, &Cond)> = spec
+            .conds
+            .iter()
+            .map(|c| lt.column_index(&c.field).map(|idx| (idx, c)))
+            .collect::<DbResult<_>>()?;
         let mut filtered: Vec<Row> = Vec::new();
         'rows: for row in rows {
-            for c in &spec.conds {
-                let idx = lt.column_index(&c.field)?;
+            for &(idx, c) in &conds {
                 self.meter().bump(Counter::AppTuples);
                 if !c.op.eval(&row[idx], &c.value) {
                     continue 'rows;

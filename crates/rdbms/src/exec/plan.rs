@@ -14,7 +14,10 @@
 //! every expression to the compact positions, DESIGN.md §15.1), predicates
 //! are evaluated on borrowed values, joins test the (left, right) pair and
 //! build the combined row only for matches, and sort/group/distinct order,
-//! number or mark rows over borrowed keys.
+//! number or mark rows over borrowed keys. A streamed batch is handed back
+//! down once consumed ([`Cursor::recycle`]) to the scan or projection that
+//! made its rows, which refills them, so a pipeline allocates per row it
+//! keeps, not per row it passes.
 
 use crate::catalog::{Index, Table};
 use crate::error::{DbError, DbResult};
@@ -397,7 +400,7 @@ impl Plan {
     /// either, the instrumentation is one thread-local check per open.
     pub fn open(&self) -> Cursor<'_> {
         Cursor {
-            node: Node { plan: self, state: State::Start },
+            node: Node { plan: self, state: State::Start, spare: Vec::new() },
             span: trace::listening().then(|| trace::ResumableSpan::new(self.node_label())),
             rows_out: 0,
         }
@@ -476,11 +479,22 @@ impl Cursor<'_> {
         }
         pulled
     }
+
+    /// Hand back rows of batches this cursor gave out, once the caller is
+    /// done with them, to be refilled instead of allocated anew. Rows the
+    /// caller keeps must not come back. It does no I/O and meters nothing.
+    pub fn recycle(&mut self, rows: impl IntoIterator<Item = Row>) {
+        self.node.recycle(rows);
+    }
 }
 
 struct Node<'p> {
     plan: &'p Plan,
     state: State<'p>,
+    /// Consumed output rows handed back, for a scan or `Project` to
+    /// refill: at most one batch (`BATCH_ROWS`, or a scan's last page of
+    /// survivors if that is more).
+    spare: Vec<Row>,
 }
 
 /// Where an open node stands between two calls.
@@ -489,12 +503,14 @@ enum State<'p> {
     /// the node reads whole.
     Start,
     /// A `SeqScan`: `first` (what its filter reads) and `rest` split its
-    /// `needed` columns, in stored positions; `width` counts them.
+    /// `needed` columns, in stored positions; `width` counts them. `last`
+    /// is the length of the batch handed out last.
     Scan {
         scan: HeapScan<'p>,
         first: Vec<bool>,
         rest: Vec<bool>,
         width: usize,
+        last: usize,
     },
     Fetch {
         entries: std::vec::IntoIter<(Vec<u8>, Rid)>,
@@ -546,6 +562,13 @@ impl<'p> Input<'p> {
             Input::Drained(rows) => Ok(take_batch(rows)),
         }
     }
+
+    /// [`Cursor::recycle`]; drained rows are simply dropped.
+    fn recycle(&mut self, rows: impl IntoIterator<Item = Row>) {
+        if let Input::Open(cursor) = self {
+            cursor.recycle(rows);
+        }
+    }
 }
 
 fn take_batch(rows: &mut std::vec::IntoIter<Row>) -> Option<Vec<Row>> {
@@ -559,16 +582,21 @@ impl<'p> Node<'p> {
             self.state = self.start(ctx)?;
         }
         let batch = match (&mut self.state, self.plan) {
-            (State::Scan { scan, first, rest, width }, Plan::SeqScan { filter, needed, .. }) => {
+            (
+                State::Scan { scan, first, rest, width, last },
+                Plan::SeqScan { filter, needed, .. },
+            ) => {
                 // Decode what the filter reads, test it, and decode the
-                // remaining needed columns of survivors only. A rejected
-                // tuple leaves `row` to the next one, string buffers and all.
-                let mut out = Vec::new();
-                let mut row = Row::new();
+                // remaining needed columns of survivors only, each into a
+                // spare row while there is one. A rejected tuple leaves
+                // `row` to the next one, string buffers and all.
+                let mut out = Vec::with_capacity(*last);
+                let mut row = self.spare.pop().unwrap_or_default();
                 let mut tuples = Tally(ctx.meter, 0);
+                let mut done = false;
                 while out.is_empty() || !scan.page_done() {
                     let Some(item) = scan.next_tuple() else {
-                        self.state = State::Done;
+                        done = true;
                         break;
                     };
                     let (_, bytes) = item?;
@@ -583,7 +611,14 @@ impl<'p> Node<'p> {
                         }
                     }
                     decode_columns(bytes, needed, rest, &mut row)?;
-                    out.push(std::mem::take(&mut row));
+                    out.push(std::mem::replace(&mut row, self.spare.pop().unwrap_or_default()));
+                }
+                *last = out.len();
+                if done {
+                    self.state = State::Done;
+                    self.spare = Vec::new();
+                } else {
+                    self.spare.push(row);
                 }
                 return Ok((!out.is_empty()).then_some(out));
             }
@@ -595,22 +630,21 @@ impl<'p> Node<'p> {
                 for (key, rid) in entries.by_ref() {
                     // Unclustered index: each qualifying tuple is a random
                     // heap fetch — the crux of the paper's Table 6.
-                    let fetch = |keep: &[bool]| {
+                    let fetch = |keep: &[bool], mut row: Row| {
                         table
                             .heap
                             .get_with(rid, AccessPattern::Random, |bytes| {
-                                let mut row = Row::with_capacity(*width);
                                 decode_columns(bytes, keep, &[], &mut row).map(|()| row)
                             })?
                             .ok_or_else(|| DbError::storage("dangling index entry"))?
                     };
-                    let mut row = Row::new();
+                    let mut row = self.spare.pop().unwrap_or_else(|| Row::with_capacity(*width));
                     if !*changed {
-                        row = fetch(needed)?;
+                        row = fetch(needed, row)?;
                         *changed = table.heap.version() != *version;
                     }
                     if *changed {
-                        row = fetch(&[])?;
+                        row = fetch(&[], row)?;
                         if !key.starts_with(&index.key_for(&row)) {
                             return Err(DbError::storage("dangling index entry"));
                         }
@@ -620,6 +654,7 @@ impl<'p> Node<'p> {
                     ctx.meter.bump(Counter::DbTuples);
                     if let Some(f) = residual {
                         if f.eval_bool(&row, ctx)? != Some(true) {
+                            self.spare.push(row);
                             continue;
                         }
                     }
@@ -631,34 +666,48 @@ impl<'p> Node<'p> {
                 (!out.is_empty()).then_some(out)
             }
             (State::Rows(rows), _) => take_batch(rows),
+            // Survivors move to the front in order; the rejected rows go
+            // back to the input.
             (State::Pipe(input, _), Plan::Filter { pred, .. }) => loop {
-                let Some(batch) = input.next(ctx)? else { break None };
-                let mut out = Vec::with_capacity(batch.len());
-                for row in batch {
-                    if pred.eval_bool(&row, ctx)? == Some(true) {
-                        out.push(row);
+                let Some(mut batch) = input.next(ctx)? else { break None };
+                let mut kept = 0;
+                for i in 0..batch.len() {
+                    if pred.eval_bool(&batch[i], ctx)? == Some(true) {
+                        batch.swap(kept, i);
+                        kept += 1;
                     }
                 }
-                if !out.is_empty() {
-                    break Some(out);
+                input.recycle(batch.drain(kept..));
+                if !batch.is_empty() {
+                    break Some(batch);
                 }
             },
             (State::Pipe(input, _), Plan::Project { exprs, .. }) => match input.next(ctx)? {
                 None => None,
-                Some(batch) => Some(
-                    batch
-                        .iter()
-                        .map(|row| exprs.iter().map(|e| e.eval(row, ctx)).collect())
-                        .collect::<DbResult<_>>()?,
-                ),
+                Some(batch) => {
+                    let mut out = Vec::with_capacity(batch.len());
+                    for row in &batch {
+                        let mut new = self.spare.pop().unwrap_or_default();
+                        new.resize(exprs.len(), Value::Null);
+                        for (slot, e) in new.iter_mut().zip(exprs) {
+                            match e.eval_cow(row, ctx)? {
+                                Cow::Borrowed(v) => assign(slot, v),
+                                Cow::Owned(v) => *slot = v,
+                            }
+                        }
+                        out.push(new);
+                    }
+                    input.recycle(batch);
+                    Some(out)
+                }
             },
             // Every row is pulled: stopping at `n` would change what the
-            // query meters (DESIGN.md §15.5).
+            // query meters (DESIGN.md §15.5). The rows cut go back.
             (State::Pipe(input, offered), Plan::Limit { n, .. }) => loop {
                 let Some(mut batch) = input.next(ctx)? else { break None };
                 let room = n.saturating_sub(*offered);
                 *offered += batch.len() as u64;
-                batch.truncate(room.min(batch.len() as u64) as usize);
+                input.recycle(batch.drain(room.min(batch.len() as u64) as usize..));
                 if !batch.is_empty() {
                     break Some(batch);
                 }
@@ -701,8 +750,27 @@ impl<'p> Node<'p> {
         };
         if batch.is_none() {
             self.state = State::Done;
+            self.spare = Vec::new();
         }
         Ok(batch)
+    }
+
+    /// [`Cursor::recycle`]: `Filter`, `Limit` and the hash join pass the
+    /// rows down to their (probe) input, whose rows they are; scans and
+    /// `Project` keep them to refill, up to one batch. Every other node,
+    /// and a drained one, drops them.
+    fn recycle(&mut self, rows: impl IntoIterator<Item = Row>) {
+        let cap = match (&mut self.state, self.plan) {
+            (State::Pipe(input, _), Plan::Filter { .. } | Plan::Limit { .. }) => {
+                return input.recycle(rows);
+            }
+            (State::HashJoin(probe), _) => return probe.recycle(rows),
+            (State::Scan { last, .. }, _) => BATCH_ROWS.max(*last),
+            (State::Fetch { .. }, _) | (State::Pipe(..), Plan::Project { .. }) => BATCH_ROWS,
+            _ => return,
+        };
+        let room = cap.saturating_sub(self.spare.len());
+        self.spare.extend(rows.into_iter().take(room));
     }
 
     /// The first call's work: open the inputs, drain those read whole.
@@ -721,7 +789,7 @@ impl<'p> Node<'p> {
                 let first: Vec<bool> =
                     needed.iter().map(|&n| n && read.next().unwrap_or(false)).collect();
                 let rest = needed.iter().zip(&first).map(|(n, f)| *n && !*f).collect();
-                State::Scan { scan: table.heap.scan(), first, rest, width }
+                State::Scan { scan: table.heap.scan(), first, rest, width, last: 0 }
             }
             Plan::IndexScan { table, index, lower, upper, .. } => {
                 let (lo, hi) = match (eval_bound(lower, ctx)?, eval_bound(upper, ctx)?) {
@@ -848,10 +916,10 @@ impl<'p> Probe<'p> {
         let Plan::HashJoin { residual, kind, right_width, .. } = plan else {
             unreachable!("a hash join's state")
         };
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(BATCH_ROWS);
         let mut tuples = Tally(ctx.meter, 0);
         while out.len() < BATCH_ROWS {
-            let Some(prow) = self.pending.next() else {
+            let Some(mut prow) = self.pending.next() else {
                 match self.probe.as_mut().map(|p| p.next(ctx)).transpose()?.flatten() {
                     Some(batch) => self.pending = batch.into_iter(),
                     None => {
@@ -863,13 +931,11 @@ impl<'p> Probe<'p> {
             };
             tuples.1 += 1;
             let (hash, null) = self.probe_key.eval(&prow, ctx)?;
-            if null {
-                continue;
-            }
-            let Some(id) = self.keys.find(hash, self.probe_key.values(&prow)) else { continue };
+            let id = (!null).then(|| self.keys.find(hash, self.probe_key.values(&prow))).flatten();
             // Every match but the last copies the probe row; the last
-            // takes its values.
-            let (mut at, mut last) = (self.first[id], None);
+            // becomes it, the build row's values put in front. An
+            // unmatched probe row goes back to the probe input.
+            let (mut at, mut last) = (id.and_then(|id| self.first[id]), None);
             while let Some(i) = at {
                 at = self.next[i];
                 let ok = match residual {
@@ -883,11 +949,13 @@ impl<'p> Probe<'p> {
                     }
                 }
             }
-            if let Some(j) = last {
-                let mut row = Vec::with_capacity(self.build[j].len() + prow.len());
-                row.extend_from_slice(&self.build[j]);
-                row.extend(prow);
-                out.push(row);
+            match last {
+                Some(j) => {
+                    prow.reserve_exact(self.build[j].len());
+                    prow.splice(0..0, self.build[j].iter().cloned());
+                    out.push(prow);
+                }
+                None => self.recycle([prow]),
             }
         }
         // Unmatched build rows of a left outer join come after every match.
@@ -900,6 +968,13 @@ impl<'p> Probe<'p> {
             }
         }
         Ok((!out.is_empty()).then_some(out))
+    }
+
+    /// Rows that came from the probe input go back to it while it is open.
+    fn recycle(&mut self, rows: impl IntoIterator<Item = Row>) {
+        if let Some(probe) = &mut self.probe {
+            probe.recycle(rows);
+        }
     }
 }
 
@@ -1000,6 +1075,14 @@ fn null_extended(left: &[Value], right_width: usize) -> Row {
     row.extend_from_slice(left);
     row.resize(left.len() + right_width, Value::Null);
     row
+}
+
+/// `*slot = v.clone()`, but a string slot keeps its buffer.
+fn assign(slot: &mut Value, v: &Value) {
+    match (slot, v) {
+        (Value::Str(buf), Value::Str(s)) => buf.clone_from(s),
+        (slot, v) => *slot = v.clone(),
+    }
 }
 
 fn eval_bound(bound: &Option<IndexKeyBound>, ctx: &ExecCtx) -> DbResult<Option<EvaluatedBound>> {
@@ -1187,6 +1270,7 @@ fn aggregate(
             }
             accumulate(&mut accs[id], aggs, row, ctx)?;
         }
+        input.recycle(batch);
     }
     let mut order: Vec<usize> = (0..accs.len()).collect();
     order.sort_by(|&a, &b| {

@@ -7,12 +7,25 @@
 //! grouping, DISTINCT, COUNT(DISTINCT), one- and two-key hash joins and
 //! `IN`/`NOT IN` subqueries. Each result is checked against a model of
 //! the query and against the same query planned with hash joins off; each
-//! batch the plan hands out is checked too.
+//! batch the plan hands out is checked too, then copied and handed back
+//! (`Cursor::recycle`) as a streaming consumer would.
+//!
+//! Recycled rows are refilled in place, so a row that leaves a node with
+//! a slot not rewritten shows an earlier row's value. The recycling cases
+//! (`recycled_rows_never_leak_a_stale_value`) hunt for that: long strings
+//! alternating with NULLs under a filter alternating accept and reject, a
+//! wide scan into a narrower projection into an aggregate, hash joins
+//! whose probe rows alternate matched and unmatched (inner and left outer,
+//! keys matching twice), a filter holding a subquery and `LIMIT` — each
+//! against a model and against the plan that keeps every column
+//! (`Planner::keep_all_columns`).
 
 use proptest::prelude::*;
-use rdbms::exec::plan::BATCH_ROWS;
+use rdbms::exec::plan::{Plan, BATCH_ROWS};
 use rdbms::exec::ExecCtx;
 use rdbms::planner::PlannerConfig;
+use rdbms::sql::ast::Statement;
+use rdbms::sql::parse_statement;
 use rdbms::storage::PagerConfig;
 use rdbms::types::{Decimal, Value};
 use rdbms::{Database, DbConfig, Row};
@@ -178,14 +191,20 @@ fn distinct(vals: impl Iterator<Item = Value>) -> Vec<Row> {
 /// The rows of `sql` from its plan's cursor, checking each batch.
 fn pull(db: &Database, sql: &str, params: &[Value], joins: bool) -> Vec<Row> {
     let prepared = db.prepare(sql).unwrap();
+    pull_plan(db, &prepared.plan, sql, params, joins)
+}
+
+/// The rows of `plan`, each batch checked, copied out and handed back.
+fn pull_plan(db: &Database, plan: &Plan, sql: &str, params: &[Value], joins: bool) -> Vec<Row> {
     let ctx = ExecCtx::new(params, db.meter());
-    let mut cursor = prepared.plan.open();
+    let mut cursor = plan.open();
     let mut rows = Vec::new();
     while let Some(batch) = cursor.next(&ctx).unwrap() {
         assert!(!batch.is_empty(), "empty batch from {sql}");
         // A join closes a batch between two rows of its driving side only.
         assert!(joins || batch.len() <= BATCH_ROWS, "batch of {} from {sql}", batch.len());
-        rows.extend(batch);
+        rows.extend(batch.iter().cloned());
+        cursor.recycle(batch);
     }
     assert!(cursor.next(&ctx).unwrap().is_none(), "rows after the end of {sql}");
     rows
@@ -392,6 +411,209 @@ fn run_case(n: usize, m: usize, limit: usize, seed: u64) {
     assert_eq!(debug(&got), debug(&db.execute_prepared(&prepared, &params).unwrap().rows));
 }
 
+/// One row of `r`: `a` alternates (a filter on it accepts every other
+/// row), `s` is a long string two rows in three and NULL the third, and
+/// every fifth row repeats the previous row's join key `k`.
+struct R {
+    id: i64,
+    a: i64,
+    k: i64,
+    s: Option<String>,
+    v: i64,
+}
+
+/// One row of `q`: even rows share a key two by two, most of them keys
+/// of `r`; odd rows match nothing; `s` as in `r`, shifted.
+struct Q {
+    qid: i64,
+    k: i64,
+    s: Option<String>,
+    w: i64,
+}
+
+fn long(i: usize, tag: &str) -> Option<String> {
+    (i % 3 != 1).then(|| format!("{tag}{i:04}{}", "-".repeat(20 + i * 37 % 150)))
+}
+
+fn text(s: &Option<String>) -> Value {
+    s.as_deref().map_or(Value::Null, Value::str)
+}
+
+fn load_recycling(n: usize, m: usize) -> (Database, Vec<R>, Vec<Q>) {
+    let db = Database::with_defaults();
+    db.execute(
+        "CREATE TABLE r (id INTEGER NOT NULL, a INTEGER, k INTEGER, s VARCHAR(200), v INTEGER, \
+         pad VARCHAR(300), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    db.execute(
+        "CREATE TABLE q (qid INTEGER NOT NULL, k INTEGER, s VARCHAR(200), w INTEGER, \
+         pad VARCHAR(300), PRIMARY KEY (qid))",
+    )
+    .unwrap();
+    let pad = "p".repeat(200);
+    let sql_text = |s: &Option<String>| s.as_ref().map_or("NULL".to_string(), |s| format!("'{s}'"));
+    let r: Vec<R> = (0..n)
+        .map(|i| R {
+            id: i as i64,
+            a: (i % 2) as i64,
+            k: if i % 5 == 4 { i as i64 - 1 } else { i as i64 },
+            s: long(i, "r"),
+            v: (i * 7 % 11) as i64 - 5,
+        })
+        .collect();
+    for x in &r {
+        db.execute(&format!(
+            "INSERT INTO r VALUES ({}, {}, {}, {}, {}, '{pad}')",
+            x.id,
+            x.a,
+            x.k,
+            sql_text(&x.s),
+            x.v
+        ))
+        .unwrap();
+    }
+    let q: Vec<Q> = (0..m)
+        .map(|j| Q {
+            qid: j as i64,
+            k: if j % 2 == 0 { (j / 4) as i64 } else { -1 - j as i64 },
+            s: long(j + 1, "q"),
+            w: (j * 5 % 7) as i64 - 3,
+        })
+        .collect();
+    for x in &q {
+        db.execute(&format!(
+            "INSERT INTO q VALUES ({}, {}, {}, {}, '{pad}')",
+            x.qid,
+            x.k,
+            sql_text(&x.s),
+            x.w
+        ))
+        .unwrap();
+    }
+    db.execute("ANALYZE r").unwrap();
+    db.execute("ANALYZE q").unwrap();
+    (db, r, q)
+}
+
+/// `sql` through a streaming, recycling consumer, with hash joins on and
+/// off, pruned and with every column kept: each against `want`.
+fn check_recycled(db: &Database, sql: &str, want: &[Row], ordered: bool, case: &str) {
+    let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!("{sql}") };
+    let joins = sql.contains("JOIN");
+    let want = if ordered { debug(want) } else { sorted(want) };
+    for hash in [true, false] {
+        db.set_planner_config(PlannerConfig { enable_hash_join: hash, ..db.planner_config() });
+        let pruned = db.planner().plan_query(&stmt).unwrap().plan;
+        let all = db.planner().keep_all_columns().plan_query(&stmt).unwrap().plan;
+        assert_eq!(pruned.describe().contains("HashJoin"), hash && joins, "{sql}\n{pruned:?}");
+        for (plan, columns) in [(&pruned, "pruned"), (&all, "all columns")] {
+            let got = pull_plan(db, plan, sql, &[], joins);
+            let got = if ordered { debug(&got) } else { sorted(&got) };
+            assert_eq!(got, want, "{case}: hash={hash} {columns} {sql}\n{plan:?}");
+        }
+    }
+}
+
+fn run_recycling_case(n: usize, m: usize, limit: usize) {
+    let (db, r, q) = load_recycling(n, m);
+    let join = |left_outer: bool| -> Vec<Row> {
+        r.iter()
+            .flat_map(|x| {
+                let hits: Vec<Row> = q
+                    .iter()
+                    .filter(|y| y.k == x.k)
+                    .map(|y| vec![Value::Int(x.id), text(&x.s), Value::Int(y.qid), text(&y.s)])
+                    .collect();
+                match hits.is_empty() && left_outer {
+                    true => vec![vec![Value::Int(x.id), text(&x.s), Value::Null, Value::Null]],
+                    false => hits,
+                }
+            })
+            .collect()
+    };
+    let groups: Vec<Row> = [0, 1]
+        .into_iter()
+        .filter_map(|a| {
+            let rows: Vec<&R> = r.iter().filter(|x| x.a == a).collect();
+            let texts: Vec<&str> = rows.iter().filter_map(|x| x.s.as_deref()).collect();
+            let (min, max) = (texts.iter().min(), texts.iter().max());
+            (!rows.is_empty()).then(|| {
+                vec![
+                    Value::Int(a),
+                    Value::Int(rows.len() as i64),
+                    Value::Int(texts.len() as i64),
+                    min.map_or(Value::Null, |s| Value::str(*s)),
+                    max.map_or(Value::Null, |s| Value::str(*s)),
+                    Value::Int(rows.iter().map(|x| x.id + x.v).sum()),
+                ]
+            })
+        })
+        .collect();
+    let positive: Vec<i64> = q.iter().filter(|y| y.w > 0).map(|y| y.k).collect();
+    let cases: Vec<(&str, String, Vec<Row>, bool)> = vec![
+        (
+            "long strings and NULLs under an alternating filter",
+            "SELECT x, t, u FROM (SELECT id AS x, s AS t, v AS u, a AS y FROM r) d WHERE y = 1"
+                .into(),
+            r.iter()
+                .filter(|x| x.a == 1)
+                .map(|x| vec![Value::Int(x.id), text(&x.s), Value::Int(x.v)])
+                .collect(),
+            true,
+        ),
+        (
+            "a wide scan into a narrower projection into an aggregate",
+            "SELECT y, COUNT(*), COUNT(t), MIN(t), MAX(t), SUM(z) FROM \
+             (SELECT a AS y, s AS t, id + v AS z FROM r) d GROUP BY y"
+                .into(),
+            groups,
+            true,
+        ),
+        (
+            "a hash join whose probe rows alternate matched and unmatched",
+            "SELECT r.id, r.s, q.qid, q.s FROM r JOIN q ON r.k = q.k".into(),
+            join(false),
+            false,
+        ),
+        (
+            "a left outer join",
+            "SELECT r.id, r.s, q.qid, q.s FROM r LEFT OUTER JOIN q ON r.k = q.k".into(),
+            join(true),
+            false,
+        ),
+        (
+            "keys matching twice",
+            "SELECT a.id, a.s, b.id, b.s FROM r a JOIN r b ON a.k = b.k".into(),
+            r.iter()
+                .flat_map(|x| r.iter().filter(move |y| y.k == x.k).map(move |y| (x, y)))
+                .map(|(x, y)| vec![Value::Int(x.id), text(&x.s), Value::Int(y.id), text(&y.s)])
+                .collect(),
+            false,
+        ),
+        (
+            "a filter holding a subquery",
+            "SELECT x, t FROM (SELECT id AS x, s AS t, k AS y FROM r) d \
+             WHERE y IN (SELECT k FROM q WHERE w > 0)"
+                .into(),
+            r.iter()
+                .filter(|x| positive.contains(&x.k))
+                .map(|x| vec![Value::Int(x.id), text(&x.s)])
+                .collect(),
+            true,
+        ),
+        (
+            "LIMIT",
+            format!("SELECT x, t FROM (SELECT id AS x, s AS t, a AS y FROM r) d LIMIT {limit}"),
+            r.iter().take(limit).map(|x| vec![Value::Int(x.id), text(&x.s)]).collect(),
+            true,
+        ),
+    ];
+    for (case, sql, want, ordered) in &cases {
+        check_recycled(&db, sql, want, *ordered, &format!("{case} (n={n} m={m})"));
+    }
+}
+
 /// `LIMIT` drains its input: stopping at the first row would change
 /// what the query meters, which is a behaviour change of its own.
 #[test]
@@ -459,5 +681,32 @@ proptest! {
         (limit, seed) in (0usize..3, any::<u64>()),
     ) {
         run_case(SIZES[n], SIZES[m], BATCH_ROWS - 1 + limit, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn recycled_rows_never_leak_a_stale_value(
+        (n, m) in (0usize..4, 0usize..4),
+        limit in 0usize..2 * BATCH_ROWS + 3,
+    ) {
+        run_recycling_case(SIZES[n], SIZES[m], limit);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The same at 200 cases (`cargo test --release -p rdbms --test
+    /// batch_props -- --ignored`).
+    #[test]
+    #[ignore]
+    fn recycled_rows_never_leak_a_stale_value_long(
+        (n, m) in (0usize..4, 0usize..4),
+        limit in 0usize..2 * BATCH_ROWS + 3,
+    ) {
+        run_recycling_case(SIZES[n], SIZES[m], limit);
     }
 }
