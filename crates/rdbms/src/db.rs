@@ -688,7 +688,8 @@ impl Database {
         for (col, e) in assignments {
             let idx = t.schema.resolve(None, col)?;
             let mut used = HashSet::new();
-            let be = planner.bind_expr(e, &t.schema, &[], &mut used)?;
+            let mut be = planner.bind_expr(e, &t.schema, &[], &mut used)?;
+            be.fold_literals();
             bound_assignments.push((idx, be));
         }
         let ctx = ExecCtx::new(&[], &self.meter);
@@ -769,7 +770,9 @@ impl Database {
             Some(f) => {
                 let planner = self.planner();
                 let mut used = HashSet::new();
-                Ok(Some(planner.bind_expr(f, schema, &[], &mut used)?))
+                let mut pred = planner.bind_expr(f, schema, &[], &mut used)?;
+                pred.fold_literals();
+                Ok(Some(pred))
             }
         }
     }

@@ -11,6 +11,7 @@ use crate::sql::ast::{AggFunc, BinOp, IntervalUnit};
 use crate::types::{Decimal, Value};
 use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -211,7 +212,16 @@ impl Hasher for FxHasher {
 pub enum SubqueryResult {
     Scalar(Value),
     Exists(bool),
-    InSet { set: HashSet<Value, FxBuild>, has_null: bool },
+    /// `samples` holds one member of each group of mutually comparable
+    /// types in the set, so a probe that matches no member and cannot be
+    /// compared with one is an error, as it is in `IN (list)`. A probe
+    /// that matches is not checked: the set has no order, so it is read
+    /// as a list whose match comes first.
+    InSet {
+        set: HashSet<Value, FxBuild>,
+        samples: Vec<Value>,
+        has_null: bool,
+    },
 }
 
 /// The row an expression reads its columns from: one slice, or the two
@@ -339,17 +349,7 @@ impl BExpr {
             BExpr::Binary { left, op, right } if op.is_comparison() => {
                 let l = left.eval_ref(row, ctx)?;
                 let r = right.eval_ref(row, ctx)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(None);
-                }
-                let ord = l.sql_cmp(&r).ok_or_else(|| {
-                    DbError::execution(format!(
-                        "cannot compare {} with {}",
-                        l.type_name(),
-                        r.type_name()
-                    ))
-                })?;
-                Ok(Some(match op {
+                Ok(compare(&l, &r)?.map(|ord| match op {
                     BinOp::Eq => ord.is_eq(),
                     BinOp::NotEq => ord.is_ne(),
                     BinOp::Lt => ord.is_lt(),
@@ -358,6 +358,34 @@ impl BExpr {
                     BinOp::GtEq => ord.is_ge(),
                     _ => unreachable!(),
                 }))
+            }
+            // `v >= low AND v <= high`: `high` is not evaluated, errors and
+            // all, when the first comparison is false.
+            BExpr::Between { expr, low, high, negated } => {
+                let v = expr.eval_ref(row, ctx)?;
+                let ge = compare(&v, &*low.eval_ref(row, ctx)?)?.map(Ordering::is_ge);
+                let r = if ge == Some(false) {
+                    ge
+                } else {
+                    and3(ge, compare(&v, &*high.eval_ref(row, ctx)?)?.map(Ordering::is_le))
+                };
+                Ok(maybe_negate(r, *negated))
+            }
+            // `v = item OR ...` in list order, stopping at the first match.
+            BExpr::InList { expr, list, negated } => {
+                let v = expr.eval_ref(row, ctx)?;
+                if v.is_null() {
+                    return Ok(None);
+                }
+                let mut saw_null = false;
+                for item in list {
+                    match compare(&v, &*item.eval_ref(row, ctx)?)? {
+                        Some(Ordering::Equal) => return Ok(Some(!negated)),
+                        Some(_) => {}
+                        None => saw_null = true,
+                    }
+                }
+                Ok(if saw_null { None } else { Some(*negated) })
             }
             _ => match &*self.eval_ref(row, ctx)? {
                 Value::Null => Ok(None),
@@ -392,6 +420,8 @@ impl BExpr {
             BExpr::Column(_) | BExpr::Outer { .. } | BExpr::Literal(_) | BExpr::Param(_) => {
                 self.eval_ref(row, ctx)?.into_owned()
             }
+            // Arithmetic takes the numeric kernel where it can.
+            BExpr::Neg(_) | BExpr::Binary { .. } if let Some(n) = self.num(row) => n.into(),
             BExpr::Neg(e) => match &*e.eval_ref(row, ctx)? {
                 Value::Null => Value::Null,
                 Value::Int(v) => Value::Int(-v),
@@ -412,6 +442,9 @@ impl BExpr {
             {
                 bool3_to_value(self.eval_bool_ref(row, ctx)?)
             }
+            BExpr::Between { .. } | BExpr::InList { .. } => {
+                bool3_to_value(self.eval_bool_ref(row, ctx)?)
+            }
             BExpr::Binary { left, op, right } => {
                 let l = left.eval_ref(row, ctx)?;
                 let r = right.eval_ref(row, ctx)?;
@@ -419,37 +452,6 @@ impl BExpr {
                     return Ok(Value::Null);
                 }
                 arith(&l, *op, &r)?
-            }
-            BExpr::Between { expr, low, high, negated } => {
-                let v = expr.eval_ref(row, ctx)?;
-                let lo = low.eval_ref(row, ctx)?;
-                let hi = high.eval_ref(row, ctx)?;
-                let ge = v.sql_cmp(&lo).map(|o| o.is_ge());
-                let le = v.sql_cmp(&hi).map(|o| o.is_le());
-                let r = and3(ge, le);
-                bool3_to_value(maybe_negate(r, *negated))
-            }
-            BExpr::InList { expr, list, negated } => {
-                let v = expr.eval_ref(row, ctx)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval_ref(row, ctx)?;
-                    if iv.is_null() {
-                        saw_null = true;
-                        continue;
-                    }
-                    if v.sql_cmp(&iv) == Some(std::cmp::Ordering::Equal) {
-                        return Ok(Value::Bool(!negated));
-                    }
-                }
-                if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(*negated)
-                }
             }
             BExpr::Like { expr, pattern, negated } => {
                 let v = expr.eval_ref(row, ctx)?;
@@ -540,41 +542,6 @@ impl BExpr {
                 *self = map[*index]
                     .map_or(BExpr::Literal(Value::Null), |index| BExpr::Outer { depth, index });
             }
-            BExpr::Column(_) | BExpr::Outer { .. } | BExpr::Literal(_) | BExpr::Param(_) => {}
-            BExpr::Neg(e)
-            | BExpr::Not(e)
-            | BExpr::IsNull { expr: e, .. }
-            | BExpr::Extract { expr: e, .. }
-            | BExpr::IntervalAdd { expr: e, .. } => e.rebind(level, map)?,
-            BExpr::Binary { left: a, right: b, .. } | BExpr::Like { expr: a, pattern: b, .. } => {
-                a.rebind(level, map)?;
-                b.rebind(level, map)?;
-            }
-            BExpr::Between { expr, low, high, .. } => {
-                for e in [expr, low, high] {
-                    e.rebind(level, map)?;
-                }
-            }
-            BExpr::InList { expr, list, .. } => {
-                expr.rebind(level, map)?;
-                for e in list {
-                    e.rebind(level, map)?;
-                }
-            }
-            BExpr::Case { branches, else_expr } => {
-                for (c, r) in branches {
-                    c.rebind(level, map)?;
-                    r.rebind(level, map)?;
-                }
-                if let Some(e) = else_expr {
-                    e.rebind(level, map)?;
-                }
-            }
-            BExpr::Func { args, .. } => {
-                for a in args {
-                    a.rebind(level, map)?;
-                }
-            }
             BExpr::Subquery(sq) => {
                 let sq = Arc::get_mut(sq).ok_or_else(|| {
                     DbError::analysis("a subquery plan shared by two expressions cannot be rebound")
@@ -584,58 +551,235 @@ impl BExpr {
                 }
                 sq.plan.rebind_outer_refs(level + 1, map)?;
             }
+            _ => {
+                let mut rebound = Ok(());
+                self.children_mut(&mut |e| {
+                    if rebound.is_ok() {
+                        rebound = e.rebind(level, map);
+                    }
+                });
+                rebound?;
+            }
         }
         Ok(())
+    }
+
+    /// Replace every subtree made only of literals by the literal it
+    /// evaluates to, in this expression and in the plans of the subqueries
+    /// it alone owns. A subtree whose evaluation fails stays as it is, so
+    /// an error still happens where and when it did (`CASE WHEN k = 2
+    /// THEN 1/0 ...`, a `1/0` under a filter that rejects every row); a
+    /// `CASE` around it may still fold. A column, outer reference,
+    /// parameter or subquery is never folded. Returns whether this
+    /// expression is made only of literals, folded or not.
+    pub fn fold_literals(&mut self) -> bool {
+        match self {
+            BExpr::Literal(_) => return true,
+            BExpr::Column(_) | BExpr::Outer { .. } | BExpr::Param(_) => return false,
+            BExpr::Subquery(sq) => {
+                if let Some(sq) = Arc::get_mut(sq) {
+                    if let SubqueryKind::In { lhs, .. } = &mut sq.kind {
+                        lhs.fold_literals();
+                    }
+                    sq.plan.fold_literals();
+                }
+                return false;
+            }
+            _ => {}
+        }
+        let mut literal = true;
+        self.children_mut(&mut |e| literal &= e.fold_literals());
+        if literal {
+            // Literals read no row, parameter or counter.
+            let meter = CostMeter::default();
+            if let Ok(v) = self.eval(&[], &ExecCtx::new(&[], &meter)) {
+                *self = BExpr::Literal(v);
+            }
+        }
+        literal
     }
 
     /// Visit all nodes (not crossing into subquery plans).
     pub fn visit(&self, f: &mut impl FnMut(&BExpr)) {
         f(self);
+        self.children(&mut |e| e.visit(f));
+    }
+
+    /// Call `f` on each operand of this node, left to right; an `IN`
+    /// subquery's left operand is one, its plan is not.
+    fn children<'e>(&'e self, f: &mut impl FnMut(&'e BExpr)) {
         match self {
             BExpr::Column(_) | BExpr::Outer { .. } | BExpr::Literal(_) | BExpr::Param(_) => {}
-            BExpr::Neg(e) | BExpr::Not(e) => e.visit(f),
-            BExpr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
+            BExpr::Neg(e)
+            | BExpr::Not(e)
+            | BExpr::IsNull { expr: e, .. }
+            | BExpr::Extract { expr: e, .. }
+            | BExpr::IntervalAdd { expr: e, .. } => f(e),
+            BExpr::Binary { left: a, right: b, .. } | BExpr::Like { expr: a, pattern: b, .. } => {
+                f(a);
+                f(b);
             }
             BExpr::Between { expr, low, high, .. } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
+                f(expr);
+                f(low);
+                f(high);
             }
             BExpr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
-            BExpr::Like { expr, pattern, .. } => {
-                expr.visit(f);
-                pattern.visit(f);
-            }
-            BExpr::IsNull { expr, .. } => expr.visit(f),
             BExpr::Case { branches, else_expr } => {
                 for (c, r) in branches {
-                    c.visit(f);
-                    r.visit(f);
+                    f(c);
+                    f(r);
                 }
                 if let Some(e) = else_expr {
-                    e.visit(f);
+                    f(e);
                 }
             }
-            BExpr::Extract { expr, .. } | BExpr::IntervalAdd { expr, .. } => expr.visit(f),
-            BExpr::Func { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
-            }
+            BExpr::Func { args, .. } => args.iter().for_each(f),
             BExpr::Subquery(sq) => {
                 if let SubqueryKind::In { lhs, .. } = &sq.kind {
-                    lhs.visit(f);
+                    f(lhs);
                 }
             }
         }
     }
+
+    /// [`BExpr::children`], to rewrite. A subquery's operand sits behind
+    /// its `Arc` and is not reached: a caller that rewrites subqueries
+    /// takes them apart itself (`Arc::get_mut`), and decides what a
+    /// shared one means.
+    fn children_mut(&mut self, f: &mut impl FnMut(&mut BExpr)) {
+        match self {
+            BExpr::Column(_)
+            | BExpr::Outer { .. }
+            | BExpr::Literal(_)
+            | BExpr::Param(_)
+            | BExpr::Subquery(_) => {}
+            BExpr::Neg(e)
+            | BExpr::Not(e)
+            | BExpr::IsNull { expr: e, .. }
+            | BExpr::Extract { expr: e, .. }
+            | BExpr::IntervalAdd { expr: e, .. } => f(e),
+            BExpr::Binary { left: a, right: b, .. } | BExpr::Like { expr: a, pattern: b, .. } => {
+                f(a);
+                f(b);
+            }
+            BExpr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            BExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            BExpr::Case { branches, else_expr } => {
+                for (c, r) in branches {
+                    f(c);
+                    f(r);
+                }
+                if let Some(e) = else_expr {
+                    f(e);
+                }
+            }
+            BExpr::Func { args, .. } => args.iter_mut().for_each(f),
+        }
+    }
+
+    /// The numeric kernel: `+ − ×` and negation over numeric columns and
+    /// literals, computed without a `Value`, `Cow` or `DbResult` per inner
+    /// node, by [`arith`]'s rules (`Int` op `Int` stays `Int`, anything
+    /// else is `Decimal` through `Decimal::add`/`sub`/`mul`, NULL in, NULL
+    /// out). `None` for any other node or leaf, division included: the
+    /// caller then takes the general path, which gives every error its
+    /// text. Both sides are computed before NULL is looked at, as there.
+    fn num(&self, row: RowRef) -> Option<Num> {
+        let leaf = match self {
+            BExpr::Column(i) => row.get(*i),
+            BExpr::Literal(v) => v,
+            BExpr::Binary { left, op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), right } => {
+                let l = left.num(row)?;
+                return Some(l.arith(*op, right.num(row)?));
+            }
+            BExpr::Neg(e) => {
+                return Some(match e.num(row)? {
+                    Num::Null => Num::Null,
+                    Num::Int(v) => Num::Int(-v),
+                    Num::Dec(d) => Num::Dec(d.neg()),
+                })
+            }
+            _ => return None,
+        };
+        match leaf {
+            Value::Null => Some(Num::Null),
+            Value::Int(v) => Some(Num::Int(*v)),
+            Value::Decimal(d) => Some(Num::Dec(*d)),
+            _ => None,
+        }
+    }
+}
+
+/// A value of the numeric kernel ([`BExpr::num`]).
+#[derive(Clone, Copy)]
+enum Num {
+    Null,
+    Int(i64),
+    Dec(Decimal),
+}
+
+impl Num {
+    /// [`arith`] for `+ − ×`.
+    #[inline]
+    fn arith(self, op: BinOp, r: Num) -> Num {
+        let (a, b) = match (self, r) {
+            (Num::Null, _) | (_, Num::Null) => return Num::Null,
+            (Num::Int(a), Num::Int(b)) => {
+                return Num::Int(match op {
+                    BinOp::Add => a + b,
+                    BinOp::Sub => a - b,
+                    _ => a * b,
+                })
+            }
+            (a, b) => (a.decimal(), b.decimal()),
+        };
+        Num::Dec(match op {
+            BinOp::Add => a.add(b),
+            BinOp::Sub => a.sub(b),
+            _ => a.mul(b),
+        })
+    }
+
+    fn decimal(self) -> Decimal {
+        match self {
+            Num::Int(v) => Decimal::from_int(v),
+            Num::Dec(d) => d,
+            Num::Null => unreachable!("NULL is handled first"),
+        }
+    }
+}
+
+impl From<Num> for Value {
+    fn from(n: Num) -> Value {
+        match n {
+            Num::Null => Value::Null,
+            Num::Int(v) => Value::Int(v),
+            Num::Dec(d) => Value::Decimal(d),
+        }
+    }
+}
+
+/// SQL comparison: `None` (UNKNOWN) when either side is NULL, an error
+/// when the two types cannot be compared. Every comparing form —
+/// comparison operators, `BETWEEN`, `IN` — answers through it.
+fn compare(l: &Value, r: &Value) -> DbResult<Option<Ordering>> {
+    if l.is_null() || r.is_null() {
+        return Ok(None);
+    }
+    l.sql_cmp(r).map(Some).ok_or_else(|| {
+        DbError::execution(format!("cannot compare {} with {}", l.type_name(), r.type_name()))
+    })
 }
 
 /// Numeric arithmetic with the engine's type rules: Int op Int stays Int
@@ -712,16 +856,20 @@ fn eval_subquery(sq: &Arc<BoundSubquery>, row: RowRef, ctx: &ExecCtx) -> DbResul
                 SubqueryKind::Exists { .. } => SubqueryResult::Exists(!rows.is_empty()),
                 SubqueryKind::In { .. } => {
                     let mut set = HashSet::with_capacity_and_hasher(rows.len(), FxBuild::default());
+                    let mut samples: Vec<Value> = Vec::new();
                     let mut has_null = false;
                     for mut r in rows {
                         let v = r.swap_remove(0);
                         if v.is_null() {
                             has_null = true;
                         } else {
+                            if samples.iter().all(|s| s.sql_cmp(&v).is_none()) {
+                                samples.push(v.clone());
+                            }
                             set.insert(v);
                         }
                     }
-                    SubqueryResult::InSet { set, has_null }
+                    SubqueryResult::InSet { set, samples, has_null }
                 }
             };
             let computed = Arc::new(computed);
@@ -736,14 +884,18 @@ fn eval_subquery(sq: &Arc<BoundSubquery>, row: RowRef, ctx: &ExecCtx) -> DbResul
         (SubqueryKind::Exists { negated }, SubqueryResult::Exists(found)) => {
             Ok(Value::Bool(found != negated))
         }
-        (SubqueryKind::In { lhs, negated }, SubqueryResult::InSet { set, has_null }) => {
+        (SubqueryKind::In { lhs, negated }, SubqueryResult::InSet { set, samples, has_null }) => {
             let v = lhs.eval_ref(row, ctx)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             if set.contains(&*v) {
-                Ok(Value::Bool(!negated))
-            } else if *has_null {
+                return Ok(Value::Bool(!negated));
+            }
+            for s in samples {
+                compare(&v, s)?;
+            }
+            if *has_null {
                 Ok(Value::Null)
             } else {
                 Ok(Value::Bool(*negated))

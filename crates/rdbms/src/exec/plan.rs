@@ -299,10 +299,40 @@ impl Plan {
         level: usize,
         map: &[Option<usize>],
     ) -> DbResult<()> {
-        let exprs: Vec<&mut BExpr> = match self {
+        for e in self.exprs_mut(true) {
+            e.rebind(level, map)?;
+        }
+        let correlated = matches!(self, Plan::NLJoin { right_correlated: true, .. });
+        let [left, right] = self.inputs_mut();
+        if let Some(p) = left {
+            p.rebind_outer_refs(level, map)?;
+        }
+        if let Some(p) = right {
+            p.rebind_outer_refs(level + usize::from(correlated), map)?;
+        }
+        Ok(())
+    }
+
+    /// [`BExpr::fold_literals`] over every expression of the plan, its
+    /// inputs' and its subqueries', except index bounds: those are
+    /// evaluated once per open anyway, and whether they are literals
+    /// decides the lock a scan takes ([`Plan::table_accesses`]).
+    pub(crate) fn fold_literals(&mut self) {
+        for e in self.exprs_mut(false) {
+            e.fold_literals();
+        }
+        for input in self.inputs_mut().into_iter().flatten() {
+            input.fold_literals();
+        }
+    }
+
+    /// This node's own expressions, index bounds only if `bounds`.
+    fn exprs_mut(&mut self, bounds: bool) -> Vec<&mut BExpr> {
+        match self {
             Plan::SeqScan { filter, .. } => filter.iter_mut().collect(),
             Plan::IndexScan { lower, upper, residual, .. } => [lower, upper]
                 .into_iter()
+                .filter(|_| bounds)
                 .flatten()
                 .flat_map(|bound| &mut bound.values)
                 .chain(residual)
@@ -319,19 +349,7 @@ impl Plan {
                 groups.iter_mut().chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut())).collect()
             }
             Plan::MonitorScan { .. } | Plan::Distinct { .. } | Plan::Limit { .. } => Vec::new(),
-        };
-        for e in exprs {
-            e.rebind(level, map)?;
         }
-        let correlated = matches!(self, Plan::NLJoin { right_correlated: true, .. });
-        let [left, right] = self.inputs_mut();
-        if let Some(p) = left {
-            p.rebind_outer_refs(level, map)?;
-        }
-        if let Some(p) = right {
-            p.rebind_outer_refs(level + usize::from(correlated), map)?;
-        }
-        Ok(())
     }
 
     /// One-line-per-node plan description (EXPLAIN output), used by tests

@@ -131,6 +131,7 @@ impl<'a> Planner<'a> {
         pq.n_params = self.max_param.get();
         pq.names = self.names.take();
         self.prune(&mut pq.plan, vec![true; pq.schema.len()])?;
+        pq.plan.fold_literals();
         Ok(pq)
     }
 

@@ -2,7 +2,7 @@
 //! each with a hand-computed expected answer.
 
 use rdbms::types::Value;
-use rdbms::{Database, DbError};
+use rdbms::{Database, DbError, ExecOutcome};
 
 fn db() -> Database {
     Database::with_defaults()
@@ -395,4 +395,87 @@ fn aggregates_differing_only_in_a_literal_keep_their_own_slots() {
     let r = d.query("SELECT MAX('x'), MAX('x ') FROM t").unwrap();
     assert!(r.rows[0][0].identical(&Value::str("x")), "{:?}", r.rows[0]);
     assert!(r.rows[0][1].identical(&Value::str("x ")), "{:?}", r.rows[0]);
+}
+
+fn error_text(db: &Database, sql: &str) -> String {
+    match db.query(sql) {
+        Ok(r) => panic!("{sql} returned {:?}", r.rows),
+        Err(e) => e.to_string(),
+    }
+}
+
+#[test]
+fn between_and_in_raise_the_comparison_error() {
+    let d = db();
+    d.execute("CREATE TABLE t (k INTEGER, s VARCHAR(10))").unwrap();
+    d.execute("INSERT INTO t VALUES (1, 'a')").unwrap();
+    let cmp = error_text(&d, "SELECT k FROM t WHERE s >= 1 AND s <= 2");
+    assert_eq!(cmp, error_text(&d, "SELECT k FROM t WHERE s = 1"));
+    assert!(cmp.contains("cannot compare STRING with INTEGER"), "{cmp}");
+    let flipped = error_text(&d, "SELECT k FROM t WHERE k = 'a'");
+    assert!(flipped.contains("cannot compare INTEGER with STRING"), "{flipped}");
+    for (sql, want) in [
+        ("SELECT k FROM t WHERE s BETWEEN 1 AND 2", &cmp),
+        ("SELECT k FROM t WHERE s NOT BETWEEN 1 AND 2", &cmp),
+        ("SELECT s BETWEEN 1 AND 2 FROM t", &cmp),
+        ("SELECT k FROM t WHERE s IN (1, 2)", &cmp),
+        ("SELECT k FROM t WHERE s NOT IN (1, 2)", &cmp),
+        ("SELECT s IN (1, 2) FROM t", &cmp),
+        ("SELECT k FROM t WHERE k NOT IN ('a')", &flipped),
+        ("SELECT k FROM t WHERE k IN (SELECT s FROM t)", &flipped),
+        ("SELECT k FROM t WHERE k NOT IN (SELECT s FROM t)", &flipped),
+    ] {
+        assert_eq!(&error_text(&d, sql), want, "{sql}");
+    }
+    // As `v >= low AND v <= high` and `v = x OR v = y` would: a first
+    // comparison that settles the answer skips the second.
+    assert_eq!(ints(&d, "SELECT k FROM t WHERE k BETWEEN 2 AND 'z'"), Vec::<i64>::new());
+    assert_eq!(ints(&d, "SELECT k FROM t WHERE k IN (1, 'a')"), vec![1]);
+    assert_eq!(error_text(&d, "SELECT k FROM t WHERE k IN (2, 'a')"), flipped);
+    // `high` is not evaluated when `v >= low` is false.
+    for sql in [
+        "SELECT k FROM t WHERE k BETWEEN 2 AND 1 / 0",
+        "SELECT k FROM t WHERE k >= 2 AND k <= 1 / 0",
+    ] {
+        assert_eq!(ints(&d, sql), Vec::<i64>::new(), "{sql}");
+    }
+    // A subquery's set has no order: a probe that matches a member is not
+    // checked against the others, one that matches none is.
+    d.execute("CREATE TABLE u (v INTEGER)").unwrap();
+    d.execute("INSERT INTO u VALUES (1)").unwrap();
+    d.execute("INSERT INTO u VALUES (2)").unwrap();
+    let mixed = |hit| {
+        format!(
+            "SELECT k FROM t WHERE k IN (SELECT CASE WHEN v = 1 THEN {hit} ELSE 'a' END FROM u)"
+        )
+    };
+    assert_eq!(ints(&d, &mixed(1)), vec![1]);
+    assert_eq!(error_text(&d, &mixed(3)), flipped);
+    // NULL is still UNKNOWN, not an error.
+    assert_eq!(ints(&d, "SELECT k FROM t WHERE NULL BETWEEN 1 AND 2"), Vec::<i64>::new());
+    assert_eq!(ints(&d, "SELECT k FROM t WHERE k NOT IN (2, NULL)"), Vec::<i64>::new());
+}
+
+#[test]
+fn folding_literals_moves_no_error() {
+    let d = db();
+    d.execute("CREATE TABLE t (k INTEGER, s VARCHAR(10))").unwrap();
+    d.execute("INSERT INTO t VALUES (1, 'a')").unwrap();
+    // A failing literal subtree fails only where it is evaluated.
+    assert_eq!(ints(&d, "SELECT CASE WHEN k = 2 THEN 1 / 0 ELSE 7 END FROM t"), vec![7]);
+    assert_eq!(ints(&d, "SELECT 1 / 0 FROM t WHERE k = 5"), Vec::<i64>::new());
+    assert_eq!(ints(&d, "SELECT k FROM t WHERE k = 5 AND 1 / 0 = 1"), Vec::<i64>::new());
+    assert!(error_text(&d, "SELECT 1 / 0 FROM t").contains("division by zero"));
+    assert!(error_text(&d, "SELECT k FROM t WHERE 1 / 0 = 1").contains("division by zero"));
+    let update = d.execute("UPDATE t SET k = 1 / 0 WHERE k = 5").unwrap();
+    assert!(matches!(update, ExecOutcome::Count(0)));
+    // Folded literals give the values they gave unfolded.
+    let r = d
+        .query("SELECT k * (2 + 3), k + 1.50 * 2, DATE '1994-01-01' + INTERVAL '1' YEAR FROM t")
+        .unwrap();
+    assert!(r.rows[0][0].identical(&Value::Int(5)), "{:?}", r.rows[0]);
+    assert!(r.rows[0][1].identical(&Value::decimal(400, 2)), "{:?}", r.rows[0]);
+    assert_eq!(r.rows[0][2], Value::date(1995, 1, 1));
+    d.execute("UPDATE t SET k = k + 2 * 3 WHERE k < 10 - 5").unwrap();
+    assert_eq!(ints(&d, "SELECT k FROM t"), vec![7]);
 }
