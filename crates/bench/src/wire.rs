@@ -134,7 +134,8 @@ pub struct PhaseRun {
 /// measurement.
 #[derive(Default)]
 pub struct ModeTotals {
-    pub elapsed_seconds: f64,
+    /// Each added phase's elapsed seconds, in repetition order.
+    pub phase_seconds: Vec<f64>,
     pub queries_run: u64,
     pub update_pairs: u64,
     pub retries: u64,
@@ -143,11 +144,15 @@ pub struct ModeTotals {
 
 impl ModeTotals {
     pub fn add(&mut self, run: &PhaseRun) {
-        self.elapsed_seconds += run.elapsed_seconds;
+        self.phase_seconds.push(run.elapsed_seconds);
         self.queries_run += run.queries_run;
         self.update_pairs += run.update_pairs;
         self.retries += run.retries;
         self.waits = self.waits.plus(&run.waits);
+    }
+
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.phase_seconds.iter().sum()
     }
 }
 

@@ -14,12 +14,18 @@
 //!
 //! When one transaction accumulates more than `escalation_threshold` range
 //! locks on a single table, they are traded for one table lock
-//! (escalation). A lock conversion (e.g. S -> X while other readers share
-//! the table) waits for the other holders to drain; while a converter is
-//! pending, no new conflicting locks are granted (no starvation), and a
-//! second simultaneous converter is aborted by the wait-for graph as a
-//! genuine deadlock. Deadlocks across both levels are detected with the
-//! same wait-for graph, backstopped by a lock-wait timeout.
+//! (escalation).
+//!
+//! Every table has one wait queue and one grant rule: a request is granted
+//! when no other holder and no waiter queued ahead of it conflicts with it
+//! ([`LockRequest::conflicts`]). So later readers do not pass a queued
+//! writer, while a range request still passes waiters on other keys. A
+//! request from a transaction that already holds a lock on the table is a
+//! conversion (S -> X, an escalation, a second range): it queues after
+//! earlier conversions but ahead of every other waiter, which would
+//! otherwise wait for it while it waits for them. The wait-for graph runs
+//! from each waiter to the holders and earlier waiters blocking it; a cycle
+//! aborts the requester that closes it, and a lock-wait timeout backstops.
 
 use crate::error::{DbError, DbResult};
 use crate::index::btree::increment_bytes;
@@ -290,24 +296,69 @@ fn mode_short(m: LockMode) -> &'static str {
     }
 }
 
+/// A blocked request in a table's wait queue.
+struct Waiter {
+    txn: TxnId,
+    req: LockRequest,
+    /// `txn` already holds a lock on the table, so the request converts it
+    /// (an S→X upgrade, an escalation, a second range).
+    converts: bool,
+}
+
 #[derive(Default)]
 struct TableLocks {
     /// Table-mode bitmask per holder (a transaction can hold e.g. S|IX).
     held: HashMap<TxnId, u8>,
     rows: Vec<(TxnId, RowLock)>,
-    /// Transaction waiting to convert to a stronger table mode. While set,
-    /// new locks that conflict with the requested mode are not granted, so
-    /// the converter cannot be starved by a stream of new readers.
-    upgrader: Option<TxnId>,
+    /// Blocked requests in grant order: conversions in arrival order, then
+    /// every other request in arrival order.
+    queue: Vec<Waiter>,
+}
+
+impl TableLocks {
+    fn holds_any(&self, me: TxnId) -> bool {
+        self.held.get(&me).copied().unwrap_or(0) != 0 || self.rows.iter().any(|(t, _)| *t == me)
+    }
+
+    /// The transactions `me`'s request `req` waits for: other holders it
+    /// conflicts with, and the waiters in `ahead` (the queue in front of
+    /// it) whose requests conflict with it. Range-lock holders are visible
+    /// to table requests through their intention bits, which `acquire_row`
+    /// grants atomically with the range.
+    fn blockers(&self, me: TxnId, req: &LockRequest, ahead: &[Waiter]) -> Vec<TxnId> {
+        let mut out = Vec::new();
+        for (&txn, &bits) in &self.held {
+            // A range request conflicts with another's whole-table lock
+            // exactly as its intention mode would.
+            if txn != me && bits != 0 && !bits_compatible(bits, req.table_side()) {
+                out.push(txn);
+            }
+        }
+        // Held ranges matter only to range requests (a table request saw
+        // their intention bits above), as `LockRequest::conflicts`' row arm.
+        if let LockRequest::Row(row) = req {
+            for (txn, held) in &self.rows {
+                if *txn != me && !out.contains(txn) && held.conflicts_with(row) {
+                    out.push(*txn);
+                }
+            }
+        }
+        for w in ahead {
+            if w.txn != me && !out.contains(&w.txn) && w.req.conflicts(req) {
+                out.push(w.txn);
+            }
+        }
+        out
+    }
 }
 
 struct LmState {
     tables: HashMap<String, TableLocks>,
-    waiting: HashMap<TxnId, (String, LockRequest)>,
 }
 
-/// Hierarchical strict two-phase lock manager with wait-for-graph deadlock
-/// detection and a timeout fallback.
+/// Hierarchical strict two-phase lock manager with one arrival-order wait
+/// queue per table, wait-for-graph deadlock detection and a timeout
+/// fallback.
 pub struct LockManager {
     state: Mutex<LmState>,
     released: Condvar,
@@ -338,7 +389,7 @@ impl LockManager {
         meter: Option<Arc<CostMeter>>,
     ) -> Self {
         LockManager {
-            state: Mutex::new(LmState { tables: HashMap::new(), waiting: HashMap::new() }),
+            state: Mutex::new(LmState { tables: HashMap::new() }),
             released: Condvar::new(),
             timeout,
             escalation_threshold: escalation_threshold.max(1),
@@ -353,28 +404,18 @@ impl LockManager {
     }
 
     /// Acquire (or convert to) table-level `mode` on `table` for
-    /// transaction `me`, blocking while conflicting holders exist. Returns
-    /// the wall-clock time spent blocked (zero when granted immediately).
+    /// transaction `me`, blocking while conflicting holders or earlier
+    /// conflicting waiters exist. Returns the wall-clock time spent
+    /// blocked (zero when granted immediately).
     pub fn acquire(&self, me: TxnId, table: &str, mode: LockMode) -> DbResult<Duration> {
         let key = table.to_ascii_uppercase();
         let mut st = self.state.lock();
         if Self::table_covered(&st, me, &key, mode) {
             return Ok(Duration::ZERO);
         }
-        let is_conversion = st.tables.get(&key).is_some_and(|t| {
-            t.held.get(&me).copied().unwrap_or(0) != 0 || t.rows.iter().any(|(txn, _)| *txn == me)
-        });
-        let waited =
-            self.wait_for_grant(&mut st, me, &key, LockRequest::Table(mode), is_conversion);
-        if waited.is_ok() {
-            let t = st.tables.entry(key).or_default();
-            *t.held.entry(me).or_insert(0) |= mode.bit();
-            if t.upgrader == Some(me) {
-                t.upgrader = None;
-                self.released.notify_all();
-            }
-        }
-        waited
+        let waited = self.wait_for_grant(&mut st, me, &key, LockRequest::Table(mode))?;
+        *st.tables.entry(key).or_default().held.entry(me).or_insert(0) |= mode.bit();
+        Ok(waited)
     }
 
     /// Acquire a key-range lock (granting the matching intention lock on
@@ -387,8 +428,7 @@ impl LockManager {
             return Ok(Duration::ZERO);
         }
         let intention = row.intention();
-        let waited =
-            self.wait_for_grant(&mut st, me, &key, LockRequest::Row(row.clone()), false)?;
+        let waited = self.wait_for_grant(&mut st, me, &key, LockRequest::Row(row.clone()))?;
         let t = st.tables.entry(key.clone()).or_default();
         *t.held.entry(me).or_insert(0) |= intention.bit();
         t.rows.push((me, row));
@@ -406,30 +446,21 @@ impl LockManager {
             .map(|(_, r)| r.table_mode())
             .find(|m| *m == LockMode::Exclusive)
             .unwrap_or(LockMode::Shared);
-        let escalation_wait =
-            self.wait_for_grant(&mut st, me, &key, LockRequest::Table(mode), true)?;
+        let escalation_wait = self.wait_for_grant(&mut st, me, &key, LockRequest::Table(mode))?;
         let t = st.tables.entry(key).or_default();
         *t.held.entry(me).or_insert(0) |= mode.bit();
-        if t.upgrader == Some(me) {
-            t.upgrader = None;
-        }
         t.rows.retain(|(txn, _)| *txn != me);
         self.count(Counter::LockEscalations);
-        self.released.notify_all();
         Ok(waited + escalation_wait)
     }
 
     /// Release every lock `me` holds and wake blocked requesters.
     pub fn release_all(&self, me: TxnId) {
         let mut st = self.state.lock();
-        st.waiting.remove(&me);
         st.tables.retain(|_, t| {
             t.held.remove(&me);
             t.rows.retain(|(txn, _)| *txn != me);
-            if t.upgrader == Some(me) {
-                t.upgrader = None;
-            }
-            !t.held.is_empty() || !t.rows.is_empty()
+            !t.held.is_empty() || !t.rows.is_empty() || !t.queue.is_empty()
         });
         self.released.notify_all();
     }
@@ -440,10 +471,7 @@ impl LockManager {
         let mut out: Vec<String> = st
             .tables
             .iter()
-            .filter(|(_, t)| {
-                t.held.get(&me).copied().unwrap_or(0) != 0
-                    || t.rows.iter().any(|(txn, _)| *txn == me)
-            })
+            .filter(|(_, t)| t.holds_any(me))
             .map(|(name, _)| name.clone())
             .collect();
         out.sort();
@@ -471,8 +499,7 @@ impl LockManager {
     /// True when no transaction holds or waits for anything (test hook for
     /// "no phantom holders survive release_all").
     pub fn is_quiescent(&self) -> bool {
-        let st = self.state.lock();
-        st.tables.is_empty() && st.waiting.is_empty()
+        self.state.lock().tables.is_empty()
     }
 
     /// Point-in-time picture of the whole lock table for the M$LOCKS
@@ -498,22 +525,22 @@ impl LockManager {
                 let row_locks = t.rows.iter().filter(|(holder, _)| *holder == txn).count() as u64;
                 out.push(LockInfo { table: name.clone(), txn, state: "HELD", mode, row_locks });
             }
-        }
-        for (txn, (table, req)) in &st.waiting {
-            let mode = match req {
-                LockRequest::Table(m) => format!("TABLE {}", mode_short(*m)),
-                LockRequest::Row(r) => match r.mode {
-                    RowMode::Shared => "ROW S".to_string(),
-                    RowMode::Exclusive => "ROW X".to_string(),
-                },
-            };
-            out.push(LockInfo {
-                table: table.clone(),
-                txn: *txn,
-                state: "WAITING",
-                mode,
-                row_locks: 0,
-            });
+            for w in &t.queue {
+                let mode = match &w.req {
+                    LockRequest::Table(m) => format!("TABLE {}", mode_short(*m)),
+                    LockRequest::Row(r) => match r.mode {
+                        RowMode::Shared => "ROW S".to_string(),
+                        RowMode::Exclusive => "ROW X".to_string(),
+                    },
+                };
+                out.push(LockInfo {
+                    table: name.clone(),
+                    txn: w.txn,
+                    state: "WAITING",
+                    mode,
+                    row_locks: 0,
+                });
+            }
         }
         drop(st);
         out.sort_by(|a, b| {
@@ -523,58 +550,55 @@ impl LockManager {
     }
 
     /// Block until `req` is grantable (the caller applies the grant while
-    /// the state lock is still held). `conversion` marks requests that
-    /// strengthen locks `me` already holds — those register as the table's
-    /// pending upgrader so new readers cannot starve them.
+    /// the state lock is still held). The one grant rule: no other holder
+    /// conflicts with `req` and no waiter queued ahead of it does. A
+    /// request that cannot be granted joins the table's queue: behind
+    /// earlier conversions if it converts a lock `me` already holds,
+    /// otherwise at the back.
     fn wait_for_grant(
         &self,
         st: &mut parking_lot::MutexGuard<'_, LmState>,
         me: TxnId,
         key: &str,
         req: LockRequest,
-        conversion: bool,
     ) -> DbResult<Duration> {
+        // No entry: nobody holds or waits for anything on the table.
+        let Some(t) = st.tables.get_mut(key) else { return Ok(Duration::ZERO) };
+        let converts = t.holds_any(me);
+        let place = if converts {
+            t.queue.iter().take_while(|w| w.converts).count()
+        } else {
+            t.queue.len()
+        };
+        if t.blockers(me, &req, &t.queue[..place]).is_empty() {
+            return Ok(Duration::ZERO);
+        }
+        if converts && matches!(req, LockRequest::Table(_)) {
+            self.count(Counter::UpgradeWaits);
+        }
+        t.queue.insert(place, Waiter { txn: me, req, converts });
         let start = Instant::now();
-        let mut blocked = false;
-        loop {
-            if Self::conflicting_holders(st, me, key, &req).is_empty() {
-                st.waiting.remove(&me);
-                return Ok(if blocked { start.elapsed() } else { Duration::ZERO });
+        let outcome = loop {
+            if Self::waits_for(st, me).is_empty() {
+                break Ok(start.elapsed());
             }
-            if !blocked {
-                blocked = true;
-                if conversion {
-                    let t = st.tables.entry(key.to_string()).or_default();
-                    if t.upgrader.is_none() {
-                        t.upgrader = Some(me);
-                    }
-                    self.count(Counter::UpgradeWaits);
-                }
-            }
-            st.waiting.insert(me, (key.to_string(), req.clone()));
-            let abort = |st: &mut LmState, reason: String| {
-                st.waiting.remove(&me);
-                if let Some(t) = st.tables.get_mut(key) {
-                    if t.upgrader == Some(me) {
-                        t.upgrader = None;
-                    }
-                }
-                Err(DbError::Deadlock(reason))
-            };
             if Self::in_cycle(st, me) {
-                return abort(st, format!("transaction {me} aborted: deadlock on table {key}"));
+                break Err(format!("transaction {me} aborted: deadlock on table {key}"));
             }
             if start.elapsed() >= self.timeout {
-                return abort(
-                    st,
-                    format!("transaction {me} aborted: lock wait timeout on table {key}"),
-                );
+                break Err(format!("transaction {me} aborted: lock wait timeout on table {key}"));
             }
             // Wake periodically even without a release so a cycle formed by
             // two requests registering simultaneously is still detected.
             let tick = self.timeout.min(Duration::from_millis(20));
             self.released.wait_for(st, tick);
+        };
+        if let Some(t) = st.tables.get_mut(key) {
+            t.queue.retain(|w| w.txn != me);
         }
+        // Leaving the queue may make the waiters behind `me` grantable.
+        self.released.notify_all();
+        outcome.map_err(DbError::Deadlock)
     }
 
     fn table_covered(st: &LmState, me: TxnId, key: &str, mode: LockMode) -> bool {
@@ -594,63 +618,29 @@ impl LockManager {
         })
     }
 
-    /// Transactions whose current locks (or pending conversion) block
-    /// `me`'s request. Range-lock holders are visible to table requests
-    /// through their intention bits, which `acquire_row` grants atomically
-    /// with the range.
-    fn conflicting_holders(st: &LmState, me: TxnId, key: &str, req: &LockRequest) -> Vec<TxnId> {
-        let Some(t) = st.tables.get(key) else { return Vec::new() };
-        let mut out = Vec::new();
-        for (&txn, &bits) in &t.held {
-            if txn == me || bits == 0 {
-                continue;
-            }
-            // A range request conflicts with another's whole-table lock
-            // exactly as its intention mode would.
-            if !bits_compatible(bits, req.table_side()) {
-                out.push(txn);
-            }
-        }
-        // Held ranges matter only to range requests (a table request saw
-        // their intention bits above), as `LockRequest::conflicts`' row arm.
-        if let LockRequest::Row(row) = req {
-            for (txn, held) in &t.rows {
-                if *txn != me && !out.contains(txn) && held.conflicts_with(row) {
-                    out.push(*txn);
-                }
-            }
-        }
-        // A pending converter blocks new grants that are incompatible with
-        // the mode it is converting to (readers already holding locks are
-        // unaffected: their re-requests are answered by the covered
-        // checks before we get here).
-        if let Some(u) = t.upgrader {
-            if u != me && !out.contains(&u) {
-                if let Some((ukey, pending @ LockRequest::Table(_))) = st.waiting.get(&u) {
-                    if ukey == key && pending.conflicts(req) {
-                        out.push(u);
-                    }
-                }
-            }
-        }
-        out
+    /// The transactions `txn`'s queued request waits for (none when it is
+    /// not queued anywhere).
+    fn waits_for(st: &LmState, txn: TxnId) -> Vec<TxnId> {
+        st.tables
+            .values()
+            .find_map(|t| {
+                let at = t.queue.iter().position(|w| w.txn == txn)?;
+                Some(t.blockers(txn, &t.queue[at].req, &t.queue[..at]))
+            })
+            .unwrap_or_default()
     }
 
     /// Does the wait-for graph contain a cycle through `me`? Edges run from
-    /// each waiting transaction to the holders blocking its request.
+    /// each waiter to the holders and earlier queued waiters blocking it.
     fn in_cycle(st: &LmState, me: TxnId) -> bool {
         let mut visited = HashSet::new();
-        let Some((key, req)) = st.waiting.get(&me) else { return false };
-        let mut stack = Self::conflicting_holders(st, me, key, req);
+        let mut stack = Self::waits_for(st, me);
         while let Some(n) = stack.pop() {
             if n == me {
                 return true;
             }
-            if !visited.insert(n) {
-                continue;
-            }
-            if let Some((k, r)) = st.waiting.get(&n) {
-                stack.extend(Self::conflicting_holders(st, n, k, r));
+            if visited.insert(n) {
+                stack.extend(Self::waits_for(st, n));
             }
         }
         false
@@ -833,6 +823,119 @@ mod tests {
             ra.is_ok() != rb.is_ok(),
             "exactly one upgrader wins, the other is the deadlock victim: {ra:?} {rb:?}"
         );
+    }
+
+    type Order = Arc<parking_lot::Mutex<Vec<TxnId>>>;
+
+    /// Request `req` on `table` for `txn` on its own thread, appending
+    /// `txn` to `order` once granted.
+    fn request(
+        lm: &Arc<LockManager>,
+        order: &Order,
+        txn: TxnId,
+        table: &'static str,
+        req: LockRequest,
+    ) -> std::thread::JoinHandle<DbResult<Duration>> {
+        let (lm, order) = (Arc::clone(lm), Arc::clone(order));
+        std::thread::spawn(move || {
+            let granted = match req {
+                LockRequest::Table(mode) => lm.acquire(txn, table, mode),
+                LockRequest::Row(row) => lm.acquire_row(txn, table, row),
+            };
+            if granted.is_ok() {
+                order.lock().push(txn);
+            }
+            granted
+        })
+    }
+
+    /// Does `txn` show up queued in `M$LOCKS` within two seconds?
+    fn queued(lm: &LockManager, txn: TxnId) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < deadline {
+            if lm.snapshot_locks().iter().any(|l| l.txn == txn && l.state == "WAITING") {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        false
+    }
+
+    #[test]
+    fn table_x_waiter_is_not_passed_by_a_later_reader() {
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let order = Order::default();
+        lm.acquire(1, "t", LockMode::Shared).unwrap();
+        let writer = request(&lm, &order, 2, "t", LockRequest::Table(LockMode::Exclusive));
+        assert!(queued(&lm, 2), "the writer waits for the reader");
+        let reader = request(&lm, &order, 3, "t", LockRequest::Table(LockMode::Shared));
+        assert!(queued(&lm, 3), "a later S must queue behind the X waiter");
+        lm.release_all(1);
+        writer.join().unwrap().unwrap();
+        lm.release_all(2);
+        reader.join().unwrap().unwrap();
+        assert_eq!(*order.lock(), [2, 3]);
+    }
+
+    #[test]
+    fn range_writer_waiter_is_not_passed_by_a_later_table_reader() {
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let order = Order::default();
+        lm.acquire(1, "t", LockMode::Shared).unwrap();
+        let row_x = LockRequest::Row(RowLock::exclusive(KeyRange::point(&key(7))));
+        let writer = request(&lm, &order, 2, "t", row_x);
+        assert!(queued(&lm, 2), "IX plus an exclusive range waits for table S");
+        let reader = request(&lm, &order, 3, "t", LockRequest::Table(LockMode::Shared));
+        assert!(queued(&lm, 3), "a later table S must queue behind the range writer");
+        lm.release_all(1);
+        writer.join().unwrap().unwrap();
+        lm.release_all(2);
+        reader.join().unwrap().unwrap();
+        assert_eq!(*order.lock(), [2, 3]);
+    }
+
+    #[test]
+    fn deadlock_closed_by_a_queue_edge_is_detected() {
+        use LockMode::{Exclusive, Shared};
+        let timeout = Duration::from_secs(10);
+        let lm = Arc::new(LockManager::new(timeout));
+        let order = Order::default();
+        lm.acquire(1, "a", Shared).unwrap();
+        lm.acquire(3, "c", Shared).unwrap();
+        let t2 = request(&lm, &order, 2, "a", LockRequest::Table(Exclusive));
+        assert!(queued(&lm, 2));
+        let t3 = request(&lm, &order, 3, "a", LockRequest::Table(Shared));
+        assert!(queued(&lm, 3), "S(a) queues behind the X(a) waiter");
+        // T1 -> T3 (holder of S(c)) -> T2 (queued ahead of T3 on a) -> T1.
+        let start = Instant::now();
+        let err = lm.acquire(1, "c", Exclusive).unwrap_err();
+        assert!(matches!(&err, DbError::Deadlock(m) if m.contains("deadlock")), "{err}");
+        assert!(start.elapsed() < timeout / 4, "found by the graph, not the timeout");
+        lm.release_all(1);
+        t2.join().unwrap().unwrap();
+        lm.release_all(2);
+        t3.join().unwrap().unwrap();
+        lm.release_all(3);
+        assert_eq!(*order.lock(), [2, 3]);
+        assert!(lm.is_quiescent());
+    }
+
+    #[test]
+    fn holder_takes_a_second_range_past_a_queued_table_writer() {
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let order = Order::default();
+        lm.acquire_row(1, "t", RowLock::shared(KeyRange::point(&key(1)))).unwrap();
+        let writer = request(&lm, &order, 2, "t", LockRequest::Table(LockMode::Exclusive));
+        assert!(queued(&lm, 2));
+        // T1 already holds a lock on the table: its request converts, so it
+        // is not queued behind T2 (which waits for T1 — plain FIFO would
+        // deadlock here).
+        let waited = lm.acquire_row(1, "t", RowLock::exclusive(KeyRange::point(&key(2)))).unwrap();
+        assert_eq!(waited, Duration::ZERO);
+        lm.release_all(1);
+        writer.join().unwrap().unwrap();
+        lm.release_all(2);
+        assert!(lm.is_quiescent());
     }
 
     #[test]

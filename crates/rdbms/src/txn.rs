@@ -24,9 +24,10 @@
 //!   key-range lock (phantom-protecting); anything else takes table X.
 //!
 //! Rollback is transaction-level via an undo log. Deadlocks are detected
-//! with a wait-for graph across both lock levels; shared→exclusive
-//! conversions wait for readers to drain (single upgrader per table) and
-//! abort only on a genuine cycle or timeout. Every wait is metered as
+//! with a wait-for graph across both lock levels. Each table grants in
+//! arrival order where requests conflict, with conversions (shared→exclusive,
+//! escalation) ahead of new requests; a wait aborts only on a genuine cycle
+//! or timeout. Every wait is metered as
 //! [`Counter::LockWaits`] and the wall wait duration is accumulated per
 //! transaction, so multi-stream drivers can attribute lock-wait time to
 //! the right stream.

@@ -1,7 +1,8 @@
 //! Property tests for the hierarchical lock manager: real contention on
-//! real threads, and the pure conflict function the throughput driver
-//! holds its virtual-time locks with ([`LockRequest::conflicts`]) checked
-//! against what the manager actually grants.
+//! real threads, the pure conflict function the throughput driver holds
+//! its virtual-time locks with ([`LockRequest::conflicts`]) checked
+//! against what the manager actually grants, and the arrival-order grant
+//! rule (no request passes an earlier waiter it conflicts with).
 
 use proptest::prelude::*;
 use rdbms::error::{DbError, DbResult};
@@ -9,7 +10,7 @@ use rdbms::lock::{KeyRange, LockManager, LockMode, LockRequest, RowLock};
 use rdbms::storage::codec::encode_key;
 use rdbms::types::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -81,6 +82,90 @@ proptest! {
     fn conflicts_predicts_the_manager(a in arb_request(), b in arb_request()) {
         prop_assert_eq!(a.conflicts(&b), b.conflicts(&a), "symmetric: {:?} {:?}", a, b);
         prop_assert_eq!(manager_blocks(&a, &b), a.conflicts(&b), "{:?} then {:?}", a, b);
+    }
+}
+
+/// One single-lock transaction per request, arriving in order: each request
+/// is issued once the one before it is granted or queued. Granted
+/// transactions hold until every request has arrived, then release after
+/// their `hold_us`. A transaction holding one lock and waiting for none
+/// never deadlocks, so every request is granted; the grant order must put
+/// each queued waiter before every later request that conflicts with it.
+fn run_arrival_case(reqs: &[(LockRequest, u64)]) {
+    let lm = Arc::new(LockManager::new(Duration::from_secs(20)));
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let arrived = Arc::new(AtomicBool::new(false));
+    let granted: Arc<Vec<AtomicBool>> =
+        Arc::new(reqs.iter().map(|_| AtomicBool::new(false)).collect());
+    let mut queued = vec![false; reqs.len()];
+    let mut handles = Vec::new();
+    for (i, (req, hold_us)) in reqs.iter().cloned().enumerate() {
+        let txn = i as u64 + 1;
+        let shared =
+            (Arc::clone(&lm), Arc::clone(&order), Arc::clone(&arrived), Arc::clone(&granted));
+        handles.push(thread::spawn(move || {
+            let (lm, order, arrived, granted) = shared;
+            request(&lm, txn, &req).expect("a single-lock transaction is always granted");
+            order.lock().unwrap().push(i);
+            granted[i].store(true, Ordering::SeqCst);
+            while !arrived.load(Ordering::SeqCst) {
+                thread::sleep(Duration::from_micros(100));
+            }
+            thread::sleep(Duration::from_micros(hold_us));
+            lm.release_all(txn);
+        }));
+        while !granted[i].load(Ordering::SeqCst) {
+            if lm.snapshot_locks().iter().any(|l| l.txn == txn && l.state == "WAITING") {
+                queued[i] = true;
+                break;
+            }
+            thread::yield_now();
+        }
+    }
+    arrived.store(true, Ordering::SeqCst);
+    for h in handles {
+        h.join().unwrap();
+    }
+    let order = order.lock().unwrap();
+    let at = |i: usize| order.iter().position(|&g| g == i).expect("every request is granted");
+    for (i, (waiter, _)) in reqs.iter().enumerate().filter(|&(i, _)| queued[i]) {
+        for (j, (later, _)) in reqs.iter().enumerate().skip(i + 1) {
+            if waiter.conflicts(later) {
+                assert!(
+                    at(i) < at(j),
+                    "request {j} ({later:?}) passed the earlier waiter {i} ({waiter:?}): \
+                     grants {order:?} for {reqs:?}"
+                );
+            }
+        }
+    }
+    assert!(lm.is_quiescent());
+}
+
+fn arb_arrivals() -> impl Strategy<Value = Vec<(LockRequest, u64)>> {
+    prop::collection::vec((arb_request(), 0u64..400), 2..8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Readers and writers on one table are granted in arrival order
+    /// wherever they conflict.
+    #[test]
+    fn no_request_passes_an_earlier_conflicting_waiter(reqs in arb_arrivals()) {
+        run_arrival_case(&reqs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The same at 1 000 cases (`cargo test --release -p rdbms --test
+    /// lock_props -- --ignored`).
+    #[test]
+    #[ignore]
+    fn no_request_passes_an_earlier_conflicting_waiter_long(reqs in arb_arrivals()) {
+        run_arrival_case(&reqs);
     }
 }
 
